@@ -394,7 +394,9 @@ def solve_delayed_infinite(spec: TeamSpec, tol: float = 1e-10,
 
     policy = GraphPolicy(graph=graph, horizon=None, gains=gains, values=values)
     radius = closed_loop_radius(spec, policy)
-    assert radius < 1.0, f"closed-loop estimator dynamics unstable (radius {radius})"
+    if not radius < 1.0:
+        raise RiccatiError(
+            f"closed-loop estimator dynamics unstable (spectral radius {radius:.6g})")
     return policy
 
 

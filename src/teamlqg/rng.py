@@ -1,9 +1,15 @@
 """Reproducible sampling of team primitives.
 
-Every rollout draws from its own counter-based stream keyed by
-(seed, rollout index), so results are bitwise reproducible no matter how
-rollouts are chunked or parallelized.  Initial states are exchangeable
-across agents; the "uniform" family pushes i.i.d. uniform[-sqrt(3), sqrt(3)]
+Rollouts are drawn in blocks of ``BLOCK`` consecutive rollouts.  Block b of
+seed s has its own counter-based Philox stream keyed by (s, b), and the
+stream fills the block's (rows, k) variates rollout-major: rollout
+b * BLOCK + r takes the k variates after the first r * k of its block.  A
+rollout's variates therefore depend only on the seed and its index, and a
+draw of fewer rollouts is a bitwise prefix of a draw of more, so results are
+reproducible regardless of chunking.  ``BLOCK`` is part of the stream
+definition, not a tuning knob: another value would key rollouts to other
+streams and change every result.  Initial states are exchangeable across
+agents; the "uniform" family pushes i.i.d. uniform[-sqrt(3), sqrt(3)]
 variates (unit variance) through the same covariance factors, so first and
 second moments match the Gaussian family exactly.
 """
@@ -15,21 +21,26 @@ import numpy as np
 from .linalg import is_psd, psd_factor, sym
 from .model import NoiseSpec
 
+BLOCK = 4096
+
 _SQRT3 = np.sqrt(3.0)
 
 
-def rollout_generator(seed: int, index: int) -> np.random.Generator:
+def block_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                                       index & 0xFFFFFFFFFFFFFFFF],
+                                       block & 0xFFFFFFFFFFFFFFFF],
                                       dtype=np.uint64))
     )
 
 
-def _raw(gen, size, family):
+def _fill(gen, out, family):
     if family == "gaussian":
-        return gen.standard_normal(size)
-    return gen.uniform(-_SQRT3, _SQRT3, size)
+        gen.standard_normal(out=out)
+    else:
+        gen.random(out=out)
+        out *= 2.0 * _SQRT3
+        out -= _SQRT3
 
 
 class PrimitiveSampler:
@@ -51,8 +62,9 @@ class PrimitiveSampler:
             self._split = None
             self._joint = psd_factor(joint)
 
-    def draw(self, T: int, n_rollouts: int, seed: int):
-        """Returns x0 with shape (R, N, n) and w with shape (R, T, N, n)."""
+    def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
+        """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and w
+        with shape (R, T, N, n)."""
         N, n = self.n_dm, self.n
         if self._split is not None:
             k_init = n + N * n
@@ -60,9 +72,9 @@ class PrimitiveSampler:
             k_init = N * n
         k_noise = T * N * n
         raw = np.empty((n_rollouts, k_init + k_noise))
-        for r in range(n_rollouts):
-            gen = rollout_generator(seed, r)
-            raw[r] = _raw(gen, k_init + k_noise, self.family)
+        for start in range(0, n_rollouts, BLOCK):
+            gen = block_generator(seed, first_block + start // BLOCK)
+            _fill(gen, raw[start:start + BLOCK], self.family)
 
         if self._split is not None:
             Ad, Ac = self._split
@@ -71,5 +83,9 @@ class PrimitiveSampler:
             x0 = z_own @ Ad.T + (z_common @ Ac.T)[:, None, :]
         else:
             x0 = (raw[:, :k_init] @ self._joint.T).reshape(n_rollouts, N, n)
-        w = raw[:, k_init:].reshape(n_rollouts, T, N, n) @ self.Fw.T
+        # The noise is scaled in place, one step at a time, so a draw holds
+        # one array of its size, not two.
+        w = raw[:, k_init:].reshape(n_rollouts, T, N, n)
+        for t in range(T):
+            w[:, t] = w[:, t] @ self.Fw.T
         return x0, w

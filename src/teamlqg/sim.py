@@ -3,8 +3,10 @@
 Policies are affine and information-measurable by construction: a tree-class
 policy maps each agent's own state and own initial-state statistic to its
 control; a graph-class policy reads only the shared estimator states.  The
-engine provides independent cost estimates (per-rollout streams keyed by the
-seed, hence bitwise deterministic) next to the solvers' exact formulas.
+engine provides independent cost estimates (block streams keyed by the seed,
+hence bitwise deterministic) next to the solvers' exact formulas.  Rollouts
+stream through the engines one rng block at a time, so beyond one cost per
+rollout, memory grows with the block size, not with the number of rollouts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import delayed as _delayed
 from .model import Delayed, NoiseSpec, TeamSpec, conditional_gain
-from .rng import PrimitiveSampler
+from .rng import BLOCK, PrimitiveSampler
 from .tree import (
     Population,
     TreePolicy,
@@ -106,69 +108,87 @@ class SimReport:
 # Monte Carlo rollouts
 
 
-def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed,
-             want_traj=False):
-    N = pset.n_dm
+def _blocks(n_rollouts):
+    """(block index, slice of rollouts) for each rng block of a batch."""
+    return [(b, slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts)))
+            for b in range(-(-n_rollouts // BLOCK))]
+
+
+def _quad(v, M):
+    """Per-rollout v^T M v summed over the leading axis (agents or steps) of
+    v with shape (., R, k)."""
+    return ((v @ M) * v).sum(axis=(0, 2))
+
+
+def _tree_steps(spec: TeamSpec, pset: TreePolicySet, T, x0, w):
+    """Steps one batch of rollouts through a tree-class profile.
+
+    Takes x0 (R, N, n) and w (R, T, N, n) as drawn, and yields (x_t, u_t)
+    for t = 0..T-1, agent-major with shapes (N, R, n) and (N, R, m), so each
+    agent's gains act on its states by one matrix product.
+    """
     A, B = spec.dynamics.A, spec.dynamics.B
-    Q, R = spec.cost.Q, spec.cost.R
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
-    Qt = spec.cost.q_tilde_or_zero(spec.n)
-    cR, cQ = _coupling_coeffs(pset.mode, N)
     _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
     Ks, Ls = pset.stacked()
+    KT, LT = Ks.swapaxes(2, 3), Ls.swapaxes(2, 3)
 
-    sampler = PrimitiveSampler(spec.noise, N)
-    x0, w = sampler.draw(T, n_rollouts, seed)
-    c = alpha * (x0 @ Sigma.T)
-    x = x0
-    costs = np.zeros(n_rollouts)
-    traj = {"u": [], "x": []} if want_traj else None
+    x = np.ascontiguousarray(x0.swapaxes(0, 1))
+    c = alpha * (x @ Sigma.T)
     for t in range(T):
-        u = (np.einsum("aij,raj->rai", Ks[:, t], x)
-             + np.einsum("aij,raj->rai", Ls[:, t], c))
-        stage = (np.einsum("rai,ij,raj->r", x, Q, x)
-                 + np.einsum("rai,ij,raj->r", u, R, u))
-        if cR and np.any(Rt):
-            su = u.sum(axis=1)
-            stage += cR * (np.einsum("ri,ij,rj->r", su, Rt, su)
-                           - np.einsum("rai,ij,raj->r", u, Rt, u))
-        if cQ and np.any(Qt):
-            sx = x.sum(axis=1)
-            stage += cQ * (np.einsum("ri,ij,rj->r", sx, Qt, sx)
-                           - np.einsum("rai,ij,raj->r", x, Qt, x))
-        costs += stage
-        if want_traj:
-            traj["u"].append(u)
-            traj["x"].append(x)
-        x = x @ A.T + u @ B.T + w[:, t]
-    costs /= T
-    return (costs, traj) if want_traj else (costs, None)
+        u = x @ KT[:, t] + c @ LT[:, t]
+        yield x, u
+        x = x @ A.T + u @ B.T + w[:, t].swapaxes(0, 1)
+
+
+def _stage_cost(spec: TeamSpec, mode: Population, x, u):
+    """Per-rollout stage cost of agent-major states x and controls u."""
+    cR, cQ = _coupling_coeffs(mode, len(x))
+    Rt = spec.cost.r_tilde_or_zero(spec.m)
+    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    cost = _quad(x, spec.cost.Q) + _quad(u, spec.cost.R)
+    if cR and np.any(Rt):
+        cost += cR * (_quad(u.sum(axis=0, keepdims=True), Rt) - _quad(u, Rt))
+    if cQ and np.any(Qt):
+        cost += cQ * (_quad(x.sum(axis=0, keepdims=True), Qt) - _quad(x, Qt))
+    return cost
+
+
+def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
+    sampler = PrimitiveSampler(spec.noise, pset.n_dm)
+    costs = np.empty(n_rollouts)
+    for b, rows in _blocks(n_rollouts):
+        steps = _tree_steps(spec, pset, T, *sampler.draw(
+            T, rows.stop - rows.start, seed, first_block=b))
+        costs[rows] = sum(_stage_cost(spec, pset.mode, x, u)
+                          for x, u in steps) / T
+    return costs
+
+
+def _graph_costs(spec: TeamSpec, policy, x0, w):
+    """Per-rollout costs of one batch of primitives under a graph policy."""
+    (R, N, n), T = x0.shape, w.shape[1]
+    d = _delayed.stacked_data(spec)
+    x, _, u = _delayed.simulate_estimator(policy.graph, policy, spec,
+                                          x0.reshape(R, N * n),
+                                          w.reshape(R, T, N * n))
+    x, u = x.swapaxes(0, 1), u.swapaxes(0, 1)    # step-major
+    return (_quad(x, d.Q) + _quad(u, d.R)
+            + 2.0 * ((x[:T] @ d.S) * u).sum(axis=(0, 2))) / T
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
-    N, n = spec.n_dm, spec.n
-    d = _delayed.stacked_data(spec)
-    sampler = PrimitiveSampler(spec.noise, N)
-    x0, w = sampler.draw(T, n_rollouts, seed)
-    x0 = x0.reshape(n_rollouts, N * n)
-    w = w.reshape(n_rollouts, T, N * n)
-    x, _, u = _delayed.simulate_estimator(pset.policy.graph, pset.policy, spec,
-                                          x0, w)
-    costs = np.zeros(n_rollouts)
-    for t in range(T):
-        xt, ut = x[:, t], u[:, t]
-        costs += (np.einsum("ri,ij,rj->r", xt, d.Q, xt)
-                  + 2.0 * np.einsum("ri,ij,rj->r", xt, d.S, ut)
-                  + np.einsum("ri,ij,rj->r", ut, d.R, ut))
-    costs += np.einsum("ri,ij,rj->r", x[:, T], d.Q, x[:, T])
-    return costs / T
+    sampler = PrimitiveSampler(spec.noise, spec.n_dm)
+    costs = np.empty(n_rollouts)
+    for b, rows in _blocks(n_rollouts):
+        costs[rows] = _graph_costs(spec, pset.policy, *sampler.draw(
+            T, rows.stop - rows.start, seed, first_block=b))
+    return costs
 
 
 def rollout_costs(spec, policies, T, n_rollouts, seed):
     if isinstance(policies, TreePolicySet):
-        costs, _ = _tree_mc(spec, policies, T, n_rollouts, seed)
-        return costs
+        return _tree_mc(spec, policies, T, n_rollouts, seed)
     if isinstance(policies, GraphPolicySet):
         if not isinstance(spec.info, Delayed):
             raise ValueError("graph policies require delayed information")
@@ -281,6 +301,16 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
     diff = symm - orig
     se = float(np.std(diff, ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
     return float(np.mean(symm)), float(np.mean(orig)), 3.0 * se
+
+
+def symmetrization_holds(cost_sym: float, cost_orig: float,
+                         half_width: float) -> bool:
+    """Verdict on ``symmetrization_check``'s output: the symmetrized cost may
+    exceed the original by at most the 3-SE band.  The band has a rounding
+    floor, because an already symmetric profile ties with its average only
+    up to rounding and its common-random-number band can be zero."""
+    return cost_sym <= cost_orig + max(half_width,
+                                       1e-12 * (1.0 + abs(cost_orig)))
 
 
 def combine(p1: TreePolicySet, p2: TreePolicySet, a: float) -> TreePolicySet:
@@ -401,6 +431,11 @@ def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
 # mean-field sweep
 
 
+def _gram(v):
+    """Sum over agents and rollouts of v v^T, for agent-major v (N, R, k)."""
+    return np.tensordot(v, v, axes=([0, 1], [0, 1]))
+
+
 def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     """Convergence table of the N-agent mean-field optima toward the limit.
 
@@ -433,30 +468,40 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
                              L=limit.L, P=limit.P, G=limit.G)
         pset_lim = TreePolicySet.from_policy(lim_pol, N)
 
-        costs_n, traj_n = _tree_mc(nspec, pset_n, T, n_rollouts, seed,
-                                   want_traj=True)
-        costs_l, traj_l = _tree_mc(nspec, pset_lim, T, n_rollouts, seed,
-                                   want_traj=True)
+        # Both policies see the same primitives (common random numbers).
+        # Empirical-measure moments of the two policies' (control, state)
+        # samples, per time step and summed over agents and rollouts, are
+        # accumulated step by step.
+        sampler = PrimitiveSampler(nspec.noise, N)
+        mode = pset_n.mode
+        costs_n, costs_l = np.empty(n_rollouts), np.empty(n_rollouts)
+        m, n = spec.m, spec.n
+        first_u, second_u = np.zeros((T, m)), np.zeros((T, m, m))
+        first_x, second_x = np.zeros((T, n)), np.zeros((T, n, n))
+        ui = 0.0
+        for b, block in _blocks(n_rollouts):
+            x0, w = sampler.draw(T, block.stop - block.start, seed,
+                                 first_block=b)
+            cost_n = cost_l = 0.0
+            for t, ((x_n, u_n), (x_l, u_l)) in enumerate(zip(
+                    _tree_steps(nspec, pset_n, T, x0, w),
+                    _tree_steps(nspec, pset_lim, T, x0, w))):
+                cost_n = cost_n + _stage_cost(nspec, mode, x_n, u_n)
+                cost_l = cost_l + _stage_cost(nspec, mode, x_l, u_l)
+                first_u[t] += (u_n - u_l).sum(axis=(0, 1))
+                first_x[t] += (x_n - x_l).sum(axis=(0, 1))
+                second_u[t] += _gram(u_n) - _gram(u_l)
+                second_x[t] += _gram(x_n) - _gram(x_l)
+                ui += float(np.sum((u_n - u_l) ** 2))
+            costs_n[block], costs_l[block] = cost_n / T, cost_l / T
+            del x0, w    # one block's primitives alive at a time
         se_n = float(np.std(costs_n, ddof=1) / np.sqrt(n_rollouts))
         se_gap = float(np.std(costs_n - costs_l, ddof=1) / np.sqrt(n_rollouts))
-
-        u_n = np.stack(traj_n["u"], axis=1)   # (R, T, N, m)
-        u_l = np.stack(traj_l["u"], axis=1)
-        x_n = np.stack(traj_n["x"], axis=1)
-        x_l = np.stack(traj_l["x"], axis=1)
-        # Empirical measures: across-agent first/second moments per rollout,
-        # then averaged over rollouts, for both policies.
-        m1 = float(np.linalg.norm(u_n.mean(axis=(0, 2)) - u_l.mean(axis=(0, 2)))
-                   + np.linalg.norm(x_n.mean(axis=(0, 2)) - x_l.mean(axis=(0, 2))))
-        m2 = float(
-            np.linalg.norm(np.einsum("rtai,rtaj->tij", u_n, u_n)
-                           - np.einsum("rtai,rtaj->tij", u_l, u_l))
-            / (n_rollouts * N)
-            + np.linalg.norm(np.einsum("rtai,rtaj->tij", x_n, x_n)
-                             - np.einsum("rtai,rtaj->tij", x_l, x_l))
-            / (n_rollouts * N)
-        )
-        ui = float(np.mean(np.sum((u_n - u_l) ** 2, axis=-1)))
+        samples = n_rollouts * N
+        m1 = float(np.linalg.norm(first_u) + np.linalg.norm(first_x)) / samples
+        m2 = float(np.linalg.norm(second_u)
+                   + np.linalg.norm(second_x)) / samples
+        ui /= samples * T
 
         rows.append({
             "N": N,

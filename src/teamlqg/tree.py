@@ -16,7 +16,13 @@ import numpy as np
 
 from .linalg import sym
 from .model import TeamSpec, conditional_gain
-from .riccati import ConvergenceError, dare_solve, riccati_step, spectral_radius
+from .riccati import (
+    ConvergenceError,
+    RiccatiError,
+    dare_solve,
+    riccati_step,
+    spectral_radius,
+)
 
 
 class CouplingSystemError(RuntimeError):
@@ -471,7 +477,9 @@ def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
     A, B = spec.dynamics.A, spec.dynamics.B
     sol = dare_solve(A, B, sym(spec.cost.Q), sym(spec.cost.R))
     radius = spectral_radius(A + B @ sol.K)
-    assert radius < 1.0, "stationary closed loop must be stable"
+    if not radius < 1.0:
+        raise RiccatiError(
+            f"stationary closed loop is unstable (spectral radius {radius:.6g})")
     a, _, _, _ = cost_weights(mode)
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 

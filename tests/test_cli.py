@@ -1,6 +1,9 @@
 """Command-line interface: spec parsing, commands, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from teamlqg.cli import (
     load_spec,
     main,
 )
+from teamlqg import delayed, tree
 from teamlqg.model import Delayed, MeanFieldTree, Tree
+from teamlqg.riccati import RiccatiError
 
 GOLDEN = {
     "n_dm": 2,
@@ -197,6 +202,37 @@ class TestExitCodes:
         data["cost"] = {"Q": [[1.0]], "R": [[1.0]]}
         assert main(["solve-tree-inf",
                      write_spec(tmp_path, data)]) == EXIT_NUMERICAL
+
+    def test_unstable_stationary_loop_raises_and_exits_2(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(tree, "spectral_radius", lambda M: 1.25)
+        spec_path = write_spec(tmp_path, GOLDEN)
+        with pytest.raises(RiccatiError, match="spectral radius 1.25"):
+            tree.solve_infinite_tree(load_spec(spec_path))
+        assert main(["solve-tree-inf", spec_path]) == EXIT_NUMERICAL
+
+    def test_unstable_delayed_estimator_raises_and_exits_2(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.setattr(delayed, "closed_loop_radius",
+                            lambda spec, policy: 1.25)
+        spec_path = write_spec(tmp_path, DELAYED)
+        with pytest.raises(RiccatiError, match="spectral radius 1.25"):
+            delayed.solve_delayed_infinite(load_spec(spec_path))
+        assert main(["solve-delayed-inf", spec_path]) == EXIT_NUMERICAL
+
+    def test_unstable_loop_exits_2_under_optimize_flag(self, tmp_path):
+        """The stability check is not an assert, so ``python -O`` keeps it."""
+        code = ("import sys; from teamlqg import cli, tree; "
+                "tree.spectral_radius = lambda M: 1.25; "
+                f"sys.exit(cli.main(['solve-tree-inf', "
+                f"{write_spec(tmp_path, GOLDEN)!r}]))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+        assert "spectral radius 1.25" in proc.stderr
 
     def test_validation_failure_exit_from_solver_command(self, tmp_path):
         data = json.loads(json.dumps(GOLDEN))

@@ -1,11 +1,13 @@
 """Monte Carlo engine: determinism, unbiasedness, common random numbers,
 exchangeable sampling, and the structural checks with negative controls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from teamlqg.model import NoiseSpec, TeamSpec, Tree, Homogeneous, CostSpec
-from teamlqg.rng import PrimitiveSampler, rollout_generator
+from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
     TreePolicySet,
     GraphPolicySet,
@@ -19,8 +21,10 @@ from teamlqg.sim import (
     rollout_costs,
     simulate,
     symmetrization_check,
+    symmetrization_holds,
     symmetrize,
 )
+from teamlqg.sim import _graph_mc
 from teamlqg.tree import predicted_cost, solve_tree, two_dm
 from teamlqg.delayed import solve_delayed_finite
 
@@ -63,12 +67,62 @@ class TestDeterminism:
         pset, _ = optimal_pset(spec, 3)
         assert simulate(spec, pset, 3, 200, 1) != simulate(spec, pset, 3, 200, 2)
 
-    def test_rollout_generator_streams_are_stable(self):
-        a = rollout_generator(9, 3).standard_normal(4)
-        b = rollout_generator(9, 3).standard_normal(4)
-        c = rollout_generator(9, 4).standard_normal(4)
+    def test_block_generator_streams_are_stable(self):
+        a = block_generator(9, 3).standard_normal(4)
+        b = block_generator(9, 3).standard_normal(4)
+        c = block_generator(9, 4).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_draw_prefix_across_block_boundary(self, family):
+        noise = NoiseSpec(sigma_w=[[0.7]], init_diag=[[1.0]],
+                          init_offdiag=[[0.4]], family=family)
+        sampler = PrimitiveSampler(noise, 2)
+        x0_big, w_big = sampler.draw(3, 3 * BLOCK + 5, seed=8)
+        x0, w = sampler.draw(3, BLOCK + 7, seed=8)
+        assert np.array_equal(x0_big[:BLOCK + 7], x0)
+        assert np.array_equal(w_big[:BLOCK + 7], w)
+
+    def test_draw_block_offset_continues_the_stream(self):
+        noise = NoiseSpec(sigma_w=[[0.7]], init_diag=[[1.0]],
+                          init_offdiag=[[0.4]])
+        sampler = PrimitiveSampler(noise, 2)
+        x0_all, w_all = sampler.draw(3, 2 * BLOCK + 3, seed=8)
+        x0, w = sampler.draw(3, BLOCK + 3, seed=8, first_block=1)
+        assert np.array_equal(x0_all[BLOCK:], x0)
+        assert np.array_equal(w_all[BLOCK:], w)
+
+    def test_rollout_costs_prefix_across_block_boundary(self):
+        spec = scalar_tree_spec(T=3)
+        pset, _ = optimal_pset(spec, 3)
+        big = rollout_costs(spec, pset, 3, 3 * BLOCK + 5, seed=7)
+        small = rollout_costs(spec, pset, 3, BLOCK + 7, seed=7)
+        assert np.array_equal(big[:BLOCK + 7], small)
+        # each block has its own stream
+        assert not np.array_equal(big[BLOCK:BLOCK + 7], big[:7])
+
+    def test_graph_blocks_match_one_unchunked_draw(self):
+        """Streaming _graph_mc block by block gives the costs of rolling out
+        a single draw of the whole batch."""
+        from teamlqg.delayed import simulate_estimator, stacked_data
+
+        spec = coupled_delayed_spec_2dm(T=3)
+        pol, _ = solve_delayed_finite(spec, 3)
+        R, N, n = BLOCK + 9, spec.n_dm, spec.n
+        blocked = _graph_mc(spec, GraphPolicySet(policy=pol), 3, R, seed=4)
+
+        x0, w = PrimitiveSampler(spec.noise, N).draw(3, R, seed=4)
+        x, _, u = simulate_estimator(pol.graph, pol, spec,
+                                     x0.reshape(R, N * n),
+                                     w.reshape(R, 3, N * n))
+        d = stacked_data(spec)
+        whole = sum(np.einsum("ri,ij,rj->r", x[:, t], d.Q, x[:, t])
+                    + 2.0 * np.einsum("ri,ij,rj->r", x[:, t], d.S, u[:, t])
+                    + np.einsum("ri,ij,rj->r", u[:, t], d.R, u[:, t])
+                    for t in range(3))
+        whole = (whole + np.einsum("ri,ij,rj->r", x[:, 3], d.Q, x[:, 3])) / 3
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12)
 
 
 class TestSampling:
@@ -192,6 +246,21 @@ class TestStructuralChecks:
         # exact version of the same statement
         assert (exact_cost_general(spec, symmetrize(aset), 3)
                 <= exact_cost_general(spec, aset, 3) + 1e-12)
+
+    def test_symmetrization_verdict_tie_and_violation(self):
+        # an already symmetric profile ties with its average up to rounding,
+        # and its common-random-number band is then zero
+        assert symmetrization_holds(2.5, 2.5, 0.0)
+        assert symmetrization_holds(2.5 + 4e-16, 2.5, 0.0)
+        assert not symmetrization_holds(2.6, 2.5, 0.01)
+        # averaging seven equal schedules rounds; on x86-64 with numpy 2.4
+        # the symmetrized cost sits 3.6e-15 above the original here, ten
+        # times the 3-SE band
+        spec = replace(scalar_tree_spec(T=3), n_dm=7)
+        pset, _ = optimal_pset(spec, 3)
+        cs, co, ci = symmetrization_check(spec, pset, 200, seed=15)
+        assert abs(cs - co) <= 1e-12 * (1.0 + abs(co))
+        assert symmetrization_holds(cs, co, ci)
 
     def test_convexity_random_triples(self, rng):
         spec = scalar_tree_spec(T=2)
