@@ -2,10 +2,13 @@
 
 The own-state feedback gains K_t and value matrices P_t come from the
 standard backward Riccati recursion and are independent of every coupling
-quantity.  The initial-state coupling gains L_t solve a linear stationarity
-system: the expected cost is an exact quadratic in the stacked L gains, so we
-assemble its gradient (hand-derived adjoint of the closed-loop second-moment
-recursion) on a basis and solve the normal equations directly.
+quantity.  The initial-state coupling gains L_t minimize the expected cost,
+an exact convex quadratic in the stacked L gains.  Splitting the closed loop
+into its L = 0 part and a feedforward matrix M_t driven by the coupling
+statistic turns that minimization into a deterministic LQ problem in vec(M_t),
+which one backward Riccati sweep and one forward pass solve exactly in
+O(T n^6) time.  ``_cost_and_grad`` (moment propagation with a hand-derived
+adjoint) evaluates the exact cost and its gradient in L for any schedule.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .riccati import (
 
 
 class CouplingSystemError(RuntimeError):
-    """The stacked linear system for the coupling gains is singular."""
+    """The cost is not strictly convex in the coupling gains: a stage pivot
+    of the coupling sweep is singular, indefinite or ill-conditioned."""
 
 
 # ---------------------------------------------------------------------------
@@ -266,38 +270,97 @@ def policy_cost_gradient(spec: TeamSpec, T: int, K, L, mode: Population):
 def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
     """Coupling gains L_0..L_{T-1} and propagators G_0..G_{T-1}.
 
-    The cost restricted to the symmetric class with K fixed is an exact
-    quadratic in the stacked L, so grad J(L) = H vec(L) + g0.  H is built
-    column-by-column from gradients at basis points (exact, not a finite
-    difference) and the stationarity system H vec(L) = -g0 is solved
-    directly.
+    The cost restricted to the symmetric class with K fixed is a convex
+    quadratic in the stacked L; its exact minimizer comes from one backward
+    Riccati sweep over the feedforward matrices (see ``_coupling_sweep``).
+    Raises CouplingSystemError when a stage pivot of the sweep is not
+    positive definite or has condition number above 1e12, i.e. when the
+    cost is not strictly convex in L.
     """
-    m, n = spec.m, spec.n
-    p = _params(spec, mode)
     K, _ = solve_k_p(spec, T)
-    d = T * m * n
-    if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
-        L = np.zeros((T, m, n))
-        return [L[t] for t in range(T)], _propagators(spec, T, K, L, p.alpha)
+    return _coupling_gains(spec, T, mode, K)
 
-    basis = np.zeros((d + 1, T, m, n))
-    basis[1:] = np.eye(d).reshape(d, T, m, n)
-    _, grads = _cost_and_grad(p, K, basis)
-    g0 = grads[0].reshape(d)
-    H = grads[1:].reshape(d, d).T - g0[:, None]
-    H = 0.5 * (H + H.T)
-    try:
-        cond = np.linalg.cond(H)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise np.linalg.LinAlgError(f"condition number {cond:.3e}")
-        vecL = np.linalg.solve(H, -g0)
-    except np.linalg.LinAlgError as exc:
-        raise CouplingSystemError(
-            f"coupling system singular ({exc}); check Sigma/R_tilde for "
-            "degenerate combinations"
-        ) from exc
-    L = vecL.reshape(T, m, n)
+
+def _coupling_gains(spec: TeamSpec, T: int, mode: Population, K):
+    """solve_coupling_gains for the gains K = solve_k_p(spec, T)[0]."""
+    p = _params(spec, mode)
+    if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
+        L = np.zeros((T, spec.m, spec.n))
+    else:
+        L = _coupling_sweep(p, K)
     return [L[t] for t in range(T)], _propagators(spec, T, K, L, p.alpha)
+
+
+def _coupling_sweep(p: _Params, K):
+    """Exact minimizer over L of the cost of u_t^i = K_t x_t^i + L_t c^i.
+
+    Write x_t^i = y_t^i + M_t c^i, where y is the L = 0 loop and M_0 = 0.
+    With N_t = K_t M_t + L_t the feedforward matrix obeys
+    M_{t+1} = A M_t + B N_t, and u_t^i = K_t y_t^i + N_t c^i.  With the L = 0
+    cross moments Yd_t = E(y_t^i c_i^T), Yo_t = E(y_t^i c_j^T), the
+    L-dependent part of stage t's cost is (1/T) times
+
+        <M, a Q M Cd + q Qt M Co> + <N, a R N Cd + b Rt N Co>
+        + 2 <M, a Q Yd + q Qt Yo> + 2 <N, a R K Yd + b Rt K Yo>,
+
+    a deterministic LQ problem in the state vec(M) and control vec(N) with
+    an affine term.  A backward pass gives N_t = F_t vec(M_t) + f_t and a
+    forward pass from M_0 = 0 gives L_t = N_t - K_t M_t.  Each stage pivot
+    R + B^T P_{t+1} B is a Schur complement of the Hessian of the cost in L,
+    so the Hessian is positive definite exactly when every pivot is.
+    """
+    A, B = p.A, p.B
+    n, m = B.shape
+    T = len(K)
+    c1 = 1.0 / T
+    Kst = np.stack(K)
+    Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
+    Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
+
+    # L = 0 cross moments Yd_{t+1} = (A + B K_t) Yd_t, likewise Yo
+    Y = np.empty((T, 2, n, n))
+    Y[0] = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
+    for t in range(T - 1):
+        Y[t + 1] = (A + B @ Kst[t]) @ Y[t]
+    Yd, Yo = Y[:, 0], Y[:, 1]
+    s = c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo).reshape(T, n * n)
+    r = c1 * (p.a * p.R @ Kst @ Yd + p.b * p.Rt @ Kst @ Yo).reshape(T, m * n)
+
+    # row-major vec: vec(X Z Y) = kron(X, Y^T) vec(Z); Cd, Co are symmetric
+    I = np.eye(n)
+    Ak, Bk = np.kron(A, I), np.kron(B, I)
+    Qk = c1 * (p.a * np.kron(p.Q, Cd) + p.q * np.kron(p.Qt, Co))
+    Rk = c1 * (p.a * np.kron(p.R, Cd) + p.b * np.kron(p.Rt, Co))
+
+    P = np.zeros((n * n, n * n))
+    pv = np.zeros(n * n)
+    F = np.empty((T, m * n, n * n))
+    f = np.empty((T, m * n))
+    for t in range(T - 1, -1, -1):
+        PB = P @ Bk
+        H = Rk + Bk.T @ PB
+        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
+            raise CouplingSystemError(
+                f"coupling system singular at stage {t} of {T}: pivot "
+                f"eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]; check "
+                "Sigma/R_tilde for degenerate combinations"
+            )
+        Hinv = (V / w) @ V.T
+        G = PB.T @ Ak
+        F[t] = -Hinv @ G
+        f[t] = -Hinv @ (r[t] + Bk.T @ pv)
+        pv = s[t] + Ak.T @ pv + G.T @ f[t]
+        P = Qk + Ak.T @ P @ Ak + G.T @ F[t]
+        P = 0.5 * (P + P.T)
+
+    L = np.empty((T, m, n))
+    Mv = np.zeros(n * n)
+    for t in range(T):
+        Nv = F[t] @ Mv + f[t]
+        L[t] = Nv.reshape(m, n) - Kst[t] @ Mv.reshape(n, n)
+        Mv = Ak @ Mv + Bk @ Nv
+    return L
 
 
 def _propagators(spec, T, K, L, alpha):
@@ -343,7 +406,7 @@ def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = N
     T = spec.horizon if T is None else T
     mode = default_mode(spec) if mode is None else mode
     K, P = solve_k_p(spec, T)
-    L, G = solve_coupling_gains(spec, T, mode)
+    L, G = _coupling_gains(spec, T, mode, K)
     return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P, G=G)
 
 
@@ -543,7 +606,7 @@ def meanfield_limit_policy(spec: TeamSpec, T: int, tol: float = 1e-7,
     N = 2
     converged = False
     while N <= n_cap:
-        L, _ = solve_coupling_gains(spec, T, mean_field(N))
+        L, _ = _coupling_gains(spec, T, mean_field(N), K)
         Larr = np.stack(L)
         diff = None if prev is None else float(
             max(np.linalg.norm(Larr[t] - prev[t]) for t in range(T))

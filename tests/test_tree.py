@@ -89,6 +89,18 @@ def oracle_cost(spec, T, K, Lflat, mode):
     return total / T
 
 
+def dense_reference_L(spec, T, mode):
+    """Minimizer from the dense Hessian of the exact cost: gradients at the
+    origin and at every unit L, then one dense solve."""
+    K, _ = solve_k_p(spec, T)
+    d = T * spec.m * spec.n
+    basis = np.eye(d).reshape(d, T, spec.m, spec.n)
+    _, g0 = policy_cost_gradient(spec, T, K, np.zeros((T, spec.m, spec.n)), mode)
+    H = np.stack([policy_cost_gradient(spec, T, K, e, mode)[1] - g0
+                  for e in basis]).reshape(d, d)
+    return np.linalg.solve(0.5 * (H + H.T), -g0.ravel()).reshape(T, spec.m, spec.n)
+
+
 def oracle_L(spec, T, mode):
     """Exact minimizer of the quadratic oracle cost over the stacked L."""
     K, _ = solve_k_p(spec, T)
@@ -192,6 +204,34 @@ class TestCouplingGains:
             assert np.linalg.norm(np.stack(L) - ref) < 1e-8 * scale, \
                 f"trial {trial} mode {mode.kind}"
 
+    def test_matches_dense_reference(self, rng):
+        """Random n, m in {1, 2, 3} and T <= 48 in all population modes, vs
+        the dense stationarity system assembled from exact gradients."""
+        for trial in range(8):
+            mode = [two_dm(), n_dm(int(rng.integers(2, 9))),
+                    mean_field(int(rng.integers(2, 40))),
+                    mean_field_limit()][trial % 4]
+            spec = random_tree_spec(
+                rng, n=int(rng.integers(1, 4)), m=int(rng.integers(1, 4)),
+                T=int(rng.integers(1, 49)),
+                mean_field=mode.kind.startswith("mean_field"),
+            )
+            T = spec.horizon
+            L, _ = solve_coupling_gains(spec, T, mode)
+            ref = dense_reference_L(spec, T, mode)
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(np.stack(L) - ref) <= 1e-10 * scale, \
+                f"trial {trial} mode {mode.kind} n={spec.n} m={spec.m} T={T}"
+
+    def test_long_horizon_is_stationary(self, rng):
+        """n = m = 4, T = 1024: 16 384 unknowns, far beyond a dense solve."""
+        spec = random_tree_spec(rng, n=4, m=4, T=1024)
+        L, _ = solve_coupling_gains(spec, 1024, two_dm())
+        K, _ = solve_k_p(spec, 1024)
+        J, grad = policy_cost_gradient(spec, 1024, K, np.stack(L), two_dm())
+        assert np.max(np.abs(grad)) <= 1e-10 * (1 + abs(J))
+        assert np.linalg.norm(L[0]) > 1e-3
+
     def test_scipy_minimizer_agrees(self, rng):
         spec = scalar_tree_spec(T=3)
         K, _ = solve_k_p(spec, 3)
@@ -247,6 +287,13 @@ class TestCouplingGains:
         spec = scalar_tree_spec(R=1.0, Rt=-1.0, Sd=1.0, So=1.0, T=1)
         with pytest.raises(CouplingSystemError):
             solve_coupling_gains(spec, 1, two_dm())
+
+    def test_singular_last_stage_raises(self):
+        # As above with T = 2: the last stage's pivot is
+        # (2/T) (R + R_tilde) Sigma^2 Sd = 0, so L_1 drops out of the cost.
+        spec = scalar_tree_spec(R=1.0, Rt=-1.0, Sd=1.0, So=1.0, T=2)
+        with pytest.raises(CouplingSystemError, match="stage 1 of 2"):
+            solve_coupling_gains(spec, 2, two_dm())
 
 
 # ---------------------------------------------------------------------------
