@@ -6,6 +6,7 @@ Submodules:
   tree        symmetric tree-information solvers (finite, infinite, mean field)
   info_graph  delayed-sharing information graph
   delayed     one-step-delayed sharing synthesis
+  moments     closed-loop covariance propagation and its adjoint
   sim         Monte Carlo engine and structural property checks
   cli         command-line interface
 """

@@ -382,9 +382,10 @@ def cmd_verify(args):
 
     results = []
 
-    defect = _sim.pbp_check(spec, pset, T)
+    defect, (holder, t, gain, (a, b), g) = _sim._pbp_worst(spec, pset, T)
     results.append(("pbp_check", defect < args.pbp_tol,
-                    f"max unilateral improvement {defect:.3e}"))
+                    f"max unilateral improvement {defect:.3e} at {holder}, "
+                    f"t={t}, {gain}[{a},{b}], g={g:.3e}"))
 
     if isinstance(pset, _sim.TreePolicySet):
         perm = list(range(1, spec.n_dm)) + [0]

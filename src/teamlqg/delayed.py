@@ -21,6 +21,7 @@ import numpy as np
 from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
 from .linalg import is_psd, numerical_rank, psd_factor, spectral_radius, sym
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
+from .moments import ClosedLoop, propagate
 from .riccati import RiccatiError, dare_solve, is_stabilizable
 
 
@@ -205,18 +206,15 @@ def _trace_cost(spec, graph, values, T):
 
 
 def _embeddings(graph, d: _Stacked):
-    """Selection matrices: state/control embeddings of each node's agents and
-    the per-agent noise loading into its injection node."""
+    """Selection matrices: control embeddings of each node's agents and the
+    per-agent noise loading into its injection node."""
     N, n, m = d.N, d.n, d.m
-    Ex = {}   # node -> (N*n) x (|r|*n): adds zeta^r agent blocks into x slots
     Eu = {}   # node -> (N*m) x (|r|*m)
     for r in graph.nodes:
-        ex = np.zeros((N * n, len(r) * n))
         eu = np.zeros((N * m, len(r) * m))
         for pos, i in enumerate(sorted(r)):
-            ex[i * n:(i + 1) * n, pos * n:(pos + 1) * n] = np.eye(n)
             eu[i * m:(i + 1) * m, pos * m:(pos + 1) * m] = np.eye(m)
-        Ex[r], Eu[r] = ex, eu
+        Eu[r] = eu
     Wload = {}  # agent i -> (|inj(i)|*n) x n loading of w^i into its node
     for i in range(N):
         s = graph.injection_map[i]
@@ -224,7 +222,7 @@ def _embeddings(graph, d: _Stacked):
         pos = sorted(s).index(i)
         load[pos * n:(pos + 1) * n, :] = np.eye(n)
         Wload[i] = load
-    return Ex, Eu, Wload
+    return Eu, Wload
 
 
 def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
@@ -236,7 +234,7 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
     zeta maps each node to its (batch, T+1, |r|*n) trajectory.
     """
     d = stacked_data(spec)
-    Ex, Eu, Wload = _embeddings(graph, d)
+    Eu, Wload = _embeddings(graph, d)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
@@ -267,59 +265,66 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
     return x, zeta, u
 
 
+def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
+    """The joint closed loop of (x, all zeta) under the node gains.
+
+    The feedback v stacks the node controls K_t^r zeta_t^r, so node r's
+    gain is the block of M_t at (rows, cols) = blocks[r]: its control
+    enters the plant through its agents' inputs and its successor's
+    estimator through B^{sr}.  Returns (loop, blocks).
+    """
+    graph = policy.graph
+    d = stacked_data(spec)
+    Eu, Wload = _embeddings(graph, d)
+    N, n, m = d.N, d.n, d.m
+    nodes = list(graph.nodes)
+    blocks, pos, row = {}, N * n, 0
+    for r in nodes:
+        blocks[r] = (slice(row, row + len(r) * m), slice(pos, pos + len(r) * n))
+        row += len(r) * m
+        pos += len(r) * n
+    dim, p = pos, row
+    x = slice(0, N * n)
+
+    # z_0 = H x_0 with x_0 block-diagonal covariance (independent agents);
+    # the noise loads the same way.
+    H = np.zeros((dim, N * n))
+    H[x] = np.eye(N * n)
+    for i in range(N):
+        s = graph.injection_map[i]
+        H[blocks[s][1], i * n:(i + 1) * n] += Wload[i]
+    F0 = np.zeros((dim, dim))
+    F0[x, x] = d.A
+    Bv = np.zeros((dim, p))
+    M = np.zeros((T, p, dim))
+    for r in nodes:
+        rows, cols = blocks[r]
+        s = graph.successor_map[r]
+        F0[blocks[s][1], cols] = d.A_sr(s, r)
+        Bv[x, rows] = d.B @ Eu[r]
+        Bv[blocks[s][1], rows] = d.B_sr(s, r)
+        for t in range(T):
+            M[t, rows, cols] = policy.gain(r, t)
+    Eu_all = np.hstack([Eu[r] for r in nodes])
+    Cz = np.zeros((dim, dim))
+    Cz[x, x] = d.Q
+    Czv = np.zeros((dim, p))
+    Czv[x] = d.S @ Eu_all
+    loop = ClosedLoop(
+        Z0=H @ np.kron(np.eye(N), sym(spec.noise.init_diag)) @ H.T,
+        F0=F0, Bv=Bv, M=M,
+        W=H @ np.kron(np.eye(N), sym(spec.noise.sigma_w)) @ H.T,
+        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all, C_T=Cz)
+    return loop, blocks
+
+
 def closed_loop_cost(spec: TeamSpec, policy: GraphPolicy, T: int | None = None):
     """Exact expected cost of the assembled controller by propagating the
     joint covariance of (x, all zeta) — independent of the trace formula."""
     T = policy.horizon if T is None else T
     if T is None:
         raise ValueError("finite horizon required")
-    graph = policy.graph
-    d = stacked_data(spec)
-    Ex, Eu, Wload = _embeddings(graph, d)
-    N, n, m = d.N, d.n, d.m
-    nodes = list(graph.nodes)
-    offs = {}
-    pos = N * n
-    for r in nodes:
-        offs[r] = pos
-        pos += len(r) * n
-    dim = pos
-
-    # z_0 = H x_0 with x_0 block-diagonal covariance (independent agents).
-    H = np.zeros((dim, N * n))
-    H[: N * n] = np.eye(N * n)
-    for i in range(N):
-        s = graph.injection_map[i]
-        H[offs[s]:offs[s] + len(s) * n, i * n:(i + 1) * n] += Wload[i]
-    Sig0 = np.kron(np.eye(N), sym(spec.noise.init_diag))
-    Z = H @ Sig0 @ H.T
-    Gw = np.zeros((dim, N * n))
-    Gw[: N * n] = np.eye(N * n)
-    for i in range(N):
-        s = graph.injection_map[i]
-        Gw[offs[s]:offs[s] + len(s) * n, i * n:(i + 1) * n] += Wload[i]
-    Wfull = np.kron(np.eye(N), sym(spec.noise.sigma_w))
-
-    total = 0.0
-    for t in range(T):
-        M = np.zeros((N * m, dim))
-        for r in nodes:
-            M[:, offs[r]:offs[r] + len(r) * n] += Eu[r] @ policy.gain(r, t)
-        Cx = np.zeros((N * n, dim))
-        Cx[:, : N * n] = np.eye(N * n)
-        stage = (Cx.T @ d.Q @ Cx + Cx.T @ d.S @ M + M.T @ d.S.T @ Cx
-                 + M.T @ d.R @ M)
-        total += float(np.trace(stage @ Z))
-        F = np.zeros((dim, dim))
-        F[: N * n, : N * n] = d.A
-        F[: N * n] += d.B @ M
-        for r in nodes:
-            s = graph.successor_map[r]
-            blk = d.A_sr(s, r) + d.B_sr(s, r) @ policy.gain(r, t)
-            F[offs[s]:offs[s] + len(s) * n, offs[r]:offs[r] + len(r) * n] += blk
-        Z = F @ Z @ F.T + Gw @ Wfull @ Gw.T
-    total += float(np.trace(d.Q @ Z[: N * n, : N * n]))
-    return total / T
+    return propagate(_closed_loop(spec, policy, T)[0]).cost
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,95 @@
+"""Exact second moments of a linear closed loop, and their adjoint.
+
+The exact evaluators of arbitrary policies (``sim.exact_cost_general`` for
+tree-class profiles, ``delayed.closed_loop_cost`` for delayed-sharing
+controllers) share one form.  A stacked state z_t with E z_0 z_0^T = Z_0
+runs under the linear feedback v_t = M_t z_t,
+
+    z_{t+1} = F_t z_t + e_t,   F_t = F0 + Bv M_t,   E e_t e_t^T = W,
+
+and costs
+
+    J = (1/T) [ sum_{t<T} E(z_t^T Cz z_t + 2 z_t^T Czv v_t + v_t^T Rv v_t)
+                + E z_T^T C_T z_T ].
+
+``propagate`` runs the forward pass Z_{t+1} = F_t Z_t F_t^T + W with stage
+cost tr(C_t Z_t), C_t = Cz + Czv M_t + M_t^T Czv^T + M_t^T Rv M_t;
+``gain_sensitivity`` runs the adjoint pass P_T = C_T,
+P_t = C_t + F_t^T P_{t+1} F_t, whose P_{t+1} prices the moment handed to
+stage t + 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class ClosedLoop:
+    Z0: np.ndarray     # (dim, dim) initial moment
+    F0: np.ndarray     # (dim, dim) open-loop map
+    Bv: np.ndarray     # (dim, p) feedback input map
+    M: np.ndarray      # (T, p, dim) feedback gains
+    W: np.ndarray      # (dim, dim) per-step noise moment
+    Cz: np.ndarray     # (dim, dim) state weight
+    Czv: np.ndarray    # (dim, p) state-feedback cross weight
+    Rv: np.ndarray     # (p, p) feedback weight
+    C_T: np.ndarray    # (dim, dim) terminal weight
+
+    @property
+    def horizon(self):
+        return len(self.M)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Forward pass of a closed loop: its cost and each stage's matrices."""
+
+    cost: float
+    Z: list            # Z_0 .. Z_T
+    F: list            # F_0 .. F_{T-1}
+    C: list            # C_0 .. C_{T-1}
+
+
+def propagate(loop: ClosedLoop) -> Moments:
+    """Exact cost and moments by covariance propagation (no Monte Carlo)."""
+    T = loop.horizon
+    Z, F, C = [loop.Z0], [], []
+    total = 0.0
+    for t in range(T):
+        M = loop.M[t]
+        F.append(loop.F0 + loop.Bv @ M)
+        C.append(loop.Cz + loop.Czv @ M + M.T @ loop.Czv.T
+                 + M.T @ loop.Rv @ M)
+        total += float(np.trace(C[t] @ Z[t]))
+        Z.append(F[t] @ Z[t] @ F[t].T + loop.W)
+    total += float(np.trace(loop.C_T @ Z[T]))
+    return Moments(cost=total / T, Z=Z, F=F, C=C)
+
+
+def gain_sensitivity(loop: ClosedLoop, mom: Moments):
+    """Exact dependence of J on each single entry of the feedback gains.
+
+    Moving M_t by s e_a v^T changes stage t's weight C_t and map F_t, and
+    nothing else, so J is exactly quadratic in s:
+
+        J(s) = J + s e_a^T G_t v + s^2 H_t[a] v^T Z_t v,
+        G_t  = (2/T) (Czv^T + Rv M_t + Bv^T P_{t+1} F_t) Z_t,
+        H_t  = (1/T) diag(Rv + Bv^T P_{t+1} Bv).
+
+    Returns G with shape (T, p, dim) (the gradient of J in M_t) and H with
+    shape (T, p), from one backward adjoint pass over ``mom``.
+    """
+    T = loop.horizon
+    G = np.empty(loop.M.shape)
+    H = np.empty(loop.M.shape[:2])
+    P = loop.C_T
+    for t in range(T - 1, -1, -1):
+        BP = loop.Bv.T @ P
+        G[t] = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M[t]
+                            + BP @ mom.F[t]) @ mom.Z[t]
+        H[t] = np.diag(loop.Rv + BP @ loop.Bv) / T
+        P = mom.C[t] + mom.F[t].T @ P @ mom.F[t]
+    return G, H

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import delayed as _delayed
 from .model import Delayed, NoiseSpec, TeamSpec, conditional_gain
+from .moments import ClosedLoop, gain_sensitivity, propagate
 from .rng import BLOCK, PrimitiveSampler
 from .tree import (
     Population,
@@ -208,12 +209,9 @@ def simulate(spec: TeamSpec, policies, T: int, n_rollouts: int,
 # exact (moment-based) evaluation of asymmetric tree profiles
 
 
-def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
-    """Exact expected cost for any policy set, by covariance propagation of
-    the full stacked closed loop (no Monte Carlo error)."""
-    if isinstance(policies, GraphPolicySet):
-        return _delayed.closed_loop_cost(spec, policies.policy, T)
-    pset = policies
+def _tree_loop(spec: TeamSpec, pset: TreePolicySet, T: int) -> ClosedLoop:
+    """The stacked closed loop of a tree-class profile on the augmented state
+    z = (x_t, x_0): agent i's control reads its own x_t and its own x_0."""
     N, n, m = pset.n_dm, spec.n, spec.m
     A, B = spec.dynamics.A, spec.dynamics.B
     cR, cQ = _coupling_coeffs(pset.mode, N)
@@ -222,34 +220,38 @@ def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
     Qfull = np.kron(eye, spec.cost.Q) + cQ * np.kron(off, spec.cost.q_tilde_or_zero(n))
     Rfull = np.kron(eye, spec.cost.R) + cR * np.kron(off, spec.cost.r_tilde_or_zero(m))
-    Wfull = np.kron(eye, spec.noise.sigma_w)
     Sig0 = (np.kron(eye, spec.noise.init_diag)
             + np.kron(off, spec.noise.init_offdiag))
 
-    # Augmented state z = (x_t, x_0); controls read own x_t and own x_0.
     dim = 2 * N * n
-    Z = np.block([[Sig0, Sig0], [Sig0, Sig0]])
-    total = 0.0
-    for t in range(T):
-        M = np.zeros((N * m, dim))
-        F = np.zeros((dim, dim))
-        F[N * n:, N * n:] = np.eye(N * n)
-        for i in range(N):
-            Ki, Li = pset.K[i][t], pset.L[i][t]
-            M[i * m:(i + 1) * m, i * n:(i + 1) * n] = Ki
-            M[i * m:(i + 1) * m, N * n + i * n:N * n + (i + 1) * n] = \
-                alpha * Li @ Sigma
-            F[i * n:(i + 1) * n, i * n:(i + 1) * n] = A + B @ Ki
-            F[i * n:(i + 1) * n, N * n + i * n:N * n + (i + 1) * n] = \
-                alpha * B @ Li @ Sigma
-        Cq = np.zeros((dim, dim))
-        Cq[: N * n, : N * n] = Qfull
-        stage = Cq + M.T @ Rfull @ M
-        total += float(np.trace(stage @ Z))
-        Znew = F @ Z @ F.T
-        Znew[: N * n, : N * n] += Wfull
-        Z = Znew
-    return total / T
+    x, o = slice(0, N * n), slice(N * n, dim)
+    Ks, Ls = pset.stacked()
+    M = np.zeros((T, N * m, dim))
+    for i in range(N):
+        rows = slice(i * m, (i + 1) * m)
+        M[:, rows, i * n:(i + 1) * n] = Ks[i, :T]
+        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = \
+            alpha * Ls[i, :T] @ Sigma
+    F0 = np.zeros((dim, dim))
+    F0[x, x] = np.kron(eye, A)
+    F0[o, o] = np.eye(N * n)
+    Bv = np.zeros((dim, N * m))
+    Bv[x] = np.kron(eye, B)
+    W = np.zeros((dim, dim))
+    W[x, x] = np.kron(eye, spec.noise.sigma_w)
+    Cz = np.zeros((dim, dim))
+    Cz[x, x] = Qfull
+    return ClosedLoop(Z0=np.block([[Sig0, Sig0], [Sig0, Sig0]]), F0=F0, Bv=Bv,
+                      M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)), Rv=Rfull,
+                      C_T=np.zeros((dim, dim)))
+
+
+def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
+    """Exact expected cost for any policy set, by covariance propagation of
+    the full stacked closed loop (no Monte Carlo error)."""
+    if isinstance(policies, GraphPolicySet):
+        return _delayed.closed_loop_cost(spec, policies.policy, T)
+    return propagate(_tree_loop(spec, policies, T)).cost
 
 
 # ---------------------------------------------------------------------------
@@ -340,54 +342,99 @@ def convex_combination_check(spec: TeamSpec, p1: TreePolicySet,
 
 
 def pbp_check(spec: TeamSpec, policies, T: int, step: float = 1e-4):
-    """Max unilateral cost decrease over single-entry gain perturbations.
+    """Max unilateral cost decrease over single-entry gain moves of +/-step.
 
-    Each agent's (or node's) gain entries are perturbed by +/-step and the
-    cost re-evaluated exactly (moment propagation).  At an optimum the
-    largest decrease is bounded by the second-order step**2 term; a clearly
-    positive value flags a non-optimal policy.
+    One gain entry of agent i (or node r) at stage t enters only that
+    stage's feedback M_t and closed-loop map F_t = F0 + Bv M_t, both
+    linearly, so the exact cost is a quadratic in the move s of that entry:
+
+        J(s) = J + g s + h s^2,
+
+    where g is the partial derivative of J in the entry and h its
+    curvature, nonnegative for a convex cost (``moments.gain_sensitivity``:
+    one forward covariance pass and one adjoint pass give g and h of every
+    entry at once).  The better of the moves +/-step lowers the cost by
+    |g| step - h step^2, and the check returns the largest such decrease
+    over all entries of every agent's K and L (or every node's gain), the
+    value a +/-step loop re-evaluating the cost would find up to rounding.
+    At a person-by-person
+    stationary policy every g vanishes, so the value is at most zero up to
+    rounding; a clearly positive value flags a policy that some single
+    decision maker can improve.
+
+    Raises ValueError when T differs from the profile's horizon.
     """
+    return _pbp_worst(spec, policies, T, step)[0]
+
+
+def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
+    """(pbp_check value, where): ``where`` names the entry attaining it, as
+    (holder, t, gain, (row, col), g) with holder "agent i" or "node {..}"
+    and gain "K", "L" or "gain"."""
     if isinstance(policies, GraphPolicySet):
-        return _pbp_graph(spec, policies, T, step)
-    base = exact_cost_general(spec, policies, T)
-    best = -np.inf
-    Ks, Ls = policies.stacked()
-    N = policies.n_dm
-    for which, G in (("K", Ks), ("L", Ls)):
-        for idx in np.ndindex(G.shape):
-            for s in (step, -step):
-                Gp = G.copy()
-                Gp[idx] += s
-                K = Ks if which == "L" else Gp
-                L = Ls if which == "K" else Gp
-                pset = TreePolicySet(
-                    mode=policies.mode,
-                    K=tuple(tuple(K[i]) for i in range(N)),
-                    L=tuple(tuple(L[i]) for i in range(N)),
-                )
-                best = max(best, base - exact_cost_general(spec, pset, T))
-    return best
+        terms = _pbp_graph(spec, policies, T)
+    else:
+        terms = _pbp_tree(spec, policies, T)
+    best, where = -np.inf, None
+    for holder, gain, g, h in terms:
+        drop = np.abs(g) * step - h * step ** 2
+        idx = np.unravel_index(np.argmax(drop), drop.shape)
+        if drop[idx] > best:
+            best = float(drop[idx])
+            where = (holder, int(idx[0]), gain, (int(idx[1]), int(idx[2])),
+                     float(g[idx]))
+    return best, where
 
 
-def _pbp_graph(spec, policies, T, step):
+def _pbp_tree(spec, pset, T):
+    """(holder, gain, g, h) per agent and gain, each (T, m, n)."""
+    if T != pset.horizon:
+        raise ValueError(f"pbp_check horizon {T} differs from the policy "
+                         f"profile's horizon {pset.horizon}")
+    loop = _tree_loop(spec, pset, T)
+    mom = propagate(loop)
+    G, H = gain_sensitivity(loop, mom)
+    Z = np.stack(mom.Z[:T])
+    N, n, m = pset.n_dm, spec.n, spec.m
+    _, _, _, alpha = cost_weights(pset.mode)
+    Sigma = conditional_gain(spec.noise)
+    diag = lambda X: np.diagonal(X, axis1=1, axis2=2)
+    terms = []
+    for i in range(N):
+        rows = slice(i * m, (i + 1) * m)
+        x = slice(i * n, (i + 1) * n)
+        o = slice(N * n + i * n, N * n + (i + 1) * n)
+        Hi = H[:, rows, None]
+        # K[i][t][a, b] moves M_t[i*m + a, x_i + b]; L[i][t][a, b] moves
+        # row i*m + a along alpha * (row b of Sigma) in x_0^i's columns.
+        terms.append((f"agent {i + 1}", "K", G[:, rows, x],
+                      Hi * diag(Z[:, x, x])[:, None, :]))
+        terms.append((f"agent {i + 1}", "L", alpha * G[:, rows, o] @ Sigma.T,
+                      Hi * alpha ** 2
+                      * diag(Sigma @ Z[:, o, o] @ Sigma.T)[:, None, :]))
+    return terms
+
+
+def _pbp_graph(spec, policies, T):
+    """(holder, gain, g, h) per information-graph node, each (T, |r|m, |r|n)."""
     pol = policies.policy
     if pol.horizon is None:
         raise ValueError("finite-horizon graph policy required")
-    base = _delayed.closed_loop_cost(spec, pol, T)
-    best = -np.inf
-    for r in pol.graph.nodes:
-        for t in range(T):
-            G = pol.gains[r][t]
-            for idx in np.ndindex(G.shape):
-                for s in (step, -step):
-                    gains = {k: list(v) for k, v in pol.gains.items()}
-                    Gp = G.copy()
-                    Gp[idx] += s
-                    gains[r][t] = Gp
-                    pert = _delayed.GraphPolicy(graph=pol.graph, horizon=T,
-                                                gains=gains, values=pol.values)
-                    best = max(best, base - _delayed.closed_loop_cost(spec, pert, T))
-    return best
+    if T != pol.horizon:
+        raise ValueError(f"pbp_check horizon {T} differs from the graph "
+                         f"policy's horizon {pol.horizon}")
+    loop, blocks = _delayed._closed_loop(spec, pol, T)
+    mom = propagate(loop)
+    G, H = gain_sensitivity(loop, mom)
+    Z = np.stack(mom.Z[:T])
+    terms = []
+    for r, (rows, cols) in blocks.items():
+        label = "{" + ",".join(str(i + 1) for i in sorted(r)) + "}"
+        terms.append((f"node {label}", "gain", G[:, rows, cols],
+                      H[:, rows, None]
+                      * np.diagonal(Z[:, cols, cols], axis1=1,
+                                    axis2=2)[:, None, :]))
+    return terms
 
 
 def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):

@@ -106,11 +106,16 @@ def default_mode(spec: TeamSpec) -> Population:
 def solve_k_p(spec: TeamSpec, T: int):
     """Backward recursion from P_T = 0; gains are untouched by the coupling
     blocks, the initial-state correlation, and the noise distribution."""
+    return _k_p_from(spec, T, np.zeros_like(spec.cost.Q))
+
+
+def _k_p_from(spec: TeamSpec, T: int, P_end):
+    """T backward Riccati steps from P_T = P_end: (K_0..K_{T-1}, P_0..P_T)."""
     A, B = spec.dynamics.A, spec.dynamics.B
     Q, R = sym(spec.cost.Q), sym(spec.cost.R)
     P = [None] * (T + 1)
     K = [None] * T
-    P[T] = np.zeros_like(Q)
+    P[T] = P_end
     for t in range(T - 1, -1, -1):
         P[t], K[t] = riccati_step(A, B, Q, R, P[t + 1])
     return K, P
@@ -553,8 +558,11 @@ def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
                                   average_cost=avg_cost,
                                   closed_loop_radius=radius)
 
+    # The gains of horizon 2T end with those of horizon T, so each doubling
+    # extends K backward by T Riccati steps from the previous P_0.
     T = 16
-    L_prev, _ = solve_coupling_gains(spec, T, mode)
+    K, P = solve_k_p(spec, T)
+    L_prev, _ = _coupling_gains(spec, T, mode, K)
     disagreement = np.inf
     while True:
         T2 = 2 * T
@@ -564,7 +572,9 @@ def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
                 f"{horizon_cap} (last prefix disagreement {disagreement:.3e})",
                 residual=disagreement,
             )
-        L_next, _ = solve_coupling_gains(spec, T2, mode)
+        K_head, P_head = _k_p_from(spec, T, P[0])
+        K, P = K_head + K, P_head[:-1] + P
+        L_next, _ = _coupling_gains(spec, T2, mode, K)
         disagreement = max(
             float(np.linalg.norm(L_next[t] - L_prev[t])) for t in range(T)
         )

@@ -185,7 +185,41 @@ class TestCommands:
         code = main(["verify", spec_path, "--policy", bad_path,
                      "--rollouts", "2000", "--seed", "7"])
         assert code == EXIT_VALIDATION
-        assert "[FAIL] pbp_check" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL] pbp_check" in out
+        # At t = 0 the state is x_0 itself, so the corrupted L[0] entry's g
+        # is alpha*Sigma = 0.5 times that of K[0] of the same agent, which
+        # therefore names stage 0's largest improvement.
+        pbp_line = next(l for l in out.splitlines() if "pbp_check" in l)
+        assert ", t=0, K[0,0], g=2.344e-01)" in pbp_line
+        # From t = 1 on the corrupted L entry itself is named.
+        data["policy"]["L"][0][0][0] -= 0.25
+        data["policy"]["L"][1][0][0] += 0.25
+        open(bad_path, "w").write(json.dumps(data))
+        code = main(["verify", spec_path, "--policy", bad_path,
+                     "--rollouts", "2000", "--seed", "7"])
+        assert code == EXIT_VALIDATION
+        pbp_line = next(l for l in capsys.readouterr().out.splitlines()
+                        if "pbp_check" in l)
+        assert pbp_line.startswith("[FAIL] pbp_check")
+        assert ", t=1, L[0,0], g=9.375e-02)" in pbp_line
+
+    @pytest.mark.parametrize("horizon", ["5", "2"])
+    def test_verify_rejects_horizon_other_than_policy(self, tmp_path, capsys,
+                                                      horizon):
+        """A horizon-3 policy checked at another horizon is an input error,
+        not a failed check (below) or a crash (above)."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["verify", spec_path, "--policy", pol_path, "--horizon",
+                     horizon, "--rollouts", "200", "--seed", "7"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"horizon {horizon} differs" in captured.err
+        assert "horizon 3" in captured.err
+        assert "pbp_check" not in captured.out
 
 
 class TestExitCodes:

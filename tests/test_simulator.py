@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from teamlqg.model import NoiseSpec, TeamSpec, Tree, Homogeneous, CostSpec
+from teamlqg.model import (
+    Blocked,
+    CostSpec,
+    Delayed,
+    Homogeneous,
+    NoiseSpec,
+    TeamSpec,
+    Tree,
+)
 from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
     TreePolicySet,
@@ -25,10 +33,17 @@ from teamlqg.sim import (
     symmetrize,
 )
 from teamlqg.sim import _graph_mc
-from teamlqg.tree import predicted_cost, solve_tree, two_dm
-from teamlqg.delayed import solve_delayed_finite
+from teamlqg.tree import mean_field, n_dm, predicted_cost, solve_tree, two_dm
+from teamlqg.delayed import GraphPolicy, closed_loop_cost, solve_delayed_finite
 
-from conftest import coupled_delayed_spec_2dm, scalar_mf_spec, scalar_tree_spec
+from conftest import (
+    coupled_delayed_spec_2dm,
+    rand_pd,
+    rand_psd,
+    random_tree_spec,
+    scalar_mf_spec,
+    scalar_tree_spec,
+)
 
 
 def random_pset(spec, T, rng, scale=0.2):
@@ -42,6 +57,64 @@ def random_pset(spec, T, rng, scale=0.2):
 def optimal_pset(spec, T):
     pol = solve_tree(spec, T)
     return TreePolicySet.from_policy(pol, spec.n_dm), pol
+
+
+def reference_pbp(spec, policies, T, step=1e-4):
+    """pbp_check by brute force: move every gain entry by +/-step and
+    re-evaluate the exact cost, two covariance propagations per entry."""
+    if isinstance(policies, GraphPolicySet):
+        pol = policies.policy
+        base = closed_loop_cost(spec, pol, T)
+        best = -np.inf
+        for r in pol.graph.nodes:
+            for t in range(T):
+                for idx in np.ndindex(pol.gains[r][t].shape):
+                    for s in (step, -step):
+                        gains = {k: list(v) for k, v in pol.gains.items()}
+                        gains[r][t] = gains[r][t].copy()
+                        gains[r][t][idx] += s
+                        pert = GraphPolicy(graph=pol.graph, horizon=T,
+                                           gains=gains, values=pol.values)
+                        best = max(best, base - closed_loop_cost(spec, pert, T))
+        return best
+    base = exact_cost_general(spec, policies, T)
+    best = -np.inf
+    Ks, Ls = policies.stacked()
+    for which, G in (("K", Ks), ("L", Ls)):
+        for idx in np.ndindex(G.shape):
+            for s in (step, -step):
+                Gp = G.copy()
+                Gp[idx] += s
+                K, L = (Gp, Ls) if which == "K" else (Ks, Gp)
+                pset = TreePolicySet(mode=policies.mode,
+                                     K=tuple(tuple(k) for k in K),
+                                     L=tuple(tuple(l) for l in L))
+                best = max(best, base - exact_cost_general(spec, pset, T))
+    return best
+
+
+def linked_delayed_spec(rng, delays, n, m, T):
+    """Blocked instance whose off-diagonal blocks follow the delay-1 links
+    (None: never shared), scaled to a stable open loop."""
+    N = len(delays)
+    A = [[(rng.normal(size=(n, n)) if i == j or delays[i][j] == 1
+           else np.zeros((n, n))) * (1.0 if i == j else 0.3)
+          for j in range(N)] for i in range(N)]
+    B = [[(np.eye(n, m) * rng.uniform(0.5, 1.5) if i == j
+           else 0.2 * rng.normal(size=(n, m)) if delays[i][j] == 1
+           else np.zeros((n, m))) for j in range(N)] for i in range(N)]
+    scale = 0.95 / max(1e-9, np.max(np.abs(np.linalg.eigvals(np.block(A)))))
+    return TeamSpec(
+        n_dm=N, horizon=T,
+        dynamics=Blocked(A_blocks=[[scale * a for a in row] for row in A],
+                         B_blocks=B),
+        cost=CostSpec(Q=rand_pd(rng, n), R=rand_pd(rng, m)),
+        noise=NoiseSpec(sigma_w=rand_psd(rng, n, scale=0.5, ridge=0.1),
+                        init_diag=rand_pd(rng, n),
+                        init_offdiag=np.zeros((n, n))),
+        info=Delayed(delays=tuple(tuple(np.inf if v is None else v
+                                        for v in row) for row in delays)),
+    )
 
 
 class TestDeterminism:
@@ -297,6 +370,48 @@ class TestStructuralChecks:
         bad = GraphPolicySet(policy=GraphPolicy(
             graph=pol.graph, horizon=3, gains=gains, values=pol.values))
         assert pbp_check(spec, bad, 3, step=1e-4) > 1e-7
+
+    def test_pbp_matches_reference_on_tree_profiles(self, rng):
+        """Exact quadratic per entry vs the +/-step loop, at the optimum and
+        at asymmetric profiles (each agent's K and L moved independently)."""
+        for mode, N, mf in ((two_dm(), 2, False), (n_dm(3), 3, False),
+                            (mean_field(4), 4, True)):
+            for _ in range(2):
+                T = int(rng.integers(2, 5))
+                spec = random_tree_spec(rng, T=T, n_dm=N, mean_field=mf)
+                pol = solve_tree(spec, T, mode=mode)
+                Ks, Ls = TreePolicySet.from_policy(pol, N).stacked()
+                for scale in (0.0, 0.1):
+                    K = Ks + scale * rng.normal(size=Ks.shape)
+                    L = Ls + scale * rng.normal(size=Ls.shape)
+                    pset = TreePolicySet(mode=mode,
+                                         K=tuple(tuple(k) for k in K),
+                                         L=tuple(tuple(l) for l in L))
+                    J = exact_cost_general(spec, pset, T)
+                    assert abs(pbp_check(spec, pset, T)
+                               - reference_pbp(spec, pset, T)) \
+                        <= 1e-12 * (1.0 + abs(J))
+
+    @pytest.mark.parametrize("delays, n", [
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1),
+        ([[0, 1, None, None], [1, 0, 1, None],
+          [None, 1, 0, 1], [None, None, 1, 0]], 1),
+        ([[0, 1], [1, 0]], 2),
+    ], ids=["full3", "chain4", "pair-n2"])
+    def test_pbp_matches_reference_on_graph_policies(self, rng, delays, n):
+        T = 3
+        spec = linked_delayed_spec(rng, delays, n, n, T)
+        pol, _ = solve_delayed_finite(spec, T)
+        bad = {r: [g + 0.1 * rng.normal(size=g.shape) for g in gs]
+               for r, gs in pol.gains.items()}
+        for gains in (pol.gains, bad):
+            gset = GraphPolicySet(policy=GraphPolicy(
+                graph=pol.graph, horizon=T, gains=gains, values=pol.values))
+            J = closed_loop_cost(spec, gset.policy, T)
+            assert abs(pbp_check(spec, gset, T)
+                       - reference_pbp(spec, gset, T)) <= 1e-12 * (1.0 + abs(J))
+        with pytest.raises(ValueError, match=f"horizon {T - 1} differs"):
+            pbp_check(spec, gset, T - 1)
 
     def test_certainty_equivalence(self):
         spec = scalar_tree_spec(T=3)

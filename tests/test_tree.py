@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from teamlqg.model import NoiseSpec, TeamSpec, conditional_gain
+from teamlqg import tree as tree_module
+from teamlqg.model import (
+    CostSpec,
+    Homogeneous,
+    NoiseSpec,
+    TeamSpec,
+    Tree,
+    conditional_gain,
+)
 from teamlqg.riccati import ConvergenceError, dare_solve
 from teamlqg.tree import (
     CouplingSystemError,
@@ -380,6 +388,43 @@ class TestInfiniteTree:
         tail = [np.linalg.norm(l) for l in pol.L[pol.decay_horizon:]]
         assert all(v < 1e-8 for v in tail)
         assert np.linalg.norm(pol.L[0]) > 1e-3   # head is genuinely nonzero
+
+    def test_doubling_reuses_k_bitwise(self, rng, monkeypatch):
+        """Each doubled horizon extends the previous K schedule backward;
+        K and L must equal a from-scratch solve at that horizon bit for bit.
+        A slowly decaying loop (0.84 times a rotation, small B) makes the
+        doubling run from 16 to 256."""
+        th = 1.3
+        A = 0.84 * np.array([[np.cos(th), -np.sin(th)],
+                             [np.sin(th), np.cos(th)]])
+        Sd = rand_pd(rng, 2)
+        spec = TeamSpec(
+            n_dm=2, horizon=8,
+            dynamics=Homogeneous(A=A, B=0.02 * rng.normal(size=(2, 2))),
+            cost=CostSpec(Q=rand_pd(rng, 2), R=rand_pd(rng, 2),
+                          R_tilde=rand_pd(rng, 2, scale=0.3)),
+            noise=NoiseSpec(sigma_w=0.5 * np.eye(2), init_diag=Sd,
+                            init_offdiag=0.3 * Sd),
+            info=Tree(),
+        )
+        seen = []
+        inner = tree_module._coupling_gains
+
+        def record(spec, T, mode, K):
+            L, G = inner(spec, T, mode, K)
+            seen.append((T, mode, K, L))
+            return L, G
+
+        monkeypatch.setattr(tree_module, "_coupling_gains", record)
+        pol = solve_infinite_tree(spec)
+        monkeypatch.undo()
+        assert [T for T, *_ in seen] == [16, 32, 64, 128, 256]
+        assert pol.horizon_used == 256
+        for T, mode, K, L in seen:
+            K_ref, _ = solve_k_p(spec, T)
+            L_ref, _ = solve_coupling_gains(spec, T, mode)
+            assert all(np.array_equal(a, b) for a, b in zip(K, K_ref))
+            assert all(np.array_equal(a, b) for a, b in zip(L, L_ref))
 
     def test_value_cesaro_convergence(self):
         """(1/T) sum_t ||P_t^{(T)} - P_dare|| shrinks as T doubles."""
