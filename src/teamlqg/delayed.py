@@ -271,8 +271,12 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
     The feedback v stacks the node controls K_t^r zeta_t^r, so node r's
     gain is the block of M_t at (rows, cols) = blocks[r]: its control
     enters the plant through its agents' inputs and its successor's
-    estimator through B^{sr}.  Returns (loop, blocks).
+    estimator through B^{sr}.  Returns (loop, blocks).  A finite-horizon
+    policy runs only at its own horizon.
     """
+    if policy.horizon is not None and T != policy.horizon:
+        raise ValueError(f"horizon {T} differs from the policy's horizon "
+                         f"{policy.horizon}")
     graph = policy.graph
     d = stacked_data(spec)
     Eu, Wload = _embeddings(graph, d)

@@ -1,9 +1,18 @@
 """Exact second moments of a linear closed loop, and their adjoint.
 
-The exact evaluators of arbitrary policies (``sim.exact_cost_general`` for
-tree-class profiles, ``delayed.closed_loop_cost`` for delayed-sharing
-controllers) share one form.  A stacked state z_t with E z_0 z_0^T = Z_0
-runs under the linear feedback v_t = M_t z_t,
+Every closed-loop moment propagation in the package runs here.  It has
+three users:
+
+- ``tree._cost_and_grad`` prices a symmetric tree policy, and the cross term
+  of ``tree.closed_form_cost_variants``, on the two-agent loop of one
+  exchangeable pair;
+- ``sim.exact_cost_general`` and ``sim.pbp_check`` price N-agent tree-class
+  profiles; this loop and the pair loop are both built by
+  ``tree._closed_loop``;
+- ``delayed.closed_loop_cost`` prices delayed-sharing controllers.
+
+Each stacks a state z_t with E z_0 z_0^T = Z_0 that runs under the linear
+feedback v_t = M_t z_t,
 
     z_{t+1} = F_t z_t + e_t,   F_t = F0 + Bv M_t,   E e_t e_t^T = W,
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import delayed as _delayed
+from . import tree as _tree
 from .model import Delayed, NoiseSpec, TeamSpec, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .rng import BLOCK, PrimitiveSampler
@@ -187,12 +188,22 @@ def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
     return costs
 
 
+def _check_horizon(T, horizon):
+    """A finite-horizon policy runs only at its own horizon; a stationary
+    one (horizon None) at any."""
+    if horizon is not None and T != horizon:
+        raise ValueError(f"horizon {T} differs from the policy's horizon "
+                         f"{horizon}")
+
+
 def rollout_costs(spec, policies, T, n_rollouts, seed):
     if isinstance(policies, TreePolicySet):
+        _check_horizon(T, policies.horizon)
         return _tree_mc(spec, policies, T, n_rollouts, seed)
     if isinstance(policies, GraphPolicySet):
         if not isinstance(spec.info, Delayed):
             raise ValueError("graph policies require delayed information")
+        _check_horizon(T, policies.policy.horizon)
         return _graph_mc(spec, policies, T, n_rollouts, seed)
     raise TypeError(f"unsupported policy set type {type(policies).__name__}")
 
@@ -212,38 +223,11 @@ def simulate(spec: TeamSpec, policies, T: int, n_rollouts: int,
 def _tree_loop(spec: TeamSpec, pset: TreePolicySet, T: int) -> ClosedLoop:
     """The stacked closed loop of a tree-class profile on the augmented state
     z = (x_t, x_0): agent i's control reads its own x_t and its own x_0."""
-    N, n, m = pset.n_dm, spec.n, spec.m
-    A, B = spec.dynamics.A, spec.dynamics.B
-    cR, cQ = _coupling_coeffs(pset.mode, N)
-    _, _, _, alpha = cost_weights(pset.mode)
-    Sigma = conditional_gain(spec.noise)
-    eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    Qfull = np.kron(eye, spec.cost.Q) + cQ * np.kron(off, spec.cost.q_tilde_or_zero(n))
-    Rfull = np.kron(eye, spec.cost.R) + cR * np.kron(off, spec.cost.r_tilde_or_zero(m))
-    Sig0 = (np.kron(eye, spec.noise.init_diag)
-            + np.kron(off, spec.noise.init_offdiag))
-
-    dim = 2 * N * n
-    x, o = slice(0, N * n), slice(N * n, dim)
+    _check_horizon(T, pset.horizon)
     Ks, Ls = pset.stacked()
-    M = np.zeros((T, N * m, dim))
-    for i in range(N):
-        rows = slice(i * m, (i + 1) * m)
-        M[:, rows, i * n:(i + 1) * n] = Ks[i, :T]
-        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = \
-            alpha * Ls[i, :T] @ Sigma
-    F0 = np.zeros((dim, dim))
-    F0[x, x] = np.kron(eye, A)
-    F0[o, o] = np.eye(N * n)
-    Bv = np.zeros((dim, N * m))
-    Bv[x] = np.kron(eye, B)
-    W = np.zeros((dim, dim))
-    W[x, x] = np.kron(eye, spec.noise.sigma_w)
-    Cz = np.zeros((dim, dim))
-    Cz[x, x] = Qfull
-    return ClosedLoop(Z0=np.block([[Sig0, Sig0], [Sig0, Sig0]]), F0=F0, Bv=Bv,
-                      M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)), Rv=Rfull,
-                      C_T=np.zeros((dim, dim)))
+    cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
+    return _tree._closed_loop(_tree._params(spec, pset.mode), Ks, Ls,
+                              1.0, cR, cQ)
 
 
 def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
@@ -388,9 +372,6 @@ def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
 
 def _pbp_tree(spec, pset, T):
     """(holder, gain, g, h) per agent and gain, each (T, m, n)."""
-    if T != pset.horizon:
-        raise ValueError(f"pbp_check horizon {T} differs from the policy "
-                         f"profile's horizon {pset.horizon}")
     loop = _tree_loop(spec, pset, T)
     mom = propagate(loop)
     G, H = gain_sensitivity(loop, mom)
@@ -420,9 +401,6 @@ def _pbp_graph(spec, policies, T):
     pol = policies.policy
     if pol.horizon is None:
         raise ValueError("finite-horizon graph policy required")
-    if T != pol.horizon:
-        raise ValueError(f"pbp_check horizon {T} differs from the graph "
-                         f"policy's horizon {pol.horizon}")
     loop, blocks = _delayed._closed_loop(spec, pol, T)
     mom = propagate(loop)
     G, H = gain_sensitivity(loop, mom)

@@ -7,8 +7,9 @@ an exact convex quadratic in the stacked L gains.  Splitting the closed loop
 into its L = 0 part and a feedforward matrix M_t driven by the coupling
 statistic turns that minimization into a deterministic LQ problem in vec(M_t),
 which one backward Riccati sweep and one forward pass solve exactly in
-O(T n^6) time.  ``_cost_and_grad`` (moment propagation with a hand-derived
-adjoint) evaluates the exact cost and its gradient in L for any schedule.
+O(T n^6) time.  The exact cost of any schedule, and its gradient in L, is the
+cost of the two-agent closed loop of one exchangeable pair, propagated by
+``moments``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .linalg import sym
 from .model import TeamSpec, conditional_gain
+from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
     ConvergenceError,
     RiccatiError,
@@ -164,93 +166,64 @@ def _params(spec: TeamSpec, mode: Population) -> _Params:
     )
 
 
+def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
+    """The stacked closed loop of N agents running u_t^i = Ks[i, t] x_t^i
+    + Ls[i, t] c^i, c^i = alpha Sigma x_0^i, on z = (x_t, x_0).
+
+    Ks and Ls have shape (N, T, m, n).  The stage cost is
+    own * sum_i (x^i' Q x^i + u^i' R u^i)
+    + sum_{i != j} (cR u^i' R~ u^j + cQ x^i' Q~ x^j).
+    """
+    N, T, m, n = Ls.shape
+    if Ks.shape[1] != T:
+        raise ValueError(f"K horizon {Ks.shape[1]} differs from L horizon {T}")
+    eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
+    Sig0 = np.kron(eye, p.Sd) + np.kron(off, p.So)
+    dim = 2 * N * n
+    x, o = slice(0, N * n), slice(N * n, dim)
+    M = np.zeros((T, N * m, dim))
+    for i in range(N):
+        rows = slice(i * m, (i + 1) * m)
+        M[:, rows, i * n:(i + 1) * n] = Ks[i]
+        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = \
+            p.alpha * Ls[i] @ p.Sigma
+    F0 = np.zeros((dim, dim))
+    F0[x, x] = np.kron(eye, p.A)
+    F0[o, o] = np.eye(N * n)
+    Bv = np.zeros((dim, N * m))
+    Bv[x] = np.kron(eye, p.B)
+    W = np.zeros((dim, dim))
+    W[x, x] = np.kron(eye, p.W)
+    Cz = np.zeros((dim, dim))
+    Cz[x, x] = own * np.kron(eye, p.Q) + cQ * np.kron(off, p.Qt)
+    return ClosedLoop(Z0=np.block([[Sig0, Sig0], [Sig0, Sig0]]), F0=F0, Bv=Bv,
+                      M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)),
+                      Rv=own * np.kron(eye, p.R) + cR * np.kron(off, p.Rt),
+                      C_T=np.zeros((dim, dim)))
+
+
 def _cost_and_grad(p: _Params, K, L, want_grad=True):
     """Exact cost (and gradient in L) of u_t^i = K_t x_t^i + L_t c^i.
 
-    L has shape (batch, T, m, n).  The cost is propagated through the
-    exchangeable pair moments Sd_t = E(x x^T) (own), So_t (cross pair),
-    Vd_t = E(x_t^i c_i^T), Vo_t = E(x_t^i c_j^T); every step is linear or
-    quadratic in L, so the returned gradient is exact.
+    L has shape (batch, T, m, n).  Under a symmetric policy the cost depends
+    only on the joint moments of one exchangeable pair of agents, so each
+    schedule is priced on the two-agent closed loop with per-agent weights
+    (a/2, b/2, q/2); the gradient in L sums both agents' coupling blocks of
+    the loop's gain gradient.
     """
-    A, B = p.A, p.B
-    batch, T = L.shape[0], L.shape[1]
-    Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
-    Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
-    Phi = [A + B @ K[t] for t in range(T)]
-
-    eye = np.ones((batch, 1, 1))
-    Sd = p.Sd * eye
-    So = p.So * eye
-    Vd = (p.alpha * p.Sd @ p.Sigma.T) * eye
-    Vo = (p.alpha * p.So @ p.Sigma.T) * eye
-    Vd_hist, Vo_hist = [], []
-
-    J = np.zeros(batch)
-    c1 = 1.0 / T
-    for t in range(T):
-        Kt, Lt = K[t], L[:, t]
-        Vd_hist.append(Vd)
-        Vo_hist.append(Vo)
-        KS = Kt @ Sd
-        Ud = KS @ Kt.T + Kt @ Vd @ np.swapaxes(Lt, -1, -2) \
-            + Lt @ np.swapaxes(Vd, -1, -2) @ Kt.T + Lt @ Cd @ np.swapaxes(Lt, -1, -2)
-        Uo = Kt @ So @ Kt.T + Kt @ Vo @ np.swapaxes(Lt, -1, -2) \
-            + Lt @ np.swapaxes(Vo, -1, -2) @ Kt.T + Lt @ Co @ np.swapaxes(Lt, -1, -2)
-        J += c1 * (
-            p.a * (np.trace(p.Q @ Sd, axis1=-2, axis2=-1)
-                   + np.trace(p.R @ Ud, axis1=-2, axis2=-1))
-            + p.b * np.trace(p.Rt @ Uo, axis1=-2, axis2=-1)
-            + p.q * np.trace(p.Qt @ So, axis1=-2, axis2=-1)
-        )
-        if t == T - 1:
-            break
-        Ph = Phi[t]
-        D = B @ Lt
-        PhVd, PhVo = Ph @ Vd, Ph @ Vo
-        Sd = Ph @ Sd @ Ph.T + PhVd @ np.swapaxes(D, -1, -2) \
-            + D @ np.swapaxes(PhVd, -1, -2) + D @ Cd @ np.swapaxes(D, -1, -2) + p.W
-        So = Ph @ So @ Ph.T + PhVo @ np.swapaxes(D, -1, -2) \
-            + D @ np.swapaxes(PhVo, -1, -2) + D @ Co @ np.swapaxes(D, -1, -2)
-        Vd = Ph @ Vd + D @ Cd
-        Vo = Ph @ Vo + D @ Co
-
-    if not want_grad:
-        return J, None
-
-    # Reverse pass.  The Sbar recursions are L-free, so they are unbatched.
-    n = A.shape[0]
-    Sbar_d = np.zeros((n, n))
-    Sbar_o = np.zeros((n, n))
-    Vbar_d = np.zeros((batch, n, n))
-    Vbar_o = np.zeros((batch, n, n))
-    grad = np.zeros_like(L)
-    for t in range(T - 1, -1, -1):
-        Kt, Lt, Ph = K[t], L[:, t], Phi[t]
-        Vd_t, Vo_t = Vd_hist[t], Vo_hist[t]
-        g = c1 * 2.0 * (
-            p.a * (p.R @ Kt @ Vd_t + p.R @ Lt @ Cd)
-            + p.b * (p.Rt @ Kt @ Vo_t + p.Rt @ Lt @ Co)
-        )
-        if t < T - 1:
-            g = g + B.T @ Vbar_d @ Cd + B.T @ Vbar_o @ Co
-            g = g + 2.0 * (B.T @ Sbar_d) @ (Ph @ Vd_t + B @ Lt @ Cd)
-            g = g + 2.0 * (B.T @ Sbar_o) @ (Ph @ Vo_t + B @ Lt @ Co)
-        grad[:, t] = g
-        if t == 0:
-            break
-        cost_vd = c1 * p.a * 2.0 * Kt.T @ p.R @ Lt
-        cost_vo = c1 * p.b * 2.0 * Kt.T @ p.Rt @ Lt
-        if t < T - 1:
-            Vbar_d = cost_vd + Ph.T @ Vbar_d + 2.0 * (Ph.T @ Sbar_d) @ (B @ Lt)
-            Vbar_o = cost_vo + Ph.T @ Vbar_o + 2.0 * (Ph.T @ Sbar_o) @ (B @ Lt)
-            Sbar_d = c1 * p.a * (p.Q + Kt.T @ p.R @ Kt) + Ph.T @ Sbar_d @ Ph
-            Sbar_o = c1 * (p.q * p.Qt + p.b * Kt.T @ p.Rt @ Kt) + Ph.T @ Sbar_o @ Ph
-        else:
-            Vbar_d = cost_vd * np.ones((batch, 1, 1))
-            Vbar_o = cost_vo * np.ones((batch, 1, 1))
-            Sbar_d = c1 * p.a * (p.Q + Kt.T @ p.R @ Kt)
-            Sbar_o = c1 * (p.q * p.Qt + p.b * Kt.T @ p.Rt @ Kt)
-    return J, grad
+    Ks = np.stack([K, K])
+    m, n = L.shape[2:]
+    J, grad = np.empty(len(L)), np.empty_like(L)
+    for k, Lk in enumerate(L):
+        loop = _closed_loop(p, Ks, np.stack([Lk, Lk]),
+                            p.a / 2, p.b / 2, p.q / 2)
+        mom = propagate(loop)
+        J[k] = mom.cost
+        if want_grad:
+            G, _ = gain_sensitivity(loop, mom)
+            grad[k] = (p.alpha * (G[:, :m, 2 * n:3 * n] + G[:, m:, 3 * n:])
+                       @ p.Sigma.T)
+    return J, (grad if want_grad else None)
 
 
 def exact_policy_cost(spec: TeamSpec, T: int, K, L, mode: Population) -> float:
@@ -433,42 +406,22 @@ def closed_form_cost_variants(spec: TeamSpec, policy: TreePolicy):
     if policy.mode.kind != "two_dm":
         raise ValueError("closed-form cost applies to the two-agent tree mode")
     T = policy.horizon
-    Sigma = conditional_gain(spec.noise)
-    Sd, So = sym(spec.noise.init_diag), sym(spec.noise.init_offdiag)
-    W = sym(spec.noise.sigma_w)
-    A, B = spec.dynamics.A, spec.dynamics.B
-    R = sym(spec.cost.R)
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
+    p = _params(spec, policy.mode)
+    A, B, Sigma, Sd = p.A, p.B, p.Sigma, p.Sd
     P, K, L = policy.P, policy.K, policy.L
     C1 = Sigma @ Sd @ Sigma.T
     base = float(np.trace(P[0] @ Sd))
-    noise = sum(float(np.trace(P[t + 1] @ W)) for t in range(T))
+    noise = sum(float(np.trace(P[t + 1] @ p.W)) for t in range(T))
     quad = sum(float(np.trace(L[t].T @ B.T @ P[t + 1] @ B @ L[t] @ C1))
                for t in range(T))
     quad_r = sum(
-        float(np.trace(L[t].T @ (R + B.T @ P[t + 1] @ B) @ L[t] @ C1))
+        float(np.trace(L[t].T @ (p.R + B.T @ P[t + 1] @ B) @ L[t] @ C1))
         for t in range(T)
     )
-
-    # exact cross-pair control correlation sum_t E(u1' R~ u2) by propagating
-    # the pair moments of the closed loop
-    Sot = So.copy()
-    Vd = Sd @ Sigma.T
-    Vo = So @ Sigma.T
-    Cd = Sigma @ Sd @ Sigma.T
-    Co = Sigma @ So @ Sigma.T
-    cross_exact = 0.0
-    Sdt = Sd.copy()
-    for t in range(T):
-        Kt, Lt = K[t], L[t]
-        Uo = Kt @ Sot @ Kt.T + Kt @ Vo @ Lt.T + Lt @ Vo.T @ Kt.T + Lt @ Co @ Lt.T
-        cross_exact += float(np.trace(Rt @ Uo))
-        Ph = A + B @ Kt
-        D = B @ Lt
-        Sdt = Ph @ Sdt @ Ph.T + Ph @ Vd @ D.T + D @ Vd.T @ Ph.T + D @ Cd @ D.T + W
-        Sot = Ph @ Sot @ Ph.T + Ph @ Vo @ D.T + D @ Vo.T @ Ph.T + D @ Co @ D.T
-        Vd = Ph @ Vd + D @ Cd
-        Vo = Ph @ Vo + D @ Co
+    # exact cross-pair control correlation sum_t E(u1' R~ u2): T times the
+    # cost of the pair loop that weighs only the cross control term
+    cross_exact = T * propagate(_closed_loop(
+        p, np.stack([K, K]), np.stack([L, L]), 0.0, 0.5, 0.0)).cost
 
     exact = exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
     out = {

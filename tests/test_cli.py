@@ -204,16 +204,20 @@ class TestCommands:
         assert pbp_line.startswith("[FAIL] pbp_check")
         assert ", t=1, L[0,0], g=9.375e-02)" in pbp_line
 
-    @pytest.mark.parametrize("horizon", ["5", "2"])
+    @pytest.mark.parametrize("command, horizon", [
+        ("verify", "5"), ("verify", "2"),
+        ("simulate", "5"), ("simulate", "2"),
+    ], ids=["5", "2", "simulate-5", "simulate-2"])
     def test_verify_rejects_horizon_other_than_policy(self, tmp_path, capsys,
-                                                      horizon):
-        """A horizon-3 policy checked at another horizon is an input error,
-        not a failed check (below) or a crash (above)."""
+                                                      command, horizon):
+        """A horizon-3 policy checked or simulated at another horizon is an
+        input error, not a failed check or a truncated problem (below) or a
+        crash (above)."""
         spec_path = write_spec(tmp_path, GOLDEN)
         pol_path = str(tmp_path / "pol.json")
         assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
         capsys.readouterr()
-        code = main(["verify", spec_path, "--policy", pol_path, "--horizon",
+        code = main([command, spec_path, "--policy", pol_path, "--horizon",
                      horizon, "--rollouts", "200", "--seed", "7"])
         assert code == EXIT_VALIDATION
         captured = capsys.readouterr()

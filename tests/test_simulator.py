@@ -259,11 +259,32 @@ class TestSampling:
 
 
 class TestExactCost:
-    def test_matches_predicted_for_symmetric_policy(self, rng):
-        spec = scalar_tree_spec(T=3)
+    @pytest.mark.parametrize("spec", [
+        scalar_tree_spec(T=3),
+        scalar_tree_spec(T=3, n_dm=3),
+        scalar_mf_spec(T=3, n_dm=4),
+    ], ids=["two_dm", "n_dm3", "mean_field4"])
+    def test_matches_predicted_for_symmetric_policy(self, spec):
+        """The N-agent stacked loop prices the symmetric optimum at the
+        predicted cost, which comes from the exchangeable pair loop."""
         pset, pol = optimal_pset(spec, 3)
         exact = exact_cost_general(spec, pset, 3)
         assert exact == pytest.approx(predicted_cost(spec, 3, pol), rel=1e-12)
+
+    @pytest.mark.parametrize("T", [2, 5])
+    def test_horizon_other_than_policy_rejected(self, T):
+        """A horizon-3 profile priced or simulated at another horizon raises
+        instead of truncating (below) or failing on an index (above)."""
+        spec = scalar_tree_spec(T=3)
+        pset, _ = optimal_pset(spec, 3)
+        dspec = coupled_delayed_spec_2dm(T=3)
+        gset = GraphPolicySet(policy=solve_delayed_finite(dspec, 3)[0])
+        for s, p in ((spec, pset), (dspec, gset)):
+            for run in (lambda: exact_cost_general(s, p, T),
+                        lambda: rollout_costs(s, p, T, 10, seed=1)):
+                with pytest.raises(ValueError, match=f"horizon {T} differs "
+                                   "from the policy's horizon 3"):
+                    run()
 
     def test_mc_agrees_with_exact_for_asymmetric_policy(self, rng):
         spec = scalar_tree_spec(T=3)

@@ -48,6 +48,15 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 # independent oracle: stacked joint-covariance cost
 
 
+MODES = [two_dm(), n_dm(3), mean_field(4), mean_field_limit()]
+MODE_IDS = ["two_dm", "n_dm3", "mean_field4", "mean_field_limit"]
+
+
+def has_qt(mode):
+    """Whether the mode weighs the cross-state term Q~ (mean-field modes)."""
+    return mode.kind in ("mean_field_N", "mean_field_limit")
+
+
 def pop_size(mode):
     return {"two_dm": 2, "mean_field_limit": 2}.get(mode.kind, mode.n)
 
@@ -265,18 +274,19 @@ class TestCouplingGains:
                     - oracle_cost(spec, 3, pol.K, vm, mode)) / (2 * step)
         assert np.linalg.norm(g) < 1e-6
 
-    def test_adjoint_gradient_vs_finite_difference(self, rng):
-        spec = random_tree_spec(rng, T=3)
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_adjoint_gradient_vs_finite_difference(self, rng, mode):
+        spec = random_tree_spec(rng, T=3, mean_field=has_qt(mode))
         L0 = rng.normal(scale=0.3, size=(3, spec.m, spec.n))
         K, _ = solve_k_p(spec, 3)
-        _, grad = policy_cost_gradient(spec, 3, K, L0, two_dm())
+        _, grad = policy_cost_gradient(spec, 3, K, L0, mode)
         step = 1e-6
         for idx in np.ndindex(L0.shape):
             Lp, Lm = L0.copy(), L0.copy()
             Lp[idx] += step
             Lm[idx] -= step
-            fd = (exact_policy_cost(spec, 3, K, Lp, two_dm())
-                  - exact_policy_cost(spec, 3, K, Lm, two_dm())) / (2 * step)
+            fd = (exact_policy_cost(spec, 3, K, Lp, mode)
+                  - exact_policy_cost(spec, 3, K, Lm, mode)) / (2 * step)
             assert abs(grad[idx] - fd) < 1e-6 * (1 + abs(fd))
 
     def test_optimality_recursion_residual(self):
@@ -332,12 +342,13 @@ class TestPredictedCost:
         assert predicted_cost(spec, 2, pol) == pytest.approx(2.555555555556,
                                                              abs=1e-9)
 
-    def test_matches_oracle_propagation(self, rng):
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_matches_oracle_propagation(self, rng, mode):
         for _ in range(6):
-            spec = random_tree_spec(rng)
+            spec = random_tree_spec(rng, mean_field=has_qt(mode))
             T = spec.horizon
-            pol = solve_tree(spec, T, two_dm())
-            ref = oracle_cost(spec, T, pol.K, np.stack(pol.L), two_dm())
+            pol = solve_tree(spec, T, mode)
+            ref = oracle_cost(spec, T, pol.K, np.stack(pol.L), mode)
             assert predicted_cost(spec, T, pol) == pytest.approx(ref, rel=1e-8)
 
     def test_identity_decomposition_is_exact(self, rng):
@@ -353,6 +364,8 @@ class TestPredictedCost:
         pol = solve_tree(spec, 2)
         with pytest.raises(ValueError):
             predicted_cost(spec, 3, pol)
+        with pytest.raises(ValueError, match="K horizon 2 differs"):
+            exact_policy_cost(spec, 1, pol.K, pol.L[:1], two_dm())
 
     def test_exchanging_identical_policies_is_neutral(self, rng):
         """Exchangeability at the policy level: with both agents running the
