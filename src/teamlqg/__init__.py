@@ -2,7 +2,7 @@
 
 Submodules:
   model       problem-instance data model and structural validation
-  riccati     Riccati recursion, DARE fixed point, PBH tests
+  riccati     Riccati recursion, DARE by structure-preserving doubling, PBH tests
   tree        symmetric tree-information solvers (finite, infinite, mean field)
   info_graph  delayed-sharing information graph
   delayed     one-step-delayed sharing synthesis
@@ -38,7 +38,6 @@ from .riccati import (
 from .tree import (
     CouplingSystemError,
     InfiniteTreePolicy,
-    MeanFieldLimitResult,
     Population,
     TreePolicy,
     exact_policy_cost,

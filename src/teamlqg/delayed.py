@@ -22,7 +22,7 @@ from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsit
 from .linalg import is_psd, numerical_rank, psd_factor, spectral_radius, sym
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
 from .moments import ClosedLoop, propagate
-from .riccati import RiccatiError, dare_solve, is_stabilizable
+from .riccati import RiccatiError, dare_solve
 
 
 class NodeRecursionError(RiccatiError):
@@ -353,8 +353,7 @@ def _rank_condition(d: _Stacked, node, grid=720):
     return marginal
 
 
-def solve_delayed_infinite(spec: TeamSpec, tol: float = 1e-10,
-                           theta_grid: int = 720) -> GraphPolicy:
+def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
     """Stationary node gains for the average-cost problem.
 
     Self-loop nodes solve an algebraic Riccati equation on their partitioned
@@ -371,9 +370,7 @@ def solve_delayed_infinite(spec: TeamSpec, tol: float = 1e-10,
         A, B = d.A_sr(s, s), d.B_sr(s, s)
         Q, R, S = d.Q_rr(s), d.R_rr(s), d.S_rr(s)
         label = set(i + 1 for i in s)
-        if not is_stabilizable(A, B):
-            raise RiccatiError(f"(A, B) not stabilizable at self-loop node {label}")
-        bad = _rank_condition(d, s, theta_grid)
+        bad = _rank_condition(d, s)
         if bad:
             raise RankConditionError(
                 f"rank condition failed at node {label}, theta = {bad[0]:.4f}"
@@ -382,7 +379,11 @@ def solve_delayed_infinite(spec: TeamSpec, tol: float = 1e-10,
         Rinv_St = np.linalg.solve(sym(R), S.T)
         Abar = A - B @ Rinv_St
         Qbar = sym(Q - S @ Rinv_St)
-        sol = dare_solve(Abar, B, Qbar, R, tol=tol)
+        try:
+            sol = dare_solve(Abar, B, Qbar, R)
+        except RiccatiError as exc:
+            exc.args = (f"{exc} at self-loop node {label}",)
+            raise
         values[s] = sol.P
         gains[s] = sol.K - Rinv_St
 

@@ -12,6 +12,13 @@ from .linalg import as_matrix, numerical_rank, psd_sqrt, spectral_radius, sym
 # must be controlled/observed.
 UNIT_CIRCLE_MARGIN = 1e-10
 
+# dare_solve: at most this many doublings (horizon 2**DOUBLING_CAP); it stops
+# once successive horizon values differ by SETTLE_RTOL relative, and rejects
+# an answer whose relative Riccati residual exceeds RESIDUAL_BOUND.
+DOUBLING_CAP = 64
+SETTLE_RTOL = 4 * np.finfo(float).eps
+RESIDUAL_BOUND = 1e-10
+
 
 class RiccatiError(RuntimeError):
     pass
@@ -65,34 +72,45 @@ class DareSolution:
     iterations: int
 
 
-def dare_solve(A, B, Q, R, tol=1e-10, max_iter=10000) -> DareSolution:
-    """Stationary value matrix as the fixed point of the backward recursion.
+def dare_solve(A, B, Q, R) -> DareSolution:
+    """Stationary value matrix as the horizon limit of the backward recursion.
 
-    Iterates from P = 0, mirroring the horizon limit of the finite recursion;
-    stabilizability of (A, B) and detectability of (A, Q^{1/2}) are checked
-    up front.
+    Structure-preserving doubling (Lin & Xu, SIAM J. Matrix Anal. Appl.
+    2006): from A_0 = A, G_0 = B R^{-1} B^T and H_0 = Q, step k gives H_k,
+    the value of horizon 2^k started from P = 0, and converges
+    quadratically.  Doubling stops when successive H_k agree to rounding;
+    ``residual`` is the relative Riccati residual |Ric(P) - P| / (1 + |P|)
+    and ``iterations`` the number of doublings.  Stabilizability of (A, B)
+    and detectability of (A, Q^{1/2}) are checked up front.
     """
     A, B, Q, R = as_matrix(A), as_matrix(B), as_matrix(Q), as_matrix(R)
     if not is_stabilizable(A, B):
         raise RiccatiError("(A, B) is not stabilizable")
     if not is_detectable(A, psd_sqrt(Q)):
         raise RiccatiError("(A, Q^(1/2)) is not detectable")
-    P = np.zeros_like(Q)
-    K = np.zeros((B.shape[1], A.shape[0]))
-    diff = np.inf
-    for it in range(1, max_iter + 1):
-        P_new, K = riccati_step(A, B, Q, R, P)
-        diff = float(np.linalg.norm(P_new - P))
-        P = P_new
-        if diff < tol:
-            defect, _ = riccati_step(A, B, Q, R, P)
-            residual = float(np.linalg.norm(defect - P))
-            return DareSolution(P=P, K=K, residual=residual, iterations=it)
-    raise ConvergenceError(
-        f"DARE iteration did not converge in {max_iter} steps "
-        f"(last successive-iterate norm {diff:.3e})",
-        residual=diff,
-    )
+    n = A.shape[0]
+    Ak, Gk, Hk = A, sym(B @ np.linalg.solve(sym(R), B.T)), sym(Q)
+    settled = False
+    for k in range(1, DOUBLING_CAP + 1):
+        # G_k and H_k stay PSD, so I + G_k H_k is invertible
+        X = np.linalg.solve(np.eye(n) + Gk @ Hk, np.hstack([Ak, Gk]))
+        H_next = sym(Hk + Ak.T @ Hk @ X[:, :n])
+        Gk = sym(Gk + Ak @ X[:, n:] @ Ak.T)
+        Ak = Ak @ X[:, :n]
+        settled = np.linalg.norm(H_next - Hk) <= SETTLE_RTOL * np.linalg.norm(H_next)
+        Hk = H_next
+        if settled:
+            break
+    P_step, K = riccati_step(A, B, Q, R, Hk)
+    residual = float(np.linalg.norm(P_step - Hk) / (1.0 + np.linalg.norm(Hk)))
+    if not settled or residual > RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"DARE doubling {'settled' if settled else 'did not settle'} after "
+            f"{k} steps with relative residual {residual:.3e} "
+            f"(bound {RESIDUAL_BOUND:.0e})",
+            residual=residual,
+        )
+    return DareSolution(P=Hk, K=K, residual=residual, iterations=k)
 
 
 __all__ = [

@@ -475,7 +475,7 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     schedule = sorted(int(N) for N in schedule)
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 population sizes")
-    limit = meanfield_limit_policy(spec, T).policy
+    limit = meanfield_limit_policy(spec, T)
 
     rows = []
     prev_L = None

@@ -14,7 +14,7 @@ cost of the two-agent closed loop of one exchangeable pair, propagated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -550,45 +550,11 @@ def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
 # mean-field limit
 
 
-@dataclass
-class MeanFieldLimitResult:
-    policy: TreePolicy
-    schedule: list = field(default_factory=list)  # (N, L array, diff to prev)
+def meanfield_limit_policy(spec: TeamSpec, T: int) -> TreePolicy:
+    """Optimal policy of the infinite-population mean-field team.
 
-    def convergence_series(self):
-        return [(N, diff) for N, _, diff in self.schedule if diff is not None]
-
-
-def meanfield_limit_policy(spec: TeamSpec, T: int, tol: float = 1e-7,
-                           n_cap: int = 512) -> MeanFieldLimitResult:
-    """Limit of the N-agent mean-field coupling gains over a doubling N
-    schedule; emits the full convergence series for diagnostics."""
-    K, P = solve_k_p(spec, T)
-    schedule = []
-    prev = None
-    N = 2
-    converged = False
-    while N <= n_cap:
-        L, _ = _coupling_gains(spec, T, mean_field(N), K)
-        Larr = np.stack(L)
-        diff = None if prev is None else float(
-            max(np.linalg.norm(Larr[t] - prev[t]) for t in range(T))
-        )
-        schedule.append((N, Larr, diff))
-        if diff is not None and diff < tol:
-            converged = True
-            break
-        prev = Larr
-        N *= 2
-    if not converged:
-        diffs = [(N_, d) for N_, _, d in schedule if d is not None]
-        raise ConvergenceError(
-            f"mean-field gains not Cauchy below {tol} up to N={n_cap}; "
-            f"series {diffs}",
-        )
-    Llim = [schedule[-1][1][t] for t in range(T)]
-    mode = mean_field_limit()
-    _, _, _, alpha = cost_weights(mode)
-    G = _propagators(spec, T, K, np.stack(Llim), alpha)
-    policy = TreePolicy(horizon=T, mode=mode, K=K, L=Llim, P=P, G=G)
-    return MeanFieldLimitResult(policy=policy, schedule=schedule)
+    The N-agent weights (N, 2N, 2N) of ``mean_field(N)`` are N times the
+    limit weights (1, 2, 2), so the limit cost has the same minimizer; one
+    sweep at ``mean_field_limit()`` gives it exactly.
+    """
+    return solve_tree(spec, T, mode=mean_field_limit())

@@ -168,7 +168,7 @@ def test_A5_mean_field_convergence():
     N = 256
     nspec = replace(spec, n_dm=N)
     pol_n = solve_tree(nspec, T, mode=mean_field(N))
-    limit = meanfield_limit_policy(spec, T).policy
+    limit = meanfield_limit_policy(spec, T)
     pset_n = TreePolicySet.from_policy(pol_n, N)
     pset_l = TreePolicySet(
         mode=mean_field(N),

@@ -156,7 +156,17 @@ class TestCommands:
     def test_solve_ndm_and_mf(self, tmp_path):
         assert main(["solve-ndm", write_spec(tmp_path, GOLDEN),
                      "--n", "3"]) == EXIT_OK
-        assert main(["solve-mf", write_spec(tmp_path, MF)]) == EXIT_OK
+        out_path = str(tmp_path / "mf.json")
+        assert main(["solve-mf", write_spec(tmp_path, MF),
+                     "--out", out_path]) == EXIT_OK
+        report = json.loads(open(out_path).read())
+        assert report["convergence"][0]["N"] == MF["n_dm"]
+
+    @pytest.mark.parametrize("command, spec, flag", [
+        ("solve-mf", MF, ["--n-max", "8"]),
+        ("solve-delayed-inf", DELAYED, ["--tol", "1e-6"])])
+    def test_stopping_knobs_are_gone(self, tmp_path, command, spec, flag):
+        assert main([command, write_spec(tmp_path, spec)] + flag) == EXIT_USAGE
 
     def test_sweep_mft_table(self, tmp_path, capsys):
         assert main(["sweep-mft", write_spec(tmp_path, MF),

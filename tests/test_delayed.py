@@ -31,6 +31,18 @@ INF = math.inf
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
 
+def scalar_self_loop_spec(A, B):
+    """One agent whose only node is a self-loop: its DARE is scalar."""
+    return TeamSpec(
+        n_dm=1, horizon=2,
+        dynamics=Homogeneous(A=[[A]], B=[[B]]),
+        cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
+        noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                        init_offdiag=[[0.0]]),
+        info=Delayed(delays=((0.0,),)),
+    )
+
+
 def dp_oracle(A, B, Q, R, S, T):
     """Textbook finite-horizon LQR with cross term and terminal cost Q."""
     Ks, Xs = [None] * T, [None] * (T + 1)
@@ -255,6 +267,23 @@ class TestInfiniteHorizon:
         )
         with pytest.raises(RiccatiError):
             solve_delayed_infinite(spec)
+
+    def test_unstabilizable_node_is_named(self):
+        from teamlqg.riccati import RiccatiError
+
+        with pytest.raises(RiccatiError,
+                           match="not stabilizable at self-loop node {1}"):
+            solve_delayed_infinite(scalar_self_loop_spec(A=2.0, B=0.0))
+
+    def test_node_convergence_error_keeps_type_and_names_node(self,
+                                                              monkeypatch):
+        from teamlqg import riccati
+
+        monkeypatch.setattr(riccati, "DOUBLING_CAP", 1)
+        with pytest.raises(riccati.ConvergenceError,
+                           match="at self-loop node {1}") as info:
+            solve_delayed_infinite(scalar_self_loop_spec(A=1.0, B=1.0))
+        assert info.value.residual > 1e-3
 
     def test_sparsity_violation_rejected(self):
         spec = TeamSpec(

@@ -1,4 +1,6 @@
-"""Riccati step, DARE fixed point, and PBH stabilizability tests."""
+"""Riccati step, DARE by doubling, and PBH stabilizability tests."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamlqg import riccati
+from teamlqg.cli import EXIT_NUMERICAL, main
 from teamlqg.linalg import is_psd, spectral_radius
 from teamlqg.riccati import (
+    ConvergenceError,
     RiccatiError,
     dare_solve,
     is_detectable,
@@ -82,10 +87,11 @@ class TestDare:
             dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]])
 
     def test_fixed_point_and_stability(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            m = int(rng.integers(1, 4))
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, 9))
             A = rng.normal(size=(n, n))
+            A *= rng.uniform(0.5, 1.5) / spectral_radius(A)
             B = rng.normal(size=(n, m))
             Q = rand_pd(rng, n)
             R = rand_pd(rng, m)
@@ -97,7 +103,45 @@ class TestDare:
             # independent oracle
             P_ref = scipy.linalg.solve_discrete_are(A, B, 0.5 * (Q + Q.T),
                                                     0.5 * (R + R.T))
-            assert np.linalg.norm(sol.P - P_ref) < 1e-6 * (1 + np.linalg.norm(P_ref))
+            assert np.linalg.norm(sol.P - P_ref) < 1e-10 * (1 + np.linalg.norm(P_ref))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.001), (1.0, 0.002), (1.0, 0.003),
+                                      (1.0, 0.005), (1.0, 0.01), (1.0, 0.03),
+                                      (2.0, 1e-7)])
+    def test_scalar_closed_form_near_uncontrollable(self, a, b):
+        """With Q = R = 1 the DARE is b^2 P^2 + (1 - a^2 - b^2) P - 1 = 0.
+        scipy is not an oracle here: at a = 2, b = 1e-7 it is 3e-7 off."""
+        c = 1.0 - a * a - b * b
+        root = np.sqrt(c * c + 4.0 * b * b)
+        P = (root - c) / (2.0 * b * b) if c <= 0 else 2.0 / (c + root)
+        K = -b * P * a / (1.0 + b * b * P)
+        sol = dare_solve([[a]], [[b]], [[1.0]], [[1.0]])
+        assert abs(sol.P[0, 0] - P) <= 1e-12 * P
+        assert abs(sol.K[0, 0] - K) <= 1e-12 * abs(K)
+
+    def test_residual_is_relative_riccati_residual(self, rng):
+        A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
+        Q, R = rand_pd(rng, 3), rand_pd(rng, 2)
+        sol = dare_solve(A, B, Q, R)
+        P_step, _ = riccati_step(A, B, Q, R, sol.P)
+        expected = np.linalg.norm(P_step - sol.P) / (1 + np.linalg.norm(sol.P))
+        assert sol.residual == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_doubling_cap_raises_with_residual(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(riccati, "DOUBLING_CAP", 1)
+        with pytest.raises(ConvergenceError) as info:
+            dare_solve([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        # one doubling gives the horizon-2 value 1.5; Ric(1.5) = 1.6
+        assert info.value.residual == pytest.approx(0.1 / 2.5, rel=1e-12)
+        spec = {"n_dm": 1, "horizon": 1,
+                "model": {"A": [[1.0]], "B": [[1.0]]},
+                "cost": {"Q": [[1.0]], "R": [[1.0]]},
+                "noise": {"sigma_w": [[1.0]], "init_diag": [[1.0]],
+                          "init_offdiag": [[0.0]]},
+                "info": {"kind": "tree"}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["dare", str(path)]) == EXIT_NUMERICAL
 
     def test_cesaro_mean_of_value_norms(self):
         """(1/T) sum_t ||P_t^{(T)}|| converges to ||P_dare|| on the scalar

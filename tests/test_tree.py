@@ -20,7 +20,7 @@ from teamlqg.model import (
     Tree,
     conditional_gain,
 )
-from teamlqg.riccati import ConvergenceError, dare_solve
+from teamlqg.riccati import dare_solve
 from teamlqg.tree import (
     CouplingSystemError,
     closed_form_cost_variants,
@@ -465,32 +465,19 @@ class TestInfiniteTree:
 class TestMeanFieldLimit:
     def test_uncoupled_limit_is_zero(self, rng):
         spec = random_tree_spec(rng, T=3, coupled=False, mean_field=True)
-        res = meanfield_limit_policy(spec, 3)
-        assert all(np.allclose(l, 0.0) for l in res.policy.L)
+        pol = meanfield_limit_policy(spec, 3)
+        assert all(np.allclose(l, 0.0) for l in pol.L)
 
     def test_limit_mode_and_shapes(self):
         spec = scalar_mf_spec(T=3)
-        res = meanfield_limit_policy(spec, 3)
-        pol = res.policy
+        pol = meanfield_limit_policy(spec, 3)
         assert pol.mode.kind == "mean_field_limit"
         assert len(pol.L) == 3 and len(pol.K) == 3
         assert np.array_equal(pol.G[0], np.eye(1))
 
-    def test_convergence_series_nonincreasing(self):
-        spec = scalar_mf_spec(T=3)
-        res = meanfield_limit_policy(spec, 3)
-        diffs = [d for _, d in res.convergence_series()]
-        assert all(b <= a + 1e-15 for a, b in zip(diffs, diffs[1:]))
-        assert diffs[-1] < 1e-7
-
     def test_limit_matches_large_n_solution(self):
         spec = scalar_mf_spec(T=3)
-        res = meanfield_limit_policy(spec, 3)
+        pol = meanfield_limit_policy(spec, 3)
         L_big, _ = solve_coupling_gains(spec, 3, mean_field(300))
-        for a, b in zip(res.policy.L, L_big):
+        for a, b in zip(pol.L, L_big):
             assert np.linalg.norm(a - b) < 1e-7
-
-    def test_n_cap_failure_reports_series(self):
-        spec = scalar_mf_spec(T=3)
-        with pytest.raises(ConvergenceError):
-            meanfield_limit_policy(spec, 3, tol=0.0, n_cap=8)
