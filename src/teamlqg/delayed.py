@@ -411,21 +411,12 @@ def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
 
 
 def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
-    """Spectral radius of the stationary estimator dynamics over all nodes."""
-    graph = policy.graph
-    d = stacked_data(spec)
-    nodes = list(graph.nodes)
-    offs, pos = {}, 0
-    for r in nodes:
-        offs[r] = pos
-        pos += len(r) * d.n
-    F = np.zeros((pos, pos))
-    for r in nodes:
-        s = graph.successor_map[r]
-        K = policy.gains[r] if policy.horizon is None else policy.gains[r][0]
-        blk = d.A_sr(s, r) + d.B_sr(s, r) @ K
-        F[offs[s]:offs[s] + len(s) * d.n, offs[r]:offs[r] + len(r) * d.n] += blk
-    return spectral_radius(F)
+    """Spectral radius of the stationary estimator dynamics over all nodes:
+    the zeta block of the joint loop's F = F0 + Bv M_0, whose x rows never
+    feed back into zeta, so the block carries the estimator spectrum."""
+    loop, _ = _closed_loop(spec, policy, 1)
+    x = spec.n_dm * spec.n
+    return spectral_radius((loop.F0 + loop.Bv @ loop.M[0])[x:, x:])
 
 
 def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:

@@ -380,5 +380,8 @@ def validate(spec: TeamSpec) -> ValidationReport:
         # Identical blocks across agents hold by construction for Homogeneous;
         # record it so the report shows the exchangeability structure explicitly.
         rep.add("exchangeable structure (identical agent blocks)", True)
+        if isinstance(spec.info, MeanFieldTree):
+            rep.add("mean-field population n_dm >= 2", N >= 2,
+                    "the 1/(N-1)-scaled coupling needs at least two agents")
 
     return rep

@@ -1,7 +1,7 @@
 """Exact second moments of a linear closed loop, and their adjoint.
 
 Every closed-loop moment propagation in the package runs here.  It has
-three users:
+four users:
 
 - ``tree._cost_and_grad`` prices a symmetric tree policy, and the cross term
   of ``tree.closed_form_cost_variants``, on the two-agent loop of one
@@ -9,7 +9,9 @@ three users:
 - ``sim.exact_cost_general`` and ``sim.pbp_check`` price N-agent tree-class
   profiles; this loop and the pair loop are both built by
   ``tree._closed_loop``;
-- ``delayed.closed_loop_cost`` prices delayed-sharing controllers.
+- ``delayed.closed_loop_cost`` prices delayed-sharing controllers;
+- ``sim.mft_sweep`` measures the distance between the N-agent and the
+  limit mean-field policies on a one-agent loop carrying both.
 
 Each stacks a state z_t with E z_0 z_0^T = Z_0 that runs under the linear
 feedback v_t = M_t z_t,

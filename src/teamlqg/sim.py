@@ -4,14 +4,16 @@ Policies are affine and information-measurable by construction: a tree-class
 policy maps each agent's own state and own initial-state statistic to its
 control; a graph-class policy reads only the shared estimator states.  The
 engine provides independent cost estimates (block streams keyed by the seed,
-hence bitwise deterministic) next to the solvers' exact formulas.  Rollouts
-stream through the engines one rng block at a time, so beyond one cost per
-rollout, memory grows with the block size, not with the number of rollouts.
+hence bitwise deterministic) next to the solvers' exact formulas.  Every
+engine runs one loop that draws and prices one rng block at a time, so
+beyond one cost per rollout, memory grows with the block size, not with the
+number of rollouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .tree import (
     Population,
     TreePolicy,
     cost_weights,
+    default_mode,
+    exact_policy_cost,
     mean_field,
     solve_tree,
     meanfield_limit_policy,
@@ -110,10 +114,24 @@ class SimReport:
 # Monte Carlo rollouts
 
 
-def _blocks(n_rollouts):
-    """(block index, slice of rollouts) for each rng block of a batch."""
-    return [(b, slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts)))
-            for b in range(-(-n_rollouts // BLOCK))]
+def _se(costs):
+    """Standard error of the mean of per-rollout costs (0 for one rollout)."""
+    n = len(costs)
+    return float(np.std(costs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _block_costs(sampler, T, n_rollouts, seed, *pricers):
+    """Per-rollout costs of a batch, drawn and priced one rng block at a
+    time, so one block's primitives are alive at once.  Each pricer maps a
+    block's primitives (x0, w) to its per-rollout costs; all of them see
+    the same draw (common random numbers).  Returns one row per pricer."""
+    costs = np.empty((len(pricers), n_rollouts))
+    for b in range(-(-n_rollouts // BLOCK)):
+        rows = slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts))
+        x0, w = sampler.draw(T, rows.stop - rows.start, seed, first_block=b)
+        for k, price in enumerate(pricers):
+            costs[k, rows] = price(x0, w)
+    return costs
 
 
 def _quad(v, M):
@@ -122,14 +140,20 @@ def _quad(v, M):
     return ((v @ M) * v).sum(axis=(0, 2))
 
 
-def _tree_steps(spec: TeamSpec, pset: TreePolicySet, T, x0, w):
-    """Steps one batch of rollouts through a tree-class profile.
+def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
+    """Per-rollout costs of one batch of primitives under a tree-class
+    profile.
 
-    Takes x0 (R, N, n) and w (R, T, N, n) as drawn, and yields (x_t, u_t)
-    for t = 0..T-1, agent-major with shapes (N, R, n) and (N, R, m), so each
-    agent's gains act on its states by one matrix product.
+    Takes x0 (R, N, n) and w (R, T, N, n) as drawn.  States and controls
+    run agent-major, (N, R, n) and (N, R, m), so each agent's gains act on
+    its states by one matrix product.
     """
+    T = w.shape[1]
     A, B = spec.dynamics.A, spec.dynamics.B
+    Q, R = spec.cost.Q, spec.cost.R
+    cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
+    Rt = spec.cost.r_tilde_or_zero(spec.m)
+    Qt = spec.cost.q_tilde_or_zero(spec.n)
     _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
     Ks, Ls = pset.stacked()
@@ -137,34 +161,24 @@ def _tree_steps(spec: TeamSpec, pset: TreePolicySet, T, x0, w):
 
     x = np.ascontiguousarray(x0.swapaxes(0, 1))
     c = alpha * (x @ Sigma.T)
+    cost = 0.0
     for t in range(T):
         u = x @ KT[:, t] + c @ LT[:, t]
-        yield x, u
+        stage = _quad(x, Q) + _quad(u, R)
+        # pair couplings: the square of the agents' sum less its diagonal
+        for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
+            if coef and np.any(M):
+                stage += coef * (_quad(v.sum(axis=0, keepdims=True), M)
+                                 - _quad(v, M))
+        cost = cost + stage
         x = x @ A.T + u @ B.T + w[:, t].swapaxes(0, 1)
-
-
-def _stage_cost(spec: TeamSpec, mode: Population, x, u):
-    """Per-rollout stage cost of agent-major states x and controls u."""
-    cR, cQ = _coupling_coeffs(mode, len(x))
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
-    Qt = spec.cost.q_tilde_or_zero(spec.n)
-    cost = _quad(x, spec.cost.Q) + _quad(u, spec.cost.R)
-    if cR and np.any(Rt):
-        cost += cR * (_quad(u.sum(axis=0, keepdims=True), Rt) - _quad(u, Rt))
-    if cQ and np.any(Qt):
-        cost += cQ * (_quad(x.sum(axis=0, keepdims=True), Qt) - _quad(x, Qt))
-    return cost
+    return cost / T
 
 
 def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
-    sampler = PrimitiveSampler(spec.noise, pset.n_dm)
-    costs = np.empty(n_rollouts)
-    for b, rows in _blocks(n_rollouts):
-        steps = _tree_steps(spec, pset, T, *sampler.draw(
-            T, rows.stop - rows.start, seed, first_block=b))
-        costs[rows] = sum(_stage_cost(spec, pset.mode, x, u)
-                          for x, u in steps) / T
-    return costs
+    return _block_costs(PrimitiveSampler(spec.noise, pset.n_dm), T,
+                        n_rollouts, seed,
+                        partial(_tree_costs, spec, pset))[0]
 
 
 def _graph_costs(spec: TeamSpec, policy, x0, w):
@@ -180,12 +194,9 @@ def _graph_costs(spec: TeamSpec, policy, x0, w):
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
-    sampler = PrimitiveSampler(spec.noise, spec.n_dm)
-    costs = np.empty(n_rollouts)
-    for b, rows in _blocks(n_rollouts):
-        costs[rows] = _graph_costs(spec, pset.policy, *sampler.draw(
-            T, rows.stop - rows.start, seed, first_block=b))
-    return costs
+    return _block_costs(PrimitiveSampler(spec.noise, spec.n_dm), T,
+                        n_rollouts, seed,
+                        partial(_graph_costs, spec, pset.policy))[0]
 
 
 def _check_horizon(T, horizon):
@@ -211,8 +222,7 @@ def rollout_costs(spec, policies, T, n_rollouts, seed):
 def simulate(spec: TeamSpec, policies, T: int, n_rollouts: int,
              seed: int) -> SimReport:
     costs = rollout_costs(spec, policies, T, n_rollouts, seed)
-    se = float(np.std(costs, ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
-    return SimReport(mean_cost=float(np.mean(costs)), std_error=se,
+    return SimReport(mean_cost=float(np.mean(costs)), std_error=_se(costs),
                      n_rollouts=n_rollouts, seed=int(seed))
 
 
@@ -254,8 +264,7 @@ def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
     perm = rollout_costs(spec, policies.permuted(list(permutation)), T,
                          n_rollouts, seed)
     diff = perm - base
-    se = float(np.std(diff, ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
-    return float(np.mean(diff)), 3.0 * se
+    return float(np.mean(diff)), 3.0 * _se(diff)
 
 
 def symmetrize(policies: TreePolicySet) -> TreePolicySet:
@@ -285,8 +294,7 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
     orig = rollout_costs(spec, policies, T, n_rollouts, seed)
     symm = rollout_costs(spec, symmetrize(policies), T, n_rollouts, seed)
     diff = symm - orig
-    se = float(np.std(diff, ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
-    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * se
+    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(diff)
 
 
 def symmetrization_holds(cost_sym: float, cost_orig: float,
@@ -321,8 +329,8 @@ def convex_combination_check(spec: TeamSpec, p1: TreePolicySet,
     c2 = rollout_costs(spec, p2, T, n_rollouts, seed)
     cm = rollout_costs(spec, combine(p1, p2, a), T, n_rollouts, seed)
     gap = cm - (a * c1 + (1 - a) * c2)
-    se = float(np.std(gap, ddof=1) / np.sqrt(n_rollouts)) if n_rollouts > 1 else 0.0
-    return float(np.mean(cm)), float(np.mean(a * c1 + (1 - a) * c2)), 3.0 * se
+    return (float(np.mean(cm)), float(np.mean(a * c1 + (1 - a) * c2)),
+            3.0 * _se(gap))
 
 
 def pbp_check(spec: TeamSpec, policies, T: int, step: float = 1e-4):
@@ -422,8 +430,6 @@ def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
     (identical covariances), asserts gain equality exactly, and checks the
     uniform-noise Monte Carlo cost against the exact moment cost.
     """
-    from .tree import default_mode, exact_policy_cost
-
     uniform_noise = NoiseSpec(sigma_w=spec.noise.sigma_w,
                               init_diag=spec.noise.init_diag,
                               init_offdiag=spec.noise.init_offdiag,
@@ -456,22 +462,53 @@ def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
 # mean-field sweep
 
 
-def _gram(v):
-    """Sum over agents and rollouts of v v^T, for agent-major v (N, R, k)."""
-    return np.tensordot(v, v, axes=([0, 1], [0, 1]))
+def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
+    """Exact per-agent distance between two symmetric tree policies.
+
+    One agent's closed loop runs both policies at once on z = (x^a, x^b,
+    x_0): both state copies start at the agent's x_0 and see its noise, and
+    the feedback v = (u^a, u^b) is weighted by |u^a - u^b|^2.  Under tree
+    information an agent's trajectory depends only on its own primitives,
+    so this one agent carries the per-agent moments of any population.
+    Returns (||E u^a u^a' - E u^b u^b'|| + ||E x^a x^a' - E x^b x^b'||,
+    Frobenius over the stages t < T; (1/T) sum_t E|u_t^a - u_t^b|^2).
+    """
+    p = _tree._params(spec, mode)
+    n, m = spec.n, spec.m
+    T = len(pol_a.K)
+    M = np.zeros((T, 2 * m, 3 * n))
+    for k, pol in enumerate((pol_a, pol_b)):
+        M[:, k * m:(k + 1) * m, k * n:(k + 1) * n] = pol.K
+        M[:, k * m:(k + 1) * m, 2 * n:] = p.alpha * np.stack(pol.L) @ p.Sigma
+    copies = np.array([1.0, 1.0, 0.0])     # which blocks of z are states
+    D = np.hstack([np.eye(m), -np.eye(m)])
+    zero = np.zeros((3 * n, 3 * n))
+    mom = propagate(ClosedLoop(
+        Z0=np.kron(np.ones((3, 3)), p.Sd),
+        F0=np.kron(np.diag(copies), p.A)
+        + np.kron(np.diag(1.0 - copies), np.eye(n)),
+        Bv=np.kron(np.eye(3, 2), p.B), M=M,
+        W=np.kron(np.outer(copies, copies), p.W),
+        Cz=zero, Czv=np.zeros((3 * n, 2 * m)), Rv=D.T @ D, C_T=zero))
+    Z = np.stack(mom.Z[:T])
+    U = M @ Z @ M.swapaxes(1, 2)
+    second = (np.linalg.norm(U[:, :m, :m] - U[:, m:, m:])
+              + np.linalg.norm(Z[:, :n, :n] - Z[:, n:2 * n, n:2 * n]))
+    return float(second), mom.cost
 
 
 def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     """Convergence table of the N-agent mean-field optima toward the limit.
 
-    For each N in the schedule: the N-optimal coupling gains, exact and
-    Monte Carlo costs, the cost of the frozen limit policy on the N-agent
-    problem, empirical-measure moment diagnostics comparing the two
-    policies' (control, state) samples, and a uniform-integrability
-    surrogate E|u^N - u^inf|^2.
+    For each N in the schedule: the N-optimal coupling gains and their
+    change from the previous N, and, exactly by moment propagation, the
+    N-optimal cost, the cost of the frozen limit policy on the N-agent
+    problem and their gap, the per-agent distance between the two
+    policies' second moments of (control, state), and the uniform
+    integrability surrogate (1/T) sum_t E|u^N - u^inf|^2.  Monte Carlo
+    rollouts of both policies on common random numbers check the exact
+    cost and gap (``mc_cost``, ``mc_cost_gap`` and their 3-SE bands).
     """
-    from .tree import exact_policy_cost
-
     schedule = sorted(int(N) for N in schedule)
     if len(schedule) < 3:
         raise ValueError("schedule needs at least 3 population sizes")
@@ -480,66 +517,33 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     rows = []
     prev_L = None
     for N in schedule:
-        nspec = replace(spec, n_dm=N)
-        pol = solve_tree(nspec, T, mode=mean_field(N))
+        nspec, mode = replace(spec, n_dm=N), mean_field(N)
+        pol = solve_tree(nspec, T, mode=mode)
         Larr = np.stack(pol.L)
         l_diff = (None if prev_L is None
                   else float(np.max([np.linalg.norm(Larr[t] - prev_L[t])
                                      for t in range(T)])))
         prev_L = Larr
 
-        pset_n = TreePolicySet.from_policy(pol, N)
-        lim_pol = TreePolicy(horizon=T, mode=mean_field(N), K=limit.K,
-                             L=limit.L, P=limit.P, G=limit.G)
-        pset_lim = TreePolicySet.from_policy(lim_pol, N)
-
-        # Both policies see the same primitives (common random numbers).
-        # Empirical-measure moments of the two policies' (control, state)
-        # samples, per time step and summed over agents and rollouts, are
-        # accumulated step by step.
-        sampler = PrimitiveSampler(nspec.noise, N)
-        mode = pset_n.mode
-        costs_n, costs_l = np.empty(n_rollouts), np.empty(n_rollouts)
-        m, n = spec.m, spec.n
-        first_u, second_u = np.zeros((T, m)), np.zeros((T, m, m))
-        first_x, second_x = np.zeros((T, n)), np.zeros((T, n, n))
-        ui = 0.0
-        for b, block in _blocks(n_rollouts):
-            x0, w = sampler.draw(T, block.stop - block.start, seed,
-                                 first_block=b)
-            cost_n = cost_l = 0.0
-            for t, ((x_n, u_n), (x_l, u_l)) in enumerate(zip(
-                    _tree_steps(nspec, pset_n, T, x0, w),
-                    _tree_steps(nspec, pset_lim, T, x0, w))):
-                cost_n = cost_n + _stage_cost(nspec, mode, x_n, u_n)
-                cost_l = cost_l + _stage_cost(nspec, mode, x_l, u_l)
-                first_u[t] += (u_n - u_l).sum(axis=(0, 1))
-                first_x[t] += (x_n - x_l).sum(axis=(0, 1))
-                second_u[t] += _gram(u_n) - _gram(u_l)
-                second_x[t] += _gram(x_n) - _gram(x_l)
-                ui += float(np.sum((u_n - u_l) ** 2))
-            costs_n[block], costs_l[block] = cost_n / T, cost_l / T
-            del x0, w    # one block's primitives alive at a time
-        se_n = float(np.std(costs_n, ddof=1) / np.sqrt(n_rollouts))
-        se_gap = float(np.std(costs_n - costs_l, ddof=1) / np.sqrt(n_rollouts))
-        samples = n_rollouts * N
-        m1 = float(np.linalg.norm(first_u) + np.linalg.norm(first_x)) / samples
-        m2 = float(np.linalg.norm(second_u)
-                   + np.linalg.norm(second_x)) / samples
-        ui /= samples * T
-
+        predicted = exact_policy_cost(nspec, T, pol.K, pol.L, mode)
+        limit_cost = exact_policy_cost(nspec, T, limit.K, limit.L, mode)
+        second, ui = _policy_distance(nspec, mode, pol, limit)
+        costs_n, costs_l = _block_costs(
+            PrimitiveSampler(nspec.noise, N), T, n_rollouts, seed,
+            partial(_tree_costs, nspec, TreePolicySet.from_policy(pol, N)),
+            partial(_tree_costs, nspec, TreePolicySet.from_policy(
+                replace(limit, mode=mode), N)))
         rows.append({
             "N": N,
             "L_diff_prev": l_diff,
-            "predicted_cost": exact_policy_cost(nspec, T, pol.K, pol.L,
-                                                mean_field(N)),
+            "predicted_cost": predicted,
             "mc_cost": float(np.mean(costs_n)),
-            "mc_3se": 3.0 * se_n,
-            "limit_policy_cost": float(np.mean(costs_l)),
-            "cost_gap": float(np.mean(costs_l - costs_n)),
-            "cost_gap_3se": 3.0 * se_gap,
-            "moment_dist_first": m1,
-            "moment_dist_second": m2,
+            "mc_3se": 3.0 * _se(costs_n),
+            "limit_policy_cost": limit_cost,
+            "cost_gap": limit_cost - predicted,
+            "mc_cost_gap": float(np.mean(costs_l - costs_n)),
+            "cost_gap_3se": 3.0 * _se(costs_l - costs_n),
+            "moment_dist_second": second,
             "ui_surrogate": ui,
         })
     return rows

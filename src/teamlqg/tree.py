@@ -482,15 +482,18 @@ class InfiniteTreePolicy:
         }
 
 
-def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
-                        horizon_cap: int = 4096,
+L_SETTLE_TOL = 1e-8   # stationary L: prefix agreement, and decayed gains
+HORIZON_CAP = 4096
+
+
+def solve_infinite_tree(spec: TeamSpec,
                         mode: Population | None = None) -> InfiniteTreePolicy:
     """Stationary own-state gain from the algebraic Riccati fixed point, with
     the coupling-gain schedule detected as the pointwise horizon limit.
 
     Horizons double until the common prefix of successive L schedules
-    disagrees by less than ``tol``; non-convergence within the cap is a
-    reportable failure, not an assumption.
+    disagrees by less than ``L_SETTLE_TOL``; non-convergence within
+    ``HORIZON_CAP`` is a reportable failure, not an assumption.
     """
     mode = default_mode(spec) if mode is None else mode
     if mode.kind not in ("two_dm", "n_dm"):
@@ -515,34 +518,32 @@ def solve_infinite_tree(spec: TeamSpec, tol: float = 1e-8,
     # extends K backward by T Riccati steps from the previous P_0.
     T = 16
     K, P = solve_k_p(spec, T)
-    L_prev, _ = _coupling_gains(spec, T, mode, K)
+    L, _ = _coupling_gains(spec, T, mode, K)
     disagreement = np.inf
-    while True:
-        T2 = 2 * T
-        if T2 > horizon_cap:
+    while not disagreement < L_SETTLE_TOL:
+        if 2 * T > HORIZON_CAP:
             raise ConvergenceError(
-                f"coupling gains did not stabilize below {tol} up to horizon "
-                f"{horizon_cap} (last prefix disagreement {disagreement:.3e})",
+                f"coupling gains did not stabilize below {L_SETTLE_TOL} up to "
+                f"horizon {HORIZON_CAP} (last prefix disagreement "
+                f"{disagreement:.3e})",
                 residual=disagreement,
             )
         K_head, P_head = _k_p_from(spec, T, P[0])
         K, P = K_head + K, P_head[:-1] + P
-        L_next, _ = _coupling_gains(spec, T2, mode, K)
+        L_prev, (L, _) = L, _coupling_gains(spec, 2 * T, mode, K)
         disagreement = max(
-            float(np.linalg.norm(L_next[t] - L_prev[t])) for t in range(T)
+            float(np.linalg.norm(L[t] - L_prev[t])) for t in range(T)
         )
-        if disagreement < tol:
-            L = L_next
-            break
-        T, L_prev = T2, L_next
+        T *= 2
 
-    decay_horizon = None
-    for t in range(len(L)):
-        if all(np.linalg.norm(L[s]) < tol for s in range(t, len(L))):
-            decay_horizon = t
-            break
+    # first stage of the tail of decayed gains (None: the last has not)
+    decay_horizon = len(L)
+    while decay_horizon and np.linalg.norm(L[decay_horizon - 1]) < L_SETTLE_TOL:
+        decay_horizon -= 1
+    if decay_horizon == len(L):
+        decay_horizon = None
     return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=L,
-                              decay_horizon=decay_horizon, horizon_used=2 * T,
+                              decay_horizon=decay_horizon, horizon_used=T,
                               average_cost=avg_cost, closed_loop_radius=radius)
 
 

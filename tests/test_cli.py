@@ -110,6 +110,21 @@ class TestCommands:
         data["noise"]["init_offdiag"] = [[1.5]]
         assert main(["check", write_spec(tmp_path, data)]) == EXIT_VALIDATION
 
+    def test_check_fails_on_single_agent_mean_field(self, tmp_path, capsys):
+        """A one-agent mean-field spec fails validation by name, and so does
+        every solver command on it, instead of failing inside the solver."""
+        data = json.loads(json.dumps(MF))
+        data["n_dm"] = 1
+        spec_path = write_spec(tmp_path, data)
+        assert main(["check", spec_path]) == EXIT_VALIDATION
+        assert "[FAIL] mean-field population n_dm >= 2" in \
+            capsys.readouterr().out
+        for argv in (["solve-tree"], ["solve-mf"],
+                     ["sweep-mft", "--schedule", "2,4,8", "--rollouts", "10",
+                      "--seed", "1"]):
+            assert main(argv[:1] + [spec_path] + argv[1:]) == EXIT_VALIDATION
+            assert "mean-field population n_dm >= 2" in capsys.readouterr().err
+
     def test_dare_golden_ratio_report(self, tmp_path, capsys):
         out_path = str(tmp_path / "dare.json")
         assert main(["dare", write_spec(tmp_path, GOLDEN),
@@ -164,7 +179,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command, spec, flag", [
         ("solve-mf", MF, ["--n-max", "8"]),
-        ("solve-delayed-inf", DELAYED, ["--tol", "1e-6"])])
+        ("solve-delayed-inf", DELAYED, ["--tol", "1e-6"]),
+        ("solve-tree-inf", GOLDEN, ["--tol", "1e-8"])])
     def test_stopping_knobs_are_gone(self, tmp_path, command, spec, flag):
         assert main([command, write_spec(tmp_path, spec)] + flag) == EXIT_USAGE
 

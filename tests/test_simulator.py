@@ -14,7 +14,9 @@ from teamlqg.model import (
     NoiseSpec,
     TeamSpec,
     Tree,
+    conditional_gain,
 )
+from teamlqg import sim
 from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
     TreePolicySet,
@@ -33,7 +35,15 @@ from teamlqg.sim import (
     symmetrize,
 )
 from teamlqg.sim import _graph_mc
-from teamlqg.tree import mean_field, n_dm, predicted_cost, solve_tree, two_dm
+from teamlqg.tree import (
+    cost_weights,
+    mean_field,
+    meanfield_limit_policy,
+    n_dm,
+    predicted_cost,
+    solve_tree,
+    two_dm,
+)
 from teamlqg.delayed import GraphPolicy, closed_loop_cost, solve_delayed_finite
 
 from conftest import (
@@ -91,6 +101,41 @@ def reference_pbp(spec, policies, T, step=1e-4):
                                      L=tuple(tuple(l) for l in L))
                 best = max(best, base - exact_cost_general(spec, pset, T))
     return best
+
+
+def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
+    """mft_sweep's moment columns by Monte Carlo: both profiles roll out
+    step by step on the same draw, and the per-step second moments of
+    (control, state) and |u^N - u^inf|^2 are accumulated over agents and
+    rollouts.  Returns (moment_dist_second, ui_surrogate)."""
+    N, n, m = pset_n.n_dm, spec.n, spec.m
+    A, B = spec.dynamics.A, spec.dynamics.B
+    Sigma = conditional_gain(spec.noise)
+    x0, w = PrimitiveSampler(spec.noise, N).draw(T, n_rollouts, seed)
+
+    def steps(pset):
+        _, _, _, alpha = cost_weights(pset.mode)
+        Ks, Ls = pset.stacked()
+        x = x0.swapaxes(0, 1)                      # agent-major (N, R, n)
+        c = alpha * (x @ Sigma.T)
+        for t in range(T):
+            u = x @ Ks[:, t].swapaxes(1, 2) + c @ Ls[:, t].swapaxes(1, 2)
+            yield x, u
+            x = x @ A.T + u @ B.T + w[:, t].swapaxes(0, 1)
+
+    def gram(v):
+        return np.tensordot(v, v, axes=([0, 1], [0, 1]))
+
+    second_u, second_x = np.zeros((T, m, m)), np.zeros((T, n, n))
+    ui = 0.0
+    for t, ((x_n, u_n), (x_l, u_l)) in enumerate(zip(steps(pset_n),
+                                                      steps(pset_l))):
+        second_u[t] += gram(u_n) - gram(u_l)
+        second_x[t] += gram(x_n) - gram(x_l)
+        ui += float(np.sum((u_n - u_l) ** 2))
+    samples = n_rollouts * N
+    return ((np.linalg.norm(second_u) + np.linalg.norm(second_x)) / samples,
+            ui / (samples * T))
 
 
 def linked_delayed_spec(rng, delays, n, m, T):
@@ -496,6 +541,48 @@ class TestMftSweep:
         costs = [r["predicted_cost"] / r["N"] for r in rows]
         assert max(costs) - min(costs) < 1e-12
         assert all(r["ui_surrogate"] < 1e-20 for r in rows)
+
+    def test_exact_columns_agree_with_monte_carlo(self, rng, monkeypatch):
+        """Against a perturbed limit policy every exact column is nonzero
+        and agrees with its Monte Carlo check: the cost gap within 4 SE of
+        the common-random-number estimate, the moment distance and the UI
+        surrogate within 2% of the step-by-step reference."""
+        T, R, seed = 4, 40_000, 29
+        spec = random_tree_spec(rng, n=2, m=2, T=T, mean_field=True)
+        limit = meanfield_limit_policy(spec, T)
+        perturbed = replace(
+            limit, K=[k + 0.1 * rng.normal(size=k.shape) for k in limit.K],
+            L=[l + 0.3 * rng.normal(size=l.shape) for l in limit.L])
+        monkeypatch.setattr(sim, "meanfield_limit_policy",
+                            lambda spec, T: perturbed)
+        rows = mft_sweep(spec, T, [2, 4, 8], R, seed)
+        for r in rows:
+            N = r["N"]
+            nspec, mode = replace(spec, n_dm=N), mean_field(N)
+            assert r["cost_gap"] > 0.0
+            assert r["cost_gap"] == r["limit_policy_cost"] - r["predicted_cost"]
+            assert abs(r["cost_gap"] - r["mc_cost_gap"]) \
+                <= (4.0 / 3.0) * r["cost_gap_3se"]
+            second, ui = reference_sweep_moments(
+                nspec,
+                TreePolicySet.from_policy(solve_tree(nspec, T, mode=mode), N),
+                TreePolicySet.from_policy(replace(perturbed, mode=mode), N),
+                T, R, seed)
+            assert r["moment_dist_second"] == pytest.approx(second, rel=0.02)
+            assert r["ui_surrogate"] == pytest.approx(ui, rel=0.02)
+
+    def test_mc_cost_is_rollout_costs_mean(self):
+        """The sweep prices the N-optimal profile on the same block loop and
+        streams as rollout_costs, across an rng block boundary."""
+        spec = scalar_mf_spec(T=3)
+        R = BLOCK + 7
+        for r in mft_sweep(spec, 3, [2, 3, 5], R, seed=19):
+            N = r["N"]
+            nspec = replace(spec, n_dm=N)
+            pset = TreePolicySet.from_policy(
+                solve_tree(nspec, 3, mode=mean_field(N)), N)
+            assert r["mc_cost"] == float(np.mean(
+                rollout_costs(nspec, pset, 3, R, seed=19)))
 
     def test_short_schedule_rejected(self):
         spec = scalar_mf_spec(T=2)

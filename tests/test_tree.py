@@ -20,7 +20,7 @@ from teamlqg.model import (
     Tree,
     conditional_gain,
 )
-from teamlqg.riccati import dare_solve
+from teamlqg.riccati import ConvergenceError, dare_solve
 from teamlqg.tree import (
     CouplingSystemError,
     closed_form_cost_variants,
@@ -438,6 +438,18 @@ class TestInfiniteTree:
             L_ref, _ = solve_coupling_gains(spec, T, mode)
             assert all(np.array_equal(a, b) for a, b in zip(K, K_ref))
             assert all(np.array_equal(a, b) for a, b in zip(L, L_ref))
+
+    def test_horizon_cap_raises_with_last_disagreement(self, monkeypatch):
+        """A schedule that has not settled by HORIZON_CAP is an error that
+        reports the last prefix disagreement, not a returned policy."""
+        spec = scalar_tree_spec(T=2)
+        monkeypatch.setattr(tree_module, "L_SETTLE_TOL", 0.0)
+        monkeypatch.setattr(tree_module, "HORIZON_CAP", 64)
+        with pytest.raises(ConvergenceError,
+                           match="up to horizon 64") as info:
+            solve_infinite_tree(spec)
+        assert np.isfinite(info.value.residual)
+        assert f"{info.value.residual:.3e}" in str(info.value)
 
     def test_value_cesaro_convergence(self):
         """(1/T) sum_t ||P_t^{(T)} - P_dare|| shrinks as T doubles."""
