@@ -336,7 +336,13 @@ def cmd_dare(args):
     return EXIT_OK
 
 
+def _check_rollouts(args):
+    if args.rollouts < 1:
+        raise SpecFileError("--rollouts must be at least 1")
+
+
 def cmd_simulate(args):
+    _check_rollouts(args)
     spec = _validated_spec(args.spec)
     pset, _ = load_policy(args.policy, spec)
     T = args.horizon or spec.horizon
@@ -349,6 +355,7 @@ def cmd_simulate(args):
 
 
 def cmd_sweep_mft(args):
+    _check_rollouts(args)
     spec = _validated_spec(args.spec)
     try:
         schedule = [int(v) for v in args.schedule.split(",") if v]
@@ -371,6 +378,7 @@ def cmd_sweep_mft(args):
 
 
 def cmd_verify(args):
+    _check_rollouts(args)
     spec = _validated_spec(args.spec)
     T = args.horizon or spec.horizon
     if args.policy:

@@ -387,20 +387,13 @@ def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
         values[s] = sol.P
         gains[s] = sol.K - Rinv_St
 
-    # Remaining nodes: one Riccati step from the successor's limit, resolved
-    # in an order that walks each chain backward from its fixed point.
-    pending = [r for r in graph.nodes if r not in values]
-    while pending:
-        progressed = False
-        for r in list(pending):
+    # Remaining nodes: one Riccati step from the successor's limit, nearest
+    # the fixed point first.  Every chain ends in a self-loop (successor(s)
+    # contains s), so each successor is resolved before its predecessors.
+    for r in sorted(graph.nodes, key=lambda r: len(graph.chain(r))):
+        if r not in values:
             s = graph.successor_map[r]
-            if s in values:
-                X, K = _node_step(d, r, s, values[s])
-                values[r], gains[r] = X, K
-                pending.remove(r)
-                progressed = True
-        if not progressed:
-            raise AssertionError("information graph has a chain without a fixed point")
+            values[r], gains[r] = _node_step(d, r, s, values[s])
 
     policy = GraphPolicy(graph=graph, horizon=None, gains=gains, values=values)
     radius = closed_loop_radius(spec, policy)

@@ -59,9 +59,8 @@ class InfoGraph:
     n_dm: int
     nodes: tuple          # tuple of sorted tuples of DM indices
     edges: tuple          # (r, s) node pairs with successor(r) = s
-    root_map: dict        # DM i -> node s_0^i
     successor_map: dict   # node -> node
-    injection_map: dict   # DM i -> node receiving x_0^i and w_t^i
+    injection_map: dict   # DM i -> node s_0^i, receiving x_0^i and w_t^i
 
     def self_loop_nodes(self):
         return tuple(s for s in self.nodes if self.successor_map[s] == s)
@@ -94,11 +93,11 @@ def build_info_graph(delays) -> InfoGraph:
         )
 
     nodes = set()
-    root_map = {}
+    injection_map = {}
     for j in range(N):
         k = 0
         s = knows_within(j, 0)
-        root_map[j] = s
+        injection_map[j] = s
         while True:
             nodes.add(s)
             k += 1
@@ -114,12 +113,10 @@ def build_info_graph(delays) -> InfoGraph:
             # The one-more-step set of any s_k^j is s_{k+1}^j, already a node.
             raise AssertionError(f"successor of {s} escaped the node set")
     edges = tuple((s, successor_map[s]) for s in node_list)
-    injection_map = {j: root_map[j] for j in range(N)}
     return InfoGraph(
         n_dm=N,
         nodes=node_list,
         edges=edges,
-        root_map=root_map,
         successor_map=successor_map,
         injection_map=injection_map,
     )

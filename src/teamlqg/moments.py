@@ -8,10 +8,12 @@ four users:
   exchangeable pair;
 - ``sim.exact_cost_general`` and ``sim.pbp_check`` price N-agent tree-class
   profiles; this loop and the pair loop are both built by
-  ``tree._closed_loop``;
+  ``tree._closed_loop`` on z = (x_t, c), with the coupling statistics c
+  held constant, so every K and L gain is a plain block of M_t;
 - ``delayed.closed_loop_cost`` prices delayed-sharing controllers;
 - ``sim.mft_sweep`` measures the distance between the N-agent and the
-  limit mean-field policies on a one-agent loop carrying both.
+  limit mean-field policies on a one-agent loop carrying both, on
+  z = (x^N, x^inf, c).
 
 Each stacks a state z_t with E z_0 z_0^T = Z_0 that runs under the linear
 feedback v_t = M_t z_t,

@@ -2,12 +2,15 @@
 
 Policies are affine and information-measurable by construction: a tree-class
 policy maps each agent's own state and own initial-state statistic to its
-control; a graph-class policy reads only the shared estimator states.  The
-engine provides independent cost estimates (block streams keyed by the seed,
-hence bitwise deterministic) next to the solvers' exact formulas.  Every
-engine runs one loop that draws and prices one rng block at a time, so
-beyond one cost per rollout, memory grows with the block size, not with the
-number of rollouts.
+control; a graph-class policy reads only the shared estimator states.  A
+tree-class profile is one pair of (N, T, m, n) gain arrays, from the
+``TreePolicySet`` through its exact closed loop on z = (x_t, c) to the
+rollouts.  The engine provides independent cost estimates (block streams
+keyed by the seed, hence bitwise deterministic) next to the solvers' exact
+formulas.  Every engine runs one loop that draws and prices one rng block at
+a time, so beyond one cost per rollout, memory grows with the block size,
+not with the number of rollouts.  Checks that compare tree-class profiles
+price all of them on one draw (``_tree_crn``).
 """
 
 from __future__ import annotations
@@ -50,12 +53,18 @@ def _coupling_coeffs(mode: Population, N: int):
 
 @dataclass(frozen=True)
 class TreePolicySet:
-    """Per-agent affine schedules u_t^i = K[i][t] x_t^i + L[i][t] c^i with
-    c^i = alpha * Sigma * x_0^i; agents need not share schedules."""
+    """Per-agent affine schedules u_t^i = K[i, t] x_t^i + L[i, t] c^i with
+    c^i = alpha * Sigma * x_0^i; agents need not share schedules.  K and L
+    are float (N, T, m, n) gain arrays; any nested sequence of that shape,
+    such as a tuple of per-agent tuples of (m x n) gains, converts."""
 
     mode: Population
-    K: tuple     # K[i][t], (m x n)
-    L: tuple     # L[i][t], (m x n)
+    K: np.ndarray
+    L: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "K", np.array(self.K, dtype=float))
+        object.__setattr__(self, "L", np.array(self.L, dtype=float))
 
     @property
     def n_dm(self):
@@ -63,26 +72,16 @@ class TreePolicySet:
 
     @property
     def horizon(self):
-        return len(self.K[0])
+        return self.K.shape[1]
 
     @classmethod
     def from_policy(cls, policy: TreePolicy, n_dm: int):
-        K = tuple(tuple(policy.K) for _ in range(n_dm))
-        L = tuple(tuple(policy.L) for _ in range(n_dm))
-        return cls(mode=policy.mode, K=K, L=L)
-
-    def stacked(self):
-        """(N, T, m, n) gain arrays."""
-        return (np.array([[k for k in row] for row in self.K]),
-                np.array([[l for l in row] for row in self.L]))
+        return cls(mode=policy.mode, K=[policy.K] * n_dm, L=[policy.L] * n_dm)
 
     def permuted(self, perm):
         """Policy profile where agent i runs agent perm[i]'s schedule."""
-        return TreePolicySet(
-            mode=self.mode,
-            K=tuple(self.K[perm[i]] for i in range(self.n_dm)),
-            L=tuple(self.L[perm[i]] for i in range(self.n_dm)),
-        )
+        return TreePolicySet(mode=self.mode, K=self.K[list(perm)],
+                             L=self.L[list(perm)])
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
     Qt = spec.cost.q_tilde_or_zero(spec.n)
     _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
-    Ks, Ls = pset.stacked()
-    KT, LT = Ks.swapaxes(2, 3), Ls.swapaxes(2, 3)
+    KT, LT = pset.K.swapaxes(2, 3), pset.L.swapaxes(2, 3)
 
     x = np.ascontiguousarray(x0.swapaxes(0, 1))
     c = alpha * (x @ Sigma.T)
@@ -175,10 +173,16 @@ def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
     return cost / T
 
 
-def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
-    return _block_costs(PrimitiveSampler(spec.noise, pset.n_dm), T,
+def _tree_crn(spec: TeamSpec, T, n_rollouts, seed, *psets):
+    """Per-rollout costs of every profile on one draw (common random
+    numbers), one row per profile; the profiles share their population."""
+    return _block_costs(PrimitiveSampler(spec.noise, psets[0].n_dm), T,
                         n_rollouts, seed,
-                        partial(_tree_costs, spec, pset))[0]
+                        *(partial(_tree_costs, spec, p) for p in psets))
+
+
+def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
+    return _tree_crn(spec, T, n_rollouts, seed, pset)[0]
 
 
 def _graph_costs(spec: TeamSpec, policy, x0, w):
@@ -232,11 +236,10 @@ def simulate(spec: TeamSpec, policies, T: int, n_rollouts: int,
 
 def _tree_loop(spec: TeamSpec, pset: TreePolicySet, T: int) -> ClosedLoop:
     """The stacked closed loop of a tree-class profile on the augmented state
-    z = (x_t, x_0): agent i's control reads its own x_t and its own x_0."""
+    z = (x_t, c): agent i's control reads its own x_t and its own c^i."""
     _check_horizon(T, pset.horizon)
-    Ks, Ls = pset.stacked()
     cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
-    return _tree._closed_loop(_tree._params(spec, pset.mode), Ks, Ls,
+    return _tree._closed_loop(_tree._params(spec, pset.mode), pset.K, pset.L,
                               1.0, cR, cQ)
 
 
@@ -259,10 +262,8 @@ def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
     For exchangeable specs the true difference is zero for any permutation.
     Returns (delta_mean, 3-standard-error half width).
     """
-    T = policies.horizon
-    base = rollout_costs(spec, policies, T, n_rollouts, seed)
-    perm = rollout_costs(spec, policies.permuted(list(permutation)), T,
-                         n_rollouts, seed)
+    base, perm = _tree_crn(spec, policies.horizon, n_rollouts, seed, policies,
+                           policies.permuted(permutation))
     diff = perm - base
     return float(np.mean(diff)), 3.0 * _se(diff)
 
@@ -274,12 +275,10 @@ def symmetrize(policies: TreePolicySet) -> TreePolicySet:
     uniform average of all agents' schedules, so the average is computed in
     closed form rather than by enumerating permutations.
     """
-    Ks, Ls = policies.stacked()
-    Kbar, Lbar = Ks.mean(axis=0), Ls.mean(axis=0)
-    N, T = policies.n_dm, policies.horizon
-    K = tuple(tuple(Kbar[t] for t in range(T)) for _ in range(N))
-    L = tuple(tuple(Lbar[t] for t in range(T)) for _ in range(N))
-    return TreePolicySet(mode=policies.mode, K=K, L=L)
+    K, L = policies.K, policies.L
+    return TreePolicySet(mode=policies.mode,
+                         K=np.broadcast_to(K.mean(axis=0), K.shape),
+                         L=np.broadcast_to(L.mean(axis=0), L.shape))
 
 
 def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
@@ -290,9 +289,8 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
     least as well; returns (cost_sym, cost_orig, 3-SE half width of the
     difference).
     """
-    T = policies.horizon
-    orig = rollout_costs(spec, policies, T, n_rollouts, seed)
-    symm = rollout_costs(spec, symmetrize(policies), T, n_rollouts, seed)
+    orig, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
+                           policies, symmetrize(policies))
     diff = symm - orig
     return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(diff)
 
@@ -309,14 +307,11 @@ def symmetrization_holds(cost_sym: float, cost_orig: float,
 
 def combine(p1: TreePolicySet, p2: TreePolicySet, a: float) -> TreePolicySet:
     """Pointwise convex combination a*p1 + (1-a)*p2 of affine profiles."""
-    if p1.mode != p2.mode or p1.n_dm != p2.n_dm or p1.horizon != p2.horizon:
+    if (p1.mode != p2.mode or p1.K.shape != p2.K.shape
+            or p1.L.shape != p2.L.shape):
         raise ValueError("profiles must share mode, size, and horizon")
-    N, T = p1.n_dm, p1.horizon
-    K = tuple(tuple(a * p1.K[i][t] + (1 - a) * p2.K[i][t] for t in range(T))
-              for i in range(N))
-    L = tuple(tuple(a * p1.L[i][t] + (1 - a) * p2.L[i][t] for t in range(T))
-              for i in range(N))
-    return TreePolicySet(mode=p1.mode, K=K, L=L)
+    return TreePolicySet(mode=p1.mode, K=a * p1.K + (1 - a) * p2.K,
+                         L=a * p1.L + (1 - a) * p2.L)
 
 
 def convex_combination_check(spec: TeamSpec, p1: TreePolicySet,
@@ -324,10 +319,8 @@ def convex_combination_check(spec: TeamSpec, p1: TreePolicySet,
                              n_rollouts: int, seed: int):
     """J(a p1 + (1-a) p2) <= a J(p1) + (1-a) J(p2) under common random
     numbers; returns (lhs, rhs, 3-SE half width of lhs - rhs)."""
-    T = p1.horizon
-    c1 = rollout_costs(spec, p1, T, n_rollouts, seed)
-    c2 = rollout_costs(spec, p2, T, n_rollouts, seed)
-    cm = rollout_costs(spec, combine(p1, p2, a), T, n_rollouts, seed)
+    c1, c2, cm = _tree_crn(spec, p1.horizon, n_rollouts, seed, p1, p2,
+                           combine(p1, p2, a))
     gap = cm - (a * c1 + (1 - a) * c2)
     return (float(np.mean(cm)), float(np.mean(a * c1 + (1 - a) * c2)),
             3.0 * _se(gap))
@@ -368,7 +361,7 @@ def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
     else:
         terms = _pbp_tree(spec, policies, T)
     best, where = -np.inf, None
-    for holder, gain, g, h in terms:
+    for (holder, gain), (g, h) in terms.items():
         drop = np.abs(g) * step - h * step ** 2
         idx = np.unravel_index(np.argmax(drop), drop.shape)
         if drop[idx] > best:
@@ -378,49 +371,35 @@ def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
     return best, where
 
 
-def _pbp_tree(spec, pset, T):
-    """(holder, gain, g, h) per agent and gain, each (T, m, n)."""
-    loop = _tree_loop(spec, pset, T)
+def _pbp_terms(loop: ClosedLoop, blocks):
+    """{name: (g, h)} for each named (rows, cols) block of the loop's gains
+    M: g and h of every entry of the block, each (T, rows, cols)."""
     mom = propagate(loop)
     G, H = gain_sensitivity(loop, mom)
-    Z = np.stack(mom.Z[:T])
+    Zd = np.diagonal(np.stack(mom.Z[:loop.horizon]), axis1=1, axis2=2)
+    return {name: (G[:, rows, cols], H[:, rows, None] * Zd[:, None, cols])
+            for name, (rows, cols) in blocks.items()}
+
+
+def _pbp_tree(spec, pset, T):
+    """pbp terms of every agent's K and L, the (x_t^i, c^i) columns of its
+    rows of M."""
     N, n, m = pset.n_dm, spec.n, spec.m
-    _, _, _, alpha = cost_weights(pset.mode)
-    Sigma = conditional_gain(spec.noise)
-    diag = lambda X: np.diagonal(X, axis1=1, axis2=2)
-    terms = []
-    for i in range(N):
-        rows = slice(i * m, (i + 1) * m)
-        x = slice(i * n, (i + 1) * n)
-        o = slice(N * n + i * n, N * n + (i + 1) * n)
-        Hi = H[:, rows, None]
-        # K[i][t][a, b] moves M_t[i*m + a, x_i + b]; L[i][t][a, b] moves
-        # row i*m + a along alpha * (row b of Sigma) in x_0^i's columns.
-        terms.append((f"agent {i + 1}", "K", G[:, rows, x],
-                      Hi * diag(Z[:, x, x])[:, None, :]))
-        terms.append((f"agent {i + 1}", "L", alpha * G[:, rows, o] @ Sigma.T,
-                      Hi * alpha ** 2
-                      * diag(Sigma @ Z[:, o, o] @ Sigma.T)[:, None, :]))
-    return terms
+    return _pbp_terms(_tree_loop(spec, pset, T), {
+        (f"agent {i + 1}", gain): (slice(i * m, (i + 1) * m),
+                                   slice(off + i * n, off + (i + 1) * n))
+        for i in range(N) for gain, off in (("K", 0), ("L", N * n))})
 
 
 def _pbp_graph(spec, policies, T):
-    """(holder, gain, g, h) per information-graph node, each (T, |r|m, |r|n)."""
+    """pbp terms of every information-graph node's gain."""
     pol = policies.policy
     if pol.horizon is None:
         raise ValueError("finite-horizon graph policy required")
     loop, blocks = _delayed._closed_loop(spec, pol, T)
-    mom = propagate(loop)
-    G, H = gain_sensitivity(loop, mom)
-    Z = np.stack(mom.Z[:T])
-    terms = []
-    for r, (rows, cols) in blocks.items():
-        label = "{" + ",".join(str(i + 1) for i in sorted(r)) + "}"
-        terms.append((f"node {label}", "gain", G[:, rows, cols],
-                      H[:, rows, None]
-                      * np.diagonal(Z[:, cols, cols], axis1=1,
-                                    axis2=2)[:, None, :]))
-    return terms
+    label = lambda r: "{" + ",".join(str(i + 1) for i in sorted(r)) + "}"
+    return _pbp_terms(loop, {(f"node {label(r)}", "gain"): b
+                             for r, b in blocks.items()})
 
 
 def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
@@ -465,11 +444,12 @@ def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
 def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
     """Exact per-agent distance between two symmetric tree policies.
 
-    One agent's closed loop runs both policies at once on z = (x^a, x^b,
-    x_0): both state copies start at the agent's x_0 and see its noise, and
-    the feedback v = (u^a, u^b) is weighted by |u^a - u^b|^2.  Under tree
-    information an agent's trajectory depends only on its own primitives,
-    so this one agent carries the per-agent moments of any population.
+    One agent's closed loop runs both policies at once on z = (x^a, x^b, c)
+    with c = alpha Sigma x_0 held constant: both state copies start at the
+    agent's x_0 and see its noise, and the feedback v = (u^a, u^b) is
+    weighted by |u^a - u^b|^2.  Under tree information an agent's
+    trajectory depends only on its own primitives, so this one agent
+    carries the per-agent moments of any population.
     Returns (||E u^a u^a' - E u^b u^b'|| + ||E x^a x^a' - E x^b x^b'||,
     Frobenius over the stages t < T; (1/T) sum_t E|u_t^a - u_t^b|^2).
     """
@@ -479,12 +459,13 @@ def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
     M = np.zeros((T, 2 * m, 3 * n))
     for k, pol in enumerate((pol_a, pol_b)):
         M[:, k * m:(k + 1) * m, k * n:(k + 1) * n] = pol.K
-        M[:, k * m:(k + 1) * m, 2 * n:] = p.alpha * np.stack(pol.L) @ p.Sigma
+        M[:, k * m:(k + 1) * m, 2 * n:] = pol.L
+    H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])
     copies = np.array([1.0, 1.0, 0.0])     # which blocks of z are states
     D = np.hstack([np.eye(m), -np.eye(m)])
     zero = np.zeros((3 * n, 3 * n))
     mom = propagate(ClosedLoop(
-        Z0=np.kron(np.ones((3, 3)), p.Sd),
+        Z0=H @ p.Sd @ H.T,
         F0=np.kron(np.diag(copies), p.A)
         + np.kron(np.diag(1.0 - copies), np.eye(n)),
         Bv=np.kron(np.eye(3, 2), p.B), M=M,
@@ -528,11 +509,9 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
         predicted = exact_policy_cost(nspec, T, pol.K, pol.L, mode)
         limit_cost = exact_policy_cost(nspec, T, limit.K, limit.L, mode)
         second, ui = _policy_distance(nspec, mode, pol, limit)
-        costs_n, costs_l = _block_costs(
-            PrimitiveSampler(nspec.noise, N), T, n_rollouts, seed,
-            partial(_tree_costs, nspec, TreePolicySet.from_policy(pol, N)),
-            partial(_tree_costs, nspec, TreePolicySet.from_policy(
-                replace(limit, mode=mode), N)))
+        costs_n, costs_l = _tree_crn(
+            nspec, T, n_rollouts, seed, TreePolicySet.from_policy(pol, N),
+            TreePolicySet.from_policy(replace(limit, mode=mode), N))
         rows.append({
             "N": N,
             "L_diff_prev": l_diff,

@@ -168,7 +168,10 @@ def _params(spec: TeamSpec, mode: Population) -> _Params:
 
 def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
     """The stacked closed loop of N agents running u_t^i = Ks[i, t] x_t^i
-    + Ls[i, t] c^i, c^i = alpha Sigma x_0^i, on z = (x_t, x_0).
+    + Ls[i, t] c^i on z = (x_t, c), where the coupling statistic
+    c^i = alpha Sigma x_0^i is held constant, so Ks[i] and Ls[i] are plain
+    blocks of the feedback M and E z_0 z_0' = H Sigma_0 H' with
+    H = [I; alpha (I_N kron Sigma)].
 
     Ks and Ls have shape (N, T, m, n).  The stage cost is
     own * sum_i (x^i' Q x^i + u^i' R u^i)
@@ -179,14 +182,14 @@ def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
         raise ValueError(f"K horizon {Ks.shape[1]} differs from L horizon {T}")
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
     Sig0 = np.kron(eye, p.Sd) + np.kron(off, p.So)
+    H = np.vstack([np.eye(N * n), p.alpha * np.kron(eye, p.Sigma)])
     dim = 2 * N * n
     x, o = slice(0, N * n), slice(N * n, dim)
     M = np.zeros((T, N * m, dim))
     for i in range(N):
         rows = slice(i * m, (i + 1) * m)
         M[:, rows, i * n:(i + 1) * n] = Ks[i]
-        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = \
-            p.alpha * Ls[i] @ p.Sigma
+        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = Ls[i]
     F0 = np.zeros((dim, dim))
     F0[x, x] = np.kron(eye, p.A)
     F0[o, o] = np.eye(N * n)
@@ -196,7 +199,7 @@ def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
     W[x, x] = np.kron(eye, p.W)
     Cz = np.zeros((dim, dim))
     Cz[x, x] = own * np.kron(eye, p.Q) + cQ * np.kron(off, p.Qt)
-    return ClosedLoop(Z0=np.block([[Sig0, Sig0], [Sig0, Sig0]]), F0=F0, Bv=Bv,
+    return ClosedLoop(Z0=H @ Sig0 @ H.T, F0=F0, Bv=Bv,
                       M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)),
                       Rv=own * np.kron(eye, p.R) + cR * np.kron(off, p.Rt),
                       C_T=np.zeros((dim, dim)))
@@ -208,8 +211,8 @@ def _cost_and_grad(p: _Params, K, L, want_grad=True):
     L has shape (batch, T, m, n).  Under a symmetric policy the cost depends
     only on the joint moments of one exchangeable pair of agents, so each
     schedule is priced on the two-agent closed loop with per-agent weights
-    (a/2, b/2, q/2); the gradient in L sums both agents' coupling blocks of
-    the loop's gain gradient.
+    (a/2, b/2, q/2); the gradient in L sums both agents' L blocks of the
+    loop's gain gradient.
     """
     Ks = np.stack([K, K])
     m, n = L.shape[2:]
@@ -221,8 +224,7 @@ def _cost_and_grad(p: _Params, K, L, want_grad=True):
         J[k] = mom.cost
         if want_grad:
             G, _ = gain_sensitivity(loop, mom)
-            grad[k] = (p.alpha * (G[:, :m, 2 * n:3 * n] + G[:, m:, 3 * n:])
-                       @ p.Sigma.T)
+            grad[k] = G[:, :m, 2 * n:3 * n] + G[:, m:, 3 * n:]
     return J, (grad if want_grad else None)
 
 

@@ -49,15 +49,23 @@ def scalar_mf_spec(A=1.0, B=1.0, Q=1.0, R=1.0, Rt=0.5, Qt=0.5, Sd=1.0,
 
 
 def random_tree_spec(rng, n=None, m=None, T=None, n_dm=2, coupled=True,
-                     mean_field=False):
+                     mean_field=False, generic_offdiag=False):
     n = n or int(rng.integers(1, 3))
     m = m or int(rng.integers(1, 3))
     T = T or int(rng.integers(1, 6))
     A = rng.normal(size=(n, n))
     B = rng.normal(size=(n, m))
     Sd = rand_pd(rng, n)
-    # exchangeable-feasible cross covariance: scaled-down copy of Sd
-    So = float(rng.uniform(0.1, 0.45)) * Sd
+    if generic_offdiag:
+        # So = F C F' with Sd = F F' and C's eigenvalues in [0.1, 0.45]:
+        # Sd - So and Sd + (N-1) So are positive definite for every N, and
+        # for n > 1 Sigma = So Sd^-1 = F C F^-1 is in general not symmetric
+        F = np.linalg.cholesky(Sd)
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        So = F @ (V * rng.uniform(0.1, 0.45, n)) @ V.T @ F.T
+    else:
+        # exchangeable-feasible cross covariance: scaled-down copy of Sd
+        So = float(rng.uniform(0.1, 0.45)) * Sd
     Rt = rand_pd(rng, m, scale=0.3) if coupled else None
     Qt = rand_psd(rng, n, scale=0.3) if (coupled and mean_field) else None
     return TeamSpec(

@@ -298,6 +298,21 @@ class TestExitCodes:
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
         assert "spectral radius 1.25" in proc.stderr
 
+    @pytest.mark.parametrize("rollouts", ["0", "-5"])
+    def test_rollouts_below_one_rejected(self, tmp_path, capsys, rollouts):
+        spec_path = write_spec(tmp_path, GOLDEN)
+        mf_path = write_spec(tmp_path, MF, "mf.json")
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        for command, extra in (("simulate", [spec_path, "--policy", pol_path]),
+                               ("verify", [spec_path]),
+                               ("sweep-mft", [mf_path, "--schedule", "2,4,8"])):
+            out = str(tmp_path / f"{command}.json")
+            assert main([command, *extra, "--rollouts", rollouts, "--seed",
+                         "1", "--out", out]) == EXIT_VALIDATION
+            assert "--rollouts must be at least 1" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
     def test_validation_failure_exit_from_solver_command(self, tmp_path):
         data = json.loads(json.dumps(GOLDEN))
         data["noise"]["init_offdiag"] = [[1.5]]

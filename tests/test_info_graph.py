@@ -57,7 +57,7 @@ class TestBuildInfoGraph:
         g = build_info_graph([[0.0]])
         assert g.nodes == ((0,),)
         assert g.successor_map[(0,)] == (0,)
-        assert g.root_map[0] == (0,)
+        assert g.injection_map[0] == (0,)
 
     def test_two_dm_delay_one(self):
         g = build_info_graph([[0.0, 1.0], [1.0, 0.0]])

@@ -89,7 +89,7 @@ def reference_pbp(spec, policies, T, step=1e-4):
         return best
     base = exact_cost_general(spec, policies, T)
     best = -np.inf
-    Ks, Ls = policies.stacked()
+    Ks, Ls = policies.K, policies.L
     for which, G in (("K", Ks), ("L", Ls)):
         for idx in np.ndindex(G.shape):
             for s in (step, -step):
@@ -115,7 +115,7 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
 
     def steps(pset):
         _, _, _, alpha = cost_weights(pset.mode)
-        Ks, Ls = pset.stacked()
+        Ks, Ls = pset.K, pset.L
         x = x0.swapaxes(0, 1)                      # agent-major (N, R, n)
         c = alpha * (x @ Sigma.T)
         for t in range(T):
@@ -219,6 +219,30 @@ class TestDeterminism:
         assert np.array_equal(big[:BLOCK + 7], small)
         # each block has its own stream
         assert not np.array_equal(big[BLOCK:BLOCK + 7], big[:7])
+
+    def test_crn_rows_are_rollout_costs(self, rng):
+        """Each row of one common-random-number draw is bitwise the
+        rollout_costs of its profile, across an rng block boundary."""
+        spec = scalar_tree_spec(T=3)
+        psets = [random_pset(spec, 3, rng) for _ in range(3)]
+        R = BLOCK + 7
+        rows = sim._tree_crn(spec, 3, R, 7, *psets)
+        for row, pset in zip(rows, psets):
+            assert np.array_equal(row, rollout_costs(spec, pset, 3, R, seed=7))
+
+    def test_nested_and_array_profiles_price_alike(self, rng):
+        """A profile given as per-agent tuples of gains and one given as
+        (N, T, m, n) arrays are the same profile, bit for bit."""
+        spec = random_tree_spec(rng, n=2, m=2, T=3, n_dm=3)
+        K, L = rng.normal(scale=0.2, size=(2, 3, 3, 2, 2))
+        nested = TreePolicySet(mode=n_dm(3), K=tuple(tuple(k) for k in K),
+                               L=tuple(tuple(l) for l in L))
+        array = TreePolicySet(mode=n_dm(3), K=K, L=L)
+        assert (exact_cost_general(spec, nested, 3)
+                == exact_cost_general(spec, array, 3))
+        assert pbp_check(spec, nested, 3) == pbp_check(spec, array, 3)
+        assert np.array_equal(rollout_costs(spec, nested, 3, 500, seed=3),
+                              rollout_costs(spec, array, 3, 500, seed=3))
 
     def test_graph_blocks_match_one_unchunked_draw(self):
         """Streaming _graph_mc block by block gives the costs of rolling out
@@ -375,8 +399,8 @@ class TestStructuralChecks:
         spec = scalar_tree_spec(T=3)
         pset, _ = optimal_pset(spec, 3)
         symm = symmetrize(pset)
-        Ks, Ls = pset.stacked()
-        Ks2, Ls2 = symm.stacked()
+        Ks, Ls = pset.K, pset.L
+        Ks2, Ls2 = symm.K, symm.L
         assert np.array_equal(Ks, Ks2) and np.array_equal(Ls, Ls2)
 
         aset = random_pset(spec, 3, rng)
@@ -413,6 +437,11 @@ class TestStructuralChecks:
             assert lhs <= rhs + 1e-12
         lhs, rhs, ci = convex_combination_check(spec, p1, p2, a, 4000, seed=31)
         assert lhs <= rhs + ci
+        # profiles of another mode or shape do not combine
+        with pytest.raises(ValueError, match="must share mode"):
+            combine(p1, replace(p2, mode=mean_field(2)), a)
+        with pytest.raises(ValueError, match="must share mode"):
+            combine(p1, random_pset(spec, 3, rng), a)
 
     def test_pbp_small_at_optimum_positive_when_corrupted(self):
         spec = scalar_tree_spec(T=3)
@@ -439,24 +468,32 @@ class TestStructuralChecks:
 
     def test_pbp_matches_reference_on_tree_profiles(self, rng):
         """Exact quadratic per entry vs the +/-step loop, at the optimum and
-        at asymmetric profiles (each agent's K and L moved independently)."""
-        for mode, N, mf in ((two_dm(), 2, False), (n_dm(3), 3, False),
-                            (mean_field(4), 4, True)):
-            for _ in range(2):
-                T = int(rng.integers(2, 5))
-                spec = random_tree_spec(rng, T=T, n_dm=N, mean_field=mf)
-                pol = solve_tree(spec, T, mode=mode)
-                Ks, Ls = TreePolicySet.from_policy(pol, N).stacked()
-                for scale in (0.0, 0.1):
-                    K = Ks + scale * rng.normal(size=Ks.shape)
-                    L = Ls + scale * rng.normal(size=Ls.shape)
-                    pset = TreePolicySet(mode=mode,
-                                         K=tuple(tuple(k) for k in K),
-                                         L=tuple(tuple(l) for l in L))
-                    J = exact_cost_general(spec, pset, T)
-                    assert abs(pbp_check(spec, pset, T)
-                               - reference_pbp(spec, pset, T)) \
-                        <= 1e-12 * (1.0 + abs(J))
+        at asymmetric profiles (each agent's K and L moved independently);
+        the last spec of each mode has a generic So, so Sigma is not
+        symmetric."""
+        modes = ((two_dm(), 2, False), (n_dm(3), 3, False),
+                 (mean_field(4), 4, True))
+        cases = [(mode, N, mf, False) for mode, N, mf in modes
+                 for _ in range(2)]
+        cases += [(mode, N, mf, True) for mode, N, mf in modes]
+        for mode, N, mf, generic in cases:
+            T = int(rng.integers(2, 5))
+            spec = random_tree_spec(rng, n=2 if generic else None, T=T,
+                                    n_dm=N, mean_field=mf,
+                                    generic_offdiag=generic)
+            pol = solve_tree(spec, T, mode=mode)
+            pset0 = TreePolicySet.from_policy(pol, N)
+            Ks, Ls = pset0.K, pset0.L
+            for scale in (0.0, 0.1):
+                K = Ks + scale * rng.normal(size=Ks.shape)
+                L = Ls + scale * rng.normal(size=Ls.shape)
+                pset = TreePolicySet(mode=mode,
+                                     K=tuple(tuple(k) for k in K),
+                                     L=tuple(tuple(l) for l in L))
+                J = exact_cost_general(spec, pset, T)
+                assert abs(pbp_check(spec, pset, T)
+                           - reference_pbp(spec, pset, T)) \
+                    <= 1e-12 * (1.0 + abs(J))
 
     @pytest.mark.parametrize("delays, n", [
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1),
@@ -546,30 +583,38 @@ class TestMftSweep:
         """Against a perturbed limit policy every exact column is nonzero
         and agrees with its Monte Carlo check: the cost gap within 4 SE of
         the common-random-number estimate, the moment distance and the UI
-        surrogate within 2% of the step-by-step reference."""
+        surrogate within 2% of the step-by-step reference.  The second spec
+        has a generic So, so Sigma is not symmetric."""
         T, R, seed = 4, 40_000, 29
-        spec = random_tree_spec(rng, n=2, m=2, T=T, mean_field=True)
-        limit = meanfield_limit_policy(spec, T)
-        perturbed = replace(
-            limit, K=[k + 0.1 * rng.normal(size=k.shape) for k in limit.K],
-            L=[l + 0.3 * rng.normal(size=l.shape) for l in limit.L])
-        monkeypatch.setattr(sim, "meanfield_limit_policy",
-                            lambda spec, T: perturbed)
-        rows = mft_sweep(spec, T, [2, 4, 8], R, seed)
-        for r in rows:
-            N = r["N"]
-            nspec, mode = replace(spec, n_dm=N), mean_field(N)
-            assert r["cost_gap"] > 0.0
-            assert r["cost_gap"] == r["limit_policy_cost"] - r["predicted_cost"]
-            assert abs(r["cost_gap"] - r["mc_cost_gap"]) \
-                <= (4.0 / 3.0) * r["cost_gap_3se"]
-            second, ui = reference_sweep_moments(
-                nspec,
-                TreePolicySet.from_policy(solve_tree(nspec, T, mode=mode), N),
-                TreePolicySet.from_policy(replace(perturbed, mode=mode), N),
-                T, R, seed)
-            assert r["moment_dist_second"] == pytest.approx(second, rel=0.02)
-            assert r["ui_surrogate"] == pytest.approx(ui, rel=0.02)
+        for generic in (False, True):
+            spec = random_tree_spec(rng, n=2, m=2, T=T, mean_field=True,
+                                    generic_offdiag=generic)
+            limit = meanfield_limit_policy(spec, T)
+            perturbed = replace(
+                limit,
+                K=[k + 0.1 * rng.normal(size=k.shape) for k in limit.K],
+                L=[l + 0.3 * rng.normal(size=l.shape) for l in limit.L])
+            monkeypatch.setattr(sim, "meanfield_limit_policy",
+                                lambda spec, T: perturbed)
+            rows = mft_sweep(spec, T, [2, 4, 8], R, seed)
+            for r in rows:
+                N = r["N"]
+                nspec, mode = replace(spec, n_dm=N), mean_field(N)
+                assert r["cost_gap"] > 0.0
+                assert r["cost_gap"] == (r["limit_policy_cost"]
+                                         - r["predicted_cost"])
+                assert abs(r["cost_gap"] - r["mc_cost_gap"]) \
+                    <= (4.0 / 3.0) * r["cost_gap_3se"]
+                second, ui = reference_sweep_moments(
+                    nspec,
+                    TreePolicySet.from_policy(solve_tree(nspec, T, mode=mode),
+                                              N),
+                    TreePolicySet.from_policy(replace(perturbed, mode=mode),
+                                              N),
+                    T, R, seed)
+                assert r["moment_dist_second"] == pytest.approx(second,
+                                                                rel=0.02)
+                assert r["ui_surrogate"] == pytest.approx(ui, rel=0.02)
 
     def test_mc_cost_is_rollout_costs_mean(self):
         """The sweep prices the N-optimal profile on the same block loop and

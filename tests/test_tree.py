@@ -344,8 +344,13 @@ class TestPredictedCost:
 
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_matches_oracle_propagation(self, rng, mode):
-        for _ in range(6):
-            spec = random_tree_spec(rng, mean_field=has_qt(mode))
+        specs = [random_tree_spec(rng, mean_field=has_qt(mode))
+                 for _ in range(6)]
+        # a generic So: Sigma is not symmetric, so Sigma and Sigma' differ
+        # (T > 1, as at T = 1 the optimal L is 0 and Sigma drops out)
+        specs.append(random_tree_spec(rng, n=2, T=3, mean_field=has_qt(mode),
+                                      generic_offdiag=True))
+        for spec in specs:
             T = spec.horizon
             pol = solve_tree(spec, T, mode)
             ref = oracle_cost(spec, T, pol.K, np.stack(pol.L), mode)
