@@ -223,7 +223,7 @@ def cmd_check(args):
 
 def cmd_solve_tree(args):
     spec = _validated_spec(args.spec)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     pol = _tree.solve_tree(spec, T)
     cost = _tree.predicted_cost(spec, T, pol)
     print(f"tree policy solved: horizon {T}, mode {pol.mode.kind}")
@@ -258,7 +258,7 @@ def cmd_solve_ndm(args):
         raise SpecFileError("--n must be at least 2")
     from dataclasses import replace
     nspec = replace(spec, n_dm=args.n)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     pol = _tree.solve_tree(nspec, T, mode=_tree.n_dm(args.n))
     cost = _tree.exact_policy_cost(nspec, T, pol.K, pol.L, pol.mode)
     print(f"{args.n}-agent policy solved: horizon {T}")
@@ -272,7 +272,7 @@ def cmd_solve_ndm(args):
 
 def cmd_solve_mf(args):
     spec = _validated_spec(args.spec)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     pol = _tree.meanfield_limit_policy(spec, T)
     L_N, _ = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
     gap = max(float(np.linalg.norm(a - b)) for a, b in zip(L_N, pol.L))
@@ -292,7 +292,7 @@ def cmd_solve_mf(args):
 
 def cmd_solve_delayed(args):
     spec = _validated_spec(args.spec)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     pol, cost = _delayed.solve_delayed_finite(spec, T)
     print(f"delayed-sharing policy solved: horizon {T}")
     print("information graph:")
@@ -336,6 +336,15 @@ def cmd_dare(args):
     return EXIT_OK
 
 
+def _horizon(args, spec):
+    """The --horizon given, else the spec's."""
+    if args.horizon is None:
+        return spec.horizon
+    if args.horizon < 1:
+        raise SpecFileError("--horizon must be at least 1")
+    return args.horizon
+
+
 def _check_rollouts(args):
     if args.rollouts < 1:
         raise SpecFileError("--rollouts must be at least 1")
@@ -345,7 +354,7 @@ def cmd_simulate(args):
     _check_rollouts(args)
     spec = _validated_spec(args.spec)
     pset, _ = load_policy(args.policy, spec)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     rep = _sim.simulate(spec, pset, T, args.rollouts, args.seed)
     print(f"mean cost = {rep.mean_cost:.12g} +/- {rep.std_error:.3g} "
           f"(1 SE, {rep.n_rollouts} rollouts, seed {rep.seed})")
@@ -361,7 +370,7 @@ def cmd_sweep_mft(args):
         schedule = [int(v) for v in args.schedule.split(",") if v]
     except ValueError as exc:
         raise SpecFileError(f"bad --schedule: {exc}") from exc
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     rows = _sim.mft_sweep(spec, T, schedule, args.rollouts, args.seed)
     cols = ["N", "L_diff_prev", "predicted_cost", "mc_cost", "cost_gap",
             "mc_cost_gap", "cost_gap_3se", "moment_dist_second",
@@ -380,7 +389,7 @@ def cmd_sweep_mft(args):
 def cmd_verify(args):
     _check_rollouts(args)
     spec = _validated_spec(args.spec)
-    T = args.horizon or spec.horizon
+    T = _horizon(args, spec)
     if args.policy:
         pset, _ = load_policy(args.policy, spec)
     else:

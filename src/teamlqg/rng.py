@@ -8,10 +8,14 @@ rollout's variates therefore depend only on the seed and its index, and a
 draw of fewer rollouts is a bitwise prefix of a draw of more, so results are
 reproducible regardless of chunking.  ``BLOCK`` is part of the stream
 definition, not a tuning knob: another value would key rollouts to other
-streams and change every result.  Initial states are exchangeable across
-agents; the "uniform" family pushes i.i.d. uniform[-sqrt(3), sqrt(3)]
-variates (unit variance) through the same covariance factors, so first and
-second moments match the Gaussian family exactly.
+streams and change every result.  A draw stores its variates rollout-last,
+variate-major (k, R), so the engines step all rollouts of an agent's state
+entry as one contiguous row; the stream fills them ``CHUNK`` rows at a time
+through a small rollout-major buffer, which leaves it unchanged.  Initial
+states are exchangeable across agents; the "uniform" family pushes i.i.d.
+uniform[-sqrt(3), sqrt(3)] variates (unit variance) through the same
+covariance factors, so first and second moments match the Gaussian family
+exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .linalg import is_psd, psd_factor, sym
 from .model import NoiseSpec
 
 BLOCK = 4096
+# Rows of a block filled per pass through the sampler's buffer.  Any
+# divisor of BLOCK gives the same stream; it only bounds the buffer.
+CHUNK = 256
 
 _SQRT3 = np.sqrt(3.0)
 
@@ -64,28 +71,37 @@ class PrimitiveSampler:
 
     def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
         """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and w
-        with shape (R, T, N, n)."""
+        with shape (R, T, N, n).
+
+        Both are transposed views of rollout-last storage, (N, n, R) and
+        (T, N, n, R), so ``x0.transpose(1, 2, 0)`` and
+        ``w.transpose(1, 2, 3, 0)`` are C-contiguous.  Chunked fills of one
+        generator give the bits of one fill, so filling a (CHUNK, k) buffer
+        and transposing it into the (k, R) storage keeps the stream, and a
+        draw holds one array of its size.
+        """
         N, n = self.n_dm, self.n
         if self._split is not None:
             k_init = n + N * n
         else:
             k_init = N * n
-        k_noise = T * N * n
-        raw = np.empty((n_rollouts, k_init + k_noise))
-        for start in range(0, n_rollouts, BLOCK):
-            gen = block_generator(seed, first_block + start // BLOCK)
-            _fill(gen, raw[start:start + BLOCK], self.family)
+        raw = np.empty((k_init + T * N * n, n_rollouts))
+        buf = np.empty((min(CHUNK, n_rollouts), raw.shape[0]))
+        for lo in range(0, n_rollouts, CHUNK):
+            if lo % BLOCK == 0:
+                gen = block_generator(seed, first_block + lo // BLOCK)
+            rows = buf[:n_rollouts - lo]
+            _fill(gen, rows, self.family)
+            raw[:, lo:lo + len(rows)] = rows.T
 
         if self._split is not None:
             Ad, Ac = self._split
-            z_common = raw[:, :n]
-            z_own = raw[:, n:k_init].reshape(n_rollouts, N, n)
-            x0 = z_own @ Ad.T + (z_common @ Ac.T)[:, None, :]
+            x0 = Ad @ raw[n:k_init].reshape(N, n, n_rollouts) + Ac @ raw[:n]
         else:
-            x0 = (raw[:, :k_init] @ self._joint.T).reshape(n_rollouts, N, n)
+            x0 = (self._joint @ raw[:k_init]).reshape(N, n, n_rollouts)
         # The noise is scaled in place, one step at a time, so a draw holds
         # one array of its size, not two.
-        w = raw[:, k_init:].reshape(n_rollouts, T, N, n)
+        w = raw[k_init:].reshape(T, N, n, n_rollouts)
         for t in range(T):
-            w[:, t] = w[:, t] @ self.Fw.T
-        return x0, w
+            w[t] = self.Fw @ w[t]
+        return x0.transpose(2, 0, 1), w.transpose(3, 0, 1, 2)

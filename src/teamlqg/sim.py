@@ -10,7 +10,10 @@ keyed by the seed, hence bitwise deterministic) next to the solvers' exact
 formulas.  Every engine runs one loop that draws and prices one rng block at
 a time, so beyond one cost per rollout, memory grows with the block size,
 not with the number of rollouts.  Checks that compare tree-class profiles
-price all of them on one draw (``_tree_crn``).
+price all of them on one draw (``_tree_crn``).  The tree-class kernel runs
+rollout-last on the sampler's (N, n, R) storage: one batched matrix product
+per step takes every agent's (x_t, c), a contiguous row per entry, to its
+control and next state.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ def _block_costs(sampler, T, n_rollouts, seed, *pricers):
 
 
 def _quad(v, M):
-    """Per-rollout v^T M v summed over the leading axis (agents or steps) of
-    v with shape (., R, k)."""
+    """Per-rollout v^T M v summed over the leading axis (steps) of v with
+    shape (., R, k)."""
     return ((v @ M) * v).sum(axis=(0, 2))
 
 
@@ -143,33 +146,52 @@ def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
     """Per-rollout costs of one batch of primitives under a tree-class
     profile.
 
-    Takes x0 (R, N, n) and w (R, T, N, n) as drawn.  States and controls
-    run agent-major, (N, R, n) and (N, R, m), so each agent's gains act on
-    its states by one matrix product.
+    Takes x0 (R, N, n) and w (R, T, N, n) as drawn and runs rollout-last on
+    their (N, n, R) and (T, N, n, R) storage.  Agent i's state is
+    z^i = (x_t^i, c^i) with c^i = alpha Sigma x_0^i, and one batched matrix
+    product per step,
+
+        y^i = Gamma_t^i z^i,   Gamma_t^i = [[K, L], [A + B K, B L], [P]],
+
+    gives its control u_t^i = y^i[:m], its next state less the noise,
+    y^i[m:m+n], which is written back into z with the noise added, and
+    P z^i, whose product with z^i is the agent's own stage cost:
+    P = [K L]^T (R - cR R~) [K L] + diag(Q - cQ Q~, 0).  A pair coupling
+    c * (sum_i v_i)^T M (sum_j v_j) less its diagonal is thus priced with
+    the diagonal folded into the own weights, so what remains of it is a
+    quadratic form of the agents' sum.
     """
     T = w.shape[1]
+    n, m = spec.n, spec.m
     A, B = spec.dynamics.A, spec.dynamics.B
-    Q, R = spec.cost.Q, spec.cost.R
     cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
-    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    Rt = spec.cost.r_tilde_or_zero(m)
+    Qt = spec.cost.q_tilde_or_zero(n)
     _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
-    KT, LT = pset.K.swapaxes(2, 3), pset.L.swapaxes(2, 3)
+    K, L = pset.K.swapaxes(0, 1), pset.L.swapaxes(0, 1)    # (T, N, m, n)
+    KL = np.concatenate([K, L], axis=3)
+    P = KL.swapaxes(2, 3) @ (spec.cost.R - cR * Rt) @ KL
+    P[..., :n, :n] += spec.cost.Q - cQ * Qt
+    Gamma = np.concatenate(
+        [KL, np.concatenate([A + B @ K, B @ L], axis=3), P], axis=2)
+    x0, w = x0.transpose(1, 2, 0), w.transpose(1, 2, 3, 0)
 
-    x = np.ascontiguousarray(x0.swapaxes(0, 1))
-    c = alpha * (x @ Sigma.T)
-    cost = 0.0
+    N, R = pset.n_dm, x0.shape[2]
+    z = np.empty((N, 2 * n, R))
+    z[:, :n] = x0
+    z[:, n:] = alpha * (Sigma @ x0)
+    y = np.empty((N, m + 3 * n, R))
+    x, u, Pz = z[:, :n], y[:, :m], y[:, m + n:]
+    cost = np.zeros(R)
     for t in range(T):
-        u = x @ KT[:, t] + c @ LT[:, t]
-        stage = _quad(x, Q) + _quad(u, R)
-        # pair couplings: the square of the agents' sum less its diagonal
+        np.matmul(Gamma[t], z, out=y)
+        cost += np.einsum("air,air->r", Pz, z)
         for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
             if coef and np.any(M):
-                stage += coef * (_quad(v.sum(axis=0, keepdims=True), M)
-                                 - _quad(v, M))
-        cost = cost + stage
-        x = x @ A.T + u @ B.T + w[:, t].swapaxes(0, 1)
+                s = v.sum(axis=0)
+                cost += coef * np.einsum("ir,ij,jr->r", s, M, s)
+        np.add(y[:, m:m + n], w[t], out=x)
     return cost / T
 
 
@@ -490,9 +512,10 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     rollouts of both policies on common random numbers check the exact
     cost and gap (``mc_cost``, ``mc_cost_gap`` and their 3-SE bands).
     """
-    schedule = sorted(int(N) for N in schedule)
+    schedule = sorted({int(N) for N in schedule})
     if len(schedule) < 3:
-        raise ValueError("schedule needs at least 3 population sizes")
+        raise ValueError("schedule needs at least 3 distinct population "
+                         "sizes")
     limit = meanfield_limit_policy(spec, T)
 
     rows = []

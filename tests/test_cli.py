@@ -313,6 +313,40 @@ class TestExitCodes:
             assert "--rollouts must be at least 1" in capsys.readouterr().err
             assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_horizon_below_one_rejected(self, tmp_path, capsys, horizon):
+        """Every command taking --horizon rejects a value below 1 instead of
+        running at the spec's horizon (0) or crashing (-2)."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        mf_path = write_spec(tmp_path, MF, "mf.json")
+        delayed_path = write_spec(tmp_path, DELAYED, "delayed.json")
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        mc = ["--rollouts", "20", "--seed", "1"]
+        for command, extra in (
+                ("solve-tree", [spec_path]),
+                ("solve-ndm", [spec_path, "--n", "3"]),
+                ("solve-mf", [mf_path]),
+                ("solve-delayed", [delayed_path]),
+                ("simulate", [spec_path, "--policy", pol_path, *mc]),
+                ("sweep-mft", [mf_path, "--schedule", "2,4,8", *mc]),
+                ("verify", [spec_path, *mc])):
+            out = str(tmp_path / f"{command}.json")
+            assert main([command, *extra, "--horizon", horizon,
+                         "--out", out]) == EXIT_VALIDATION, command
+            assert "--horizon must be at least 1" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+    def test_sweep_schedule_needs_three_distinct_sizes(self, tmp_path,
+                                                       capsys):
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep-mft", write_spec(tmp_path, MF), "--schedule",
+                     "2,2,4", "--rollouts", "20", "--seed", "1",
+                     "--out", out]) == EXIT_VALIDATION
+        assert ("schedule needs at least 3 distinct population sizes"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     def test_validation_failure_exit_from_solver_command(self, tmp_path):
         data = json.loads(json.dumps(GOLDEN))
         data["noise"]["init_offdiag"] = [[1.5]]

@@ -17,7 +17,8 @@ from teamlqg.model import (
     conditional_gain,
 )
 from teamlqg import sim
-from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
+from teamlqg.rng import (BLOCK, CHUNK, PrimitiveSampler, _fill,
+                         block_generator)
 from teamlqg.sim import (
     TreePolicySet,
     GraphPolicySet,
@@ -38,6 +39,7 @@ from teamlqg.sim import _graph_mc
 from teamlqg.tree import (
     cost_weights,
     mean_field,
+    mean_field_limit,
     meanfield_limit_policy,
     n_dm,
     predicted_cost,
@@ -136,6 +138,60 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
     samples = n_rollouts * N
     return ((np.linalg.norm(second_u) + np.linalg.norm(second_x)) / samples,
             ui / (samples * T))
+
+
+def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
+    """PrimitiveSampler.draw as one rollout-major fill of (R, k) rows per
+    block, the factors applied from the right: x0 (R, N, n), w (R, T, N, n).
+    """
+    N, n = sampler.n_dm, sampler.n
+    k_init = n + N * n if sampler._split is not None else N * n
+    raw = np.empty((n_rollouts, k_init + T * N * n))
+    for start in range(0, n_rollouts, BLOCK):
+        gen = block_generator(seed, first_block + start // BLOCK)
+        _fill(gen, raw[start:start + BLOCK], sampler.family)
+    if sampler._split is not None:
+        Ad, Ac = sampler._split
+        z_own = raw[:, n:k_init].reshape(n_rollouts, N, n)
+        x0 = z_own @ Ad.T + (raw[:, :n] @ Ac.T)[:, None, :]
+    else:
+        x0 = (raw[:, :k_init] @ sampler._joint.T).reshape(n_rollouts, N, n)
+    w = raw[:, k_init:].reshape(n_rollouts, T, N, n)
+    for t in range(T):
+        w[:, t] = w[:, t] @ sampler.Fw.T
+    return x0, w
+
+
+def reference_tree_costs(spec, pset, x0, w):
+    """sim._tree_costs as an agent-major loop: states (N, R, n), controls
+    (N, R, m), and each pair coupling priced as the square of the agents'
+    sum less its diagonal."""
+    T = w.shape[1]
+    A, B = spec.dynamics.A, spec.dynamics.B
+    Q, R = spec.cost.Q, spec.cost.R
+    cR, cQ = sim._coupling_coeffs(pset.mode, pset.n_dm)
+    Rt = spec.cost.r_tilde_or_zero(spec.m)
+    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    _, _, _, alpha = cost_weights(pset.mode)
+    Sigma = conditional_gain(spec.noise)
+    KT, LT = pset.K.swapaxes(2, 3), pset.L.swapaxes(2, 3)
+
+    def quad(v, M):
+        return ((v @ M) * v).sum(axis=(0, 2))
+
+    x = np.ascontiguousarray(x0.swapaxes(0, 1))
+    c = alpha * (x @ Sigma.T)
+    cost = 0.0
+    for t in range(T):
+        u = x @ KT[:, t] + c @ LT[:, t]
+        stage = quad(x, Q) + quad(u, R)
+        for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
+            if coef and np.any(M):
+                stage += coef * (quad(v.sum(axis=0, keepdims=True), M)
+                                 - quad(v, M))
+        cost = cost + stage
+        x = x @ A.T + u @ B.T + w[:, t].swapaxes(0, 1)
+    return cost / T
 
 
 def linked_delayed_spec(rng, delays, n, m, T):
@@ -265,6 +321,85 @@ class TestDeterminism:
                     for t in range(3))
         whole = (whole + np.einsum("ri,ij,rj->r", x[:, 3], d.Q, x[:, 3])) / 3
         np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+
+
+class TestRolloutLayout:
+    """The rollout-last sampler and kernel against the rollout-major draw
+    and the agent-major loop they replace."""
+
+    @staticmethod
+    def _noise(n, path, family):
+        """A split-path noise model with diagonal factors (each variate is
+        one product, so any matrix-product layout rounds alike) or a
+        joint-path one (negatively correlated initial states)."""
+        if path == "split":
+            return NoiseSpec(sigma_w=np.diag([0.5, 1.5][:n]),
+                             init_diag=np.diag([1.0, 2.0][:n]),
+                             init_offdiag=np.diag([0.3, 0.6][:n]),
+                             family=family)
+        return NoiseSpec(sigma_w=0.7 * np.eye(n), init_diag=np.eye(n),
+                         init_offdiag=-0.3 * np.eye(n), family=family)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("path, n", [("split", 2), ("joint", 1)])
+    def test_draw_equals_one_shot_rollout_major_draw(self, family, path, n):
+        sampler = PrimitiveSampler(self._noise(n, path, family), 3)
+        assert (sampler._split is None) == (path == "joint")
+        for R, first_block in ((BLOCK + 300, 0), (700, 2)):
+            assert R % CHUNK
+            x0, w = sampler.draw(4, R, seed=8, first_block=first_block)
+            x0_ref, w_ref = reference_draw(sampler, 4, R, 8, first_block)
+            assert np.array_equal(x0, x0_ref)
+            assert np.array_equal(w, w_ref)
+            assert x0.transpose(1, 2, 0).flags.c_contiguous
+            assert w.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_draw_general_factors_agree_to_rounding(self, N):
+        """Non-symmetric factors catch a transposed factor; the products
+        only round differently from the reference's."""
+        noise = NoiseSpec(sigma_w=np.array([[1.0, 0.4], [0.4, 0.6]]),
+                          init_diag=np.array([[1.0, 0.2], [0.2, 0.8]]),
+                          init_offdiag=np.array([[0.3, 0.1], [0.1, 0.25]]))
+        sampler = PrimitiveSampler(noise, N)
+        for got, ref in zip(sampler.draw(3, 1000, seed=4, first_block=1),
+                            reference_draw(sampler, 3, 1000, 4, 1)):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
+
+    def test_kernel_matches_agent_major_loop(self, rng):
+        """Per-rollout costs of asymmetric profiles agree with the
+        agent-major loop on the one-shot draw to 1e-11 relative: every
+        population mode, n != m both ways, a generic So, the joint-factor
+        path, the uniform family, T >= 2 and an rng block boundary."""
+        def spec_of(N, n, m, T, **kw):
+            return random_tree_spec(rng, n=n, m=m, T=T, n_dm=N, **kw)
+
+        joint = spec_of(3, 1, 1, 3)
+        joint = replace(joint, noise=replace(
+            joint.noise, init_offdiag=-0.3 * joint.noise.init_diag))
+        uniform = spec_of(5, 1, 1, 4, mean_field=True)
+        uniform = replace(uniform, noise=replace(uniform.noise,
+                                                 family="uniform"))
+        cases = [
+            (spec_of(2, 2, 1, 3), two_dm()),
+            (spec_of(4, 1, 2, 3), n_dm(4)),
+            (spec_of(3, 2, 2, 2, mean_field=True, generic_offdiag=True),
+             mean_field(3)),
+            (uniform, mean_field_limit()),
+            (joint, n_dm(3)),
+        ]
+        R = BLOCK + 7
+        for spec, mode in cases:
+            T = spec.horizon
+            pset = replace(random_pset(spec, T, rng, scale=0.4), mode=mode)
+            sampler = PrimitiveSampler(spec.noise, spec.n_dm)
+            ref = np.concatenate([
+                reference_tree_costs(spec, pset, *reference_draw(
+                    sampler, T, min(BLOCK, R - s), 5, s // BLOCK))
+                for s in range(0, R, BLOCK)])
+            got = rollout_costs(spec, pset, T, R, seed=5)
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
 
 
 class TestSampling:
