@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -438,7 +439,10 @@ def cmd_verify(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged, and no action has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="teamlqg",
         description="Solvers and checks for decentralized LQG team problems",

@@ -225,44 +225,68 @@ def _embeddings(graph, d: _Stacked):
     return Eu, Wload
 
 
+def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
+    """The estimator recursion as one linear step of z = (x, all zeta).
+
+    Agent i's x_0^i and w_t^i enter its injection node's zeta, node r's
+    control K_t^r zeta_t^r enters the plant through its agents' inputs, and
+    zeta^r moves to its successor s through A^{sr} + B^{sr} K_t^r:
+
+        z_0 = H x_0,   u_t = G_t[:Nm] z_t,   z_{t+1} = G_t[Nm:] z_t + H w_t.
+
+    Returns (G, H, cols): G with shape (T, N m + dim, dim), H with shape
+    (dim, N n), and cols mapping each node to its zeta slice of z.
+    """
+    Eu, Wload = _embeddings(graph, d)
+    nx, p = d.N * d.n, d.N * d.m
+    cols, pos = {}, nx
+    for r in graph.nodes:
+        cols[r] = slice(pos, pos + len(r) * d.n)
+        pos += len(r) * d.n
+    H = np.zeros((pos, nx))
+    H[:nx] = np.eye(nx)
+    for i, s in graph.injection_map.items():
+        H[cols[s], i * d.n:(i + 1) * d.n] = Wload[i]
+    G = np.zeros((T, p + pos, pos))
+    Ku, F = G[:, :p], G[:, p:]
+    for r in graph.nodes:
+        s = graph.successor_map[r]
+        K = np.array([policy.gain(r, t) for t in range(T)])
+        Ku[:, :, cols[r]] = Eu[r] @ K
+        F[:, cols[s], cols[r]] = d.A_sr(s, r) + d.B_sr(s, r) @ K
+    F[:, :nx] = d.B @ Ku
+    F[:, :nx, :nx] = d.A
+    return G, H, cols
+
+
 def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
                        x0, w):
     """Closed-loop rollout of the estimator states and controls.
 
     x0: (batch, N*n) initial stacked states; w: (batch, T, N*n) noises.
     Returns (x, zeta, u): x is (batch, T+1, N*n), u is (batch, T, N*m), and
-    zeta maps each node to its (batch, T+1, |r|*n) trajectory.
+    zeta maps each node to its (batch, T+1, |r|*n) trajectory.  Steps
+    ``estimator_map`` with the batch axis last; the results are transposed
+    views of that storage.
     """
     d = stacked_data(spec)
-    Eu, Wload = _embeddings(graph, d)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     w = np.asarray(w, dtype=float)
     if w.ndim == 2:
         w = w[None]
     batch, T = w.shape[0], w.shape[1]
-    N, n, m = d.N, d.n, d.m
-
-    zeta = {r: np.zeros((batch, T + 1, len(r) * n)) for r in graph.nodes}
-    for i in range(N):
-        s = graph.injection_map[i]
-        zeta[s][:, 0] += x0[:, i * n:(i + 1) * n] @ Wload[i].T
-    x = np.zeros((batch, T + 1, N * n))
-    u = np.zeros((batch, T, N * m))
-    x[:, 0] = x0
+    G, H, cols = estimator_map(graph, policy, d, T)
+    p = d.N * d.m
+    z = np.empty((T + 1, H.shape[0], batch))
+    u = np.empty((T, p, batch))
+    z[0] = H @ x0.T
     for t in range(T):
-        ut = np.zeros((batch, N * m))
-        for r in graph.nodes:
-            ut += zeta[r][:, t] @ (Eu[r] @ policy.gain(r, t)).T
-        u[:, t] = ut
-        x[:, t + 1] = x[:, t] @ d.A.T + ut @ d.B.T + w[:, t]
-        for r in graph.nodes:
-            s = graph.successor_map[r]
-            M = d.A_sr(s, r) + d.B_sr(s, r) @ policy.gain(r, t)
-            zeta[s][:, t + 1] += zeta[r][:, t] @ M.T
-        for i in range(N):
-            s = graph.injection_map[i]
-            zeta[s][:, t + 1] += w[:, t, i * n:(i + 1) * n] @ Wload[i].T
-    return x, zeta, u
+        y = G[t] @ z[t]
+        u[t] = y[:p]
+        z[t + 1] = y[p:] + H @ w[:, t].T
+    z = z.transpose(2, 0, 1)
+    return (z[..., :d.N * d.n], {r: z[..., c] for r, c in cols.items()},
+            u.transpose(2, 0, 1))
 
 
 def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):

@@ -99,10 +99,11 @@ def gain_sensitivity(loop: ClosedLoop, mom: Moments):
     G = np.empty(loop.M.shape)
     H = np.empty(loop.M.shape[:2])
     P = loop.C_T
+    rv = np.diag(loop.Rv)
     for t in range(T - 1, -1, -1):
         BP = loop.Bv.T @ P
         G[t] = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M[t]
                             + BP @ mom.F[t]) @ mom.Z[t]
-        H[t] = np.diag(loop.Rv + BP @ loop.Bv) / T
+        H[t] = (rv + np.einsum("ij,ji->i", BP, loop.Bv)) / T
         P = mom.C[t] + mom.F[t].T @ P @ mom.F[t]
     return G, H

@@ -99,9 +99,14 @@ class PrimitiveSampler:
             x0 = Ad @ raw[n:k_init].reshape(N, n, n_rollouts) + Ac @ raw[:n]
         else:
             x0 = (self._joint @ raw[:k_init]).reshape(N, n, n_rollouts)
-        # The noise is scaled in place, one step at a time, so a draw holds
-        # one array of its size, not two.
+        # The noise is scaled in place, so a draw holds one array of its
+        # size, not two: at n = 1 by one scalar multiply of the whole block
+        # (numpy's (1, 1) matrix product is far slower and rounds alike),
+        # otherwise one step at a time.
         w = raw[k_init:].reshape(T, N, n, n_rollouts)
-        for t in range(T):
-            w[t] = self.Fw @ w[t]
+        if n == 1:
+            w *= self.Fw[0, 0]
+        else:
+            for t in range(T):
+                w[t] = self.Fw @ w[t]
         return x0.transpose(2, 0, 1), w.transpose(3, 0, 1, 2)

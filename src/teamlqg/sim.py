@@ -10,10 +10,13 @@ keyed by the seed, hence bitwise deterministic) next to the solvers' exact
 formulas.  Every engine runs one loop that draws and prices one rng block at
 a time, so beyond one cost per rollout, memory grows with the block size,
 not with the number of rollouts.  Checks that compare tree-class profiles
-price all of them on one draw (``_tree_crn``).  The tree-class kernel runs
-rollout-last on the sampler's (N, n, R) storage: one batched matrix product
-per step takes every agent's (x_t, c), a contiguous row per entry, to its
-control and next state.
+price all of them on one draw (``_tree_crn``).  Both kernels run
+rollout-last on the sampler's storage, one matrix product per step.  The
+tree-class kernel's batched product takes every agent's (x_t, c), a
+contiguous row per entry, to its control and next state.  The graph-class
+kernel steps z = (x, all zeta) of shape (dim, R) by a map built once per
+call from the estimator recursion (``delayed.estimator_map``), not from the
+exact-cost closed loop, so Monte Carlo stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -136,12 +139,6 @@ def _block_costs(sampler, T, n_rollouts, seed, *pricers):
     return costs
 
 
-def _quad(v, M):
-    """Per-rollout v^T M v summed over the leading axis (steps) of v with
-    shape (., R, k)."""
-    return ((v @ M) * v).sum(axis=(0, 2))
-
-
 def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
     """Per-rollout costs of one batch of primitives under a tree-class
     profile.
@@ -207,22 +204,53 @@ def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
     return _tree_crn(spec, T, n_rollouts, seed, pset)[0]
 
 
-def _graph_costs(spec: TeamSpec, policy, x0, w):
-    """Per-rollout costs of one batch of primitives under a graph policy."""
-    (R, N, n), T = x0.shape, w.shape[1]
+def _graph_map(spec: TeamSpec, policy, T):
+    """Step map of the graph-class kernel on z = (x, all zeta).
+
+    Returns (Gamma, H, Q): Gamma_t = [F_t; C_t] with shape (T, 2 dim, dim)
+    stacks the estimator step F_t (``delayed.estimator_map``) and the stage
+    weight C_t = E_t^T [[Q, S], [S^T, R]] E_t of (x_t, u_t) = E_t z_t, so
+    z^T C_t z is the stage cost; H loads the noise and Q prices x_T.
+    """
     d = _delayed.stacked_data(spec)
-    x, _, u = _delayed.simulate_estimator(policy.graph, policy, spec,
-                                          x0.reshape(R, N * n),
-                                          w.reshape(R, T, N * n))
-    x, u = x.swapaxes(0, 1), u.swapaxes(0, 1)    # step-major
-    return (_quad(x, d.Q) + _quad(u, d.R)
-            + 2.0 * ((x[:T] @ d.S) * u).sum(axis=(0, 2))) / T
+    G, H, _ = _delayed.estimator_map(policy.graph, policy, d, T)
+    (dim, nx), p = H.shape, d.N * d.m
+    E = np.concatenate([np.broadcast_to(np.eye(nx, dim), (T, nx, dim)),
+                        G[:, :p]], axis=1)
+    C = E.swapaxes(1, 2) @ np.block([[d.Q, d.S], [d.S.T, d.R]]) @ E
+    return np.concatenate([G[:, p:], C], axis=1), H, d.Q
+
+
+def _graph_costs(Gamma, H, Q, x0, w):
+    """Per-rollout costs of one batch of primitives under a graph policy,
+    given its step map (``_graph_map``).
+
+    Runs rollout-last on the draw's (N n, R) and (T, N n, R) storage: one
+    matrix product per step, y = Gamma_t z, gives F_t z and C_t z, the
+    stage cost is (C_t z) . z, and z_{t+1} = F_t z + H w_t.
+    """
+    (R, T), (dim, nx) = w.shape[:2], H.shape
+    x0 = x0.transpose(1, 2, 0).reshape(nx, R)
+    w = w.transpose(1, 2, 3, 0).reshape(T, nx, R)
+    z = H @ x0
+    y = np.empty((2 * dim, R))
+    Fz, Cz = y[:dim], y[dim:]
+    cost = np.zeros(R)
+    for t in range(T):
+        np.matmul(Gamma[t], z, out=y)
+        cost += np.einsum("ir,ir->r", Cz, z)
+        np.matmul(H, w[t], out=z)
+        z += Fz
+    x = z[:nx]
+    cost += np.einsum("ir,ir->r", Q @ x, x)
+    return cost / T
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
     return _block_costs(PrimitiveSampler(spec.noise, spec.n_dm), T,
                         n_rollouts, seed,
-                        partial(_graph_costs, spec, pset.policy))[0]
+                        partial(_graph_costs,
+                                *_graph_map(spec, pset.policy, T)))[0]
 
 
 def _check_horizon(T, horizon):

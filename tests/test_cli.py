@@ -13,6 +13,7 @@ from teamlqg.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    build_parser,
     load_spec,
     main,
 )
@@ -104,6 +105,23 @@ class TestCommands:
         assert main(["check", write_spec(tmp_path, GOLDEN)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self):
+        """The cached parser keeps no state between calls: a verify without
+        --horizon after a simulate --horizon 3 sees its own defaults."""
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(
+            ["simulate", "s.json", "--policy", "p.json", "--rollouts", "5",
+             "--seed", "1", "--horizon", "3"])
+        second = build_parser().parse_args(
+            ["verify", "s.json", "--rollouts", "7", "--seed", "2"])
+        assert (first.command, first.horizon, first.rollouts) == (
+            "simulate", 3, 5)
+        assert vars(second) == {
+            "command": "verify", "spec": "s.json", "out": None,
+            "policy": None, "rollouts": 7, "seed": 2, "horizon": None,
+            "pbp_tol": 1e-7, "fn": second.fn}
+        assert second.fn is not first.fn
 
     def test_check_fails_on_bad_covariance(self, tmp_path):
         data = json.loads(json.dumps(GOLDEN))

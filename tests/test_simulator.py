@@ -46,7 +46,17 @@ from teamlqg.tree import (
     solve_tree,
     two_dm,
 )
-from teamlqg.delayed import GraphPolicy, closed_loop_cost, solve_delayed_finite
+from teamlqg.delayed import (
+    GraphPolicy,
+    _closed_loop,
+    _embeddings,
+    closed_loop_cost,
+    simulate_estimator,
+    solve_delayed_finite,
+    stacked_data,
+)
+from teamlqg.info_graph import build_info_graph
+from teamlqg.moments import gain_sensitivity, propagate
 
 from conftest import (
     coupled_delayed_spec_2dm,
@@ -194,6 +204,53 @@ def reference_tree_costs(spec, pset, x0, w):
     return cost / T
 
 
+def reference_estimator(graph, policy, spec, x0, w):
+    """delayed.simulate_estimator as a batch-first loop over nodes and
+    agents on a dict of per-node zeta arrays: x0 (batch, N n), w (batch, T,
+    N n); returns (x, zeta, u) like it."""
+    d = stacked_data(spec)
+    Eu, Wload = _embeddings(graph, d)
+    batch, T = w.shape[0], w.shape[1]
+    N, n, m = d.N, d.n, d.m
+
+    zeta = {r: np.zeros((batch, T + 1, len(r) * n)) for r in graph.nodes}
+    for i in range(N):
+        s = graph.injection_map[i]
+        zeta[s][:, 0] += x0[:, i * n:(i + 1) * n] @ Wload[i].T
+    x = np.zeros((batch, T + 1, N * n))
+    u = np.zeros((batch, T, N * m))
+    x[:, 0] = x0
+    for t in range(T):
+        ut = np.zeros((batch, N * m))
+        for r in graph.nodes:
+            ut += zeta[r][:, t] @ (Eu[r] @ policy.gain(r, t)).T
+        u[:, t] = ut
+        x[:, t + 1] = x[:, t] @ d.A.T + ut @ d.B.T + w[:, t]
+        for r in graph.nodes:
+            s = graph.successor_map[r]
+            M = d.A_sr(s, r) + d.B_sr(s, r) @ policy.gain(r, t)
+            zeta[s][:, t + 1] += zeta[r][:, t] @ M.T
+        for i in range(N):
+            s = graph.injection_map[i]
+            zeta[s][:, t + 1] += w[:, t, i * n:(i + 1) * n] @ Wload[i].T
+    return x, zeta, u
+
+
+def reference_graph_costs(spec, policy, x0, w):
+    """sim._graph_costs priced on ``reference_estimator``'s trajectories,
+    with the terminal cost x_T^T Q x_T."""
+    (R, N, n), T = x0.shape, w.shape[1]
+    d = stacked_data(spec)
+    x, _, u = reference_estimator(policy.graph, policy, spec,
+                                  x0.reshape(R, N * n), w.reshape(R, T, N * n))
+
+    def quad(v, M):
+        return ((v @ M) * v).sum(axis=(1, 2))
+
+    return (quad(x, d.Q) + quad(u, d.R)
+            + 2.0 * ((x[:, :T] @ d.S) * u).sum(axis=(1, 2))) / T
+
+
 def linked_delayed_spec(rng, delays, n, m, T):
     """Blocked instance whose off-diagonal blocks follow the delay-1 links
     (None: never shared), scaled to a stable open loop."""
@@ -303,8 +360,6 @@ class TestDeterminism:
     def test_graph_blocks_match_one_unchunked_draw(self):
         """Streaming _graph_mc block by block gives the costs of rolling out
         a single draw of the whole batch."""
-        from teamlqg.delayed import simulate_estimator, stacked_data
-
         spec = coupled_delayed_spec_2dm(T=3)
         pol, _ = solve_delayed_finite(spec, 3)
         R, N, n = BLOCK + 9, spec.n_dm, spec.n
@@ -400,6 +455,59 @@ class TestRolloutLayout:
                 for s in range(0, R, BLOCK)])
             got = rollout_costs(spec, pset, T, R, seed=5)
             np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
+
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("graph", ["full3", "chain4", "ring4"])
+    def test_graph_kernel_matches_dict_estimator(self, rng, graph, n, m):
+        """Per-rollout graph costs agree with the dict-based estimator loop
+        to 1e-12 relative, and simulate_estimator's trajectories with its,
+        for finite-horizon and stationary gains, with nonzero S, Q~ and R~,
+        T >= 2 and an rng block boundary."""
+        delays = {
+            "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "chain4": [[0, 1, None, None], [1, 0, 1, None],
+                       [None, 1, 0, 1], [None, None, 1, 0]],
+            "ring4": [[0, 1, None, 1], [1, 0, 1, None],
+                      [None, 1, 0, 1], [1, None, 1, 0]],
+        }[graph]
+        T = 3
+        spec = linked_delayed_spec(rng, delays, n, m, T)
+        W = rand_pd(rng, n + m)    # [[Q, S], [S^T, R]]: a valid cost
+        spec = replace(spec, cost=CostSpec(
+            Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
+            Q_tilde=rand_psd(rng, n, scale=0.1),
+            R_tilde=rand_psd(rng, m, scale=0.1)))
+        info = build_info_graph(spec.info.delays)
+        gains = {r: [0.4 * rng.normal(size=(len(r) * m, len(r) * n))
+                     for _ in range(T)] for r in info.nodes}
+        policies = [
+            GraphPolicy(graph=info, horizon=T, gains=gains, values={}),
+            GraphPolicy(graph=info, horizon=None, values={},
+                        gains={r: g[0] for r, g in gains.items()}),
+        ]
+        N, R = spec.n_dm, BLOCK + 300
+        sampler = PrimitiveSampler(spec.noise, N)
+        draws = [sampler.draw(T, min(BLOCK, R - s), 6, s // BLOCK)
+                 for s in range(0, R, BLOCK)]
+        for pol in policies:
+            ref = np.concatenate([reference_graph_costs(spec, pol, *draw)
+                                  for draw in draws])
+            got = rollout_costs(spec, GraphPolicySet(policy=pol), T, R,
+                                seed=6)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+            x0, w = draws[-1]
+            args = (info, pol, spec, x0.reshape(len(x0), N * n),
+                    w.reshape(len(w), T, N * n))
+            x, zeta, u = simulate_estimator(*args)
+            x_ref, zeta_ref, u_ref = reference_estimator(*args)
+            assert zeta.keys() == zeta_ref.keys()
+            for got_v, ref_v in [(x, x_ref), (u, u_ref)] + [
+                    (zeta[r], zeta_ref[r]) for r in info.nodes]:
+                assert got_v.shape == ref_v.shape
+                np.testing.assert_allclose(got_v, ref_v, rtol=0,
+                                           atol=1e-12 * np.abs(ref_v).max())
 
 
 class TestSampling:
@@ -650,6 +758,33 @@ class TestStructuralChecks:
                        - reference_pbp(spec, gset, T)) <= 1e-12 * (1.0 + abs(J))
         with pytest.raises(ValueError, match=f"horizon {T - 1} differs"):
             pbp_check(spec, gset, T - 1)
+
+    def test_gain_curvature_matches_diagonal_of_product(self, rng):
+        """gain_sensitivity's H_t equals (1/T) diag(Rv + Bv^T P_{t+1} Bv)
+        formed as a full product, to 1e-14 relative, on random tree and
+        graph loops."""
+        loops = []
+        for mode, N in ((two_dm(), 2), (n_dm(3), 3), (mean_field(4), 4)):
+            spec = random_tree_spec(rng, n=2, m=2, T=3, n_dm=N,
+                                    mean_field=N == 4)
+            pset = replace(random_pset(spec, 3, rng, scale=0.4), mode=mode)
+            loops.append(sim._tree_loop(spec, pset, 3))
+        for delays in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                       [[0, 1, None, None], [1, 0, 1, None],
+                        [None, 1, 0, 1], [None, None, 1, 0]]):
+            spec = linked_delayed_spec(rng, delays, 2, 1, 3)
+            pol, _ = solve_delayed_finite(spec, 3)
+            loops.append(_closed_loop(spec, pol, 3)[0])
+        for loop in loops:
+            mom = propagate(loop)
+            T, P = loop.horizon, loop.C_T
+            ref = np.empty(loop.M.shape[:2])
+            for t in range(T - 1, -1, -1):
+                ref[t] = np.diag(loop.Rv + loop.Bv.T @ P @ loop.Bv) / T
+                P = mom.C[t] + mom.F[t].T @ P @ mom.F[t]
+            H = gain_sensitivity(loop, mom)[1]
+            np.testing.assert_allclose(H, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
 
     def test_certainty_equivalence(self):
         spec = scalar_tree_spec(T=3)
