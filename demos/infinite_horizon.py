@@ -2,8 +2,10 @@
 
 As the horizon grows, the own-state gain K_t settles to the stationary
 Riccati gain and the coupling gains L_t survive only near t = 0 before
-decaying to zero.  On the classic A=B=Q=R=1 instance the stationary value is
-the golden ratio, a nice analytic anchor for the numerics.
+decaying to zero.  The stationary schedule comes in closed form: one DARE
+of the coupling sweep, one Stein equation and one forward pass.  On the
+classic A=B=Q=R=1 instance the stationary value is the golden ratio, a nice
+analytic anchor for the numerics.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ print()
 policy = solve_infinite_tree(spec)
 print(f"average cost per stage : {policy.average_cost:.6f}  (= 2 tr(P W))")
 print(f"closed-loop radius     : {policy.closed_loop_radius:.6f}")
-print(f"horizon used for L     : {policy.horizon_used}")
+print(f"L schedule length      : {policy.horizon_used}  (cut where decayed)")
 print(f"L decays below 1e-8 at : t = {policy.decay_horizon}")
 print()
 print("head of the coupling-gain schedule:")

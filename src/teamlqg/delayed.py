@@ -361,19 +361,21 @@ def closed_loop_cost(spec: TeamSpec, policy: GraphPolicy, T: int | None = None):
 
 def _rank_condition(d: _Stacked, node, grid=720):
     """Full-column-rank test of [A - e^{i theta} I, B; C, D] on a theta grid,
-    with [C D] a factor of the stacked cost block of the node."""
+    with [C D] a factor of the stacked cost block of the node.  Each batch
+    of up to 90 grid points is one stacked SVD; the batches bound memory."""
     A, B = d.A_sr(node, node), d.B_sr(node, node)
     Q, R, S = d.Q_rr(node), d.R_rr(node), d.S_rr(node)
     nn, mm = A.shape[0], B.shape[1]
     stacked = np.block([[Q, S], [S.T, R]])
     CD = psd_factor(stacked).T          # CD^T CD = stacked
     marginal = []
-    for k in range(grid):
-        theta = 2.0 * np.pi * k / grid
-        top = np.hstack([A - np.exp(1j * theta) * np.eye(nn), B])
-        M = np.vstack([top, CD.astype(complex)])
-        if numerical_rank(M) < nn + mm:
-            marginal.append(theta)
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    for th in np.array_split(theta, -(-grid // 90)):
+        M = np.zeros((len(th), nn + CD.shape[0], nn + mm), dtype=complex)
+        M[:, :nn, :nn] = A - np.exp(1j * th)[:, None, None] * np.eye(nn)
+        M[:, :nn, nn:] = B
+        M[:, nn:] = CD
+        marginal += th[numerical_rank(M) < nn + mm].tolist()
     return marginal
 
 

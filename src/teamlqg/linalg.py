@@ -54,11 +54,11 @@ def psd_factor(M):
 
 
 def numerical_rank(M):
+    """Rank of M, or of each matrix of a stack M[..., :, :]: the singular
+    values above max(rows, cols) * s_max * 1e-12."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    thresh = max(M.shape) * s[0] * 1e-12
-    return int(np.sum(s > thresh))
+    rank = np.sum(s > max(M.shape[-2:]) * s[..., :1] * 1e-12, axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def spectral_radius(M):

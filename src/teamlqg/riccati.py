@@ -12,9 +12,10 @@ from .linalg import as_matrix, numerical_rank, psd_sqrt, spectral_radius, sym
 # must be controlled/observed.
 UNIT_CIRCLE_MARGIN = 1e-10
 
-# dare_solve: at most this many doublings (horizon 2**DOUBLING_CAP); it stops
-# once successive horizon values differ by SETTLE_RTOL relative, and rejects
-# an answer whose relative Riccati residual exceeds RESIDUAL_BOUND.
+# dare_solve and stein_solve: at most this many doublings (horizon
+# 2**DOUBLING_CAP); they stop once successive values differ by SETTLE_RTOL
+# relative, and reject an answer whose relative residual exceeds
+# RESIDUAL_BOUND.
 DOUBLING_CAP = 64
 SETTLE_RTOL = 4 * np.finfo(float).eps
 RESIDUAL_BOUND = 1e-10
@@ -113,12 +114,43 @@ def dare_solve(A, B, Q, R) -> DareSolution:
     return DareSolution(P=Hk, K=K, residual=residual, iterations=k)
 
 
+def stein_solve(U, Psi, V) -> np.ndarray:
+    """X = Psi + U X V for U and V with spectral radii product below 1.
+
+    Smith's doubling (R. A. Smith, SIAM J. Appl. Math. 1968): step k adds
+    the terms 2^(k-1)..2^k - 1 of the series X = sum_j U^j Psi V^j, so it
+    converges quadratically.  It stops when a step changes X by rounding,
+    and raises ConvergenceError when it does not within DOUBLING_CAP steps or
+    the relative residual |Psi + U X V - X| / (1 + |X|) exceeds
+    RESIDUAL_BOUND.
+    """
+    X, Uk, Vk = Psi, U, V
+    for k in range(1, DOUBLING_CAP + 1):
+        D = Uk @ X @ Vk
+        X = X + D
+        settled = np.linalg.norm(D) <= SETTLE_RTOL * np.linalg.norm(X)
+        if settled:
+            break
+        Uk, Vk = Uk @ Uk, Vk @ Vk
+    residual = float(np.linalg.norm(Psi + U @ X @ V - X)
+                     / (1.0 + np.linalg.norm(X)))
+    if not (settled and residual <= RESIDUAL_BOUND):
+        raise ConvergenceError(
+            f"Stein doubling {'settled' if settled else 'did not settle'} "
+            f"after {k} steps with relative residual {residual:.3e} "
+            f"(bound {RESIDUAL_BOUND:.0e})",
+            residual=residual,
+        )
+    return X
+
+
 __all__ = [
     "DareSolution",
     "RiccatiError",
     "ConvergenceError",
     "riccati_step",
     "dare_solve",
+    "stein_solve",
     "is_stabilizable",
     "is_detectable",
     "spectral_radius",

@@ -7,8 +7,9 @@ an exact convex quadratic in the stacked L gains.  Splitting the closed loop
 into its L = 0 part and a feedforward matrix M_t driven by the coupling
 statistic turns that minimization into a deterministic LQ problem in vec(M_t),
 which one backward Riccati sweep and one forward pass solve exactly in
-O(T n^6) time.  The exact cost of any schedule, and its gradient in L, is the
-cost of the two-agent closed loop of one exchangeable pair, propagated by
+O(T n^6) time; at the infinite horizon one DARE and one Stein equation replace
+the sweep.  The exact cost of any schedule, and its gradient in L, is the cost
+of the two-agent closed loop of one exchangeable pair, propagated by
 ``moments``.
 """
 
@@ -22,11 +23,11 @@ from .linalg import sym
 from .model import TeamSpec, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
-    ConvergenceError,
     RiccatiError,
     dare_solve,
     riccati_step,
     spectral_radius,
+    stein_solve,
 )
 
 
@@ -106,18 +107,14 @@ def default_mode(spec: TeamSpec) -> Population:
 
 
 def solve_k_p(spec: TeamSpec, T: int):
-    """Backward recursion from P_T = 0; gains are untouched by the coupling
-    blocks, the initial-state correlation, and the noise distribution."""
-    return _k_p_from(spec, T, np.zeros_like(spec.cost.Q))
-
-
-def _k_p_from(spec: TeamSpec, T: int, P_end):
-    """T backward Riccati steps from P_T = P_end: (K_0..K_{T-1}, P_0..P_T)."""
+    """Backward recursion from P_T = 0: (K_0..K_{T-1}, P_0..P_T).  The gains
+    are untouched by the coupling blocks, the initial-state correlation, and
+    the noise distribution."""
     A, B = spec.dynamics.A, spec.dynamics.B
     Q, R = sym(spec.cost.Q), sym(spec.cost.R)
     P = [None] * (T + 1)
     K = [None] * T
-    P[T] = P_end
+    P[T] = np.zeros_like(Q)
     for t in range(T - 1, -1, -1):
         P[t], K[t] = riccati_step(A, B, Q, R, P[t + 1])
     return K, P
@@ -289,28 +286,21 @@ def _coupling_sweep(p: _Params, K):
     R + B^T P_{t+1} B is a Schur complement of the Hessian of the cost in L,
     so the Hessian is positive definite exactly when every pivot is.
     """
-    A, B = p.A, p.B
-    n, m = B.shape
+    n, m = p.B.shape
     T = len(K)
     c1 = 1.0 / T
     Kst = np.stack(K)
-    Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
-    Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
+    Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
+    Qk, Rk = c1 * Qk, c1 * Rk
 
     # L = 0 cross moments Yd_{t+1} = (A + B K_t) Yd_t, likewise Yo
     Y = np.empty((T, 2, n, n))
-    Y[0] = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
+    Y[0] = Y0
     for t in range(T - 1):
-        Y[t + 1] = (A + B @ Kst[t]) @ Y[t]
+        Y[t + 1] = (p.A + p.B @ Kst[t]) @ Y[t]
     Yd, Yo = Y[:, 0], Y[:, 1]
     s = c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo).reshape(T, n * n)
     r = c1 * (p.a * p.R @ Kst @ Yd + p.b * p.Rt @ Kst @ Yo).reshape(T, m * n)
-
-    # row-major vec: vec(X Z Y) = kron(X, Y^T) vec(Z); Cd, Co are symmetric
-    I = np.eye(n)
-    Ak, Bk = np.kron(A, I), np.kron(B, I)
-    Qk = c1 * (p.a * np.kron(p.Q, Cd) + p.q * np.kron(p.Qt, Co))
-    Rk = c1 * (p.a * np.kron(p.R, Cd) + p.b * np.kron(p.Rt, Co))
 
     P = np.zeros((n * n, n * n))
     pv = np.zeros(n * n)
@@ -318,15 +308,7 @@ def _coupling_sweep(p: _Params, K):
     f = np.empty((T, m * n))
     for t in range(T - 1, -1, -1):
         PB = P @ Bk
-        H = Rk + Bk.T @ PB
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
-        if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
-            raise CouplingSystemError(
-                f"coupling system singular at stage {t} of {T}: pivot "
-                f"eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]; check "
-                "Sigma/R_tilde for degenerate combinations"
-            )
-        Hinv = (V / w) @ V.T
+        Hinv = _pivot_inverse(Rk + Bk.T @ PB, f"stage {t} of {T}")
         G = PB.T @ Ak
         F[t] = -Hinv @ G
         f[t] = -Hinv @ (r[t] + Bk.T @ pv)
@@ -341,6 +323,30 @@ def _coupling_sweep(p: _Params, K):
         L[t] = Nv.reshape(m, n) - Kst[t] @ Mv.reshape(n, n)
         Mv = Ak @ Mv + Bk @ Nv
     return L
+
+
+def _sweep_data(p: _Params):
+    """Ak, Bk, Qk, Rk of the coupling sweep without its 1/T factor, and the
+    L = 0 cross moments (Yd_0, Yo_0); vec(X Z Y) = kron(X, Y^T) vec(Z)."""
+    I = np.eye(p.A.shape[0])
+    Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
+    Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
+    Qk = p.a * np.kron(p.Q, Cd) + p.q * np.kron(p.Qt, Co)
+    Rk = p.a * np.kron(p.R, Cd) + p.b * np.kron(p.Rt, Co)
+    Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
+    return np.kron(p.A, I), np.kron(p.B, I), Qk, Rk, Y0
+
+
+def _pivot_inverse(H, where):
+    """Inverse of a pivot of the coupling sweep, which must be positive
+    definite with condition number at most 1e12."""
+    w, V = np.linalg.eigh(sym(H))
+    if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
+        raise CouplingSystemError(
+            f"coupling system singular at {where}: pivot eigenvalues in "
+            f"[{w[0]:.3e}, {w[-1]:.3e}]; check Sigma/R_tilde for degenerate "
+            "combinations")
+    return (V / w) @ V.T
 
 
 def _propagators(spec, T, K, L, alpha):
@@ -460,11 +466,16 @@ def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
 
 @dataclass(frozen=True)
 class InfiniteTreePolicy:
+    """Stationary policy u_t^i = K x_t^i + L_t c^i.  ``horizon_used`` is the
+    length of the coupling schedule L (0 without R_tilde), which ends where
+    L_t, M_t and y_t have all decayed below DECAY_TOL (L_t = 0 after it);
+    ``decay_horizon`` is the first stage of its tail below DECAY_TOL."""
+
     mode: Population
     K: np.ndarray
     P: np.ndarray
     L: list
-    decay_horizon: int | None
+    decay_horizon: int
     horizon_used: int
     average_cost: float
     closed_loop_radius: float
@@ -484,19 +495,16 @@ class InfiniteTreePolicy:
         }
 
 
-L_SETTLE_TOL = 1e-8   # stationary L: prefix agreement, and decayed gains
-HORIZON_CAP = 4096
+DECAY_TOL = 1e-8      # the stationary schedule ends where L, M, y are below
+STAGE_CAP = 1 << 16   # stage bound of its forward pass
 
 
 def solve_infinite_tree(spec: TeamSpec,
                         mode: Population | None = None) -> InfiniteTreePolicy:
-    """Stationary own-state gain from the algebraic Riccati fixed point, with
-    the coupling-gain schedule detected as the pointwise horizon limit.
-
-    Horizons double until the common prefix of successive L schedules
-    disagrees by less than ``L_SETTLE_TOL``; non-convergence within
-    ``HORIZON_CAP`` is a reportable failure, not an assumption.
-    """
+    """Stationary K from the algebraic Riccati equation and the exact
+    stationary coupling schedule (``_stationary_schedule``).  Raises
+    RiccatiError when A + B K is unstable, CouplingSystemError when the
+    coupling sweep is not strictly convex, unsolvable, or not decayed."""
     mode = default_mode(spec) if mode is None else mode
     if mode.kind not in ("two_dm", "n_dm"):
         raise ValueError("infinite-horizon solve supports two_dm/n_dm modes")
@@ -509,44 +517,56 @@ def solve_infinite_tree(spec: TeamSpec,
     a, _, _, _ = cost_weights(mode)
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
-    rt = spec.cost.r_tilde_or_zero(spec.m)
-    if np.all(rt == 0.0):
-        return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=[],
-                                  decay_horizon=0, horizon_used=0,
-                                  average_cost=avg_cost,
-                                  closed_loop_radius=radius)
-
-    # The gains of horizon 2T end with those of horizon T, so each doubling
-    # extends K backward by T Riccati steps from the previous P_0.
-    T = 16
-    K, P = solve_k_p(spec, T)
-    L, _ = _coupling_gains(spec, T, mode, K)
-    disagreement = np.inf
-    while not disagreement < L_SETTLE_TOL:
-        if 2 * T > HORIZON_CAP:
-            raise ConvergenceError(
-                f"coupling gains did not stabilize below {L_SETTLE_TOL} up to "
-                f"horizon {HORIZON_CAP} (last prefix disagreement "
-                f"{disagreement:.3e})",
-                residual=disagreement,
-            )
-        K_head, P_head = _k_p_from(spec, T, P[0])
-        K, P = K_head + K, P_head[:-1] + P
-        L_prev, (L, _) = L, _coupling_gains(spec, 2 * T, mode, K)
-        disagreement = max(
-            float(np.linalg.norm(L[t] - L_prev[t])) for t in range(T)
-        )
-        T *= 2
-
-    # first stage of the tail of decayed gains (None: the last has not)
-    decay_horizon = len(L)
-    while decay_horizon and np.linalg.norm(L[decay_horizon - 1]) < L_SETTLE_TOL:
-        decay_horizon -= 1
-    if decay_horizon == len(L):
-        decay_horizon = None
+    L = []
+    if np.any(spec.cost.r_tilde_or_zero(spec.m) != 0.0):
+        L = _stationary_schedule(_params(spec, mode), sol.K, radius)
+    live = [t for t, l in enumerate(L) if not np.linalg.norm(l) < DECAY_TOL]
+    decay_horizon = live[-1] + 1 if live else 0
     return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=L,
-                              decay_horizon=decay_horizon, horizon_used=T,
-                              average_cost=avg_cost, closed_loop_radius=radius)
+                              decay_horizon=decay_horizon,
+                              horizon_used=len(L), average_cost=avg_cost,
+                              closed_loop_radius=radius)
+
+
+def _stationary_schedule(p: _Params, K, radius):
+    """``_coupling_sweep`` at the infinite horizon, with K stationary.
+
+    Its value Pk solves the DARE of (Ak, Bk, Qk, Rk), with pivot
+    H = Rk + Bk^T Pk Bk and feedback F.  Its affine terms are Sy y_t and
+    Ry y_t in y_t = (vec Yd_t, vec Yo_t), with y_{t+1} = Ay y_t, so its
+    co-state is X y_t, where X = Psi + Phi^T X Ay with Phi = Ak + Bk F and
+    Psi = Sy + F^T Ry.  The forward pass from M_0 = 0 ends at the first
+    stage where |L_t| and |(M_t, y_t)| are below DECAY_TOL.
+    """
+    n, m = p.B.shape
+    I = np.eye(n)
+    Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
+    _pivot_inverse(Rk, "the last stage of every horizon")   # pivot Rk / T
+    Ay = np.kron(np.eye(2), np.kron(p.A + p.B @ K, I))
+    Sy = np.hstack([p.a * np.kron(p.Q, I), p.q * np.kron(p.Qt, I)])
+    Ry = np.hstack([p.a * np.kron(p.R @ K, I), p.b * np.kron(p.Rt @ K, I)])
+    try:
+        Pk = dare_solve(Ak, Bk, Qk, Rk).P
+        Hinv = _pivot_inverse(Rk + Bk.T @ Pk @ Bk, "the stationary stage")
+        F = -Hinv @ Bk.T @ Pk @ Ak
+        X = stein_solve((Ak + Bk @ F).T, Sy + F.T @ Ry, Ay)
+    except (RiccatiError, np.linalg.LinAlgError) as exc:
+        raise CouplingSystemError(f"stationary coupling sweep: {exc}") from exc
+
+    # z_t = (vec M_t, y_t): z_{t+1} = G z_t and vec L_t = C z_t
+    E = -Hinv @ (Ry + Bk.T @ X @ Ay)
+    G = np.block([[Ak + Bk @ F, Bk @ E], [np.zeros((2 * n * n, n * n)), Ay]])
+    C = np.hstack([F - np.kron(K, I), E])
+    z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), []
+    for t in range(STAGE_CAP):
+        L.append(C @ z)
+        if max(L[t] @ L[t], z @ z) < DECAY_TOL**2:
+            return list(np.reshape(L, (-1, m, n)))
+        z = G @ z
+    raise CouplingSystemError(
+        f"coupling schedule not below {DECAY_TOL:.0e} at stage {t} (|L_t| = "
+        f"{np.linalg.norm(L[t]):.3e}); spectral radii {radius:.6g} of A + B K"
+        f" and {spectral_radius(G[:n * n, :n * n]):.6g} of Ak + Bk F")
 
 
 # ---------------------------------------------------------------------------

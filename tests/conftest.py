@@ -79,6 +79,16 @@ def random_tree_spec(rng, n=None, m=None, T=None, n_dm=2, coupled=True,
     )
 
 
+def assert_nondegenerate(L, floor=1e-6):
+    """Fail unless a coupling schedule can tell a right answer from a wrong
+    one: at least two stages (at T = 1 the optimal L is exactly 0, and so is
+    K) and some gain above ``floor``, far above the tolerances it is
+    checked to."""
+    assert len(L) >= 2, f"degenerate input: horizon {len(L)}"
+    peak = max(float(np.linalg.norm(l)) for l in L)
+    assert peak > floor, f"degenerate input: max |L_t| = {peak:.2e}"
+
+
 def coupled_delayed_spec_2dm(T=3, S=0.2):
     """Scalar 2-agent delay-1 instance with cross-coupled dynamics."""
     return TeamSpec(

@@ -1,0 +1,155 @@
+"""Mutant smoke: every listed mutant of the package must fail a named test.
+
+    python tests/mutant_smoke.py
+
+Each mutant is one textual edit of one file under ``src/``.  For each, the
+script copies ``src/`` and ``tests/`` into a fresh temporary directory,
+applies the edit there (it must match exactly once) and runs the mutant's
+named tests with pytest against the copy.  A mutant is caught when pytest
+reports failing tests (exit code 1); it survives when they all pass.  The
+named tests are first run on an unmutated copy, which must pass, so that a
+broken environment cannot pass for a caught mutant.  The exit code is 1 if
+any mutant survives or any run goes wrong in another way.
+
+The file name does not match ``test_*.py``, so the Tier-1 suite does not
+collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str        # relative to the repository root
+    old: str
+    new: str
+    tests: tuple     # pytest node ids that must catch it
+
+
+TREE = "src/teamlqg/tree.py"
+SIM = "src/teamlqg/sim.py"
+INFINITE = "tests/test_tree.py::TestInfiniteTree::"
+MFT = "tests/test_simulator.py::TestMftSweep::"
+LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
+
+MUTANTS = (
+    Mutant("Sigma^T in tree._closed_loop's H", TREE,
+           "p.alpha * np.kron(eye, p.Sigma)])",
+           "p.alpha * np.kron(eye, p.Sigma.T)])",
+           ("tests/test_tree.py::TestPredictedCost::"
+            "test_matches_oracle_propagation",)),
+    Mutant("Phi transposed in the stationary Stein equation", TREE,
+           "X = stein_solve((Ak + Bk @ F).T, ",
+           "X = stein_solve(Ak + Bk @ F, ",
+           (INFINITE + "test_closed_form_matches_long_finite_head",)),
+    Mutant("Yo block of y dropped from the stationary forward pass", TREE,
+           "np.concatenate([np.zeros(n * n), Y0.ravel()])",
+           "np.concatenate([np.zeros(n * n), Y0[0].ravel(), "
+           "0 * Y0[1].ravel()])",
+           (INFINITE + "test_closed_form_matches_long_finite_head",)),
+    Mutant("Sigma^T in sim._policy_distance's Z0", SIM,
+           "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])",
+           "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma.T])",
+           (MFT + "test_exact_columns_agree_with_monte_carlo",)),
+    Mutant("independent noise in sim._policy_distance's copies", SIM,
+           "W=np.kron(np.outer(copies, copies), p.W)",
+           "W=np.kron(np.diag(copies), p.W)",
+           (MFT + "test_exact_columns_agree_with_monte_carlo",)),
+    Mutant("transposed A + B K block of sim._tree_costs' Gamma_t", SIM,
+           "np.concatenate([A + B @ K, B @ L], axis=3)",
+           "np.concatenate([(A + B @ K).swapaxes(2, 3), B @ L], axis=3)",
+           (LAYOUT + "test_kernel_matches_agent_major_loop",)),
+    Mutant("R_tilde pair term dropped from sim._tree_costs", SIM,
+           "for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):",
+           "for coef, M, v in ((cQ, Qt, x),):",
+           (LAYOUT + "test_kernel_matches_agent_major_loop",)),
+    Mutant("noise factor transposed in rng.PrimitiveSampler.draw",
+           "src/teamlqg/rng.py",
+           "w[t] = self.Fw @ w[t]",
+           "w[t] = self.Fw.T @ w[t]",
+           (LAYOUT + "test_draw_general_factors_agree_to_rounding",)),
+)
+
+
+def _copy(dest):
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=ignore)
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
+
+
+def _pytest(dest, tests):
+    """Run the named tests in a copy: (completed process, seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(dest, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    probe = subprocess.run(
+        [sys.executable, "-c", "import teamlqg; print(teamlqg.__file__)"],
+        cwd=dest, env=env, capture_output=True, text=True, check=True)
+    if not os.path.realpath(probe.stdout.strip()).startswith(
+            os.path.realpath(dest)):
+        sys.exit(f"the copy imports teamlqg from {probe.stdout.strip()}")
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=dest, env=env, capture_output=True, text=True)
+    return run, time.perf_counter() - t0
+
+
+def _apply(dest, mutant):
+    path = os.path.join(dest, mutant.path)
+    with open(path) as fh:
+        text = fh.read()
+    hits = text.count(mutant.old)
+    if hits != 1:
+        return f"edit matches {hits} times in {mutant.path}"
+    with open(path, "w") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+    return None
+
+
+def main():
+    t_start = time.perf_counter()
+    bad = []
+    named = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="mutant-clean-") as dest:
+        _copy(dest)
+        run, dt = _pytest(dest, named)
+        if run.returncode != 0:
+            print(run.stdout[-3000:], run.stderr[-3000:])
+            sys.exit(f"the named tests fail without any mutant "
+                     f"(pytest exit {run.returncode})")
+        print(f"clean copy: {len(named)} named tests pass ({dt:.1f} s)")
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory(prefix="mutant-") as dest:
+            _copy(dest)
+            problem = _apply(dest, mutant)
+            if problem is None:
+                run, dt = _pytest(dest, mutant.tests)
+                verdict = {0: "SURVIVED", 1: "caught"}.get(
+                    run.returncode, f"ERROR (pytest exit {run.returncode})")
+            else:
+                verdict, dt = f"ERROR ({problem})", 0.0
+        print(f"{verdict:>10}  {mutant.name} ({dt:.1f} s)")
+        if verdict != "caught":
+            bad.append(mutant.name)
+            if problem is None and run.returncode != 0:
+                print(run.stdout[-3000:], run.stderr[-3000:])
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants caught in "
+          f"{time.perf_counter() - t_start:.1f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from teamlqg.cli import (
 )
 from teamlqg import delayed, tree
 from teamlqg.model import Delayed, MeanFieldTree, Tree
-from teamlqg.riccati import RiccatiError
+from teamlqg.riccati import RiccatiError, dare_solve
 
 GOLDEN = {
     "n_dm": 2,
@@ -291,6 +291,25 @@ class TestExitCodes:
         spec_path = write_spec(tmp_path, GOLDEN)
         with pytest.raises(RiccatiError, match="spectral radius 1.25"):
             tree.solve_infinite_tree(load_spec(spec_path))
+        assert main(["solve-tree-inf", spec_path]) == EXIT_NUMERICAL
+
+    def test_coupling_sweep_failure_exits_2(self, tmp_path, monkeypatch):
+        """The stationary coupling sweep's DARE (the second DARE of
+        solve-tree-inf) failing is a named numerical failure."""
+        calls = []
+
+        def dare(A, B, Q, R):
+            calls.append(A.shape)
+            if len(calls) % 2 == 0:
+                raise RiccatiError("DARE doubling did not settle")
+            return dare_solve(A, B, Q, R)
+
+        monkeypatch.setattr(tree, "dare_solve", dare)
+        spec_path = write_spec(tmp_path, GOLDEN)
+        with pytest.raises(tree.CouplingSystemError,
+                           match="stationary coupling sweep: DARE doubling"):
+            tree.solve_infinite_tree(load_spec(spec_path))
+        assert calls == [(1, 1), (1, 1)]
         assert main(["solve-tree-inf", spec_path]) == EXIT_NUMERICAL
 
     def test_unstable_delayed_estimator_raises_and_exits_2(self, tmp_path,

@@ -8,14 +8,18 @@ import pytest
 
 from teamlqg.delayed import (
     GraphPolicy,
+    _rank_condition,
     average_cost,
     closed_loop_cost,
+    check_preconditions,
     closed_loop_radius,
     simulate_estimator,
     solve_delayed_finite,
     solve_delayed_infinite,
+    stacked_data,
     values_psd,
 )
+from teamlqg.linalg import numerical_rank, psd_factor
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -301,3 +305,93 @@ class TestInfiniteHorizon:
         )
         with pytest.raises(ValueError, match="sparsity"):
             solve_delayed_finite(spec, 2)
+
+
+# ---------------------------------------------------------------------------
+# unit-circle rank grid
+
+
+def rank_condition_reference(d, node, grid=720):
+    """The unit-circle rank test one theta at a time (the loop that
+    ``_rank_condition`` batches): one SVD of [A - e^{i theta} I, B; C, D]
+    per grid point."""
+    A, B = d.A_sr(node, node), d.B_sr(node, node)
+    Q, R, S = d.Q_rr(node), d.R_rr(node), d.S_rr(node)
+    nn, mm = A.shape[0], B.shape[1]
+    CD = psd_factor(np.block([[Q, S], [S.T, R]])).T
+    marginal = []
+    for k in range(grid):
+        theta = 2.0 * np.pi * k / grid
+        top = np.hstack([A - np.exp(1j * theta) * np.eye(nn), B])
+        M = np.vstack([top, CD.astype(complex)])
+        if numerical_rank(M) < nn + mm:
+            marginal.append(theta)
+    return marginal
+
+
+GRAPH_DELAYS = {
+    "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "chain4": [[0, 1, INF, INF], [1, 0, 1, INF], [INF, 1, 0, 1],
+               [INF, INF, 1, 0]],
+    "ring4": [[0, 1, INF, 1], [1, 0, 1, INF], [INF, 1, 0, 1],
+              [1, INF, 1, 0]],
+}
+
+
+def graph_spec(rng, delays):
+    """Scalar agents whose cross blocks follow the delay-1 links."""
+    N = len(delays)
+    A = [[np.array([[rng.normal() * (1.0 if i == j else 0.3)]])
+          if delays[i][j] != INF else np.zeros((1, 1)) for j in range(N)]
+         for i in range(N)]
+    B = [[np.array([[rng.uniform(0.5, 1.5) if i == j else 0.2 * rng.normal()]])
+          if delays[i][j] != INF else np.zeros((1, 1)) for j in range(N)]
+         for i in range(N)]
+    return TeamSpec(
+        n_dm=N, horizon=2,
+        dynamics=Blocked(A_blocks=tuple(map(tuple, A)),
+                         B_blocks=tuple(map(tuple, B))),
+        cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
+        noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                        init_offdiag=[[0.0]]),
+        info=Delayed(delays=tuple(tuple(float(v) for v in row)
+                                  for row in delays)),
+    )
+
+
+def marginal_spec(A):
+    """One agent with zero state cost, so every unit-circle eigenvalue of A
+    is an unobserved marginal mode."""
+    n = len(A)
+    return TeamSpec(
+        n_dm=1, horizon=2,
+        dynamics=Homogeneous(A=A, B=np.ones((n, 1))),
+        cost=CostSpec(Q=np.zeros((n, n)), R=[[1.0]]),
+        noise=NoiseSpec(sigma_w=np.eye(n), init_diag=np.eye(n),
+                        init_offdiag=np.zeros((n, n))),
+        info=Delayed(delays=((0.0,),)),
+    )
+
+
+class TestRankGrid:
+    def _both(self, spec):
+        d = stacked_data(spec)
+        nodes = check_preconditions(spec).self_loop_nodes()
+        return ([_rank_condition(d, s) for s in nodes],
+                [rank_condition_reference(d, s) for s in nodes])
+
+    def test_marginal_modes_on_grid_points(self):
+        """An unobserved eigenvalue at z = 1 (grid point 0) and a rotation by
+        pi/4 (grid points 90 and 630): the same theta lists, bit for bit."""
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        for A, expect in (([[1.0]], [0.0]),
+                          ([[c, -s], [s, c]], [np.pi / 4, 7 * np.pi / 4])):
+            batched, reference = self._both(marginal_spec(A))
+            assert batched == reference
+            assert np.allclose(batched[0], expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("graph", sorted(GRAPH_DELAYS))
+    def test_graph_shapes_match_pointwise_reference(self, rng, graph):
+        batched, reference = self._both(graph_spec(rng, GRAPH_DELAYS[graph]))
+        assert batched == reference
+        assert len(batched) >= 1

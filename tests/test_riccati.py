@@ -18,6 +18,7 @@ from teamlqg.riccati import (
     is_detectable,
     is_stabilizable,
     riccati_step,
+    stein_solve,
 )
 
 from conftest import rand_pd, rand_psd
@@ -156,6 +157,32 @@ class TestDare:
             norms.append(abs(P[0, 0]))
         cesaro = np.mean(norms)
         assert abs(cesaro - target) < 1e-4
+
+
+class TestStein:
+    def test_matches_dense_solve(self, rng):
+        """X = Psi + U X V against the Kronecker form of the same equation,
+        (I - V^T kron U) vec(X) = vec(Psi) with column-major vec."""
+        for n, k, ru, rv in ((1, 1, 0.5, 0.9), (3, 2, 0.9, 0.95),
+                             (4, 8, 0.99, 0.97)):
+            U = rng.normal(size=(n, n))
+            V = rng.normal(size=(k, k))
+            U *= ru / spectral_radius(U)
+            V *= rv / spectral_radius(V)
+            Psi = rng.normal(size=(n, k))
+            X = stein_solve(U, Psi, V)
+            ref = np.linalg.solve(np.eye(n * k) - np.kron(V.T, U),
+                                  Psi.ravel(order="F"))
+            assert np.allclose(X, ref.reshape((n, k), order="F"),
+                               rtol=1e-10, atol=1e-10)
+
+    def test_non_contracting_raises(self):
+        """U = V = I: the series does not converge, and the doubling says so
+        rather than returning 2**64 Psi."""
+        cap = riccati.DOUBLING_CAP
+        with pytest.raises(ConvergenceError,
+                           match=f"did not settle after {cap} steps"):
+            stein_solve(np.eye(2), np.ones((2, 3)), np.eye(3))
 
 
 class TestPBH:

@@ -7,6 +7,8 @@ plus their initial states and reconstructs the quadratic-in-L cost exactly,
 then minimizes it in closed form.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -19,8 +21,9 @@ from teamlqg.model import (
     TeamSpec,
     Tree,
     conditional_gain,
+    validate,
 )
-from teamlqg.riccati import ConvergenceError, dare_solve
+from teamlqg.riccati import dare_solve
 from teamlqg.tree import (
     CouplingSystemError,
     closed_form_cost_variants,
@@ -39,7 +42,13 @@ from teamlqg.tree import (
     two_dm,
 )
 
-from conftest import rand_pd, random_tree_spec, scalar_mf_spec, scalar_tree_spec
+from conftest import (
+    assert_nondegenerate,
+    rand_pd,
+    random_tree_spec,
+    scalar_mf_spec,
+    scalar_tree_spec,
+)
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -220,6 +229,17 @@ class TestCouplingGains:
             scale = 1.0 + np.linalg.norm(ref)
             assert np.linalg.norm(np.stack(L) - ref) < 1e-8 * scale, \
                 f"trial {trial} mode {mode.kind}"
+        # pinned inputs with T >= 2 and a generic Sigma: the draws above
+        # include T = 1, where the optimal L is 0 and checks nothing
+        pinned = np.random.default_rng(2718)
+        for mode in (two_dm(), n_dm(3), mean_field(4), mean_field(2)):
+            spec = random_tree_spec(pinned, n=2, T=3, generic_offdiag=True,
+                                    mean_field=mode.kind == "mean_field_N")
+            L, _ = solve_coupling_gains(spec, 3, mode)
+            assert_nondegenerate(L)
+            ref = oracle_L(spec, 3, mode)
+            scale = 1.0 + np.linalg.norm(ref)
+            assert np.linalg.norm(np.stack(L) - ref) < 1e-8 * scale, mode.kind
 
     def test_matches_dense_reference(self, rng):
         """Random n, m in {1, 2, 3} and T <= 48 in all population modes, vs
@@ -239,6 +259,19 @@ class TestCouplingGains:
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(np.stack(L) - ref) <= 1e-10 * scale, \
                 f"trial {trial} mode {mode.kind} n={spec.n} m={spec.m} T={T}"
+        # pinned inputs with T >= 2 (see test_matches_oracle_minimizer)
+        pinned = np.random.default_rng(3141)
+        for mode, n, m, T in ((two_dm(), 2, 3, 17), (n_dm(5), 3, 2, 6),
+                              (mean_field(7), 2, 2, 30),
+                              (mean_field_limit(), 3, 1, 2)):
+            spec = random_tree_spec(
+                pinned, n=n, m=m, T=T, generic_offdiag=True,
+                mean_field=mode.kind.startswith("mean_field"))
+            L, _ = solve_coupling_gains(spec, T, mode)
+            assert_nondegenerate(L)
+            ref = dense_reference_L(spec, T, mode)
+            assert np.linalg.norm(np.stack(L) - ref) <= \
+                1e-10 * np.linalg.norm(ref), f"mode {mode.kind} T={T}"
 
     def test_long_horizon_is_stationary(self, rng):
         """n = m = 4, T = 1024: 16 384 unknowns, far beyond a dense solve."""
@@ -390,6 +423,32 @@ class TestPredictedCost:
 # infinite horizon
 
 
+def rotation_spec(rng):
+    """Two agents, A = 0.84 times a rotation and a small B, so the closed
+    loop barely moves and the coupling schedule decays like 0.84^t."""
+    th = 1.3
+    A = 0.84 * np.array([[np.cos(th), -np.sin(th)],
+                         [np.sin(th), np.cos(th)]])
+    Sd = rand_pd(rng, 2)
+    return TeamSpec(
+        n_dm=2, horizon=8,
+        dynamics=Homogeneous(A=A, B=0.02 * rng.normal(size=(2, 2))),
+        cost=CostSpec(Q=rand_pd(rng, 2), R=rand_pd(rng, 2),
+                      R_tilde=rand_pd(rng, 2, scale=0.3)),
+        noise=NoiseSpec(sigma_w=0.5 * np.eye(2), init_diag=Sd,
+                        init_offdiag=0.3 * Sd),
+        info=Tree(),
+    )
+
+
+def finite_head_gap(spec, pol):
+    """Largest |L_t - L_t^(T)| over the stationary schedule, against the
+    finite-horizon optimum at T = 2h + 64 for a schedule of h stages."""
+    h = pol.horizon_used
+    L_fin, _ = solve_coupling_gains(spec, 2 * h + 64, pol.mode)
+    return max(float(np.linalg.norm(pol.L[t] - L_fin[t])) for t in range(h))
+
+
 class TestInfiniteTree:
     def test_uncoupled_average_cost(self):
         spec = scalar_tree_spec(Rt=None, W=0.7, T=2)
@@ -407,54 +466,69 @@ class TestInfiniteTree:
         assert all(v < 1e-8 for v in tail)
         assert np.linalg.norm(pol.L[0]) > 1e-3   # head is genuinely nonzero
 
-    def test_doubling_reuses_k_bitwise(self, rng, monkeypatch):
-        """Each doubled horizon extends the previous K schedule backward;
-        K and L must equal a from-scratch solve at that horizon bit for bit.
-        A slowly decaying loop (0.84 times a rotation, small B) makes the
-        doubling run from 16 to 256."""
-        th = 1.3
-        A = 0.84 * np.array([[np.cos(th), -np.sin(th)],
-                             [np.sin(th), np.cos(th)]])
-        Sd = rand_pd(rng, 2)
-        spec = TeamSpec(
-            n_dm=2, horizon=8,
-            dynamics=Homogeneous(A=A, B=0.02 * rng.normal(size=(2, 2))),
-            cost=CostSpec(Q=rand_pd(rng, 2), R=rand_pd(rng, 2),
-                          R_tilde=rand_pd(rng, 2, scale=0.3)),
-            noise=NoiseSpec(sigma_w=0.5 * np.eye(2), init_diag=Sd,
-                            init_offdiag=0.3 * Sd),
-            info=Tree(),
-        )
-        seen = []
-        inner = tree_module._coupling_gains
+    def test_closed_form_matches_long_finite_head(self, rng):
+        """The stationary schedule is the head of the finite-horizon optimum,
+        on 40 seeded random specs (n, m <= 3, two or three agents) and on
+        the slowly decaying 0.84-rotation spec."""
+        draw = np.random.default_rng(20261018)
+        specs = [random_tree_spec(draw, n=int(draw.integers(1, 4)),
+                                  m=int(draw.integers(1, 4)),
+                                  n_dm=int(draw.integers(2, 4)))
+                 for _ in range(40)]
+        specs.append(rotation_spec(rng))
+        for k, spec in enumerate(specs):
+            pol = solve_infinite_tree(spec)
+            assert_nondegenerate(pol.L)
+            assert finite_head_gap(spec, pol) < 1e-9, f"spec {k}"
+        assert pol.horizon_used > 64
 
-        def record(spec, T, mode, K):
-            L, G = inner(spec, T, mode, K)
-            seen.append((T, mode, K, L))
-            return L, G
-
-        monkeypatch.setattr(tree_module, "_coupling_gains", record)
+    def test_tiny_b_solves(self):
+        """A = Q = R = 1, R~ = 0.5, B = 0.003: the coupling loop decays like
+        0.997^t, so the schedule runs to thousands of stages."""
+        spec = scalar_tree_spec(B=0.003)
         pol = solve_infinite_tree(spec)
-        monkeypatch.undo()
-        assert [T for T, *_ in seen] == [16, 32, 64, 128, 256]
-        assert pol.horizon_used == 256
-        for T, mode, K, L in seen:
-            K_ref, _ = solve_k_p(spec, T)
-            L_ref, _ = solve_coupling_gains(spec, T, mode)
-            assert all(np.array_equal(a, b) for a, b in zip(K, K_ref))
-            assert all(np.array_equal(a, b) for a, b in zip(L, L_ref))
+        assert_nondegenerate(pol.L, floor=0.1)
+        assert pol.horizon_used > 5000
+        assert all(np.linalg.norm(l) < tree_module.DECAY_TOL
+                   for l in pol.L[pol.decay_horizon:])
+        assert pol.decay_horizon < pol.horizon_used
+        assert finite_head_gap(spec, pol) < 1e-9
 
-    def test_horizon_cap_raises_with_last_disagreement(self, monkeypatch):
-        """A schedule that has not settled by HORIZON_CAP is an error that
-        reports the last prefix disagreement, not a returned policy."""
-        spec = scalar_tree_spec(T=2)
-        monkeypatch.setattr(tree_module, "L_SETTLE_TOL", 0.0)
-        monkeypatch.setattr(tree_module, "HORIZON_CAP", 64)
-        with pytest.raises(ConvergenceError,
-                           match="up to horizon 64") as info:
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        """A schedule that does not decay is an error at STAGE_CAP that names
+        the stage, |L_t| and both spectral radii; it does not hang."""
+        monkeypatch.setattr(tree_module, "DECAY_TOL", 0.0)
+        stage = tree_module.STAGE_CAP - 1
+        with pytest.raises(CouplingSystemError,
+                           match=rf"at stage {stage} \(\|L_t\| = .*\); "
+                                 r"spectral radii 0\.38\d* of A \+ B K and"):
+            solve_infinite_tree(scalar_tree_spec(T=2))
+
+    def test_indefinite_coupling_weight_raises_like_finite_sweep(self):
+        """So < 0 with R Sd + R~ So < 0 makes R_k negative.  R_k / T is the
+        last pivot of every finite sweep, so no horizon is strictly convex
+        in L, and neither is the infinite one."""
+        spec = scalar_tree_spec(R=1.0, Rt=3.0, Sd=1.0, So=-0.5)
+        assert validate(spec).ok
+        with pytest.raises(CouplingSystemError, match="stage 31 of 32"):
+            solve_coupling_gains(spec, 32, two_dm())
+        with pytest.raises(CouplingSystemError,
+                           match="last stage of every horizon"):
             solve_infinite_tree(spec)
-        assert np.isfinite(info.value.residual)
-        assert f"{info.value.residual:.3e}" in str(info.value)
+
+    def test_singular_state_weight_matches_finite_sweep(self, rng):
+        """Q = 0 makes Q_k = 0: with A stable, K = 0 and L = 0 at every
+        horizon.  A rank-one Q makes Q_k singular, with a nonzero schedule."""
+        spec = scalar_tree_spec(A=0.9, Q=0.0)
+        pol = solve_infinite_tree(spec)
+        L_fin, _ = solve_coupling_gains(spec, 64, two_dm())
+        assert np.all(np.stack(pol.L) == 0.0)
+        assert np.all(np.stack(L_fin) == 0.0)
+        spec = rotation_spec(rng)
+        spec = replace(spec, cost=replace(spec.cost, Q=np.diag([1.0, 0.0])))
+        pol = solve_infinite_tree(spec)
+        assert_nondegenerate(pol.L)
+        assert finite_head_gap(spec, pol) < 1e-9
 
     def test_value_cesaro_convergence(self):
         """(1/T) sum_t ||P_t^{(T)} - P_dare|| shrinks as T doubles."""
