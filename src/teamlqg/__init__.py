@@ -50,7 +50,6 @@ from .tree import (
     solve_infinite_tree,
     solve_k_p,
     solve_tree,
-    two_dm,
 )
 from .info_graph import (
     InfoGraph,

@@ -166,6 +166,9 @@ def policy_from_report(data: dict, spec: TeamSpec):
     kind = data.get("kind")
     if kind == "tree":
         mode = _tree.Population(data["mode"], data.get("mode_n"))
+        if mode.n not in (None, spec.n_dm):
+            raise SpecFileError(f"policy is for {mode.n} agents "
+                                f"({mode.kind}), the spec has {spec.n_dm}")
         pol = _tree.TreePolicy(
             horizon=int(data["horizon"]),
             mode=mode,

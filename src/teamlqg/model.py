@@ -125,9 +125,15 @@ class CostSpec:
     """Quadratic stage-cost blocks.
 
     Q, R weight each agent's own state/control; R_tilde couples pairs of
-    controls, Q_tilde couples pairs of states (mean-field variant), and S is
-    the state-control cross term of the delayed-sharing cost.  Absent blocks
-    default to zero.
+    controls, Q_tilde pairs of states, and S is the delayed-sharing cost's
+    state-control cross term.  Absent blocks default to zero.
+
+    One pair convention holds at every N: Tree and Delayed information price
+    the team cost sum_i (x^i' Q x^i + u^i' R u^i) + sum_{i != j} (u^i' R_tilde
+    u^j + x^i' Q_tilde x^j), each ordered pair once (Delayed adds 2 x^i' S u^i;
+    Tree specs leave Q_tilde zero); MeanFieldTree weighs both pair sums
+    2/(N-1).  A reported J is 1/T times the expected total cost of the team,
+    or of one agent of the infinite population for ``mean_field_limit``.
     """
 
     Q: np.ndarray
@@ -209,7 +215,7 @@ class Tree:
 
 @dataclass(frozen=True)
 class MeanFieldTree:
-    """Tree information with 1/(N-1)-scaled cost coupling."""
+    """Tree information whose cost weighs each pair 2/(N-1) (see CostSpec)."""
 
 
 @dataclass(frozen=True)
@@ -383,5 +389,8 @@ def validate(spec: TeamSpec) -> ValidationReport:
         if isinstance(spec.info, MeanFieldTree):
             rep.add("mean-field population n_dm >= 2", N >= 2,
                     "the 1/(N-1)-scaled coupling needs at least two agents")
+        elif cost.Q_tilde is not None and np.any(cost.Q_tilde != 0.0):
+            rep.add("no Q_tilde under tree info", False,
+                    "the tree-class cost does not price Q_tilde")
 
     return rep

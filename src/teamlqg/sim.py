@@ -35,7 +35,6 @@ from .tree import (
     Population,
     TreePolicy,
     cost_weights,
-    default_mode,
     exact_policy_cost,
     mean_field,
     solve_tree,
@@ -44,13 +43,11 @@ from .tree import (
 
 
 def _coupling_coeffs(mode: Population, N: int):
-    """Off-diagonal stage-cost coefficients (control, state) such that the
-    coupling equals c * (sum_i u_i)^T M (sum_j u_j) minus the diagonal."""
-    if mode.kind == "two_dm":
-        return 1.0, 0.0
-    if mode.kind == "n_dm":
-        return 2.0, 0.0
-    return 2.0 / (N - 1), 2.0 / (N - 1)
+    """Off-diagonal stage-cost coefficients (control, state) of an N-agent
+    profile, from ``cost_weights``, such that the coupling equals
+    c * (sum_i u_i)^T M (sum_j u_j) minus the diagonal."""
+    a, b, q, _ = cost_weights(mode)
+    return b / (a * (N - 1)), q / (a * (N - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +468,7 @@ def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
         all(np.array_equal(a, b) for a, b in zip(pol_g.K, pol_u.K))
         and all(np.array_equal(a, b) for a, b in zip(pol_g.L, pol_u.L))
     )
-    mode = default_mode(spec)
-    exact = exact_policy_cost(spec, T, pol_g.K, pol_g.L, mode)
+    exact = exact_policy_cost(spec, T, pol_g.K, pol_g.L, pol_g.mode)
     pset = TreePolicySet.from_policy(pol_g, spec.n_dm)
     rep = simulate(uni_spec, pset, T, n_rollouts, seed)
     mc_ok = abs(rep.mean_cost - exact) <= 3.0 * rep.std_error

@@ -10,7 +10,7 @@ which one backward Riccati sweep and one forward pass solve exactly in
 O(T n^6) time; at the infinite horizon one DARE and one Stein equation replace
 the sweep.  The exact cost of any schedule, and its gradient in L, is the cost
 of the two-agent closed loop of one exchangeable pair, propagated by
-``moments``.
+``moments``, with the pair weighed as ``cost_weights`` states (see CostSpec).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym
-from .model import TeamSpec, conditional_gain
+from .model import MeanFieldTree, TeamSpec, Tree, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
     RiccatiError,
@@ -44,8 +44,7 @@ class CouplingSystemError(RuntimeError):
 class Population:
     """Which cost form and coupling statistic the policy is optimal for.
 
-    kind: "two_dm" (pairwise cost, statistic E(x0^j|x0^i)),
-          "n_dm" (sum-coupled N-agent cost, statistic sum over j != i),
+    kind: "n_dm" (N-agent team total, statistic sum over j != i),
           "mean_field_N" (1/(N-1)-scaled coupling, statistic = average),
           "mean_field_limit" (N -> infinity policy, statistic Sigma x0^i).
     """
@@ -54,14 +53,10 @@ class Population:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("two_dm", "n_dm", "mean_field_N", "mean_field_limit"):
+        if self.kind not in ("n_dm", "mean_field_N", "mean_field_limit"):
             raise ValueError(f"unknown population kind {self.kind!r}")
         if self.kind in ("n_dm", "mean_field_N") and (self.n is None or self.n < 2):
             raise ValueError(f"{self.kind} needs a population size n >= 2")
-
-
-def two_dm():
-    return Population("two_dm")
 
 
 def n_dm(n):
@@ -78,27 +73,23 @@ def mean_field_limit():
 
 def cost_weights(mode: Population):
     """(a, b, q, alpha): total-cost weights of tr(Q Sd)+tr(R Ud), tr(Rt Uo),
-    tr(Qt So), and the scale of the coupling statistic c^i = alpha*Sigma*x0^i.
+    tr(Qt So), and the scale of the coupling statistic c^i = alpha*Sigma*x0^i;
+    the one statement of each kind's pair convention (see CostSpec).
     """
-    if mode.kind == "two_dm":
-        return 2.0, 2.0, 0.0, 1.0
+    N = mode.n
     if mode.kind == "n_dm":
-        N = mode.n
-        return float(N), 2.0 * N * (N - 1), 0.0, float(N - 1)
+        return float(N), float(N * (N - 1)), 0.0, float(N - 1)
     if mode.kind == "mean_field_N":
-        N = mode.n
         return float(N), 2.0 * N, 2.0 * N, 1.0
     # mean_field_limit: per-agent cost of the infinite-population problem
     return 1.0, 2.0, 2.0, 1.0
 
 
 def default_mode(spec: TeamSpec) -> Population:
-    from .model import MeanFieldTree, Tree
-
     if isinstance(spec.info, MeanFieldTree):
         return mean_field(spec.n_dm)
     if isinstance(spec.info, Tree):
-        return two_dm() if spec.n_dm == 2 else n_dm(spec.n_dm)
+        return n_dm(spec.n_dm)
     raise ValueError("tree solver needs Tree or MeanFieldTree information")
 
 
@@ -411,7 +402,7 @@ def closed_form_cost_variants(spec: TeamSpec, policy: TreePolicy):
     powers of A^T); none reproduces the exact value in general, and the
     report exists to quantify their gaps — see the key "best_variant".
     """
-    if policy.mode.kind != "two_dm":
+    if policy.mode != n_dm(2):
         raise ValueError("closed-form cost applies to the two-agent tree mode")
     T = policy.horizon
     p = _params(spec, policy.mode)
@@ -506,8 +497,8 @@ def solve_infinite_tree(spec: TeamSpec,
     RiccatiError when A + B K is unstable, CouplingSystemError when the
     coupling sweep is not strictly convex, unsolvable, or not decayed."""
     mode = default_mode(spec) if mode is None else mode
-    if mode.kind not in ("two_dm", "n_dm"):
-        raise ValueError("infinite-horizon solve supports two_dm/n_dm modes")
+    if mode.kind != "n_dm":
+        raise ValueError("infinite-horizon solve supports n_dm modes")
     A, B = spec.dynamics.A, spec.dynamics.B
     sol = dare_solve(A, B, sym(spec.cost.Q), sym(spec.cost.R))
     radius = spectral_radius(A + B @ sol.K)

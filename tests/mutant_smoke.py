@@ -49,6 +49,12 @@ MUTANTS = (
            "p.alpha * np.kron(eye, p.Sigma.T)])",
            ("tests/test_tree.py::TestPredictedCost::"
             "test_matches_oracle_propagation",)),
+    Mutant("factor 2 restored on n_dm's pair weight in tree.cost_weights",
+           TREE,
+           "return float(N), float(N * (N - 1)), 0.0, float(N - 1)",
+           "return float(N), 2.0 * N * (N - 1), 0.0, float(N - 1)",
+           ("tests/test_tree.py::TestPredictedCost::"
+            "test_exact_cost_is_the_stacked_form",)),
     Mutant("Phi transposed in the stationary Stein equation", TREE,
            "X = stein_solve((Ak + Bk @ F).T, ",
            "X = stein_solve(Ak + Bk @ F, ",

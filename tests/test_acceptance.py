@@ -35,7 +35,6 @@ from teamlqg.tree import (
     solve_coupling_gains,
     solve_k_p,
     solve_tree,
-    two_dm,
 )
 
 from conftest import (
@@ -85,7 +84,7 @@ def test_A1_centralized_oracle_equivalence():
 def test_A2_coupling_gain_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(202)
-    modes = [two_dm(), n_dm(3), n_dm(4), mean_field(3), mean_field(4)]
+    modes = [n_dm(2), n_dm(3), n_dm(4), mean_field(3), mean_field(4)]
     worst = 0.0
     for trial in range(20):
         mode = modes[trial % len(modes)]
@@ -108,7 +107,7 @@ def test_A3_cost_formula_validation():
     for _ in range(5):
         spec = random_tree_spec(rng, n=1, m=1, T=int(rng.integers(2, 5)))
         T = spec.horizon
-        pol = solve_tree(spec, T, two_dm())
+        pol = solve_tree(spec, T, n_dm(2))
         pred = predicted_cost(spec, T, pol)
         v = closed_form_cost_variants(spec, pol)
         assert abs(v["identity"] - v["exact"]) < 1e-12 * (1 + abs(v["exact"]))
@@ -143,8 +142,8 @@ def test_A4_infinite_horizon_convergence():
     radius = spectral_radius(A + B @ K)
 
     spec = scalar_tree_spec(T=2)
-    prev, _ = solve_coupling_gains(spec, 32, two_dm())
-    nxt, _ = solve_coupling_gains(spec, 64, two_dm())
+    prev, _ = solve_coupling_gains(spec, 32, n_dm(2))
+    nxt, _ = solve_coupling_gains(spec, 64, n_dm(2))
     disagreement = max(float(np.abs(nxt[t] - prev[t]).max()) for t in range(32))
     report("A4",
            hit_T is not None and radius < 1.0 and disagreement < 1e-7,
@@ -197,7 +196,7 @@ def test_A6_structural_theorem_suite():
                   for _ in range(2))
         L = tuple(tuple(rng.normal(scale=0.25, size=(1, 1)) for _ in range(3))
                   for _ in range(2))
-        pset = TreePolicySet(mode=two_dm(), K=K, L=L)
+        pset = TreePolicySet(mode=n_dm(2), K=K, L=L)
         delta, ci = exchangeability_check(spec, pset, [1, 0], 5000,
                                           seed=700 + k)
         exch_ok = exch_ok and abs(delta) <= ci
@@ -208,13 +207,13 @@ def test_A6_structural_theorem_suite():
     spec = scalar_tree_spec(T=2)
     for k in range(20):
         p1 = TreePolicySet(
-            mode=two_dm(),
+            mode=n_dm(2),
             K=tuple(tuple(rng.normal(scale=0.3, size=(1, 1))
                           for _ in range(2)) for _ in range(2)),
             L=tuple(tuple(rng.normal(scale=0.3, size=(1, 1))
                           for _ in range(2)) for _ in range(2)))
         p2 = TreePolicySet(
-            mode=two_dm(),
+            mode=n_dm(2),
             K=tuple(tuple(rng.normal(scale=0.3, size=(1, 1))
                           for _ in range(2)) for _ in range(2)),
             L=tuple(tuple(rng.normal(scale=0.3, size=(1, 1))

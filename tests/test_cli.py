@@ -195,6 +195,70 @@ class TestCommands:
         report = json.loads(open(out_path).read())
         assert report["convergence"][0]["N"] == MF["n_dm"]
 
+    def test_solve_tree_and_solve_ndm_price_two_agents_alike(self, tmp_path):
+        """One pair convention at every N: the two-agent team of a Tree spec
+        costs the same through solve-tree and solve-ndm --n 2."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        costs = []
+        for argv in (["solve-tree"], ["solve-ndm", "--n", "2"]):
+            out_path = str(tmp_path / "report.json")
+            assert main(argv[:1] + [spec_path, "--out", out_path]
+                        + argv[1:]) == EXIT_OK
+            costs.append(json.loads(open(out_path).read())["predicted_cost"])
+        assert costs[0] == costs[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_policy_of_another_population_size_rejected(self, tmp_path, capsys,
+                                                        command):
+        """A policy solved for three agents, given with a two-agent spec, is
+        an input error naming both sizes, not the cost of another team or a
+        failed check."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-ndm", spec_path, "--n", "3",
+                     "--out", pol_path]) == EXIT_OK
+        capsys.readouterr()
+        code = main([command, spec_path, "--policy", pol_path,
+                     "--rollouts", "200", "--seed", "7"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "policy is for 3 agents (n_dm), the spec has 2" in captured.err
+        assert "pbp_check" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_two_dm_policy_report_rejected(self, tmp_path, capsys, command):
+        """The two_dm kind is gone, with no alias: a report of it exits 1
+        naming the kind."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        data = json.loads(open(pol_path).read())
+        data["policy"].update(mode="two_dm", mode_n=None)
+        open(pol_path, "w").write(json.dumps(data))
+        capsys.readouterr()
+        code = main([command, spec_path, "--policy", pol_path,
+                     "--rollouts", "200", "--seed", "7"])
+        assert code == EXIT_VALIDATION
+        assert "unknown population kind 'two_dm'" in capsys.readouterr().err
+
+    def test_q_tilde_on_tree_spec_rejected(self, tmp_path, capsys):
+        """The tree-class cost does not price Q_tilde, so a Tree spec that
+        sets it fails validation by name, in check and in every solver
+        command; mean-field and delayed specs still price it."""
+        data = json.loads(json.dumps(GOLDEN))
+        data["cost"]["Q_tilde"] = [[0.3]]
+        spec_path = write_spec(tmp_path, data)
+        assert main(["check", spec_path]) == EXIT_VALIDATION
+        assert "[FAIL] no Q_tilde under tree info" in capsys.readouterr().out
+        for argv in (["solve-tree"], ["solve-tree-inf"], ["solve-ndm", "--n",
+                     "3"], ["verify", "--rollouts", "10", "--seed", "1"]):
+            assert main(argv[:1] + [spec_path] + argv[1:]) == EXIT_VALIDATION
+            assert "no Q_tilde under tree info" in capsys.readouterr().err
+        data = json.loads(json.dumps(DELAYED))
+        data["cost"]["Q_tilde"] = [[0.3]]
+        for ok in (MF, data):
+            assert main(["check", write_spec(tmp_path, ok)]) == EXIT_OK
+
     @pytest.mark.parametrize("command, spec, flag", [
         ("solve-mf", MF, ["--n-max", "8"]),
         ("solve-delayed-inf", DELAYED, ["--tol", "1e-6"]),

@@ -44,7 +44,6 @@ from teamlqg.tree import (
     n_dm,
     predicted_cost,
     solve_tree,
-    two_dm,
 )
 from teamlqg.delayed import (
     GraphPolicy,
@@ -73,7 +72,7 @@ def random_pset(spec, T, rng, scale=0.2):
                     for _ in range(T)) for _ in range(spec.n_dm))
     L = tuple(tuple(rng.normal(scale=scale, size=(spec.m, spec.n))
                     for _ in range(T)) for _ in range(spec.n_dm))
-    return TreePolicySet(mode=two_dm(), K=K, L=L)
+    return TreePolicySet(mode=n_dm(spec.n_dm), K=K, L=L)
 
 
 def optimal_pset(spec, T):
@@ -437,7 +436,7 @@ class TestRolloutLayout:
         uniform = replace(uniform, noise=replace(uniform.noise,
                                                  family="uniform"))
         cases = [
-            (spec_of(2, 2, 1, 3), two_dm()),
+            (spec_of(2, 2, 1, 3), n_dm(2)),
             (spec_of(4, 1, 2, 3), n_dm(4)),
             (spec_of(3, 2, 2, 2, mean_field=True, generic_offdiag=True),
              mean_field(3)),
@@ -523,7 +522,7 @@ class TestSampling:
             info=Tree(),
         )
         zero = TreePolicySet(
-            mode=two_dm(),
+            mode=n_dm(2),
             K=((np.zeros((1, 1)),),) * 2,
             L=((np.zeros((1, 1)),),) * 2,
         )
@@ -575,7 +574,7 @@ class TestExactCost:
         scalar_tree_spec(T=3),
         scalar_tree_spec(T=3, n_dm=3),
         scalar_mf_spec(T=3, n_dm=4),
-    ], ids=["two_dm", "n_dm3", "mean_field4"])
+    ], ids=["n_dm2", "n_dm3", "mean_field4"])
     def test_matches_predicted_for_symmetric_policy(self, spec):
         """The N-agent stacked loop prices the symmetric optimum at the
         predicted cost, which comes from the exchangeable pair loop."""
@@ -714,7 +713,7 @@ class TestStructuralChecks:
         at asymmetric profiles (each agent's K and L moved independently);
         the last spec of each mode has a generic So, so Sigma is not
         symmetric."""
-        modes = ((two_dm(), 2, False), (n_dm(3), 3, False),
+        modes = ((n_dm(2), 2, False), (n_dm(3), 3, False),
                  (mean_field(4), 4, True))
         cases = [(mode, N, mf, False) for mode, N, mf in modes
                  for _ in range(2)]
@@ -764,7 +763,7 @@ class TestStructuralChecks:
         formed as a full product, to 1e-14 relative, on random tree and
         graph loops."""
         loops = []
-        for mode, N in ((two_dm(), 2), (n_dm(3), 3), (mean_field(4), 4)):
+        for mode, N in ((n_dm(2), 2), (n_dm(3), 3), (mean_field(4), 4)):
             spec = random_tree_spec(rng, n=2, m=2, T=3, n_dm=N,
                                     mean_field=N == 4)
             pset = replace(random_pset(spec, 3, rng, scale=0.4), mode=mode)
@@ -814,7 +813,7 @@ class TestStructuralChecks:
         spec = scalar_tree_spec(T=3)
         K = ((np.array([[1.5]]),) * 3, (np.zeros((1, 1)),) * 3)
         L = ((np.zeros((1, 1)),) * 3, (np.zeros((1, 1)),) * 3)
-        pset = TreePolicySet(mode=two_dm(), K=K, L=L)
+        pset = TreePolicySet(mode=n_dm(2), K=K, L=L)
         # exchangeable spec: swapping agents leaves cost invariant, so even
         # this extreme profile must stay inside the band
         delta, ci = exchangeability_check(spec, pset, [1, 0], 40000, seed=17)

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from teamlqg import tree as tree_module
+from teamlqg.delayed import stacked_data
 from teamlqg.model import (
     CostSpec,
     Homogeneous,
@@ -24,6 +25,7 @@ from teamlqg.model import (
     validate,
 )
 from teamlqg.riccati import dare_solve
+from teamlqg.sim import TreePolicySet, exact_cost_general
 from teamlqg.tree import (
     CouplingSystemError,
     closed_form_cost_variants,
@@ -39,7 +41,6 @@ from teamlqg.tree import (
     solve_infinite_tree,
     solve_k_p,
     solve_tree,
-    two_dm,
 )
 
 from conftest import (
@@ -57,8 +58,8 @@ PHI = (1.0 + np.sqrt(5.0)) / 2.0
 # independent oracle: stacked joint-covariance cost
 
 
-MODES = [two_dm(), n_dm(3), mean_field(4), mean_field_limit()]
-MODE_IDS = ["two_dm", "n_dm3", "mean_field4", "mean_field_limit"]
+MODES = [n_dm(2), n_dm(3), mean_field(4), mean_field_limit()]
+MODE_IDS = ["n_dm2", "n_dm3", "mean_field4", "mean_field_limit"]
 
 
 def has_qt(mode):
@@ -67,7 +68,7 @@ def has_qt(mode):
 
 
 def pop_size(mode):
-    return {"two_dm": 2, "mean_field_limit": 2}.get(mode.kind, mode.n)
+    return 2 if mode.kind == "mean_field_limit" else mode.n
 
 
 def oracle_cost(spec, T, K, Lflat, mode):
@@ -75,7 +76,30 @@ def oracle_cost(spec, T, K, Lflat, mode):
     covariance recursion on z = (x^1..x^N, x0^1..x0^N)."""
     N = pop_size(mode)
     a, b, q, alpha = cost_weights(mode)
+    eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
+    # per-pair cost weights: own blocks a/N each (total a), cross-control
+    # pairs b/(N(N-1)) each (total b), cross-state pairs q/(N(N-1)) each
+    Rt = spec.cost.r_tilde_or_zero(spec.m)
+    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    npairs = N * (N - 1)
+    Qfull = np.kron(eye, (a / N) * spec.cost.Q) + np.kron(off, (q / npairs) * Qt)
+    Rfull = np.kron(eye, (a / N) * spec.cost.R) + np.kron(off, (b / npairs) * Rt)
+    return joint_cost(spec, T, K, Lflat, alpha, Qfull, Rfull)
+
+
+def stacked_cost(spec, T, K, Lflat, alpha):
+    """The joint recursion's cost under the stacked stage weights of the
+    delayed class, which weigh each ordered pair's u^i' R~ u^j once."""
+    d = stacked_data(spec)
+    return joint_cost(spec, T, K, Lflat, alpha, d.Q, d.R)
+
+
+def joint_cost(spec, T, K, Lflat, alpha, Qfull, Rfull):
+    """Expected cost, averaged over T, of every agent running
+    u_t^i = K_t x_t^i + L_t c^i, with stage weights Qfull and Rfull on the
+    stacked (x^1..x^N) and (u^1..u^N)."""
     n, m = spec.n, spec.m
+    N = len(Qfull) // n
     L = np.asarray(Lflat, dtype=float).reshape(T, m, n)
     A, B = spec.dynamics.A, spec.dynamics.B
     Sigma = conditional_gain(spec.noise)
@@ -85,14 +109,6 @@ def oracle_cost(spec, T, K, Lflat, mode):
     Sig0 = np.kron(eye, 0.5 * (Sd + Sd.T)) + np.kron(off, 0.5 * (So + So.T))
     Z = np.block([[Sig0, Sig0], [Sig0, Sig0]])
     dim = 2 * N * n
-
-    # per-pair cost weights: own blocks a/N each (total a), cross-control
-    # pairs b/(N(N-1)) each (total b), cross-state pairs q/(N(N-1)) each
-    Rt = spec.cost.r_tilde_or_zero(m)
-    Qt = spec.cost.q_tilde_or_zero(n)
-    npairs = N * (N - 1)
-    Qfull = np.kron(eye, (a / N) * spec.cost.Q) + np.kron(off, (q / npairs) * Qt)
-    Rfull = np.kron(eye, (a / N) * spec.cost.R) + np.kron(off, (b / npairs) * Rt)
 
     total = 0.0
     for t in range(T):
@@ -194,31 +210,31 @@ class TestSolveKP:
 class TestCouplingGains:
     def test_no_coupling_means_zero_l(self, rng):
         spec = random_tree_spec(rng, T=3, coupled=False)
-        L, G = solve_coupling_gains(spec, 3, two_dm())
+        L, G = solve_coupling_gains(spec, 3, n_dm(2))
         assert all(np.allclose(l, 0.0) for l in L)
         assert np.array_equal(G[0], np.eye(spec.n))
 
     def test_single_stage_l_is_zero(self, rng):
         for _ in range(5):
             spec = random_tree_spec(rng, T=1)
-            L, _ = solve_coupling_gains(spec, 1, two_dm())
+            L, _ = solve_coupling_gains(spec, 1, n_dm(2))
             assert np.linalg.norm(L[0]) < 1e-10
 
     def test_scalar_derived_example(self):
         """A=B=Q=R=1, R_tilde=0.5, Sigma=0.5, T=2: the exact minimizer of the
         moment-propagated cost is L = (1/9, 0)."""
         spec = scalar_tree_spec(T=2)
-        L, _ = solve_coupling_gains(spec, 2, two_dm())
+        L, _ = solve_coupling_gains(spec, 2, n_dm(2))
         assert abs(L[0][0, 0] - 1.0 / 9.0) < 1e-12
         assert abs(L[1][0, 0]) < 1e-12
-        ref = oracle_L(spec, 2, two_dm())
+        ref = oracle_L(spec, 2, n_dm(2))
         assert np.allclose(np.stack(L), ref, atol=1e-9)
 
     def test_matches_oracle_minimizer(self, rng):
         """Random scalar and 2x2 instances, all population modes, vs the
         independent stacked-covariance quadratic minimizer."""
         for trial in range(12):
-            mode = [two_dm(), n_dm(3), mean_field(4), mean_field(2)][trial % 4]
+            mode = [n_dm(2), n_dm(3), mean_field(4), mean_field(2)][trial % 4]
             spec = random_tree_spec(
                 rng, T=int(rng.integers(1, 5)),
                 mean_field=mode.kind == "mean_field_N",
@@ -232,7 +248,7 @@ class TestCouplingGains:
         # pinned inputs with T >= 2 and a generic Sigma: the draws above
         # include T = 1, where the optimal L is 0 and checks nothing
         pinned = np.random.default_rng(2718)
-        for mode in (two_dm(), n_dm(3), mean_field(4), mean_field(2)):
+        for mode in (n_dm(2), n_dm(3), mean_field(4), mean_field(2)):
             spec = random_tree_spec(pinned, n=2, T=3, generic_offdiag=True,
                                     mean_field=mode.kind == "mean_field_N")
             L, _ = solve_coupling_gains(spec, 3, mode)
@@ -245,7 +261,7 @@ class TestCouplingGains:
         """Random n, m in {1, 2, 3} and T <= 48 in all population modes, vs
         the dense stationarity system assembled from exact gradients."""
         for trial in range(8):
-            mode = [two_dm(), n_dm(int(rng.integers(2, 9))),
+            mode = [n_dm(2), n_dm(int(rng.integers(2, 9))),
                     mean_field(int(rng.integers(2, 40))),
                     mean_field_limit()][trial % 4]
             spec = random_tree_spec(
@@ -261,7 +277,7 @@ class TestCouplingGains:
                 f"trial {trial} mode {mode.kind} n={spec.n} m={spec.m} T={T}"
         # pinned inputs with T >= 2 (see test_matches_oracle_minimizer)
         pinned = np.random.default_rng(3141)
-        for mode, n, m, T in ((two_dm(), 2, 3, 17), (n_dm(5), 3, 2, 6),
+        for mode, n, m, T in ((n_dm(2), 2, 3, 17), (n_dm(5), 3, 2, 6),
                               (mean_field(7), 2, 2, 30),
                               (mean_field_limit(), 3, 1, 2)):
             spec = random_tree_spec(
@@ -276,25 +292,25 @@ class TestCouplingGains:
     def test_long_horizon_is_stationary(self, rng):
         """n = m = 4, T = 1024: 16 384 unknowns, far beyond a dense solve."""
         spec = random_tree_spec(rng, n=4, m=4, T=1024)
-        L, _ = solve_coupling_gains(spec, 1024, two_dm())
+        L, _ = solve_coupling_gains(spec, 1024, n_dm(2))
         K, _ = solve_k_p(spec, 1024)
-        J, grad = policy_cost_gradient(spec, 1024, K, np.stack(L), two_dm())
+        J, grad = policy_cost_gradient(spec, 1024, K, np.stack(L), n_dm(2))
         assert np.max(np.abs(grad)) <= 1e-10 * (1 + abs(J))
         assert np.linalg.norm(L[0]) > 1e-3
 
     def test_scipy_minimizer_agrees(self, rng):
         spec = scalar_tree_spec(T=3)
         K, _ = solve_k_p(spec, 3)
-        res = minimize(lambda v: oracle_cost(spec, 3, K, v, two_dm()),
+        res = minimize(lambda v: oracle_cost(spec, 3, K, v, n_dm(2)),
                        np.zeros(3), method="BFGS", tol=1e-14)
-        L, _ = solve_coupling_gains(spec, 3, two_dm())
+        L, _ = solve_coupling_gains(spec, 3, n_dm(2))
         assert np.linalg.norm(np.stack(L).ravel() - res.x) < 1e-6
 
     def test_stationarity_finite_difference(self, rng):
         """Central finite-difference gradient of the exact cost at the
         returned gains has norm < 1e-6 (step 1e-5)."""
         spec = random_tree_spec(rng, T=3)
-        mode = two_dm()
+        mode = n_dm(2)
         pol = solve_tree(spec, 3, mode)
         Lflat = np.stack(pol.L).ravel()
         step = 1e-5
@@ -328,8 +344,8 @@ class TestCouplingGains:
               + sum_{s>t} (stuff) ) known to characterize it; checked via the
         equivalent stationarity identity grad J(L*) = 0 exactly."""
         spec = scalar_tree_spec(T=4)
-        pol = solve_tree(spec, 4, two_dm())
-        _, grad = policy_cost_gradient(spec, 4, pol.K, np.stack(pol.L), two_dm())
+        pol = solve_tree(spec, 4, n_dm(2))
+        _, grad = policy_cost_gradient(spec, 4, pol.K, np.stack(pol.L), n_dm(2))
         assert np.max(np.abs(grad)) < 1e-12
 
     def test_singular_system_raises(self):
@@ -337,14 +353,14 @@ class TestCouplingGains:
         # cost loses strict convexity in L and the solve must fail loudly.
         spec = scalar_tree_spec(R=1.0, Rt=-1.0, Sd=1.0, So=1.0, T=1)
         with pytest.raises(CouplingSystemError):
-            solve_coupling_gains(spec, 1, two_dm())
+            solve_coupling_gains(spec, 1, n_dm(2))
 
     def test_singular_last_stage_raises(self):
         # As above with T = 2: the last stage's pivot is
         # (2/T) (R + R_tilde) Sigma^2 Sd = 0, so L_1 drops out of the cost.
         spec = scalar_tree_spec(R=1.0, Rt=-1.0, Sd=1.0, So=1.0, T=2)
         with pytest.raises(CouplingSystemError, match="stage 1 of 2"):
-            solve_coupling_gains(spec, 2, two_dm())
+            solve_coupling_gains(spec, 2, n_dm(2))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +370,7 @@ class TestCouplingGains:
 class TestPredictedCost:
     def test_uncoupled_reduces_to_two_lqr(self, rng):
         spec = random_tree_spec(rng, T=4, coupled=False)
-        pol = solve_tree(spec, 4, two_dm())
+        pol = solve_tree(spec, 4, n_dm(2))
         K, P = solve_k_p(spec, 4)
         W = 0.5 * (spec.noise.sigma_w + spec.noise.sigma_w.T)
         Sd = 0.5 * (spec.noise.init_diag + spec.noise.init_diag.T)
@@ -364,7 +380,7 @@ class TestPredictedCost:
 
     def test_single_stage_cost(self, rng):
         spec = random_tree_spec(rng, T=1)
-        pol = solve_tree(spec, 1, two_dm())
+        pol = solve_tree(spec, 1, n_dm(2))
         Sd = 0.5 * (spec.noise.init_diag + spec.noise.init_diag.T)
         expect = 2.0 * np.trace(0.5 * (spec.cost.Q + spec.cost.Q.T) @ Sd)
         assert predicted_cost(spec, 1, pol) == pytest.approx(expect, rel=1e-10)
@@ -392,7 +408,7 @@ class TestPredictedCost:
     def test_identity_decomposition_is_exact(self, rng):
         for _ in range(6):
             spec = random_tree_spec(rng)
-            pol = solve_tree(spec, spec.horizon, two_dm())
+            pol = solve_tree(spec, spec.horizon, n_dm(2))
             v = closed_form_cost_variants(spec, pol)
             assert abs(v["identity"] - v["exact"]) < 1e-12 * (1 + abs(v["exact"]))
             assert v["best_variant"] in ("literal A^{t}", "literal A^{t-1}")
@@ -403,20 +419,35 @@ class TestPredictedCost:
         with pytest.raises(ValueError):
             predicted_cost(spec, 3, pol)
         with pytest.raises(ValueError, match="K horizon 2 differs"):
-            exact_policy_cost(spec, 1, pol.K, pol.L[:1], two_dm())
+            exact_policy_cost(spec, 1, pol.K, pol.L[:1], n_dm(2))
 
     def test_exchanging_identical_policies_is_neutral(self, rng):
         """Exchangeability at the policy level: with both agents running the
         same schedule, relabeling agents cannot change the exact cost; and
         the cost is symmetric in (Sd, So) pair structure."""
-        from teamlqg.sim import TreePolicySet, exact_cost_general
-
         spec = random_tree_spec(rng, T=3)
-        pol = solve_tree(spec, 3, two_dm())
+        pol = solve_tree(spec, 3, n_dm(2))
         pset = TreePolicySet.from_policy(pol, 2)
         c0 = exact_cost_general(spec, pset, 3)
         c1 = exact_cost_general(spec, pset.permuted([1, 0]), 3)
         assert c0 == pytest.approx(c1, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_exact_cost_is_the_stacked_form(self, N):
+        """At every N a Tree spec's exact cost, from the pair loop and from
+        the N-agent loop, is the stacked form sum_i (x^i' Q x^i
+        + u^i' R u^i) + sum_{i != j} u^i' R~ u^j that the delayed class
+        prices, each ordered pair weighed once."""
+        spec = random_tree_spec(np.random.default_rng(7), T=3, n_dm=N)
+        pol = solve_tree(spec, 3)
+        assert_nondegenerate(pol.L)
+        _, _, _, alpha = cost_weights(pol.mode)
+        ref = stacked_cost(spec, 3, pol.K, np.stack(pol.L), alpha)
+        pset = TreePolicySet.from_policy(pol, N)
+        for J in (exact_policy_cost(spec, 3, pol.K, pol.L, pol.mode),
+                  exact_cost_general(spec, pset, 3)):
+            assert J == pytest.approx(ref, rel=1e-12, abs=0)
+
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +542,7 @@ class TestInfiniteTree:
         spec = scalar_tree_spec(R=1.0, Rt=3.0, Sd=1.0, So=-0.5)
         assert validate(spec).ok
         with pytest.raises(CouplingSystemError, match="stage 31 of 32"):
-            solve_coupling_gains(spec, 32, two_dm())
+            solve_coupling_gains(spec, 32, n_dm(2))
         with pytest.raises(CouplingSystemError,
                            match="last stage of every horizon"):
             solve_infinite_tree(spec)
@@ -521,7 +552,7 @@ class TestInfiniteTree:
         horizon.  A rank-one Q makes Q_k singular, with a nonzero schedule."""
         spec = scalar_tree_spec(A=0.9, Q=0.0)
         pol = solve_infinite_tree(spec)
-        L_fin, _ = solve_coupling_gains(spec, 64, two_dm())
+        L_fin, _ = solve_coupling_gains(spec, 64, n_dm(2))
         assert np.all(np.stack(pol.L) == 0.0)
         assert np.all(np.stack(L_fin) == 0.0)
         spec = rotation_spec(rng)
