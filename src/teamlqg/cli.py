@@ -169,6 +169,14 @@ def policy_from_report(data: dict, spec: TeamSpec):
         if mode.n not in (None, spec.n_dm):
             raise SpecFileError(f"policy is for {mode.n} agents "
                                 f"({mode.kind}), the spec has {spec.n_dm}")
+        try:    # the report prices its mode's cost, which must be the spec's
+            want = _tree.default_mode(spec).kind
+        except ValueError as exc:
+            want = f"none ({exc})"
+        if mode.kind != want and not (mode.kind == "mean_field_limit" and
+                                      isinstance(spec.info, MeanFieldTree)):
+            raise SpecFileError(f"policy mode {mode.kind} differs from the "
+                                f"spec's mode {want}")
         pol = _tree.TreePolicy(
             horizon=int(data["horizon"]),
             mode=mode,
@@ -181,12 +189,13 @@ def policy_from_report(data: dict, spec: TeamSpec):
     if kind == "delayed":
         graph = _delayed.check_preconditions(spec)
         key = lambda s: ",".join(str(i + 1) for i in s)
-        gains = {r: [np.array(g) for g in data["gains"][key(r)]]
-                 for r in graph.nodes}
-        values = {r: [np.array(x) for x in data["values"][key(r)]]
-                  for r in graph.nodes}
-        pol = _delayed.GraphPolicy(graph=graph, horizon=int(data["horizon"]),
-                                   gains=gains, values=values)
+        horizon = data["horizon"]      # None: one gain and value per node
+        load = (np.array if horizon is None
+                else lambda ms: [np.array(m) for m in ms])
+        pol = _delayed.GraphPolicy(
+            graph=graph, horizon=None if horizon is None else int(horizon),
+            gains={r: load(data["gains"][key(r)]) for r in graph.nodes},
+            values={r: load(data["values"][key(r)]) for r in graph.nodes})
         return _sim.GraphPolicySet(policy=pol), pol
     raise SpecFileError(f"unsupported policy kind {kind!r} in policy file")
 

@@ -10,6 +10,10 @@ this module (predicted, moment-propagated, simulated) uses that convention:
 
     J_T = (1/T) E[ sum_{t<T} (x_t^T Q x_t + 2 x_t^T S u_t + u_t^T R u_t)
                    + x_T^T Q x_T ].
+
+The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
+(Lamperski & Doyle, IEEE TAC 2015), so the exact closed loop runs on the
+zeta alone; the Monte Carlo kernel steps x on its own beside them.
 """
 
 from __future__ import annotations
@@ -205,24 +209,26 @@ def _trace_cost(spec, graph, values, T):
 # estimator propagation and closed-loop evaluation
 
 
-def _embeddings(graph, d: _Stacked):
-    """Selection matrices: control embeddings of each node's agents and the
-    per-agent noise loading into its injection node."""
-    N, n, m = d.N, d.n, d.m
-    Eu = {}   # node -> (N*m) x (|r|*m)
-    for r in graph.nodes:
-        eu = np.zeros((N * m, len(r) * m))
-        for pos, i in enumerate(sorted(r)):
-            eu[i * m:(i + 1) * m, pos * m:(pos + 1) * m] = np.eye(m)
-        Eu[r] = eu
-    Wload = {}  # agent i -> (|inj(i)|*n) x n loading of w^i into its node
-    for i in range(N):
-        s = graph.injection_map[i]
-        load = np.zeros((len(s) * n, n))
-        pos = sorted(s).index(i)
-        load[pos * n:(pos + 1) * n, :] = np.eye(n)
-        Wload[i] = load
-    return Eu, Wload
+def _layout(graph: InfoGraph, d: _Stacked):
+    """The node layout shared by the estimator map and the exact loop.
+
+    Node r owns the slices (rows, cols) = blocks[r] of the stacked node
+    controls v and estimator states zeta, in ``graph.nodes`` order, one
+    agent slot per member.  Returns (blocks, Eu, X, H): u = Eu v puts each
+    slot's control on its agent's input, x = X zeta sums each agent's slots
+    over the nodes that contain it, and H loads agent i's x_0^i and w_t^i
+    into its slot of its injection node, so X H = I.
+    """
+    agents = [i for r in graph.nodes for i in r]      # nodes are sorted tuples
+    start = np.cumsum([0] + [len(r) for r in graph.nodes])
+    blocks = {r: (slice(a * d.m, b * d.m), slice(a * d.n, b * d.n))
+              for r, a, b in zip(graph.nodes, start, start[1:])}
+    own = np.equal.outer(np.arange(d.N), agents).astype(float)
+    inject = np.zeros((len(agents), d.N))
+    for i, s in graph.injection_map.items():
+        inject[start[graph.nodes.index(s)] + s.index(i), i] = 1.0
+    return (blocks, np.kron(own, np.eye(d.m)), np.kron(own, np.eye(d.n)),
+            np.kron(inject, np.eye(d.n)))
 
 
 def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
@@ -234,25 +240,21 @@ def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
 
         z_0 = H x_0,   u_t = G_t[:Nm] z_t,   z_{t+1} = G_t[Nm:] z_t + H w_t.
 
-    Returns (G, H, cols): G with shape (T, N m + dim, dim), H with shape
-    (dim, N n), and cols mapping each node to its zeta slice of z.
+    This is the node layout of ``_layout`` with the plant state x stacked
+    on top, stepped on its own.  Returns (G, H, cols): G with shape
+    (T, N m + dim, dim), H with shape (dim, N n), and cols mapping each node
+    to its zeta slice of z.
     """
-    Eu, Wload = _embeddings(graph, d)
+    blocks, Eu, _, Hz = _layout(graph, d)
     nx, p = d.N * d.n, d.N * d.m
-    cols, pos = {}, nx
-    for r in graph.nodes:
-        cols[r] = slice(pos, pos + len(r) * d.n)
-        pos += len(r) * d.n
-    H = np.zeros((pos, nx))
-    H[:nx] = np.eye(nx)
-    for i, s in graph.injection_map.items():
-        H[cols[s], i * d.n:(i + 1) * d.n] = Wload[i]
-    G = np.zeros((T, p + pos, pos))
+    cols = {r: slice(nx + c.start, nx + c.stop) for r, (_, c) in blocks.items()}
+    H = np.vstack([np.eye(nx), Hz])
+    G = np.zeros((T, p + len(H), len(H)))
     Ku, F = G[:, :p], G[:, p:]
-    for r in graph.nodes:
+    for r, (rows, _) in blocks.items():
         s = graph.successor_map[r]
         K = np.array([policy.gain(r, t) for t in range(T)])
-        Ku[:, :, cols[r]] = Eu[r] @ K
+        Ku[:, :, cols[r]] = Eu[:, rows] @ K
         F[:, cols[s], cols[r]] = d.A_sr(s, r) + d.B_sr(s, r) @ K
     F[:, :nx] = d.B @ Ku
     F[:, :nx, :nx] = d.A
@@ -290,65 +292,49 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
 
 
 def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
-    """The joint closed loop of (x, all zeta) under the node gains.
+    """The joint closed loop of all zeta under the node gains.
 
-    The feedback v stacks the node controls K_t^r zeta_t^r, so node r's
-    gain is the block of M_t at (rows, cols) = blocks[r]: its control
-    enters the plant through its agents' inputs and its successor's
-    estimator through B^{sr}.  Returns (loop, blocks).  A finite-horizon
-    policy runs only at its own horizon.
+    The plant state is the fixed sum x = X zeta (``_layout``), so x and
+    u = Eu v enter only the weights: Cz = C_T = X^T Q X, Czv = X^T S Eu,
+    Rv = Eu^T R Eu.  v stacks the node controls K_t^r zeta_t^r, so node r's
+    gain is the block of M_t at (rows, cols) = blocks[r], and zeta^r moves
+    to its successor s through A^{sr} + B^{sr} K_t^r.  Returns (loop,
+    blocks).  A finite-horizon policy runs only at its own horizon.  The sum
+    needs A X = X F0 and B Eu = X Bv (products that only select blocks); a
+    spec whose dynamics break the graph's sparsity raises ValueError.
     """
     if policy.horizon is not None and T != policy.horizon:
         raise ValueError(f"horizon {T} differs from the policy's horizon "
                          f"{policy.horizon}")
     graph = policy.graph
     d = stacked_data(spec)
-    Eu, Wload = _embeddings(graph, d)
-    N, n, m = d.N, d.n, d.m
-    nodes = list(graph.nodes)
-    blocks, pos, row = {}, N * n, 0
-    for r in nodes:
-        blocks[r] = (slice(row, row + len(r) * m), slice(pos, pos + len(r) * n))
-        row += len(r) * m
-        pos += len(r) * n
-    dim, p = pos, row
-    x = slice(0, N * n)
-
-    # z_0 = H x_0 with x_0 block-diagonal covariance (independent agents);
-    # the noise loads the same way.
-    H = np.zeros((dim, N * n))
-    H[x] = np.eye(N * n)
-    for i in range(N):
-        s = graph.injection_map[i]
-        H[blocks[s][1], i * n:(i + 1) * n] += Wload[i]
+    blocks, Eu, X, H = _layout(graph, d)
+    dim, p = H.shape[0], Eu.shape[1]
     F0 = np.zeros((dim, dim))
-    F0[x, x] = d.A
     Bv = np.zeros((dim, p))
     M = np.zeros((T, p, dim))
-    for r in nodes:
-        rows, cols = blocks[r]
+    for r, (rows, cols) in blocks.items():
         s = graph.successor_map[r]
         F0[blocks[s][1], cols] = d.A_sr(s, r)
-        Bv[x, rows] = d.B @ Eu[r]
         Bv[blocks[s][1], rows] = d.B_sr(s, r)
-        for t in range(T):
-            M[t, rows, cols] = policy.gain(r, t)
-    Eu_all = np.hstack([Eu[r] for r in nodes])
-    Cz = np.zeros((dim, dim))
-    Cz[x, x] = d.Q
-    Czv = np.zeros((dim, p))
-    Czv[x] = d.S @ Eu_all
+        M[:, rows, cols] = [policy.gain(r, t) for t in range(T)]
+    if not (np.array_equal(d.A @ X, X @ F0)
+            and np.array_equal(d.B @ Eu, X @ Bv)):
+        raise ValueError("the dynamics move some node's agents outside its "
+                         "successor, so zeta does not carry the plant state")
+    # Independent agents: x_0 and the noise have block-diagonal covariances.
+    Cz = X.T @ d.Q @ X
     loop = ClosedLoop(
-        Z0=H @ np.kron(np.eye(N), sym(spec.noise.init_diag)) @ H.T,
+        Z0=H @ np.kron(np.eye(d.N), sym(spec.noise.init_diag)) @ H.T,
         F0=F0, Bv=Bv, M=M,
-        W=H @ np.kron(np.eye(N), sym(spec.noise.sigma_w)) @ H.T,
-        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all, C_T=Cz)
+        W=H @ np.kron(np.eye(d.N), sym(spec.noise.sigma_w)) @ H.T,
+        Cz=Cz, Czv=X.T @ d.S @ Eu, Rv=Eu.T @ d.R @ Eu, C_T=Cz)
     return loop, blocks
 
 
 def closed_loop_cost(spec: TeamSpec, policy: GraphPolicy, T: int | None = None):
     """Exact expected cost of the assembled controller by propagating the
-    joint covariance of (x, all zeta) — independent of the trace formula."""
+    joint covariance of all zeta — independent of the trace formula."""
     T = policy.horizon if T is None else T
     if T is None:
         raise ValueError("finite horizon required")
@@ -431,11 +417,9 @@ def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
 
 def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
     """Spectral radius of the stationary estimator dynamics over all nodes:
-    the zeta block of the joint loop's F = F0 + Bv M_0, whose x rows never
-    feed back into zeta, so the block carries the estimator spectrum."""
+    the joint loop's map F = F0 + Bv M_0 on all zeta."""
     loop, _ = _closed_loop(spec, policy, 1)
-    x = spec.n_dm * spec.n
-    return spectral_radius((loop.F0 + loop.Bv @ loop.M[0])[x:, x:])
+    return spectral_radius(loop.F0 + loop.Bv @ loop.M[0])
 
 
 def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:

@@ -10,7 +10,8 @@ four users:
   profiles; this loop and the pair loop are both built by
   ``tree._closed_loop`` on z = (x_t, c), with the coupling statistics c
   held constant, so every K and L gain is a plain block of M_t;
-- ``delayed.closed_loop_cost`` prices delayed-sharing controllers;
+- ``delayed.closed_loop_cost`` and ``sim.pbp_check`` price delayed-sharing
+  controllers on the estimator states alone, x = X zeta in the weights;
 - ``sim.mft_sweep`` measures the distance between the N-agent and the
   limit mean-field policies on a one-agent loop carrying both, on
   z = (x^N, x^inf, c).

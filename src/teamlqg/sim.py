@@ -16,7 +16,9 @@ tree-class kernel's batched product takes every agent's (x_t, c), a
 contiguous row per entry, to its control and next state.  The graph-class
 kernel steps z = (x, all zeta) of shape (dim, R) by a map built once per
 call from the estimator recursion (``delayed.estimator_map``), not from the
-exact-cost closed loop, so Monte Carlo stays an independent check of it.
+exact-cost closed loop.  That loop runs on the zeta alone and reads the
+plant state as the fixed sum x = X zeta; the kernel steps the true x on its
+own, so Monte Carlo stays an independent check of the loop and of that sum.
 """
 
 from __future__ import annotations

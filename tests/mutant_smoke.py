@@ -39,9 +39,11 @@ class Mutant:
 
 TREE = "src/teamlqg/tree.py"
 SIM = "src/teamlqg/sim.py"
+DELAYED = "src/teamlqg/delayed.py"
 INFINITE = "tests/test_tree.py::TestInfiniteTree::"
 MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
+ZETA = "tests/test_simulator.py::TestZetaLoop::"
 
 MUTANTS = (
     Mutant("Sigma^T in tree._closed_loop's H", TREE,
@@ -85,6 +87,17 @@ MUTANTS = (
            "w[t] = self.Fw @ w[t]",
            "w[t] = self.Fw.T @ w[t]",
            (LAYOUT + "test_draw_general_factors_agree_to_rounding",)),
+    Mutant("first node's X block dropped in delayed._layout", DELAYED,
+           "np.kron(own, np.eye(d.n))",
+           "np.kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "
+           "np.eye(d.n))",
+           (ZETA + "test_matches_x_zeta_reference",)),
+    Mutant("injection loading in every node of agent i in delayed._layout",
+           DELAYED,
+           "inject[start[graph.nodes.index(s)] + s.index(i), i] = 1.0",
+           "inject[[start[k] + r.index(i) for k, r in "
+           "enumerate(graph.nodes) if i in r], i] = 1.0",
+           (ZETA + "test_matches_x_zeta_reference",)),
 )
 
 

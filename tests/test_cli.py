@@ -180,6 +180,30 @@ class TestCommands:
         pred = json.loads(open(pol_path).read())["predicted_cost"]
         assert abs(rep["mean_cost"] - pred) <= 5 * rep["std_error"]
 
+    def test_stationary_delayed_report_simulates(self, tmp_path, capsys):
+        """A solve-delayed-inf report (horizon null) loads as the stationary
+        policy: simulate prices it within 5 SE of its exact cost at the
+        spec's horizon, and verify, whose pbp check needs a finite horizon,
+        exits 1 by name instead of a traceback."""
+        spec_path = write_spec(tmp_path, DELAYED)
+        pol_path = str(tmp_path / "dinf.json")
+        assert main(["solve-delayed-inf", spec_path,
+                     "--out", pol_path]) == EXIT_OK
+        rep_path = str(tmp_path / "dsim.json")
+        assert main(["simulate", spec_path, "--policy", pol_path,
+                     "--rollouts", "2000", "--seed", "4",
+                     "--out", rep_path]) == EXIT_OK
+        rep = json.loads(open(rep_path).read())
+        spec = load_spec(spec_path)
+        exact = delayed.closed_loop_cost(
+            spec, delayed.solve_delayed_infinite(spec), DELAYED["horizon"])
+        assert abs(rep["mean_cost"] - exact) <= 5 * rep["std_error"]
+        capsys.readouterr()
+        assert main(["verify", spec_path, "--policy", pol_path,
+                     "--rollouts", "200", "--seed", "4"]) == EXIT_VALIDATION
+        assert "finite-horizon graph policy required" in \
+            capsys.readouterr().err
+
     def test_solve_tree_inf_and_delayed_inf(self, tmp_path, capsys):
         assert main(["solve-tree-inf", write_spec(tmp_path, GOLDEN)]) == EXIT_OK
         assert "average cost" in capsys.readouterr().out
@@ -224,6 +248,37 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "policy is for 3 agents (n_dm), the spec has 2" in captured.err
         assert "pbp_check" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_tree_report_of_another_mode_rejected(self, tmp_path, capsys,
+                                                  command):
+        """A tree report prices the cost of its mode, so one priced under
+        a cost the spec does not define exits 1 naming both modes: a
+        mean_field_N report on a Tree spec of the same size, and a
+        mean-field limit report on a one-agent Tree spec (not a division by
+        N - 1 = 0).  The limit report still runs on its mean-field spec."""
+        tree_cost = {k: v for k, v in MF["cost"].items() if k != "Q_tilde"}
+        cases = (
+            (["solve-tree"], MF, dict(MF, info={"kind": "tree"},
+                                      cost=tree_cost),
+             ("mean_field_N", "n_dm")),
+            (["solve-mf"], MF, dict(GOLDEN, n_dm=1),
+             ("mean_field_limit", "n_dm")),
+        )
+        for solve, solved_on, given, modes in cases:
+            pol_path = str(tmp_path / "pol.json")
+            assert main(solve + [write_spec(tmp_path, solved_on, "mf.json"),
+                                 "--out", pol_path]) == EXIT_OK
+            capsys.readouterr()
+            code = main([command, write_spec(tmp_path, given), "--policy",
+                         pol_path, "--rollouts", "200", "--seed", "7"])
+            assert code == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert all(mode in captured.err for mode in modes)
+            assert "mean cost" not in captured.out
+            assert "pbp_check" not in captured.out
+        assert main(["simulate", write_spec(tmp_path, MF), "--policy",
+                     pol_path, "--rollouts", "200", "--seed", "7"]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_two_dm_policy_report_rejected(self, tmp_path, capsys, command):

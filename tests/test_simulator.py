@@ -48,14 +48,16 @@ from teamlqg.tree import (
 from teamlqg.delayed import (
     GraphPolicy,
     _closed_loop,
-    _embeddings,
     closed_loop_cost,
+    closed_loop_radius,
     simulate_estimator,
     solve_delayed_finite,
+    solve_delayed_infinite,
     stacked_data,
 )
 from teamlqg.info_graph import build_info_graph
-from teamlqg.moments import gain_sensitivity, propagate
+from teamlqg.linalg import spectral_radius, sym
+from teamlqg.moments import ClosedLoop, gain_sensitivity, propagate
 
 from conftest import (
     coupled_delayed_spec_2dm,
@@ -203,12 +205,33 @@ def reference_tree_costs(spec, pset, x0, w):
     return cost / T
 
 
+def reference_embeddings(graph, d):
+    """Selection matrices built node by node: Eu[r] ((N m) x (|r| m)) puts
+    node r's controls on its agents' inputs, and Wload[i] ((|s| n) x n)
+    loads agent i's noise into its injection node s."""
+    N, n, m = d.N, d.n, d.m
+    Eu = {}
+    for r in graph.nodes:
+        eu = np.zeros((N * m, len(r) * m))
+        for pos, i in enumerate(sorted(r)):
+            eu[i * m:(i + 1) * m, pos * m:(pos + 1) * m] = np.eye(m)
+        Eu[r] = eu
+    Wload = {}
+    for i in range(N):
+        s = graph.injection_map[i]
+        load = np.zeros((len(s) * n, n))
+        pos = sorted(s).index(i)
+        load[pos * n:(pos + 1) * n, :] = np.eye(n)
+        Wload[i] = load
+    return Eu, Wload
+
+
 def reference_estimator(graph, policy, spec, x0, w):
     """delayed.simulate_estimator as a batch-first loop over nodes and
     agents on a dict of per-node zeta arrays: x0 (batch, N n), w (batch, T,
     N n); returns (x, zeta, u) like it."""
     d = stacked_data(spec)
-    Eu, Wload = _embeddings(graph, d)
+    Eu, Wload = reference_embeddings(graph, d)
     batch, T = w.shape[0], w.shape[1]
     N, n, m = d.N, d.n, d.m
 
@@ -235,6 +258,51 @@ def reference_estimator(graph, policy, spec, x0, w):
     return x, zeta, u
 
 
+def reference_closed_loop(spec, policy, T):
+    """delayed._closed_loop on z = (x, all zeta): the plant state rides
+    beside the estimator states under the open-loop A, and only its block
+    is weighted.  Returns (loop, blocks) like it, blocks offset by N n."""
+    graph = policy.graph
+    d = stacked_data(spec)
+    Eu, Wload = reference_embeddings(graph, d)
+    N, n, m = d.N, d.n, d.m
+    blocks, pos, row = {}, N * n, 0
+    for r in graph.nodes:
+        blocks[r] = (slice(row, row + len(r) * m), slice(pos, pos + len(r) * n))
+        row += len(r) * m
+        pos += len(r) * n
+    dim, p = pos, row
+    x = slice(0, N * n)
+    H = np.zeros((dim, N * n))
+    H[x] = np.eye(N * n)
+    for i in range(N):
+        s = graph.injection_map[i]
+        H[blocks[s][1], i * n:(i + 1) * n] += Wload[i]
+    F0 = np.zeros((dim, dim))
+    F0[x, x] = d.A
+    Bv = np.zeros((dim, p))
+    M = np.zeros((T, p, dim))
+    for r in graph.nodes:
+        rows, cols = blocks[r]
+        s = graph.successor_map[r]
+        F0[blocks[s][1], cols] = d.A_sr(s, r)
+        Bv[x, rows] = d.B @ Eu[r]
+        Bv[blocks[s][1], rows] = d.B_sr(s, r)
+        for t in range(T):
+            M[t, rows, cols] = policy.gain(r, t)
+    Eu_all = np.hstack([Eu[r] for r in graph.nodes])
+    Cz = np.zeros((dim, dim))
+    Cz[x, x] = d.Q
+    Czv = np.zeros((dim, p))
+    Czv[x] = d.S @ Eu_all
+    loop = ClosedLoop(
+        Z0=H @ np.kron(np.eye(N), sym(spec.noise.init_diag)) @ H.T,
+        F0=F0, Bv=Bv, M=M,
+        W=H @ np.kron(np.eye(N), sym(spec.noise.sigma_w)) @ H.T,
+        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all, C_T=Cz)
+    return loop, blocks
+
+
 def reference_graph_costs(spec, policy, x0, w):
     """sim._graph_costs priced on ``reference_estimator``'s trajectories,
     with the terminal cost x_T^T Q x_T."""
@@ -251,14 +319,14 @@ def reference_graph_costs(spec, policy, x0, w):
 
 
 def linked_delayed_spec(rng, delays, n, m, T):
-    """Blocked instance whose off-diagonal blocks follow the delay-1 links
-    (None: never shared), scaled to a stable open loop."""
+    """Blocked instance whose off-diagonal blocks follow the direct links of
+    delay 0 or 1 (None: never shared), scaled to a stable open loop."""
     N = len(delays)
-    A = [[(rng.normal(size=(n, n)) if i == j or delays[i][j] == 1
+    A = [[(rng.normal(size=(n, n)) if i == j or delays[i][j] in (0, 1)
            else np.zeros((n, n))) * (1.0 if i == j else 0.3)
           for j in range(N)] for i in range(N)]
     B = [[(np.eye(n, m) * rng.uniform(0.5, 1.5) if i == j
-           else 0.2 * rng.normal(size=(n, m)) if delays[i][j] == 1
+           else 0.2 * rng.normal(size=(n, m)) if delays[i][j] in (0, 1)
            else np.zeros((n, m))) for j in range(N)] for i in range(N)]
     scale = 0.95 / max(1e-9, np.max(np.abs(np.linalg.eigvals(np.block(A)))))
     return TeamSpec(
@@ -507,6 +575,80 @@ class TestRolloutLayout:
                 assert got_v.shape == ref_v.shape
                 np.testing.assert_allclose(got_v, ref_v, rtol=0,
                                            atol=1e-12 * np.abs(ref_v).max())
+
+
+LINKED_DELAYS = {
+    "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "chain4": [[0, 1, None, None], [1, 0, 1, None],
+               [None, 1, 0, 1], [None, None, 1, 0]],
+    "ring4": [[0, 1, None, 1], [1, 0, 1, None],
+              [None, 1, 0, 1], [1, None, 1, 0]],
+    "pair": [[0, 1], [1, 0]],
+    "zero-link": [[0, 0, None], [1, 0, 1], [None, 1, 0]],
+}
+
+
+class TestZetaLoop:
+    """delayed._closed_loop runs on the estimator states alone, with
+    x = X zeta folded into its weights; it must price every policy as the
+    (x, all zeta) loop does."""
+
+    @pytest.mark.parametrize("graph, n", [
+        ("full3", 1), ("chain4", 1), ("ring4", 1), ("pair", 2),
+        ("zero-link", 2)])
+    def test_matches_x_zeta_reference(self, rng, graph, n):
+        """Cost, every node's pbp (g, h) block (g on the scale 1 + |J|) and
+        the stationary radius agree with the reference to 1e-12 relative,
+        for finite and stationary policies at solved and perturbed gains,
+        with nonzero S, Q~ and R~."""
+        T = 3
+        spec = linked_delayed_spec(rng, LINKED_DELAYS[graph], n, n, T)
+        W = rand_pd(rng, 2 * n)    # [[Q, S], [S^T, R]]: a valid cost
+        spec = replace(spec, cost=CostSpec(
+            Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
+            Q_tilde=rand_psd(rng, n, scale=0.1),
+            R_tilde=rand_psd(rng, n, scale=0.1)))
+        finite, _ = solve_delayed_finite(spec, T)
+        stationary = solve_delayed_infinite(spec)
+        policies = []
+        for pol in (finite, stationary):
+            bump = lambda g: g + 0.1 * rng.normal(size=g.shape)
+            gains = {r: ([bump(g) for g in gs] if pol.horizon else bump(gs))
+                     for r, gs in pol.gains.items()}
+            policies += [pol, replace(pol, gains=gains)]
+        for pol in policies:
+            loop, blocks = _closed_loop(spec, pol, T)
+            ref, ref_blocks = reference_closed_loop(spec, pol, T)
+            assert loop.F0.shape[0] == ref.F0.shape[0] - spec.n_dm * n
+            J, J_ref = propagate(loop).cost, propagate(ref).cost
+            assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
+            got = sim._pbp_terms(loop, blocks)
+            want = sim._pbp_terms(ref, ref_blocks)
+            # g vanishes at solved gains, so it is judged on J's scale.
+            h_scale = max(np.abs(h).max() for _, h in want.values())
+            for r in blocks:
+                for k, scale in ((0, 1.0 + abs(J_ref)), (1, h_scale)):
+                    np.testing.assert_allclose(got[r][k], want[r][k], rtol=0,
+                                               atol=1e-12 * scale)
+            if pol.horizon is None:
+                x = spec.n_dm * n
+                rho = spectral_radius((ref.F0 + ref.Bv @ ref.M[0])[x:, x:])
+                assert abs(closed_loop_radius(spec, pol) - rho) <= 1e-12 * rho
+
+    def test_off_graph_dynamics_raise(self, rng):
+        """On a chain, agent 4's state entering agent 1's dynamics breaks
+        x = X zeta; the exact loop refuses the spec instead of pricing it."""
+        spec = linked_delayed_spec(rng, LINKED_DELAYS["chain4"], 1, 1, 3)
+        pol, _ = solve_delayed_finite(spec, 3)
+        A = [list(row) for row in spec.dynamics.A_blocks]
+        A[0][3] = np.array([[0.3]])
+        bad = replace(spec, dynamics=replace(spec.dynamics, A_blocks=A))
+        for price in (lambda: closed_loop_cost(bad, pol, 3),
+                      lambda: closed_loop_radius(bad, replace(
+                          pol, horizon=None,
+                          gains={r: g[0] for r, g in pol.gains.items()}))):
+            with pytest.raises(ValueError, match="outside its successor"):
+                price()
 
 
 class TestSampling:
