@@ -401,10 +401,14 @@ def cmd_sweep_mft(args):
 
 def cmd_verify(args):
     _check_rollouts(args)
+    if args.rollouts < 2:
+        raise SpecFileError("verify needs --rollouts of at least 2: one "
+                            "rollout has no standard error, so every 3-SE "
+                            "band would be empty")
     spec = _validated_spec(args.spec)
     T = _horizon(args, spec)
     if args.policy:
-        pset, _ = load_policy(args.policy, spec)
+        pset, pol = load_policy(args.policy, spec)
     else:
         pol = _tree.solve_tree(spec, T)
         pset = _sim.TreePolicySet.from_policy(pol, spec.n_dm)
@@ -418,16 +422,16 @@ def cmd_verify(args):
 
     if isinstance(pset, _sim.TreePolicySet):
         perm = list(range(1, spec.n_dm)) + [0]
-        delta, ci = _sim.exchangeability_check(spec, pset, perm,
-                                              args.rollouts, args.seed)
+        (delta, ci), (cs, co, ci2) = _sim.symmetry_checks(
+            spec, pset, perm, args.rollouts, args.seed)
         results.append(("exchangeability_check", abs(delta) <= max(ci, 1e-12),
                         f"delta {delta:.3e} +/- {ci:.3e}"))
-        cs, co, ci2 = _sim.symmetrization_check(spec, pset, args.rollouts,
-                                                args.seed)
         results.append(("symmetrization_check",
                         _sim.symmetrization_holds(cs, co, ci2),
                         f"symmetrized {cs:.6g} vs original {co:.6g}"))
-        ce = _sim.certainty_equivalence_check(spec, args.rollouts, args.seed)
+        solved = _tree.solve_tree(spec, T) if args.policy else pol
+        ce = _sim.certainty_equivalence_check(spec, solved, args.rollouts,
+                                              args.seed)
         results.append(("certainty_equivalence_check",
                         ce["gains_identical"] and ce["uniform_mc_within_3se"],
                         f"gains identical: {ce['gains_identical']}, "

@@ -10,7 +10,9 @@ keyed by the seed, hence bitwise deterministic) next to the solvers' exact
 formulas.  Every engine runs one loop that draws and prices one rng block at
 a time, so beyond one cost per rollout, memory grows with the block size,
 not with the number of rollouts.  Checks that compare tree-class profiles
-price all of them on one draw (``_tree_crn``).  Both kernels run
+price all of them on one draw (``_tree_crn``); ``symmetry_checks`` prices
+the profiles of the exchangeability and symmetrization checks on one, so
+``verify`` draws each block once for both.  Both kernels run
 rollout-last on the sampler's storage, one matrix product per step.  The
 tree-class kernel's batched product takes every agent's (x_t, c), a
 contiguous row per entry, to its control and next state.  The graph-class
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import delayed as _delayed
 from . import tree as _tree
-from .model import Delayed, NoiseSpec, TeamSpec, conditional_gain
+from .model import Delayed, TeamSpec, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .rng import BLOCK, PrimitiveSampler
 from .tree import (
@@ -304,6 +306,20 @@ def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
 # structural checks
 
 
+def _exchangeability_stats(base, perm):
+    """(delta_mean, 3-SE half width) of perm - base, per-rollout costs of a
+    profile and its permutation on one draw."""
+    diff = perm - base
+    return float(np.mean(diff)), 3.0 * _se(diff)
+
+
+def _symmetrization_stats(orig, symm):
+    """(cost_sym, cost_orig, 3-SE half width of symm - orig), per-rollout
+    costs of a profile and its symmetrization on one draw."""
+    diff = symm - orig
+    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(diff)
+
+
 def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
                           n_rollouts: int, seed: int):
     """Estimates J(permuted profile) - J(profile) with common random numbers.
@@ -311,10 +327,9 @@ def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
     For exchangeable specs the true difference is zero for any permutation.
     Returns (delta_mean, 3-standard-error half width).
     """
-    base, perm = _tree_crn(spec, policies.horizon, n_rollouts, seed, policies,
-                           policies.permuted(permutation))
-    diff = perm - base
-    return float(np.mean(diff)), 3.0 * _se(diff)
+    return _exchangeability_stats(*_tree_crn(
+        spec, policies.horizon, n_rollouts, seed, policies,
+        policies.permuted(permutation)))
 
 
 def symmetrize(policies: TreePolicySet) -> TreePolicySet:
@@ -338,10 +353,26 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
     least as well; returns (cost_sym, cost_orig, 3-SE half width of the
     difference).
     """
-    orig, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
-                           policies, symmetrize(policies))
-    diff = symm - orig
-    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(diff)
+    return _symmetrization_stats(*_tree_crn(
+        spec, policies.horizon, n_rollouts, seed, policies,
+        symmetrize(policies)))
+
+
+def symmetry_checks(spec: TeamSpec, policies: TreePolicySet, permutation,
+                    n_rollouts: int, seed: int):
+    """``exchangeability_check`` and ``symmetrization_check`` on one draw.
+
+    Prices the profile, its permutation and its symmetrization on common
+    random numbers.  A profile's per-rollout costs do not depend on which
+    other profiles share the draw, so the two results equal the standalone
+    checks' bit for bit.  Returns (exchangeability result, symmetrization
+    result).
+    """
+    orig, perm, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
+                                 policies, policies.permuted(permutation),
+                                 symmetrize(policies))
+    return (_exchangeability_stats(orig, perm),
+            _symmetrization_stats(orig, symm))
 
 
 def symmetrization_holds(cost_sym: float, cost_orig: float,
@@ -451,37 +482,34 @@ def _pbp_graph(spec, policies, T):
                              for r, b in blocks.items()})
 
 
-def certainty_equivalence_check(spec: TeamSpec, n_rollouts: int, seed: int):
+def certainty_equivalence_check(spec: TeamSpec, policy: TreePolicy,
+                                n_rollouts: int, seed: int):
     """The solved gains must depend on the noise only through its moments.
 
-    Solves the same instance under the gaussian and uniform families
+    ``policy`` is ``solve_tree(spec, T)``, the solution under the spec's
+    gaussian noise.  Solves the same instance under the uniform family
     (identical covariances), asserts gain equality exactly, and checks the
-    uniform-noise Monte Carlo cost against the exact moment cost.
+    uniform-noise Monte Carlo cost against the exact moment cost of
+    ``policy``.  Person-by-person stationarity is ``pbp_check``'s, not
+    this check's.
     """
-    uniform_noise = NoiseSpec(sigma_w=spec.noise.sigma_w,
-                              init_diag=spec.noise.init_diag,
-                              init_offdiag=spec.noise.init_offdiag,
-                              family="uniform")
-    uni_spec = replace(spec, noise=uniform_noise)
-    T = spec.horizon
-    pol_g = solve_tree(spec, T)
+    uni_spec = replace(spec, noise=replace(spec.noise, family="uniform"))
+    T = policy.horizon
     pol_u = solve_tree(uni_spec, T)
     gains_equal = (
-        all(np.array_equal(a, b) for a, b in zip(pol_g.K, pol_u.K))
-        and all(np.array_equal(a, b) for a, b in zip(pol_g.L, pol_u.L))
+        all(np.array_equal(a, b) for a, b in zip(policy.K, pol_u.K))
+        and all(np.array_equal(a, b) for a, b in zip(policy.L, pol_u.L))
     )
-    exact = exact_policy_cost(spec, T, pol_g.K, pol_g.L, pol_g.mode)
-    pset = TreePolicySet.from_policy(pol_g, spec.n_dm)
-    rep = simulate(uni_spec, pset, T, n_rollouts, seed)
+    exact = exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
+    rep = simulate(uni_spec, TreePolicySet.from_policy(policy, spec.n_dm), T,
+                   n_rollouts, seed)
     mc_ok = abs(rep.mean_cost - exact) <= 3.0 * rep.std_error
-    defect = pbp_check(spec, pset, T)
     return {
         "gains_identical": bool(gains_equal),
         "exact_cost": exact,
         "uniform_mc_cost": rep.mean_cost,
         "uniform_mc_3se": 3.0 * rep.std_error,
         "uniform_mc_within_3se": bool(mc_ok),
-        "stationarity_defect": float(defect),
     }
 
 

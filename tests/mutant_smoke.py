@@ -98,6 +98,11 @@ MUTANTS = (
            "inject[[start[k] + r.index(i) for k, r in "
            "enumerate(graph.nodes) if i in r], i] = 1.0",
            (ZETA + "test_matches_x_zeta_reference",)),
+    Mutant("verify's symmetrization gap against the permuted row", SIM,
+           "_symmetrization_stats(orig, symm))",
+           "_symmetrization_stats(perm, symm))",
+           ("tests/test_simulator.py::TestStructuralChecks::"
+            "test_symmetry_checks_equal_standalone",)),
 )
 
 

@@ -223,7 +223,9 @@ def test_A6_structural_theorem_suite():
                                                  seed=800 + k)
         conv_ok = conv_ok and lhs <= rhs + ci3
 
-    ce = certainty_equivalence_check(scalar_tree_spec(T=3), 20_000, seed=66)
+    ce_spec = scalar_tree_spec(T=3)
+    ce = certainty_equivalence_check(ce_spec, solve_tree(ce_spec, 3), 20_000,
+                                     seed=66)
     ce_ok = ce["gains_identical"] and ce["uniform_mc_within_3se"]
     dt = time.time() - t0
     report("A6", exch_ok and symm_ok and conv_ok and ce_ok,

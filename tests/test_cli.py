@@ -337,6 +337,46 @@ class TestCommands:
                      "symmetrization_check", "certainty_equivalence_check"):
             assert f"[PASS] {name}" in out
 
+    def test_verify_draws_solves_and_prices_once(self, tmp_path, monkeypatch):
+        """One tree verify repeats no draw of a (seed, family, shape), solves
+        the gaussian and the uniform-noise policy once each, runs one gain
+        sensitivity pass (pbp_check's), and takes its exchangeability and
+        symmetrization numbers bit for bit from the standalone checks'."""
+        from teamlqg import rng, sim
+        draws, solves, passes, verdicts, shared = [], [], [], [], []
+
+        def spy(owner, name, note):
+            fn = getattr(owner, name)
+
+            def spied(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                note(out, *args, **kwargs)
+                return out
+            monkeypatch.setattr(owner, name, spied)
+
+        spy(rng.PrimitiveSampler, "draw",
+            lambda out, smp, T, R, seed, first_block=0: draws.append(
+                (seed, smp.family, T, R, smp.n_dm, smp.n, first_block)))
+        spy(tree, "solve_tree", lambda out, spec, *a, **k: solves.append(
+            spec.noise.family))
+        monkeypatch.setattr(sim, "solve_tree", tree.solve_tree)
+        spy(sim, "gain_sensitivity", lambda out, *a: passes.append(out))
+        spy(sim, "symmetrization_holds", lambda out, *a: verdicts.append(a))
+        spy(sim, "symmetry_checks", lambda out, *a: shared.append(out))
+        spec_path = write_spec(tmp_path, dict(GOLDEN, n_dm=3))
+        assert main(["verify", spec_path, "--rollouts", "300",
+                     "--seed", "5"]) == EXIT_OK
+        assert len(draws) == len(set(draws)) == 2
+        assert sorted(solves) == ["gaussian", "uniform"]
+        assert len(passes) == 1
+
+        spec = load_spec(spec_path)
+        pset = sim.TreePolicySet.from_policy(tree.solve_tree(spec), 3)
+        (exch, _), = shared
+        assert exch == sim.exchangeability_check(spec, pset, [1, 2, 0], 300,
+                                                 5)
+        assert verdicts == [sim.symmetrization_check(spec, pset, 300, 5)]
+
     def test_verify_corrupted_gain_exits_1_naming_pbp(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, GOLDEN)
         pol_path = str(tmp_path / "pol.json")
@@ -468,6 +508,18 @@ class TestExitCodes:
                          "1", "--out", out]) == EXIT_VALIDATION
             assert "--rollouts must be at least 1" in capsys.readouterr().err
             assert not os.path.exists(out)
+
+    def test_verify_needs_two_rollouts(self, tmp_path, capsys):
+        """One rollout has no standard error, so verify's 3-SE bands would
+        be empty: an input error naming that reason, not a failed check."""
+        out = str(tmp_path / "verify.json")
+        assert main(["verify", write_spec(tmp_path, GOLDEN), "--rollouts",
+                     "1", "--seed", "1", "--out", out]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--rollouts of at least 2" in captured.err
+        assert "one rollout has no standard error" in captured.err
+        assert "[FAIL]" not in captured.out
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("horizon", ["0", "-2"])
     def test_horizon_below_one_rejected(self, tmp_path, capsys, horizon):

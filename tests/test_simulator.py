@@ -34,6 +34,7 @@ from teamlqg.sim import (
     symmetrization_check,
     symmetrization_holds,
     symmetrize,
+    symmetry_checks,
 )
 from teamlqg.sim import _graph_mc
 from teamlqg.tree import (
@@ -794,6 +795,19 @@ class TestStructuralChecks:
         assert (exact_cost_general(spec, symmetrize(aset), 3)
                 <= exact_cost_general(spec, aset, 3) + 1e-12)
 
+    @pytest.mark.parametrize("profile", ["solved", "asymmetric"])
+    def test_symmetry_checks_equal_standalone(self, rng, profile):
+        """verify's one-draw pricing of the original, permuted and
+        symmetrized profiles gives both checks' numbers bit for bit, for a
+        solved profile and for random per-agent K and L."""
+        spec = random_tree_spec(rng, n=2, m=2, T=4, n_dm=3)
+        pset = (optimal_pset(spec, 4)[0] if profile == "solved"
+                else random_pset(spec, 4, rng))
+        exch, symm = symmetry_checks(spec, pset, [1, 2, 0], 300, seed=21)
+        assert exch == exchangeability_check(spec, pset, [1, 2, 0], 300,
+                                             seed=21)
+        assert symm == symmetrization_check(spec, pset, 300, seed=21)
+
     def test_symmetrization_verdict_tie_and_violation(self):
         # an already symmetric profile ties with its average up to rounding,
         # and its common-random-number band is then zero
@@ -929,10 +943,11 @@ class TestStructuralChecks:
 
     def test_certainty_equivalence(self):
         spec = scalar_tree_spec(T=3)
-        rep = certainty_equivalence_check(spec, 20000, seed=13)
+        pset, pol = optimal_pset(spec, 3)
+        rep = certainty_equivalence_check(spec, pol, 20000, seed=13)
         assert rep["gains_identical"]
         assert rep["uniform_mc_within_3se"]
-        assert rep["stationarity_defect"] < 1e-7
+        assert pbp_check(spec, pset, 3) < 1e-7
 
     def test_certainty_equivalence_negative_control(self):
         """Changing sigma_w between two solves changes nothing for K (gains
