@@ -34,7 +34,7 @@ limit = meanfield_limit_policy(spec, T=3)
 print("coupling gains of the N-agent optimum against the limit policy:")
 for N in (2, 4, 8, 16):
     L_N, _ = solve_coupling_gains(spec, 3, mean_field(N))
-    gap = max(np.linalg.norm(a - b) for a, b in zip(L_N, limit.L))
+    gap = max(map(np.linalg.norm, L_N - limit.L))
     print(f"  N = {N:3d}:  max_t |L^(N) - L^inf| = {gap:.3e}")
 print()
 print("limit policy (u_t^i = K_t x_t^i + L_t Sigma x_0^i):")

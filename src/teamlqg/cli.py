@@ -162,10 +162,58 @@ def write_report(path, payload):
 # policy (de)serialization for simulate/verify round-trips
 
 
+def _field(data, key, where="policy report"):
+    if not isinstance(data, dict) or key not in data:
+        raise SpecFileError(f"{where} has no {key!r}")
+    return data[key]
+
+
+def _schedule(value, name, shape):
+    """A report's schedule as a float array of the given shape."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"policy {name} is not a numeric array") from exc
+    if arr.shape != shape:
+        raise SpecFileError(f"policy {name} has shape {arr.shape}, expected "
+                            f"{shape}")
+    return arr
+
+
+def _report_horizon(data, stationary_ok):
+    """A report's horizon: a positive integer, or None if ``stationary_ok``."""
+    T = _field(data, "horizon")
+    if (T is None and stationary_ok) or (type(T) is int and T >= 1):
+        return T
+    raise SpecFileError(f"policy horizon {T!r} is not a positive integer")
+
+
+def _node_schedules(data, name, graph, stages, rows, cols):
+    """data[name] as {node r: float array of shape stages + (|r| rows,
+    |r| cols)}, in the report's node order, so that the policy dumps back
+    to the same bytes."""
+    table = _field(data, name)
+    nodes = {_delayed.node_key(r): r for r in graph.nodes}
+    for k in nodes:
+        _field(table, k, f"policy {name}")
+    return {r: _schedule(table[k], f"{name}[{k}]",
+                         (*stages, len(r) * rows, len(r) * cols))
+            for k in table if (r := nodes.get(k))}
+
+
 def policy_from_report(data: dict, spec: TeamSpec):
-    kind = data.get("kind")
+    """The policy of a solver report (its ``as_dict``) for ``spec``, as
+    (policy set, policy).  Raises SpecFileError naming the field when a key
+    is missing, a number is not an integer where one is needed, or a
+    schedule's shape does not fit the horizon and the spec's (or the
+    node's) block sizes."""
+    kind = _field(data, "kind")
+    n, m = spec.n, spec.m
     if kind == "tree":
-        mode = _tree.Population(data["mode"], data.get("mode_n"))
+        mode_n = data.get("mode_n")
+        if not (mode_n is None or type(mode_n) is int):
+            raise SpecFileError(f"policy mode_n {mode_n!r} is not an integer")
+        mode = _tree.Population(_field(data, "mode"), mode_n)
         if mode.n not in (None, spec.n_dm):
             raise SpecFileError(f"policy is for {mode.n} agents "
                                 f"({mode.kind}), the spec has {spec.n_dm}")
@@ -177,25 +225,22 @@ def policy_from_report(data: dict, spec: TeamSpec):
                                       isinstance(spec.info, MeanFieldTree)):
             raise SpecFileError(f"policy mode {mode.kind} differs from the "
                                 f"spec's mode {want}")
-        pol = _tree.TreePolicy(
-            horizon=int(data["horizon"]),
-            mode=mode,
-            K=[np.array(k) for k in data["K"]],
-            L=[np.array(l) for l in data["L"]],
-            P=[np.array(p) for p in data["P"]],
-            G=[np.array(g) for g in data["G"]],
-        )
+        T = _report_horizon(data, stationary_ok=False)
+        shapes = {"K": (T, m, n), "L": (T, m, n), "P": (T + 1, n, n),
+                  "G": (T, n, n)}
+        pol = _tree.TreePolicy(horizon=T, mode=mode, **{
+            name: _schedule(_field(data, name), name, shape)
+            for name, shape in shapes.items()})
         return _sim.TreePolicySet.from_policy(pol, spec.n_dm), pol
     if kind == "delayed":
         graph = _delayed.check_preconditions(spec)
-        key = lambda s: ",".join(str(i + 1) for i in s)
-        horizon = data["horizon"]      # None: one gain and value per node
-        load = (np.array if horizon is None
-                else lambda ms: [np.array(m) for m in ms])
+        T = _report_horizon(data, stationary_ok=True)   # None: stationary
+        stages = [] if T is None else [T]
         pol = _delayed.GraphPolicy(
-            graph=graph, horizon=None if horizon is None else int(horizon),
-            gains={r: load(data["gains"][key(r)]) for r in graph.nodes},
-            values={r: load(data["values"][key(r)]) for r in graph.nodes})
+            graph=graph, horizon=T,
+            gains=_node_schedules(data, "gains", graph, stages, m, n),
+            values=_node_schedules(data, "values", graph,
+                                   [t + 1 for t in stages], n, n))
         return _sim.GraphPolicySet(policy=pol), pol
     raise SpecFileError(f"unsupported policy kind {kind!r} in policy file")
 
@@ -206,6 +251,8 @@ def load_policy(path: str, spec: TeamSpec):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"cannot read policy file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecFileError("policy file must contain a JSON object")
     return policy_from_report(data.get("policy", data), spec)
 
 
@@ -288,7 +335,7 @@ def cmd_solve_mf(args):
     T = _horizon(args, spec)
     pol = _tree.meanfield_limit_policy(spec, T)
     L_N, _ = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
-    gap = max(float(np.linalg.norm(a - b)) for a, b in zip(L_N, pol.L))
+    gap = float(max(map(np.linalg.norm, L_N - pol.L)))
     print(f"mean-field limit policy solved at horizon {T}")
     print(f"  N={spec.n_dm:4d}  max_t |L^N - L^inf| {gap:.3e}")
     for t in range(T):

@@ -114,8 +114,9 @@ def check_preconditions(spec: TeamSpec):
 class GraphPolicy:
     """Per-node gain schedules for u_t^i = sum_{r containing i} I^{{i},r} K_t^r zeta_t^r.
 
-    ``gains[r]`` is a list over t of (|r|m x |r|n) matrices; ``values[r]``
-    the corresponding X_t^r, t = 0..T (or single matrices when stationary).
+    ``gains[r]`` is the float array of K_t^r, shape (T, |r|m, |r|n), and
+    ``values[r]`` that of X_t^r, shape (T + 1, |r|n, |r|n); a stationary
+    policy drops the stage axis.  Nested sequences of those shapes convert.
     """
 
     graph: InfoGraph
@@ -123,18 +124,25 @@ class GraphPolicy:
     gains: dict
     values: dict
 
-    def gain(self, node, t):
+    def __post_init__(self):
+        for name in ("gains", "values"):
+            object.__setattr__(self, name, {
+                r: np.asarray(v, dtype=float)
+                for r, v in getattr(self, name).items()})
+
+    def schedule(self, node, T):
+        """Node's gains K_t^r as a (T, |r|m, |r|n) array; a finite schedule
+        runs only at its own horizon, a stationary gain at every stage."""
         g = self.gains[node]
-        return g if self.horizon is None else g[t]
+        if self.horizon is None:
+            return np.broadcast_to(g, (T, *g.shape))
+        if T != self.horizon:
+            raise ValueError(f"horizon {T} differs from the policy's horizon "
+                             f"{self.horizon}")
+        return g
 
     def as_dict(self):
-        key = lambda s: ",".join(str(i + 1) for i in s)
-        if self.horizon is None:
-            gains = {key(r): g.tolist() for r, g in self.gains.items()}
-            values = {key(r): x.tolist() for r, x in self.values.items()}
-        else:
-            gains = {key(r): [g.tolist() for g in gs] for r, gs in self.gains.items()}
-            values = {key(r): [x.tolist() for x in xs] for r, xs in self.values.items()}
+        per_node = lambda d: {node_key(r): a.tolist() for r, a in d.items()}
         return {
             "kind": "delayed",
             "horizon": self.horizon,
@@ -142,9 +150,14 @@ class GraphPolicy:
             "edges": [[list(r), list(s)] for r, s in self.graph.edges],
             "injection": {str(i + 1): list(s)
                           for i, s in self.graph.injection_map.items()},
-            "gains": gains,
-            "values": values,
+            "gains": per_node(self.gains),
+            "values": per_node(self.values),
         }
+
+
+def node_key(node):
+    """A node's key in reports: its agents numbered from 1, as in "1,2"."""
+    return ",".join(str(i + 1) for i in node)
 
 
 def _node_step(d: _Stacked, r, s, X_next):
@@ -167,25 +180,25 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
     T = spec.horizon if T is None else T
     graph = check_preconditions(spec)
     d = stacked_data(spec)
-    values = {r: [None] * (T + 1) for r in graph.nodes}
-    gains = {r: [None] * T for r in graph.nodes}
+    values = {r: np.empty((T + 1, len(r) * d.n, len(r) * d.n))
+              for r in graph.nodes}
+    gains = {r: np.empty((T, len(r) * d.m, len(r) * d.n)) for r in graph.nodes}
     for r in graph.nodes:
         values[r][T] = sym(d.Q_rr(r))
     for t in range(T - 1, -1, -1):
         for r in graph.nodes:
             s = graph.successor_map[r]
             try:
-                X, K = _node_step(d, r, s, values[s][t + 1])
+                values[r][t], gains[r][t] = _node_step(d, r, s,
+                                                       values[s][t + 1])
             except NodeRecursionError as exc:
                 raise NodeRecursionError(f"{exc} at stage {t}") from exc
-            values[r][t] = X
-            gains[r][t] = K
     policy = GraphPolicy(graph=graph, horizon=T, gains=gains, values=values)
     cost = _trace_cost(spec, graph, values, T)
     return policy, cost
 
 
-def _node_block(graph, node, i, M, blk):
+def _node_block(node, i, M, blk):
     """Diagonal block of a node matrix M for agent i (block size blk)."""
     pos = sorted(node).index(i)
     return M[pos * blk:(pos + 1) * blk, pos * blk:(pos + 1) * blk]
@@ -197,11 +210,9 @@ def _trace_cost(spec, graph, values, T):
     total = 0.0
     for i in range(spec.n_dm):
         s = graph.injection_map[i]
-        total += float(np.trace(_node_block(graph, s, i, values[s][0], n) @ Sd))
+        total += float(np.trace(_node_block(s, i, values[s][0], n) @ Sd))
         for t in range(T):
-            total += float(
-                np.trace(_node_block(graph, s, i, values[s][t + 1], n) @ W)
-            )
+            total += float(np.trace(_node_block(s, i, values[s][t + 1], n) @ W))
     return total / T
 
 
@@ -253,7 +264,7 @@ def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
     Ku, F = G[:, :p], G[:, p:]
     for r, (rows, _) in blocks.items():
         s = graph.successor_map[r]
-        K = np.array([policy.gain(r, t) for t in range(T)])
+        K = policy.schedule(r, T)
         Ku[:, :, cols[r]] = Eu[:, rows] @ K
         F[:, cols[s], cols[r]] = d.A_sr(s, r) + d.B_sr(s, r) @ K
     F[:, :nx] = d.B @ Ku
@@ -303,9 +314,6 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
     needs A X = X F0 and B Eu = X Bv (products that only select blocks); a
     spec whose dynamics break the graph's sparsity raises ValueError.
     """
-    if policy.horizon is not None and T != policy.horizon:
-        raise ValueError(f"horizon {T} differs from the policy's horizon "
-                         f"{policy.horizon}")
     graph = policy.graph
     d = stacked_data(spec)
     blocks, Eu, X, H = _layout(graph, d)
@@ -317,7 +325,7 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
         s = graph.successor_map[r]
         F0[blocks[s][1], cols] = d.A_sr(s, r)
         Bv[blocks[s][1], rows] = d.B_sr(s, r)
-        M[:, rows, cols] = [policy.gain(r, t) for t in range(T)]
+        M[:, rows, cols] = policy.schedule(r, T)
     if not (np.array_equal(d.A @ X, X @ F0)
             and np.array_equal(d.B @ Eu, X @ Bv)):
         raise ValueError("the dynamics move some node's agents outside its "
@@ -431,13 +439,11 @@ def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:
     for i in range(spec.n_dm):
         s = policy.graph.injection_map[i]
         total += float(
-            np.trace(_node_block(policy.graph, s, i, policy.values[s], spec.n) @ W)
+            np.trace(_node_block(s, i, policy.values[s], spec.n) @ W)
         )
     return total
 
 
 def values_psd(policy: GraphPolicy) -> bool:
-    vals = []
-    for r, v in policy.values.items():
-        vals.extend(v if policy.horizon is not None else [v])
-    return all(is_psd(X) for X in vals)
+    return all(is_psd(X) for v in policy.values.values()
+               for X in v.reshape(-1, *v.shape[-2:]))

@@ -255,9 +255,8 @@ def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
 
 
 def _check_horizon(T, horizon):
-    """A finite-horizon policy runs only at its own horizon; a stationary
-    one (horizon None) at any."""
-    if horizon is not None and T != horizon:
+    """A tree-class profile runs only at its own horizon."""
+    if T != horizon:
         raise ValueError(f"horizon {T} differs from the policy's horizon "
                          f"{horizon}")
 
@@ -269,7 +268,6 @@ def rollout_costs(spec, policies, T, n_rollouts, seed):
     if isinstance(policies, GraphPolicySet):
         if not isinstance(spec.info, Delayed):
             raise ValueError("graph policies require delayed information")
-        _check_horizon(T, policies.policy.horizon)
         return _graph_mc(spec, policies, T, n_rollouts, seed)
     raise TypeError(f"unsupported policy set type {type(policies).__name__}")
 
@@ -496,10 +494,8 @@ def certainty_equivalence_check(spec: TeamSpec, policy: TreePolicy,
     uni_spec = replace(spec, noise=replace(spec.noise, family="uniform"))
     T = policy.horizon
     pol_u = solve_tree(uni_spec, T)
-    gains_equal = (
-        all(np.array_equal(a, b) for a, b in zip(policy.K, pol_u.K))
-        and all(np.array_equal(a, b) for a, b in zip(policy.L, pol_u.L))
-    )
+    gains_equal = (np.array_equal(policy.K, pol_u.K)
+                   and np.array_equal(policy.L, pol_u.L))
     exact = exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
     rep = simulate(uni_spec, TreePolicySet.from_policy(policy, spec.n_dm), T,
                    n_rollouts, seed)
@@ -577,11 +573,9 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     for N in schedule:
         nspec, mode = replace(spec, n_dm=N), mean_field(N)
         pol = solve_tree(nspec, T, mode=mode)
-        Larr = np.stack(pol.L)
         l_diff = (None if prev_L is None
-                  else float(np.max([np.linalg.norm(Larr[t] - prev_L[t])
-                                     for t in range(T)])))
-        prev_L = Larr
+                  else float(max(map(np.linalg.norm, pol.L - prev_L))))
+        prev_L = pol.L
 
         predicted = exact_policy_cost(nspec, T, pol.K, pol.L, mode)
         limit_cost = exact_policy_cost(nspec, T, limit.K, limit.L, mode)

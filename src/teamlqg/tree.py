@@ -98,14 +98,13 @@ def default_mode(spec: TeamSpec) -> Population:
 
 
 def solve_k_p(spec: TeamSpec, T: int):
-    """Backward recursion from P_T = 0: (K_0..K_{T-1}, P_0..P_T).  The gains
-    are untouched by the coupling blocks, the initial-state correlation, and
-    the noise distribution."""
+    """Backward recursion from P_T = 0: K_t with shape (T, m, n) and P_t with
+    shape (T + 1, n, n).  The gains are untouched by the coupling blocks,
+    the initial-state correlation, and the noise distribution."""
     A, B = spec.dynamics.A, spec.dynamics.B
     Q, R = sym(spec.cost.Q), sym(spec.cost.R)
-    P = [None] * (T + 1)
-    K = [None] * T
-    P[T] = np.zeros_like(Q)
+    P = np.zeros((T + 1, spec.n, spec.n))
+    K = np.empty((T, spec.m, spec.n))
     for t in range(T - 1, -1, -1):
         P[t], K[t] = riccati_step(A, B, Q, R, P[t + 1])
     return K, P
@@ -236,7 +235,7 @@ def policy_cost_gradient(spec: TeamSpec, T: int, K, L, mode: Population):
 
 
 def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
-    """Coupling gains L_0..L_{T-1} and propagators G_0..G_{T-1}.
+    """Coupling gains L_t with shape (T, m, n) and propagators G_t (T, n, n).
 
     The cost restricted to the symmetric class with K fixed is a convex
     quadratic in the stacked L; its exact minimizer comes from one backward
@@ -256,7 +255,7 @@ def _coupling_gains(spec: TeamSpec, T: int, mode: Population, K):
         L = np.zeros((T, spec.m, spec.n))
     else:
         L = _coupling_sweep(p, K)
-    return [L[t] for t in range(T)], _propagators(spec, T, K, L, p.alpha)
+    return L, _propagators(spec, T, K, L, p.alpha)
 
 
 def _coupling_sweep(p: _Params, K):
@@ -280,7 +279,6 @@ def _coupling_sweep(p: _Params, K):
     n, m = p.B.shape
     T = len(K)
     c1 = 1.0 / T
-    Kst = np.stack(K)
     Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
     Qk, Rk = c1 * Qk, c1 * Rk
 
@@ -288,10 +286,10 @@ def _coupling_sweep(p: _Params, K):
     Y = np.empty((T, 2, n, n))
     Y[0] = Y0
     for t in range(T - 1):
-        Y[t + 1] = (p.A + p.B @ Kst[t]) @ Y[t]
+        Y[t + 1] = (p.A + p.B @ K[t]) @ Y[t]
     Yd, Yo = Y[:, 0], Y[:, 1]
     s = c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo).reshape(T, n * n)
-    r = c1 * (p.a * p.R @ Kst @ Yd + p.b * p.Rt @ Kst @ Yo).reshape(T, m * n)
+    r = c1 * (p.a * p.R @ K @ Yd + p.b * p.Rt @ K @ Yo).reshape(T, m * n)
 
     P = np.zeros((n * n, n * n))
     pv = np.zeros(n * n)
@@ -311,7 +309,7 @@ def _coupling_sweep(p: _Params, K):
     Mv = np.zeros(n * n)
     for t in range(T):
         Nv = F[t] @ Mv + f[t]
-        L[t] = Nv.reshape(m, n) - Kst[t] @ Mv.reshape(n, n)
+        L[t] = Nv.reshape(m, n) - K[t] @ Mv.reshape(n, n)
         Mv = Ak @ Mv + Bk @ Nv
     return L
 
@@ -344,9 +342,10 @@ def _propagators(spec, T, K, L, alpha):
     """G_t with E(x_t^i | x_0^i) = G_t x_0^i under the symmetric policy."""
     A, B = spec.dynamics.A, spec.dynamics.B
     Sigma = conditional_gain(spec.noise)
-    G = [np.eye(spec.n)]
+    G = np.empty((T, spec.n, spec.n))
+    G[0] = np.eye(spec.n)
     for t in range(T - 1):
-        G.append((A + B @ K[t]) @ G[t] + alpha * B @ L[t] @ Sigma)
+        G[t + 1] = (A + B @ K[t]) @ G[t] + alpha * B @ L[t] @ Sigma
     return G
 
 
@@ -357,14 +356,15 @@ def _propagators(spec, T, K, L, alpha):
 @dataclass(frozen=True)
 class TreePolicy:
     """Affine gain schedule u_t^i = K_t x_t^i + L_t c^i for the coupling
-    statistic c^i implied by ``mode`` (see Population)."""
+    statistic c^i implied by ``mode`` (see Population).  K and L have shape
+    (T, m, n), P shape (T + 1, n, n) and G shape (T, n, n)."""
 
     horizon: int
     mode: Population
-    K: list
-    L: list
-    P: list
-    G: list
+    K: np.ndarray
+    L: np.ndarray
+    P: np.ndarray
+    G: np.ndarray
 
     def as_dict(self):
         return {
@@ -372,10 +372,10 @@ class TreePolicy:
             "horizon": self.horizon,
             "mode": self.mode.kind,
             "mode_n": self.mode.n,
-            "K": [k.tolist() for k in self.K],
-            "L": [l.tolist() for l in self.L],
-            "P": [p.tolist() for p in self.P],
-            "G": [g.tolist() for g in self.G],
+            "K": self.K.tolist(),
+            "L": self.L.tolist(),
+            "P": self.P.tolist(),
+            "G": self.G.tolist(),
         }
 
 
@@ -457,15 +457,16 @@ def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
 
 @dataclass(frozen=True)
 class InfiniteTreePolicy:
-    """Stationary policy u_t^i = K x_t^i + L_t c^i.  ``horizon_used`` is the
-    length of the coupling schedule L (0 without R_tilde), which ends where
-    L_t, M_t and y_t have all decayed below DECAY_TOL (L_t = 0 after it);
-    ``decay_horizon`` is the first stage of its tail below DECAY_TOL."""
+    """Stationary policy u_t^i = K x_t^i + L_t c^i, K (m, n), P (n, n).  The
+    coupling schedule L has shape (horizon_used, m, n), (0, m, n) without
+    R_tilde, and ends where L_t, M_t and y_t have all decayed below
+    DECAY_TOL (L_t = 0 after it); ``decay_horizon`` is the first stage of
+    its tail below DECAY_TOL."""
 
     mode: Population
     K: np.ndarray
     P: np.ndarray
-    L: list
+    L: np.ndarray
     decay_horizon: int
     horizon_used: int
     average_cost: float
@@ -478,7 +479,7 @@ class InfiniteTreePolicy:
             "mode_n": self.mode.n,
             "K": self.K.tolist(),
             "P": self.P.tolist(),
-            "L": [l.tolist() for l in self.L],
+            "L": self.L.tolist(),
             "decay_horizon": self.decay_horizon,
             "horizon_used": self.horizon_used,
             "average_cost": self.average_cost,
@@ -508,7 +509,7 @@ def solve_infinite_tree(spec: TeamSpec,
     a, _, _, _ = cost_weights(mode)
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
-    L = []
+    L = np.zeros((0, spec.m, spec.n))
     if np.any(spec.cost.r_tilde_or_zero(spec.m) != 0.0):
         L = _stationary_schedule(_params(spec, mode), sol.K, radius)
     live = [t for t, l in enumerate(L) if not np.linalg.norm(l) < DECAY_TOL]
@@ -552,7 +553,7 @@ def _stationary_schedule(p: _Params, K, radius):
     for t in range(STAGE_CAP):
         L.append(C @ z)
         if max(L[t] @ L[t], z @ z) < DECAY_TOL**2:
-            return list(np.reshape(L, (-1, m, n)))
+            return np.reshape(L, (-1, m, n))
         z = G @ z
     raise CouplingSystemError(
         f"coupling schedule not below {DECAY_TOL:.0e} at stage {t} (|L_t| = "

@@ -44,6 +44,8 @@ INFINITE = "tests/test_tree.py::TestInfiniteTree::"
 MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
 ZETA = "tests/test_simulator.py::TestZetaLoop::"
+MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
+             "test_malformed_report_exits_1_naming_the_field")
 
 MUTANTS = (
     Mutant("Sigma^T in tree._closed_loop's H", TREE,
@@ -103,6 +105,12 @@ MUTANTS = (
            "_symmetrization_stats(perm, symm))",
            ("tests/test_simulator.py::TestStructuralChecks::"
             "test_symmetry_checks_equal_standalone",)),
+    Mutant("policy report schedules checked for rank, not shape",
+           "src/teamlqg/cli.py",
+           "if arr.shape != shape:",
+           "if arr.ndim != len(shape):",
+           (MALFORMED + "[delayed-stage-short-simulate]",
+            MALFORMED + "[tree-horizon-past-schedules-verify]")),
 )
 
 

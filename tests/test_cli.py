@@ -16,6 +16,7 @@ from teamlqg.cli import (
     build_parser,
     load_spec,
     main,
+    policy_from_report,
 )
 from teamlqg import delayed, tree
 from teamlqg.model import Delayed, MeanFieldTree, Tree
@@ -427,6 +428,76 @@ class TestCommands:
         assert f"horizon {horizon} differs" in captured.err
         assert "horizon 3" in captured.err
         assert "pbp_check" not in captured.out
+
+
+class TestPolicyReports:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("solve, data, mutate, named", [
+        ("solve-tree", GOLDEN, lambda p: p.pop("G"), "'G'"),
+        ("solve-delayed", DELAYED, lambda p: p["gains"].pop("1,2"), "'1,2'"),
+        ("solve-delayed", DELAYED, lambda p: p["gains"]["1"].pop(),
+         "gains[1] has shape (2, 1, 1), expected (3, 1, 1)"),
+        ("solve-tree", GOLDEN, lambda p: p.update(horizon=5),
+         "K has shape (3, 1, 1), expected (5, 1, 1)"),
+        ("solve-tree", GOLDEN, lambda p: p.update(mode_n="2"),
+         "mode_n '2' is not an integer"),
+    ], ids=["tree-without-G", "delayed-without-node", "delayed-stage-short",
+            "tree-horizon-past-schedules", "tree-mode-n-string"])
+    def test_malformed_report_exits_1_naming_the_field(
+            self, tmp_path, capsys, command, solve, data, mutate, named):
+        """A report with a key missing or a schedule whose shape does not
+        fit its horizon and the spec's block sizes is an input error naming
+        the field, not a traceback or a check run at the schedules' own
+        length."""
+        spec_path = write_spec(tmp_path, data)
+        pol_path = str(tmp_path / "pol.json")
+        assert main([solve, spec_path, "--out", pol_path]) == EXIT_OK
+        report = json.loads(open(pol_path).read())
+        mutate(report["policy"])
+        open(pol_path, "w").write(json.dumps(report))
+        capsys.readouterr()
+        code = main([command, spec_path, "--policy", pol_path,
+                     "--rollouts", "200", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert named in captured.err
+        assert "pbp_check" not in captured.out
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "policy file must contain a JSON object"),
+        ('{"policy": [1, 2]}', "policy report has no 'kind'"),
+    ], ids=["list", "policy-list"])
+    def test_report_that_is_not_an_object_exits_1(self, tmp_path, capsys,
+                                                   text, named):
+        pol_path = tmp_path / "pol.json"
+        pol_path.write_text(text)
+        code = main(["simulate", write_spec(tmp_path, GOLDEN), "--policy",
+                     str(pol_path), "--rollouts", "20", "--seed", "1"])
+        assert code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, solve", [
+        (GOLDEN, tree.solve_tree),
+        (DELAYED, lambda spec: delayed.solve_delayed_finite(spec)[0]),
+        (DELAYED, delayed.solve_delayed_infinite),
+    ], ids=["tree", "delayed", "delayed-stationary"])
+    def test_report_round_trip_is_bitwise(self, tmp_path, data, solve):
+        """A solved policy dumped to JSON and loaded back has the solver's
+        schedules bit for bit, and dumps to the same bytes again."""
+        spec = load_spec(write_spec(tmp_path, data))
+        pol = solve(spec)
+        text = json.dumps(pol.as_dict())
+        _, loaded = policy_from_report(json.loads(text), spec)
+        assert json.dumps(loaded.as_dict()) == text
+        assert loaded.horizon == pol.horizon
+        if isinstance(pol, tree.TreePolicy):
+            pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KLPG"]
+        else:
+            pairs = [(getattr(pol, f)[r], getattr(loaded, f)[r])
+                     for f in ("gains", "values") for r in pol.graph.nodes]
+        for solved, got in pairs:
+            assert got.dtype == solved.dtype and got.shape == solved.shape
+            assert got.tobytes() == solved.tobytes()
 
 
 class TestExitCodes:

@@ -246,12 +246,12 @@ def reference_estimator(graph, policy, spec, x0, w):
     for t in range(T):
         ut = np.zeros((batch, N * m))
         for r in graph.nodes:
-            ut += zeta[r][:, t] @ (Eu[r] @ policy.gain(r, t)).T
+            ut += zeta[r][:, t] @ (Eu[r] @ policy.schedule(r, T)[t]).T
         u[:, t] = ut
         x[:, t + 1] = x[:, t] @ d.A.T + ut @ d.B.T + w[:, t]
         for r in graph.nodes:
             s = graph.successor_map[r]
-            M = d.A_sr(s, r) + d.B_sr(s, r) @ policy.gain(r, t)
+            M = d.A_sr(s, r) + d.B_sr(s, r) @ policy.schedule(r, T)[t]
             zeta[s][:, t + 1] += zeta[r][:, t] @ M.T
         for i in range(N):
             s = graph.injection_map[i]
@@ -290,7 +290,7 @@ def reference_closed_loop(spec, policy, T):
         Bv[x, rows] = d.B @ Eu[r]
         Bv[blocks[s][1], rows] = d.B_sr(s, r)
         for t in range(T):
-            M[t, rows, cols] = policy.gain(r, t)
+            M[t, rows, cols] = policy.schedule(r, T)[t]
     Eu_all = np.hstack([Eu[r] for r in graph.nodes])
     Cz = np.zeros((dim, dim))
     Cz[x, x] = d.Q
