@@ -48,7 +48,7 @@ print(f"predicted cost      : {cost:.6f}")
 print(f"Monte Carlo estimate: {rep.mean_cost:.6f} +/- {rep.std_error:.4f} (1 SE)")
 print()
 
-defect = pbp_check(spec, pset, spec.horizon, step=1e-4)
+defect = pbp_check(spec, pset, spec.horizon)
 print(f"best unilateral single-entry improvement: {defect:.2e}")
 print("(non-positive up to second-order step effects: no agent can deviate")
 print(" profitably, which for this convex team implies global optimality)")

@@ -191,7 +191,8 @@ def _report_horizon(data, stationary_ok):
 def _node_schedules(data, name, graph, stages, rows, cols):
     """data[name] as {node r: float array of shape stages + (|r| rows,
     |r| cols)}, in the report's node order, so that the policy dumps back
-    to the same bytes."""
+    to the same bytes.  Solvers list nodes in ``graph.nodes`` order;
+    older ``solve-delayed-inf`` reports list self-loop nodes first."""
     table = _field(data, name)
     nodes = {_delayed.node_key(r): r for r in graph.nodes}
     for k in nodes:

@@ -199,21 +199,20 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
 
 
 def _node_block(node, i, M, blk):
-    """Diagonal block of a node matrix M for agent i (block size blk)."""
+    """Agent i's diagonal block (size blk) of node matrices M (..., d, d)."""
     pos = sorted(node).index(i)
-    return M[pos * blk:(pos + 1) * blk, pos * blk:(pos + 1) * blk]
+    b = slice(pos * blk, (pos + 1) * blk)
+    return M[..., b, b]
 
 
 def _trace_cost(spec, graph, values, T):
-    n = spec.n
     Sd, W = sym(spec.noise.init_diag), sym(spec.noise.sigma_w)
     total = 0.0
     for i in range(spec.n_dm):
         s = graph.injection_map[i]
-        total += float(np.trace(_node_block(s, i, values[s][0], n) @ Sd))
-        for t in range(T):
-            total += float(np.trace(_node_block(s, i, values[s][t + 1], n) @ W))
-    return total / T
+        X = _node_block(s, i, values[s], spec.n)
+        total += np.trace(X[0] @ Sd) + np.einsum("tij,ji->", X[1:], W)
+    return float(total) / T
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +414,9 @@ def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
             s = graph.successor_map[r]
             values[r], gains[r] = _node_step(d, r, s, values[s])
 
-    policy = GraphPolicy(graph=graph, horizon=None, gains=gains, values=values)
+    policy = GraphPolicy(graph=graph, horizon=None,
+                         gains={r: gains[r] for r in graph.nodes},
+                         values={r: values[r] for r in graph.nodes})
     radius = closed_loop_radius(spec, policy)
     if not radius < 1.0:
         raise RiccatiError(

@@ -31,6 +31,9 @@ cost tr(C_t Z_t), C_t = Cz + Czv M_t + M_t^T Czv^T + M_t^T Rv M_t;
 ``gain_sensitivity`` runs the adjoint pass P_T = C_T,
 P_t = C_t + F_t^T P_{t+1} F_t, whose P_{t+1} prices the moment handed to
 stage t + 1.
+
+Schedules are stage-first arrays: M (T, p, dim) in, Z (T+1, dim, dim), F
+and C (T, dim, dim) out.  Only the Z and P recurrences loop over stages.
 """
 
 from __future__ import annotations
@@ -59,28 +62,27 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class Moments:
-    """Forward pass of a closed loop: its cost and each stage's matrices."""
+    """Forward pass of a closed loop: its cost and each stage's matrices,
+    Z_0 .. Z_T as (T+1, dim, dim), F and C of stages t < T as (T, dim, dim)."""
 
     cost: float
-    Z: list            # Z_0 .. Z_T
-    F: list            # F_0 .. F_{T-1}
-    C: list            # C_0 .. C_{T-1}
+    Z: np.ndarray
+    F: np.ndarray
+    C: np.ndarray
 
 
 def propagate(loop: ClosedLoop) -> Moments:
     """Exact cost and moments by covariance propagation (no Monte Carlo)."""
-    T = loop.horizon
-    Z, F, C = [loop.Z0], [], []
-    total = 0.0
+    T, M = loop.horizon, loop.M
+    F = loop.F0 + loop.Bv @ M
+    CM = loop.Czv @ M
+    C = loop.Cz + CM + CM.swapaxes(1, 2) + M.swapaxes(1, 2) @ loop.Rv @ M
+    Z = np.empty((T + 1, *loop.Z0.shape))
+    Z[0] = loop.Z0
     for t in range(T):
-        M = loop.M[t]
-        F.append(loop.F0 + loop.Bv @ M)
-        C.append(loop.Cz + loop.Czv @ M + M.T @ loop.Czv.T
-                 + M.T @ loop.Rv @ M)
-        total += float(np.trace(C[t] @ Z[t]))
-        Z.append(F[t] @ Z[t] @ F[t].T + loop.W)
-    total += float(np.trace(loop.C_T @ Z[T]))
-    return Moments(cost=total / T, Z=Z, F=F, C=C)
+        Z[t + 1] = F[t] @ Z[t] @ F[t].T + loop.W
+    total = np.einsum("tij,tji->", C, Z[:T]) + np.trace(loop.C_T @ Z[T])
+    return Moments(cost=float(total) / T, Z=Z, F=F, C=C)
 
 
 def gain_sensitivity(loop: ClosedLoop, mom: Moments):
@@ -96,15 +98,12 @@ def gain_sensitivity(loop: ClosedLoop, mom: Moments):
     Returns G with shape (T, p, dim) (the gradient of J in M_t) and H with
     shape (T, p), from one backward adjoint pass over ``mom``.
     """
-    T = loop.horizon
-    G = np.empty(loop.M.shape)
-    H = np.empty(loop.M.shape[:2])
-    P = loop.C_T
-    rv = np.diag(loop.Rv)
+    T, F = loop.horizon, mom.F
+    P = np.empty((T + 1, *loop.C_T.shape))
+    P[T] = loop.C_T
     for t in range(T - 1, -1, -1):
-        BP = loop.Bv.T @ P
-        G[t] = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M[t]
-                            + BP @ mom.F[t]) @ mom.Z[t]
-        H[t] = (rv + np.einsum("ij,ji->i", BP, loop.Bv)) / T
-        P = mom.C[t] + mom.F[t].T @ P @ mom.F[t]
+        P[t] = mom.C[t] + F[t].T @ P[t + 1] @ F[t]
+    BP = loop.Bv.T @ P[1:]
+    G = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M + BP @ F) @ mom.Z[:T]
+    H = (np.diag(loop.Rv) + np.einsum("tij,ji->ti", BP, loop.Bv)) / T
     return G, H

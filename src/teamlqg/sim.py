@@ -63,7 +63,9 @@ class TreePolicySet:
     """Per-agent affine schedules u_t^i = K[i, t] x_t^i + L[i, t] c^i with
     c^i = alpha * Sigma * x_0^i; agents need not share schedules.  K and L
     are float (N, T, m, n) gain arrays; any nested sequence of that shape,
-    such as a tuple of per-agent tuples of (m x n) gains, converts."""
+    such as a tuple of per-agent tuples of (m x n) gains, converts.
+    Raises ValueError when K and L differ in shape, or when the mode names
+    a population size other than the agent count N."""
 
     mode: Population
     K: np.ndarray
@@ -72,6 +74,12 @@ class TreePolicySet:
     def __post_init__(self):
         object.__setattr__(self, "K", np.array(self.K, dtype=float))
         object.__setattr__(self, "L", np.array(self.L, dtype=float))
+        if self.K.shape != self.L.shape:
+            raise ValueError(f"K shape {self.K.shape} differs from L shape "
+                             f"{self.L.shape}")
+        if self.mode.n is not None and self.mode.n != self.n_dm:
+            raise ValueError(f"mode population {self.mode.n} differs from "
+                             f"the profile's {self.n_dm} agents")
 
     @property
     def n_dm(self):
@@ -196,6 +204,8 @@ def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
 def _tree_crn(spec: TeamSpec, T, n_rollouts, seed, *psets):
     """Per-rollout costs of every profile on one draw (common random
     numbers), one row per profile; the profiles share their population."""
+    for pset in psets:
+        _check_agents(spec, pset)
     return _block_costs(PrimitiveSampler(spec.noise, psets[0].n_dm), T,
                         n_rollouts, seed,
                         *(partial(_tree_costs, spec, p) for p in psets))
@@ -261,6 +271,13 @@ def _check_horizon(T, horizon):
                          f"{horizon}")
 
 
+def _check_agents(spec: TeamSpec, pset: TreePolicySet):
+    """A tree-class profile runs only on a population of its own size."""
+    if pset.n_dm != spec.n_dm:
+        raise ValueError(f"profile has {pset.n_dm} agents, the spec "
+                         f"{spec.n_dm}")
+
+
 def rollout_costs(spec, policies, T, n_rollouts, seed):
     if isinstance(policies, TreePolicySet):
         _check_horizon(T, policies.horizon)
@@ -287,6 +304,7 @@ def _tree_loop(spec: TeamSpec, pset: TreePolicySet, T: int) -> ClosedLoop:
     """The stacked closed loop of a tree-class profile on the augmented state
     z = (x_t, c): agent i's control reads its own x_t and its own c^i."""
     _check_horizon(T, pset.horizon)
+    _check_agents(spec, pset)
     cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
     return _tree._closed_loop(_tree._params(spec, pset.mode), pset.K, pset.L,
                               1.0, cR, cQ)
@@ -404,8 +422,13 @@ def convex_combination_check(spec: TeamSpec, p1: TreePolicySet,
             3.0 * _se(gap))
 
 
-def pbp_check(spec: TeamSpec, policies, T: int, step: float = 1e-4):
-    """Max unilateral cost decrease over single-entry gain moves of +/-step.
+# Size of the single-entry gain moves that pbp_check prices.
+PBP_STEP = 1e-4
+
+
+def pbp_check(spec: TeamSpec, policies, T: int):
+    """Max unilateral cost decrease over single-entry gain moves of +/-step,
+    step = ``PBP_STEP``.
 
     One gain entry of agent i (or node r) at stage t enters only that
     stage's feedback M_t and closed-loop map F_t = F0 + Bv M_t, both
@@ -427,10 +450,10 @@ def pbp_check(spec: TeamSpec, policies, T: int, step: float = 1e-4):
 
     Raises ValueError when T differs from the profile's horizon.
     """
-    return _pbp_worst(spec, policies, T, step)[0]
+    return _pbp_worst(spec, policies, T)[0]
 
 
-def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
+def _pbp_worst(spec: TeamSpec, policies, T: int):
     """(pbp_check value, where): ``where`` names the entry attaining it, as
     (holder, t, gain, (row, col), g) with holder "agent i" or "node {..}"
     and gain "K", "L" or "gain"."""
@@ -440,7 +463,7 @@ def _pbp_worst(spec: TeamSpec, policies, T: int, step: float = 1e-4):
         terms = _pbp_tree(spec, policies, T)
     best, where = -np.inf, None
     for (holder, gain), (g, h) in terms.items():
-        drop = np.abs(g) * step - h * step ** 2
+        drop = np.abs(g) * PBP_STEP - h * PBP_STEP ** 2
         idx = np.unravel_index(np.argmax(drop), drop.shape)
         if drop[idx] > best:
             best = float(drop[idx])
@@ -454,7 +477,7 @@ def _pbp_terms(loop: ClosedLoop, blocks):
     M: g and h of every entry of the block, each (T, rows, cols)."""
     mom = propagate(loop)
     G, H = gain_sensitivity(loop, mom)
-    Zd = np.diagonal(np.stack(mom.Z[:loop.horizon]), axis1=1, axis2=2)
+    Zd = np.diagonal(mom.Z[:loop.horizon], axis1=1, axis2=2)
     return {name: (G[:, rows, cols], H[:, rows, None] * Zd[:, None, cols])
             for name, (rows, cols) in blocks.items()}
 
@@ -543,7 +566,7 @@ def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
         Bv=np.kron(np.eye(3, 2), p.B), M=M,
         W=np.kron(np.outer(copies, copies), p.W),
         Cz=zero, Czv=np.zeros((3 * n, 2 * m)), Rv=D.T @ D, C_T=zero))
-    Z = np.stack(mom.Z[:T])
+    Z = mom.Z[:T]
     U = M @ Z @ M.swapaxes(1, 2)
     second = (np.linalg.norm(U[:, :m, :m] - U[:, m:, m:])
               + np.linalg.norm(Z[:, :n, :n] - Z[:, n:2 * n, n:2 * n]))

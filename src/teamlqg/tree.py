@@ -410,13 +410,11 @@ def closed_form_cost_variants(spec: TeamSpec, policy: TreePolicy):
     P, K, L = policy.P, policy.K, policy.L
     C1 = Sigma @ Sd @ Sigma.T
     base = float(np.trace(P[0] @ Sd))
-    noise = sum(float(np.trace(P[t + 1] @ p.W)) for t in range(T))
-    quad = sum(float(np.trace(L[t].T @ B.T @ P[t + 1] @ B @ L[t] @ C1))
-               for t in range(T))
-    quad_r = sum(
-        float(np.trace(L[t].T @ (p.R + B.T @ P[t + 1] @ B) @ L[t] @ C1))
-        for t in range(T)
-    )
+    LT = L.swapaxes(1, 2)
+    noise = float(np.einsum("tij,ji->", P[1:], p.W))
+    quad = float(np.einsum("tii->", LT @ B.T @ P[1:] @ B @ L @ C1))
+    quad_r = float(np.einsum("tii->",
+                             LT @ (p.R + B.T @ P[1:] @ B) @ L @ C1))
     # exact cross-pair control correlation sum_t E(u1' R~ u2): T times the
     # cost of the pair loop that weighs only the cross control term
     cross_exact = T * propagate(_closed_loop(

@@ -40,10 +40,12 @@ class Mutant:
 TREE = "src/teamlqg/tree.py"
 SIM = "src/teamlqg/sim.py"
 DELAYED = "src/teamlqg/delayed.py"
+MOMENTS = "src/teamlqg/moments.py"
 INFINITE = "tests/test_tree.py::TestInfiniteTree::"
 MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
 ZETA = "tests/test_simulator.py::TestZetaLoop::"
+CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
@@ -105,6 +107,18 @@ MUTANTS = (
            "_symmetrization_stats(perm, symm))",
            ("tests/test_simulator.py::TestStructuralChecks::"
             "test_symmetry_checks_equal_standalone",)),
+    Mutant("transpose of the cross term dropped from moments.propagate's C",
+           MOMENTS,
+           "CM + CM.swapaxes(1, 2)",
+           "CM + CM",
+           (CHECKS + "test_pbp_matches_reference_on_graph_policies"
+            "[pair-n2-S]",)),
+    Mutant("F^T P F written as F P F^T in moments.gain_sensitivity", MOMENTS,
+           "F[t].T @ P[t + 1] @ F[t]",
+           "F[t] @ P[t + 1] @ F[t].T",
+           (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
+            "tests/test_tree.py::TestCouplingGains::"
+            "test_adjoint_gradient_vs_finite_difference[n_dm2]")),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

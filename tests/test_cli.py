@@ -499,6 +499,30 @@ class TestPolicyReports:
             assert got.dtype == solved.dtype and got.shape == solved.shape
             assert got.tobytes() == solved.tobytes()
 
+    @pytest.mark.parametrize("command", ["solve-delayed", "solve-delayed-inf"])
+    def test_delayed_reports_list_nodes_in_graph_order(self, tmp_path,
+                                                       command):
+        """Finite and stationary reports list their gains and values in the
+        order of their own "nodes" list."""
+        pol_path = str(tmp_path / "pol.json")
+        assert main([command, write_spec(tmp_path, DELAYED),
+                     "--out", pol_path]) == EXIT_OK
+        pol = json.loads(open(pol_path).read())["policy"]
+        keys = [",".join(str(i + 1) for i in r) for r in pol["nodes"]]
+        assert list(pol["gains"]) == keys and list(pol["values"]) == keys
+
+    def test_report_in_another_node_order_round_trips(self, tmp_path):
+        """A stationary report whose nodes come in another order than its
+        "nodes" list, as older solve-delayed-inf reports have them, loads
+        and dumps back to the same bytes."""
+        spec = load_spec(write_spec(tmp_path, DELAYED))
+        data = delayed.solve_delayed_infinite(spec).as_dict()
+        for name in ("gains", "values"):
+            data[name] = dict(reversed(data[name].items()))
+        text = json.dumps(data)
+        _, loaded = policy_from_report(json.loads(text), spec)
+        assert json.dumps(loaded.as_dict()) == text
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):

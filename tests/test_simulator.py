@@ -83,7 +83,7 @@ def optimal_pset(spec, T):
     return TreePolicySet.from_policy(pol, spec.n_dm), pol
 
 
-def reference_pbp(spec, policies, T, step=1e-4):
+def reference_pbp(spec, policies, T, step=sim.PBP_STEP):
     """pbp_check by brute force: move every gain entry by +/-step and
     re-evaluate the exact cost, two covariance propagations per entry."""
     if isinstance(policies, GraphPolicySet):
@@ -740,6 +740,33 @@ class TestExactCost:
                                    "from the policy's horizon 3"):
                     run()
 
+    def test_profile_of_other_mode_population_rejected(self):
+        """A profile's mode names its population size, and its K and L give
+        it twice more: all three must agree, or the profile would be priced
+        under another population's cost weights."""
+        pol = solve_tree(scalar_tree_spec(T=3), 3)
+        with pytest.raises(ValueError, match="mode population 3 differs "
+                           "from the profile's 2 agents"):
+            TreePolicySet(mode=n_dm(3), K=[pol.K] * 2, L=[pol.L] * 2)
+        with pytest.raises(ValueError, match="K shape .* differs from L"):
+            TreePolicySet(mode=mean_field_limit(), K=[pol.K] * 2,
+                          L=[pol.L] * 3)
+
+    def test_profile_of_other_spec_population_rejected(self):
+        """A 3-agent profile on a 2-agent spec raises in every exact price
+        and every rollout, instead of running a population the spec does
+        not describe."""
+        spec = scalar_tree_spec(T=3)
+        pol = solve_tree(spec, 3)
+        three = TreePolicySet.from_policy(replace(pol, mode=n_dm(3)), 3)
+        for run in (lambda: exact_cost_general(spec, three, 3),
+                    lambda: pbp_check(spec, three, 3),
+                    lambda: simulate(spec, three, 3, 10, seed=1),
+                    lambda: sim._tree_crn(spec, 3, 10, 1, three)):
+            with pytest.raises(ValueError, match="profile has 3 agents, "
+                               "the spec 2"):
+                run()
+
     def test_mc_agrees_with_exact_for_asymmetric_policy(self, rng):
         spec = scalar_tree_spec(T=3)
         pset = random_pset(spec, 3, rng)
@@ -844,25 +871,25 @@ class TestStructuralChecks:
     def test_pbp_small_at_optimum_positive_when_corrupted(self):
         spec = scalar_tree_spec(T=3)
         pset, _ = optimal_pset(spec, 3)
-        assert pbp_check(spec, pset, 3, step=1e-4) < 1e-7
+        assert pbp_check(spec, pset, 3) < 1e-7
         Ls = [[np.array(l) for l in row] for row in pset.L]
         Ls[0][0] = Ls[0][0] + 0.1
         bad = TreePolicySet(mode=pset.mode,
                             K=pset.K,
                             L=tuple(tuple(r) for r in Ls))
-        assert pbp_check(spec, bad, 3, step=1e-4) > 1e-7
+        assert pbp_check(spec, bad, 3) > 1e-7
 
     def test_pbp_delayed(self):
         spec = coupled_delayed_spec_2dm(T=3)
         pol, _ = solve_delayed_finite(spec, 3)
         gset = GraphPolicySet(policy=pol)
-        assert pbp_check(spec, gset, 3, step=1e-4) < 1e-7
+        assert pbp_check(spec, gset, 3) < 1e-7
         gains = {r: [np.array(g) for g in gs] for r, gs in pol.gains.items()}
         gains[(0,)][0] = gains[(0,)][0] + 0.1
         from teamlqg.delayed import GraphPolicy
         bad = GraphPolicySet(policy=GraphPolicy(
             graph=pol.graph, horizon=3, gains=gains, values=pol.values))
-        assert pbp_check(spec, bad, 3, step=1e-4) > 1e-7
+        assert pbp_check(spec, bad, 3) > 1e-7
 
     def test_pbp_matches_reference_on_tree_profiles(self, rng):
         """Exact quadratic per entry vs the +/-step loop, at the optimum and
@@ -893,15 +920,24 @@ class TestStructuralChecks:
                            - reference_pbp(spec, pset, T)) \
                     <= 1e-12 * (1.0 + abs(J))
 
-    @pytest.mark.parametrize("delays, n", [
-        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1),
+    @pytest.mark.parametrize("delays, n, cross", [
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1, False),
         ([[0, 1, None, None], [1, 0, 1, None],
-          [None, 1, 0, 1], [None, None, 1, 0]], 1),
-        ([[0, 1], [1, 0]], 2),
-    ], ids=["full3", "chain4", "pair-n2"])
-    def test_pbp_matches_reference_on_graph_policies(self, rng, delays, n):
+          [None, 1, 0, 1], [None, None, 1, 0]], 1, False),
+        ([[0, 1], [1, 0]], 2, False),
+        ([[0, 1], [1, 0]], 2, True),
+    ], ids=["full3", "chain4", "pair-n2", "pair-n2-S"])
+    def test_pbp_matches_reference_on_graph_policies(self, rng, delays, n,
+                                                     cross):
+        """With cross, the stage cost has a nonzero state-control weight S,
+        so the gradient reads the loop's cross weight Czv, which the cost
+        alone does not pin down: tr(C Z) is the same for C and C^T."""
         T = 3
         spec = linked_delayed_spec(rng, delays, n, n, T)
+        if cross:
+            W = rand_pd(rng, 2 * n)    # [[Q, S], [S^T, R]]: a valid cost
+            spec = replace(spec, cost=CostSpec(Q=W[:n, :n], R=W[n:, n:],
+                                               S=W[:n, n:]))
         pol, _ = solve_delayed_finite(spec, T)
         bad = {r: [g + 0.1 * rng.normal(size=g.shape) for g in gs]
                for r, gs in pol.gains.items()}
