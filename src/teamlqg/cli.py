@@ -153,9 +153,14 @@ def load_spec(path: str) -> TeamSpec:
 
 
 def write_report(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write the payload to path as one line of JSON.  It is encoded before
+    the file is opened, so a payload that cannot be encoded leaves no file."""
+    text = json.dumps(payload) + "\n"
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpecFileError(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

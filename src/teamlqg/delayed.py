@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
-from .linalg import is_psd, numerical_rank, psd_factor, spectral_radius, sym
+from .linalg import (is_psd, kron, numerical_rank, psd_factor,
+                     spectral_radius, sym)
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
 from .moments import ClosedLoop, propagate
 from .riccati import RiccatiError, dare_solve
@@ -78,14 +79,14 @@ def stacked_data(spec: TeamSpec) -> _Stacked:
     if isinstance(spec.dynamics, Blocked):
         A, B = spec.dynamics.full_A(), spec.dynamics.full_B()
     elif isinstance(spec.dynamics, Homogeneous):
-        A = np.kron(np.eye(N), spec.dynamics.A)
-        B = np.kron(np.eye(N), spec.dynamics.B)
+        A = kron(np.eye(N), spec.dynamics.A)
+        B = kron(np.eye(N), spec.dynamics.B)
     else:
         raise TypeError("unsupported dynamics type")
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    Q = np.kron(eye, sym(spec.cost.Q)) + np.kron(off, spec.cost.q_tilde_or_zero(n))
-    R = np.kron(eye, sym(spec.cost.R)) + np.kron(off, spec.cost.r_tilde_or_zero(m))
-    S = np.kron(eye, spec.cost.s_or_zero(n, m))
+    Q = kron(eye, sym(spec.cost.Q)) + kron(off, spec.cost.q_tilde_or_zero(n))
+    R = kron(eye, sym(spec.cost.R)) + kron(off, spec.cost.r_tilde_or_zero(m))
+    S = kron(eye, spec.cost.s_or_zero(n, m))
     return _Stacked(N=N, n=n, m=m, A=A, B=B, Q=Q, R=R, S=S)
 
 
@@ -237,8 +238,8 @@ def _layout(graph: InfoGraph, d: _Stacked):
     inject = np.zeros((len(agents), d.N))
     for i, s in graph.injection_map.items():
         inject[start[graph.nodes.index(s)] + s.index(i), i] = 1.0
-    return (blocks, np.kron(own, np.eye(d.m)), np.kron(own, np.eye(d.n)),
-            np.kron(inject, np.eye(d.n)))
+    return (blocks, kron(own, np.eye(d.m)), kron(own, np.eye(d.n)),
+            kron(inject, np.eye(d.n)))
 
 
 def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
@@ -332,9 +333,9 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
     # Independent agents: x_0 and the noise have block-diagonal covariances.
     Cz = X.T @ d.Q @ X
     loop = ClosedLoop(
-        Z0=H @ np.kron(np.eye(d.N), sym(spec.noise.init_diag)) @ H.T,
+        Z0=H @ kron(np.eye(d.N), sym(spec.noise.init_diag)) @ H.T,
         F0=F0, Bv=Bv, M=M,
-        W=H @ np.kron(np.eye(d.N), sym(spec.noise.sigma_w)) @ H.T,
+        W=H @ kron(np.eye(d.N), sym(spec.noise.sigma_w)) @ H.T,
         Cz=Cz, Czv=X.T @ d.S @ Eu, Rv=Eu.T @ d.R @ Eu, C_T=Cz)
     return loop, blocks
 

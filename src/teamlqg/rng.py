@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import is_psd, psd_factor, sym
+from .linalg import is_psd, kron, psd_factor, sym
 from .model import NoiseSpec
 
 BLOCK = 4096
@@ -65,7 +65,7 @@ class PrimitiveSampler:
             self._joint = None
         else:
             N = n_dm
-            joint = np.kron(np.eye(N), sd - so) + np.kron(np.ones((N, N)), so)
+            joint = kron(np.eye(N), sd - so) + kron(np.ones((N, N)), so)
             self._split = None
             self._joint = psd_factor(joint)
 

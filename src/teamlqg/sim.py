@@ -32,6 +32,7 @@ import numpy as np
 
 from . import delayed as _delayed
 from . import tree as _tree
+from .linalg import kron
 from .model import Delayed, TeamSpec, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .rng import BLOCK, PrimitiveSampler
@@ -561,10 +562,10 @@ def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
     zero = np.zeros((3 * n, 3 * n))
     mom = propagate(ClosedLoop(
         Z0=H @ p.Sd @ H.T,
-        F0=np.kron(np.diag(copies), p.A)
-        + np.kron(np.diag(1.0 - copies), np.eye(n)),
-        Bv=np.kron(np.eye(3, 2), p.B), M=M,
-        W=np.kron(np.outer(copies, copies), p.W),
+        F0=kron(np.diag(copies), p.A)
+        + kron(np.diag(1.0 - copies), np.eye(n)),
+        Bv=kron(np.eye(3, 2), p.B), M=M,
+        W=kron(np.outer(copies, copies), p.W),
         Cz=zero, Czv=np.zeros((3 * n, 2 * m)), Rv=D.T @ D, C_T=zero))
     Z = mom.Z[:T]
     U = M @ Z @ M.swapaxes(1, 2)

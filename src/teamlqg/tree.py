@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym
+from .linalg import kron, sym
 from .model import MeanFieldTree, TeamSpec, Tree, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
@@ -168,8 +168,8 @@ def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
     if Ks.shape[1] != T:
         raise ValueError(f"K horizon {Ks.shape[1]} differs from L horizon {T}")
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    Sig0 = np.kron(eye, p.Sd) + np.kron(off, p.So)
-    H = np.vstack([np.eye(N * n), p.alpha * np.kron(eye, p.Sigma)])
+    Sig0 = kron(eye, p.Sd) + kron(off, p.So)
+    H = np.vstack([np.eye(N * n), p.alpha * kron(eye, p.Sigma)])
     dim = 2 * N * n
     x, o = slice(0, N * n), slice(N * n, dim)
     M = np.zeros((T, N * m, dim))
@@ -178,17 +178,17 @@ def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
         M[:, rows, i * n:(i + 1) * n] = Ks[i]
         M[:, rows, N * n + i * n:N * n + (i + 1) * n] = Ls[i]
     F0 = np.zeros((dim, dim))
-    F0[x, x] = np.kron(eye, p.A)
+    F0[x, x] = kron(eye, p.A)
     F0[o, o] = np.eye(N * n)
     Bv = np.zeros((dim, N * m))
-    Bv[x] = np.kron(eye, p.B)
+    Bv[x] = kron(eye, p.B)
     W = np.zeros((dim, dim))
-    W[x, x] = np.kron(eye, p.W)
+    W[x, x] = kron(eye, p.W)
     Cz = np.zeros((dim, dim))
-    Cz[x, x] = own * np.kron(eye, p.Q) + cQ * np.kron(off, p.Qt)
+    Cz[x, x] = own * kron(eye, p.Q) + cQ * kron(off, p.Qt)
     return ClosedLoop(Z0=H @ Sig0 @ H.T, F0=F0, Bv=Bv,
                       M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)),
-                      Rv=own * np.kron(eye, p.R) + cR * np.kron(off, p.Rt),
+                      Rv=own * kron(eye, p.R) + cR * kron(off, p.Rt),
                       C_T=np.zeros((dim, dim)))
 
 
@@ -320,10 +320,10 @@ def _sweep_data(p: _Params):
     I = np.eye(p.A.shape[0])
     Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
     Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
-    Qk = p.a * np.kron(p.Q, Cd) + p.q * np.kron(p.Qt, Co)
-    Rk = p.a * np.kron(p.R, Cd) + p.b * np.kron(p.Rt, Co)
+    Qk = p.a * kron(p.Q, Cd) + p.q * kron(p.Qt, Co)
+    Rk = p.a * kron(p.R, Cd) + p.b * kron(p.Rt, Co)
     Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
-    return np.kron(p.A, I), np.kron(p.B, I), Qk, Rk, Y0
+    return kron(p.A, I), kron(p.B, I), Qk, Rk, Y0
 
 
 def _pivot_inverse(H, where):
@@ -532,9 +532,9 @@ def _stationary_schedule(p: _Params, K, radius):
     I = np.eye(n)
     Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
     _pivot_inverse(Rk, "the last stage of every horizon")   # pivot Rk / T
-    Ay = np.kron(np.eye(2), np.kron(p.A + p.B @ K, I))
-    Sy = np.hstack([p.a * np.kron(p.Q, I), p.q * np.kron(p.Qt, I)])
-    Ry = np.hstack([p.a * np.kron(p.R @ K, I), p.b * np.kron(p.Rt @ K, I)])
+    Ay = kron(np.eye(2), kron(p.A + p.B @ K, I))
+    Sy = np.hstack([p.a * kron(p.Q, I), p.q * kron(p.Qt, I)])
+    Ry = np.hstack([p.a * kron(p.R @ K, I), p.b * kron(p.Rt @ K, I)])
     try:
         Pk = dare_solve(Ak, Bk, Qk, Rk).P
         Hinv = _pivot_inverse(Rk + Bk.T @ Pk @ Bk, "the stationary stage")
@@ -546,7 +546,7 @@ def _stationary_schedule(p: _Params, K, radius):
     # z_t = (vec M_t, y_t): z_{t+1} = G z_t and vec L_t = C z_t
     E = -Hinv @ (Ry + Bk.T @ X @ Ay)
     G = np.block([[Ak + Bk @ F, Bk @ E], [np.zeros((2 * n * n, n * n)), Ay]])
-    C = np.hstack([F - np.kron(K, I), E])
+    C = np.hstack([F - kron(K, I), E])
     z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), []
     for t in range(STAGE_CAP):
         L.append(C @ z)

@@ -4,12 +4,14 @@
 
 Each mutant is one textual edit of one file under ``src/``.  For each, the
 script copies ``src/`` and ``tests/`` into a fresh temporary directory,
-applies the edit there (it must match exactly once) and runs the mutant's
-named tests with pytest against the copy.  A mutant is caught when pytest
-reports failing tests (exit code 1); it survives when they all pass.  The
-named tests are first run on an unmutated copy, which must pass, so that a
-broken environment cannot pass for a caught mutant.  The exit code is 1 if
-any mutant survives or any run goes wrong in another way.
+applies the edit there and runs the mutant's named tests with pytest
+against the copy.  A mutant is caught when pytest reports failing tests
+(exit code 1); it survives when they all pass.  Before any run, the script
+checks that every edit matches its file exactly once and exits 1 listing
+those that do not.  The named tests are then run on an unmutated copy,
+which must pass, so that a broken environment cannot pass for a caught
+mutant.  The exit code is 1 if any mutant survives or any run goes wrong in
+another way.
 
 The file name does not match ``test_*.py``, so the Tier-1 suite does not
 collect it.
@@ -51,8 +53,8 @@ MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
 
 MUTANTS = (
     Mutant("Sigma^T in tree._closed_loop's H", TREE,
-           "p.alpha * np.kron(eye, p.Sigma)])",
-           "p.alpha * np.kron(eye, p.Sigma.T)])",
+           "p.alpha * kron(eye, p.Sigma)])",
+           "p.alpha * kron(eye, p.Sigma.T)])",
            ("tests/test_tree.py::TestPredictedCost::"
             "test_matches_oracle_propagation",)),
     Mutant("factor 2 restored on n_dm's pair weight in tree.cost_weights",
@@ -75,8 +77,8 @@ MUTANTS = (
            "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma.T])",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
     Mutant("independent noise in sim._policy_distance's copies", SIM,
-           "W=np.kron(np.outer(copies, copies), p.W)",
-           "W=np.kron(np.diag(copies), p.W)",
+           "W=kron(np.outer(copies, copies), p.W)",
+           "W=kron(np.diag(copies), p.W)",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
     Mutant("transposed A + B K block of sim._tree_costs' Gamma_t", SIM,
            "np.concatenate([A + B @ K, B @ L], axis=3)",
@@ -92,8 +94,8 @@ MUTANTS = (
            "w[t] = self.Fw.T @ w[t]",
            (LAYOUT + "test_draw_general_factors_agree_to_rounding",)),
     Mutant("first node's X block dropped in delayed._layout", DELAYED,
-           "np.kron(own, np.eye(d.n))",
-           "np.kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "
+           "kron(own, np.eye(d.n))",
+           "kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "
            "np.eye(d.n))",
            (ZETA + "test_matches_x_zeta_reference",)),
     Mutant("injection loading in every node of agent i in delayed._layout",
@@ -119,6 +121,10 @@ MUTANTS = (
            (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
             "tests/test_tree.py::TestCouplingGains::"
             "test_adjoint_gradient_vs_finite_difference[n_dm2]")),
+    Mutant("operands' axes swapped in linalg.kron", "src/teamlqg/linalg.py",
+           "X[:, None, :, None] * Y[None, :, None, :]",
+           "X[None, :, None, :] * Y[:, None, :, None]",
+           ("tests/test_linalg.py::test_kron_matches_numpy_bitwise",)),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",
@@ -153,20 +159,26 @@ def _pytest(dest, tests):
     return run, time.perf_counter() - t0
 
 
+def _hits(mutant):
+    """How many times the mutant's edit matches its file in this checkout."""
+    with open(os.path.join(ROOT, mutant.path)) as fh:
+        return fh.read().count(mutant.old)
+
+
 def _apply(dest, mutant):
     path = os.path.join(dest, mutant.path)
     with open(path) as fh:
         text = fh.read()
-    hits = text.count(mutant.old)
-    if hits != 1:
-        return f"edit matches {hits} times in {mutant.path}"
     with open(path, "w") as fh:
         fh.write(text.replace(mutant.old, mutant.new))
-    return None
 
 
 def main():
     t_start = time.perf_counter()
+    unmatched = [m for m in MUTANTS if _hits(m) != 1]
+    if unmatched:
+        sys.exit("mutant edits that do not match exactly once:\n" + "\n".join(
+            f"  {m.name}: {_hits(m)} matches in {m.path}" for m in unmatched))
     bad = []
     named = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory(prefix="mutant-clean-") as dest:
@@ -180,17 +192,14 @@ def main():
     for mutant in MUTANTS:
         with tempfile.TemporaryDirectory(prefix="mutant-") as dest:
             _copy(dest)
-            problem = _apply(dest, mutant)
-            if problem is None:
-                run, dt = _pytest(dest, mutant.tests)
-                verdict = {0: "SURVIVED", 1: "caught"}.get(
-                    run.returncode, f"ERROR (pytest exit {run.returncode})")
-            else:
-                verdict, dt = f"ERROR ({problem})", 0.0
+            _apply(dest, mutant)
+            run, dt = _pytest(dest, mutant.tests)
+        verdict = {0: "SURVIVED", 1: "caught"}.get(
+            run.returncode, f"ERROR (pytest exit {run.returncode})")
         print(f"{verdict:>10}  {mutant.name} ({dt:.1f} s)")
         if verdict != "caught":
             bad.append(mutant.name)
-            if problem is None and run.returncode != 0:
+            if run.returncode != 0:
                 print(run.stdout[-3000:], run.stderr[-3000:])
     print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants caught in "
           f"{time.perf_counter() - t_start:.1f} s")

@@ -17,6 +17,7 @@ from teamlqg.cli import (
     load_spec,
     main,
     policy_from_report,
+    write_report,
 )
 from teamlqg import delayed, tree
 from teamlqg.model import Delayed, MeanFieldTree, Tree
@@ -55,6 +56,13 @@ DELAYED = {
               "init_offdiag": [[0.0]]},
     "info": {"kind": "delayed", "delays": [[0, 1], [1, 0]]},
 }
+
+
+def _src_env():
+    """The environment of a subprocess that imports this checkout's src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -499,6 +507,36 @@ class TestPolicyReports:
             assert got.dtype == solved.dtype and got.shape == solved.shape
             assert got.tobytes() == solved.tobytes()
 
+    @pytest.mark.parametrize("command, data", [
+        ("solve-tree", GOLDEN), ("solve-delayed-inf", DELAYED),
+        ("dare", GOLDEN)], ids=["solve-tree", "solve-delayed-inf", "dare"])
+    def test_report_is_one_line_with_the_solvers_arrays(self, tmp_path,
+                                                        command, data):
+        """An --out report is one line of JSON ending in a newline, and the
+        arrays parsed from it are the solver's bit for bit."""
+        spec_path = write_spec(tmp_path, data)
+        out = tmp_path / "report.json"
+        assert main([command, spec_path, "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        report = json.loads(text)
+        spec = load_spec(spec_path)
+        if command == "solve-tree":
+            pol = tree.solve_tree(spec)
+            pairs = [(getattr(pol, f), report["policy"][f]) for f in "KLPG"]
+        elif command == "solve-delayed-inf":
+            pol = delayed.solve_delayed_infinite(spec)
+            pairs = [(getattr(pol, f)[r],
+                      report["policy"][f][delayed.node_key(r)])
+                     for f in ("gains", "values") for r in pol.graph.nodes]
+        else:
+            sol = dare_solve(spec.dynamics.A, spec.dynamics.B, spec.cost.Q,
+                             spec.cost.R)
+            pairs = [(sol.P, report["P"]), (sol.K, report["K"])]
+        for solved, parsed in pairs:
+            assert np.asarray(parsed).tobytes() == solved.tobytes()
+            assert np.asarray(parsed).shape == solved.shape
+
     @pytest.mark.parametrize("command", ["solve-delayed", "solve-delayed-inf"])
     def test_delayed_reports_list_nodes_in_graph_order(self, tmp_path,
                                                        command):
@@ -581,13 +619,35 @@ class TestExitCodes:
                 "tree.spectral_radius = lambda M: 1.25; "
                 f"sys.exit(cli.main(['solve-tree-inf', "
                 f"{write_spec(tmp_path, GOLDEN)!r}]))")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=_src_env(), capture_output=True, text=True)
         assert proc.returncode == EXIT_NUMERICAL, proc.stderr
         assert "spectral radius 1.25" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["solve-tree", "simulate"])
+    def test_report_to_missing_directory_exits_1(self, tmp_path, command):
+        """A report path that cannot be opened is an input error: exit 1
+        with one line naming the path, not a traceback."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        argv = [command, spec_path]
+        if command == "simulate":
+            pol_path = str(tmp_path / "pol.json")
+            assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+            argv += ["--policy", pol_path, "--rollouts", "20", "--seed", "1"]
+        out = str(tmp_path / "missing" / "report.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "teamlqg.cli", *argv, "--out", out],
+            env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == EXIT_VALIDATION
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write report: ") and out in line
+        assert not os.path.exists(os.path.dirname(out))
+
+    def test_unencodable_report_raises_and_leaves_no_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_report(str(out), {"command": "x", "value": object()})
+        assert not out.exists()
 
     @pytest.mark.parametrize("rollouts", ["0", "-5"])
     def test_rollouts_below_one_rejected(self, tmp_path, capsys, rollouts):
