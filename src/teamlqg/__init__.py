@@ -75,8 +75,6 @@ from .sim import (
     SimReport,
     TreePolicySet,
     certainty_equivalence_check,
-    combine,
-    convex_combination_check,
     exact_cost_general,
     exchangeability_check,
     mft_sweep,

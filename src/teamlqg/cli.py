@@ -461,14 +461,15 @@ def cmd_verify(args):
     spec = _validated_spec(args.spec)
     T = _horizon(args, spec)
     if args.policy:
-        pset, pol = load_policy(args.policy, spec)
+        pset, _ = load_policy(args.policy, spec)
     else:
-        pol = _tree.solve_tree(spec, T)
-        pset = _sim.TreePolicySet.from_policy(pol, spec.n_dm)
+        pset = _sim.TreePolicySet.from_policy(_tree.solve_tree(spec, T),
+                                              spec.n_dm)
 
     results = []
 
-    defect, (holder, t, gain, (a, b), g) = _sim._pbp_worst(spec, pset, T)
+    defect, where, cost = _sim._pbp_worst(spec, pset, T)
+    holder, t, gain, (a, b), g = where
     results.append(("pbp_check", defect < args.pbp_tol,
                     f"max unilateral improvement {defect:.3e} at {holder}, "
                     f"t={t}, {gain}[{a},{b}], g={g:.3e}"))
@@ -482,13 +483,13 @@ def cmd_verify(args):
         results.append(("symmetrization_check",
                         _sim.symmetrization_holds(cs, co, ci2),
                         f"symmetrized {cs:.6g} vs original {co:.6g}"))
-        solved = _tree.solve_tree(spec, T) if args.policy else pol
-        ce = _sim.certainty_equivalence_check(spec, solved, args.rollouts,
+        ce = _sim.certainty_equivalence_check(spec, pset, cost, args.rollouts,
                                               args.seed)
         results.append(("certainty_equivalence_check",
-                        ce["gains_identical"] and ce["uniform_mc_within_3se"],
-                        f"gains identical: {ce['gains_identical']}, "
-                        f"uniform MC within 3 SE: {ce['uniform_mc_within_3se']}"))
+                        ce["uniform_mc_within_3se"],
+                        f"uniform-noise MC {ce['uniform_mc_cost']:.6g} vs "
+                        f"exact {ce['exact_cost']:.6g} "
+                        f"+/- {ce['uniform_mc_3se']:.3g}"))
 
     ok = True
     for name, passed, msg in results:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
-from .linalg import (is_psd, kron, numerical_rank, psd_factor,
-                     spectral_radius, sym)
+from .linalg import kron, numerical_rank, psd_factor, spectral_radius, sym
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
 from .moments import ClosedLoop, propagate
 from .riccati import RiccatiError, dare_solve
@@ -97,8 +96,13 @@ def _graph_for(spec: TeamSpec) -> InfoGraph:
 
 
 def check_preconditions(spec: TeamSpec):
-    """Sparsity validation; raises on failure so solve calls fail loudly."""
+    """Sparsity validation and independent initial states (the node
+    recursion and its costs assume init_offdiag = 0); raises ValueError on
+    failure so solve calls fail loudly."""
     graph = _graph_for(spec)
+    if np.any(spec.noise.init_offdiag != 0.0):
+        raise ValueError("delayed-sharing synthesis assumes independent "
+                         "initial states (init_offdiag = 0)")
     if isinstance(spec.dynamics, Blocked):
         rep = validate_sparsity(spec.info.delays, spec.dynamics)
         if not rep.ok:
@@ -444,8 +448,3 @@ def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:
             np.trace(_node_block(s, i, policy.values[s], spec.n) @ W)
         )
     return total
-
-
-def values_psd(policy: GraphPolicy) -> bool:
-    return all(is_psd(X) for v in policy.values.values()
-               for X in v.reshape(-1, *v.shape[-2:]))

@@ -134,6 +134,10 @@ class CostSpec:
     Tree specs leave Q_tilde zero); MeanFieldTree weighs both pair sums
     2/(N-1).  A reported J is 1/T times the expected total cost of the team,
     or of one agent of the infinite population for ``mean_field_limit``.
+    The stages differ: Tree and MeanFieldTree price the stages t < T only,
+    with no terminal x_T' Q x_T (``solve_k_p`` starts from P_T = 0), while
+    Delayed also charges x_T' Q x_T (its node recursion starts from
+    X_T = Q).
     """
 
     Q: np.ndarray

@@ -3,13 +3,14 @@
 Every closed-loop moment propagation in the package runs here.  It has
 four users:
 
-- ``tree._cost_and_grad`` prices a symmetric tree policy, and the cross term
-  of ``tree.closed_form_cost_variants``, on the two-agent loop of one
-  exchangeable pair;
+- ``tree._cost_and_grad`` prices a symmetric tree policy on the two-agent
+  loop of one exchangeable pair;
 - ``sim.exact_cost_general`` and ``sim.pbp_check`` price N-agent tree-class
-  profiles; this loop and the pair loop are both built by
-  ``tree._closed_loop`` on z = (x_t, c), with the coupling statistics c
-  held constant, so every K and L gain is a plain block of M_t;
+  profiles (``verify`` hands pbp's cost on to
+  ``sim.certainty_equivalence_check``); this loop and the pair loop are
+  both built by ``tree._closed_loop`` on z = (x_t, c), with the coupling
+  statistics c held constant, so every K and L gain is a plain block of
+  M_t;
 - ``delayed.closed_loop_cost`` and ``sim.pbp_check`` price delayed-sharing
   controllers on the estimator states alone, x = X zeta in the weights;
 - ``sim.mft_sweep`` measures the distance between the N-agent and the

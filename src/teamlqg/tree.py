@@ -223,13 +223,6 @@ def exact_policy_cost(spec: TeamSpec, T: int, K, L, mode: Population) -> float:
     return float(J[0])
 
 
-def policy_cost_gradient(spec: TeamSpec, T: int, K, L, mode: Population):
-    p = _params(spec, mode)
-    Lb = np.asarray(L, dtype=float).reshape(1, T, spec.m, spec.n)
-    J, g = _cost_and_grad(p, K, Lb)
-    return float(J[0]), g[0]
-
-
 # ---------------------------------------------------------------------------
 # coupling gains
 
@@ -387,62 +380,11 @@ def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = N
     return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P, G=G)
 
 
-def closed_form_cost_variants(spec: TeamSpec, policy: TreePolicy):
-    """Trace decompositions of the two-agent optimal cost.
-
-    The exact value satisfies the completion-of-squares identity
-
-        J = (2/T) [ tr(P_0 Sd) + sum_t tr(P_{t+1} W)
-                    + sum_t tr(L_t^T (R + B^T P_{t+1} B) L_t C1)
-                    + sum_t E(u_t^{1,T} R~ u_t^2) ],
-
-    returned under the key "identity" (it matches moment propagation to
-    machine precision).  The keyed entries are published index variants of a
-    looser trace formula (quadratic term without the R part, cross term in
-    powers of A^T); none reproduces the exact value in general, and the
-    report exists to quantify their gaps — see the key "best_variant".
-    """
-    if policy.mode != n_dm(2):
-        raise ValueError("closed-form cost applies to the two-agent tree mode")
-    T = policy.horizon
-    p = _params(spec, policy.mode)
-    A, B, Sigma, Sd = p.A, p.B, p.Sigma, p.Sd
-    P, K, L = policy.P, policy.K, policy.L
-    C1 = Sigma @ Sd @ Sigma.T
-    base = float(np.trace(P[0] @ Sd))
-    LT = L.swapaxes(1, 2)
-    noise = float(np.einsum("tij,ji->", P[1:], p.W))
-    quad = float(np.einsum("tii->", LT @ B.T @ P[1:] @ B @ L @ C1))
-    quad_r = float(np.einsum("tii->",
-                             LT @ (p.R + B.T @ P[1:] @ B) @ L @ C1))
-    # exact cross-pair control correlation sum_t E(u1' R~ u2): T times the
-    # cost of the pair loop that weighs only the cross control term
-    cross_exact = T * propagate(_closed_loop(
-        p, np.stack([K, K]), np.stack([L, L]), 0.0, 0.5, 0.0)).cost
-
-    exact = exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
-    out = {
-        "exact": exact,
-        "identity": (2.0 / T) * (base + noise + quad_r + cross_exact),
-    }
-    for exp_shift in (0, -1):
-        cross = 0.0
-        for t in range(1, T):
-            Apow = np.linalg.matrix_power(A.T, max(t + exp_shift, 0))
-            cross += float(np.trace(Apow @ P[t + 1] @ B @ L[t] @ Sigma @ Sd))
-        key = f"literal A^{{t{'-1' if exp_shift else ''}}}"
-        out[key] = (2.0 / T) * (base + noise + quad + cross)
-    literal = {k: v for k, v in out.items() if k.startswith("literal")}
-    out["best_variant"] = min(literal, key=lambda k: abs(literal[k] - exact))
-    return out
-
-
 def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
     """Optimal expected cost of a policy produced by this module.
 
-    Evaluated by exact moment propagation of the closed loop, which agrees
-    with the completion-of-squares trace identity to machine precision (see
-    closed_form_cost_variants).
+    Evaluated by exact moment propagation of the two-agent closed loop
+    (``exact_policy_cost``).
     """
     if T != policy.horizon:
         raise ValueError("policy horizon does not match requested horizon")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from teamlqg import tree
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -13,6 +14,8 @@ from teamlqg.model import (
     TeamSpec,
     Tree,
 )
+from teamlqg.moments import propagate
+from teamlqg.sim import TreePolicySet, _se, _tree_crn
 
 
 def rand_psd(rng, n, scale=1.0, ridge=0.0):
@@ -126,6 +129,79 @@ def single_dm_delayed_spec(rng, T=None, n=None):
                         init_offdiag=np.zeros((n, n))),
         info=Delayed(delays=((0.0,),)),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference formulas and checks that only the tests use
+
+
+def closed_form_cost_variants(spec, policy):
+    """Trace decompositions of the two-agent optimal cost.
+
+    The exact value satisfies the completion-of-squares identity
+
+        J = (2/T) [ tr(P_0 Sd) + sum_t tr(P_{t+1} W)
+                    + sum_t tr(L_t^T (R + B^T P_{t+1} B) L_t C1)
+                    + sum_t E(u_t^{1,T} R~ u_t^2) ],
+
+    returned under the key "identity" (it matches moment propagation to
+    machine precision).  The keyed entries are published index variants of a
+    looser trace formula (quadratic term without the R part, cross term in
+    powers of A^T); none reproduces the exact value in general, and the
+    report exists to quantify their gaps — see the key "best_variant".
+    """
+    if policy.mode != tree.n_dm(2):
+        raise ValueError("closed-form cost applies to the two-agent tree mode")
+    T = policy.horizon
+    p = tree._params(spec, policy.mode)
+    A, B, Sigma, Sd = p.A, p.B, p.Sigma, p.Sd
+    P, K, L = policy.P, policy.K, policy.L
+    C1 = Sigma @ Sd @ Sigma.T
+    base = float(np.trace(P[0] @ Sd))
+    LT = L.swapaxes(1, 2)
+    noise = float(np.einsum("tij,ji->", P[1:], p.W))
+    quad = float(np.einsum("tii->", LT @ B.T @ P[1:] @ B @ L @ C1))
+    quad_r = float(np.einsum("tii->",
+                             LT @ (p.R + B.T @ P[1:] @ B) @ L @ C1))
+    # exact cross-pair control correlation sum_t E(u1' R~ u2): T times the
+    # cost of the pair loop that weighs only the cross control term
+    cross_exact = T * propagate(tree._closed_loop(
+        p, np.stack([K, K]), np.stack([L, L]), 0.0, 0.5, 0.0)).cost
+
+    exact = tree.exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
+    out = {
+        "exact": exact,
+        "identity": (2.0 / T) * (base + noise + quad_r + cross_exact),
+    }
+    for exp_shift in (0, -1):
+        cross = 0.0
+        for t in range(1, T):
+            Apow = np.linalg.matrix_power(A.T, max(t + exp_shift, 0))
+            cross += float(np.trace(Apow @ P[t + 1] @ B @ L[t] @ Sigma @ Sd))
+        key = f"literal A^{{t{'-1' if exp_shift else ''}}}"
+        out[key] = (2.0 / T) * (base + noise + quad + cross)
+    literal = {k: v for k, v in out.items() if k.startswith("literal")}
+    out["best_variant"] = min(literal, key=lambda k: abs(literal[k] - exact))
+    return out
+
+
+def combine(p1, p2, a):
+    """Pointwise convex combination a*p1 + (1-a)*p2 of affine profiles."""
+    if (p1.mode != p2.mode or p1.K.shape != p2.K.shape
+            or p1.L.shape != p2.L.shape):
+        raise ValueError("profiles must share mode, size, and horizon")
+    return TreePolicySet(mode=p1.mode, K=a * p1.K + (1 - a) * p2.K,
+                         L=a * p1.L + (1 - a) * p2.L)
+
+
+def convex_combination_check(spec, p1, p2, a, n_rollouts, seed):
+    """J(a p1 + (1-a) p2) <= a J(p1) + (1-a) J(p2) under common random
+    numbers; returns (lhs, rhs, 3-SE half width of lhs - rhs)."""
+    c1, c2, cm = _tree_crn(spec, p1.horizon, n_rollouts, seed, p1, p2,
+                           combine(p1, p2, a))
+    gap = cm - (a * c1 + (1 - a) * c2)
+    return (float(np.mean(cm)), float(np.mean(a * c1 + (1 - a) * c2)),
+            3.0 * _se(gap))
 
 
 @pytest.fixture

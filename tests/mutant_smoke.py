@@ -125,6 +125,12 @@ MUTANTS = (
            "X[:, None, :, None] * Y[None, :, None, :]",
            "X[None, :, None, :] * Y[:, None, :, None]",
            ("tests/test_linalg.py::test_kron_matches_numpy_bitwise",)),
+    Mutant("certainty equivalence rolled out under the spec's own family",
+           SIM,
+           'noise=replace(spec.noise, family="uniform"))',
+           "noise=replace(spec.noise, family=spec.noise.family))",
+           ("tests/test_cli.py::TestCommands::"
+            "test_verify_draws_solves_and_prices_once",)),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

@@ -19,15 +19,12 @@ from teamlqg.sim import (
     GraphPolicySet,
     TreePolicySet,
     certainty_equivalence_check,
-    combine,
-    convex_combination_check,
     exchangeability_check,
     rollout_costs,
     simulate,
     symmetrization_check,
 )
 from teamlqg.tree import (
-    closed_form_cost_variants,
     mean_field,
     meanfield_limit_policy,
     n_dm,
@@ -38,6 +35,8 @@ from teamlqg.tree import (
 )
 
 from conftest import (
+    closed_form_cost_variants,
+    convex_combination_check,
     coupled_delayed_spec_2dm,
     random_tree_spec,
     scalar_mf_spec,
@@ -224,9 +223,14 @@ def test_A6_structural_theorem_suite():
         conv_ok = conv_ok and lhs <= rhs + ci3
 
     ce_spec = scalar_tree_spec(T=3)
-    ce = certainty_equivalence_check(ce_spec, solve_tree(ce_spec, 3), 20_000,
-                                     seed=66)
-    ce_ok = ce["gains_identical"] and ce["uniform_mc_within_3se"]
+    ce_pol = solve_tree(ce_spec, 3)
+    ce_uni = solve_tree(scalar_tree_spec(T=3, family="uniform"), 3)
+    gains_ok = (np.array_equal(ce_pol.K, ce_uni.K)
+                and np.array_equal(ce_pol.L, ce_uni.L))
+    ce = certainty_equivalence_check(
+        ce_spec, TreePolicySet.from_policy(ce_pol, 2),
+        predicted_cost(ce_spec, 3, ce_pol), 20_000, seed=66)
+    ce_ok = gains_ok and ce["uniform_mc_within_3se"]
     dt = time.time() - t0
     report("A6", exch_ok and symm_ok and conv_ok and ce_ok,
            f"exchangeability 10/10 {'ok' if exch_ok else 'FAILED'}, "

@@ -347,12 +347,16 @@ class TestCommands:
             assert f"[PASS] {name}" in out
 
     def test_verify_draws_solves_and_prices_once(self, tmp_path, monkeypatch):
-        """One tree verify repeats no draw of a (seed, family, shape), solves
-        the gaussian and the uniform-noise policy once each, runs one gain
-        sensitivity pass (pbp_check's), and takes its exchangeability and
-        symmetrization numbers bit for bit from the standalone checks'."""
+        """One tree verify repeats no draw of a (seed, family, shape), draws
+        the uniform family once (certainty equivalence's rollouts), solves
+        the gaussian policy once, propagates the closed loop and runs its
+        gain sensitivity once (pbp_check's, whose exact cost certainty
+        equivalence reuses), and takes its exchangeability and
+        symmetrization numbers bit for bit from the standalone checks'.
+        verify --policy on a saved tree report solves nothing."""
         from teamlqg import rng, sim
         draws, solves, passes, verdicts, shared = [], [], [], [], []
+        propagations, ce = [], []
 
         def spy(owner, name, note):
             fn = getattr(owner, name)
@@ -369,22 +373,36 @@ class TestCommands:
         spy(tree, "solve_tree", lambda out, spec, *a, **k: solves.append(
             spec.noise.family))
         monkeypatch.setattr(sim, "solve_tree", tree.solve_tree)
+        for owner in (sim, tree, delayed):
+            spy(owner, "propagate", lambda out, *a: propagations.append(out))
         spy(sim, "gain_sensitivity", lambda out, *a: passes.append(out))
         spy(sim, "symmetrization_holds", lambda out, *a: verdicts.append(a))
         spy(sim, "symmetry_checks", lambda out, *a: shared.append(out))
+        spy(sim, "certainty_equivalence_check",
+            lambda out, *a: ce.append(out))
         spec_path = write_spec(tmp_path, dict(GOLDEN, n_dm=3))
-        assert main(["verify", spec_path, "--rollouts", "300",
-                     "--seed", "5"]) == EXIT_OK
+        argv = ["verify", spec_path, "--rollouts", "300", "--seed", "5"]
+        assert main(argv) == EXIT_OK
         assert len(draws) == len(set(draws)) == 2
-        assert sorted(solves) == ["gaussian", "uniform"]
-        assert len(passes) == 1
+        assert [d[1] for d in draws].count("uniform") == 1
+        assert solves == ["gaussian"]
+        assert len(propagations) == len(passes) == len(shared) == len(ce) == 1
+        assert ce[0]["exact_cost"] == propagations[0].cost
+
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        solves.clear()
+        assert main(argv + ["--policy", pol_path]) == EXIT_OK
+        assert solves == []
+        # the loaded profile is the solved one, so its checks agree
+        assert shared[1] == shared[0] and ce[1] == ce[0]
 
         spec = load_spec(spec_path)
         pset = sim.TreePolicySet.from_policy(tree.solve_tree(spec), 3)
-        (exch, _), = shared
+        (exch, _), _ = shared
         assert exch == sim.exchangeability_check(spec, pset, [1, 2, 0], 300,
                                                  5)
-        assert verdicts == [sim.symmetrization_check(spec, pset, 300, 5)]
+        assert verdicts[0] == sim.symmetrization_check(spec, pset, 300, 5)
 
     def test_verify_corrupted_gain_exits_1_naming_pbp(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, GOLDEN)

@@ -2,6 +2,7 @@
 cost agreement, and the stationary policy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from teamlqg.delayed import (
     solve_delayed_finite,
     solve_delayed_infinite,
     stacked_data,
-    values_psd,
 )
-from teamlqg.linalg import numerical_rank, psd_factor
+from teamlqg.linalg import is_psd, numerical_rank, psd_factor
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -27,6 +27,7 @@ from teamlqg.model import (
     Homogeneous,
     NoiseSpec,
     TeamSpec,
+    validate,
 )
 
 from conftest import coupled_delayed_spec_2dm, single_dm_delayed_spec
@@ -59,6 +60,12 @@ def dp_oracle(A, B, Q, R, S, T):
         X = 0.5 * (X + X.T)
         Ks[t], Xs[t] = K, X
     return Ks, Xs
+
+
+def values_psd(policy):
+    """Whether every node's value matrix X_t^r is positive semidefinite."""
+    return all(is_psd(X) for v in policy.values.values()
+               for X in v.reshape(-1, *v.shape[-2:]))
 
 
 def decoupled_2dm_spec(T=3):
@@ -305,6 +312,22 @@ class TestInfiniteHorizon:
         )
         with pytest.raises(ValueError, match="sparsity"):
             solve_delayed_finite(spec, 2)
+
+    def test_correlated_initial_states_rejected(self):
+        """The node recursion and its costs assume independent initial
+        states, so a pair-delay spec with init_offdiag != 0, which fails
+        validate, fails both library solvers too; with init_offdiag = 0
+        the same spec solves."""
+        spec = coupled_delayed_spec_2dm(T=3)
+        solve_delayed_finite(spec, 3)
+        solve_delayed_infinite(spec)
+        spec = replace(spec, noise=replace(spec.noise,
+                                           init_offdiag=[[0.5]]))
+        assert not validate(spec).ok
+        with pytest.raises(ValueError, match="init_offdiag"):
+            solve_delayed_finite(spec, 3)
+        with pytest.raises(ValueError, match="init_offdiag"):
+            solve_delayed_infinite(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from teamlqg.sim import (
     TreePolicySet,
     GraphPolicySet,
     certainty_equivalence_check,
-    combine,
-    convex_combination_check,
     exact_cost_general,
     exchangeability_check,
     mft_sweep,
@@ -61,6 +59,8 @@ from teamlqg.linalg import spectral_radius, sym
 from teamlqg.moments import ClosedLoop, gain_sensitivity, propagate
 
 from conftest import (
+    combine,
+    convex_combination_check,
     coupled_delayed_spec_2dm,
     rand_pd,
     rand_psd,
@@ -623,8 +623,9 @@ class TestZetaLoop:
             assert loop.F0.shape[0] == ref.F0.shape[0] - spec.n_dm * n
             J, J_ref = propagate(loop).cost, propagate(ref).cost
             assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
-            got = sim._pbp_terms(loop, blocks)
-            want = sim._pbp_terms(ref, ref_blocks)
+            got, J_got = sim._pbp_terms(loop, blocks)
+            want, _ = sim._pbp_terms(ref, ref_blocks)
+            assert J_got == J
             # g vanishes at solved gains, so it is judged on J's scale.
             h_scale = max(np.abs(h).max() for _, h in want.values())
             for r in blocks:
@@ -978,10 +979,18 @@ class TestStructuralChecks:
                                        atol=1e-14 * np.abs(ref).max())
 
     def test_certainty_equivalence(self):
+        """The gains solved under uniform noise equal the gaussian ones bit
+        for bit, and the profile's uniform-noise Monte Carlo cost lies
+        within 3 SE of its exact cost."""
         spec = scalar_tree_spec(T=3)
         pset, pol = optimal_pset(spec, 3)
-        rep = certainty_equivalence_check(spec, pol, 20000, seed=13)
-        assert rep["gains_identical"]
+        pol_u = solve_tree(scalar_tree_spec(T=3, family="uniform"), 3)
+        assert np.array_equal(pol.K, pol_u.K)
+        assert np.array_equal(pol.L, pol_u.L)
+        exact = exact_cost_general(spec, pset, 3)
+        assert abs(exact - predicted_cost(spec, 3, pol)) <= 1e-12 * exact
+        rep = certainty_equivalence_check(spec, pset, exact, 20000, seed=13)
+        assert rep["exact_cost"] == exact
         assert rep["uniform_mc_within_3se"]
         assert pbp_check(spec, pset, 3) < 1e-7
 

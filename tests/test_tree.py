@@ -28,14 +28,12 @@ from teamlqg.riccati import dare_solve
 from teamlqg.sim import TreePolicySet, exact_cost_general
 from teamlqg.tree import (
     CouplingSystemError,
-    closed_form_cost_variants,
     cost_weights,
     exact_policy_cost,
     mean_field,
     mean_field_limit,
     meanfield_limit_policy,
     n_dm,
-    policy_cost_gradient,
     predicted_cost,
     solve_coupling_gains,
     solve_infinite_tree,
@@ -45,6 +43,7 @@ from teamlqg.tree import (
 
 from conftest import (
     assert_nondegenerate,
+    closed_form_cost_variants,
     rand_pd,
     random_tree_spec,
     scalar_mf_spec,
@@ -52,6 +51,15 @@ from conftest import (
 )
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def policy_cost_gradient(spec, T, K, L, mode):
+    """Exact cost and its gradient in L of the symmetric policy
+    u_t^i = K_t x_t^i + L_t c^i (``tree._cost_and_grad`` on one schedule)."""
+    p = tree_module._params(spec, mode)
+    Lb = np.asarray(L, dtype=float).reshape(1, T, spec.m, spec.n)
+    J, g = tree_module._cost_and_grad(p, K, Lb)
+    return float(J[0]), g[0]
 
 
 # ---------------------------------------------------------------------------
