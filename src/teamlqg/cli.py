@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Usage: teamlqg COMMAND SPECFILE [flags].  Commands parse a JSON spec file,
-dispatch the solvers/checks, print a human-readable summary, and (with
---out) write a JSON report whose numbers round-trip losslessly.
+dispatch the solvers/checks, print a human-readable summary, and return
+their report; ``main`` writes every report (with --out) as JSON whose
+numbers round-trip losslessly.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 3 usage error.
@@ -15,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,12 +27,12 @@ from .model import (
     Blocked,
     CostSpec,
     Delayed,
-    DimensionError,
     Homogeneous,
     MeanFieldTree,
     NoiseSpec,
     TeamSpec,
     Tree,
+    ValidationReport,
     validate,
 )
 from .riccati import RiccatiError, dare_solve
@@ -49,6 +51,10 @@ class SpecFileError(ValueError):
 # spec file parsing
 
 
+SECTIONS = ["model", "cost", "noise", "info"]
+SPEC_KEYS = [*SECTIONS, "horizon", "n_dm"]
+
+
 def _require_keys(obj, allowed, required, where):
     unknown = set(obj) - set(allowed)
     if unknown:
@@ -58,98 +64,77 @@ def _require_keys(obj, allowed, required, where):
         raise SpecFileError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _matrix(v, name):
+def _integer(data, key):
+    """data[key], which must be a JSON integer (not 2.7, "2" or true)."""
+    v = data[key]
+    if type(v) is not int:
+        raise SpecFileError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _delayed_info(delays):
+    """Delayed information; null, like "inf", means never shared."""
+    return Delayed(delays=tuple(tuple(math.inf if v is None else v for v in row)
+                                for row in delays))
+
+
+# info.kind -> (constructor, its keyword fields)
+INFO_KINDS = {"tree": (Tree, []), "meanfield": (MeanFieldTree, []),
+              "delayed": (_delayed_info, ["delays"])}
+
+
+def _build(section, make, fields):
+    """make(**fields), naming the section when a grid is not a list."""
     try:
-        M = np.array(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"{name} is not a numeric matrix") from exc
-    if M.ndim != 2:
-        raise SpecFileError(f"{name} must be a 2-D nested array")
-    return M
-
-
-def _delay_value(v):
-    if v is None or (isinstance(v, str) and v.lower() in ("inf", "infinity")):
-        return math.inf
-    return float(v)
+        return make(**fields)
+    except TypeError as exc:
+        raise SpecFileError(f"malformed {section}: {exc}") from exc
 
 
 def parse_spec(data: dict) -> TeamSpec:
-    _require_keys(data, ["model", "cost", "noise", "info", "horizon", "n_dm"],
-                  ["model", "cost", "noise", "info", "horizon", "n_dm"],
-                  "spec file")
-    model = data["model"]
-    if "A_blocks" in model or "B_blocks" in model:
-        _require_keys(model, ["A_blocks", "B_blocks"], ["A_blocks", "B_blocks"],
-                      "model")
-        dynamics = Blocked(
-            A_blocks=tuple(tuple(_matrix(b, "A block") for b in row)
-                           for row in model["A_blocks"]),
-            B_blocks=tuple(tuple(_matrix(b, "B block") for b in row)
-                           for row in model["B_blocks"]),
-        )
-    else:
-        _require_keys(model, ["A", "B"], ["A", "B"], "model")
-        dynamics = Homogeneous(A=_matrix(model["A"], "A"),
-                               B=_matrix(model["B"], "B"))
-
-    cost_d = data["cost"]
-    _require_keys(cost_d, ["Q", "R", "R_tilde", "Q_tilde", "S"], ["Q", "R"],
+    """The spec of a decoded spec file.  Each section's keys are checked
+    here; the model constructors convert and shape-check every matrix."""
+    _require_keys(data, SPEC_KEYS, SPEC_KEYS, "spec file")
+    for name in SECTIONS:
+        if not isinstance(data[name], dict):
+            raise SpecFileError(f"{name} must be a JSON object")
+    model, cost, noise, info = (data[name] for name in SECTIONS)
+    blocked = "A_blocks" in model or "B_blocks" in model
+    fields = ["A_blocks", "B_blocks"] if blocked else ["A", "B"]
+    _require_keys(model, fields, fields, "model")
+    _require_keys(cost, ["Q", "R", "R_tilde", "Q_tilde", "S"], ["Q", "R"],
                   "cost")
-    cost = CostSpec(
-        Q=_matrix(cost_d["Q"], "Q"),
-        R=_matrix(cost_d["R"], "R"),
-        R_tilde=(_matrix(cost_d["R_tilde"], "R_tilde")
-                 if cost_d.get("R_tilde") is not None else None),
-        Q_tilde=(_matrix(cost_d["Q_tilde"], "Q_tilde")
-                 if cost_d.get("Q_tilde") is not None else None),
-        S=_matrix(cost_d["S"], "S") if cost_d.get("S") is not None else None,
-    )
-
-    noise_d = data["noise"]
-    _require_keys(noise_d, ["sigma_w", "init_diag", "init_offdiag", "family"],
+    _require_keys(noise, ["sigma_w", "init_diag", "init_offdiag", "family"],
                   ["sigma_w", "init_diag", "init_offdiag"], "noise")
-    noise = NoiseSpec(
-        sigma_w=_matrix(noise_d["sigma_w"], "sigma_w"),
-        init_diag=_matrix(noise_d["init_diag"], "init_diag"),
-        init_offdiag=_matrix(noise_d["init_offdiag"], "init_offdiag"),
-        family=noise_d.get("family", "gaussian"),
-    )
-
-    info_d = data["info"]
-    kind = info_d.get("kind")
-    if kind == "tree":
-        _require_keys(info_d, ["kind"], ["kind"], "info")
-        info = Tree()
-    elif kind == "meanfield":
-        _require_keys(info_d, ["kind"], ["kind"], "info")
-        info = MeanFieldTree()
-    elif kind == "delayed":
-        _require_keys(info_d, ["kind", "delays"], ["kind", "delays"], "info")
-        info = Delayed(delays=tuple(
-            tuple(_delay_value(v) for v in row) for row in info_d["delays"]
-        ))
-    else:
+    kind = info.get("kind")
+    if not (isinstance(kind, str) and kind in INFO_KINDS):
         raise SpecFileError(f"info.kind must be tree|meanfield|delayed, got {kind!r}")
+    make_info, fields = INFO_KINDS[kind]
+    _require_keys(info, ["kind", *fields], ["kind", *fields], "info")
+    return TeamSpec(
+        n_dm=_integer(data, "n_dm"), horizon=_integer(data, "horizon"),
+        dynamics=_build("model", Blocked if blocked else Homogeneous, model),
+        cost=_build("cost", CostSpec, cost),
+        noise=_build("noise", NoiseSpec, noise),
+        info=_build("info", make_info, {k: info[k] for k in fields}))
 
-    try:
-        return TeamSpec(n_dm=int(data["n_dm"]), horizon=int(data["horizon"]),
-                        dynamics=dynamics, cost=cost, noise=noise, info=info)
-    except DimensionError as exc:
-        raise SpecFileError(str(exc)) from exc
 
-
-def load_spec(path: str) -> TeamSpec:
+def _read_object(path, what):
+    """The JSON object in the file at path; ``what`` names the file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise SpecFileError(f"cannot read spec file: {exc}") from exc
+        raise SpecFileError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpecFileError(f"spec file is not valid JSON: {exc}") from exc
+        raise SpecFileError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise SpecFileError("spec file must contain a JSON object")
-    return parse_spec(data)
+        raise SpecFileError(f"{what} must contain a JSON object")
+    return data
+
+
+def load_spec(path: str) -> TeamSpec:
+    return parse_spec(_read_object(path, "spec file"))
 
 
 def write_report(path, payload):
@@ -252,13 +237,7 @@ def policy_from_report(data: dict, spec: TeamSpec):
 
 
 def load_policy(path: str, spec: TeamSpec):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecFileError(f"cannot read policy file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecFileError("policy file must contain a JSON object")
+    data = _read_object(path, "policy file")
     return policy_from_report(data.get("policy", data), spec)
 
 
@@ -275,16 +254,14 @@ def _validated_spec(path):
     return spec
 
 
-def cmd_check(args):
-    spec = load_spec(args.spec)
-    rep = validate(spec)
+def _checks_report(rep):
+    """Print a ValidationReport's lines; return its report."""
     print(rep.summary())
-    payload = {"command": "check", "ok": rep.ok,
-               "checks": [{"name": c.name, "passed": c.passed,
-                           "message": c.message} for c in rep.checks]}
-    if args.out:
-        write_report(args.out, payload)
-    return EXIT_OK if rep.ok else EXIT_VALIDATION
+    return {"ok": rep.ok, "checks": [asdict(c) for c in rep.checks]}
+
+
+def cmd_check(args):
+    return _checks_report(validate(load_spec(args.spec)))
 
 
 def cmd_solve_tree(args):
@@ -297,11 +274,7 @@ def cmd_solve_tree(args):
     for t in range(T):
         print(f"  t={t}  K={pol.K[t].ravel().tolist()}  "
               f"L={pol.L[t].ravel().tolist()}")
-    if args.out:
-        write_report(args.out, {"command": "solve-tree",
-                                "predicted_cost": cost,
-                                "policy": pol.as_dict()})
-    return EXIT_OK
+    return {"predicted_cost": cost, "policy": pol.as_dict()}
 
 
 def cmd_solve_tree_inf(args):
@@ -312,28 +285,21 @@ def cmd_solve_tree_inf(args):
     print(f"average cost = {pol.average_cost:.12g}")
     print(f"closed-loop spectral radius = {pol.closed_loop_radius:.6g}")
     print(f"coupling decay horizon = {pol.decay_horizon}")
-    if args.out:
-        write_report(args.out, {"command": "solve-tree-inf",
-                                "policy": pol.as_dict()})
-    return EXIT_OK
+    return {"policy": pol.as_dict()}
 
 
 def cmd_solve_ndm(args):
     spec = _validated_spec(args.spec)
     if args.n < 2:
         raise SpecFileError("--n must be at least 2")
-    from dataclasses import replace
+    _tree.homogeneous_dynamics(spec)
     nspec = replace(spec, n_dm=args.n)
     T = _horizon(args, spec)
     pol = _tree.solve_tree(nspec, T, mode=_tree.n_dm(args.n))
     cost = _tree.exact_policy_cost(nspec, T, pol.K, pol.L, pol.mode)
     print(f"{args.n}-agent policy solved: horizon {T}")
     print(f"predicted cost: {cost:.12g}")
-    if args.out:
-        write_report(args.out, {"command": "solve-ndm", "n": args.n,
-                                "predicted_cost": cost,
-                                "policy": pol.as_dict()})
-    return EXIT_OK
+    return {"n": args.n, "predicted_cost": cost, "policy": pol.as_dict()}
 
 
 def cmd_solve_mf(args):
@@ -347,13 +313,8 @@ def cmd_solve_mf(args):
     for t in range(T):
         print(f"  t={t}  K={pol.K[t].ravel().tolist()}  "
               f"L={pol.L[t].ravel().tolist()}")
-    if args.out:
-        write_report(args.out, {
-            "command": "solve-mf",
-            "convergence": [{"N": spec.n_dm, "L_gap": gap}],
-            "policy": pol.as_dict(),
-        })
-    return EXIT_OK
+    return {"convergence": [{"N": spec.n_dm, "L_gap": gap}],
+            "policy": pol.as_dict()}
 
 
 def cmd_solve_delayed(args):
@@ -364,11 +325,7 @@ def cmd_solve_delayed(args):
     print("information graph:")
     print("  " + pol.graph.adjacency_listing().replace("\n", "\n  "))
     print(f"predicted cost: {cost:.12g}")
-    if args.out:
-        write_report(args.out, {"command": "solve-delayed",
-                                "predicted_cost": cost,
-                                "policy": pol.as_dict()})
-    return EXIT_OK
+    return {"predicted_cost": cost, "policy": pol.as_dict()}
 
 
 def cmd_solve_delayed_inf(args):
@@ -380,26 +337,19 @@ def cmd_solve_delayed_inf(args):
     print("  " + pol.graph.adjacency_listing().replace("\n", "\n  "))
     print(f"average cost = {cost:.12g}")
     print(f"closed-loop spectral radius = {radius:.6g}")
-    if args.out:
-        write_report(args.out, {"command": "solve-delayed-inf",
-                                "average_cost": cost,
-                                "closed_loop_radius": radius,
-                                "policy": pol.as_dict()})
-    return EXIT_OK
+    return {"average_cost": cost, "closed_loop_radius": radius,
+            "policy": pol.as_dict()}
 
 
 def cmd_dare(args):
     spec = _validated_spec(args.spec)
-    sol = dare_solve(spec.dynamics.A, spec.dynamics.B, spec.cost.Q, spec.cost.R)
+    sol = dare_solve(*_tree.homogeneous_dynamics(spec), spec.cost.Q,
+                     spec.cost.R)
     print(f"P = {sol.P.ravel().tolist()}")
     print(f"K = {sol.K.ravel().tolist()}")
     print(f"relative residual = {sol.residual:.3e} after {sol.iterations} doublings")
-    if args.out:
-        write_report(args.out, {"command": "dare", "P": sol.P.tolist(),
-                                "K": sol.K.tolist(),
-                                "residual": sol.residual,
-                                "iterations": sol.iterations})
-    return EXIT_OK
+    return {"P": sol.P.tolist(), "K": sol.K.tolist(),
+            "residual": sol.residual, "iterations": sol.iterations}
 
 
 def _horizon(args, spec):
@@ -424,9 +374,7 @@ def cmd_simulate(args):
     rep = _sim.simulate(spec, pset, T, args.rollouts, args.seed)
     print(f"mean cost = {rep.mean_cost:.12g} +/- {rep.std_error:.3g} "
           f"(1 SE, {rep.n_rollouts} rollouts, seed {rep.seed})")
-    if args.out:
-        write_report(args.out, {"command": "simulate", **rep.as_dict()})
-    return EXIT_OK
+    return rep.as_dict()
 
 
 def cmd_sweep_mft(args):
@@ -447,9 +395,7 @@ def cmd_sweep_mft(args):
             "-" if row[c] is None else (str(row[c]) if c == "N" else f"{row[c]:.6g}")
             for c in cols
         ))
-    if args.out:
-        write_report(args.out, {"command": "sweep-mft", "table": rows})
-    return EXIT_OK
+    return {"table": rows}
 
 
 def cmd_verify(args):
@@ -466,43 +412,27 @@ def cmd_verify(args):
         pset = _sim.TreePolicySet.from_policy(_tree.solve_tree(spec, T),
                                               spec.n_dm)
 
-    results = []
-
+    rep = ValidationReport()
     defect, where, cost = _sim._pbp_worst(spec, pset, T)
     holder, t, gain, (a, b), g = where
-    results.append(("pbp_check", defect < args.pbp_tol,
-                    f"max unilateral improvement {defect:.3e} at {holder}, "
-                    f"t={t}, {gain}[{a},{b}], g={g:.3e}"))
+    rep.add("pbp_check", defect < _sim.PBP_TOL,
+            f"max unilateral improvement {defect:.3e} at {holder}, "
+            f"t={t}, {gain}[{a},{b}], g={g:.3e}")
 
     if isinstance(pset, _sim.TreePolicySet):
         perm = list(range(1, spec.n_dm)) + [0]
         (delta, ci), (cs, co, ci2) = _sim.symmetry_checks(
             spec, pset, perm, args.rollouts, args.seed)
-        results.append(("exchangeability_check", abs(delta) <= max(ci, 1e-12),
-                        f"delta {delta:.3e} +/- {ci:.3e}"))
-        results.append(("symmetrization_check",
-                        _sim.symmetrization_holds(cs, co, ci2),
-                        f"symmetrized {cs:.6g} vs original {co:.6g}"))
+        rep.add("exchangeability_check", abs(delta) <= max(ci, 1e-12),
+                f"delta {delta:.3e} +/- {ci:.3e}")
+        rep.add("symmetrization_check", _sim.symmetrization_holds(cs, co, ci2),
+                f"symmetrized {cs:.6g} vs original {co:.6g}")
         ce = _sim.certainty_equivalence_check(spec, pset, cost, args.rollouts,
                                               args.seed)
-        results.append(("certainty_equivalence_check",
-                        ce["uniform_mc_within_3se"],
-                        f"uniform-noise MC {ce['uniform_mc_cost']:.6g} vs "
-                        f"exact {ce['exact_cost']:.6g} "
-                        f"+/- {ce['uniform_mc_3se']:.3g}"))
-
-    ok = True
-    for name, passed, msg in results:
-        tag = "PASS" if passed else "FAIL"
-        ok = ok and passed
-        print(f"[{tag}] {name} ({msg})")
-    if args.out:
-        write_report(args.out, {
-            "command": "verify", "ok": ok,
-            "checks": [{"name": n, "passed": p, "message": m}
-                       for n, p, m in results],
-        })
-    return EXIT_OK if ok else EXIT_VALIDATION
+        rep.add("certainty_equivalence_check", ce["uniform_mc_within_3se"],
+                f"uniform-noise MC {ce['uniform_mc_cost']:.6g} vs exact "
+                f"{ce['exact_cost']:.6g} +/- {ce['uniform_mc_3se']:.3g}")
+    return _checks_report(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +488,6 @@ def build_parser():
     p.add_argument("--rollouts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--pbp-tol", type=float, default=1e-7)
 
     return parser
 
@@ -570,16 +499,16 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        payload = args.fn(args)
+        if args.out:
+            write_report(args.out, {"command": args.command, **payload})
     except (RiccatiError, _tree.CouplingSystemError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK if payload.get("ok", True) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

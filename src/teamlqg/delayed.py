@@ -95,14 +95,18 @@ def _graph_for(spec: TeamSpec) -> InfoGraph:
     return build_info_graph(spec.info.delays)
 
 
+def _check_independent_initials(spec: TeamSpec):
+    if np.any(spec.noise.init_offdiag != 0.0):
+        raise ValueError("the delayed-sharing recursion and its exact costs "
+                         "assume independent initial states (init_offdiag = 0)")
+
+
 def check_preconditions(spec: TeamSpec):
     """Sparsity validation and independent initial states (the node
     recursion and its costs assume init_offdiag = 0); raises ValueError on
     failure so solve calls fail loudly."""
     graph = _graph_for(spec)
-    if np.any(spec.noise.init_offdiag != 0.0):
-        raise ValueError("delayed-sharing synthesis assumes independent "
-                         "initial states (init_offdiag = 0)")
+    _check_independent_initials(spec)
     if isinstance(spec.dynamics, Blocked):
         rep = validate_sparsity(spec.info.delays, spec.dynamics)
         if not rep.ok:
@@ -316,8 +320,10 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
     to its successor s through A^{sr} + B^{sr} K_t^r.  Returns (loop,
     blocks).  A finite-horizon policy runs only at its own horizon.  The sum
     needs A X = X F0 and B Eu = X Bv (products that only select blocks); a
-    spec whose dynamics break the graph's sparsity raises ValueError.
+    spec whose dynamics break the graph's sparsity, or whose initial states
+    are correlated, raises ValueError.
     """
+    _check_independent_initials(spec)
     graph = policy.graph
     d = stacked_data(spec)
     blocks, Eu, X, H = _layout(graph, d)

@@ -16,7 +16,10 @@ SYM_TOL = 1e-10
 
 
 def as_matrix(M, name="matrix"):
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric matrix") from exc
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {M.shape}")
     return M

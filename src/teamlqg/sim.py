@@ -170,7 +170,7 @@ def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
     """
     T = w.shape[1]
     n, m = spec.n, spec.m
-    A, B = spec.dynamics.A, spec.dynamics.B
+    A, B = _tree.homogeneous_dynamics(spec)
     cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
     Rt = spec.cost.r_tilde_or_zero(m)
     Qt = spec.cost.q_tilde_or_zero(n)
@@ -402,8 +402,10 @@ def symmetrization_holds(cost_sym: float, cost_orig: float,
                                        1e-12 * (1.0 + abs(cost_orig)))
 
 
-# Size of the single-entry gain moves that pbp_check prices.
+# Size of the single-entry gain moves that pbp_check prices, and the largest
+# unilateral improvement ``teamlqg verify`` passes as person-by-person optimal.
 PBP_STEP = 1e-4
+PBP_TOL = 1e-7
 
 
 def pbp_check(spec: TeamSpec, policies, T: int):

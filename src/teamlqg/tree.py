@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import kron, sym
-from .model import MeanFieldTree, TeamSpec, Tree, conditional_gain
+from .model import Homogeneous, MeanFieldTree, TeamSpec, Tree, conditional_gain
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
     RiccatiError,
@@ -93,6 +93,15 @@ def default_mode(spec: TeamSpec) -> Population:
     raise ValueError("tree solver needs Tree or MeanFieldTree information")
 
 
+def homogeneous_dynamics(spec: TeamSpec):
+    """(A, B) of the spec's per-agent dynamics; ValueError for blocked
+    dynamics, which the tree-class solvers and the DARE do not take."""
+    if not isinstance(spec.dynamics, Homogeneous):
+        raise ValueError("this solver needs homogeneous dynamics (model A "
+                         "and B), not A_blocks/B_blocks")
+    return spec.dynamics.A, spec.dynamics.B
+
+
 # ---------------------------------------------------------------------------
 # K / P recursion
 
@@ -101,7 +110,7 @@ def solve_k_p(spec: TeamSpec, T: int):
     """Backward recursion from P_T = 0: K_t with shape (T, m, n) and P_t with
     shape (T + 1, n, n).  The gains are untouched by the coupling blocks,
     the initial-state correlation, and the noise distribution."""
-    A, B = spec.dynamics.A, spec.dynamics.B
+    A, B = homogeneous_dynamics(spec)
     Q, R = sym(spec.cost.Q), sym(spec.cost.R)
     P = np.zeros((T + 1, spec.n, spec.n))
     K = np.empty((T, spec.m, spec.n))
@@ -135,9 +144,10 @@ class _Params:
 def _params(spec: TeamSpec, mode: Population) -> _Params:
     a, b, q, alpha = cost_weights(mode)
     n, m = spec.n, spec.m
+    A, B = homogeneous_dynamics(spec)
     return _Params(
-        A=spec.dynamics.A,
-        B=spec.dynamics.B,
+        A=A,
+        B=B,
         Q=sym(spec.cost.Q),
         R=sym(spec.cost.R),
         Rt=spec.cost.r_tilde_or_zero(m),
@@ -333,7 +343,7 @@ def _pivot_inverse(H, where):
 
 def _propagators(spec, T, K, L, alpha):
     """G_t with E(x_t^i | x_0^i) = G_t x_0^i under the symmetric policy."""
-    A, B = spec.dynamics.A, spec.dynamics.B
+    A, B = homogeneous_dynamics(spec)
     Sigma = conditional_gain(spec.noise)
     G = np.empty((T, spec.n, spec.n))
     G[0] = np.eye(spec.n)
@@ -440,7 +450,7 @@ def solve_infinite_tree(spec: TeamSpec,
     mode = default_mode(spec) if mode is None else mode
     if mode.kind != "n_dm":
         raise ValueError("infinite-horizon solve supports n_dm modes")
-    A, B = spec.dynamics.A, spec.dynamics.B
+    A, B = homogeneous_dynamics(spec)
     sol = dare_solve(A, B, sym(spec.cost.Q), sym(spec.cost.R))
     radius = spectral_radius(A + B @ sol.K)
     if not radius < 1.0:

@@ -131,6 +131,12 @@ MUTANTS = (
            "noise=replace(spec.noise, family=spec.noise.family))",
            ("tests/test_cli.py::TestCommands::"
             "test_verify_draws_solves_and_prices_once",)),
+    Mutant("correlated initial states priced by delayed._closed_loop",
+           DELAYED,
+           "    _check_independent_initials(spec)\n    graph = policy.graph\n",
+           "    graph = policy.graph\n",
+           ("tests/test_delayed.py::TestInfiniteHorizon::"
+            "test_correlated_initial_states_not_priced",)),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

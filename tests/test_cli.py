@@ -108,6 +108,34 @@ class TestSpecParsing:
         bad.write_text("{not json")
         assert main(["check", str(bad)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(cost=5), "cost"),
+        (lambda d: d.update(model=[1]), "model"),
+        (lambda d: d.update(info=[1]), "info"),
+        (lambda d: d.update(horizon=None), "horizon"),
+        (lambda d: d.update(n_dm=2.7), "n_dm"),
+        (lambda d: d.update(n_dm="2"), "n_dm"),
+        (lambda d: d["info"].update(delays=5), "info"),
+        (lambda d: d["model"].update(A_blocks=5), "model"),
+        (lambda d: d["cost"].update(Q=[["a"]]), "Q"),
+        (lambda d: d["cost"].update(Q=[[1.0], [1.0, 2.0]]), "Q"),
+        (lambda d: d["cost"].update(Q=[1.0]), "Q"),
+    ], ids=["cost-number", "model-list", "info-list", "horizon-null",
+            "n_dm-float", "n_dm-string", "delays-number", "A_blocks-number",
+            "Q-strings", "Q-ragged", "Q-1d"])
+    def test_malformed_spec_exits_1_naming_the_field(self, tmp_path, capsys,
+                                                     edit, named):
+        """A section that is not an object, a count that is not a JSON
+        integer, or a grid or matrix of the wrong form is one error line
+        naming it, not a traceback or a run at a truncated count."""
+        data = json.loads(json.dumps(DELAYED))
+        edit(data)
+        assert main(["check", write_spec(tmp_path, data)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and named in line
+        assert captured.out == ""
+
 
 class TestCommands:
     def test_check_passes_on_golden(self, tmp_path, capsys):
@@ -129,7 +157,7 @@ class TestCommands:
         assert vars(second) == {
             "command": "verify", "spec": "s.json", "out": None,
             "policy": None, "rollouts": 7, "seed": 2, "horizon": None,
-            "pbp_tol": 1e-7, "fn": second.fn}
+            "fn": second.fn}
         assert second.fn is not first.fn
 
     def test_check_fails_on_bad_covariance(self, tmp_path):
@@ -329,6 +357,27 @@ class TestCommands:
         ("solve-tree-inf", GOLDEN, ["--tol", "1e-8"])])
     def test_stopping_knobs_are_gone(self, tmp_path, command, spec, flag):
         assert main([command, write_spec(tmp_path, spec)] + flag) == EXIT_USAGE
+
+    def test_every_command_on_blocked_dynamics_exits_cleanly(self, tmp_path,
+                                                             capsys):
+        """Blocked dynamics suit only the delayed-sharing commands: the
+        others exit 1 with one error line, never a traceback."""
+        spec_path = write_spec(tmp_path, DELAYED)
+        pol_path = str(tmp_path / "pol.json")
+        mc = ["--rollouts", "50", "--seed", "1"]
+        codes = {}
+        for argv in (["solve-delayed", "--out", pol_path], ["check"],
+                     ["solve-tree"], ["solve-tree-inf"], ["solve-ndm", "--n",
+                     "3"], ["solve-mf"], ["solve-delayed-inf"], ["dare"],
+                     ["simulate", "--policy", pol_path, *mc],
+                     ["sweep-mft", "--schedule", "2,4,8", *mc],
+                     ["verify", *mc], ["verify", "--policy", pol_path, *mc]):
+            code = main([argv[0], spec_path, *argv[1:]])
+            err = capsys.readouterr().err.splitlines()
+            assert code == EXIT_OK and err == [] or (
+                code == EXIT_VALIDATION and len(err) == 1), (argv, err)
+            codes[argv[0]] = code
+        assert codes["dare"] == codes["solve-mf"] == EXIT_VALIDATION
 
     def test_sweep_mft_table(self, tmp_path, capsys):
         assert main(["sweep-mft", write_spec(tmp_path, MF),

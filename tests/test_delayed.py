@@ -20,6 +20,7 @@ from teamlqg.delayed import (
     stacked_data,
 )
 from teamlqg.linalg import is_psd, numerical_rank, psd_factor
+from teamlqg.sim import GraphPolicySet, exact_cost_general, pbp_check
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -328,6 +329,22 @@ class TestInfiniteHorizon:
             solve_delayed_finite(spec, 3)
         with pytest.raises(ValueError, match="init_offdiag"):
             solve_delayed_infinite(spec)
+
+    def test_correlated_initial_states_not_priced(self):
+        """The exact loop gives each agent's initial state its own block, so
+        at init_offdiag = 0.5 it would price this policy at 2.0438, where
+        5e4 rollouts give 2.070 +/- 0.005, and pbp_check would read 0.0.
+        Every exact evaluation of a graph policy raises instead."""
+        spec = coupled_delayed_spec_2dm(T=3)
+        pol, _ = solve_delayed_finite(spec, 3)
+        spec = replace(spec, noise=replace(spec.noise,
+                                           init_offdiag=[[0.5]]))
+        pset = GraphPolicySet(policy=pol)
+        for evaluate in (lambda: closed_loop_cost(spec, pol),
+                         lambda: exact_cost_general(spec, pset, 3),
+                         lambda: pbp_check(spec, pset, 3)):
+            with pytest.raises(ValueError, match="init_offdiag"):
+                evaluate()
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from teamlqg.tree import (
 from conftest import (
     assert_nondegenerate,
     closed_form_cost_variants,
+    coupled_delayed_spec_2dm,
     rand_pd,
     random_tree_spec,
     scalar_mf_spec,
@@ -209,6 +210,22 @@ class TestSolveKP:
             Kv, _ = solve_k_p(v, 4)
             for a, b in zip(K0, Kv):
                 assert np.array_equal(a, b)
+
+    def test_blocked_dynamics_rejected_by_every_tree_entry(self):
+        """Tree-class solvers and pricers read one (A, B) for every agent;
+        coupled dynamics raise ValueError naming the need, not
+        AttributeError."""
+        spec = coupled_delayed_spec_2dm(T=3)
+        pol = solve_tree(scalar_tree_spec(T=3), 3)
+        pset = TreePolicySet.from_policy(pol, 2)
+        for call in (lambda: solve_k_p(spec, 3),
+                     lambda: solve_infinite_tree(spec, n_dm(2)),
+                     lambda: solve_coupling_gains(spec, 3, n_dm(2)),
+                     lambda: exact_policy_cost(spec, 3, pol.K, pol.L,
+                                               pol.mode),
+                     lambda: exact_cost_general(spec, pset, 3)):
+            with pytest.raises(ValueError, match="homogeneous dynamics"):
+                call()
 
 
 # ---------------------------------------------------------------------------
