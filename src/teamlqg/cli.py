@@ -330,9 +330,8 @@ def cmd_solve_delayed(args):
 
 def cmd_solve_delayed_inf(args):
     spec = _validated_spec(args.spec)
-    pol = _delayed.solve_delayed_infinite(spec)
+    pol, radius = _delayed.solve_delayed_infinite(spec)
     cost = _delayed.average_cost(spec, pol)
-    radius = _delayed.closed_loop_radius(spec, pol)
     print("stationary delayed-sharing policy solved")
     print("  " + pol.graph.adjacency_listing().replace("\n", "\n  "))
     print(f"average cost = {cost:.12g}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
-from .linalg import kron, numerical_rank, psd_factor, spectral_radius, sym
+from .linalg import kron, numerical_rank, spectral_radius, sym
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
 from .moments import ClosedLoop, propagate
 from .riccati import RiccatiError, dare_solve
@@ -364,27 +364,40 @@ def closed_loop_cost(spec: TeamSpec, policy: GraphPolicy, T: int | None = None):
 
 
 def _rank_condition(d: _Stacked, node, grid=720):
-    """Full-column-rank test of [A - e^{i theta} I, B; C, D] on a theta grid,
-    with [C D] a factor of the stacked cost block of the node.  Each batch
-    of up to 90 grid points is one stacked SVD; the batches bound memory."""
+    """The grid points theta = 2 pi k / grid at which [A - e^{i theta} I, B;
+    CD] loses full column rank, with CD^T CD = [Q S; S^T R] the node's cost
+    block (the factor of ``psd_factor``), in ascending order.
+
+    |M v| >= |CD v| for every v, so sigma_min(M) >= sigma_min(CD) at every
+    theta, while sigma_max(M) <= |[A B]|_2 + 1 + sigma_max(CD).  When
+    sigma_min(CD) beats ``numerical_rank``'s threshold at that bound by a
+    factor 2, every grid point has full rank and no SVD runs; a positive
+    definite cost block (Q > 0, R > 0, S = 0) always does.  Otherwise A, B
+    and CD are real, so M at 2 pi - theta is the conjugate of M at theta:
+    one stacked SVD decides the points in [0, pi] and each failing k also
+    fails at grid - k.
+    """
     A, B = d.A_sr(node, node), d.B_sr(node, node)
     Q, R, S = d.Q_rr(node), d.R_rr(node), d.S_rr(node)
     nn, mm = A.shape[0], B.shape[1]
-    stacked = np.block([[Q, S], [S.T, R]])
-    CD = psd_factor(stacked).T          # CD^T CD = stacked
-    marginal = []
+    w, V = np.linalg.eigh(sym(np.block([[Q, S], [S.T, R]])))
+    sv = np.sqrt(np.clip(w, 0.0, None))      # singular values of CD
+    s_max = np.linalg.norm(np.hstack([A, B]), 2) + 1.0 + sv[-1]
+    if sv[0] > 2.0 * (2 * nn + mm) * 1e-12 * s_max:
+        return []
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    for th in np.array_split(theta, -(-grid // 90)):
-        M = np.zeros((len(th), nn + CD.shape[0], nn + mm), dtype=complex)
-        M[:, :nn, :nn] = A - np.exp(1j * th)[:, None, None] * np.eye(nn)
-        M[:, :nn, nn:] = B
-        M[:, nn:] = CD
-        marginal += th[numerical_rank(M) < nn + mm].tolist()
-    return marginal
+    half = grid // 2 + 1
+    M = np.zeros((half, 2 * nn + mm, nn + mm), dtype=complex)
+    M[:, :nn, :nn] = A - np.exp(1j * theta[:half])[:, None, None] * np.eye(nn)
+    M[:, :nn, nn:] = B
+    M[:, nn:] = (V * sv).T
+    k = np.flatnonzero(numerical_rank(M) < nn + mm)
+    return theta[np.union1d(k, (grid - k) % grid)].tolist()
 
 
-def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
-    """Stationary node gains for the average-cost problem.
+def solve_delayed_infinite(spec: TeamSpec):
+    """Stationary node gains for the average-cost problem, and the spectral
+    radius of their closed loop: (policy, radius).
 
     Self-loop nodes solve an algebraic Riccati equation on their partitioned
     data (the cross term S^{ss} absorbed by the change of variables
@@ -432,7 +445,7 @@ def solve_delayed_infinite(spec: TeamSpec) -> GraphPolicy:
     if not radius < 1.0:
         raise RiccatiError(
             f"closed-loop estimator dynamics unstable (spectral radius {radius:.6g})")
-    return policy
+    return policy, radius
 
 
 def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:

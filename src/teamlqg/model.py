@@ -33,6 +33,16 @@ class SingularCovarianceError(ValueError):
     """Raised when the diagonal initial covariance cannot be inverted."""
 
 
+def _matrix(M, name):
+    """M as a float matrix with finite entries (JSON accepts NaN and
+    Infinity, which no check downstream would name)."""
+    M = as_matrix(M, name)
+    if not np.isfinite(M).all():
+        bad = M[~np.isfinite(M)][0]
+        raise ValueError(f"{name} has a non-finite entry ({bad})")
+    return M
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -45,8 +55,8 @@ class Homogeneous:
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
+        object.__setattr__(self, "A", _matrix(self.A, "A"))
+        object.__setattr__(self, "B", _matrix(self.B, "B"))
         if self.A.shape[0] != self.A.shape[1]:
             raise DimensionError("A must be square")
         if self.B.shape[0] != self.A.shape[0]:
@@ -73,8 +83,8 @@ class Blocked:
     B_blocks: tuple
 
     def __post_init__(self):
-        A = tuple(tuple(as_matrix(a, "A block") for a in row) for row in self.A_blocks)
-        B = tuple(tuple(as_matrix(b, "B block") for b in row) for row in self.B_blocks)
+        A = tuple(tuple(_matrix(a, "A block") for a in row) for row in self.A_blocks)
+        B = tuple(tuple(_matrix(b, "B block") for b in row) for row in self.B_blocks)
         N = len(A)
         if N == 0 or any(len(row) != N for row in A):
             raise DimensionError("A_blocks must be a square N x N grid")
@@ -117,7 +127,7 @@ class Blocked:
 
 
 def _opt_matrix(M, name):
-    return None if M is None else as_matrix(M, name)
+    return None if M is None else _matrix(M, name)
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,8 @@ class CostSpec:
     S: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", as_matrix(self.Q, "Q"))
-        object.__setattr__(self, "R", as_matrix(self.R, "R"))
+        object.__setattr__(self, "Q", _matrix(self.Q, "Q"))
+        object.__setattr__(self, "R", _matrix(self.R, "R"))
         object.__setattr__(self, "R_tilde", _opt_matrix(self.R_tilde, "R_tilde"))
         object.__setattr__(self, "Q_tilde", _opt_matrix(self.Q_tilde, "Q_tilde"))
         object.__setattr__(self, "S", _opt_matrix(self.S, "S"))
@@ -178,11 +188,8 @@ class NoiseSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_w", as_matrix(self.sigma_w, "sigma_w"))
-        object.__setattr__(self, "init_diag", as_matrix(self.init_diag, "init_diag"))
-        object.__setattr__(
-            self, "init_offdiag", as_matrix(self.init_offdiag, "init_offdiag")
-        )
+        for name in ("sigma_w", "init_diag", "init_offdiag"):
+            object.__setattr__(self, name, _matrix(getattr(self, name), name))
         if self.family not in ("gaussian", "uniform"):
             raise ValueError(f"unknown noise family {self.family!r}")
 
@@ -222,6 +229,14 @@ class MeanFieldTree:
     """Tree information whose cost weighs each pair 2/(N-1) (see CostSpec)."""
 
 
+def _delay(v, i, j):
+    try:
+        return float(v)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"info.delays[{i}][{j}] = {v!r} is not a number") \
+            from exc
+
+
 @dataclass(frozen=True)
 class Delayed:
     """One-step-delayed sharing: delays[i][j] is how long agent i waits for
@@ -230,7 +245,8 @@ class Delayed:
     delays: tuple
 
     def __post_init__(self):
-        d = tuple(tuple(float(v) for v in row) for row in self.delays)
+        d = tuple(tuple(_delay(v, i, j) for j, v in enumerate(row))
+                  for i, row in enumerate(self.delays))
         N = len(d)
         if N == 0 or any(len(row) != N for row in d):
             raise DimensionError("delays must be a square N x N grid")

@@ -48,6 +48,7 @@ MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
 ZETA = "tests/test_simulator.py::TestZetaLoop::"
 CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
+RANK = "tests/test_delayed.py::TestRankGrid::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
@@ -137,6 +138,18 @@ MUTANTS = (
            "    graph = policy.graph\n",
            ("tests/test_delayed.py::TestInfiniteHorizon::"
             "test_correlated_initial_states_not_priced",)),
+    Mutant("mirrored half of the theta grid dropped in "
+           "delayed._rank_condition", DELAYED,
+           "theta[np.union1d(k, (grid - k) % grid)]",
+           "theta[k]",
+           (RANK + "test_mirrored_marginal_pairs_match_reference[720]",)),
+    Mutant("PSD cost block certified by its largest singular value in "
+           "delayed._rank_condition", DELAYED,
+           "if sv[0] > 2.0",
+           "if sv[-1] > 2.0",
+           (RANK + "test_mirrored_marginal_pairs_match_reference[720]",
+            "tests/test_delayed.py::TestInfiniteHorizon::"
+            "test_rank_condition_failure_raises")),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

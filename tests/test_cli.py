@@ -120,14 +120,27 @@ class TestSpecParsing:
         (lambda d: d["cost"].update(Q=[["a"]]), "Q"),
         (lambda d: d["cost"].update(Q=[[1.0], [1.0, 2.0]]), "Q"),
         (lambda d: d["cost"].update(Q=[1.0]), "Q"),
+        (lambda d: d["cost"].update(Q=[[float("nan")]]), "Q has a non-finite"),
+        (lambda d: d["noise"].update(sigma_w=[[float("inf")]]),
+         "sigma_w has a non-finite"),
+        (lambda d: d["cost"].update(S=[[float("-inf")]]), "S has a non-finite"),
+        (lambda d: d["model"]["A_blocks"][0].__setitem__(1, [[float("nan")]]),
+         "A block has a non-finite"),
+        (lambda d: d["info"]["delays"][0].__setitem__(1, "abc"),
+         "info.delays[0][1] = 'abc'"),
+        (lambda d: d["info"]["delays"][1].__setitem__(0, [1]),
+         "info.delays[1][0]"),
     ], ids=["cost-number", "model-list", "info-list", "horizon-null",
             "n_dm-float", "n_dm-string", "delays-number", "A_blocks-number",
-            "Q-strings", "Q-ragged", "Q-1d"])
+            "Q-strings", "Q-ragged", "Q-1d", "Q-nan", "sigma_w-infinity",
+            "S-minus-infinity", "A_blocks-nan", "delay-string", "delay-list"])
     def test_malformed_spec_exits_1_naming_the_field(self, tmp_path, capsys,
                                                      edit, named):
         """A section that is not an object, a count that is not a JSON
-        integer, or a grid or matrix of the wrong form is one error line
-        naming it, not a traceback or a run at a truncated count."""
+        integer, a grid or matrix of the wrong form, a NaN or infinite
+        matrix entry, or a delay that is not a number is one error line
+        naming it, not a traceback, a numpy warning, a check failing on NaN
+        or a run at a truncated count."""
         data = json.loads(json.dumps(DELAYED))
         edit(data)
         assert main(["check", write_spec(tmp_path, data)]) == EXIT_VALIDATION
@@ -233,7 +246,7 @@ class TestCommands:
         rep = json.loads(open(rep_path).read())
         spec = load_spec(spec_path)
         exact = delayed.closed_loop_cost(
-            spec, delayed.solve_delayed_infinite(spec), DELAYED["horizon"])
+            spec, delayed.solve_delayed_infinite(spec)[0], DELAYED["horizon"])
         assert abs(rep["mean_cost"] - exact) <= 5 * rep["std_error"]
         capsys.readouterr()
         assert main(["verify", spec_path, "--policy", pol_path,
@@ -554,7 +567,7 @@ class TestPolicyReports:
     @pytest.mark.parametrize("data, solve", [
         (GOLDEN, tree.solve_tree),
         (DELAYED, lambda spec: delayed.solve_delayed_finite(spec)[0]),
-        (DELAYED, delayed.solve_delayed_infinite),
+        (DELAYED, lambda spec: delayed.solve_delayed_infinite(spec)[0]),
     ], ids=["tree", "delayed", "delayed-stationary"])
     def test_report_round_trip_is_bitwise(self, tmp_path, data, solve):
         """A solved policy dumped to JSON and loaded back has the solver's
@@ -592,7 +605,7 @@ class TestPolicyReports:
             pol = tree.solve_tree(spec)
             pairs = [(getattr(pol, f), report["policy"][f]) for f in "KLPG"]
         elif command == "solve-delayed-inf":
-            pol = delayed.solve_delayed_infinite(spec)
+            pol, _ = delayed.solve_delayed_infinite(spec)
             pairs = [(getattr(pol, f)[r],
                       report["policy"][f][delayed.node_key(r)])
                      for f in ("gains", "values") for r in pol.graph.nodes]
@@ -621,7 +634,7 @@ class TestPolicyReports:
         "nodes" list, as older solve-delayed-inf reports have them, loads
         and dumps back to the same bytes."""
         spec = load_spec(write_spec(tmp_path, DELAYED))
-        data = delayed.solve_delayed_infinite(spec).as_dict()
+        data = delayed.solve_delayed_infinite(spec)[0].as_dict()
         for name in ("gains", "values"):
             data[name] = dict(reversed(data[name].items()))
         text = json.dumps(data)

@@ -31,7 +31,7 @@ from teamlqg.model import (
     validate,
 )
 
-from conftest import coupled_delayed_spec_2dm, single_dm_delayed_spec
+from conftest import coupled_delayed_spec_2dm, rand_pd, single_dm_delayed_spec
 
 INF = math.inf
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -214,7 +214,7 @@ class TestInfiniteHorizon:
                             init_offdiag=[[0.0]]),
             info=Delayed(delays=((0.0,),)),
         )
-        pol = solve_delayed_infinite(spec)
+        pol, _ = solve_delayed_infinite(spec)
         assert abs(pol.gains[(0,)][0, 0] + 0.6180339887) < 1e-8
         assert abs(pol.values[(0,)][0, 0] - PHI) < 1e-8
         assert average_cost(spec, pol) == pytest.approx(PHI, abs=1e-8)
@@ -223,7 +223,7 @@ class TestInfiniteHorizon:
         from teamlqg.riccati import dare_solve
 
         spec = decoupled_2dm_spec()
-        pol = solve_delayed_infinite(spec)
+        pol, _ = solve_delayed_infinite(spec)
         for i, a in enumerate((0.8, 0.6)):
             sol = dare_solve([[a]], [[1.0]], [[1.0]], [[1.0]])
             assert np.abs(pol.gains[(i,)] - sol.K).max() < 1e-8
@@ -231,7 +231,7 @@ class TestInfiniteHorizon:
 
     def test_finite_gains_converge_to_stationary(self):
         spec = coupled_delayed_spec_2dm()
-        stat = solve_delayed_infinite(spec)
+        stat, _ = solve_delayed_infinite(spec)
         diffs = []
         for T in (32, 64, 128):
             polT, _ = solve_delayed_finite(spec, T)
@@ -241,15 +241,17 @@ class TestInfiniteHorizon:
         assert diffs[0] >= diffs[-1]
 
     def test_closed_loop_stable(self):
+        """The solver returns the radius of the loop it checked, the one
+        ``closed_loop_radius`` computes."""
         spec = coupled_delayed_spec_2dm()
-        pol = solve_delayed_infinite(spec)
-        assert closed_loop_radius(spec, pol) < 1.0
+        pol, radius = solve_delayed_infinite(spec)
+        assert radius == closed_loop_radius(spec, pol) < 1.0
 
     def test_average_cost_is_horizon_limit(self):
         """(1/T)-normalized finite optimal costs approach the stationary
         noise-trace value as T doubles."""
         spec = coupled_delayed_spec_2dm()
-        stat = solve_delayed_infinite(spec)
+        stat, _ = solve_delayed_infinite(spec)
         target = average_cost(spec, stat)
         gaps = []
         for T in (16, 64, 256):
@@ -352,9 +354,9 @@ class TestInfiniteHorizon:
 
 
 def rank_condition_reference(d, node, grid=720):
-    """The unit-circle rank test one theta at a time (the loop that
-    ``_rank_condition`` batches): one SVD of [A - e^{i theta} I, B; C, D]
-    per grid point."""
+    """The unit-circle rank test one theta at a time over the whole grid
+    (the sweep that ``_rank_condition`` certifies away or halves): one SVD
+    of [A - e^{i theta} I, B; C, D] per grid point."""
     A, B = d.A_sr(node, node), d.B_sr(node, node)
     Q, R, S = d.Q_rr(node), d.R_rr(node), d.S_rr(node)
     nn, mm = A.shape[0], B.shape[1]
@@ -435,3 +437,60 @@ class TestRankGrid:
         batched, reference = self._both(graph_spec(rng, GRAPH_DELAYS[graph]))
         assert batched == reference
         assert len(batched) >= 1
+
+    def test_positive_definite_cost_certified_without_a_sweep(
+            self, rng, monkeypatch):
+        """A positive definite cost block [Q S; S^T R] keeps M(theta) at
+        full rank everywhere: no SVD runs and the list is empty, as the
+        pointwise reference finds, even on marginal dynamics."""
+        nodes = []
+        for trial in range(12):
+            n, m = 1 + trial % 3, 1 + trial % 2
+            W = rand_pd(rng, n + m)
+            A = (np.eye(n) if trial % 4 == 0
+                 else rng.normal(size=(n, n)) * 10.0 ** (trial % 3))
+            spec = replace(marginal_spec(A), dynamics=Homogeneous(
+                A=A, B=rng.normal(size=(n, m))), cost=CostSpec(
+                Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:]))
+            nodes.append((stacked_data(spec), (0,)))
+        reference = [rank_condition_reference(d, s) for d, s in nodes]
+        assert reference == [[]] * len(nodes)
+
+        def no_sweep(M):
+            raise AssertionError("positive definite cost block swept")
+
+        monkeypatch.setattr("teamlqg.delayed.numerical_rank", no_sweep)
+        assert [_rank_condition(d, s) for d, s in nodes] == reference
+
+    @pytest.mark.parametrize("grid", [720, 9])
+    def test_mirrored_marginal_pairs_match_reference(self, grid):
+        """Singular cost blocks sweep half the grid and mirror k to
+        grid - k: rotations at grid points k and grid - k, the self-mirrored
+        points theta = 0 and theta = pi, and a rotation between grid points
+        give the reference's theta lists bit for bit."""
+        def rotation(k):
+            c, s = np.cos(2 * np.pi * k / grid), np.sin(2 * np.pi * k / grid)
+            return np.array([[c, -s], [s, c]])
+
+        def block(*blocks):
+            n = sum(len(b) for b in blocks)
+            A, i = np.zeros((n, n)), 0
+            for b in blocks:
+                A[i:i + len(b), i:i + len(b)] = b
+                i += len(b)
+            return A
+
+        odd = [[-0.5]] if grid % 2 else [[-1.0]]
+        cases = [block(rotation(1)), block(rotation(grid // 3), [[1.0]]),
+                 block([[-1.0]]), block(rotation(2), odd),
+                 block(rotation(0.5)), block([[0.3]], rotation(grid // 2 - 1))]
+        found = []
+        for A in cases:
+            d = stacked_data(marginal_spec(A))
+            got = _rank_condition(d, (0,), grid)
+            assert got == rank_condition_reference(d, (0,), grid)
+            k = np.rint(np.asarray(got) * grid / (2 * np.pi)).astype(int)
+            assert sorted((grid - k) % grid) == list(k)
+            found.append(len(got))
+        assert found == ([2, 3, 1, 3, 0, 2] if grid % 2 == 0
+                         else [2, 3, 0, 2, 0, 2])

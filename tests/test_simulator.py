@@ -610,7 +610,7 @@ class TestZetaLoop:
             Q_tilde=rand_psd(rng, n, scale=0.1),
             R_tilde=rand_psd(rng, n, scale=0.1)))
         finite, _ = solve_delayed_finite(spec, T)
-        stationary = solve_delayed_infinite(spec)
+        stationary, _ = solve_delayed_infinite(spec)
         policies = []
         for pol in (finite, stationary):
             bump = lambda g: g + 0.1 * rng.normal(size=g.shape)
