@@ -169,10 +169,16 @@ def node_key(node):
     return ",".join(str(i + 1) for i in node)
 
 
-def _node_step(d: _Stacked, r, s, X_next):
-    """One backward Riccati step at node r against successor value X_next."""
-    A, B = d.A_sr(s, r), d.B_sr(s, r)
-    Q, R, S = d.Q_rr(r), d.R_rr(r), d.S_rr(r)
+def _node_blocks(d: _Stacked, r, s):
+    """Node r's blocks (A^{sr}, B^{sr}, Q^{rr}, R^{rr}, S^{rr}) against its
+    successor s."""
+    return d.A_sr(s, r), d.B_sr(s, r), d.Q_rr(r), d.R_rr(r), d.S_rr(r)
+
+
+def _node_step(blocks, X_next):
+    """One backward Riccati step at a node with ``_node_blocks`` blocks
+    against its successor's value X_next."""
+    A, B, Q, R, S = blocks
     G = R + B.T @ X_next @ B
     w = np.linalg.eigvalsh(sym(G))
     if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
@@ -192,13 +198,15 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
     values = {r: np.empty((T + 1, len(r) * d.n, len(r) * d.n))
               for r in graph.nodes}
     gains = {r: np.empty((T, len(r) * d.m, len(r) * d.n)) for r in graph.nodes}
+    blocks = {r: _node_blocks(d, r, graph.successor_map[r])
+              for r in graph.nodes}
     for r in graph.nodes:
-        values[r][T] = sym(d.Q_rr(r))
+        values[r][T] = sym(blocks[r][2])        # X_T^r = Q^{rr}
     for t in range(T - 1, -1, -1):
         for r in graph.nodes:
             s = graph.successor_map[r]
             try:
-                values[r][t], gains[r][t] = _node_step(d, r, s,
+                values[r][t], gains[r][t] = _node_step(blocks[r],
                                                        values[s][t + 1])
             except NodeRecursionError as exc:
                 raise NodeRecursionError(f"{exc} at stage {t}") from exc
@@ -377,8 +385,7 @@ def _rank_condition(d: _Stacked, node, grid=720):
     one stacked SVD decides the points in [0, pi] and each failing k also
     fails at grid - k.
     """
-    A, B = d.A_sr(node, node), d.B_sr(node, node)
-    Q, R, S = d.Q_rr(node), d.R_rr(node), d.S_rr(node)
+    A, B, Q, R, S = _node_blocks(d, node, node)
     nn, mm = A.shape[0], B.shape[1]
     w, V = np.linalg.eigh(sym(np.block([[Q, S], [S.T, R]])))
     sv = np.sqrt(np.clip(w, 0.0, None))      # singular values of CD
@@ -410,8 +417,7 @@ def solve_delayed_infinite(spec: TeamSpec):
 
     values, gains = {}, {}
     for s in graph.self_loop_nodes():
-        A, B = d.A_sr(s, s), d.B_sr(s, s)
-        Q, R, S = d.Q_rr(s), d.R_rr(s), d.S_rr(s)
+        A, B, Q, R, S = _node_blocks(d, s, s)
         label = set(i + 1 for i in s)
         bad = _rank_condition(d, s)
         if bad:
@@ -436,7 +442,7 @@ def solve_delayed_infinite(spec: TeamSpec):
     for r in sorted(graph.nodes, key=lambda r: len(graph.chain(r))):
         if r not in values:
             s = graph.successor_map[r]
-            values[r], gains[r] = _node_step(d, r, s, values[s])
+            values[r], gains[r] = _node_step(_node_blocks(d, r, s), values[s])
 
     policy = GraphPolicy(graph=graph, horizon=None,
                          gains={r: gains[r] for r in graph.nodes},

@@ -5,12 +5,16 @@ standard backward Riccati recursion and are independent of every coupling
 quantity.  The initial-state coupling gains L_t minimize the expected cost,
 an exact convex quadratic in the stacked L gains.  Splitting the closed loop
 into its L = 0 part and a feedforward matrix M_t driven by the coupling
-statistic turns that minimization into a deterministic LQ problem in vec(M_t),
-which one backward Riccati sweep and one forward pass solve exactly in
-O(T n^6) time; at the infinite horizon one DARE and one Stein equation replace
-the sweep.  The exact cost of any schedule, and its gradient in L, is the cost
-of the two-agent closed loop of one exchangeable pair, propagated by
-``moments``, with the pair weighed as ``cost_weights`` states (see CostSpec).
+statistic turns that minimization into a deterministic LQ problem in M_t,
+which the covariances of the coupling statistic split into n independent
+n-dimensional LQ problems on (A, B).  One backward recursion, batched over
+the team's weights and the n modes', gives K_t, P_t and every mode's
+feedback, and two batched passes give L_t, in O(T n^4) time; at the
+infinite horizon one DARE and one Stein equation on the unsplit vec(M_t)
+problem replace the recursion.  The exact cost of any schedule, and its
+gradient in L, is the cost of the two-agent closed loop of one exchangeable
+pair, propagated by ``moments``, with the pair weighed as ``cost_weights``
+states (see CostSpec).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
     RiccatiError,
     dare_solve,
-    riccati_step,
     spectral_radius,
     stein_solve,
 )
@@ -111,12 +114,53 @@ def solve_k_p(spec: TeamSpec, T: int):
     shape (T + 1, n, n).  The gains are untouched by the coupling blocks,
     the initial-state correlation, and the noise distribution."""
     A, B = homogeneous_dynamics(spec)
-    Q, R = sym(spec.cost.Q), sym(spec.cost.R)
-    P = np.zeros((T + 1, spec.n, spec.n))
-    K = np.empty((T, spec.m, spec.n))
+    P, F, _ = _value_recursion(A, B, sym(spec.cost.Q)[None],
+                               sym(spec.cost.R)[None], T)
+    return F[:, 0], P[:, 0]
+
+
+def _value_recursion(A, B, Q, R, T, U=None):
+    """Backward Riccati recursions from P_T = 0 on one (A, B) for a stack of
+    stage weights Q (k, n, n) and R (k, m, m), batched per stage.
+
+    Returns P (T + 1, k, n, n), the feedback F_t = -H_t^{-1} B^T P_{t+1} A
+    (T, k, m, n) and the pivots H_t = R + B^T P_{t+1} B (T, k, m, m).
+    Entry 0 is the team's K/P recursion, and a singular pivot of it raises
+    RiccatiError.  With U, entries 1..k-1 are the modes of the coupling
+    sweep (``_solve``), whose pivots must pass ``_check_pivots``: a
+    per-stage Cholesky stops at the first stage whose pivots are not
+    positive definite, and their condition numbers in the original
+    coordinates are checked after the loop.
+    """
+    k, n, m = len(Q), A.shape[0], B.shape[1]
+    AB = np.hstack([A, B])
+    P = np.zeros((T + 1, k, n, n))
+    F = np.empty((T, k, m, n))
+    H = np.empty((T, k, m, m))
     for t in range(T - 1, -1, -1):
-        P[t], K[t] = riccati_step(A, B, Q, R, P[t + 1])
-    return K, P
+        # [A B]' P [A B] holds A'PA, G = B'PA and B'PB
+        S = AB.T @ P[t + 1] @ AB
+        G = S[:, n:, :n]
+        np.add(R, S[:, n:, n:], out=H[t])
+        try:
+            X = np.linalg.solve(H[t], G)
+            if U is not None:
+                np.linalg.cholesky(H[t, 1:])
+        except np.linalg.LinAlgError:
+            if U is None:
+                raise RiccatiError("R + B^T P B is not invertible") from None
+            # a singular team pivot at any stage is a RiccatiError first,
+            # as when K/P are solved before the coupling sweep
+            _value_recursion(A, B, Q[:1], R[:1], T)
+            _check_pivots(H[t:, 1:], U, t, T)
+            raise _pivot_error(_pivot_eigvals(H[t:t + 1, 1:], U)[0],
+                               f"stage {t} of {T}") from None
+        np.negative(X, out=F[t])
+        Pt = Q + S[:, :n, :n] - G.swapaxes(1, 2) @ X
+        P[t] = 0.5 * (Pt + Pt.swapaxes(1, 2))
+    if U is not None:
+        _check_pivots(H[:, 1:], U, 0, T)
+    return P, F, H
 
 
 # ---------------------------------------------------------------------------
@@ -241,85 +285,145 @@ def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
     """Coupling gains L_t with shape (T, m, n) and propagators G_t (T, n, n).
 
     The cost restricted to the symmetric class with K fixed is a convex
-    quadratic in the stacked L; its exact minimizer comes from one backward
-    Riccati sweep over the feedforward matrices (see ``_coupling_sweep``).
-    Raises CouplingSystemError when a stage pivot of the sweep is not
-    positive definite or has condition number above 1e12, i.e. when the
-    cost is not strictly convex in L.
+    quadratic in the stacked L; its exact minimizer comes from n per-mode
+    Riccati recursions batched with the K/P recursion (see ``_solve``).
+    Raises CouplingSystemError when a stage pivot of the coupling sweep is
+    not positive definite or has condition number above 1e12, i.e. when
+    the cost is not strictly convex in L.
     """
-    K, _ = solve_k_p(spec, T)
-    return _coupling_gains(spec, T, mode, K)
+    _, _, L, G = _solve(spec, T, mode)
+    return L, G
 
 
-def _coupling_gains(spec: TeamSpec, T: int, mode: Population, K):
-    """solve_coupling_gains for the gains K = solve_k_p(spec, T)[0]."""
-    p = _params(spec, mode)
-    if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
-        L = np.zeros((T, spec.m, spec.n))
-    else:
-        L = _coupling_sweep(p, K)
-    return L, _propagators(spec, T, K, L, p.alpha)
-
-
-def _coupling_sweep(p: _Params, K):
-    """Exact minimizer over L of the cost of u_t^i = K_t x_t^i + L_t c^i.
+def _solve(spec: TeamSpec, T: int, mode: Population):
+    """K, P, L and G of the optimal symmetric policy at horizon T.
 
     Write x_t^i = y_t^i + M_t c^i, where y is the L = 0 loop and M_0 = 0.
     With N_t = K_t M_t + L_t the feedforward matrix obeys
-    M_{t+1} = A M_t + B N_t, and u_t^i = K_t y_t^i + N_t c^i.  With the L = 0
-    cross moments Yd_t = E(y_t^i c_i^T), Yo_t = E(y_t^i c_j^T), the
-    L-dependent part of stage t's cost is (1/T) times
+    M_{t+1} = A M_t + B N_t, and u_t^i = K_t y_t^i + N_t c^i.  With the
+    covariances Cd = E(c^i c^i'), Co = E(c^i c^j') of the coupling
+    statistic and the L = 0 cross moments Yd_t = E(y_t^i c^i'),
+    Yo_t = E(y_t^i c^j'), the L-dependent part of stage t's cost is (1/T)
+    times
 
         <M, a Q M Cd + q Qt M Co> + <N, a R N Cd + b Rt N Co>
-        + 2 <M, a Q Yd + q Qt Yo> + 2 <N, a R K Yd + b Rt K Yo>,
+        + 2 <M, S_t> + 2 <N, R_t>,
+        S_t = a Q Yd_t + q Qt Yo_t,   R_t = a R K_t Yd_t + b Rt K_t Yo_t,
 
-    a deterministic LQ problem in the state vec(M) and control vec(N) with
-    an affine term.  A backward pass gives N_t = F_t vec(M_t) + f_t and a
-    forward pass from M_0 = 0 gives L_t = N_t - K_t M_t.  Each stage pivot
-    R + B^T P_{t+1} B is a Schur complement of the Hessian of the cost in L,
-    so the Hessian is positive definite exactly when every pivot is.
+    a deterministic LQ problem in M.  W with W' Cd W = I and W' Co W =
+    diag(d) splits it: with M = M' W' and N = N' W', column j of M' is an
+    LQ problem on (A, B) with weights (a Q + q d_j Qt) / T and
+    (a R + b d_j Rt) / T and affine terms (S_t W)_j / T, (R_t W)_j / T.
+    One batched backward recursion gives K, P and every mode's feedback
+    F_t; the affine co-state and the forward pass from M'_0 = 0 are one
+    batched product per stage, and L_t = (N'_t - K_t M'_t) W'.  The
+    propagators are G_t = Psi_t + alpha M_t Sigma, with Psi the L = 0
+    loop's, which also carries Yd and Yo.  The pivot of the unsplit sweep,
+    sum_j H_j kron u_j u_j' with u_j the columns of W^{-T}, is a Schur
+    complement of the Hessian of the cost in L, so the Hessian is positive
+    definite exactly when every mode pivot H_j is.
     """
+    p = _params(spec, mode)
     n, m = p.B.shape
-    T = len(K)
-    c1 = 1.0 / T
-    Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
-    Qk, Rk = c1 * Qk, c1 * Rk
+    team = p.Q[None], p.R[None]
+    if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
+        P, F, _ = _value_recursion(p.A, p.B, *team, T)
+        K = F[:, 0]
+        return K, P[:, 0], np.zeros((T, m, n)), _loop_products(p, K, np.eye(n))
 
-    # L = 0 cross moments Yd_{t+1} = (A + B K_t) Yd_t, likewise Yo
-    Y = np.empty((T, 2, n, n))
-    Y[0] = Y0
-    for t in range(T - 1):
-        Y[t + 1] = (p.A + p.B @ K[t]) @ Y[t]
-    Yd, Yo = Y[:, 0], Y[:, 1]
-    s = c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo).reshape(T, n * n)
-    r = c1 * (p.a * p.R @ K @ Yd + p.b * p.Rt @ K @ Yo).reshape(T, m * n)
+    # the L = 0 cross moments at t = 0 and the statistic's covariances
+    Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
+    Cd, Co = p.alpha * p.Sigma @ Y0
+    try:
+        C = np.linalg.cholesky(sym(Cd))
+    except np.linalg.LinAlgError:
+        # then the unsplit sweep's last pivot, Rk / T, is singular
+        _value_recursion(p.A, p.B, *team, T)
+        Rk = _sweep_data(p)[3] / T
+        raise _pivot_error(np.linalg.eigvalsh(sym(Rk)),
+                           f"stage {T - 1} of {T}") from None
+    Ci = np.linalg.inv(C)
+    d, V = np.linalg.eigh(sym(Ci @ Co @ Ci.T))
+    W, U = Ci.T @ V, C @ V
 
-    P = np.zeros((n * n, n * n))
-    pv = np.zeros(n * n)
-    F = np.empty((T, m * n, n * n))
-    f = np.empty((T, m * n))
+    c1, dj = 1.0 / T, d[:, None, None]
+    Qs = np.concatenate([team[0], c1 * (p.a * p.Q + p.q * dj * p.Qt)])
+    Rs = np.concatenate([team[1], c1 * (p.a * p.R + p.b * dj * p.Rt)])
+    P, F, H = _value_recursion(p.A, p.B, Qs, Rs, T, U)
+    K, Fm = F[:, 0], F[:, 1:]
+
+    Z = _loop_products(p, K, np.hstack([np.eye(n), *Y0]))
+    Psi, Yd, Yo = Z[..., :n], Z[..., n:2 * n], Z[..., 2 * n:]
+    # affine terms of mode j in row j
+    s = (c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo) @ W).swapaxes(1, 2)
+    r = (c1 * (p.a * p.R @ K @ Yd + p.b * p.Rt @ K @ Yo) @ W).swapaxes(1, 2)
+
+    # co-state v_t = s_t + F_t' r_t + Phi_t' v_{t+1} in rows, Phi = A + B F,
+    # and feedforward f_t = -H_t^{-1} (r_t + B' v_{t+1}) (H_t is symmetric)
+    Phi = p.A + p.B @ Fm
+    c = s + (r[:, :, None] @ Fm)[:, :, 0]
+    v = np.zeros((T + 1, n, 1, n))
     for t in range(T - 1, -1, -1):
-        PB = P @ Bk
-        Hinv = _pivot_inverse(Rk + Bk.T @ PB, f"stage {t} of {T}")
-        G = PB.T @ Ak
-        F[t] = -Hinv @ G
-        f[t] = -Hinv @ (r[t] + Bk.T @ pv)
-        pv = s[t] + Ak.T @ pv + G.T @ f[t]
-        P = Qk + Ak.T @ P @ Ak + G.T @ F[t]
-        P = 0.5 * (P + P.T)
+        v[t] = c[t, :, None] + v[t + 1] @ Phi[t]
+    f = -np.linalg.solve(H[:, 1:], (r + v[1:, :, 0] @ p.B)[..., None])[..., 0]
 
-    L = np.empty((T, m, n))
-    Mv = np.zeros(n * n)
-    for t in range(T):
-        Nv = F[t] @ Mv + f[t]
-        L[t] = Nv.reshape(m, n) - K[t] @ Mv.reshape(n, n)
-        Mv = Ak @ Mv + Bk @ Nv
-    return L
+    # M'_{t+1} = Phi_t M'_t + B f_t from M'_0 = 0, mode j's column in row j
+    x = np.zeros((T, n, n, 1))
+    Bf = (f @ p.B.T)[..., None]
+    for t in range(T - 1):
+        x[t + 1] = Phi[t] @ x[t] + Bf[t]
+    Lm = ((Fm - K[:, None]) @ x)[..., 0] + f
+    L = Lm.swapaxes(1, 2) @ W.T
+    G = Psi + p.alpha * x[..., 0].swapaxes(1, 2) @ W.T @ p.Sigma
+    return K, P[:, 0], L, G
+
+
+def _loop_products(p: _Params, K, Z0):
+    """Z_t = (A + B K_{t-1}) ... (A + B K_0) Z0 for t < T = len(K)."""
+    Phi = p.A + p.B @ K
+    Z = np.empty((len(K), *Z0.shape))
+    Z[0] = Z0
+    for t in range(len(K) - 1):
+        Z[t + 1] = Phi[t] @ Z[t]
+    return Z
+
+
+def _pivot_eigvals(H, U):
+    """Eigenvalues of the unsplit sweep's pivots sum_j H[:, j] kron u_j u_j'
+    for the mode pivots H (S, k, m, m) and the columns u_j of U."""
+    S, k, m, _ = H.shape
+    n = len(U)
+    uu = (U.T[:, :, None] * U.T[:, None, :]).reshape(k, n * n)
+    Hk = (H.reshape(S, k, m * m).swapaxes(1, 2) @ uu).reshape(S, m, m, n, n)
+    return np.linalg.eigvalsh(Hk.swapaxes(2, 3).reshape(S, m * n, m * n))
+
+
+def _check_pivots(H, U, t0, T):
+    """Raise at the last stage t0 + s whose original-coordinate pivot is not
+    positive definite or has condition number above 1e12, which is the
+    stage the unsplit backward sweep would stop at."""
+    w = _pivot_eigvals(H, U)
+    bad = np.flatnonzero(~_pivot_ok(w))
+    if bad.size:
+        raise _pivot_error(w[bad[-1]], f"stage {t0 + bad[-1]} of {T}")
+
+
+def _pivot_ok(w):
+    """Sorted pivot eigenvalues (..., k) of a strictly convex stage."""
+    return (w[..., 0] > 0.0) & (w[..., -1] <= 1e12 * w[..., 0])
+
+
+def _pivot_error(w, where):
+    return CouplingSystemError(
+        f"coupling system singular at {where}: pivot eigenvalues in "
+        f"[{w[0]:.3e}, {w[-1]:.3e}]; check Sigma/R_tilde for degenerate "
+        "combinations")
 
 
 def _sweep_data(p: _Params):
-    """Ak, Bk, Qk, Rk of the coupling sweep without its 1/T factor, and the
-    L = 0 cross moments (Yd_0, Yo_0); vec(X Z Y) = kron(X, Y^T) vec(Z)."""
+    """Ak, Bk, Qk, Rk of the vectorized coupling sweep in vec(M) without its
+    1/T factor, and the L = 0 cross moments (Yd_0, Yo_0);
+    vec(X Z Y) = kron(X, Y^T) vec(Z)."""
     I = np.eye(p.A.shape[0])
     Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
     Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
@@ -330,26 +434,12 @@ def _sweep_data(p: _Params):
 
 
 def _pivot_inverse(H, where):
-    """Inverse of a pivot of the coupling sweep, which must be positive
-    definite with condition number at most 1e12."""
+    """Inverse of a pivot of the stationary coupling sweep, which must be
+    positive definite with condition number at most 1e12."""
     w, V = np.linalg.eigh(sym(H))
-    if not (w[0] > 0.0 and w[-1] <= 1e12 * w[0]):
-        raise CouplingSystemError(
-            f"coupling system singular at {where}: pivot eigenvalues in "
-            f"[{w[0]:.3e}, {w[-1]:.3e}]; check Sigma/R_tilde for degenerate "
-            "combinations")
+    if not _pivot_ok(w):
+        raise _pivot_error(w, where)
     return (V / w) @ V.T
-
-
-def _propagators(spec, T, K, L, alpha):
-    """G_t with E(x_t^i | x_0^i) = G_t x_0^i under the symmetric policy."""
-    A, B = homogeneous_dynamics(spec)
-    Sigma = conditional_gain(spec.noise)
-    G = np.empty((T, spec.n, spec.n))
-    G[0] = np.eye(spec.n)
-    for t in range(T - 1):
-        G[t + 1] = (A + B @ K[t]) @ G[t] + alpha * B @ L[t] @ Sigma
-    return G
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +475,7 @@ class TreePolicy:
 def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = None):
     T = spec.horizon if T is None else T
     mode = default_mode(spec) if mode is None else mode
-    K, P = solve_k_p(spec, T)
-    L, G = _coupling_gains(spec, T, mode, K)
+    K, P, L, G = _solve(spec, T, mode)
     return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P, G=G)
 
 
@@ -471,7 +560,8 @@ def solve_infinite_tree(spec: TeamSpec,
 
 
 def _stationary_schedule(p: _Params, K, radius):
-    """``_coupling_sweep`` at the infinite horizon, with K stationary.
+    """The coupling sweep of ``_solve``, unsplit in vec(M), at the infinite
+    horizon with K stationary.
 
     Its value Pk solves the DARE of (Ak, Bk, Qk, Rk), with pivot
     H = Rk + Bk^T Pk Bk and feedback F.  Its affine terms are Sy y_t and

@@ -49,6 +49,7 @@ LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
 ZETA = "tests/test_simulator.py::TestZetaLoop::"
 CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
 RANK = "tests/test_delayed.py::TestRankGrid::"
+KRON = "tests/test_tree.py::TestKroneckerReference::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
@@ -73,6 +74,20 @@ MUTANTS = (
            "np.concatenate([np.zeros(n * n), Y0[0].ravel(), "
            "0 * Y0[1].ravel()])",
            (INFINITE + "test_closed_form_matches_long_finite_head",)),
+    Mutant("every d_j replaced by 1 in tree._solve's mode weights", TREE,
+           "c1, dj = 1.0 / T, d[:, None, None]",
+           "c1, dj = 1.0 / T, np.ones_like(d)[:, None, None]",
+           (KRON + "test_matches_on_bench_shaped_specs[32-3-2-mean_field4]",)),
+    Mutant("L back-transformed with W instead of W^T in tree._solve", TREE,
+           "L = Lm.swapaxes(1, 2) @ W.T",
+           "L = Lm.swapaxes(1, 2) @ W",
+           (KRON + "test_matches_on_bench_shaped_specs[32-2-3-n_dm3]",)),
+    Mutant("per-stage Cholesky guard dropped from tree._value_recursion",
+           TREE,
+           "            if U is not None:\n"
+           "                np.linalg.cholesky(H[t, 1:])\n",
+           "",
+           (KRON + "test_sweep_stops_at_first_indefinite_stage",)),
     Mutant("Sigma^T in sim._policy_distance's Z0", SIM,
            "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])",
            "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma.T])",

@@ -9,6 +9,8 @@ then minimizes it in closed form.
 
 from dataclasses import replace
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -18,12 +20,14 @@ from teamlqg.delayed import stacked_data
 from teamlqg.model import (
     CostSpec,
     Homogeneous,
+    MeanFieldTree,
     NoiseSpec,
     TeamSpec,
     Tree,
     conditional_gain,
     validate,
 )
+from teamlqg.linalg import spectral_radius
 from teamlqg.riccati import dare_solve
 from teamlqg.sim import TreePolicySet, exact_cost_general
 from teamlqg.tree import (
@@ -46,10 +50,12 @@ from conftest import (
     closed_form_cost_variants,
     coupled_delayed_spec_2dm,
     rand_pd,
+    rand_psd,
     random_tree_spec,
     scalar_mf_spec,
     scalar_tree_spec,
 )
+from kron_reference import reference_solve
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -386,6 +392,139 @@ class TestCouplingGains:
         spec = scalar_tree_spec(R=1.0, Rt=-1.0, Sd=1.0, So=1.0, T=2)
         with pytest.raises(CouplingSystemError, match="stage 1 of 2"):
             solve_coupling_gains(spec, 2, n_dm(2))
+
+    def test_ill_conditioned_pivot_raises_at_reference_stage(self):
+        """Q = diag(1e13, 1): every pivot is positive definite, and from
+        stage 6 on its condition number exceeds 1e12."""
+        spec = TeamSpec(
+            n_dm=2, horizon=8,
+            dynamics=Homogeneous(A=[[0.9, 0.2], [0.0, 0.8]],
+                                 B=[[1.0, 0.0], [0.5, 1.0]]),
+            cost=CostSpec(Q=np.diag([1e13, 1.0]), R=np.eye(2),
+                          R_tilde=0.5 * np.eye(2)),
+            noise=NoiseSpec(sigma_w=np.eye(2),
+                            init_diag=[[1.0, 0.2], [0.2, 1.0]],
+                            init_offdiag=[[0.4, 0.1], [0.1, 0.2]]),
+            info=Tree())
+        with pytest.raises(CouplingSystemError) as ref:
+            reference_solve(spec, 8, n_dm(2))
+        assert "stage 6 of 8: pivot eigenvalues in [1.525e-02" in \
+            str(ref.value)
+        with pytest.raises(CouplingSystemError) as exc:
+            solve_coupling_gains(spec, 8, n_dm(2))
+        assert str(exc.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# per-mode recursion against the Kronecker reference
+
+
+REF_MODES = [n_dm(3), mean_field(4), mean_field_limit()]
+REF_IDS = ["n_dm3", "mean_field4", "mean_field_limit"]
+
+
+def bench_shaped_spec(rng, n, m, T, mean_field):
+    """A tree instance shaped like the benchmark's: A with spectral radius
+    0.9, positive definite R, R~ and Sd, and So a multiple of Sd."""
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / spectral_radius(A)
+    Sd = rand_psd(rng, n, ridge=0.5)
+    Qt = rand_psd(rng, n, scale=0.3) if mean_field else None
+    return TeamSpec(
+        n_dm=2, horizon=T,
+        dynamics=Homogeneous(A=A, B=rng.normal(size=(n, m))),
+        cost=CostSpec(Q=rand_psd(rng, n, ridge=0.1), R=rand_pd(rng, m),
+                      R_tilde=rand_psd(rng, m, scale=0.3, ridge=0.2),
+                      Q_tilde=Qt),
+        noise=NoiseSpec(sigma_w=rand_psd(rng, n, scale=0.5, ridge=0.05),
+                        init_diag=Sd,
+                        init_offdiag=float(rng.uniform(0.1, 0.45)) * Sd),
+        info=MeanFieldTree() if mean_field else Tree(),
+    )
+
+
+def rel_err(x, ref):
+    return float(np.linalg.norm(x - ref)) / float(np.linalg.norm(ref))
+
+
+class TestKroneckerReference:
+    @pytest.mark.parametrize("mode", REF_MODES, ids=REF_IDS)
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("T", [1, 2, 32, 128])
+    def test_matches_on_bench_shaped_specs(self, mode, n, m, T):
+        spec = bench_shaped_spec(np.random.default_rng(1000 * T + 10 * n + m),
+                                 n, m, T, mean_field=mode.kind != "n_dm")
+        pol = solve_tree(spec, T, mode)
+        K, P, L, G = reference_solve(spec, T, mode)
+        assert rel_err(pol.P, P) <= 1e-13
+        if T == 1:          # K and the optimal L are exactly 0
+            assert np.all(pol.K == 0.0) and np.all(pol.L == 0.0)
+        else:
+            assert rel_err(pol.K, K) <= 1e-13
+            assert_nondegenerate(L)
+            assert rel_err(pol.L, L) <= 1e-12
+        assert rel_err(pol.G, G) <= 1e-13
+
+    @pytest.mark.parametrize("mode", REF_MODES, ids=REF_IDS)
+    def test_cost_matches_on_general_offdiag(self, mode):
+        """With So not a multiple of Sd, and Sd as ill-conditioned as 1e6,
+        the two schedules can differ entry by entry far above rounding,
+        since both are rounded minimizers of an ill-conditioned quadratic;
+        their exact costs agree to rounding, and the per-mode schedule is
+        at least as stationary."""
+        rng = np.random.default_rng(4242)
+        for trial in range(6):
+            n, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            spec = random_tree_spec(rng, n=n, m=m, T=int(rng.integers(2, 40)),
+                                    mean_field=mode.kind != "n_dm",
+                                    generic_offdiag=True)
+            if trial % 2:
+                V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                Sd = (V * np.logspace(0, -6, n)) @ V.T
+                F = np.linalg.cholesky(Sd)
+                V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                So = F @ (V * rng.uniform(0.1, 0.45, n)) @ V.T @ F.T
+                spec = replace(spec, noise=replace(spec.noise, init_diag=Sd,
+                                                   init_offdiag=So))
+            T = spec.horizon
+            pol = solve_tree(spec, T, mode)
+            K, _, L, _ = reference_solve(spec, T, mode)
+            assert_nondegenerate(L)
+            J, g = policy_cost_gradient(spec, T, pol.K, pol.L, mode)
+            J_ref, g_ref = policy_cost_gradient(spec, T, K, L, mode)
+            tol = 1e-12 * (1 + abs(J))
+            assert abs(J - J_ref) <= tol, f"trial {trial}"
+            assert np.linalg.norm(g) <= \
+                2 * np.linalg.norm(g_ref) + 0.1 * tol, f"trial {trial}"
+
+    def test_singular_offdiag_gain_raises_at_last_stage(self):
+        """A singular Sigma makes Cd singular and the last pivot singular."""
+        spec = TeamSpec(
+            n_dm=2, horizon=8,
+            dynamics=Homogeneous(A=0.9 * np.eye(2), B=np.eye(2)),
+            cost=CostSpec(Q=np.eye(2), R=np.eye(2), R_tilde=0.5 * np.eye(2)),
+            noise=NoiseSpec(sigma_w=np.eye(2), init_diag=np.eye(2),
+                            init_offdiag=np.diag([0.5, 0.0])),
+            info=Tree())
+        with pytest.raises(CouplingSystemError) as ref:
+            reference_solve(spec, 8, n_dm(2))
+        with pytest.raises(CouplingSystemError, match="stage 7 of 8") as exc:
+            solve_coupling_gains(spec, 8, n_dm(2))
+        assert str(exc.value) == str(ref.value)
+
+    def test_sweep_stops_at_first_indefinite_stage(self):
+        """So < 0 makes the last pivot negative, and Q~ = 1e306 with A = 10
+        would overflow one stage earlier: the recursion raises where the
+        reference does without evaluating that stage."""
+        spec = scalar_mf_spec(A=10.0, Rt=3.0, Qt=1e306, So=-0.5, T=2)
+        with pytest.raises(CouplingSystemError) as ref:
+            reference_solve(spec, 2, mean_field(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CouplingSystemError,
+                               match="stage 1 of 2") as exc:
+                solve_coupling_gains(spec, 2, mean_field(4))
+        assert str(exc.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
