@@ -1,11 +1,11 @@
 """Small shared numerical helpers (symmetrization, PSD tests, ranks, and
 Kronecker products).
 
-``kron`` builds the block matrices of the stacked N-agent closed loops and
-of the vectorized sweeps.  Most operands are 1x1 to 3x3, where numpy's
-``kron`` spends far more time on Python-level axis bookkeeping than on
-arithmetic.  One broadcast product forms the same elementwise products, so
-the result is bitwise equal to numpy's, signed zeros included."""
+``kron`` builds the block matrices of the stacked N-agent closed loops.
+Most operands are 1x1 to 3x3, where numpy's ``kron`` spends far more time
+on Python-level axis bookkeeping than on arithmetic.  One broadcast product
+forms the same elementwise products, so the result is bitwise equal to
+numpy's, signed zeros included."""
 
 import numpy as np
 
@@ -32,8 +32,8 @@ def kron(X, Y):
 
 
 def sym(M):
-    """(M + M^T)/2 — tolerates serialization rounding before PSD checks."""
-    return 0.5 * (M + M.T)
+    """(M + M^T)/2 of a matrix or stack; absorbs serialization rounding."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def asymmetry(M):

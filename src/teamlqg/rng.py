@@ -34,11 +34,12 @@ _SQRT3 = np.sqrt(3.0)
 
 
 def block_generator(seed: int, block: int) -> np.random.Generator:
+    """Block ``block``'s Philox stream; a seed outside [0, 2**64) would
+    alias one inside, so every draw refuses it here."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                                       block & 0xFFFFFFFFFFFFFFFF],
-                                      dtype=np.uint64))
-    )
+        np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _fill(gen, out, family):

@@ -10,8 +10,8 @@ which the covariances of the coupling statistic split into n independent
 n-dimensional LQ problems on (A, B).  One backward recursion, batched over
 the team's weights and the n modes', gives K_t, P_t and every mode's
 feedback, and two batched passes give L_t, in O(T n^4) time; at the
-infinite horizon one DARE and one Stein equation on the unsplit vec(M_t)
-problem replace the recursion.  The exact cost of any schedule, and its
+infinite horizon the same modes take one stacked DARE, one stacked Stein
+equation and one forward pass.  The exact cost of any schedule, and its
 gradient in L, is the cost of the two-agent closed loop of one exchangeable
 pair, propagated by ``moments``, with the pair weighed as ``cost_weights``
 states (see CostSpec).
@@ -152,14 +152,13 @@ def _value_recursion(A, B, Q, R, T, U=None):
             # a singular team pivot at any stage is a RiccatiError first,
             # as when K/P are solved before the coupling sweep
             _value_recursion(A, B, Q[:1], R[:1], T)
-            _check_pivots(H[t:, 1:], U, t, T)
+            _check_pivots(H[t:, 1:], U, f"stage {{}} of {T}", t)
             raise _pivot_error(_pivot_eigvals(H[t:t + 1, 1:], U)[0],
                                f"stage {t} of {T}") from None
         np.negative(X, out=F[t])
-        Pt = Q + S[:, :n, :n] - G.swapaxes(1, 2) @ X
-        P[t] = 0.5 * (Pt + Pt.swapaxes(1, 2))
+        P[t] = sym(Q + S[:, :n, :n] - G.swapaxes(1, 2) @ X)
     if U is not None:
-        _check_pivots(H[:, 1:], U, 0, T)
+        _check_pivots(H[:, 1:], U, f"stage {{}} of {T}")
     return P, F, H
 
 
@@ -326,30 +325,22 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     p = _params(spec, mode)
     n, m = p.B.shape
     team = p.Q[None], p.R[None]
-    if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
+    # without R~ and Q~, or with Sigma = 0 and so c^i = 0, every L costs
+    # the same and L = 0 is exact
+    if not (np.any(p.Rt) or np.any(p.Qt)) or not np.any(p.Sigma):
         P, F, _ = _value_recursion(p.A, p.B, *team, T)
         K = F[:, 0]
         return K, P[:, 0], np.zeros((T, m, n)), _loop_products(p, K, np.eye(n))
 
-    # the L = 0 cross moments at t = 0 and the statistic's covariances
-    Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
-    Cd, Co = p.alpha * p.Sigma @ Y0
+    c1 = 1.0 / T
     try:
-        C = np.linalg.cholesky(sym(Cd))
-    except np.linalg.LinAlgError:
-        # then the unsplit sweep's last pivot, Rk / T, is singular
+        Y0, W, U, Qm, Rm = _modes(p, c1, f"stage {T - 1} of {T}")
+    except CouplingSystemError:
+        # a singular team pivot at any stage is a RiccatiError first
         _value_recursion(p.A, p.B, *team, T)
-        Rk = _sweep_data(p)[3] / T
-        raise _pivot_error(np.linalg.eigvalsh(sym(Rk)),
-                           f"stage {T - 1} of {T}") from None
-    Ci = np.linalg.inv(C)
-    d, V = np.linalg.eigh(sym(Ci @ Co @ Ci.T))
-    W, U = Ci.T @ V, C @ V
-
-    c1, dj = 1.0 / T, d[:, None, None]
-    Qs = np.concatenate([team[0], c1 * (p.a * p.Q + p.q * dj * p.Qt)])
-    Rs = np.concatenate([team[1], c1 * (p.a * p.R + p.b * dj * p.Rt)])
-    P, F, H = _value_recursion(p.A, p.B, Qs, Rs, T, U)
+        raise
+    P, F, H = _value_recursion(p.A, p.B, np.concatenate([team[0], Qm]),
+                               np.concatenate([team[1], Rm]), T, U)
     K, Fm = F[:, 0], F[:, 1:]
 
     Z = _loop_products(p, K, np.hstack([np.eye(n), *Y0]))
@@ -378,6 +369,26 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     return K, P[:, 0], L, G
 
 
+def _modes(p: _Params, scale, where):
+    """The coupling problem's modes (see ``_solve``): Y0 = (Yd_0, Yo_0), W
+    with W' Cd W = I and W' Co W = diag(d), U = W^{-T}, and the weights
+    scale (a Q + q d_j Qt) and scale (a R + b d_j Rt).  A singular Cd makes
+    the pivot scale (a R kron Cd + b Rt kron Co) singular, an error raised
+    at ``where``."""
+    Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
+    Cd, Co = p.alpha * p.Sigma @ Y0
+    try:
+        C = np.linalg.cholesky(sym(Cd))
+    except np.linalg.LinAlgError:
+        Rk = scale * (p.a * kron(p.R, Cd) + p.b * kron(p.Rt, Co))
+        raise _pivot_error(np.linalg.eigvalsh(sym(Rk)), where) from None
+    Ci = np.linalg.inv(C)
+    d, V = np.linalg.eigh(sym(Ci @ Co @ Ci.T))
+    dj = d[:, None, None]
+    return (Y0, Ci.T @ V, C @ V, scale * (p.a * p.Q + p.q * dj * p.Qt),
+            scale * (p.a * p.R + p.b * dj * p.Rt))
+
+
 def _loop_products(p: _Params, K, Z0):
     """Z_t = (A + B K_{t-1}) ... (A + B K_0) Z0 for t < T = len(K)."""
     Phi = p.A + p.B @ K
@@ -398,14 +409,15 @@ def _pivot_eigvals(H, U):
     return np.linalg.eigvalsh(Hk.swapaxes(2, 3).reshape(S, m * n, m * n))
 
 
-def _check_pivots(H, U, t0, T):
+def _check_pivots(H, U, where, t0=0):
     """Raise at the last stage t0 + s whose original-coordinate pivot is not
     positive definite or has condition number above 1e12, which is the
-    stage the unsplit backward sweep would stop at."""
+    stage the unsplit backward sweep would stop at; ``where`` names it,
+    with {} for its index."""
     w = _pivot_eigvals(H, U)
     bad = np.flatnonzero(~_pivot_ok(w))
     if bad.size:
-        raise _pivot_error(w[bad[-1]], f"stage {t0 + bad[-1]} of {T}")
+        raise _pivot_error(w[bad[-1]], where.format(t0 + bad[-1]))
 
 
 def _pivot_ok(w):
@@ -418,28 +430,6 @@ def _pivot_error(w, where):
         f"coupling system singular at {where}: pivot eigenvalues in "
         f"[{w[0]:.3e}, {w[-1]:.3e}]; check Sigma/R_tilde for degenerate "
         "combinations")
-
-
-def _sweep_data(p: _Params):
-    """Ak, Bk, Qk, Rk of the vectorized coupling sweep in vec(M) without its
-    1/T factor, and the L = 0 cross moments (Yd_0, Yo_0);
-    vec(X Z Y) = kron(X, Y^T) vec(Z)."""
-    I = np.eye(p.A.shape[0])
-    Cd = p.alpha**2 * p.Sigma @ p.Sd @ p.Sigma.T
-    Co = p.alpha**2 * p.Sigma @ p.So @ p.Sigma.T
-    Qk = p.a * kron(p.Q, Cd) + p.q * kron(p.Qt, Co)
-    Rk = p.a * kron(p.R, Cd) + p.b * kron(p.Rt, Co)
-    Y0 = p.alpha * np.stack([p.Sd, p.So]) @ p.Sigma.T
-    return kron(p.A, I), kron(p.B, I), Qk, Rk, Y0
-
-
-def _pivot_inverse(H, where):
-    """Inverse of a pivot of the stationary coupling sweep, which must be
-    positive definite with condition number at most 1e12."""
-    w, V = np.linalg.eigh(sym(H))
-    if not _pivot_ok(w):
-        raise _pivot_error(w, where)
-    return (V / w) @ V.T
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +539,8 @@ def solve_infinite_tree(spec: TeamSpec,
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
     L = np.zeros((0, spec.m, spec.n))
-    if np.any(spec.cost.r_tilde_or_zero(spec.m) != 0.0):
+    if (np.any(spec.cost.r_tilde_or_zero(spec.m))
+            and np.any(conditional_gain(spec.noise))):
         L = _stationary_schedule(_params(spec, mode), sol.K, radius)
     live = [t for t, l in enumerate(L) if not np.linalg.norm(l) < DECAY_TOL]
     decay_horizon = live[-1] + 1 if live else 0
@@ -560,45 +551,61 @@ def solve_infinite_tree(spec: TeamSpec,
 
 
 def _stationary_schedule(p: _Params, K, radius):
-    """The coupling sweep of ``_solve``, unsplit in vec(M), at the infinite
-    horizon with K stationary.
+    """The coupling problem of ``_solve`` at the infinite horizon with K
+    stationary, in the same modes (``_modes``, without 1/T).
 
-    Its value Pk solves the DARE of (Ak, Bk, Qk, Rk), with pivot
-    H = Rk + Bk^T Pk Bk and feedback F.  Its affine terms are Sy y_t and
-    Ry y_t in y_t = (vec Yd_t, vec Yo_t), with y_{t+1} = Ay y_t, so its
-    co-state is X y_t, where X = Psi + Phi^T X Ay with Phi = Ak + Bk F and
-    Psi = Sy + F^T Ry.  The forward pass from M_0 = 0 ends at the first
-    stage where |L_t| and |(M_t, y_t)| are below DECAY_TOL.
+    Mode j's value P_j solves the DARE of (A, B, Q_j, R_j), with pivot
+    H_j = R_j + B' P_j B and feedback F_j.  Its affine terms are Sy y_t and
+    Ry y_t in y_t = (Yd_t w_j, Yo_t w_j), with y_{t+1} = Ay y_t, so its
+    co-state is X_j y_t, where X_j = Psi_j + Phi_j' X_j Ay with
+    Phi_j = A + B F_j and Psi_j = Sy + F_j' Ry.  The forward pass from
+    M'_0 = 0 steps all modes as one flat state, reads L_t and
+    z_t = (M_t, Yd_t, Yo_t) in the original coordinates (M = M' W',
+    Y = Y' U'), and ends at the first stage where both are below DECAY_TOL.
     """
     n, m = p.B.shape
-    I = np.eye(n)
-    Ak, Bk, Qk, Rk, Y0 = _sweep_data(p)
-    _pivot_inverse(Rk, "the last stage of every horizon")   # pivot Rk / T
-    Ay = kron(np.eye(2), kron(p.A + p.B @ K, I))
-    Sy = np.hstack([p.a * kron(p.Q, I), p.q * kron(p.Qt, I)])
-    Ry = np.hstack([p.a * kron(p.R @ K, I), p.b * kron(p.Rt @ K, I)])
+    last = "the last stage of every horizon"
+    Y0, W, U, Qm, Rm = _modes(p, 1.0, last)
+    _check_pivots(Rm[None], U, last)
+    Ay = np.zeros((2 * n, 2 * n))
+    Ay[:n, :n] = Ay[n:, n:] = p.A + p.B @ K
+    Sy = np.hstack([p.a * p.Q, p.q * p.Qt])
+    Ry = np.hstack([p.a * p.R @ K, p.b * p.Rt @ K])
     try:
-        Pk = dare_solve(Ak, Bk, Qk, Rk).P
-        Hinv = _pivot_inverse(Rk + Bk.T @ Pk @ Bk, "the stationary stage")
-        F = -Hinv @ Bk.T @ Pk @ Ak
-        X = stein_solve((Ak + Bk @ F).T, Sy + F.T @ Ry, Ay)
+        sol = dare_solve(p.A, p.B, Qm, Rm)
+        H = Rm + p.B.T @ sol.P @ p.B
+        _check_pivots(H[None], U, "the stationary stage")
+        F = sol.K
+        Phi = p.A + p.B @ F
+        X = stein_solve(Phi.swapaxes(1, 2), Sy + F.swapaxes(1, 2) @ Ry, Ay)
+        E = -np.linalg.solve(H, Ry + p.B.T @ X @ Ay)
     except (RiccatiError, np.linalg.LinAlgError) as exc:
         raise CouplingSystemError(f"stationary coupling sweep: {exc}") from exc
 
-    # z_t = (vec M_t, y_t): z_{t+1} = G z_t and vec L_t = C z_t
-    E = -Hinv @ (Ry + Bk.T @ X @ Ay)
-    G = np.block([[Ak + Bk @ F, Bk @ E], [np.zeros((2 * n * n, n * n)), Ay]])
-    C = np.hstack([F - kron(K, I), E])
-    z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), []
+    # mode j's state (M'_t e_j, y_t) steps by [[Phi_j, B E_j], [0, Ay]],
+    # and L'_t e_j = (F_j - K) M'_t e_j + E_j y_t
+    G, j = np.zeros((n, 3 * n, n, 3 * n)), np.arange(n)
+    G[j, :n, j, :n] = Phi
+    G[j, :n, j, n:] = p.B @ E
+    G[j, n:, j, n:] = Ay
+    G = G.reshape(3 * n * n, 3 * n * n)
+    # read-out of (vec L_t, vec M_t, vec Yd_t, vec Yo_t) from the flat state
+    CL = np.einsum("jra,cj->rcja", np.concatenate([F - K, E], axis=2), W)
+    Cz = np.einsum("bra,bcj->brcja", np.eye(3 * n).reshape(3, n, 3 * n),
+                   np.stack([W, U, U]))
+    C = np.vstack([CL.reshape(m * n, -1), Cz.reshape(3 * n * n, -1)])
+    x = np.hstack([np.zeros((n, n)), *(Y0 @ W).swapaxes(1, 2)]).ravel()
+    L = []
     for t in range(STAGE_CAP):
-        L.append(C @ z)
-        if max(L[t] @ L[t], z @ z) < DECAY_TOL**2:
+        o = C @ x
+        L.append(o[:m * n])
+        if max(L[t] @ L[t], o[m * n:] @ o[m * n:]) < DECAY_TOL**2:
             return np.reshape(L, (-1, m, n))
-        z = G @ z
+        x = G @ x
     raise CouplingSystemError(
         f"coupling schedule not below {DECAY_TOL:.0e} at stage {t} (|L_t| = "
         f"{np.linalg.norm(L[t]):.3e}); spectral radii {radius:.6g} of A + B K"
-        f" and {spectral_radius(G[:n * n, :n * n]):.6g} of Ak + Bk F")
+        f" and {max(map(spectral_radius, Phi)):.6g} of the modes' A + B F_j")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Kronecker reference for the tree coupling sweep.
 
-The unsplit form of ``teamlqg.tree._solve``: one backward Riccati sweep in
-the n^2-dimensional state vec(M), with an eigendecomposition of every
-stage pivot, after an unbatched K/P recursion and before a separate pass
-for the propagators G_t.  The package solves the same problem as n
-per-mode recursions; the tests compare the two.
+The unsplit form of ``teamlqg.tree``'s coupling solves.  At horizon T, one
+backward Riccati sweep in the n^2-dimensional state vec(M), with an
+eigendecomposition of every stage pivot, after an unbatched K/P recursion
+and before a separate pass for the propagators G_t.  At the infinite
+horizon, one n^2-dimensional DARE, one n^2 x 2n^2 Stein equation and a
+forward pass in (vec M_t, vec Yd_t, vec Yo_t).  The package solves the
+same problems as n per-mode problems on (A, B); the tests compare the two.
 """
 
 import numpy as np
 
 from teamlqg import tree
 from teamlqg.linalg import kron, sym
-from teamlqg.riccati import riccati_step
+from teamlqg.riccati import RiccatiError, dare_solve, riccati_step, stein_solve
 
 
 def reference_k_p(spec, T):
@@ -118,3 +120,45 @@ def propagators(p, K, L):
     for t in range(len(K) - 1):
         G[t + 1] = (p.A + p.B @ K[t]) @ G[t] + p.alpha * p.B @ L[t] @ p.Sigma
     return G
+
+
+def reference_stationary_schedule(p, K, radius):
+    """The stationary coupling schedule L (horizon_used, m, n) of the sweep
+    at the infinite horizon with K stationary, as ``tree.solve_infinite_tree``
+    uses it.
+
+    Its value Pk solves the DARE of (Ak, Bk, Qk, Rk), with pivot
+    H = Rk + Bk^T Pk Bk and feedback F.  Its affine terms are Sy y_t and
+    Ry y_t in y_t = (vec Yd_t, vec Yo_t), with y_{t+1} = Ay y_t, so its
+    co-state is X y_t, where X = Psi + Phi^T X Ay with Phi = Ak + Bk F and
+    Psi = Sy + F^T Ry.  The forward pass from M_0 = 0 ends at the first
+    stage where |L_t| and |(M_t, y_t)| are below DECAY_TOL.
+    """
+    n, m = p.B.shape
+    I = np.eye(n)
+    Ak, Bk, Qk, Rk, Y0 = sweep_data(p)
+    pivot_inverse(Rk, "the last stage of every horizon")   # pivot Rk / T
+    Ay = kron(np.eye(2), kron(p.A + p.B @ K, I))
+    Sy = np.hstack([p.a * kron(p.Q, I), p.q * kron(p.Qt, I)])
+    Ry = np.hstack([p.a * kron(p.R @ K, I), p.b * kron(p.Rt @ K, I)])
+    try:
+        Pk = dare_solve(Ak, Bk, Qk, Rk).P
+        Hinv = pivot_inverse(Rk + Bk.T @ Pk @ Bk, "the stationary stage")
+        F = -Hinv @ Bk.T @ Pk @ Ak
+        X = stein_solve((Ak + Bk @ F).T, Sy + F.T @ Ry, Ay)
+    except (RiccatiError, np.linalg.LinAlgError) as exc:
+        raise tree.CouplingSystemError(
+            f"stationary coupling sweep: {exc}") from exc
+
+    # z_t = (vec M_t, y_t): z_{t+1} = G z_t and vec L_t = C z_t
+    E = -Hinv @ (Ry + Bk.T @ X @ Ay)
+    G = np.block([[Ak + Bk @ F, Bk @ E], [np.zeros((2 * n * n, n * n)), Ay]])
+    C = np.hstack([F - kron(K, I), E])
+    z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), []
+    for t in range(tree.STAGE_CAP):
+        L.append(C @ z)
+        if max(L[t] @ L[t], z @ z) < tree.DECAY_TOL**2:
+            return np.reshape(L, (-1, m, n))
+        z = G @ z
+    raise tree.CouplingSystemError(
+        f"coupling schedule not below {tree.DECAY_TOL:.0e} at stage {t}")

@@ -65,18 +65,21 @@ MUTANTS = (
            "return float(N), 2.0 * N * (N - 1), 0.0, float(N - 1)",
            ("tests/test_tree.py::TestPredictedCost::"
             "test_exact_cost_is_the_stacked_form",)),
-    Mutant("Phi transposed in the stationary Stein equation", TREE,
-           "X = stein_solve((Ak + Bk @ F).T, ",
-           "X = stein_solve(Ak + Bk @ F, ",
+    Mutant("Phi_j transposed in the stationary Stein equation", TREE,
+           "stein_solve(Phi.swapaxes(1, 2), ",
+           "stein_solve(Phi, ",
            (INFINITE + "test_closed_form_matches_long_finite_head",)),
     Mutant("Yo block of y dropped from the stationary forward pass", TREE,
-           "np.concatenate([np.zeros(n * n), Y0.ravel()])",
-           "np.concatenate([np.zeros(n * n), Y0[0].ravel(), "
-           "0 * Y0[1].ravel()])",
+           "*(Y0 @ W).swapaxes(1, 2)]",
+           "(Y0[0] @ W).T, 0 * (Y0[1] @ W).T]",
            (INFINITE + "test_closed_form_matches_long_finite_head",)),
-    Mutant("every d_j replaced by 1 in tree._solve's mode weights", TREE,
-           "c1, dj = 1.0 / T, d[:, None, None]",
-           "c1, dj = 1.0 / T, np.ones_like(d)[:, None, None]",
+    Mutant("stationary stopping norms read in whitened coordinates", TREE,
+           "np.stack([W, U, U])",
+           "np.stack([np.eye(n)] * 3)",
+           (INFINITE + "test_schedule_matches_kronecker_reference[bench]",)),
+    Mutant("every d_j replaced by 1 in tree._modes' mode weights", TREE,
+           "dj = d[:, None, None]",
+           "dj = np.ones_like(d)[:, None, None]",
            (KRON + "test_matches_on_bench_shaped_specs[32-3-2-mean_field4]",)),
     Mutant("L back-transformed with W instead of W^T in tree._solve", TREE,
            "L = Lm.swapaxes(1, 2) @ W.T",

@@ -218,6 +218,32 @@ class TestCommands:
         assert abs(rep["mean_cost"] - pol["predicted_cost"]) \
             <= 5 * rep["std_error"]
 
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        for seed in ("-1", str(1 << 64)):
+            capsys.readouterr()
+            assert main(["simulate", spec_path, "--policy", pol_path,
+                         "--rollouts", "10", "--seed", seed]) \
+                == EXIT_VALIDATION
+            assert f"seed {seed} is outside" in capsys.readouterr().err
+
+    def test_independent_initial_states_solve(self, tmp_path):
+        """init_offdiag = 0 makes the coupling statistic 0, so every tree
+        solve succeeds with L = 0."""
+        data = json.loads(json.dumps(GOLDEN))
+        data["noise"]["init_offdiag"] = [[0.0]]
+        spec_path = write_spec(tmp_path, data)
+        pol_path = str(tmp_path / "pol.json")
+        for args in (["check"], ["solve-tree"], ["solve-tree-inf"],
+                     ["solve-ndm", "--n", "3"], ["solve-mf"]):
+            assert main([args[0], spec_path, *args[1:],
+                         "--out", pol_path]) == EXIT_OK, args[0]
+            report = json.loads(open(pol_path).read())
+            if "policy" in report:
+                assert not np.any(report["policy"]["L"]), args[0]
+
     def test_solve_delayed_round_trip(self, tmp_path):
         spec_path = write_spec(tmp_path, DELAYED)
         pol_path = str(tmp_path / "dpol.json")

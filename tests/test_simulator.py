@@ -373,6 +373,18 @@ class TestDeterminism:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [-1, -(1 << 64) + 1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """Philox keys are 64-bit, so -1 would alias 2**64 - 1 and
+        -(2**64 - 1) would alias 1; such seeds are refused by name."""
+        sampler = PrimitiveSampler(NoiseSpec(sigma_w=[[0.7]],
+                                             init_diag=[[1.0]],
+                                             init_offdiag=[[0.4]]), 2)
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside"):
+            sampler.draw(3, 5, seed=seed)
+        x0, _ = sampler.draw(3, 5, seed=(1 << 64) - 1)
+        assert np.all(np.isfinite(x0))
+
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
     def test_draw_prefix_across_block_boundary(self, family):
         noise = NoiseSpec(sigma_w=[[0.7]], init_diag=[[1.0]],

@@ -55,7 +55,7 @@ from conftest import (
     scalar_mf_spec,
     scalar_tree_spec,
 )
-from kron_reference import reference_solve
+from kron_reference import reference_solve, reference_stationary_schedule
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -527,6 +527,40 @@ class TestKroneckerReference:
         assert str(exc.value) == str(ref.value)
 
 
+class TestIndependentInitialStates:
+    """init_offdiag = 0 makes Sigma = 0 and the coupling statistic
+    c^i = alpha Sigma x_0^i = 0, so every L costs the same: L = 0 is
+    exact, and K, P and the cost are those of the spec without R~ and Q~."""
+
+    @staticmethod
+    def spec_pair(rng, mean_field):
+        spec = random_tree_spec(rng, n=2, m=2, T=5, mean_field=mean_field)
+        spec = replace(spec, noise=replace(spec.noise,
+                                           init_offdiag=np.zeros((2, 2))))
+        bare = replace(spec, cost=replace(spec.cost, R_tilde=None,
+                                          Q_tilde=None))
+        return spec, bare
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_finite_horizon(self, rng, mode):
+        spec, bare = self.spec_pair(rng, has_qt(mode))
+        pol, ref = solve_tree(spec, 5, mode), solve_tree(bare, 5, mode)
+        if mode.kind == "mean_field_limit":
+            assert np.array_equal(meanfield_limit_policy(spec, 5).L, pol.L)
+        assert np.all(pol.L == 0.0)
+        for name in "KPG":
+            assert np.array_equal(getattr(pol, name), getattr(ref, name))
+        assert predicted_cost(spec, 5, pol) == \
+            pytest.approx(predicted_cost(bare, 5, ref), rel=1e-12)
+
+    def test_infinite_horizon(self, rng):
+        spec, bare = self.spec_pair(rng, False)
+        pol, ref = solve_infinite_tree(spec), solve_infinite_tree(bare)
+        assert pol.L.shape == (0, 2, 2) and pol.horizon_used == 0
+        assert np.array_equal(pol.K, ref.K) and np.array_equal(pol.P, ref.P)
+        assert pol.average_cost == ref.average_cost
+
+
 # ---------------------------------------------------------------------------
 # predicted cost
 
@@ -618,10 +652,10 @@ class TestPredictedCost:
 # infinite horizon
 
 
-def rotation_spec(rng):
-    """Two agents, A = 0.84 times a rotation and a small B, so the closed
-    loop barely moves and the coupling schedule decays like 0.84^t."""
-    th = 1.3
+def rotation_spec(rng, th=1.3, rho=0.3):
+    """Two agents, A = 0.84 times a rotation by th and a small B, so the
+    closed loop barely moves and the coupling schedule decays like 0.84^t;
+    So = rho Sd, as in the benchmark's ``slow_tree_spec``."""
     A = 0.84 * np.array([[np.cos(th), -np.sin(th)],
                          [np.sin(th), np.cos(th)]])
     Sd = rand_pd(rng, 2)
@@ -631,9 +665,54 @@ def rotation_spec(rng):
         cost=CostSpec(Q=rand_pd(rng, 2), R=rand_pd(rng, 2),
                       R_tilde=rand_pd(rng, 2, scale=0.3)),
         noise=NoiseSpec(sigma_w=0.5 * np.eye(2), init_diag=Sd,
-                        init_offdiag=0.3 * Sd),
+                        init_offdiag=rho * Sd),
         info=Tree(),
     )
+
+
+def head_specs(rng):
+    """40 seeded random specs (n, m <= 3, two or three agents) and the
+    slowly decaying 0.84-rotation spec."""
+    draw = np.random.default_rng(20261018)
+    specs = [random_tree_spec(draw, n=int(draw.integers(1, 4)),
+                              m=int(draw.integers(1, 4)),
+                              n_dm=int(draw.integers(2, 4)))
+             for _ in range(40)]
+    return specs + [rotation_spec(rng)]
+
+
+def reference_specs(family, rng):
+    if family == "head":
+        return head_specs(rng)
+    if family == "tiny_b":
+        return [scalar_tree_spec(B=0.003)]
+    draw = np.random.default_rng(2026)
+    if family == "bench":
+        # shaped like the benchmark's slow_tree_spec
+        return [rotation_spec(draw, th=draw.uniform(0.3, 2.8),
+                              rho=draw.uniform(0.1, 0.45)) for _ in range(10)]
+    # So not a multiple of Sd, so the modes' weights differ
+    return [random_tree_spec(draw, n=int(draw.integers(2, 4)),
+                             m=int(draw.integers(1, 4)), generic_offdiag=True)
+            for _ in range(10)]
+
+
+def decay_horizon(L):
+    live = [t for t, l in enumerate(L)
+            if not np.linalg.norm(l) < tree_module.DECAY_TOL]
+    return live[-1] + 1 if live else 0
+
+
+def reference_schedule_error(spec):
+    """The Kronecker reference's CouplingSystemError for a spec whose
+    stationary coupling sweep fails."""
+    sol = dare_solve(spec.dynamics.A, spec.dynamics.B, spec.cost.Q,
+                     spec.cost.R)
+    p = tree_module._params(spec, n_dm(spec.n_dm))
+    radius = spectral_radius(spec.dynamics.A + spec.dynamics.B @ sol.K)
+    with pytest.raises(CouplingSystemError) as ref:
+        reference_stationary_schedule(p, sol.K, radius)
+    return str(ref.value)
 
 
 def finite_head_gap(spec, pol):
@@ -665,17 +744,43 @@ class TestInfiniteTree:
         """The stationary schedule is the head of the finite-horizon optimum,
         on 40 seeded random specs (n, m <= 3, two or three agents) and on
         the slowly decaying 0.84-rotation spec."""
-        draw = np.random.default_rng(20261018)
-        specs = [random_tree_spec(draw, n=int(draw.integers(1, 4)),
-                                  m=int(draw.integers(1, 4)),
-                                  n_dm=int(draw.integers(2, 4)))
-                 for _ in range(40)]
-        specs.append(rotation_spec(rng))
-        for k, spec in enumerate(specs):
+        for k, spec in enumerate(head_specs(rng)):
             pol = solve_infinite_tree(spec)
             assert_nondegenerate(pol.L)
             assert finite_head_gap(spec, pol) < 1e-9, f"spec {k}"
         assert pol.horizon_used > 64
+
+    @pytest.mark.parametrize("family",
+                             ["head", "tiny_b", "bench", "general_offdiag"])
+    def test_schedule_matches_kronecker_reference(self, rng, family):
+        """The per-mode schedule is the unsplit Kronecker one to rounding,
+        and stops at the same stage."""
+        for k, spec in enumerate(reference_specs(family, rng)):
+            pol = solve_infinite_tree(spec)
+            L = reference_stationary_schedule(
+                tree_module._params(spec, pol.mode), pol.K,
+                pol.closed_loop_radius)
+            assert_nondegenerate(L)
+            assert pol.horizon_used == len(L), f"spec {k}"
+            assert pol.decay_horizon == decay_horizon(L), f"spec {k}"
+            assert rel_err(pol.L, L) <= 1e-12, f"spec {k}"
+
+    def test_pivot_failures_match_kronecker_reference(self):
+        """An indefinite R_k, and a singular Sigma, raise the reference's
+        error, message included."""
+        indefinite = scalar_tree_spec(R=1.0, Rt=3.0, Sd=1.0, So=-0.5)
+        singular = TeamSpec(
+            n_dm=2, horizon=8,
+            dynamics=Homogeneous(A=0.9 * np.eye(2), B=np.eye(2)),
+            cost=CostSpec(Q=np.eye(2), R=np.eye(2), R_tilde=0.5 * np.eye(2)),
+            noise=NoiseSpec(sigma_w=np.eye(2), init_diag=np.eye(2),
+                            init_offdiag=np.diag([0.5, 0.0])),
+            info=Tree())
+        for spec in (indefinite, singular):
+            with pytest.raises(CouplingSystemError,
+                               match="last stage of every horizon") as exc:
+                solve_infinite_tree(spec)
+            assert str(exc.value) == reference_schedule_error(spec)
 
     def test_tiny_b_solves(self):
         """A = Q = R = 1, R~ = 0.5, B = 0.003: the coupling loop decays like
