@@ -3,8 +3,8 @@
 As the horizon grows, the own-state gain K_t settles to the stationary
 Riccati gain and the coupling gains L_t survive only near t = 0 before
 decaying to zero.  The stationary schedule comes in closed form: the
-coupling sweep splits into n modes on the agent's own (A, B), so one
-stacked DARE, one stacked Stein equation and one forward pass give it.  On
+coupling sweep splits into n modes on the agent's own (A, B), so one DARE
+per mode, one stacked Stein equation and one forward pass give it.  On
 the classic A=B=Q=R=1 instance the stationary value is the golden ratio, a
 nice analytic anchor for the numerics.
 """

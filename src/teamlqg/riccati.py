@@ -32,13 +32,13 @@ class ConvergenceError(RiccatiError):
 
 
 def riccati_step(A, B, Q, R, P_next):
-    """One backward step of the value recursion; Q, R, P' may be stacks.
+    """One backward step of the value recursion.
 
     Returns (P, K) with K = -(R + B^T P' B)^{-1} B^T P' A and
     P = Q + A^T P' A - A^T P' B (R + B^T P' B)^{-1} B^T P' A, symmetrized.
     """
     A, B = as_matrix(A), as_matrix(B)
-    Q, R, P_next = (np.asarray(X, dtype=float) for X in (Q, R, P_next))
+    Q, R, P_next = as_matrix(Q), as_matrix(R), as_matrix(P_next)
     G = R + B.T @ P_next @ B
     try:
         K = -np.linalg.solve(G, B.T @ P_next @ A)
@@ -83,43 +83,28 @@ def dare_solve(A, B, Q, R) -> DareSolution:
     ``residual`` is the relative Riccati residual |Ric(P) - P| / (1 + |P|)
     and ``iterations`` the number of doublings.  Stabilizability of (A, B)
     and detectability of (A, Q^{1/2}) are checked up front.
-
-    Q (k, n, n) and R (k, m, m) may stack k weights on the one (A, B): the
-    entries double together until each has settled, each is checked, and
-    ``residual`` is the largest.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    Q, R = np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
-    one = Q.ndim == 2
-    if one:
-        Q, R = Q[None], R[None]
+    A, B, Q, R = as_matrix(A), as_matrix(B), as_matrix(Q), as_matrix(R)
     if not is_stabilizable(A, B):
         raise RiccatiError("(A, B) is not stabilizable")
-    for Qj in Q:
-        if not is_detectable(A, psd_sqrt(Qj)):
-            raise RiccatiError("(A, Q^(1/2)) is not detectable")
-    n, norm = A.shape[0], np.linalg.norm
-    Ak = np.repeat(A[None], len(Q), axis=0)
-    Gk, Hk = sym(B @ np.linalg.solve(sym(R), B.T)), sym(Q)
-    settled = [False] * len(Q)
+    if not is_detectable(A, psd_sqrt(Q)):
+        raise RiccatiError("(A, Q^(1/2)) is not detectable")
+    n = A.shape[0]
+    Ak, Gk, Hk = A, sym(B @ np.linalg.solve(sym(R), B.T)), sym(Q)
+    settled = False
     for k in range(1, DOUBLING_CAP + 1):
         # G_k and H_k stay PSD, so I + G_k H_k is invertible
-        X = np.linalg.solve(np.eye(n) + Gk @ Hk, np.concatenate([Ak, Gk], 2))
-        AkT = Ak.swapaxes(1, 2)
-        H_next = sym(Hk + AkT @ Hk @ X[:, :, :n])
-        Gk = sym(Gk + Ak @ X[:, :, n:] @ AkT)
-        Ak = Ak @ X[:, :, :n]
-        settled = [s or norm(d) <= SETTLE_RTOL * norm(h)
-                   for s, d, h in zip(settled, H_next - Hk, H_next)]
+        X = np.linalg.solve(np.eye(n) + Gk @ Hk, np.hstack([Ak, Gk]))
+        H_next = sym(Hk + Ak.T @ Hk @ X[:, :n])
+        Gk = sym(Gk + Ak @ X[:, n:] @ Ak.T)
+        Ak = Ak @ X[:, :n]
+        settled = np.linalg.norm(H_next - Hk) <= SETTLE_RTOL * np.linalg.norm(H_next)
         Hk = H_next
-        if all(settled):
+        if settled:
             break
     P_step, K = riccati_step(A, B, Q, R, Hk)
-    residual = max(float(norm(d) / (1.0 + norm(h)))
-                   for d, h in zip(P_step - Hk, Hk))
-    _check_converged("DARE", all(settled), k, residual)
-    if one:
-        Hk, K = Hk[0], K[0]
+    residual = float(np.linalg.norm(P_step - Hk) / (1.0 + np.linalg.norm(Hk)))
+    _check_converged("DARE", settled, k, residual)
     return DareSolution(P=Hk, K=K, residual=residual, iterations=k)
 
 

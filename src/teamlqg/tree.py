@@ -10,7 +10,7 @@ which the covariances of the coupling statistic split into n independent
 n-dimensional LQ problems on (A, B).  One backward recursion, batched over
 the team's weights and the n modes', gives K_t, P_t and every mode's
 feedback, and two batched passes give L_t, in O(T n^4) time; at the
-infinite horizon the same modes take one stacked DARE, one stacked Stein
+infinite horizon the same modes take one DARE each, one stacked Stein
 equation and one forward pass.  The exact cost of any schedule, and its
 gradient in L, is the cost of the two-agent closed loop of one exchangeable
 pair, propagated by ``moments``, with the pair weighed as ``cost_weights``
@@ -183,6 +183,11 @@ class _Params:
     q: float
     alpha: float
 
+    @property
+    def coupled(self):
+        # without R~ and Q~, or with Sigma = 0 (so c^i = 0), L = 0 is exact
+        return bool((self.Rt.any() or self.Qt.any()) and self.Sigma.any())
+
 
 def _params(spec: TeamSpec, mode: Population) -> _Params:
     a, b, q, alpha = cost_weights(mode)
@@ -325,9 +330,7 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     p = _params(spec, mode)
     n, m = p.B.shape
     team = p.Q[None], p.R[None]
-    # without R~ and Q~, or with Sigma = 0 and so c^i = 0, every L costs
-    # the same and L = 0 is exact
-    if not (np.any(p.Rt) or np.any(p.Qt)) or not np.any(p.Sigma):
+    if not p.coupled:
         P, F, _ = _value_recursion(p.A, p.B, *team, T)
         K = F[:, 0]
         return K, P[:, 0], np.zeros((T, m, n)), _loop_products(p, K, np.eye(n))
@@ -539,9 +542,11 @@ def solve_infinite_tree(spec: TeamSpec,
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
     L = np.zeros((0, spec.m, spec.n))
-    if (np.any(spec.cost.r_tilde_or_zero(spec.m))
-            and np.any(conditional_gain(spec.noise))):
-        L = _stationary_schedule(_params(spec, mode), sol.K, radius)
+    if np.any(spec.cost.r_tilde_or_zero(spec.m)):
+        # with K stationary, Q~ alone gives L = 0, so only R~ needs a schedule
+        p = _params(spec, mode)
+        if p.coupled:
+            L = _stationary_schedule(p, sol.K, radius)
     live = [t for t, l in enumerate(L) if not np.linalg.norm(l) < DECAY_TOL]
     decay_horizon = live[-1] + 1 if live else 0
     return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=L,
@@ -572,10 +577,10 @@ def _stationary_schedule(p: _Params, K, radius):
     Sy = np.hstack([p.a * p.Q, p.q * p.Qt])
     Ry = np.hstack([p.a * p.R @ K, p.b * p.Rt @ K])
     try:
-        sol = dare_solve(p.A, p.B, Qm, Rm)
-        H = Rm + p.B.T @ sol.P @ p.B
+        sols = [dare_solve(p.A, p.B, Qj, Rj) for Qj, Rj in zip(Qm, Rm)]
+        H = Rm + p.B.T @ np.stack([sol.P for sol in sols]) @ p.B
         _check_pivots(H[None], U, "the stationary stage")
-        F = sol.K
+        F = np.stack([sol.K for sol in sols])
         Phi = p.A + p.B @ F
         X = stein_solve(Phi.swapaxes(1, 2), Sy + F.swapaxes(1, 2) @ Ry, Ay)
         E = -np.linalg.solve(H, Ry + p.B.T @ X @ Ay)

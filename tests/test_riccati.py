@@ -106,31 +106,6 @@ class TestDare:
                                                     0.5 * (R + R.T))
             assert np.linalg.norm(sol.P - P_ref) < 1e-10 * (1 + np.linalg.norm(P_ref))
 
-    def test_stack_matches_one_solve_per_entry(self, rng):
-        """A stack of weights on one (A, B) gives each entry's own answer,
-        near-uncontrollable (B = 0.001) and fast-settling entries alike."""
-        A = np.array([[1.0, 0.2], [0.0, 0.9]])
-        B = np.array([[0.001], [1.0]])
-        Qs = np.stack([rand_pd(rng, 2), np.eye(2), 1e-3 * rand_pd(rng, 2)])
-        Rs = np.stack([rand_pd(rng, 1), [[1.0]], [[50.0]]])
-        sol = dare_solve(A, B, Qs, Rs)
-        assert sol.P.shape == (3, 2, 2) and sol.K.shape == (3, 1, 2)
-        residuals = []
-        for j in range(3):
-            one = dare_solve(A, B, Qs[j], Rs[j])
-            assert np.linalg.norm(sol.P[j] - one.P) <= \
-                1e-13 * np.linalg.norm(one.P)
-            assert np.linalg.norm(sol.K[j] - one.K) <= \
-                1e-13 * np.linalg.norm(one.K)
-            residuals.append(one.residual)
-        assert sol.residual >= max(residuals) * (1 - 1e-6)
-
-    def test_stack_checks_detectability_per_entry(self):
-        A = np.diag([1.5, 0.5])
-        Qs = np.stack([np.eye(2), np.diag([0.0, 1.0])])
-        with pytest.raises(RiccatiError, match="not detectable"):
-            dare_solve(A, np.eye(2), Qs, np.stack([np.eye(2)] * 2))
-
     @pytest.mark.parametrize("a, b", [(1.0, 0.001), (1.0, 0.002), (1.0, 0.003),
                                       (1.0, 0.005), (1.0, 0.01), (1.0, 0.03),
                                       (2.0, 1e-7)])
