@@ -1,18 +1,22 @@
 """Reproducible sampling of team primitives.
 
 Rollouts are drawn in blocks of ``BLOCK`` consecutive rollouts.  Block b of
-seed s has its own counter-based Philox stream keyed by (s, b), and the
-stream fills the block's (rows, k) variates rollout-major: rollout
-b * BLOCK + r takes the k variates after the first r * k of its block.  A
-rollout's variates therefore depend only on the seed and its index, and a
-draw of fewer rollouts is a bitwise prefix of a draw of more, so results are
-reproducible regardless of chunking.  ``BLOCK`` is part of the stream
+seed s has its own counter-based Philox key (s, b), and each stage of the
+block is a substream of that key starting at counter (0, 0, 0, stage):
+stage 0 holds the initial states and stage t + 1 the noise w_t.  A stage
+fills the block's (rows, k_stage) variates rollout-major: rollout
+b * BLOCK + r takes the k_stage variates after the first r * k_stage of its
+block's stage.  A rollout's variates therefore depend only on the seed, its
+index and the stage, a draw of fewer rollouts is a bitwise prefix of a draw
+of more, and the noise of stage t does not depend on the horizon, so results
+are reproducible regardless of chunking.  ``BLOCK`` is part of the stream
 definition, not a tuning knob: another value would key rollouts to other
-streams and change every result.  A draw stores its variates rollout-last,
-variate-major (k, R), so the engines step all rollouts of an agent's state
-entry as one contiguous row; the stream fills them ``CHUNK`` rows at a time
-through a small rollout-major buffer, which leaves it unchanged.  Initial
-states are exchangeable across agents; the "uniform" family pushes i.i.d.
+streams and change every result.  A draw returns the initial states and an
+iterator that fills each noise stage only when it is taken, so a consumer
+that prices one stage at a time holds one stage, not the horizon.  Each
+stage is stored rollout-last, (N, n, R), so the engines step all rollouts of
+an agent's state entry as one contiguous row.  Initial states are
+exchangeable across agents; the "uniform" family pushes i.i.d.
 uniform[-sqrt(3), sqrt(3)] variates (unit variance) through the same
 covariance factors, so first and second moments match the Gaussian family
 exactly.
@@ -26,20 +30,19 @@ from .linalg import is_psd, kron, psd_factor, sym
 from .model import NoiseSpec
 
 BLOCK = 4096
-# Rows of a block filled per pass through the sampler's buffer.  Any
-# divisor of BLOCK gives the same stream; it only bounds the buffer.
-CHUNK = 256
 
 _SQRT3 = np.sqrt(3.0)
 
 
-def block_generator(seed: int, block: int) -> np.random.Generator:
-    """Block ``block``'s Philox stream; a seed outside [0, 2**64) would
-    alias one inside, so every draw refuses it here."""
+def block_generator(seed: int, block: int, stage: int) -> np.random.Generator:
+    """Stage ``stage``'s substream of block ``block``'s Philox key; a seed
+    outside [0, 2**64) would alias one inside, so every draw refuses it
+    here."""
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, block], dtype=np.uint64),
+        counter=np.array([0, 0, 0, stage], dtype=np.uint64)))
 
 
 def _fill(gen, out, family):
@@ -70,44 +73,44 @@ class PrimitiveSampler:
             self._split = None
             self._joint = psd_factor(joint)
 
+    def _stage(self, seed, first_block, n_rollouts, stage, k):
+        """Stage ``stage``'s standard variates of rollouts first_block *
+        BLOCK onward, as a (k, R) view of their rollout-major fill."""
+        raw = np.empty((n_rollouts, k))
+        for lo in range(0, n_rollouts, BLOCK):
+            _fill(block_generator(seed, first_block + lo // BLOCK, stage),
+                  raw[lo:lo + BLOCK], self.family)
+        return raw.T
+
     def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
-        """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and w
-        with shape (R, T, N, n).
+        """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and
+        an iterator over the T noise stages w_t, each with shape (R, N, n)
+        and drawn when it is taken.
 
-        Both are transposed views of rollout-last storage, (N, n, R) and
-        (T, N, n, R), so ``x0.transpose(1, 2, 0)`` and
-        ``w.transpose(1, 2, 3, 0)`` are C-contiguous.  Chunked fills of one
-        generator give the bits of one fill, so filling a (CHUNK, k) buffer
-        and transposing it into the (k, R) storage keeps the stream, and a
-        draw holds one array of its size.
+        Each is a transposed view of rollout-last storage, (N, n, R), so
+        ``x0.transpose(1, 2, 0)`` is C-contiguous, and so is each stage's.
+        The factors are applied from the left to the (k, R) view of a
+        stage's fill, which writes that storage in one product.
         """
-        N, n = self.n_dm, self.n
-        if self._split is not None:
-            k_init = n + N * n
-        else:
-            k_init = N * n
-        raw = np.empty((k_init + T * N * n, n_rollouts))
-        buf = np.empty((min(CHUNK, n_rollouts), raw.shape[0]))
-        for lo in range(0, n_rollouts, CHUNK):
-            if lo % BLOCK == 0:
-                gen = block_generator(seed, first_block + lo // BLOCK)
-            rows = buf[:n_rollouts - lo]
-            _fill(gen, rows, self.family)
-            raw[:, lo:lo + len(rows)] = rows.T
-
+        N, n, R = self.n_dm, self.n, n_rollouts
+        k0 = N * n if self._split is None else n + N * n
+        z = self._stage(seed, first_block, R, 0, k0)
         if self._split is not None:
             Ad, Ac = self._split
-            x0 = Ad @ raw[n:k_init].reshape(N, n, n_rollouts) + Ac @ raw[:n]
+            x0 = Ad @ z[n:].reshape(N, n, R)
+            x0 += Ac @ z[:n]
         else:
-            x0 = (self._joint @ raw[:k_init]).reshape(N, n, n_rollouts)
-        # The noise is scaled in place, so a draw holds one array of its
-        # size, not two: at n = 1 by one scalar multiply of the whole block
-        # (numpy's (1, 1) matrix product is far slower and rounds alike),
-        # otherwise one step at a time.
-        w = raw[k_init:].reshape(T, N, n, n_rollouts)
-        if n == 1:
-            w *= self.Fw[0, 0]
-        else:
-            for t in range(T):
-                w[t] = self.Fw @ w[t]
-        return x0.transpose(2, 0, 1), w.transpose(3, 0, 1, 2)
+            x0 = (self._joint @ z).reshape(N, n, R)
+        return x0.transpose(2, 0, 1), self._noise(T, R, seed, first_block)
+
+    def _noise(self, T, R, seed, first_block):
+        N, n = self.n_dm, self.n
+        for t in range(T):
+            e = self._stage(seed, first_block, R, t + 1, N * n)
+            # At n = 1 one scalar multiply: numpy's (1, 1) matrix product
+            # is far slower and rounds alike.
+            if n == 1:
+                w = np.multiply(e, self.Fw[0, 0], out=np.empty((N, R)))
+            else:
+                w = self.Fw @ e.reshape(N, n, R)
+            yield w.reshape(N, n, R).transpose(2, 0, 1)

@@ -8,19 +8,22 @@ tree-class profile is one pair of (N, T, m, n) gain arrays, from the
 rollouts.  The engine provides independent cost estimates (block streams
 keyed by the seed, hence bitwise deterministic) next to the solvers' exact
 formulas.  Every engine runs one loop that draws and prices one rng block at
-a time, so beyond one cost per rollout, memory grows with the block size,
-not with the number of rollouts.  Checks that compare tree-class profiles
-price all of them on one draw (``_tree_crn``); ``symmetry_checks`` prices
-the profiles of the exchangeability and symmetrization checks on one, so
-``verify`` draws each block once for both.  Both kernels run
-rollout-last on the sampler's storage, one matrix product per step.  The
-tree-class kernel's batched product takes every agent's (x_t, c), a
-contiguous row per entry, to its control and next state.  The graph-class
-kernel steps z = (x, all zeta) of shape (dim, R) by a map built once per
-call from the estimator recursion (``delayed.estimator_map``), not from the
-exact-cost closed loop.  That loop runs on the zeta alone and reads the
-plant state as the fixed sum x = X zeta; the kernel steps the true x on its
-own, so Monte Carlo stays an independent check of the loop and of that sum.
+a time, and a block one noise stage at a time, so beyond one cost per
+rollout and the per-stage step maps, memory grows with the block size and
+the number of compared profiles, not with the number of rollouts or the
+horizon.  Checks that compare tree-class profiles price all of them on one
+draw (``_tree_crn``), stepping every profile on each stage as it arrives;
+``symmetry_checks`` prices the profiles of the exchangeability and
+symmetrization checks on one, so ``verify`` draws each block once for both.
+Both kernels run rollout-last on the sampler's storage, one matrix product
+per step.  The tree-class kernel's batched product takes every profile's
+and agent's (x_t, c), a contiguous row per entry, to its control and next
+state.  The graph-class kernel steps z = (x, all zeta) of shape (dim, R)
+by a map built once per call from the estimator recursion
+(``delayed.estimator_map``), not from the exact-cost closed loop.  That
+loop runs on the zeta alone and reads the plant state as the fixed sum
+x = X zeta; the kernel steps the true x on its own, so Monte Carlo stays an
+independent check of the loop and of that sum.
 """
 
 from __future__ import annotations
@@ -135,70 +138,73 @@ def _se(costs):
     return float(np.std(costs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
-def _block_costs(sampler, T, n_rollouts, seed, *pricers):
+def _block_costs(sampler, T, n_rollouts, seed, price, n_rows):
     """Per-rollout costs of a batch, drawn and priced one rng block at a
-    time, so one block's primitives are alive at once.  Each pricer maps a
-    block's primitives (x0, w) to its per-rollout costs; all of them see
-    the same draw (common random numbers).  Returns one row per pricer."""
-    costs = np.empty((len(pricers), n_rollouts))
+    time and one stage at a time, so one block's initial states and one of
+    its noise stages are alive at once.  ``price`` maps a block's x0 and its
+    noise stages to per-rollout costs of the ``n_rows`` profiles it
+    compares; it steps all of them on each stage as it arrives (common
+    random numbers).  Returns one row per profile."""
+    costs = np.empty((n_rows, n_rollouts))
     for b in range(-(-n_rollouts // BLOCK)):
         rows = slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts))
-        x0, w = sampler.draw(T, rows.stop - rows.start, seed, first_block=b)
-        for k, price in enumerate(pricers):
-            costs[k, rows] = price(x0, w)
+        costs[:, rows] = price(*sampler.draw(T, rows.stop - rows.start, seed,
+                                             first_block=b))
     return costs
 
 
-def _tree_costs(spec: TeamSpec, pset: TreePolicySet, x0, w):
-    """Per-rollout costs of one batch of primitives under a tree-class
-    profile.
+def _tree_costs(spec: TeamSpec, psets, x0, stages):
+    """Per-rollout costs of one batch of primitives under tree-class
+    profiles of one population, one row per profile.
 
-    Takes x0 (R, N, n) and w (R, T, N, n) as drawn and runs rollout-last on
-    their (N, n, R) and (T, N, n, R) storage.  Agent i's state is
-    z^i = (x_t^i, c^i) with c^i = alpha Sigma x_0^i, and one batched matrix
-    product per step,
+    Takes x0 (R, N, n) and the noise stages (R, N, n) as drawn and runs
+    rollout-last on their (N, n, R) storage, the P profiles stacked on a
+    leading axis.  Agent i's state under profile p is z^{p,i} = (x_t^i, c^i)
+    with c^i = alpha_p Sigma x_0^i, and one batched matrix product per step,
 
-        y^i = Gamma_t^i z^i,   Gamma_t^i = [[K, L], [A + B K, B L], [P]],
+        y^{p,i} = Gamma_t^{p,i} z^{p,i},
+        Gamma_t^{p,i} = [[K, L], [A + B K, B L], [P]],
 
-    gives its control u_t^i = y^i[:m], its next state less the noise,
-    y^i[m:m+n], which is written back into z with the noise added, and
-    P z^i, whose product with z^i is the agent's own stage cost:
+    gives its control u_t^i = y[:m], its next state less the noise,
+    y[m:m+n], which is written back into z with the stage's noise added,
+    and P z, whose product with z is the agent's own stage cost:
     P = [K L]^T (R - cR R~) [K L] + diag(Q - cQ Q~, 0).  A pair coupling
     c * (sum_i v_i)^T M (sum_j v_j) less its diagonal is thus priced with
     the diagonal folded into the own weights, so what remains of it is a
     quadratic form of the agents' sum.
     """
-    T = w.shape[1]
     n, m = spec.n, spec.m
     A, B = _tree.homogeneous_dynamics(spec)
-    cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
+    cR, cQ, alpha = np.array([(*_coupling_coeffs(p.mode, p.n_dm),
+                               cost_weights(p.mode)[3]) for p in psets]).T
     Rt = spec.cost.r_tilde_or_zero(m)
     Qt = spec.cost.q_tilde_or_zero(n)
-    _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
-    K, L = pset.K.swapaxes(0, 1), pset.L.swapaxes(0, 1)    # (T, N, m, n)
-    KL = np.concatenate([K, L], axis=3)
-    P = KL.swapaxes(2, 3) @ (spec.cost.R - cR * Rt) @ KL
-    P[..., :n, :n] += spec.cost.Q - cQ * Qt
+    K = np.stack([p.K for p in psets]).transpose(2, 0, 1, 3, 4)
+    L = np.stack([p.L for p in psets]).transpose(2, 0, 1, 3, 4)
+    KL = np.concatenate([K, L], axis=4)              # (T, P, N, m, 2n)
+    P = (KL.swapaxes(3, 4)
+         @ (spec.cost.R - cR[:, None, None, None] * Rt) @ KL)
+    P[..., :n, :n] += spec.cost.Q - cQ[:, None, None, None] * Qt
     Gamma = np.concatenate(
-        [KL, np.concatenate([A + B @ K, B @ L], axis=3), P], axis=2)
-    x0, w = x0.transpose(1, 2, 0), w.transpose(1, 2, 3, 0)
+        [KL, np.concatenate([A + B @ K, B @ L], axis=4), P], axis=3)
+    x0 = x0.transpose(1, 2, 0)
 
-    N, R = pset.n_dm, x0.shape[2]
-    z = np.empty((N, 2 * n, R))
-    z[:, :n] = x0
-    z[:, n:] = alpha * (Sigma @ x0)
-    y = np.empty((N, m + 3 * n, R))
-    x, u, Pz = z[:, :n], y[:, :m], y[:, m + n:]
-    cost = np.zeros(R)
-    for t in range(T):
-        np.matmul(Gamma[t], z, out=y)
-        cost += np.einsum("air,air->r", Pz, z)
+    (T, n_p), (N, _, R) = Gamma.shape[:2], x0.shape
+    z = np.empty((n_p, N, 2 * n, R))
+    z[:, :, :n] = x0
+    z[:, :, n:] = alpha[:, None, None, None] * (Sigma @ x0)
+    y = np.empty((n_p, N, m + 3 * n, R))
+    x, u, Pz = z[:, :, :n], y[:, :, :m], y[:, :, m + n:]
+    cost = np.zeros((n_p, R))
+    for Gamma_t, w_t in zip(Gamma, stages, strict=True):
+        np.matmul(Gamma_t, z, out=y)
+        cost += np.einsum("pair,pair->pr", Pz, z)
         for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
-            if coef and np.any(M):
-                s = v.sum(axis=0)
-                cost += coef * np.einsum("ir,ij,jr->r", s, M, s)
-        np.add(y[:, m:m + n], w[t], out=x)
+            if np.any(coef) and np.any(M):
+                s = v.sum(axis=1)
+                cost += coef[:, None] * np.einsum("pir,ij,pjr->pr", s, M, s)
+        np.add(y[:, :, m:m + n], w_t.transpose(1, 2, 0), out=x)
     return cost / T
 
 
@@ -208,8 +214,8 @@ def _tree_crn(spec: TeamSpec, T, n_rollouts, seed, *psets):
     for pset in psets:
         _check_agents(spec, pset)
     return _block_costs(PrimitiveSampler(spec.noise, psets[0].n_dm), T,
-                        n_rollouts, seed,
-                        *(partial(_tree_costs, spec, p) for p in psets))
+                        n_rollouts, seed, partial(_tree_costs, spec, psets),
+                        len(psets))
 
 
 def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
@@ -233,25 +239,23 @@ def _graph_map(spec: TeamSpec, policy, T):
     return np.concatenate([G[:, p:], C], axis=1), H, d.Q
 
 
-def _graph_costs(Gamma, H, Q, x0, w):
+def _graph_costs(Gamma, H, Q, x0, stages):
     """Per-rollout costs of one batch of primitives under a graph policy,
     given its step map (``_graph_map``).
 
-    Runs rollout-last on the draw's (N n, R) and (T, N n, R) storage: one
-    matrix product per step, y = Gamma_t z, gives F_t z and C_t z, the
+    Runs rollout-last on the (N n, R) storage of x0 and of each noise stage:
+    one matrix product per step, y = Gamma_t z, gives F_t z and C_t z, the
     stage cost is (C_t z) . z, and z_{t+1} = F_t z + H w_t.
     """
-    (R, T), (dim, nx) = w.shape[:2], H.shape
-    x0 = x0.transpose(1, 2, 0).reshape(nx, R)
-    w = w.transpose(1, 2, 3, 0).reshape(T, nx, R)
-    z = H @ x0
+    T, (dim, nx), R = len(Gamma), H.shape, x0.shape[0]
+    z = H @ x0.transpose(1, 2, 0).reshape(nx, R)
     y = np.empty((2 * dim, R))
     Fz, Cz = y[:dim], y[dim:]
     cost = np.zeros(R)
-    for t in range(T):
-        np.matmul(Gamma[t], z, out=y)
+    for Gamma_t, w_t in zip(Gamma, stages, strict=True):
+        np.matmul(Gamma_t, z, out=y)
         cost += np.einsum("ir,ir->r", Cz, z)
-        np.matmul(H, w[t], out=z)
+        np.matmul(H, w_t.transpose(1, 2, 0).reshape(nx, R), out=z)
         z += Fz
     x = z[:nx]
     cost += np.einsum("ir,ir->r", Q @ x, x)
@@ -262,7 +266,7 @@ def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
     return _block_costs(PrimitiveSampler(spec.noise, spec.n_dm), T,
                         n_rollouts, seed,
                         partial(_graph_costs,
-                                *_graph_map(spec, pset.policy, T)))[0]
+                                *_graph_map(spec, pset.policy, T)), 1)[0]
 
 
 def _check_horizon(T, horizon):

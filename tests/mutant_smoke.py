@@ -43,6 +43,7 @@ TREE = "src/teamlqg/tree.py"
 SIM = "src/teamlqg/sim.py"
 DELAYED = "src/teamlqg/delayed.py"
 MOMENTS = "src/teamlqg/moments.py"
+RNG = "src/teamlqg/rng.py"
 INFINITE = "tests/test_tree.py::TestInfiniteTree::"
 MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
@@ -100,18 +101,28 @@ MUTANTS = (
            "W=kron(np.diag(copies), p.W)",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
     Mutant("transposed A + B K block of sim._tree_costs' Gamma_t", SIM,
-           "np.concatenate([A + B @ K, B @ L], axis=3)",
-           "np.concatenate([(A + B @ K).swapaxes(2, 3), B @ L], axis=3)",
+           "np.concatenate([A + B @ K, B @ L], axis=4)",
+           "np.concatenate([(A + B @ K).swapaxes(3, 4), B @ L], axis=4)",
            (LAYOUT + "test_kernel_matches_agent_major_loop",)),
     Mutant("R_tilde pair term dropped from sim._tree_costs", SIM,
            "for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):",
            "for coef, M, v in ((cQ, Qt, x),):",
            (LAYOUT + "test_kernel_matches_agent_major_loop",)),
-    Mutant("noise factor transposed in rng.PrimitiveSampler.draw",
-           "src/teamlqg/rng.py",
-           "w[t] = self.Fw @ w[t]",
-           "w[t] = self.Fw.T @ w[t]",
+    Mutant("noise factor transposed in rng.PrimitiveSampler.draw", RNG,
+           "w = self.Fw @ e.reshape(N, n, R)",
+           "w = self.Fw.T @ e.reshape(N, n, R)",
            (LAYOUT + "test_draw_general_factors_agree_to_rounding",)),
+    Mutant("every noise stage drawn from one substream in "
+           "rng.PrimitiveSampler.draw", RNG,
+           "self._stage(seed, first_block, R, t + 1, N * n)",
+           "self._stage(seed, first_block, R, 1, N * n)",
+           (LAYOUT + "test_stages_are_pairwise_different[split-2]",)),
+    Mutant("initial states drawn from the first noise stage's substream "
+           "in rng.PrimitiveSampler.draw", RNG,
+           "self._stage(seed, first_block, R, 0, k0)",
+           "self._stage(seed, first_block, R, 1, k0)",
+           (LAYOUT + "test_draw_equals_one_shot_rollout_major_draw"
+            "[split-2-gaussian]",)),
     Mutant("first node's X block dropped in delayed._layout", DELAYED,
            "kron(own, np.eye(d.n))",
            "kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "

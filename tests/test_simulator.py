@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, unbiasedness, common random numbers,
 exchangeable sampling, and the structural checks with negative controls."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,7 @@ from teamlqg.model import (
     conditional_gain,
 )
 from teamlqg import sim
-from teamlqg.rng import (BLOCK, CHUNK, PrimitiveSampler, _fill,
-                         block_generator)
+from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
     TreePolicySet,
     GraphPolicySet,
@@ -125,7 +125,7 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
     N, n, m = pset_n.n_dm, spec.n, spec.m
     A, B = spec.dynamics.A, spec.dynamics.B
     Sigma = conditional_gain(spec.noise)
-    x0, w = PrimitiveSampler(spec.noise, N).draw(T, n_rollouts, seed)
+    x0, w = whole_draw(PrimitiveSampler(spec.noise, N), T, n_rollouts, seed)
 
     def steps(pset):
         _, _, _, alpha = cost_weights(pset.mode)
@@ -152,25 +152,44 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
             ui / (samples * T))
 
 
+def whole_draw(sampler, T, n_rollouts, seed, first_block=0):
+    """PrimitiveSampler.draw with its noise stages stacked: x0 (R, N, n),
+    w (R, T, N, n)."""
+    x0, stages = sampler.draw(T, n_rollouts, seed, first_block)
+    return x0, np.stack(list(stages), axis=1)
+
+
 def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
     """PrimitiveSampler.draw as one rollout-major fill of (R, k) rows per
-    block, the factors applied from the right: x0 (R, N, n), w (R, T, N, n).
-    """
+    block and stage, from the Philox key (seed, block) at counter
+    (0, 0, 0, stage), the factors applied from the right: x0 (R, N, n) from
+    stage 0, w (R, T, N, n) with w_t from stage t + 1."""
     N, n = sampler.n_dm, sampler.n
-    k_init = n + N * n if sampler._split is not None else N * n
-    raw = np.empty((n_rollouts, k_init + T * N * n))
-    for start in range(0, n_rollouts, BLOCK):
-        gen = block_generator(seed, first_block + start // BLOCK)
-        _fill(gen, raw[start:start + BLOCK], sampler.family)
+
+    def stage(t, k):
+        raw = np.empty((n_rollouts, k))
+        for start in range(0, n_rollouts, BLOCK):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([seed, first_block + start // BLOCK],
+                             dtype=np.uint64),
+                counter=np.array([0, 0, 0, t], dtype=np.uint64)))
+            rows = raw[start:start + BLOCK]
+            if sampler.family == "gaussian":
+                rows[:] = gen.standard_normal(rows.shape)
+            else:
+                rows[:] = gen.random(rows.shape) * (2.0 * np.sqrt(3.0))
+                rows -= np.sqrt(3.0)
+        return raw
+
     if sampler._split is not None:
         Ad, Ac = sampler._split
-        z_own = raw[:, n:k_init].reshape(n_rollouts, N, n)
+        raw = stage(0, n + N * n)
+        z_own = raw[:, n:].reshape(n_rollouts, N, n)
         x0 = z_own @ Ad.T + (raw[:, :n] @ Ac.T)[:, None, :]
     else:
-        x0 = (raw[:, :k_init] @ sampler._joint.T).reshape(n_rollouts, N, n)
-    w = raw[:, k_init:].reshape(n_rollouts, T, N, n)
-    for t in range(T):
-        w[:, t] = w[:, t] @ sampler.Fw.T
+        x0 = (stage(0, N * n) @ sampler._joint.T).reshape(n_rollouts, N, n)
+    w = np.stack([stage(t + 1, N * n).reshape(n_rollouts, N, n)
+                  @ sampler.Fw.T for t in range(T)], axis=1)
     return x0, w
 
 
@@ -367,11 +386,13 @@ class TestDeterminism:
         assert simulate(spec, pset, 3, 200, 1) != simulate(spec, pset, 3, 200, 2)
 
     def test_block_generator_streams_are_stable(self):
-        a = block_generator(9, 3).standard_normal(4)
-        b = block_generator(9, 3).standard_normal(4)
-        c = block_generator(9, 4).standard_normal(4)
+        a = block_generator(9, 3, 2).standard_normal(4)
+        b = block_generator(9, 3, 2).standard_normal(4)
+        c = block_generator(9, 4, 2).standard_normal(4)
+        d = block_generator(9, 3, 1).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+        assert not np.array_equal(a, d)
 
     @pytest.mark.parametrize("seed", [-1, -(1 << 64) + 1, 1 << 64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -390,8 +411,8 @@ class TestDeterminism:
         noise = NoiseSpec(sigma_w=[[0.7]], init_diag=[[1.0]],
                           init_offdiag=[[0.4]], family=family)
         sampler = PrimitiveSampler(noise, 2)
-        x0_big, w_big = sampler.draw(3, 3 * BLOCK + 5, seed=8)
-        x0, w = sampler.draw(3, BLOCK + 7, seed=8)
+        x0_big, w_big = whole_draw(sampler, 3, 3 * BLOCK + 5, seed=8)
+        x0, w = whole_draw(sampler, 3, BLOCK + 7, seed=8)
         assert np.array_equal(x0_big[:BLOCK + 7], x0)
         assert np.array_equal(w_big[:BLOCK + 7], w)
 
@@ -399,8 +420,8 @@ class TestDeterminism:
         noise = NoiseSpec(sigma_w=[[0.7]], init_diag=[[1.0]],
                           init_offdiag=[[0.4]])
         sampler = PrimitiveSampler(noise, 2)
-        x0_all, w_all = sampler.draw(3, 2 * BLOCK + 3, seed=8)
-        x0, w = sampler.draw(3, BLOCK + 3, seed=8, first_block=1)
+        x0_all, w_all = whole_draw(sampler, 3, 2 * BLOCK + 3, seed=8)
+        x0, w = whole_draw(sampler, 3, BLOCK + 3, seed=8, first_block=1)
         assert np.array_equal(x0_all[BLOCK:], x0)
         assert np.array_equal(w_all[BLOCK:], w)
 
@@ -445,7 +466,7 @@ class TestDeterminism:
         R, N, n = BLOCK + 9, spec.n_dm, spec.n
         blocked = _graph_mc(spec, GraphPolicySet(policy=pol), 3, R, seed=4)
 
-        x0, w = PrimitiveSampler(spec.noise, N).draw(3, R, seed=4)
+        x0, w = whole_draw(PrimitiveSampler(spec.noise, N), 3, R, seed=4)
         x, _, u = simulate_estimator(pol.graph, pol, spec,
                                      x0.reshape(R, N * n),
                                      w.reshape(R, 3, N * n))
@@ -481,13 +502,34 @@ class TestRolloutLayout:
         sampler = PrimitiveSampler(self._noise(n, path, family), 3)
         assert (sampler._split is None) == (path == "joint")
         for R, first_block in ((BLOCK + 300, 0), (700, 2)):
-            assert R % CHUNK
-            x0, w = sampler.draw(4, R, seed=8, first_block=first_block)
+            x0, stages = sampler.draw(4, R, seed=8, first_block=first_block)
+            stages = list(stages)
             x0_ref, w_ref = reference_draw(sampler, 4, R, 8, first_block)
             assert np.array_equal(x0, x0_ref)
-            assert np.array_equal(w, w_ref)
-            assert x0.transpose(1, 2, 0).flags.c_contiguous
-            assert w.transpose(1, 2, 3, 0).flags.c_contiguous
+            assert np.array_equal(np.stack(stages, axis=1), w_ref)
+            for v in (x0, *stages):
+                assert v.transpose(1, 2, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("path, n", [("split", 2), ("joint", 1)])
+    def test_stage_does_not_depend_on_horizon(self, path, n):
+        """Stage t of a T = 3 draw is stage t of a T = 8 draw, bit for bit,
+        and the initial states are the same."""
+        sampler = PrimitiveSampler(self._noise(n, path, "gaussian"), 3)
+        x0_short, w_short = whole_draw(sampler, 3, 500, seed=8)
+        x0_long, w_long = whole_draw(sampler, 8, 500, seed=8)
+        assert np.array_equal(x0_short, x0_long)
+        assert np.array_equal(w_short, w_long[:, :3])
+
+    @pytest.mark.parametrize("path, n", [("split", 2), ("joint", 1)])
+    def test_stages_are_pairwise_different(self, path, n):
+        """Every noise stage has its own substream: no two stages, and no
+        stage and the initial states, share their values."""
+        sampler = PrimitiveSampler(self._noise(n, path, "gaussian"), 3)
+        x0, stages = sampler.draw(5, 300, seed=8)
+        values = [x0, *stages]
+        for a in range(len(values)):
+            for b in range(a):
+                assert not np.any(np.isin(values[a], values[b]))
 
     @pytest.mark.parametrize("N", [1, 3])
     def test_draw_general_factors_agree_to_rounding(self, N):
@@ -497,7 +539,8 @@ class TestRolloutLayout:
                           init_diag=np.array([[1.0, 0.2], [0.2, 0.8]]),
                           init_offdiag=np.array([[0.3, 0.1], [0.1, 0.25]]))
         sampler = PrimitiveSampler(noise, N)
-        for got, ref in zip(sampler.draw(3, 1000, seed=4, first_block=1),
+        for got, ref in zip(whole_draw(sampler, 3, 1000, seed=4,
+                                       first_block=1),
                             reference_draw(sampler, 3, 1000, 4, 1)):
             np.testing.assert_allclose(got, ref, rtol=0,
                                        atol=1e-14 * np.abs(ref).max())
@@ -568,7 +611,7 @@ class TestRolloutLayout:
         ]
         N, R = spec.n_dm, BLOCK + 300
         sampler = PrimitiveSampler(spec.noise, N)
-        draws = [sampler.draw(T, min(BLOCK, R - s), 6, s // BLOCK)
+        draws = [whole_draw(sampler, T, min(BLOCK, R - s), 6, s // BLOCK)
                  for s in range(0, R, BLOCK)]
         for pol in policies:
             ref = np.concatenate([reference_graph_costs(spec, pol, *draw)
@@ -588,6 +631,41 @@ class TestRolloutLayout:
                 assert got_v.shape == ref_v.shape
                 np.testing.assert_allclose(got_v, ref_v, rtol=0,
                                            atol=1e-12 * np.abs(ref_v).max())
+
+
+class TestMemory:
+    """A block holds its initial states, one noise stage and the profiles'
+    states, never the horizon's noise, so the traced peak of a block's
+    rollouts stays flat as T grows twentyfold."""
+
+    @staticmethod
+    def _peak(price):
+        price()                 # first calls may allocate lasting caches
+        tracemalloc.start()
+        try:
+            price()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _peaks(self, spec, profile):
+        return {T: self._peak(lambda: rollout_costs(spec, profile(T), T,
+                                                    BLOCK, seed=3))
+                for T in (10, 200)}
+
+    def test_tree_peak_does_not_grow_with_horizon(self, rng):
+        spec = random_tree_spec(rng, n=2, m=2, T=10, n_dm=8)
+        spec = replace(spec, dynamics=Homogeneous(A=0.5 * np.eye(2),
+                                                  B=spec.dynamics.B))
+        peaks = self._peaks(spec, lambda T: random_pset(spec, T, rng,
+                                                        scale=0.1))
+        assert peaks[200] <= 1.5 * peaks[10], peaks
+
+    def test_graph_peak_does_not_grow_with_horizon(self):
+        spec = coupled_delayed_spec_2dm(T=10)
+        pol, _ = solve_delayed_infinite(spec)
+        peaks = self._peaks(spec, lambda T: GraphPolicySet(policy=pol))
+        assert peaks[200] <= 1.5 * peaks[10], peaks
 
 
 LINKED_DELAYS = {
@@ -704,7 +782,7 @@ class TestSampling:
         noise = NoiseSpec(sigma_w=[[0.5]], init_diag=[[1.0]],
                           init_offdiag=[[0.0]], family="uniform")
         sampler = PrimitiveSampler(noise, 1)
-        x0, w = sampler.draw(2, 50000, seed=5)
+        x0, w = whole_draw(sampler, 2, 50000, seed=5)
         assert abs(np.mean(x0)) < 0.02
         assert abs(np.var(x0) - 1.0) < 0.02
         assert np.abs(w).max() <= np.sqrt(3 * 0.5) + 1e-12  # bounded support
