@@ -9,17 +9,21 @@ b * BLOCK + r takes the k_stage variates after the first r * k_stage of its
 block's stage.  A rollout's variates therefore depend only on the seed, its
 index and the stage, a draw of fewer rollouts is a bitwise prefix of a draw
 of more, and the noise of stage t does not depend on the horizon, so results
-are reproducible regardless of chunking.  ``BLOCK`` is part of the stream
+are reproducible regardless of chunking.  Populations nest the same way: a
+block's stage for N agents is the first rows * k_stage(N) variates of its
+substream, the flat prefix of that stage for any larger population, so one
+fill at the largest population's width holds the stage of every smaller
+one (``PrimitiveSampler``'s ``nested``).  ``BLOCK`` is part of the stream
 definition, not a tuning knob: another value would key rollouts to other
 streams and change every result.  A draw returns the initial states and an
-iterator that fills each noise stage only when it is taken, so a consumer
-that prices one stage at a time holds one stage, not the horizon.  Each
-stage is stored rollout-last, (N, n, R), so the engines step all rollouts of
-an agent's state entry as one contiguous row.  Initial states are
-exchangeable across agents; the "uniform" family pushes i.i.d.
-uniform[-sqrt(3), sqrt(3)] variates (unit variance) through the same
-covariance factors, so first and second moments match the Gaussian family
-exactly.
+iterator that fills each noise stage only when it is taken, into the one
+stage buffer and the one noise buffer of the draw, so a consumer that prices
+one stage at a time holds one stage, not the horizon.  Each stage is stored
+rollout-last, (N, n, R), so the engines step all rollouts of an agent's
+state entry as one contiguous row.  Initial states are exchangeable across
+agents; the "uniform" family pushes i.i.d. uniform[-sqrt(3), sqrt(3)]
+variates (unit variance) through the same covariance factors, so first and
+second moments match the Gaussian family exactly.
 """
 
 from __future__ import annotations
@@ -34,83 +38,139 @@ BLOCK = 4096
 _SQRT3 = np.sqrt(3.0)
 
 
-def block_generator(seed: int, block: int, stage: int) -> np.random.Generator:
-    """Stage ``stage``'s substream of block ``block``'s Philox key; a seed
-    outside [0, 2**64) would alias one inside, so every draw refuses it
-    here."""
+def block_generator(seed: int, block: int):
+    """The substreams of block ``block``'s Philox key (seed, block).
+
+    Returns ``at``: ``at(stage)`` sets the counter of the block's one bit
+    generator to (0, 0, 0, stage) with its buffer empty, as a Philox freshly
+    constructed there, and returns the generator.  A seed outside
+    [0, 2**64) would alias one inside, so every draw refuses it here.
+    """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, block], dtype=np.uint64),
-        counter=np.array([0, 0, 0, stage], dtype=np.uint64)))
+    key = np.array([seed, block], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    counter = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
 
-
-def _fill(gen, out, family):
-    if family == "gaussian":
-        gen.standard_normal(out=out)
-    else:
-        gen.random(out=out)
-        out *= 2.0 * _SQRT3
-        out -= _SQRT3
+    def at(stage):
+        counter[3] = stage
+        gen.bit_generator.state = state
+        return gen
+    return at
 
 
 class PrimitiveSampler:
-    """Draws (x0, w) for closed-loop rollouts of an N-agent team."""
+    """Draws (x0, w) for closed-loop rollouts of an N-agent team and, from
+    the same fills, of populations nested in it."""
 
-    def __init__(self, noise: NoiseSpec, n_dm: int):
+    def __init__(self, noise: NoiseSpec, n_dm: int, nested=None):
+        """``nested``: smaller population sizes drawn with this one; given
+        (even empty), a draw returns iterators over ``sizes``, the nested
+        sizes followed by n_dm."""
         self.family = noise.family
         self.n_dm = n_dm
+        self._nested = nested
+        self.sizes = (*(nested or ()), n_dm)
         self.n = noise.sigma_w.shape[0]
         self.Fw = psd_factor(sym(noise.sigma_w))
         sd, so = sym(noise.init_diag), sym(noise.init_offdiag)
         if is_psd(so) and is_psd(sd - so):
             # x0^i = Ad z_i + Ac z_common: O(N) draws per rollout.
             self._split = (psd_factor(sd - so), psd_factor(so))
-            self._joint = None
+            self._joints = (None,) * len(self.sizes)
         else:
-            N = n_dm
-            joint = kron(np.eye(N), sd - so) + kron(np.ones((N, N)), so)
             self._split = None
-            self._joint = psd_factor(joint)
+            self._joints = tuple(
+                psd_factor(kron(np.eye(N), sd - so)
+                           + kron(np.ones((N, N)), so)) for N in self.sizes)
 
-    def _stage(self, seed, first_block, n_rollouts, stage, k):
-        """Stage ``stage``'s standard variates of rollouts first_block *
-        BLOCK onward, as a (k, R) view of their rollout-major fill."""
-        raw = np.empty((n_rollouts, k))
-        for lo in range(0, n_rollouts, BLOCK):
-            _fill(block_generator(seed, first_block + lo // BLOCK, stage),
-                  raw[lo:lo + BLOCK], self.family)
-        return raw.T
+    def _k0(self, N):
+        """Stage 0's variates per rollout of N agents."""
+        return N * self.n if self._split is None else self.n + N * self.n
+
+    def _fill(self, blocks, stage, out):
+        """Fills ``out`` (R, k) with stage ``stage``'s variates of the
+        blocks, rollout-major."""
+        for lo, at in zip(range(0, len(out), BLOCK), blocks):
+            rows = out[lo:lo + BLOCK]
+            if self.family == "gaussian":
+                at(stage).standard_normal(out=rows)
+            else:
+                at(stage).random(out=rows)
+                rows *= 2.0 * _SQRT3
+                rows -= _SQRT3
 
     def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
         """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and
-        an iterator over the T noise stages w_t, each with shape (R, N, n)
-        and drawn when it is taken.
+        an iterator over the T noise stages w_t, each with shape (R, N, n),
+        drawn when it is taken and refilled in place when the next is.
 
         Each is a transposed view of rollout-last storage, (N, n, R), so
         ``x0.transpose(1, 2, 0)`` is C-contiguous, and so is each stage's.
         The factors are applied from the left to the (k, R) view of a
-        stage's fill, which writes that storage in one product.
+        stage's fill, which writes that storage in one product.  With
+        ``nested``, x0 and each stage are instead iterators over ``sizes``:
+        one fill per stage at n_dm's width, each population's array
+        computed from its flat prefix when taken (bitwise its standalone
+        draw) into one buffer that all populations share.  Take every x0
+        before the first stage.  Nested populations are drawn one block at
+        a time.
         """
-        N, n, R = self.n_dm, self.n, n_rollouts
-        k0 = N * n if self._split is None else n + N * n
-        z = self._stage(seed, first_block, R, 0, k0)
-        if self._split is not None:
-            Ad, Ac = self._split
-            x0 = Ad @ z[n:].reshape(N, n, R)
-            x0 += Ac @ z[:n]
-        else:
-            x0 = (self._joint @ z).reshape(N, n, R)
-        return x0.transpose(2, 0, 1), self._noise(T, R, seed, first_block)
+        R = n_rollouts
+        if len(self.sizes) > 1 and R > BLOCK:
+            raise ValueError(f"{R} rollouts: nested populations are drawn "
+                             f"one block ({BLOCK}) at a time")
+        blocks = [block_generator(seed, first_block + b)
+                  for b in range(-(-R // BLOCK))]
+        fill = np.empty((R, self._k0(self.n_dm)))
+        self._fill(blocks, 0, fill)
+        x0, noise = self._x0(fill), self._noise(T, blocks, fill)
+        if self._nested is None:
+            return next(x0), (next(w) for w in noise)
+        return x0, noise
 
-    def _noise(self, T, R, seed, first_block):
-        N, n = self.n_dm, self.n
+    def _x0(self, fill):
+        """Each population's initial states from its prefix of stage 0."""
+        n, R = self.n, len(fill)
+        out = np.empty((self.n_dm, n, R))
+        for N, joint in zip(self.sizes, self._joints):
+            z, x0 = _prefix(fill, self._k0(N)).T, out[:N]
+            if self._split is None:
+                np.matmul(joint, z, out=x0.reshape(N * n, R))
+            else:
+                Ad, Ac = self._split
+                np.matmul(Ad, z[n:].reshape(N, n, R), out=x0)
+                x0 += Ac @ z[:n]
+            yield x0.transpose(2, 0, 1)
+
+    def _noise(self, T, blocks, fill):
+        """The noise stages; each fills the first R * n_dm * n entries of
+        stage 0's buffer."""
+        fill = _prefix(fill, self.n_dm * self.n)
+        out = np.empty((self.n_dm, self.n, len(fill)))
         for t in range(T):
-            e = self._stage(seed, first_block, R, t + 1, N * n)
+            self._fill(blocks, t + 1, fill)
+            yield self._stage(fill, out)
+
+    def _stage(self, fill, out):
+        """Each population's noise from its prefix of the stage's fill."""
+        n, R = self.n, len(fill)
+        for N in self.sizes:
+            e, w = _prefix(fill, N * n).T.reshape(N, n, R), out[:N]
             # At n = 1 one scalar multiply: numpy's (1, 1) matrix product
             # is far slower and rounds alike.
             if n == 1:
-                w = np.multiply(e, self.Fw[0, 0], out=np.empty((N, R)))
+                np.multiply(e, self.Fw[0, 0], out=w)
             else:
-                w = self.Fw @ e.reshape(N, n, R)
-            yield w.reshape(N, n, R).transpose(2, 0, 1)
+                np.matmul(self.Fw, e, out=w)
+            yield w.transpose(2, 0, 1)
+
+
+def _prefix(fill, k):
+    """A population's (R, k) fill of a block's stage: the flat prefix of
+    the stage's rollout-major (R, K) fill at any width K >= k."""
+    return fill.reshape(-1)[:len(fill) * k].reshape(-1, k)

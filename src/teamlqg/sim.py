@@ -15,15 +15,17 @@ horizon.  Checks that compare tree-class profiles price all of them on one
 draw (``_tree_crn``), stepping every profile on each stage as it arrives;
 ``symmetry_checks`` prices the profiles of the exchangeability and
 symmetrization checks on one, so ``verify`` draws each block once for both.
-Both kernels run rollout-last on the sampler's storage, one matrix product
-per step.  The tree-class kernel's batched product takes every profile's
-and agent's (x_t, c), a contiguous row per entry, to its control and next
-state.  The graph-class kernel steps z = (x, all zeta) of shape (dim, R)
-by a map built once per call from the estimator recursion
-(``delayed.estimator_map``), not from the exact-cost closed loop.  That
-loop runs on the zeta alone and reads the plant state as the fixed sum
-x = X zeta; the kernel steps the true x on its own, so Monte Carlo stays an
-independent check of the loop and of that sum.
+The mean-field sweep draws each stage once for its whole schedule, at the
+largest population, and every population reads its prefix of that fill
+(``_nested_crn``).  Both kernels run rollout-last on the sampler's storage.
+The tree-class kernel (``_TreeStepper``) takes one batched matrix product per
+profile and step, from every agent's (x_t, c), a contiguous row per entry,
+to its control and next state.  The graph-class kernel steps
+z = (x, all zeta) of shape (dim, R) by a map built once per call from the
+estimator recursion (``delayed.estimator_map``), not from the exact-cost
+closed loop.  That loop runs on the zeta alone and reads the plant state as
+the fixed sum x = X zeta; the kernel steps the true x on its own, so Monte
+Carlo stays an independent check of the loop and of that sum.
 """
 
 from __future__ import annotations
@@ -140,11 +142,11 @@ def _se(costs):
 
 def _block_costs(sampler, T, n_rollouts, seed, price, n_rows):
     """Per-rollout costs of a batch, drawn and priced one rng block at a
-    time and one stage at a time, so one block's initial states and one of
-    its noise stages are alive at once.  ``price`` maps a block's x0 and its
-    noise stages to per-rollout costs of the ``n_rows`` profiles it
-    compares; it steps all of them on each stage as it arrives (common
-    random numbers).  Returns one row per profile."""
+    time and one stage at a time, so one block's initial states, its stage
+    buffers and the profiles' states are alive at once.  ``price`` maps a
+    block's draw, its x0 and its noise stages, to per-rollout costs of the
+    ``n_rows`` profiles it compares; it steps all of them on each stage as
+    it arrives (common random numbers).  Returns one row per profile."""
     costs = np.empty((n_rows, n_rollouts))
     for b in range(-(-n_rollouts // BLOCK)):
         rows = slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts))
@@ -153,16 +155,17 @@ def _block_costs(sampler, T, n_rollouts, seed, price, n_rows):
     return costs
 
 
-def _tree_costs(spec: TeamSpec, psets, x0, stages):
-    """Per-rollout costs of one batch of primitives under tree-class
-    profiles of one population, one row per profile.
+class _TreeStepper:
+    """Per-rollout costs of tree-class profiles of one population, stepped
+    one noise stage at a time: ``start`` from a block's x0, ``step`` on each
+    w_t, then ``costs``, one row per profile.
 
-    Takes x0 (R, N, n) and the noise stages (R, N, n) as drawn and runs
-    rollout-last on their (N, n, R) storage, the P profiles stacked on a
-    leading axis.  Agent i's state under profile p is z^{p,i} = (x_t^i, c^i)
-    with c^i = alpha_p Sigma x_0^i, and one batched matrix product per step,
+    Runs rollout-last on the (N, n, R) storage of x0 and of the stages.
+    Agent i's state under profile p is z^{p,i} = (x_t^i, c^i) with
+    c^i = alpha_p Sigma x_0^i, and one batched matrix product per profile
+    and step,
 
-        y^{p,i} = Gamma_t^{p,i} z^{p,i},
+        y^i = Gamma_t^{p,i} z^{p,i},
         Gamma_t^{p,i} = [[K, L], [A + B K, B L], [P]],
 
     gives its control u_t^i = y[:m], its next state less the noise,
@@ -173,39 +176,88 @@ def _tree_costs(spec: TeamSpec, psets, x0, stages):
     the diagonal folded into the own weights, so what remains of it is a
     quadratic form of the agents' sum.
     """
-    n, m = spec.n, spec.m
-    A, B = _tree.homogeneous_dynamics(spec)
-    cR, cQ, alpha = np.array([(*_coupling_coeffs(p.mode, p.n_dm),
-                               cost_weights(p.mode)[3]) for p in psets]).T
-    Rt = spec.cost.r_tilde_or_zero(m)
-    Qt = spec.cost.q_tilde_or_zero(n)
-    Sigma = conditional_gain(spec.noise)
-    K = np.stack([p.K for p in psets]).transpose(2, 0, 1, 3, 4)
-    L = np.stack([p.L for p in psets]).transpose(2, 0, 1, 3, 4)
-    KL = np.concatenate([K, L], axis=4)              # (T, P, N, m, 2n)
-    P = (KL.swapaxes(3, 4)
-         @ (spec.cost.R - cR[:, None, None, None] * Rt) @ KL)
-    P[..., :n, :n] += spec.cost.Q - cQ[:, None, None, None] * Qt
-    Gamma = np.concatenate(
-        [KL, np.concatenate([A + B @ K, B @ L], axis=4), P], axis=3)
-    x0 = x0.transpose(1, 2, 0)
 
-    (T, n_p), (N, _, R) = Gamma.shape[:2], x0.shape
-    z = np.empty((n_p, N, 2 * n, R))
-    z[:, :, :n] = x0
-    z[:, :, n:] = alpha[:, None, None, None] * (Sigma @ x0)
-    y = np.empty((n_p, N, m + 3 * n, R))
-    x, u, Pz = z[:, :, :n], y[:, :, :m], y[:, :, m + n:]
-    cost = np.zeros((n_p, R))
-    for Gamma_t, w_t in zip(Gamma, stages, strict=True):
-        np.matmul(Gamma_t, z, out=y)
-        cost += np.einsum("pair,pair->pr", Pz, z)
-        for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
-            if np.any(coef) and np.any(M):
-                s = v.sum(axis=1)
-                cost += coef[:, None] * np.einsum("pir,ij,pjr->pr", s, M, s)
-        np.add(y[:, :, m:m + n], w_t.transpose(1, 2, 0), out=x)
-    return cost / T
+    def __init__(self, spec: TeamSpec, psets):
+        n, m = spec.n, spec.m
+        A, B = _tree.homogeneous_dynamics(spec)
+        cR, cQ, alpha = np.array([(*_coupling_coeffs(p.mode, p.n_dm),
+                                   cost_weights(p.mode)[3])
+                                  for p in psets]).T
+        Rt = spec.cost.r_tilde_or_zero(m)
+        Qt = spec.cost.q_tilde_or_zero(n)
+        K = np.stack([p.K for p in psets]).transpose(2, 0, 1, 3, 4)
+        L = np.stack([p.L for p in psets]).transpose(2, 0, 1, 3, 4)
+        KL = np.concatenate([K, L], axis=4)          # (T, P, N, m, 2n)
+        P = (KL.swapaxes(3, 4)
+             @ (spec.cost.R - cR[:, None, None, None] * Rt) @ KL)
+        P[..., :n, :n] += spec.cost.Q - cQ[:, None, None, None] * Qt
+        self.Gamma = np.concatenate(
+            [KL, np.concatenate([A + B @ K, B @ L], axis=4), P], axis=3)
+        self.n_dm, self.n, self.m = psets[0].n_dm, n, m
+        self.y_rows = self.n_dm * (m + 3 * n)    # of y per rollout
+        self.alpha = alpha[:, None, None, None]
+        self.Sigma = conditional_gain(spec.noise)
+        # the pair couplings that are not identically zero, decided once:
+        # (coef, M, whether they couple the controls u or the states x)
+        self.pairs = [(coef, M, on_u)
+                      for coef, M, on_u in ((cR, Rt, True), (cQ, Qt, False))
+                      if np.any(coef) and np.any(M)]
+
+    def start(self, x0, y):
+        """Starts a block from x0 (R, N, n); ``y`` is a flat scratch buffer
+        of at least ``y_rows`` * R entries, which steppers stepped in turn
+        may share."""
+        x0 = x0.transpose(1, 2, 0)
+        (N, n, R), P = x0.shape, len(self.alpha)
+        self.y = y[:self.y_rows * R].reshape(N, -1, R)
+        self.z = np.empty((P, N, 2 * n, R))
+        self.z[:, :, :n] = x0
+        np.multiply(self.alpha, self.Sigma @ x0, out=self.z[:, :, n:])
+        self.cost = np.zeros((P, R))
+
+    def step(self, t, w_t):
+        """Steps every profile on stage t's noise w_t (R, N, n)."""
+        n, m, y = self.n, self.m, self.y
+        w_t = w_t.transpose(1, 2, 0)
+        for p, (Gamma_tp, z, cost) in enumerate(zip(self.Gamma[t], self.z,
+                                                     self.cost)):
+            np.matmul(Gamma_tp, z, out=y)
+            cost += np.einsum("air,air->r", y[:, m + n:], z)
+            for coef, M, on_u in self.pairs:
+                s = (y[:, :m] if on_u else z[:, :n]).sum(axis=0)
+                cost += coef[p] * np.einsum("ir,ij,jr->r", s, M, s)
+            np.add(y[:, m:m + n], w_t, out=z[:, :n])
+
+    def costs(self):
+        return self.cost / len(self.Gamma)
+
+
+def _tree_price(steppers, y, x0, stages):
+    """One block's per-rollout costs under every stepper's profiles, one row
+    per profile: each starts from its population's x0, and all step on each
+    stage as it arrives, sharing the y scratch."""
+    for x, stepper in zip(x0, steppers):
+        stepper.start(x, y)
+    for t, ws in enumerate(stages):
+        for w, stepper in zip(ws, steppers):
+            stepper.step(t, w)
+    return np.concatenate([s.costs() for s in steppers])
+
+
+def _nested_crn(spec: TeamSpec, T, n_rollouts, seed, populations):
+    """Per-rollout costs of profiles of several population sizes, one row
+    per profile, on one draw per block and stage.  ``populations`` holds
+    one tuple of profiles per size, sizes ascending; the sampler fills each
+    stage once at the largest size and every population reads its prefix
+    (``rng``), bitwise its own draw, so its rows equal ``_tree_crn``'s."""
+    steppers = [_TreeStepper(spec, psets) for psets in populations]
+    sizes = [s.n_dm for s in steppers]
+    sampler = PrimitiveSampler(spec.noise, sizes[-1], nested=sizes[:-1])
+    y = np.empty(max(s.y_rows for s in steppers) * min(BLOCK, n_rollouts))
+    rows = _block_costs(sampler, T, n_rollouts, seed,
+                        partial(_tree_price, steppers, y),
+                        sum(map(len, populations)))
+    return np.split(rows, np.cumsum(list(map(len, populations)))[:-1])
 
 
 def _tree_crn(spec: TeamSpec, T, n_rollouts, seed, *psets):
@@ -213,9 +265,7 @@ def _tree_crn(spec: TeamSpec, T, n_rollouts, seed, *psets):
     numbers), one row per profile; the profiles share their population."""
     for pset in psets:
         _check_agents(spec, pset)
-    return _block_costs(PrimitiveSampler(spec.noise, psets[0].n_dm), T,
-                        n_rollouts, seed, partial(_tree_costs, spec, psets),
-                        len(psets))
+    return _nested_crn(spec, T, n_rollouts, seed, [psets])[0]
 
 
 def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
@@ -569,6 +619,9 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
     integrability surrogate (1/T) sum_t E|u^N - u^inf|^2.  Monte Carlo
     rollouts of both policies on common random numbers check the exact
     cost and gap (``mc_cost``, ``mc_cost_gap`` and their 3-SE bands).
+    Every population is priced on one draw per block and stage, filled at
+    the largest N (``_nested_crn``); each population's costs equal its
+    standalone ``_tree_crn`` rows bit for bit.
     """
     schedule = sorted({int(N) for N in schedule})
     if len(schedule) < 3:
@@ -576,21 +629,24 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
                          "sizes")
     limit = meanfield_limit_policy(spec, T)
 
-    rows = []
-    prev_L = None
+    exact, profiles, prev_L = [], [], None
     for N in schedule:
         nspec, mode = replace(spec, n_dm=N), mean_field(N)
         pol = solve_tree(nspec, T, mode=mode)
         l_diff = (None if prev_L is None
                   else float(max(map(np.linalg.norm, pol.L - prev_L))))
         prev_L = pol.L
-
         predicted = exact_policy_cost(nspec, T, pol.K, pol.L, mode)
         limit_cost = exact_policy_cost(nspec, T, limit.K, limit.L, mode)
-        second, ui = _policy_distance(nspec, mode, pol, limit)
-        costs_n, costs_l = _tree_crn(
-            nspec, T, n_rollouts, seed, TreePolicySet.from_policy(pol, N),
-            TreePolicySet.from_policy(replace(limit, mode=mode), N))
+        exact.append((N, l_diff, predicted, limit_cost,
+                      *_policy_distance(nspec, mode, pol, limit)))
+        profiles.append((
+            TreePolicySet.from_policy(pol, N),
+            TreePolicySet.from_policy(replace(limit, mode=mode), N)))
+
+    rows = []
+    for (N, l_diff, predicted, limit_cost, second, ui), (costs_n, costs_l) \
+            in zip(exact, _nested_crn(spec, T, n_rollouts, seed, profiles)):
         rows.append({
             "N": N,
             "L_diff_prev": l_diff,

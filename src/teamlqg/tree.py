@@ -547,8 +547,8 @@ def solve_infinite_tree(spec: TeamSpec,
         p = _params(spec, mode)
         if p.coupled:
             L = _stationary_schedule(p, sol.K, radius)
-    live = [t for t, l in enumerate(L) if not np.linalg.norm(l) < DECAY_TOL]
-    decay_horizon = live[-1] + 1 if live else 0
+    live = np.flatnonzero(~(np.linalg.norm(L, axis=(1, 2)) < DECAY_TOL))
+    decay_horizon = int(live[-1]) + 1 if live.size else 0
     return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=L,
                               decay_horizon=decay_horizon,
                               horizon_used=len(L), average_cost=avg_cost,

@@ -100,29 +100,34 @@ MUTANTS = (
            "W=kron(np.outer(copies, copies), p.W)",
            "W=kron(np.diag(copies), p.W)",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
-    Mutant("transposed A + B K block of sim._tree_costs' Gamma_t", SIM,
+    Mutant("transposed A + B K block of sim._TreeStepper's Gamma_t", SIM,
            "np.concatenate([A + B @ K, B @ L], axis=4)",
            "np.concatenate([(A + B @ K).swapaxes(3, 4), B @ L], axis=4)",
            (LAYOUT + "test_kernel_matches_agent_major_loop",)),
-    Mutant("R_tilde pair term dropped from sim._tree_costs", SIM,
-           "for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):",
-           "for coef, M, v in ((cQ, Qt, x),):",
+    Mutant("R_tilde pair term dropped from sim._TreeStepper", SIM,
+           "for coef, M, on_u in ((cR, Rt, True), (cQ, Qt, False))",
+           "for coef, M, on_u in ((cQ, Qt, False),)",
            (LAYOUT + "test_kernel_matches_agent_major_loop",)),
     Mutant("noise factor transposed in rng.PrimitiveSampler.draw", RNG,
-           "w = self.Fw @ e.reshape(N, n, R)",
-           "w = self.Fw.T @ e.reshape(N, n, R)",
+           "np.matmul(self.Fw, e, out=w)",
+           "np.matmul(self.Fw.T, e, out=w)",
            (LAYOUT + "test_draw_general_factors_agree_to_rounding",)),
     Mutant("every noise stage drawn from one substream in "
            "rng.PrimitiveSampler.draw", RNG,
-           "self._stage(seed, first_block, R, t + 1, N * n)",
-           "self._stage(seed, first_block, R, 1, N * n)",
+           "self._fill(blocks, t + 1, fill)",
+           "self._fill(blocks, 1, fill)",
            (LAYOUT + "test_stages_are_pairwise_different[split-2]",)),
     Mutant("initial states drawn from the first noise stage's substream "
            "in rng.PrimitiveSampler.draw", RNG,
-           "self._stage(seed, first_block, R, 0, k0)",
-           "self._stage(seed, first_block, R, 1, k0)",
+           "self._fill(blocks, 0, fill)",
+           "self._fill(blocks, 1, fill)",
            (LAYOUT + "test_draw_equals_one_shot_rollout_major_draw"
             "[split-2-gaussian]",)),
+    Mutant("nested populations read the first N n columns of the largest "
+           "population's noise fill in rng.PrimitiveSampler.draw", RNG,
+           "_prefix(fill, N * n).T",
+           "fill[:, :N * n].T",
+           (MFT + "test_mc_cost_is_rollout_costs_mean",)),
     Mutant("first node's X block dropped in delayed._layout", DELAYED,
            "kron(own, np.eye(d.n))",
            "kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "

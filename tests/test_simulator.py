@@ -156,7 +156,7 @@ def whole_draw(sampler, T, n_rollouts, seed, first_block=0):
     """PrimitiveSampler.draw with its noise stages stacked: x0 (R, N, n),
     w (R, T, N, n)."""
     x0, stages = sampler.draw(T, n_rollouts, seed, first_block)
-    return x0, np.stack(list(stages), axis=1)
+    return x0, np.stack([np.copy(w) for w in stages], axis=1)
 
 
 def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
@@ -187,14 +187,15 @@ def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
         z_own = raw[:, n:].reshape(n_rollouts, N, n)
         x0 = z_own @ Ad.T + (raw[:, :n] @ Ac.T)[:, None, :]
     else:
-        x0 = (stage(0, N * n) @ sampler._joint.T).reshape(n_rollouts, N, n)
+        x0 = (stage(0, N * n) @ sampler._joints[-1].T).reshape(
+            n_rollouts, N, n)
     w = np.stack([stage(t + 1, N * n).reshape(n_rollouts, N, n)
                   @ sampler.Fw.T for t in range(T)], axis=1)
     return x0, w
 
 
 def reference_tree_costs(spec, pset, x0, w):
-    """sim._tree_costs as an agent-major loop: states (N, R, n), controls
+    """sim._TreeStepper as an agent-major loop: states (N, R, n), controls
     (N, R, m), and each pair coupling priced as the square of the agents'
     sum less its diagonal."""
     T = w.shape[1]
@@ -386,13 +387,29 @@ class TestDeterminism:
         assert simulate(spec, pset, 3, 200, 1) != simulate(spec, pset, 3, 200, 2)
 
     def test_block_generator_streams_are_stable(self):
-        a = block_generator(9, 3, 2).standard_normal(4)
-        b = block_generator(9, 3, 2).standard_normal(4)
-        c = block_generator(9, 4, 2).standard_normal(4)
-        d = block_generator(9, 3, 1).standard_normal(4)
+        a = block_generator(9, 3)(2).standard_normal(4)
+        b = block_generator(9, 3)(2).standard_normal(4)
+        c = block_generator(9, 4)(2).standard_normal(4)
+        d = block_generator(9, 3)(1).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    def test_block_generator_stages_are_fresh_philox_streams(self):
+        """Each stage of one block's generator, reached by setting its
+        counter after the earlier stages were read part way into a buffer,
+        is bitwise a Philox freshly constructed at (key, counter)."""
+        seed = (1 << 64) - 3
+        for block in (0, 1, 7):
+            at = block_generator(seed, block)
+            for stage in (0, 1, 2, 5, 1, 0):
+                fresh = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, block], dtype=np.uint64),
+                    counter=np.array([0, 0, 0, stage], dtype=np.uint64)))
+                gen = at(stage)
+                assert np.array_equal(gen.standard_normal(7),
+                                      fresh.standard_normal(7))
+                assert np.array_equal(gen.random(3), fresh.random(3))
 
     @pytest.mark.parametrize("seed", [-1, -(1 << 64) + 1, 1 << 64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -503,7 +520,7 @@ class TestRolloutLayout:
         assert (sampler._split is None) == (path == "joint")
         for R, first_block in ((BLOCK + 300, 0), (700, 2)):
             x0, stages = sampler.draw(4, R, seed=8, first_block=first_block)
-            stages = list(stages)
+            stages = [np.copy(w) for w in stages]
             x0_ref, w_ref = reference_draw(sampler, 4, R, 8, first_block)
             assert np.array_equal(x0, x0_ref)
             assert np.array_equal(np.stack(stages, axis=1), w_ref)
@@ -526,7 +543,7 @@ class TestRolloutLayout:
         stage and the initial states, share their values."""
         sampler = PrimitiveSampler(self._noise(n, path, "gaussian"), 3)
         x0, stages = sampler.draw(5, 300, seed=8)
-        values = [x0, *stages]
+        values = [x0, *map(np.copy, stages)]
         for a in range(len(values)):
             for b in range(a):
                 assert not np.any(np.isin(values[a], values[b]))
@@ -665,6 +682,14 @@ class TestMemory:
         spec = coupled_delayed_spec_2dm(T=10)
         pol, _ = solve_delayed_infinite(spec)
         peaks = self._peaks(spec, lambda T: GraphPolicySet(policy=pol))
+        assert peaks[200] <= 1.5 * peaks[10], peaks
+
+    def test_sweep_peak_does_not_grow_with_horizon(self):
+        """The sweep holds one block of every population at once, never the
+        horizon's noise or trajectories."""
+        peaks = {T: self._peak(lambda: mft_sweep(scalar_mf_spec(T=T), T,
+                                                 [2, 4, 8], BLOCK, seed=3))
+                 for T in (10, 200)}
         assert peaks[200] <= 1.5 * peaks[10], peaks
 
 
@@ -1177,18 +1202,41 @@ class TestMftSweep:
                                                                 rel=0.02)
                 assert r["ui_surrogate"] == pytest.approx(ui, rel=0.02)
 
-    def test_mc_cost_is_rollout_costs_mean(self):
-        """The sweep prices the N-optimal profile on the same block loop and
-        streams as rollout_costs, across an rng block boundary."""
-        spec = scalar_mf_spec(T=3)
-        R = BLOCK + 7
-        for r in mft_sweep(spec, 3, [2, 3, 5], R, seed=19):
-            N = r["N"]
-            nspec = replace(spec, n_dm=N)
-            pset = TreePolicySet.from_policy(
-                solve_tree(nspec, 3, mode=mean_field(N)), N)
-            assert r["mc_cost"] == float(np.mean(
-                rollout_costs(nspec, pset, 3, R, seed=19)))
+    def test_mc_cost_is_rollout_costs_mean(self, rng, monkeypatch):
+        """The sweep prices every population on one draw per block and
+        stage, yet each population's Monte Carlo columns are bitwise those of
+        its own common-random-number draw (``_tree_crn``), and ``mc_cost``
+        the mean of ``rollout_costs``: across an rng block boundary, for the
+        split initial-state factor (scalar spec) and the joint one (n = 2,
+        negatively correlated initial states), against a perturbed limit
+        policy so that the gap columns are nonzero."""
+        T, R, seed = 3, BLOCK + 7, 19
+        joint = random_tree_spec(rng, n=2, m=2, T=T, mean_field=True)
+        joint = replace(joint, noise=replace(
+            joint.noise, init_offdiag=-0.2 * joint.noise.init_diag))
+        for spec in (scalar_mf_spec(T=T), joint):
+            assert ((PrimitiveSampler(spec.noise, 5)._split is None)
+                    == (spec is joint))
+            limit = meanfield_limit_policy(spec, T)
+            perturbed = replace(
+                limit, L=limit.L + 0.2 * rng.normal(size=limit.L.shape))
+            monkeypatch.setattr(sim, "meanfield_limit_policy",
+                                lambda spec, T: perturbed)
+            for r in mft_sweep(spec, T, [2, 3, 5], R, seed):
+                N = r["N"]
+                nspec, mode = replace(spec, n_dm=N), mean_field(N)
+                pset = TreePolicySet.from_policy(
+                    solve_tree(nspec, T, mode=mode), N)
+                costs_n, costs_l = sim._tree_crn(
+                    nspec, T, R, seed, pset,
+                    TreePolicySet.from_policy(replace(perturbed, mode=mode),
+                                              N))
+                assert r["mc_cost"] == float(np.mean(costs_n)) == float(
+                    np.mean(rollout_costs(nspec, pset, T, R, seed=seed)))
+                assert r["mc_3se"] == 3.0 * sim._se(costs_n)
+                assert r["mc_cost_gap"] == float(np.mean(costs_l - costs_n))
+                assert r["cost_gap_3se"] == 3.0 * sim._se(costs_l - costs_n)
+                assert r["mc_cost_gap"] != 0.0
 
     def test_short_schedule_rejected(self):
         spec = scalar_mf_spec(T=2)
