@@ -15,12 +15,12 @@ substream, the flat prefix of that stage for any larger population, so one
 fill at the largest population's width holds the stage of every smaller
 one (``PrimitiveSampler``'s ``nested``).  ``BLOCK`` is part of the stream
 definition, not a tuning knob: another value would key rollouts to other
-streams and change every result.  A draw returns the initial states and an
-iterator that fills each noise stage only when it is taken, into the one
-stage buffer and the one noise buffer of the draw, so a consumer that prices
-one stage at a time holds one stage, not the horizon.  Each stage is stored
-rollout-last, (N, n, R), so the engines step all rollouts of an agent's
-state entry as one contiguous row.  Initial states are exchangeable across
+streams and change every result.  A draw is an iterator that fills each
+stage only when it is taken, into the one fill buffer and the one output
+buffer of the draw, so a consumer that prices one stage at a time holds one
+stage, not the horizon.  Each stage is stored rollout-last, (N, n, R), so
+the engines step all rollouts of an agent's state entry as one contiguous
+row.  Initial states are exchangeable across
 agents; the "uniform" family pushes i.i.d. uniform[-sqrt(3), sqrt(3)]
 variates (unit variance) through the same covariance factors, so first and
 second moments match the Gaussian family exactly.
@@ -67,14 +67,13 @@ class PrimitiveSampler:
     """Draws (x0, w) for closed-loop rollouts of an N-agent team and, from
     the same fills, of populations nested in it."""
 
-    def __init__(self, noise: NoiseSpec, n_dm: int, nested=None):
-        """``nested``: smaller population sizes drawn with this one; given
-        (even empty), a draw returns iterators over ``sizes``, the nested
-        sizes followed by n_dm."""
+    def __init__(self, noise: NoiseSpec, n_dm: int, nested=()):
+        """``nested``: smaller population sizes drawn with this one; a draw
+        holds one population per entry of ``sizes``, the nested sizes
+        followed by n_dm."""
         self.family = noise.family
         self.n_dm = n_dm
-        self._nested = nested
-        self.sizes = (*(nested or ()), n_dm)
+        self.sizes = (*nested, n_dm)
         self.n = noise.sigma_w.shape[0]
         self.Fw = psd_factor(sym(noise.sigma_w))
         sd, so = sym(noise.init_diag), sym(noise.init_offdiag)
@@ -105,20 +104,20 @@ class PrimitiveSampler:
                 rows -= _SQRT3
 
     def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
-        """Rollouts first_block * BLOCK onward: x0 with shape (R, N, n) and
-        an iterator over the T noise stages w_t, each with shape (R, N, n),
-        drawn when it is taken and refilled in place when the next is.
+        """Rollouts first_block * BLOCK onward of every population of
+        ``sizes``: an iterator over the T + 1 stages, stage 0 the initial
+        states x0 and stage t + 1 the noise w_t, each an iterator over the
+        populations' (R, N, n) arrays.
 
+        A stage is filled when it is taken, once at n_dm's width, and each
+        population's array is computed from its flat prefix of the fill
+        (bitwise its own draw) when it is taken, into one buffer that every
+        population and stage shares: take each array before the next.
         Each is a transposed view of rollout-last storage, (N, n, R), so
-        ``x0.transpose(1, 2, 0)`` is C-contiguous, and so is each stage's.
-        The factors are applied from the left to the (k, R) view of a
-        stage's fill, which writes that storage in one product.  With
-        ``nested``, x0 and each stage are instead iterators over ``sizes``:
-        one fill per stage at n_dm's width, each population's array
-        computed from its flat prefix when taken (bitwise its standalone
-        draw) into one buffer that all populations share.  Take every x0
-        before the first stage.  Nested populations are drawn one block at
-        a time.
+        ``x.transpose(1, 2, 0)`` is C-contiguous.  The factors are applied
+        from the left to the (k, R) view of a population's fill, which
+        writes that storage in one product.  Nested populations are drawn
+        one block at a time.
         """
         R = n_rollouts
         if len(self.sizes) > 1 and R > BLOCK:
@@ -126,17 +125,23 @@ class PrimitiveSampler:
                              f"one block ({BLOCK}) at a time")
         blocks = [block_generator(seed, first_block + b)
                   for b in range(-(-R // BLOCK))]
-        fill = np.empty((R, self._k0(self.n_dm)))
-        self._fill(blocks, 0, fill)
-        x0, noise = self._x0(fill), self._noise(T, blocks, fill)
-        if self._nested is None:
-            return next(x0), (next(w) for w in noise)
-        return x0, noise
+        return self._stages(T, blocks, R)
 
-    def _x0(self, fill):
+    def _stages(self, T, blocks, R):
+        """The draw's stages; each noise stage fills the first
+        R * n_dm * n entries of stage 0's buffer."""
+        fill = np.empty((R, self._k0(self.n_dm)))
+        out = np.empty((self.n_dm, self.n, R))
+        self._fill(blocks, 0, fill)
+        yield self._x0(fill, out)
+        fill = _prefix(fill, self.n_dm * self.n)
+        for t in range(T):
+            self._fill(blocks, t + 1, fill)
+            yield self._noise(fill, out)
+
+    def _x0(self, fill, out):
         """Each population's initial states from its prefix of stage 0."""
         n, R = self.n, len(fill)
-        out = np.empty((self.n_dm, n, R))
         for N, joint in zip(self.sizes, self._joints):
             z, x0 = _prefix(fill, self._k0(N)).T, out[:N]
             if self._split is None:
@@ -147,16 +152,7 @@ class PrimitiveSampler:
                 x0 += Ac @ z[:n]
             yield x0.transpose(2, 0, 1)
 
-    def _noise(self, T, blocks, fill):
-        """The noise stages; each fills the first R * n_dm * n entries of
-        stage 0's buffer."""
-        fill = _prefix(fill, self.n_dm * self.n)
-        out = np.empty((self.n_dm, self.n, len(fill)))
-        for t in range(T):
-            self._fill(blocks, t + 1, fill)
-            yield self._stage(fill, out)
-
-    def _stage(self, fill, out):
+    def _noise(self, fill, out):
         """Each population's noise from its prefix of the stage's fill."""
         n, R = self.n, len(fill)
         for N in self.sizes:

@@ -144,14 +144,15 @@ def _block_costs(sampler, T, n_rollouts, seed, price, n_rows):
     """Per-rollout costs of a batch, drawn and priced one rng block at a
     time and one stage at a time, so one block's initial states, its stage
     buffers and the profiles' states are alive at once.  ``price`` maps a
-    block's draw, its x0 and its noise stages, to per-rollout costs of the
-    ``n_rows`` profiles it compares; it steps all of them on each stage as
-    it arrives (common random numbers).  Returns one row per profile."""
+    block's draw, the iterator over its stages (``PrimitiveSampler.draw``),
+    to per-rollout costs of the ``n_rows`` profiles it compares; it steps
+    all of them on each stage as it arrives (common random numbers).
+    Returns one row per profile."""
     costs = np.empty((n_rows, n_rollouts))
     for b in range(-(-n_rollouts // BLOCK)):
         rows = slice(b * BLOCK, min((b + 1) * BLOCK, n_rollouts))
-        costs[:, rows] = price(*sampler.draw(T, rows.stop - rows.start, seed,
-                                             first_block=b))
+        costs[:, rows] = price(sampler.draw(T, rows.stop - rows.start, seed,
+                                            first_block=b))
     return costs
 
 
@@ -232,11 +233,11 @@ class _TreeStepper:
         return self.cost / len(self.Gamma)
 
 
-def _tree_price(steppers, y, x0, stages):
+def _tree_price(steppers, y, stages):
     """One block's per-rollout costs under every stepper's profiles, one row
     per profile: each starts from its population's x0, and all step on each
     stage as it arrives, sharing the y scratch."""
-    for x, stepper in zip(x0, steppers):
+    for x, stepper in zip(next(stages), steppers):
         stepper.start(x, y)
     for t, ws in enumerate(stages):
         for w, stepper in zip(ws, steppers):
@@ -289,20 +290,21 @@ def _graph_map(spec: TeamSpec, policy, T):
     return np.concatenate([G[:, p:], C], axis=1), H, d.Q
 
 
-def _graph_costs(Gamma, H, Q, x0, stages):
-    """Per-rollout costs of one batch of primitives under a graph policy,
-    given its step map (``_graph_map``).
+def _graph_costs(Gamma, H, Q, stages):
+    """Per-rollout costs of one batch of primitives, a one-population draw,
+    under a graph policy, given its step map (``_graph_map``).
 
-    Runs rollout-last on the (N n, R) storage of x0 and of each noise stage:
+    Runs rollout-last on the (N n, R) storage of each stage, x0 first:
     one matrix product per step, y = Gamma_t z, gives F_t z and C_t z, the
     stage cost is (C_t z) . z, and z_{t+1} = F_t z + H w_t.
     """
+    (x0,) = next(stages)
     T, (dim, nx), R = len(Gamma), H.shape, x0.shape[0]
     z = H @ x0.transpose(1, 2, 0).reshape(nx, R)
     y = np.empty((2 * dim, R))
     Fz, Cz = y[:dim], y[dim:]
     cost = np.zeros(R)
-    for Gamma_t, w_t in zip(Gamma, stages, strict=True):
+    for Gamma_t, (w_t,) in zip(Gamma, stages, strict=True):
         np.matmul(Gamma_t, z, out=y)
         cost += np.einsum("ir,ir->r", Cz, z)
         np.matmul(H, w_t.transpose(1, 2, 0).reshape(nx, R), out=z)

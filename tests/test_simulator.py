@@ -153,10 +153,11 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
 
 
 def whole_draw(sampler, T, n_rollouts, seed, first_block=0):
-    """PrimitiveSampler.draw with its noise stages stacked: x0 (R, N, n),
-    w (R, T, N, n)."""
-    x0, stages = sampler.draw(T, n_rollouts, seed, first_block)
-    return x0, np.stack([np.copy(w) for w in stages], axis=1)
+    """A one-population PrimitiveSampler.draw with its noise stages
+    stacked: x0 (R, N, n), w (R, T, N, n)."""
+    x0, *w = (np.copy(v) for v, in sampler.draw(T, n_rollouts, seed,
+                                                 first_block))
+    return x0, np.stack(w, axis=1)
 
 
 def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
@@ -420,7 +421,7 @@ class TestDeterminism:
                                              init_offdiag=[[0.4]]), 2)
         with pytest.raises(ValueError, match=rf"seed {seed} is outside"):
             sampler.draw(3, 5, seed=seed)
-        x0, _ = sampler.draw(3, 5, seed=(1 << 64) - 1)
+        (x0,) = next(sampler.draw(3, 5, seed=(1 << 64) - 1))
         assert np.all(np.isfinite(x0))
 
     @pytest.mark.parametrize("family", ["gaussian", "uniform"])
@@ -519,13 +520,15 @@ class TestRolloutLayout:
         sampler = PrimitiveSampler(self._noise(n, path, family), 3)
         assert (sampler._split is None) == (path == "joint")
         for R, first_block in ((BLOCK + 300, 0), (700, 2)):
-            x0, stages = sampler.draw(4, R, seed=8, first_block=first_block)
-            stages = [np.copy(w) for w in stages]
+            values = []
+            for v, in sampler.draw(4, R, seed=8, first_block=first_block):
+                # on the sampler's own storage, before the copy compacts it
+                assert v.transpose(1, 2, 0).flags.c_contiguous
+                values.append(np.copy(v))
+            x0, *stages = values
             x0_ref, w_ref = reference_draw(sampler, 4, R, 8, first_block)
             assert np.array_equal(x0, x0_ref)
             assert np.array_equal(np.stack(stages, axis=1), w_ref)
-            for v in (x0, *stages):
-                assert v.transpose(1, 2, 0).flags.c_contiguous
 
     @pytest.mark.parametrize("path, n", [("split", 2), ("joint", 1)])
     def test_stage_does_not_depend_on_horizon(self, path, n):
@@ -542,8 +545,7 @@ class TestRolloutLayout:
         """Every noise stage has its own substream: no two stages, and no
         stage and the initial states, share their values."""
         sampler = PrimitiveSampler(self._noise(n, path, "gaussian"), 3)
-        x0, stages = sampler.draw(5, 300, seed=8)
-        values = [x0, *map(np.copy, stages)]
+        values = [np.copy(v) for v, in sampler.draw(5, 300, seed=8)]
         for a in range(len(values)):
             for b in range(a):
                 assert not np.any(np.isin(values[a], values[b]))
@@ -793,7 +795,7 @@ class TestSampling:
                           init_diag=np.array([[1.0, 0.2], [0.2, 0.8]]),
                           init_offdiag=np.array([[0.3, 0.1], [0.1, 0.25]]))
         sampler = PrimitiveSampler(noise, 3)
-        x0, _ = sampler.draw(1, 60000, seed=11)
+        (x0,) = next(sampler.draw(1, 60000, seed=11))
         R = x0.shape[0]
         for i in range(3):
             for j in range(3):
