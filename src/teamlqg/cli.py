@@ -270,11 +270,17 @@ def cmd_solve_tree(args):
     pol = _tree.solve_tree(spec, T)
     cost = _tree.predicted_cost(spec, T, pol)
     print(f"tree policy solved: horizon {T}, mode {pol.mode.kind}")
-    print(f"predicted cost: {cost:.12g}")
-    for t in range(T):
-        print(f"  t={t}  K={pol.K[t].ravel().tolist()}  "
-              f"L={pol.L[t].ravel().tolist()}")
+    _print_summary(cost, pol)
     return {"predicted_cost": cost, "policy": pol.as_dict()}
+
+
+def _print_summary(cost, pol):
+    """The predicted cost and the largest gains of a tree policy, in lines
+    that do not grow with the horizon; the report holds every stage."""
+    peak = lambda G: float(np.linalg.norm(G, axis=(1, 2)).max())
+    print(f"predicted cost: {cost:.12g}")
+    print(f"max_t |K_t| {peak(pol.K):.6g}, max_t |L_t| {peak(pol.L):.6g} "
+          "(Frobenius)")
 
 
 def cmd_solve_tree_inf(args):
@@ -308,12 +314,12 @@ def cmd_solve_mf(args):
     pol = _tree.meanfield_limit_policy(spec, T)
     L_N, _ = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
     gap = float(max(map(np.linalg.norm, L_N - pol.L)))
+    cost = _tree.predicted_cost(spec, T, pol)
     print(f"mean-field limit policy solved at horizon {T}")
     print(f"  N={spec.n_dm:4d}  max_t |L^N - L^inf| {gap:.3e}")
-    for t in range(T):
-        print(f"  t={t}  K={pol.K[t].ravel().tolist()}  "
-              f"L={pol.L[t].ravel().tolist()}")
-    return {"convergence": [{"N": spec.n_dm, "L_gap": gap}],
+    _print_summary(cost, pol)
+    return {"predicted_cost": cost,
+            "convergence": [{"N": spec.n_dm, "L_gap": gap}],
             "policy": pol.as_dict()}
 
 

@@ -4,12 +4,11 @@ The team problem decomposes along the information graph: each node r carries
 an estimator state zeta_t^r (the part of the plant state driven by noise
 currently known exactly by the agents in r) with its own Riccati recursion
 against the node's unique successor.  Finite-horizon gains come from the
-backward recursion with X_T^r = Q^{rr}; the recursion's terminal condition
-corresponds to charging a terminal state cost x_T^T Q x_T, and every cost in
-this module (predicted, moment-propagated, simulated) uses that convention:
+backward recursion with X_T^r = 0, and every cost in this module
+(predicted, moment-propagated, simulated) prices the stages t < T and
+nothing after them, as in every class (see CostSpec):
 
-    J_T = (1/T) E[ sum_{t<T} (x_t^T Q x_t + 2 x_t^T S u_t + u_t^T R u_t)
-                   + x_T^T Q x_T ].
+    J_T = (1/T) E sum_{t<T} (x_t^T Q x_t + 2 x_t^T S u_t + u_t^T R u_t).
 
 The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
 (Lamperski & Doyle, IEEE TAC 2015), so the exact closed loop runs on the
@@ -195,13 +194,11 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
     T = spec.horizon if T is None else T
     graph = check_preconditions(spec)
     d = stacked_data(spec)
-    values = {r: np.empty((T + 1, len(r) * d.n, len(r) * d.n))
-              for r in graph.nodes}
+    values = {r: np.zeros((T + 1, len(r) * d.n, len(r) * d.n))
+              for r in graph.nodes}          # X_T^r = 0
     gains = {r: np.empty((T, len(r) * d.m, len(r) * d.n)) for r in graph.nodes}
     blocks = {r: _node_blocks(d, r, graph.successor_map[r])
               for r in graph.nodes}
-    for r in graph.nodes:
-        values[r][T] = sym(blocks[r][2])        # X_T^r = Q^{rr}
     for t in range(T - 1, -1, -1):
         for r in graph.nodes:
             s = graph.successor_map[r]
@@ -322,7 +319,7 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
     """The joint closed loop of all zeta under the node gains.
 
     The plant state is the fixed sum x = X zeta (``_layout``), so x and
-    u = Eu v enter only the weights: Cz = C_T = X^T Q X, Czv = X^T S Eu,
+    u = Eu v enter only the weights: Cz = X^T Q X, Czv = X^T S Eu,
     Rv = Eu^T R Eu.  v stacks the node controls K_t^r zeta_t^r, so node r's
     gain is the block of M_t at (rows, cols) = blocks[r], and zeta^r moves
     to its successor s through A^{sr} + B^{sr} K_t^r.  Returns (loop,
@@ -349,12 +346,11 @@ def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
         raise ValueError("the dynamics move some node's agents outside its "
                          "successor, so zeta does not carry the plant state")
     # Independent agents: x_0 and the noise have block-diagonal covariances.
-    Cz = X.T @ d.Q @ X
     loop = ClosedLoop(
         Z0=H @ kron(np.eye(d.N), sym(spec.noise.init_diag)) @ H.T,
         F0=F0, Bv=Bv, M=M,
         W=H @ kron(np.eye(d.N), sym(spec.noise.sigma_w)) @ H.T,
-        Cz=Cz, Czv=X.T @ d.S @ Eu, Rv=Eu.T @ d.R @ Eu, C_T=Cz)
+        Cz=X.T @ d.Q @ X, Czv=X.T @ d.S @ Eu, Rv=Eu.T @ d.R @ Eu)
     return loop, blocks
 
 

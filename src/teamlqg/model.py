@@ -141,13 +141,12 @@ class CostSpec:
     One pair convention holds at every N: Tree and Delayed information price
     the team cost sum_i (x^i' Q x^i + u^i' R u^i) + sum_{i != j} (u^i' R_tilde
     u^j + x^i' Q_tilde x^j), each ordered pair once (Delayed adds 2 x^i' S u^i;
-    Tree specs leave Q_tilde zero); MeanFieldTree weighs both pair sums
-    2/(N-1).  A reported J is 1/T times the expected total cost of the team,
-    or of one agent of the infinite population for ``mean_field_limit``.
-    The stages differ: Tree and MeanFieldTree price the stages t < T only,
-    with no terminal x_T' Q x_T (``solve_k_p`` starts from P_T = 0), while
-    Delayed also charges x_T' Q x_T (its node recursion starts from
-    X_T = Q).
+    Tree specs leave Q_tilde and S zero); MeanFieldTree weighs both pair sums
+    2/(N-1) and leaves S zero.  One stage convention holds in every class:
+    a reported J is 1/T times the expected cost of the stages t < T, of the
+    team or of one agent of the infinite population for
+    ``mean_field_limit``, and nothing after them is charged (every backward
+    recursion starts from a zero value at T).
     """
 
     Q: np.ndarray
@@ -412,5 +411,8 @@ def validate(spec: TeamSpec) -> ValidationReport:
         elif cost.Q_tilde is not None and np.any(cost.Q_tilde != 0.0):
             rep.add("no Q_tilde under tree info", False,
                     "the tree-class cost does not price Q_tilde")
+        if cost.S is not None and np.any(cost.S != 0.0):
+            rep.add("no S under tree info", False,
+                    "the tree-class cost does not price S")
 
     return rep

@@ -22,19 +22,18 @@ feedback v_t = M_t z_t,
 
     z_{t+1} = F_t z_t + e_t,   F_t = F0 + Bv M_t,   E e_t e_t^T = W,
 
-and costs
+and costs the stages t < T and nothing after them (see CostSpec),
 
-    J = (1/T) [ sum_{t<T} E(z_t^T Cz z_t + 2 z_t^T Czv v_t + v_t^T Rv v_t)
-                + E z_T^T C_T z_T ].
+    J = (1/T) sum_{t<T} E(z_t^T Cz z_t + 2 z_t^T Czv v_t + v_t^T Rv v_t).
 
 ``propagate`` runs the forward pass Z_{t+1} = F_t Z_t F_t^T + W with stage
 cost tr(C_t Z_t), C_t = Cz + Czv M_t + M_t^T Czv^T + M_t^T Rv M_t;
-``gain_sensitivity`` runs the adjoint pass P_T = C_T,
+``gain_sensitivity`` runs the adjoint pass P_T = 0,
 P_t = C_t + F_t^T P_{t+1} F_t, whose P_{t+1} prices the moment handed to
 stage t + 1.
 
-Schedules are stage-first arrays: M (T, p, dim) in, Z (T+1, dim, dim), F
-and C (T, dim, dim) out.  Only the Z and P recurrences loop over stages.
+Schedules are stage-first arrays: M (T, p, dim) in, Z, F and C
+(T, dim, dim) out.  Only the Z and P recurrences loop over stages.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class ClosedLoop:
     Cz: np.ndarray     # (dim, dim) state weight
     Czv: np.ndarray    # (dim, p) state-feedback cross weight
     Rv: np.ndarray     # (p, p) feedback weight
-    C_T: np.ndarray    # (dim, dim) terminal weight
 
     @property
     def horizon(self):
@@ -63,8 +61,8 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class Moments:
-    """Forward pass of a closed loop: its cost and each stage's matrices,
-    Z_0 .. Z_T as (T+1, dim, dim), F and C of stages t < T as (T, dim, dim)."""
+    """Forward pass of a closed loop: its cost and the matrices Z, F and C
+    of each stage t < T, as (T, dim, dim)."""
 
     cost: float
     Z: np.ndarray
@@ -78,11 +76,11 @@ def propagate(loop: ClosedLoop) -> Moments:
     F = loop.F0 + loop.Bv @ M
     CM = loop.Czv @ M
     C = loop.Cz + CM + CM.swapaxes(1, 2) + M.swapaxes(1, 2) @ loop.Rv @ M
-    Z = np.empty((T + 1, *loop.Z0.shape))
+    Z = np.empty((T, *loop.Z0.shape))
     Z[0] = loop.Z0
-    for t in range(T):
+    for t in range(T - 1):
         Z[t + 1] = F[t] @ Z[t] @ F[t].T + loop.W
-    total = np.einsum("tij,tji->", C, Z[:T]) + np.trace(loop.C_T @ Z[T])
+    total = np.einsum("tij,tji->", C, Z)
     return Moments(cost=float(total) / T, Z=Z, F=F, C=C)
 
 
@@ -100,11 +98,10 @@ def gain_sensitivity(loop: ClosedLoop, mom: Moments):
     shape (T, p), from one backward adjoint pass over ``mom``.
     """
     T, F = loop.horizon, mom.F
-    P = np.empty((T + 1, *loop.C_T.shape))
-    P[T] = loop.C_T
+    P = np.zeros((T + 1, *loop.Z0.shape))
     for t in range(T - 1, -1, -1):
         P[t] = mom.C[t] + F[t].T @ P[t + 1] @ F[t]
     BP = loop.Bv.T @ P[1:]
-    G = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M + BP @ F) @ mom.Z[:T]
+    G = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M + BP @ F) @ mom.Z
     H = (np.diag(loop.Rv) + np.einsum("tij,ji->ti", BP, loop.Bv)) / T
     return G, H

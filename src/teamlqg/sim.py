@@ -276,10 +276,10 @@ def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
 def _graph_map(spec: TeamSpec, policy, T):
     """Step map of the graph-class kernel on z = (x, all zeta).
 
-    Returns (Gamma, H, Q): Gamma_t = [F_t; C_t] with shape (T, 2 dim, dim)
+    Returns (Gamma, H): Gamma_t = [F_t; C_t] with shape (T, 2 dim, dim)
     stacks the estimator step F_t (``delayed.estimator_map``) and the stage
     weight C_t = E_t^T [[Q, S], [S^T, R]] E_t of (x_t, u_t) = E_t z_t, so
-    z^T C_t z is the stage cost; H loads the noise and Q prices x_T.
+    z^T C_t z is the stage cost; H loads the noise.
     """
     d = _delayed.stacked_data(spec)
     G, H, _ = _delayed.estimator_map(policy.graph, policy, d, T)
@@ -287,10 +287,10 @@ def _graph_map(spec: TeamSpec, policy, T):
     E = np.concatenate([np.broadcast_to(np.eye(nx, dim), (T, nx, dim)),
                         G[:, :p]], axis=1)
     C = E.swapaxes(1, 2) @ np.block([[d.Q, d.S], [d.S.T, d.R]]) @ E
-    return np.concatenate([G[:, p:], C], axis=1), H, d.Q
+    return np.concatenate([G[:, p:], C], axis=1), H
 
 
-def _graph_costs(Gamma, H, Q, stages):
+def _graph_costs(Gamma, H, stages):
     """Per-rollout costs of one batch of primitives, a one-population draw,
     under a graph policy, given its step map (``_graph_map``).
 
@@ -309,8 +309,6 @@ def _graph_costs(Gamma, H, Q, stages):
         cost += np.einsum("ir,ir->r", Cz, z)
         np.matmul(H, w_t.transpose(1, 2, 0).reshape(nx, R), out=z)
         z += Fz
-    x = z[:nx]
-    cost += np.einsum("ir,ir->r", Q @ x, x)
     return cost / T
 
 
@@ -517,7 +515,7 @@ def _pbp_terms(loop: ClosedLoop, blocks):
     the loop's exact cost J."""
     mom = propagate(loop)
     G, H = gain_sensitivity(loop, mom)
-    Zd = np.diagonal(mom.Z[:loop.horizon], axis1=1, axis2=2)
+    Zd = np.diagonal(mom.Z, axis1=1, axis2=2)
     return {name: (G[:, rows, cols], H[:, rows, None] * Zd[:, None, cols])
             for name, (rows, cols) in blocks.items()}, mom.cost
 
@@ -595,15 +593,15 @@ def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
     H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])
     copies = np.array([1.0, 1.0, 0.0])     # which blocks of z are states
     D = np.hstack([np.eye(m), -np.eye(m)])
-    zero = np.zeros((3 * n, 3 * n))
     mom = propagate(ClosedLoop(
         Z0=H @ p.Sd @ H.T,
         F0=kron(np.diag(copies), p.A)
         + kron(np.diag(1.0 - copies), np.eye(n)),
         Bv=kron(np.eye(3, 2), p.B), M=M,
         W=kron(np.outer(copies, copies), p.W),
-        Cz=zero, Czv=np.zeros((3 * n, 2 * m)), Rv=D.T @ D, C_T=zero))
-    Z = mom.Z[:T]
+        Cz=np.zeros((3 * n, 3 * n)), Czv=np.zeros((3 * n, 2 * m)),
+        Rv=D.T @ D))
+    Z = mom.Z
     U = M @ Z @ M.swapaxes(1, 2)
     second = (np.linalg.norm(U[:, :m, :m] - U[:, m:, m:])
               + np.linalg.norm(Z[:, :n, :n] - Z[:, n:2 * n, n:2 * n]))

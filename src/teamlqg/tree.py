@@ -246,8 +246,7 @@ def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
     Cz[x, x] = own * kron(eye, p.Q) + cQ * kron(off, p.Qt)
     return ClosedLoop(Z0=H @ Sig0 @ H.T, F0=F0, Bv=Bv,
                       M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)),
-                      Rv=own * kron(eye, p.R) + cR * kron(off, p.Rt),
-                      C_T=np.zeros((dim, dim)))
+                      Rv=own * kron(eye, p.R) + cR * kron(off, p.Rt))
 
 
 def _cost_and_grad(p: _Params, K, L, want_grad=True):

@@ -51,6 +51,7 @@ ZETA = "tests/test_simulator.py::TestZetaLoop::"
 CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
 RANK = "tests/test_delayed.py::TestRankGrid::"
 KRON = "tests/test_tree.py::TestKroneckerReference::"
+IDENTITY = "tests/test_delayed.py::TestTreeIdentity::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
@@ -184,6 +185,31 @@ MUTANTS = (
            (RANK + "test_mirrored_marginal_pairs_match_reference[720]",
             "tests/test_delayed.py::TestInfiniteHorizon::"
             "test_rank_condition_failure_raises")),
+    Mutant("terminal x_T' Q x_T restored in delayed.solve_delayed_finite's "
+           "node recursion (X_T^r = Q^{rr})", DELAYED,
+           "    for t in range(T - 1, -1, -1):\n        for r in graph.nodes:",
+           "    for r in graph.nodes:\n        values[r][T] = sym(blocks[r][2])"
+           "\n    for t in range(T - 1, -1, -1):\n        for r in graph.nodes:",
+           (IDENTITY + "test_node_gains_equal_tree_gains[2]",)),
+    Mutant("terminal x_T' Q x_T restored in sim._graph_costs", SIM,
+           "        z += Fz\n    return cost / T",
+           "        z += Fz\n    x = z[:nx]\n    cost += np.einsum("
+           "\"ir,ir->r\", Gamma[-1][dim:dim + nx, :nx] @ x, x)\n"
+           "    return cost / T",
+           (IDENTITY + "test_graph_rollouts_match_tree_cost[4]",)),
+    Mutant("joint initial-state factor built from Sd + So in "
+           "rng.PrimitiveSampler", RNG,
+           "kron(np.eye(N), sd - so)",
+           "kron(np.eye(N), sd + so)",
+           ("tests/test_simulator.py::TestSampling::"
+            "test_initial_moments_within_standard_errors[joint-2--0.3-"
+            "gaussian]",)),
+    Mutant("riccati.is_detectable testing (A, C^T) instead of (A^T, C^T)",
+           "src/teamlqg/riccati.py",
+           "return is_stabilizable(A.T, C.T)",
+           "return is_stabilizable(A, C.T)",
+           ("tests/test_riccati.py::TestPBH::"
+            "test_detectability_tests_the_transposed_pair",)),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

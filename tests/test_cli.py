@@ -286,6 +286,20 @@ class TestCommands:
         assert main(["solve-delayed-inf",
                      write_spec(tmp_path, DELAYED)]) == EXIT_OK
 
+    @pytest.mark.parametrize("command, base", [("solve-tree", GOLDEN),
+                                               ("solve-mf", MF)])
+    def test_solve_stdout_does_not_grow_with_horizon(self, tmp_path, capsys,
+                                                     command, base):
+        """The report holds every stage; stdout is a fixed-size summary."""
+        spec_path = write_spec(tmp_path, base)
+        lines = []
+        for T in ("4", "64"):
+            assert main([command, spec_path, "--horizon", T]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "predicted cost: " in out and "max_t |K_t| " in out
+            lines.append(len(out.splitlines()))
+        assert lines[0] == lines[1]
+
     def test_solve_ndm_and_mf(self, tmp_path):
         assert main(["solve-ndm", write_spec(tmp_path, GOLDEN),
                      "--n", "3"]) == EXIT_OK
@@ -371,6 +385,17 @@ class TestCommands:
                      "--rollouts", "200", "--seed", "7"])
         assert code == EXIT_VALIDATION
         assert "unknown population kind 'two_dm'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", [GOLDEN, MF], ids=["tree", "meanfield"])
+    def test_s_on_tree_spec_rejected(self, tmp_path, capsys, base):
+        """No tree-class solver, pricer or rollout reads S, so a Tree or
+        MeanFieldTree spec that sets it fails check by name; a delayed
+        spec still prices it."""
+        data = json.loads(json.dumps(base))
+        data["cost"]["S"] = [[0.3]]
+        assert main(["check", write_spec(tmp_path, data)]) == EXIT_VALIDATION
+        assert "[FAIL] no S under tree info" in capsys.readouterr().out
+        assert main(["check", write_spec(tmp_path, DELAYED)]) == EXIT_OK
 
     def test_q_tilde_on_tree_spec_rejected(self, tmp_path, capsys):
         """The tree-class cost does not price Q_tilde, so a Tree spec that

@@ -20,7 +20,14 @@ from teamlqg.delayed import (
     stacked_data,
 )
 from teamlqg.linalg import is_psd, numerical_rank, psd_factor
-from teamlqg.sim import GraphPolicySet, exact_cost_general, pbp_check
+from teamlqg.sim import (
+    GraphPolicySet,
+    TreePolicySet,
+    exact_cost_general,
+    pbp_check,
+    simulate,
+)
+from teamlqg.tree import n_dm, predicted_cost, solve_tree
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -28,10 +35,16 @@ from teamlqg.model import (
     Homogeneous,
     NoiseSpec,
     TeamSpec,
+    Tree,
     validate,
 )
 
-from conftest import coupled_delayed_spec_2dm, rand_pd, single_dm_delayed_spec
+from conftest import (
+    coupled_delayed_spec_2dm,
+    rand_pd,
+    rand_psd,
+    single_dm_delayed_spec,
+)
 
 INF = math.inf
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -50,9 +63,10 @@ def scalar_self_loop_spec(A, B):
 
 
 def dp_oracle(A, B, Q, R, S, T):
-    """Textbook finite-horizon LQR with cross term and terminal cost Q."""
+    """Textbook finite-horizon LQR with cross term on the stages t < T,
+    with no terminal cost (X_T = 0)."""
     Ks, Xs = [None] * T, [None] * (T + 1)
-    X = 0.5 * (Q + Q.T)
+    X = np.zeros_like(A)
     Xs[T] = X
     for t in range(T - 1, -1, -1):
         G = R + B.T @ X @ B
@@ -128,7 +142,7 @@ class TestFiniteHorizon:
         for r in pol.graph.nodes:
             XT = pol.values[r][3]
             assert XT.shape == (len(r), len(r))
-            assert np.allclose(XT, np.eye(len(r)))  # Q = I blocks, Q_tilde = 0
+            assert np.allclose(XT, 0.0)  # nothing is charged after t < T
 
     def test_diagonal_constant_value_array(self):
         """X_{t+1}^{r,(T+1)} equals X_t^{r,(T)} for every node."""
@@ -494,3 +508,90 @@ class TestRankGrid:
             found.append(len(got))
         assert found == ([2, 3, 1, 3, 0, 2] if grid % 2 == 0
                          else [2, 3, 0, 2, 0, 2])
+
+
+# (N, n, m, T, whether R_tilde is set) of the cross-class identity specs
+UNLINKED = [(2, 1, 1, 2, False), (2, 2, 1, 5, True), (3, 2, 2, 4, True),
+            (4, 1, 2, 8, False), (3, 2, 1, 6, False), (4, 2, 2, 3, True),
+            (2, 2, 2, 7, True), (3, 1, 1, 8, True)]
+
+
+def unlinked_pair(seed, N, n, m, T, r_tilde):
+    """One random problem as a Tree spec with independent initial states
+    and as a Delayed spec with no links: block-diagonal dynamics and every
+    off-diagonal delay infinite.  Both price the same team cost over the
+    stages t < T, so their optimal gains and costs coincide; R_tilde's pair
+    term has zero mean between independent agents.  A is scaled to
+    spectral radius 0.9 so the Monte Carlo spread stays small."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(np.abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n, m))
+    tree_spec = TeamSpec(
+        n_dm=N, horizon=T, dynamics=Homogeneous(A=A, B=B),
+        cost=CostSpec(Q=rand_psd(rng, n), R=rand_pd(rng, m),
+                      R_tilde=rand_pd(rng, m, scale=0.3) if r_tilde else None),
+        noise=NoiseSpec(sigma_w=rand_psd(rng, n, scale=0.5, ridge=0.05),
+                        init_diag=rand_pd(rng, n),
+                        init_offdiag=np.zeros((n, n))),
+        info=Tree())
+    diag = lambda M: [[M if i == j else np.zeros_like(M) for j in range(N)]
+                      for i in range(N)]
+    delayed_spec = replace(
+        tree_spec, dynamics=Blocked(A_blocks=diag(A), B_blocks=diag(B)),
+        info=Delayed(delays=[[0.0 if i == j else INF for j in range(N)]
+                             for i in range(N)]))
+    return tree_spec, delayed_spec
+
+
+class TestTreeIdentity:
+    """Tree information with Sigma = 0 and Delayed information with no links
+    are one problem: two solvers and two exact pricers must agree on it."""
+
+    @pytest.mark.parametrize("case", range(len(UNLINKED)))
+    def test_node_gains_equal_tree_gains(self, case):
+        tree_spec, delayed_spec = unlinked_pair(case, *UNLINKED[case])
+        T = tree_spec.horizon
+        tpol = solve_tree(tree_spec, T)
+        dpol, _ = solve_delayed_finite(delayed_spec, T)
+        assert not tpol.L.any()
+        assert dpol.graph.nodes == tuple((i,) for i in range(tree_spec.n_dm))
+        for gains in dpol.gains.values():
+            np.testing.assert_allclose(gains, tpol.K, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(len(UNLINKED)))
+    def test_costs_agree_across_classes(self, case):
+        """The delayed trace cost, the delayed moment cost and the tree's
+        predicted cost of the solved policies agree to 1e-12 relative, and
+        so do the two classes' closed loops on one perturbed profile with
+        a different gain schedule per agent."""
+        tree_spec, delayed_spec = unlinked_pair(case, *UNLINKED[case])
+        N, T = tree_spec.n_dm, tree_spec.horizon
+        tpol = solve_tree(tree_spec, T)
+        dpol, trace = solve_delayed_finite(delayed_spec, T)
+        J = predicted_cost(tree_spec, T, tpol)
+        for other in (trace, closed_loop_cost(delayed_spec, dpol)):
+            assert abs(other - J) <= 1e-12 * abs(J)
+
+        rng = np.random.default_rng(100 + case)
+        K = tpol.K + 0.3 * rng.normal(size=(N, *tpol.K.shape))
+        pset = TreePolicySet(mode=n_dm(N), K=K, L=np.zeros_like(K))
+        graph = GraphPolicy(graph=dpol.graph, horizon=T, values={},
+                            gains={(i,): K[i] for i in range(N)})
+        J_tree = exact_cost_general(tree_spec, pset, T)
+        J_graph = closed_loop_cost(delayed_spec, graph)
+        assert abs(J_graph - J_tree) <= 1e-12 * abs(J_tree)
+        assert J_tree > J
+
+    @pytest.mark.parametrize("case", range(len(UNLINKED)))
+    def test_graph_rollouts_match_tree_cost(self, case):
+        """4000 graph-class rollouts of the delayed policy lie within 4 SE
+        of the tree's predicted cost."""
+        tree_spec, delayed_spec = unlinked_pair(case, *UNLINKED[case])
+        T = tree_spec.horizon
+        J = predicted_cost(tree_spec, T, solve_tree(tree_spec, T))
+        dpol, _ = solve_delayed_finite(delayed_spec, T)
+        rep = simulate(delayed_spec, GraphPolicySet(policy=dpol), T, 4000,
+                       seed=31 + case)
+        assert abs(rep.mean_cost - J) <= 4.0 * rep.std_error, \
+            (rep.mean_cost, J, rep.std_error)

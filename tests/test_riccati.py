@@ -199,6 +199,15 @@ class TestPBH:
         assert is_detectable([[2.0]], [[1.0]]) is True
         assert is_detectable([[2.0]], [[0.0]]) is False
 
+    def test_detectability_tests_the_transposed_pair(self):
+        """A = [[2, 1], [0, 0.5]] with C = [[0, 1]]: the unstable mode
+        [1, 0] gives C v = 0, so (A, C) is not detectable, although
+        (A, C^T) is stabilizable; C = [[1, 0]] sees that mode."""
+        A = np.array([[2.0, 1.0], [0.0, 0.5]])
+        assert is_detectable(A, [[0.0, 1.0]]) is False
+        assert is_stabilizable(A, [[0.0], [1.0]]) is True
+        assert is_detectable(A, [[1.0, 0.0]]) is True
+
     def test_unstable_mode_outside_input_range(self):
         A = np.diag([2.0, 0.5])
         B = np.array([[0.0], [1.0]])

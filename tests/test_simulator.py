@@ -321,13 +321,13 @@ def reference_closed_loop(spec, policy, T):
         Z0=H @ np.kron(np.eye(N), sym(spec.noise.init_diag)) @ H.T,
         F0=F0, Bv=Bv, M=M,
         W=H @ np.kron(np.eye(N), sym(spec.noise.sigma_w)) @ H.T,
-        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all, C_T=Cz)
+        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all)
     return loop, blocks
 
 
 def reference_graph_costs(spec, policy, x0, w):
     """sim._graph_costs priced on ``reference_estimator``'s trajectories,
-    with the terminal cost x_T^T Q x_T."""
+    over the stages t < T."""
     (R, N, n), T = x0.shape, w.shape[1]
     d = stacked_data(spec)
     x, _, u = reference_estimator(policy.graph, policy, spec,
@@ -336,7 +336,7 @@ def reference_graph_costs(spec, policy, x0, w):
     def quad(v, M):
         return ((v @ M) * v).sum(axis=(1, 2))
 
-    return (quad(x, d.Q) + quad(u, d.R)
+    return (quad(x[:, :T], d.Q) + quad(u, d.R)
             + 2.0 * ((x[:, :T] @ d.S) * u).sum(axis=(1, 2))) / T
 
 
@@ -492,8 +492,7 @@ class TestDeterminism:
         whole = sum(np.einsum("ri,ij,rj->r", x[:, t], d.Q, x[:, t])
                     + 2.0 * np.einsum("ri,ij,rj->r", x[:, t], d.S, u[:, t])
                     + np.einsum("ri,ij,rj->r", u[:, t], d.R, u[:, t])
-                    for t in range(3))
-        whole = (whole + np.einsum("ri,ij,rj->r", x[:, 3], d.Q, x[:, 3])) / 3
+                    for t in range(3)) / 3
         np.testing.assert_allclose(blocked, whole, rtol=1e-12)
 
 
@@ -805,6 +804,29 @@ class TestSampling:
                 # variance <= 2 * bound on fourth moments ~ 3)
                 assert np.abs(emp - target).max() < 3 * np.sqrt(3.0 / R) + 0.01
 
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("branch, N, c", [("split", 3, 0.3),
+                                              ("joint", 2, -0.3)])
+    def test_initial_moments_within_standard_errors(self, branch, N, c,
+                                                    family):
+        """Every entry of the empirical E x0^i x0^i' and E x0^i x0^j'
+        (i != j) lies within 5 of its standard errors of init_diag and
+        init_offdiag = c init_diag, under the split factor
+        (init_offdiag >= 0) and the joint one (a negative init_offdiag)."""
+        Sd = np.array([[1.0, 0.3], [0.3, 2.0]])
+        noise = NoiseSpec(sigma_w=np.eye(2), init_diag=Sd,
+                          init_offdiag=c * Sd, family=family)
+        sampler = PrimitiveSampler(noise, N)
+        assert (sampler._split is None) == (branch == "joint")
+        x0 = next(next(sampler.draw(0, 20000, seed=17))).copy()
+        for i in range(N):
+            for j in range(N):
+                prod = x0[:, i, :, None] * x0[:, j, None, :]
+                se = prod.std(axis=0, ddof=1) / np.sqrt(len(x0))
+                target = Sd if i == j else c * Sd
+                assert np.all(np.abs(prod.mean(axis=0) - target) <= 5 * se), \
+                    (i, j, prod.mean(axis=0), target, se)
+
     def test_uniform_family_moments_and_support(self):
         noise = NoiseSpec(sigma_w=[[0.5]], init_diag=[[1.0]],
                           init_offdiag=[[0.0]], family="uniform")
@@ -1086,7 +1108,7 @@ class TestStructuralChecks:
             loops.append(_closed_loop(spec, pol, 3)[0])
         for loop in loops:
             mom = propagate(loop)
-            T, P = loop.horizon, loop.C_T
+            T, P = loop.horizon, np.zeros_like(loop.F0)
             ref = np.empty(loop.M.shape[:2])
             for t in range(T - 1, -1, -1):
                 ref[t] = np.diag(loop.Rv + loop.Bv.T @ P @ loop.Bv) / T
