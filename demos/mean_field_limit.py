@@ -33,7 +33,7 @@ spec = TeamSpec(
 limit = meanfield_limit_policy(spec, T=3)
 print("coupling gains of the N-agent optimum against the limit policy:")
 for N in (2, 4, 8, 16):
-    L_N, _ = solve_coupling_gains(spec, 3, mean_field(N))
+    L_N = solve_coupling_gains(spec, 3, mean_field(N))
     gap = max(map(np.linalg.norm, L_N - limit.L))
     print(f"  N = {N:3d}:  max_t |L^(N) - L^inf| = {gap:.3e}")
 print()

@@ -217,8 +217,7 @@ def policy_from_report(data: dict, spec: TeamSpec):
             raise SpecFileError(f"policy mode {mode.kind} differs from the "
                                 f"spec's mode {want}")
         T = _report_horizon(data, stationary_ok=False)
-        shapes = {"K": (T, m, n), "L": (T, m, n), "P": (T + 1, n, n),
-                  "G": (T, n, n)}
+        shapes = {"K": (T, m, n), "L": (T, m, n), "P": (T + 1, n, n)}
         pol = _tree.TreePolicy(horizon=T, mode=mode, **{
             name: _schedule(_field(data, name), name, shape)
             for name, shape in shapes.items()})
@@ -312,7 +311,7 @@ def cmd_solve_mf(args):
     spec = _validated_spec(args.spec)
     T = _horizon(args, spec)
     pol = _tree.meanfield_limit_policy(spec, T)
-    L_N, _ = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
+    L_N = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
     gap = float(max(map(np.linalg.norm, L_N - pol.L)))
     cost = _tree.predicted_cost(spec, T, pol)
     print(f"mean-field limit policy solved at horizon {T}")

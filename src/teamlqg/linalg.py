@@ -1,11 +1,11 @@
 """Small shared numerical helpers (symmetrization, PSD tests, ranks, and
 Kronecker products).
 
-``kron`` builds the block matrices of the stacked N-agent closed loops.
-Most operands are 1x1 to 3x3, where numpy's ``kron`` spends far more time
-on Python-level axis bookkeeping than on arithmetic.  One broadcast product
-forms the same elementwise products, so the result is bitwise equal to
-numpy's, signed zeros included."""
+``kron`` builds the block matrices of the delayed class and the sampler's
+joint initial-state covariance.  Most operands are 1x1 to 3x3, where
+numpy's ``kron`` spends far more time on Python-level axis bookkeeping than
+on arithmetic.  One broadcast product forms the same elementwise products,
+so the result is bitwise equal to numpy's, signed zeros included."""
 
 import numpy as np
 

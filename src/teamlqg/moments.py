@@ -1,15 +1,14 @@
 """Exact second moments of a linear closed loop, and their adjoint.
 
 Every closed-loop moment propagation in the package runs here.  It has
-four users:
+three users:
 
-- ``tree._cost_and_grad`` prices a symmetric tree policy on the two-agent
-  loop of one exchangeable pair;
-- ``sim.exact_cost_general`` and ``sim.pbp_check`` price N-agent tree-class
-  profiles (``verify`` hands pbp's cost on to
-  ``sim.certainty_equivalence_check``); this loop and the pair loop are
-  both built by ``tree._closed_loop`` on z = (x_t, c), with the coupling
-  statistics c held constant, so every K and L gain is a plain block of
+- ``tree._price`` prices tree-class profiles: symmetric policies as one
+  exchangeable pair (``tree._cost_and_grad``) and N-agent profiles
+  (``sim.exact_cost_general`` and ``sim.pbp_check``; ``verify`` hands
+  pbp's cost on to ``sim.certainty_equivalence_check``), on one loop per
+  agent on z^i = (x_t^i, c^i), batched over the agents, with the coupling
+  statistic c^i held constant, so every K and L gain is a plain block of
   M_t;
 - ``delayed.closed_loop_cost`` and ``sim.pbp_check`` price delayed-sharing
   controllers on the estimator states alone, x = X zeta in the weights;
@@ -33,7 +32,10 @@ P_t = C_t + F_t^T P_{t+1} F_t, whose P_{t+1} prices the moment handed to
 stage t + 1.
 
 Schedules are stage-first arrays: M (T, p, dim) in, Z, F and C
-(T, dim, dim) out.  Only the Z and P recurrences loop over stages.
+(T, dim, dim) out; k loops sharing F0, Bv, W and the weights batch on an
+axis after the stage axis: M (T, k, p, dim) and Z0 (k, dim, dim) give k
+costs and Z, F, C (T, k, dim, dim), G (T, k, p, dim) and H (T, k, p).
+Only the Z and P recurrences loop over stages.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class Moments:
     """Forward pass of a closed loop: its cost and the matrices Z, F and C
     of each stage t < T, as (T, dim, dim)."""
 
-    cost: float
+    cost: float        # or one per loop of a batch
     Z: np.ndarray
     F: np.ndarray
     C: np.ndarray
@@ -75,13 +77,13 @@ def propagate(loop: ClosedLoop) -> Moments:
     T, M = loop.horizon, loop.M
     F = loop.F0 + loop.Bv @ M
     CM = loop.Czv @ M
-    C = loop.Cz + CM + CM.swapaxes(1, 2) + M.swapaxes(1, 2) @ loop.Rv @ M
+    C = loop.Cz + CM + CM.swapaxes(-1, -2) + M.swapaxes(-1, -2) @ loop.Rv @ M
     Z = np.empty((T, *loop.Z0.shape))
     Z[0] = loop.Z0
     for t in range(T - 1):
-        Z[t + 1] = F[t] @ Z[t] @ F[t].T + loop.W
-    total = np.einsum("tij,tji->", C, Z)
-    return Moments(cost=float(total) / T, Z=Z, F=F, C=C)
+        Z[t + 1] = F[t] @ Z[t] @ F[t].swapaxes(-1, -2) + loop.W
+    cost = np.einsum("t...ij,t...ji->...", C, Z) / T
+    return Moments(cost=cost if cost.ndim else float(cost), Z=Z, F=F, C=C)
 
 
 def gain_sensitivity(loop: ClosedLoop, mom: Moments):
@@ -100,8 +102,8 @@ def gain_sensitivity(loop: ClosedLoop, mom: Moments):
     T, F = loop.horizon, mom.F
     P = np.zeros((T + 1, *loop.Z0.shape))
     for t in range(T - 1, -1, -1):
-        P[t] = mom.C[t] + F[t].T @ P[t + 1] @ F[t]
+        P[t] = mom.C[t] + F[t].swapaxes(-1, -2) @ P[t + 1] @ F[t]
     BP = loop.Bv.T @ P[1:]
     G = (2.0 / T) * (loop.Czv.T + loop.Rv @ loop.M + BP @ F) @ mom.Z
-    H = (np.diag(loop.Rv) + np.einsum("tij,ji->ti", BP, loop.Bv)) / T
+    H = (np.diag(loop.Rv) + np.einsum("t...ij,ji->t...i", BP, loop.Bv)) / T
     return G, H

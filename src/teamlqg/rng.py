@@ -105,9 +105,9 @@ class PrimitiveSampler:
 
     def draw(self, T: int, n_rollouts: int, seed: int, first_block: int = 0):
         """Rollouts first_block * BLOCK onward of every population of
-        ``sizes``: an iterator over the T + 1 stages, stage 0 the initial
-        states x0 and stage t + 1 the noise w_t, each an iterator over the
-        populations' (R, N, n) arrays.
+        ``sizes``: an iterator over the T stages, x0 and then the noise w_t
+        of t < T - 1 (w_{T-1} moves only x_T, which no cost prices), each an
+        iterator over the populations' (R, N, n) arrays.
 
         A stage is filled when it is taken, once at n_dm's width, and each
         population's array is computed from its flat prefix of the fill
@@ -135,7 +135,7 @@ class PrimitiveSampler:
         self._fill(blocks, 0, fill)
         yield self._x0(fill, out)
         fill = _prefix(fill, self.n_dm * self.n)
-        for t in range(T):
+        for t in range(T - 1):
             self._fill(blocks, t + 1, fill)
             yield self._noise(fill, out)
 

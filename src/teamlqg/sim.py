@@ -4,17 +4,18 @@ Policies are affine and information-measurable by construction: a tree-class
 policy maps each agent's own state and own initial-state statistic to its
 control; a graph-class policy reads only the shared estimator states.  A
 tree-class profile is one pair of (N, T, m, n) gain arrays, from the
-``TreePolicySet`` through its exact closed loop on z = (x_t, c) to the
+``TreePolicySet`` through its exact price (``tree._price``) to the
 rollouts.  The engine provides independent cost estimates (block streams
 keyed by the seed, hence bitwise deterministic) next to the solvers' exact
 formulas.  Every engine runs one loop that draws and prices one rng block at
-a time, and a block one noise stage at a time, so beyond one cost per
-rollout and the per-stage step maps, memory grows with the block size and
-the number of compared profiles, not with the number of rollouts or the
-horizon.  Checks that compare tree-class profiles price all of them on one
-draw (``_tree_crn``), stepping every profile on each stage as it arrives;
-``symmetry_checks`` prices the profiles of the exchangeability and
-symmetrization checks on one, so ``verify`` draws each block once for both.
+a time, and a block one noise stage at a time (w_t for t < T - 1), so beyond
+one cost per rollout and the per-stage step maps, memory grows with the
+block size and the number of compared profiles, not with the number of
+rollouts or the horizon.  Checks that compare tree-class profiles price all
+of them on one draw (``_tree_crn``), stepping every profile on each stage
+as it arrives; ``symmetry_checks`` prices the profiles of the
+exchangeability and symmetrization checks on one, so ``verify`` draws each
+block once for both.
 The mean-field sweep draws each stage once for its whole schedule, at the
 largest population, and every population reads its prefix of that fill
 (``_nested_crn``).  Both kernels run rollout-last on the sampler's storage.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -159,7 +161,7 @@ def _block_costs(sampler, T, n_rollouts, seed, price, n_rows):
 class _TreeStepper:
     """Per-rollout costs of tree-class profiles of one population, stepped
     one noise stage at a time: ``start`` from a block's x0, ``step`` on each
-    w_t, then ``costs``, one row per profile.
+    w_t and on none at T - 1, then ``costs``, one row per profile.
 
     Runs rollout-last on the (N, n, R) storage of x0 and of the stages.
     Agent i's state under profile p is z^{p,i} = (x_t^i, c^i) with
@@ -216,10 +218,9 @@ class _TreeStepper:
         np.multiply(self.alpha, self.Sigma @ x0, out=self.z[:, :, n:])
         self.cost = np.zeros((P, R))
 
-    def step(self, t, w_t):
-        """Steps every profile on stage t's noise w_t (R, N, n)."""
+    def step(self, t, w_t=None):
+        """Prices stage t of every profile and steps it on w_t (R, N, n)."""
         n, m, y = self.n, self.m, self.y
-        w_t = w_t.transpose(1, 2, 0)
         for p, (Gamma_tp, z, cost) in enumerate(zip(self.Gamma[t], self.z,
                                                      self.cost)):
             np.matmul(Gamma_tp, z, out=y)
@@ -227,7 +228,8 @@ class _TreeStepper:
             for coef, M, on_u in self.pairs:
                 s = (y[:, :m] if on_u else z[:, :n]).sum(axis=0)
                 cost += coef[p] * np.einsum("ir,ij,jr->r", s, M, s)
-            np.add(y[:, m:m + n], w_t, out=z[:, :n])
+            if w_t is not None:
+                np.add(y[:, m:m + n], w_t.transpose(1, 2, 0), out=z[:, :n])
 
     def costs(self):
         return self.cost / len(self.Gamma)
@@ -236,10 +238,10 @@ class _TreeStepper:
 def _tree_price(steppers, y, stages):
     """One block's per-rollout costs under every stepper's profiles, one row
     per profile: each starts from its population's x0, and all step on each
-    stage as it arrives, sharing the y scratch."""
+    stage as it arrives, sharing the y scratch, the last without noise."""
     for x, stepper in zip(next(stages), steppers):
         stepper.start(x, y)
-    for t, ws in enumerate(stages):
+    for t, ws in enumerate(chain(stages, [repeat(None)])):
         for w, stepper in zip(ws, steppers):
             stepper.step(t, w)
     return np.concatenate([s.costs() for s in steppers])
@@ -295,20 +297,18 @@ def _graph_costs(Gamma, H, stages):
     under a graph policy, given its step map (``_graph_map``).
 
     Runs rollout-last on the (N n, R) storage of each stage, x0 first:
-    one matrix product per step, y = Gamma_t z, gives F_t z and C_t z, the
-    stage cost is (C_t z) . z, and z_{t+1} = F_t z + H w_t.
+    z_0 = H x0, z_{t+1} = F_t z_t + H w_t, and one matrix product per step,
+    y = Gamma_t z, gives F_t z and C_t z; the stage cost is (C_t z) . z.
     """
     (x0,) = next(stages)
     T, (dim, nx), R = len(Gamma), H.shape, x0.shape[0]
-    z = H @ x0.transpose(1, 2, 0).reshape(nx, R)
-    y = np.empty((2 * dim, R))
+    y, z, cost = np.zeros((2 * dim, R)), np.empty((dim, R)), np.zeros(R)
     Fz, Cz = y[:dim], y[dim:]
-    cost = np.zeros(R)
-    for Gamma_t, (w_t,) in zip(Gamma, stages, strict=True):
+    for Gamma_t, (v,) in zip(Gamma, chain([(x0,)], stages), strict=True):
+        np.matmul(H, v.transpose(1, 2, 0).reshape(nx, R), out=z)
+        z += Fz                     # F_{t-1} z_{t-1}; 0 at t = 0
         np.matmul(Gamma_t, z, out=y)
         cost += np.einsum("ir,ir->r", Cz, z)
-        np.matmul(H, w_t.transpose(1, 2, 0).reshape(nx, R), out=z)
-        z += Fz
     return cost / T
 
 
@@ -355,22 +355,21 @@ def simulate(spec: TeamSpec, policies, T: int, n_rollouts: int,
 # exact (moment-based) evaluation of asymmetric tree profiles
 
 
-def _tree_loop(spec: TeamSpec, pset: TreePolicySet, T: int) -> ClosedLoop:
-    """The stacked closed loop of a tree-class profile on the augmented state
-    z = (x_t, c): agent i's control reads its own x_t and its own c^i."""
+def _price_profile(spec, pset, T, want_grad=False):
+    """``tree._price`` of a tree-class profile under its mode's costs."""
     _check_horizon(T, pset.horizon)
     _check_agents(spec, pset)
     cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
-    return _tree._closed_loop(_tree._params(spec, pset.mode), pset.K, pset.L,
-                              1.0, cR, cQ)
+    return _tree._price(_tree._params(spec, pset.mode), pset.K, pset.L, 1.0,
+                        cR, cQ, want_grad)
 
 
 def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
-    """Exact expected cost for any policy set, by covariance propagation of
-    the full stacked closed loop (no Monte Carlo error)."""
+    """Exact expected cost for any policy set, by covariance propagation
+    (no Monte Carlo error)."""
     if isinstance(policies, GraphPolicySet):
         return _delayed.closed_loop_cost(spec, policies.policy, T)
-    return propagate(_tree_loop(spec, policies, T)).cost
+    return _price_profile(spec, policies, T)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +476,9 @@ def pbp_check(spec: TeamSpec, policies, T: int):
     one forward covariance pass and one adjoint pass give g and h of every
     entry at once).  The better of the moves +/-step lowers the cost by
     |g| step - h step^2, and the check returns the largest such decrease
-    over all entries of every agent's K and L (or every node's gain), the
-    value a +/-step loop re-evaluating the cost would find up to rounding.
-    At a person-by-person
+    over the entries of every agent's K and L (or every node's gain) on a
+    state that is not identically zero, the value a +/-step loop
+    re-evaluating the cost would find up to rounding.  At a person-by-person
     stationary policy every g vanishes, so the value is at most zero up to
     rounding; a clearly positive value flags a policy that some single
     decision maker can improve.
@@ -493,20 +492,22 @@ def _pbp_worst(spec: TeamSpec, policies, T: int):
     """(pbp_check value, where, J): ``where`` names the entry attaining it,
     as (holder, t, gain, (row, col), g) with holder "agent i" or
     "node {..}" and gain "K", "L" or "gain"; J is the profile's exact cost,
-    from the same propagation."""
+    from the same propagation.  Entries with h = H_t Z_t[col, col] = 0
+    (H_t > 0 as R > 0) act on an identically zero state, g = 0: skipped."""
     if isinstance(policies, GraphPolicySet):
         terms, cost = _pbp_graph(spec, policies, T)
     else:
         terms, cost = _pbp_tree(spec, policies, T)
     best, where = -np.inf, None
     for (holder, gain), (g, h) in terms.items():
-        drop = np.abs(g) * PBP_STEP - h * PBP_STEP ** 2
+        drop = np.where(h > 0.0, np.abs(g) * PBP_STEP - h * PBP_STEP ** 2,
+                        -np.inf)
         idx = np.unravel_index(np.argmax(drop), drop.shape)
-        if drop[idx] > best:
+        if drop[idx] > best or where is None:   # value 0 if all skipped
             best = float(drop[idx])
             where = (holder, int(idx[0]), gain, (int(idx[1]), int(idx[2])),
                      float(g[idx]))
-    return best, where, cost
+    return (0.0 if best == -np.inf else best), where, cost
 
 
 def _pbp_terms(loop: ClosedLoop, blocks):
@@ -521,13 +522,13 @@ def _pbp_terms(loop: ClosedLoop, blocks):
 
 
 def _pbp_tree(spec, pset, T):
-    """pbp terms of every agent's K and L, the (x_t^i, c^i) columns of its
-    rows of M, and the profile's exact cost."""
-    N, n, m = pset.n_dm, spec.n, spec.m
-    return _pbp_terms(_tree_loop(spec, pset, T), {
-        (f"agent {i + 1}", gain): (slice(i * m, (i + 1) * m),
-                                   slice(off + i * n, off + (i + 1) * n))
-        for i in range(N) for gain, off in (("K", 0), ("L", N * n))})
+    """pbp terms of every agent's K and L, the x_t^i and c^i columns of its
+    gains (``tree._price``), and the profile's exact cost."""
+    cost, g, h = _price_profile(spec, pset, T, want_grad=True)
+    return {(f"agent {i + 1}", gain): (g[i, ..., cols], h[i, ..., cols])
+            for i in range(pset.n_dm)
+            for gain, cols in (("K", slice(spec.n)),
+                               ("L", slice(spec.n, None)))}, cost
 
 
 def _pbp_graph(spec, policies, T):

@@ -11,10 +11,10 @@ n-dimensional LQ problems on (A, B).  One backward recursion, batched over
 the team's weights and the n modes', gives K_t, P_t and every mode's
 feedback, and two batched passes give L_t, in O(T n^4) time; at the
 infinite horizon the same modes take one DARE each, one stacked Stein
-equation and one forward pass.  The exact cost of any schedule, and its
-gradient in L, is the cost of the two-agent closed loop of one exchangeable
-pair, propagated by ``moments``, with the pair weighed as ``cost_weights``
-states (see CostSpec).
+equation and one forward pass.  ``_price`` gives the exact cost of any
+tree-class profile, and its gradient, from one loop per agent in O(N T n^3)
+time; a symmetric schedule is priced as one exchangeable pair, weighed as
+``cost_weights`` states (see CostSpec).
 """
 
 from __future__ import annotations
@@ -211,42 +211,56 @@ def _params(spec: TeamSpec, mode: Population) -> _Params:
     )
 
 
-def _closed_loop(p: _Params, Ks, Ls, own, cR, cQ) -> ClosedLoop:
-    """The stacked closed loop of N agents running u_t^i = Ks[i, t] x_t^i
-    + Ls[i, t] c^i on z = (x_t, c), where the coupling statistic
-    c^i = alpha Sigma x_0^i is held constant, so Ks[i] and Ls[i] are plain
-    blocks of the feedback M and E z_0 z_0' = H Sigma_0 H' with
-    H = [I; alpha (I_N kron Sigma)].
+def _price(p: _Params, Ks, Ls, own, cR, cQ, want_grad=False):
+    """Exact cost J of N agents running u_t^i = Ks[i, t] x_t^i + Ls[i, t] c^i
+    ((N, T, m, n) gains) under the stage cost own * sum_i (x^i' Q x^i
+    + u^i' R u^i) + sum_{i != j} (cR u^i' R~ u^j + cQ x^i' Q~ x^j).
 
-    Ks and Ls have shape (N, T, m, n).  The stage cost is
-    own * sum_i (x^i' Q x^i + u^i' R u^i)
-    + sum_{i != j} (cR u^i' R~ u^j + cQ x^i' Q~ x^j).
+    Agent i's z^i = (x_t^i, c^i), c^i = alpha Sigma x_0^i, moves under its
+    own gains M^i_t = [Ks[i, t], Ls[i, t]] and primitives alone, so one
+    ``moments`` pass batched over the agents prices the own terms.  Agents
+    share only x_0: z^i_t = Lam^i_t x_0^i + own noise, Lam^i_{t+1} =
+    F^i_t Lam^i_t, Lam_0 = [I; alpha Sigma].  With Y^i = [M^i; I 0] Lam^i,
+    S = sum_i Y^i and Om = diag(cR R~, cQ Q~), stage t's pair sums are
+    tr(Om (S So S' - sum_i Y^i So Y^i')).  Returns (J, g, h), with g and h
+    (N, T, m, 2n) J's gradient in every gain entry and curvature (None
+    without ``want_grad``).  The pair sums add (G^Y_t[:m] + Bv' l_{t+1})
+    Lam_t' to g, G^Y = (2/T) Om (S - Y^i) So, with the co-state
+    l_t = E_t' G^Y_t + F_t' l_{t+1}, l_T = 0, E_t = [M_t; I 0], and nothing
+    to h: one agent's gains enter them linearly.
     """
     N, T, m, n = Ls.shape
     if Ks.shape[1] != T:
         raise ValueError(f"K horizon {Ks.shape[1]} differs from L horizon {T}")
-    eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    Sig0 = kron(eye, p.Sd) + kron(off, p.So)
-    H = np.vstack([np.eye(N * n), p.alpha * kron(eye, p.Sigma)])
-    dim = 2 * N * n
-    x, o = slice(0, N * n), slice(N * n, dim)
-    M = np.zeros((T, N * m, dim))
-    for i in range(N):
-        rows = slice(i * m, (i + 1) * m)
-        M[:, rows, i * n:(i + 1) * n] = Ks[i]
-        M[:, rows, N * n + i * n:N * n + (i + 1) * n] = Ls[i]
-    F0 = np.zeros((dim, dim))
-    F0[x, x] = kron(eye, p.A)
-    F0[o, o] = np.eye(N * n)
-    Bv = np.zeros((dim, N * m))
-    Bv[x] = kron(eye, p.B)
-    W = np.zeros((dim, dim))
-    W[x, x] = kron(eye, p.W)
-    Cz = np.zeros((dim, dim))
-    Cz[x, x] = own * kron(eye, p.Q) + cQ * kron(off, p.Qt)
-    return ClosedLoop(Z0=H @ Sig0 @ H.T, F0=F0, Bv=Bv,
-                      M=M, W=W, Cz=Cz, Czv=np.zeros((dim, N * m)),
-                      Rv=own * kron(eye, p.R) + cR * kron(off, p.Rt))
+    Lam0 = np.vstack([np.eye(n), p.alpha * p.Sigma])
+    F0, (W, Cz) = np.eye(2 * n), np.zeros((2, 2 * n, 2 * n))
+    F0[:n, :n], W[:n, :n], Cz[:n, :n] = p.A, p.W, own * p.Q
+    Om = np.zeros((m + n, m + n))
+    Om[:m, :m], Om[m:, m:] = cR * p.Rt, cQ * p.Qt
+    loop = ClosedLoop(
+        Z0=np.broadcast_to(Lam0 @ p.Sd @ Lam0.T, (N, 2 * n, 2 * n)), F0=F0,
+        Bv=np.vstack([p.B, np.zeros((n, m))]),
+        M=np.concatenate([Ks, Ls], axis=3).swapaxes(0, 1), W=W, Cz=Cz,
+        Czv=np.zeros((2 * n, m)), Rv=own * p.R)
+    mom = propagate(loop)
+    Lam = np.empty((T, N, 2 * n, n))
+    Lam[0] = Lam0
+    for t in range(T - 1):
+        Lam[t + 1] = mom.F[t] @ Lam[t]
+    E = np.concatenate(
+        [loop.M, np.broadcast_to(np.eye(n, 2 * n), (T, N, n, 2 * n))], axis=2)
+    Y = E @ Lam
+    OmD = Om @ (Y.sum(axis=1, keepdims=True) - Y) @ p.So
+    J = float(np.sum(mom.cost)) + float(np.sum(OmD * Y)) / T
+    if not want_grad:
+        return J, None, None
+    G, H = gain_sensitivity(loop, mom)
+    GY, ell = (2.0 / T) * OmD, np.zeros((N, 2 * n, n))
+    for t in range(T - 1, -1, -1):
+        G[t] += (GY[t, :, :m] + loop.Bv.T @ ell) @ Lam[t].swapaxes(-1, -2)
+        ell = E[t].swapaxes(-1, -2) @ GY[t] + mom.F[t].swapaxes(-1, -2) @ ell
+    h = H[..., None] * np.diagonal(mom.Z, axis1=-2, axis2=-1)[..., None, :]
+    return J, G.swapaxes(0, 1), h.swapaxes(0, 1)
 
 
 def _cost_and_grad(p: _Params, K, L, want_grad=True):
@@ -254,21 +268,16 @@ def _cost_and_grad(p: _Params, K, L, want_grad=True):
 
     L has shape (batch, T, m, n).  Under a symmetric policy the cost depends
     only on the joint moments of one exchangeable pair of agents, so each
-    schedule is priced on the two-agent closed loop with per-agent weights
-    (a/2, b/2, q/2); the gradient in L sums both agents' L blocks of the
-    loop's gain gradient.
+    schedule is priced (``_price``) as two agents with weights
+    (a/2, b/2, q/2); the gradient in L sums both agents' L gradients.
     """
-    Ks = np.stack([K, K])
-    m, n = L.shape[2:]
+    Ks, n = np.stack([K, K]), L.shape[3]
     J, grad = np.empty(len(L)), np.empty_like(L)
     for k, Lk in enumerate(L):
-        loop = _closed_loop(p, Ks, np.stack([Lk, Lk]),
-                            p.a / 2, p.b / 2, p.q / 2)
-        mom = propagate(loop)
-        J[k] = mom.cost
+        J[k], g, _ = _price(p, Ks, np.stack([Lk, Lk]), p.a / 2, p.b / 2,
+                            p.q / 2, want_grad)
         if want_grad:
-            G, _ = gain_sensitivity(loop, mom)
-            grad[k] = G[:, :m, 2 * n:3 * n] + G[:, m:, 3 * n:]
+            grad[k] = g[0, ..., n:] + g[1, ..., n:]
     return J, (grad if want_grad else None)
 
 
@@ -285,7 +294,7 @@ def exact_policy_cost(spec: TeamSpec, T: int, K, L, mode: Population) -> float:
 
 
 def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
-    """Coupling gains L_t with shape (T, m, n) and propagators G_t (T, n, n).
+    """Coupling gains L_t with shape (T, m, n).
 
     The cost restricted to the symmetric class with K fixed is a convex
     quadratic in the stacked L; its exact minimizer comes from n per-mode
@@ -294,12 +303,11 @@ def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
     not positive definite or has condition number above 1e12, i.e. when
     the cost is not strictly convex in L.
     """
-    _, _, L, G = _solve(spec, T, mode)
-    return L, G
+    return _solve(spec, T, mode)[2]
 
 
 def _solve(spec: TeamSpec, T: int, mode: Population):
-    """K, P, L and G of the optimal symmetric policy at horizon T.
+    """K, P and L of the optimal symmetric policy at horizon T.
 
     Write x_t^i = y_t^i + M_t c^i, where y is the L = 0 loop and M_0 = 0.
     With N_t = K_t M_t + L_t the feedforward matrix obeys
@@ -319,20 +327,17 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     (a R + b d_j Rt) / T and affine terms (S_t W)_j / T, (R_t W)_j / T.
     One batched backward recursion gives K, P and every mode's feedback
     F_t; the affine co-state and the forward pass from M'_0 = 0 are one
-    batched product per stage, and L_t = (N'_t - K_t M'_t) W'.  The
-    propagators are G_t = Psi_t + alpha M_t Sigma, with Psi the L = 0
-    loop's, which also carries Yd and Yo.  The pivot of the unsplit sweep,
-    sum_j H_j kron u_j u_j' with u_j the columns of W^{-T}, is a Schur
-    complement of the Hessian of the cost in L, so the Hessian is positive
-    definite exactly when every mode pivot H_j is.
+    batched product per stage, and L_t = (N'_t - K_t M'_t) W'.  The pivot
+    of the unsplit sweep, sum_j H_j kron u_j u_j' with u_j the columns of
+    W^{-T}, is a Schur complement of the Hessian of the cost in L, so the
+    Hessian is positive definite exactly when every mode pivot H_j is.
     """
     p = _params(spec, mode)
     n, m = p.B.shape
     team = p.Q[None], p.R[None]
     if not p.coupled:
         P, F, _ = _value_recursion(p.A, p.B, *team, T)
-        K = F[:, 0]
-        return K, P[:, 0], np.zeros((T, m, n)), _loop_products(p, K, np.eye(n))
+        return F[:, 0], P[:, 0], np.zeros((T, m, n))
 
     c1 = 1.0 / T
     try:
@@ -345,8 +350,13 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
                                np.concatenate([team[1], Rm]), T, U)
     K, Fm = F[:, 0], F[:, 1:]
 
-    Z = _loop_products(p, K, np.hstack([np.eye(n), *Y0]))
-    Psi, Yd, Yo = Z[..., :n], Z[..., n:2 * n], Z[..., 2 * n:]
+    # the L = 0 loop's cross moments, Yd_t and Yo_t side by side
+    Y = np.empty((T, n, 2 * n))
+    Y[0] = np.hstack(Y0)
+    AK = p.A + p.B @ K
+    for t in range(T - 1):
+        Y[t + 1] = AK[t] @ Y[t]
+    Yd, Yo = Y[..., :n], Y[..., n:]
     # affine terms of mode j in row j
     s = (c1 * (p.a * p.Q @ Yd + p.q * p.Qt @ Yo) @ W).swapaxes(1, 2)
     r = (c1 * (p.a * p.R @ K @ Yd + p.b * p.Rt @ K @ Yo) @ W).swapaxes(1, 2)
@@ -367,8 +377,7 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
         x[t + 1] = Phi[t] @ x[t] + Bf[t]
     Lm = ((Fm - K[:, None]) @ x)[..., 0] + f
     L = Lm.swapaxes(1, 2) @ W.T
-    G = Psi + p.alpha * x[..., 0].swapaxes(1, 2) @ W.T @ p.Sigma
-    return K, P[:, 0], L, G
+    return K, P[:, 0], L
 
 
 def _modes(p: _Params, scale, where):
@@ -389,16 +398,6 @@ def _modes(p: _Params, scale, where):
     dj = d[:, None, None]
     return (Y0, Ci.T @ V, C @ V, scale * (p.a * p.Q + p.q * dj * p.Qt),
             scale * (p.a * p.R + p.b * dj * p.Rt))
-
-
-def _loop_products(p: _Params, K, Z0):
-    """Z_t = (A + B K_{t-1}) ... (A + B K_0) Z0 for t < T = len(K)."""
-    Phi = p.A + p.B @ K
-    Z = np.empty((len(K), *Z0.shape))
-    Z[0] = Z0
-    for t in range(len(K) - 1):
-        Z[t + 1] = Phi[t] @ Z[t]
-    return Z
 
 
 def _pivot_eigvals(H, U):
@@ -442,14 +441,13 @@ def _pivot_error(w, where):
 class TreePolicy:
     """Affine gain schedule u_t^i = K_t x_t^i + L_t c^i for the coupling
     statistic c^i implied by ``mode`` (see Population).  K and L have shape
-    (T, m, n), P shape (T + 1, n, n) and G shape (T, n, n)."""
+    (T, m, n) and P shape (T + 1, n, n)."""
 
     horizon: int
     mode: Population
     K: np.ndarray
     L: np.ndarray
     P: np.ndarray
-    G: np.ndarray
 
     def as_dict(self):
         return {
@@ -460,21 +458,20 @@ class TreePolicy:
             "K": self.K.tolist(),
             "L": self.L.tolist(),
             "P": self.P.tolist(),
-            "G": self.G.tolist(),
         }
 
 
 def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = None):
     T = spec.horizon if T is None else T
     mode = default_mode(spec) if mode is None else mode
-    K, P, L, G = _solve(spec, T, mode)
-    return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P, G=G)
+    K, P, L = _solve(spec, T, mode)
+    return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P)
 
 
 def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
     """Optimal expected cost of a policy produced by this module.
 
-    Evaluated by exact moment propagation of the two-agent closed loop
+    Evaluated by exact moment propagation of one exchangeable pair
     (``exact_policy_cost``).
     """
     if T != policy.horizon:

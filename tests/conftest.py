@@ -17,6 +17,8 @@ from teamlqg.model import (
 from teamlqg.moments import propagate
 from teamlqg.sim import TreePolicySet, _se, _tree_crn
 
+from stacked_reference import stacked_loop
+
 
 def rand_psd(rng, n, scale=1.0, ridge=0.0):
     F = rng.normal(size=(n, n))
@@ -164,8 +166,8 @@ def closed_form_cost_variants(spec, policy):
     quad_r = float(np.einsum("tii->",
                              LT @ (p.R + B.T @ P[1:] @ B) @ L @ C1))
     # exact cross-pair control correlation sum_t E(u1' R~ u2): T times the
-    # cost of the pair loop that weighs only the cross control term
-    cross_exact = T * propagate(tree._closed_loop(
+    # cost of the stacked pair loop that weighs only the cross control term
+    cross_exact = T * propagate(stacked_loop(
         p, np.stack([K, K]), np.stack([L, L]), 0.0, 0.5, 0.0)).cost
 
     exact = tree.exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)

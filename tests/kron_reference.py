@@ -2,11 +2,11 @@
 
 The unsplit form of ``teamlqg.tree``'s coupling solves.  At horizon T, one
 backward Riccati sweep in the n^2-dimensional state vec(M), with an
-eigendecomposition of every stage pivot, after an unbatched K/P recursion
-and before a separate pass for the propagators G_t.  At the infinite
-horizon, one n^2-dimensional DARE, one n^2 x 2n^2 Stein equation and a
-forward pass in (vec M_t, vec Yd_t, vec Yo_t).  The package solves the
-same problems as n per-mode problems on (A, B); the tests compare the two.
+eigendecomposition of every stage pivot, after an unbatched K/P recursion.
+At the infinite horizon, one n^2-dimensional DARE, one n^2 x 2n^2 Stein
+equation and a forward pass in (vec M_t, vec Yd_t, vec Yo_t).  The package
+solves the same problems as n per-mode problems on (A, B); the tests
+compare the two.
 """
 
 import numpy as np
@@ -28,14 +28,14 @@ def reference_k_p(spec, T):
 
 
 def reference_solve(spec, T, mode):
-    """(K, P, L, G) of the optimal symmetric policy by the Kronecker sweep."""
+    """(K, P, L) of the optimal symmetric policy by the Kronecker sweep."""
     K, P = reference_k_p(spec, T)
     p = tree._params(spec, mode)
     if np.all(p.Rt == 0.0) and np.all(p.Qt == 0.0):
         L = np.zeros((T, spec.m, spec.n))
     else:
         L = coupling_sweep(p, K)
-    return K, P, L, propagators(p, K, L)
+    return K, P, L
 
 
 def sweep_data(p):
@@ -110,16 +110,6 @@ def coupling_sweep(p, K):
         L[t] = Nv.reshape(m, n) - K[t] @ Mv.reshape(n, n)
         Mv = Ak @ Mv + Bk @ Nv
     return L
-
-
-def propagators(p, K, L):
-    """G_t with E(x_t^i | x_0^i) = G_t x_0^i under the symmetric policy."""
-    n = p.A.shape[0]
-    G = np.empty((len(K), n, n))
-    G[0] = np.eye(n)
-    for t in range(len(K) - 1):
-        G[t + 1] = (p.A + p.B @ K[t]) @ G[t] + p.alpha * p.B @ L[t] @ p.Sigma
-    return G
 
 
 def reference_stationary_schedule(p, K, radius):

@@ -51,16 +51,25 @@ ZETA = "tests/test_simulator.py::TestZetaLoop::"
 CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
 RANK = "tests/test_delayed.py::TestRankGrid::"
 KRON = "tests/test_tree.py::TestKroneckerReference::"
+PRICER = "tests/test_tree.py::TestPerAgentPricer::"
 IDENTITY = "tests/test_delayed.py::TestTreeIdentity::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
 MUTANTS = (
-    Mutant("Sigma^T in tree._closed_loop's H", TREE,
-           "p.alpha * kron(eye, p.Sigma)])",
-           "p.alpha * kron(eye, p.Sigma.T)])",
+    Mutant("Sigma^T in tree._price's loading Lam_0", TREE,
+           "np.vstack([np.eye(n), p.alpha * p.Sigma])",
+           "np.vstack([np.eye(n), p.alpha * p.Sigma.T])",
            ("tests/test_tree.py::TestPredictedCost::"
             "test_matches_oracle_propagation",)),
+    Mutant("co-state of tree._price stepped by F_t instead of F_t^T", TREE,
+           "mom.F[t].swapaxes(-1, -2) @ ell",
+           "mom.F[t] @ ell",
+           (PRICER + "test_matches_stacked_reference",)),
+    Mutant("self-pair term dropped from tree._price's pair sums", TREE,
+           "(Y.sum(axis=1, keepdims=True) - Y)",
+           "Y.sum(axis=1, keepdims=True)",
+           (PRICER + "test_matches_stacked_reference",)),
     Mutant("factor 2 restored on n_dm's pair weight in tree.cost_weights",
            TREE,
            "return float(N), float(N * (N - 1)), 0.0, float(N - 1)",
@@ -147,13 +156,13 @@ MUTANTS = (
             "test_symmetry_checks_equal_standalone",)),
     Mutant("transpose of the cross term dropped from moments.propagate's C",
            MOMENTS,
-           "CM + CM.swapaxes(1, 2)",
+           "CM + CM.swapaxes(-1, -2)",
            "CM + CM",
            (CHECKS + "test_pbp_matches_reference_on_graph_policies"
             "[pair-n2-S]",)),
     Mutant("F^T P F written as F P F^T in moments.gain_sensitivity", MOMENTS,
-           "F[t].T @ P[t + 1] @ F[t]",
-           "F[t] @ P[t + 1] @ F[t].T",
+           "F[t].swapaxes(-1, -2) @ P[t + 1] @ F[t]",
+           "F[t] @ P[t + 1] @ F[t].swapaxes(-1, -2)",
            (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
             "tests/test_tree.py::TestCouplingGains::"
             "test_adjoint_gradient_vs_finite_difference[n_dm2]")),
@@ -161,6 +170,14 @@ MUTANTS = (
            "X[:, None, :, None] * Y[None, :, None, :]",
            "X[None, :, None, :] * Y[:, None, :, None]",
            ("tests/test_linalg.py::test_kron_matches_numpy_bitwise",)),
+    Mutant("certainty equivalence band 3 / SE instead of 3 SE", SIM,
+           "band = 3.0 * rep.std_error",
+           "band = 3.0 / rep.std_error",
+           (CHECKS + "test_certainty_equivalence_fails_off_the_exact_cost",)),
+    Mutant("certainty equivalence band 1e6 SE instead of 3 SE", SIM,
+           "band = 3.0 * rep.std_error",
+           "band = 1e6 * rep.std_error",
+           (CHECKS + "test_certainty_equivalence_fails_off_the_exact_cost",)),
     Mutant("certainty equivalence rolled out under the spec's own family",
            SIM,
            'noise=replace(spec.noise, family="uniform"))',
@@ -191,11 +208,13 @@ MUTANTS = (
            "    for r in graph.nodes:\n        values[r][T] = sym(blocks[r][2])"
            "\n    for t in range(T - 1, -1, -1):\n        for r in graph.nodes:",
            (IDENTITY + "test_node_gains_equal_tree_gains[2]",)),
-    Mutant("terminal x_T' Q x_T restored in sim._graph_costs", SIM,
-           "        z += Fz\n    return cost / T",
-           "        z += Fz\n    x = z[:nx]\n    cost += np.einsum("
-           "\"ir,ir->r\", Gamma[-1][dim:dim + nx, :nx] @ x, x)\n"
+    Mutant("terminal x_T' Q x_T (less its noise) restored in "
+           "sim._graph_costs", SIM,
+           "        cost += np.einsum(\"ir,ir->r\", Cz, z)\n"
            "    return cost / T",
+           "        cost += np.einsum(\"ir,ir->r\", Cz, z)\n    x = Fz[:nx]\n"
+           "    cost += np.einsum(\"ir,ir->r\", Gamma[-1][dim:dim + nx, :nx] "
+           "@ x, x)\n    return cost / T",
            (IDENTITY + "test_graph_rollouts_match_tree_cost[4]",)),
     Mutant("joint initial-state factor built from Sd + So in "
            "rng.PrimitiveSampler", RNG,

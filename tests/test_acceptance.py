@@ -90,7 +90,7 @@ def test_A2_coupling_gain_oracle_equivalence():
         spec = random_tree_spec(rng, T=int(rng.integers(1, 6)),
                                 mean_field=mode.kind == "mean_field_N")
         T = spec.horizon
-        L, _ = solve_coupling_gains(spec, T, mode)
+        L = solve_coupling_gains(spec, T, mode)
         ref = oracle_L(spec, T, mode)
         worst = max(worst, float(np.abs(np.stack(L) - ref).max()))
     dt = time.time() - t0
@@ -141,8 +141,8 @@ def test_A4_infinite_horizon_convergence():
     radius = spectral_radius(A + B @ K)
 
     spec = scalar_tree_spec(T=2)
-    prev, _ = solve_coupling_gains(spec, 32, n_dm(2))
-    nxt, _ = solve_coupling_gains(spec, 64, n_dm(2))
+    prev = solve_coupling_gains(spec, 32, n_dm(2))
+    nxt = solve_coupling_gains(spec, 64, n_dm(2))
     disagreement = max(float(np.abs(nxt[t] - prev[t]).max()) for t in range(32))
     report("A4",
            hit_T is not None and radius < 1.0 and disagreement < 1e-7,
@@ -157,7 +157,7 @@ def test_A5_mean_field_convergence():
     Ns = [2, 4, 8, 16, 32, 64, 128, 256]
     gains = {}
     for N in Ns:
-        L, _ = solve_coupling_gains(spec, T, mean_field(N))
+        L = solve_coupling_gains(spec, T, mean_field(N))
         gains[N] = np.stack(L)
     diffs = [float(np.abs(gains[2 * N] - gains[N]).max()) for N in Ns[:-1]]
     monotone = all(b <= a + 1e-15 for a, b in zip(diffs, diffs[1:]))

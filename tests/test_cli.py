@@ -462,14 +462,15 @@ class TestCommands:
     def test_verify_draws_solves_and_prices_once(self, tmp_path, monkeypatch):
         """One tree verify repeats no draw of a (seed, family, shape), draws
         the uniform family once (certainty equivalence's rollouts), solves
-        the gaussian policy once, propagates the closed loop and runs its
-        gain sensitivity once (pbp_check's, whose exact cost certainty
-        equivalence reuses), and takes its exchangeability and
-        symmetrization numbers bit for bit from the standalone checks'.
-        verify --policy on a saved tree report solves nothing."""
+        the gaussian policy once, prices the profile once (pbp_check's
+        ``tree._price``, one propagation and one gain sensitivity pass,
+        whose exact cost certainty equivalence reuses), and takes its
+        exchangeability and symmetrization numbers bit for bit from the
+        standalone checks'.  verify --policy on a saved tree report solves
+        nothing."""
         from teamlqg import rng, sim
         draws, solves, passes, verdicts, shared = [], [], [], [], []
-        propagations, ce = [], []
+        propagations, prices, ce = [], [], []
 
         def spy(owner, name, note):
             fn = getattr(owner, name)
@@ -488,7 +489,9 @@ class TestCommands:
         monkeypatch.setattr(sim, "solve_tree", tree.solve_tree)
         for owner in (sim, tree, delayed):
             spy(owner, "propagate", lambda out, *a: propagations.append(out))
-        spy(sim, "gain_sensitivity", lambda out, *a: passes.append(out))
+        for owner in (sim, tree):
+            spy(owner, "gain_sensitivity", lambda out, *a: passes.append(out))
+        spy(tree, "_price", lambda out, *a: prices.append(out))
         spy(sim, "symmetrization_holds", lambda out, *a: verdicts.append(a))
         spy(sim, "symmetry_checks", lambda out, *a: shared.append(out))
         spy(sim, "certainty_equivalence_check",
@@ -499,8 +502,9 @@ class TestCommands:
         assert len(draws) == len(set(draws)) == 2
         assert [d[1] for d in draws].count("uniform") == 1
         assert solves == ["gaussian"]
-        assert len(propagations) == len(passes) == len(shared) == len(ce) == 1
-        assert ce[0]["exact_cost"] == propagations[0].cost
+        assert len(propagations) == len(passes) == len(prices) == 1
+        assert len(shared) == len(ce) == 1
+        assert ce[0]["exact_cost"] == prices[0][0]
 
         pol_path = str(tmp_path / "pol.json")
         assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
@@ -572,7 +576,6 @@ class TestCommands:
 class TestPolicyReports:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("solve, data, mutate, named", [
-        ("solve-tree", GOLDEN, lambda p: p.pop("G"), "'G'"),
         ("solve-delayed", DELAYED, lambda p: p["gains"].pop("1,2"), "'1,2'"),
         ("solve-delayed", DELAYED, lambda p: p["gains"]["1"].pop(),
          "gains[1] has shape (2, 1, 1), expected (3, 1, 1)"),
@@ -580,7 +583,7 @@ class TestPolicyReports:
          "K has shape (3, 1, 1), expected (5, 1, 1)"),
         ("solve-tree", GOLDEN, lambda p: p.update(mode_n="2"),
          "mode_n '2' is not an integer"),
-    ], ids=["tree-without-G", "delayed-without-node", "delayed-stage-short",
+    ], ids=["delayed-without-node", "delayed-stage-short",
             "tree-horizon-past-schedules", "tree-mode-n-string"])
     def test_malformed_report_exits_1_naming_the_field(
             self, tmp_path, capsys, command, solve, data, mutate, named):
@@ -630,7 +633,7 @@ class TestPolicyReports:
         assert json.dumps(loaded.as_dict()) == text
         assert loaded.horizon == pol.horizon
         if isinstance(pol, tree.TreePolicy):
-            pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KLPG"]
+            pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KLP"]
         else:
             pairs = [(getattr(pol, f)[r], getattr(loaded, f)[r])
                      for f in ("gains", "values") for r in pol.graph.nodes]
@@ -654,7 +657,7 @@ class TestPolicyReports:
         spec = load_spec(spec_path)
         if command == "solve-tree":
             pol = tree.solve_tree(spec)
-            pairs = [(getattr(pol, f), report["policy"][f]) for f in "KLPG"]
+            pairs = [(getattr(pol, f), report["policy"][f]) for f in "KLP"]
         elif command == "solve-delayed-inf":
             pol, _ = delayed.solve_delayed_infinite(spec)
             pairs = [(getattr(pol, f)[r],

@@ -17,7 +17,7 @@ from teamlqg.model import (
     Tree,
     conditional_gain,
 )
-from teamlqg import sim
+from teamlqg import sim, tree
 from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
     TreePolicySet,
@@ -68,6 +68,7 @@ from conftest import (
     scalar_mf_spec,
     scalar_tree_spec,
 )
+from stacked_reference import stacked_loop
 
 
 def random_pset(spec, T, rng, scale=0.2):
@@ -85,36 +86,40 @@ def optimal_pset(spec, T):
 
 def reference_pbp(spec, policies, T, step=sim.PBP_STEP):
     """pbp_check by brute force: move every gain entry by +/-step and
-    re-evaluate the exact cost, two covariance propagations per entry."""
+    re-evaluate the exact cost, two covariance propagations per entry.  An
+    entry neither of whose moves changes the cost, one that multiplies an
+    identically zero state, is skipped; with none left the value is 0."""
+    drops = []
     if isinstance(policies, GraphPolicySet):
         pol = policies.policy
         base = closed_loop_cost(spec, pol, T)
-        best = -np.inf
         for r in pol.graph.nodes:
             for t in range(T):
                 for idx in np.ndindex(pol.gains[r][t].shape):
+                    drops.append([])
                     for s in (step, -step):
                         gains = {k: list(v) for k, v in pol.gains.items()}
                         gains[r][t] = gains[r][t].copy()
                         gains[r][t][idx] += s
                         pert = GraphPolicy(graph=pol.graph, horizon=T,
                                            gains=gains, values=pol.values)
-                        best = max(best, base - closed_loop_cost(spec, pert, T))
-        return best
-    base = exact_cost_general(spec, policies, T)
-    best = -np.inf
-    Ks, Ls = policies.K, policies.L
-    for which, G in (("K", Ks), ("L", Ls)):
-        for idx in np.ndindex(G.shape):
-            for s in (step, -step):
-                Gp = G.copy()
-                Gp[idx] += s
-                K, L = (Gp, Ls) if which == "K" else (Ks, Gp)
-                pset = TreePolicySet(mode=policies.mode,
-                                     K=tuple(tuple(k) for k in K),
-                                     L=tuple(tuple(l) for l in L))
-                best = max(best, base - exact_cost_general(spec, pset, T))
-    return best
+                        drops[-1].append(base - closed_loop_cost(spec, pert,
+                                                                 T))
+    else:
+        base = exact_cost_general(spec, policies, T)
+        Ks, Ls = policies.K, policies.L
+        for which, G in (("K", Ks), ("L", Ls)):
+            for idx in np.ndindex(G.shape):
+                drops.append([])
+                for s in (step, -step):
+                    Gp = G.copy()
+                    Gp[idx] += s
+                    K, L = (Gp, Ls) if which == "K" else (Ks, Gp)
+                    pset = TreePolicySet(mode=policies.mode,
+                                         K=tuple(tuple(k) for k in K),
+                                         L=tuple(tuple(l) for l in L))
+                    drops[-1].append(base - exact_cost_general(spec, pset, T))
+    return max((d for pair in drops if any(pair) for d in pair), default=0.0)
 
 
 def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
@@ -125,7 +130,9 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
     N, n, m = pset_n.n_dm, spec.n, spec.m
     A, B = spec.dynamics.A, spec.dynamics.B
     Sigma = conditional_gain(spec.noise)
-    x0, w = whole_draw(PrimitiveSampler(spec.noise, N), T, n_rollouts, seed)
+    # a draw at T + 1 holds the T noise stages this loop steps on
+    x0, w = whole_draw(PrimitiveSampler(spec.noise, N), T + 1, n_rollouts,
+                       seed)
 
     def steps(pset):
         _, _, _, alpha = cost_weights(pset.mode)
@@ -154,7 +161,7 @@ def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
 
 def whole_draw(sampler, T, n_rollouts, seed, first_block=0):
     """A one-population PrimitiveSampler.draw with its noise stages
-    stacked: x0 (R, N, n), w (R, T, N, n)."""
+    stacked: x0 (R, N, n), w (R, T - 1, N, n)."""
     x0, *w = (np.copy(v) for v, in sampler.draw(T, n_rollouts, seed,
                                                  first_block))
     return x0, np.stack(w, axis=1)
@@ -164,7 +171,7 @@ def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
     """PrimitiveSampler.draw as one rollout-major fill of (R, k) rows per
     block and stage, from the Philox key (seed, block) at counter
     (0, 0, 0, stage), the factors applied from the right: x0 (R, N, n) from
-    stage 0, w (R, T, N, n) with w_t from stage t + 1."""
+    stage 0, w (R, T - 1, N, n) with w_t from stage t + 1."""
     N, n = sampler.n_dm, sampler.n
 
     def stage(t, k):
@@ -191,7 +198,7 @@ def reference_draw(sampler, T, n_rollouts, seed, first_block=0):
         x0 = (stage(0, N * n) @ sampler._joints[-1].T).reshape(
             n_rollouts, N, n)
     w = np.stack([stage(t + 1, N * n).reshape(n_rollouts, N, n)
-                  @ sampler.Fw.T for t in range(T)], axis=1)
+                  @ sampler.Fw.T for t in range(T - 1)], axis=1)
     return x0, w
 
 
@@ -484,7 +491,8 @@ class TestDeterminism:
         R, N, n = BLOCK + 9, spec.n_dm, spec.n
         blocked = _graph_mc(spec, GraphPolicySet(policy=pol), 3, R, seed=4)
 
-        x0, w = whole_draw(PrimitiveSampler(spec.noise, N), 3, R, seed=4)
+        # a draw at T + 1 = 4 holds the 3 noise stages the estimator steps
+        x0, w = whole_draw(PrimitiveSampler(spec.noise, N), 4, R, seed=4)
         x, _, u = simulate_estimator(pol.graph, pol, spec,
                                      x0.reshape(R, N * n),
                                      w.reshape(R, 3, N * n))
@@ -537,7 +545,7 @@ class TestRolloutLayout:
         x0_short, w_short = whole_draw(sampler, 3, 500, seed=8)
         x0_long, w_long = whole_draw(sampler, 8, 500, seed=8)
         assert np.array_equal(x0_short, x0_long)
-        assert np.array_equal(w_short, w_long[:, :3])
+        assert np.array_equal(w_short, w_long[:, :2])
 
     @pytest.mark.parametrize("path, n", [("split", 2), ("joint", 1)])
     def test_stages_are_pairwise_different(self, path, n):
@@ -590,9 +598,10 @@ class TestRolloutLayout:
             T = spec.horizon
             pset = replace(random_pset(spec, T, rng, scale=0.4), mode=mode)
             sampler = PrimitiveSampler(spec.noise, spec.n_dm)
+            # draws at T + 1 hold the T noise stages the loop steps on
             ref = np.concatenate([
                 reference_tree_costs(spec, pset, *reference_draw(
-                    sampler, T, min(BLOCK, R - s), 5, s // BLOCK))
+                    sampler, T + 1, min(BLOCK, R - s), 5, s // BLOCK))
                 for s in range(0, R, BLOCK)])
             got = rollout_costs(spec, pset, T, R, seed=5)
             np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
@@ -629,7 +638,8 @@ class TestRolloutLayout:
         ]
         N, R = spec.n_dm, BLOCK + 300
         sampler = PrimitiveSampler(spec.noise, N)
-        draws = [whole_draw(sampler, T, min(BLOCK, R - s), 6, s // BLOCK)
+        # draws at T + 1 hold the T noise stages the estimator steps
+        draws = [whole_draw(sampler, T + 1, min(BLOCK, R - s), 6, s // BLOCK)
                  for s in range(0, R, BLOCK)]
         for pol in policies:
             ref = np.concatenate([reference_graph_costs(spec, pol, *draw)
@@ -1090,16 +1100,65 @@ class TestStructuralChecks:
         with pytest.raises(ValueError, match=f"horizon {T - 1} differs"):
             pbp_check(spec, gset, T - 1)
 
+    def test_pbp_skips_entries_on_identically_zero_states(self, rng):
+        """At t = 0 the full node's zeta is identically zero, so its gains
+        move nothing (g = h = 0); at a solved delayed policy pbp names an
+        entry whose state has positive variance, with a negative drop.
+        Without noise and initial spread every state is zero, no move
+        changes the cost, and the value is 0."""
+        T = 3
+        spec = linked_delayed_spec(rng, LINKED_DELAYS["full3"], 1, 1, T)
+        pol, _ = solve_delayed_finite(spec, T)
+        value, (holder, t, gain, (_, col), _), _ = sim._pbp_worst(
+            spec, GraphPolicySet(policy=pol), T)
+        loop, blocks = _closed_loop(spec, pol, T)
+        var = np.diagonal(propagate(loop).Z, axis1=1, axis2=2)
+        full = max(blocks, key=len)
+        assert np.all(var[0, blocks[full][1]] == 0.0)
+        node = next(r for r in blocks if holder == "node {" + ",".join(
+            str(i + 1) for i in r) + "}")
+        assert gain == "gain" and var[t, blocks[node][1]][col] > 0.0
+        assert value < 0.0
+        still = replace(spec, noise=replace(spec.noise, sigma_w=[[0.0]],
+                                            init_diag=[[0.0]]))
+        pol, _ = solve_delayed_finite(still, T)
+        value, where, J = sim._pbp_worst(still, GraphPolicySet(policy=pol), T)
+        assert value == J == 0.0 and where[0] == "node {1}"
+
     def test_gain_curvature_matches_diagonal_of_product(self, rng):
         """gain_sensitivity's H_t equals (1/T) diag(Rv + Bv^T P_{t+1} Bv)
-        formed as a full product, to 1e-14 relative, on random tree and
-        graph loops."""
+        formed as a full product, to 1e-14 relative, on random stacked tree
+        loops, graph loops and the agents of a loop batched over agents,
+        whose every moment, cost, G and H equal each agent's unbatched
+        call's to 1e-14 relative."""
         loops = []
         for mode, N in ((n_dm(2), 2), (n_dm(3), 3), (mean_field(4), 4)):
             spec = random_tree_spec(rng, n=2, m=2, T=3, n_dm=N,
                                     mean_field=N == 4)
             pset = replace(random_pset(spec, 3, rng, scale=0.4), mode=mode)
-            loops.append(sim._tree_loop(spec, pset, 3))
+            loops.append(stacked_loop(tree._params(spec, mode),
+                                      pset.K, pset.L, 1.0,
+                                      *sim._coupling_coeffs(mode, N)))
+        N, dim, p = 3, 4, 2
+        batched = ClosedLoop(
+            Z0=np.stack([rand_psd(rng, dim) for _ in range(N)]),
+            F0=rng.normal(scale=0.5, size=(dim, dim)),
+            Bv=rng.normal(size=(dim, p)), M=rng.normal(size=(3, N, p, dim)),
+            W=rand_psd(rng, dim), Cz=rand_psd(rng, dim),
+            Czv=rng.normal(scale=0.1, size=(dim, p)), Rv=rand_pd(rng, p))
+        mom = propagate(batched)
+        G, H = gain_sensitivity(batched, mom)
+        for i in range(N):
+            one = replace(batched, Z0=batched.Z0[i], M=batched.M[:, i])
+            mom_i = propagate(one)
+            assert abs(mom.cost[i] - mom_i.cost) <= 1e-14 * abs(mom_i.cost)
+            for got, want in zip((mom.Z[:, i], mom.F[:, i], mom.C[:, i],
+                                  G[:, i], H[:, i]),
+                                 (mom_i.Z, mom_i.F, mom_i.C,
+                                  *gain_sensitivity(one, mom_i))):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * np.abs(want).max())
+            loops.append(one)
         for delays in ([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
                        [[0, 1, None, None], [1, 0, 1, None],
                         [None, 1, 0, 1], [None, None, 1, 0]]):
@@ -1132,6 +1191,24 @@ class TestStructuralChecks:
         assert rep["exact_cost"] == exact
         assert rep["uniform_mc_within_3se"]
         assert pbp_check(spec, pset, 3) < 1e-7
+
+    def test_certainty_equivalence_fails_off_the_exact_cost(self):
+        """An exact cost 10 standard errors of the uniform-noise Monte Carlo
+        mean off the true one, on either side, fails the check; the true
+        one passes, with the 3-SE band of the uniform rollouts."""
+        spec = scalar_tree_spec(T=3)
+        pset, _ = optimal_pset(spec, 3)
+        exact = exact_cost_general(spec, pset, 3)
+        uni = simulate(replace(spec, noise=replace(spec.noise,
+                                                   family="uniform")),
+                       pset, 3, 20000, seed=13)
+        rep = certainty_equivalence_check(spec, pset, exact, 20000, seed=13)
+        assert rep["uniform_mc_cost"] == uni.mean_cost
+        assert rep["uniform_mc_within_3se"]
+        for off in (10.0, -10.0):
+            bad = certainty_equivalence_check(
+                spec, pset, exact + off * uni.std_error, 20000, seed=13)
+            assert not bad["uniform_mc_within_3se"], off
 
     def test_certainty_equivalence_negative_control(self):
         """Changing sigma_w between two solves changes nothing for K (gains

@@ -1,8 +1,8 @@
 """Tree-information solver: gain recursions, coupling-gain oracle, cost
 formulas, infinite horizon, and the mean-field limit.
 
-The oracle here is deliberately independent of the package's pair-moment
-machinery: it propagates the full stacked joint covariance of all N agents
+The oracle here is deliberately independent of the package's per-agent
+pricer: it propagates the full stacked joint covariance of all N agents
 plus their initial states and reconstructs the quadratic-in-L cost exactly,
 then minimizes it in closed form.
 """
@@ -29,7 +29,7 @@ from teamlqg.model import (
 )
 from teamlqg.linalg import spectral_radius
 from teamlqg.riccati import dare_solve
-from teamlqg.sim import TreePolicySet, exact_cost_general
+from teamlqg.sim import TreePolicySet, _coupling_coeffs, exact_cost_general
 from teamlqg.tree import (
     CouplingSystemError,
     cost_weights,
@@ -56,6 +56,7 @@ from conftest import (
     scalar_tree_spec,
 )
 from kron_reference import reference_solve, reference_stationary_schedule
+from stacked_reference import pair_cost_and_grad, stacked_price
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -241,21 +242,20 @@ class TestSolveKP:
 class TestCouplingGains:
     def test_no_coupling_means_zero_l(self, rng):
         spec = random_tree_spec(rng, T=3, coupled=False)
-        L, G = solve_coupling_gains(spec, 3, n_dm(2))
+        L = solve_coupling_gains(spec, 3, n_dm(2))
         assert all(np.allclose(l, 0.0) for l in L)
-        assert np.array_equal(G[0], np.eye(spec.n))
 
     def test_single_stage_l_is_zero(self, rng):
         for _ in range(5):
             spec = random_tree_spec(rng, T=1)
-            L, _ = solve_coupling_gains(spec, 1, n_dm(2))
+            L = solve_coupling_gains(spec, 1, n_dm(2))
             assert np.linalg.norm(L[0]) < 1e-10
 
     def test_scalar_derived_example(self):
         """A=B=Q=R=1, R_tilde=0.5, Sigma=0.5, T=2: the exact minimizer of the
         moment-propagated cost is L = (1/9, 0)."""
         spec = scalar_tree_spec(T=2)
-        L, _ = solve_coupling_gains(spec, 2, n_dm(2))
+        L = solve_coupling_gains(spec, 2, n_dm(2))
         assert abs(L[0][0, 0] - 1.0 / 9.0) < 1e-12
         assert abs(L[1][0, 0]) < 1e-12
         ref = oracle_L(spec, 2, n_dm(2))
@@ -271,7 +271,7 @@ class TestCouplingGains:
                 mean_field=mode.kind == "mean_field_N",
             )
             T = spec.horizon
-            L, _ = solve_coupling_gains(spec, T, mode)
+            L = solve_coupling_gains(spec, T, mode)
             ref = oracle_L(spec, T, mode)
             scale = 1.0 + np.linalg.norm(ref)
             assert np.linalg.norm(np.stack(L) - ref) < 1e-8 * scale, \
@@ -282,7 +282,7 @@ class TestCouplingGains:
         for mode in (n_dm(2), n_dm(3), mean_field(4), mean_field(2)):
             spec = random_tree_spec(pinned, n=2, T=3, generic_offdiag=True,
                                     mean_field=mode.kind == "mean_field_N")
-            L, _ = solve_coupling_gains(spec, 3, mode)
+            L = solve_coupling_gains(spec, 3, mode)
             assert_nondegenerate(L)
             ref = oracle_L(spec, 3, mode)
             scale = 1.0 + np.linalg.norm(ref)
@@ -301,7 +301,7 @@ class TestCouplingGains:
                 mean_field=mode.kind.startswith("mean_field"),
             )
             T = spec.horizon
-            L, _ = solve_coupling_gains(spec, T, mode)
+            L = solve_coupling_gains(spec, T, mode)
             ref = dense_reference_L(spec, T, mode)
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(np.stack(L) - ref) <= 1e-10 * scale, \
@@ -314,7 +314,7 @@ class TestCouplingGains:
             spec = random_tree_spec(
                 pinned, n=n, m=m, T=T, generic_offdiag=True,
                 mean_field=mode.kind.startswith("mean_field"))
-            L, _ = solve_coupling_gains(spec, T, mode)
+            L = solve_coupling_gains(spec, T, mode)
             assert_nondegenerate(L)
             ref = dense_reference_L(spec, T, mode)
             assert np.linalg.norm(np.stack(L) - ref) <= \
@@ -323,7 +323,7 @@ class TestCouplingGains:
     def test_long_horizon_is_stationary(self, rng):
         """n = m = 4, T = 1024: 16 384 unknowns, far beyond a dense solve."""
         spec = random_tree_spec(rng, n=4, m=4, T=1024)
-        L, _ = solve_coupling_gains(spec, 1024, n_dm(2))
+        L = solve_coupling_gains(spec, 1024, n_dm(2))
         K, _ = solve_k_p(spec, 1024)
         J, grad = policy_cost_gradient(spec, 1024, K, np.stack(L), n_dm(2))
         assert np.max(np.abs(grad)) <= 1e-10 * (1 + abs(J))
@@ -334,7 +334,7 @@ class TestCouplingGains:
         K, _ = solve_k_p(spec, 3)
         res = minimize(lambda v: oracle_cost(spec, 3, K, v, n_dm(2)),
                        np.zeros(3), method="BFGS", tol=1e-14)
-        L, _ = solve_coupling_gains(spec, 3, n_dm(2))
+        L = solve_coupling_gains(spec, 3, n_dm(2))
         assert np.linalg.norm(np.stack(L).ravel() - res.x) < 1e-6
 
     def test_stationarity_finite_difference(self, rng):
@@ -455,7 +455,7 @@ class TestKroneckerReference:
         spec = bench_shaped_spec(np.random.default_rng(1000 * T + 10 * n + m),
                                  n, m, T, mean_field=mode.kind != "n_dm")
         pol = solve_tree(spec, T, mode)
-        K, P, L, G = reference_solve(spec, T, mode)
+        K, P, L = reference_solve(spec, T, mode)
         assert rel_err(pol.P, P) <= 1e-13
         if T == 1:          # K and the optimal L are exactly 0
             assert np.all(pol.K == 0.0) and np.all(pol.L == 0.0)
@@ -463,7 +463,6 @@ class TestKroneckerReference:
             assert rel_err(pol.K, K) <= 1e-13
             assert_nondegenerate(L)
             assert rel_err(pol.L, L) <= 1e-12
-        assert rel_err(pol.G, G) <= 1e-13
 
     @pytest.mark.parametrize("mode", REF_MODES, ids=REF_IDS)
     def test_cost_matches_on_general_offdiag(self, mode):
@@ -488,7 +487,7 @@ class TestKroneckerReference:
                                                    init_offdiag=So))
             T = spec.horizon
             pol = solve_tree(spec, T, mode)
-            K, _, L, _ = reference_solve(spec, T, mode)
+            K, _, L = reference_solve(spec, T, mode)
             assert_nondegenerate(L)
             J, g = policy_cost_gradient(spec, T, pol.K, pol.L, mode)
             J_ref, g_ref = policy_cost_gradient(spec, T, K, L, mode)
@@ -548,7 +547,7 @@ class TestIndependentInitialStates:
         if mode.kind == "mean_field_limit":
             assert np.array_equal(meanfield_limit_policy(spec, 5).L, pol.L)
         assert np.all(pol.L == 0.0)
-        for name in "KPG":
+        for name in "KP":
             assert np.array_equal(getattr(pol, name), getattr(ref, name))
         assert predicted_cost(spec, 5, pol) == \
             pytest.approx(predicted_cost(bare, 5, ref), rel=1e-12)
@@ -649,6 +648,71 @@ class TestPredictedCost:
 
 
 # ---------------------------------------------------------------------------
+# per-agent pricer against the stacked loop
+
+
+def pricer_profiles(rng):
+    """24 random asymmetric profiles (spec, mode, K, L): N from 2 to 8,
+    n, m <= 2, T <= 6, n_dm and mean_field modes (R~ and Q~ nonzero), a
+    generic So (Sigma not symmetric) and an N = 2 spec with
+    init_offdiag = -0.3 init_diag."""
+    out = []
+    for k in range(24):
+        N = int(rng.integers(2, 9)) if k % 3 else 2
+        mf, generic = k % 2 == 1, k % 4 == 2
+        spec = random_tree_spec(rng, n=2 if generic else None,
+                                T=int(rng.integers(2, 7)), n_dm=N,
+                                mean_field=mf, generic_offdiag=generic)
+        if k == 3:
+            spec = replace(spec, noise=replace(
+                spec.noise, init_offdiag=-0.3 * spec.noise.init_diag))
+        K, L = rng.normal(scale=0.4, size=(2, N, spec.horizon, spec.m,
+                                           spec.n))
+        out.append((spec, mean_field(N) if mf else n_dm(N), K, L))
+    return out
+
+
+class TestPerAgentPricer:
+    def test_matches_stacked_reference(self, rng):
+        """tree._price's cost agrees with the stacked 2Nn loop's to 1e-12
+        relative, every entry's gradient g to 1e-12 (1 + |J|) and its
+        curvature h to 1e-12 relative."""
+        profiles = pricer_profiles(rng)
+        assert sum(len(K) >= 3 for _, _, K, _ in profiles) >= 8
+        for spec, mode, K, L in profiles:
+            args = (tree_module._params(spec, mode), K, L, 1.0,
+                    *_coupling_coeffs(mode, len(K)))
+            J, g, h = tree_module._price(*args, want_grad=True)
+            J_ref, g_ref, h_ref = stacked_price(*args)
+            assert tree_module._price(*args)[0] == J
+            assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
+            np.testing.assert_allclose(g, g_ref, rtol=0,
+                                       atol=1e-12 * (1.0 + abs(J_ref)))
+            np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mode", [n_dm(2), mean_field(2),
+                                      mean_field_limit()],
+                             ids=["n_dm", "mean_field", "mean_field_limit"])
+    def test_pair_cost_and_gradient_match_stacked_pair(self, rng, mode):
+        """_cost_and_grad's J and L-gradient, on a batch of schedules,
+        agree with the stacked two-agent loop's to 1e-12."""
+        for _ in range(4):
+            spec = random_tree_spec(rng, T=int(rng.integers(2, 6)),
+                                    mean_field=has_qt(mode),
+                                    generic_offdiag=True, n=2)
+            p = tree_module._params(spec, mode)
+            T, m, n = spec.horizon, spec.m, spec.n
+            K = rng.normal(scale=0.4, size=(T, m, n))
+            L = rng.normal(scale=0.4, size=(3, T, m, n))
+            J, grad = tree_module._cost_and_grad(p, K, L)
+            for Jk, gk, Lk in zip(J, grad, L):
+                J_ref, g_ref = pair_cost_and_grad(p, K, Lk)
+                assert abs(Jk - J_ref) <= 1e-12 * abs(J_ref)
+                np.testing.assert_allclose(gk, g_ref, rtol=0,
+                                           atol=1e-12 * (1.0 + abs(J_ref)))
+
+
+# ---------------------------------------------------------------------------
 # infinite horizon
 
 
@@ -719,7 +783,7 @@ def finite_head_gap(spec, pol):
     """Largest |L_t - L_t^(T)| over the stationary schedule, against the
     finite-horizon optimum at T = 2h + 64 for a schedule of h stages."""
     h = pol.horizon_used
-    L_fin, _ = solve_coupling_gains(spec, 2 * h + 64, pol.mode)
+    L_fin = solve_coupling_gains(spec, 2 * h + 64, pol.mode)
     return max(float(np.linalg.norm(pol.L[t] - L_fin[t])) for t in range(h))
 
 
@@ -821,7 +885,7 @@ class TestInfiniteTree:
         horizon.  A rank-one Q makes Q_k singular, with a nonzero schedule."""
         spec = scalar_tree_spec(A=0.9, Q=0.0)
         pol = solve_infinite_tree(spec)
-        L_fin, _ = solve_coupling_gains(spec, 64, n_dm(2))
+        L_fin = solve_coupling_gains(spec, 64, n_dm(2))
         assert np.all(np.stack(pol.L) == 0.0)
         assert np.all(np.stack(L_fin) == 0.0)
         spec = rotation_spec(rng)
@@ -864,11 +928,10 @@ class TestMeanFieldLimit:
         pol = meanfield_limit_policy(spec, 3)
         assert pol.mode.kind == "mean_field_limit"
         assert len(pol.L) == 3 and len(pol.K) == 3
-        assert np.array_equal(pol.G[0], np.eye(1))
 
     def test_limit_matches_large_n_solution(self):
         spec = scalar_mf_spec(T=3)
         pol = meanfield_limit_policy(spec, 3)
-        L_big, _ = solve_coupling_gains(spec, 3, mean_field(300))
+        L_big = solve_coupling_gains(spec, 3, mean_field(300))
         for a, b in zip(pol.L, L_big):
             assert np.linalg.norm(a - b) < 1e-7
