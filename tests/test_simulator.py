@@ -869,8 +869,8 @@ class TestExactCost:
         scalar_mf_spec(T=3, n_dm=4),
     ], ids=["n_dm2", "n_dm3", "mean_field4"])
     def test_matches_predicted_for_symmetric_policy(self, spec):
-        """The N-agent stacked loop prices the symmetric optimum at the
-        predicted cost, which comes from the exchangeable pair loop."""
+        """The N-agent profile's exact cost is the symmetric optimum's
+        predicted cost, which prices one exchangeable pair."""
         pset, pol = optimal_pset(spec, 3)
         exact = exact_cost_general(spec, pset, 3)
         assert exact == pytest.approx(predicted_cost(spec, 3, pol), rel=1e-12)

@@ -631,8 +631,8 @@ class TestPredictedCost:
 
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_exact_cost_is_the_stacked_form(self, N):
-        """At every N a Tree spec's exact cost, from the pair loop and from
-        the N-agent loop, is the stacked form sum_i (x^i' Q x^i
+        """At every N a Tree spec's exact cost, priced as one pair and as N
+        agents, is the stacked form sum_i (x^i' Q x^i
         + u^i' R u^i) + sum_{i != j} u^i' R~ u^j that the delayed class
         prices, each ordered pair weighed once."""
         spec = random_tree_spec(np.random.default_rng(7), T=3, n_dm=N)
