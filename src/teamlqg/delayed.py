@@ -11,8 +11,8 @@ nothing after them, as in every class (see CostSpec):
     J_T = (1/T) E sum_{t<T} (x_t^T Q x_t + 2 x_t^T S u_t + u_t^T R u_t).
 
 The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
-(Lamperski & Doyle, IEEE TAC 2015), so the exact closed loop runs on the
-zeta alone; the Monte Carlo kernel steps x on its own beside them.
+(Lamperski & Doyle, IEEE TAC 2015), so exact costs run node by node
+(``_node_moments``); the Monte Carlo kernel steps x on its own beside them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
 from .linalg import kron, numerical_rank, spectral_radius, sym
 from .model import Blocked, Delayed, Homogeneous, TeamSpec
-from .moments import ClosedLoop, propagate
 from .riccati import RiccatiError, dare_solve
 
 
@@ -233,28 +232,6 @@ def _trace_cost(spec, graph, values, T):
 # estimator propagation and closed-loop evaluation
 
 
-def _layout(graph: InfoGraph, d: _Stacked):
-    """The node layout shared by the estimator map and the exact loop.
-
-    Node r owns the slices (rows, cols) = blocks[r] of the stacked node
-    controls v and estimator states zeta, in ``graph.nodes`` order, one
-    agent slot per member.  Returns (blocks, Eu, X, H): u = Eu v puts each
-    slot's control on its agent's input, x = X zeta sums each agent's slots
-    over the nodes that contain it, and H loads agent i's x_0^i and w_t^i
-    into its slot of its injection node, so X H = I.
-    """
-    agents = [i for r in graph.nodes for i in r]      # nodes are sorted tuples
-    start = np.cumsum([0] + [len(r) for r in graph.nodes])
-    blocks = {r: (slice(a * d.m, b * d.m), slice(a * d.n, b * d.n))
-              for r, a, b in zip(graph.nodes, start, start[1:])}
-    own = np.equal.outer(np.arange(d.N), agents).astype(float)
-    inject = np.zeros((len(agents), d.N))
-    for i, s in graph.injection_map.items():
-        inject[start[graph.nodes.index(s)] + s.index(i), i] = 1.0
-    return (blocks, kron(own, np.eye(d.m)), kron(own, np.eye(d.n)),
-            kron(inject, np.eye(d.n)))
-
-
 def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
     """The estimator recursion as one linear step of z = (x, all zeta).
 
@@ -264,21 +241,24 @@ def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
 
         z_0 = H x_0,   u_t = G_t[:Nm] z_t,   z_{t+1} = G_t[Nm:] z_t + H w_t.
 
-    This is the node layout of ``_layout`` with the plant state x stacked
-    on top, stepped on its own.  Returns (G, H, cols): G with shape
-    (T, N m + dim, dim), H with shape (dim, N n), and cols mapping each node
-    to its zeta slice of z.
+    Node r owns one agent slot per member, in ``graph.nodes`` order, below
+    the plant state x, which is stepped on its own.  Returns (G, H, cols):
+    G (T, N m + dim, dim), H (dim, N n), cols each node's zeta slice of z.
     """
-    blocks, Eu, _, Hz = _layout(graph, d)
     nx, p = d.N * d.n, d.N * d.m
-    cols = {r: slice(nx + c.start, nx + c.stop) for r, (_, c) in blocks.items()}
-    H = np.vstack([np.eye(nx), Hz])
+    start = nx + d.n * np.cumsum([0] + [len(r) for r in graph.nodes])
+    cols = {r: slice(a, b) for r, a, b in zip(graph.nodes, start, start[1:])}
+    H = np.eye(start[-1], nx)
+    for i, s in graph.injection_map.items():      # nodes are sorted tuples
+        slot = cols[s].start + s.index(i) * d.n
+        H[slot:slot + d.n, i * d.n:(i + 1) * d.n] = np.eye(d.n)
     G = np.zeros((T, p + len(H), len(H)))
     Ku, F = G[:, :p], G[:, p:]
-    for r, (rows, _) in blocks.items():
+    for r in graph.nodes:
         s = graph.successor_map[r]
         K = policy.schedule(r, T)
-        Ku[:, :, cols[r]] = Eu[:, rows] @ K
+        Ku[:, (d.m * np.array(r)[:, None] + np.arange(d.m)).ravel(),
+           cols[r]] = K
         F[:, cols[s], cols[r]] = d.A_sr(s, r) + d.B_sr(s, r) @ K
     F[:, :nx] = d.B @ Ku
     F[:, :nx, :nx] = d.A
@@ -315,52 +295,81 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
             u.transpose(2, 0, 1))
 
 
-def _closed_loop(spec: TeamSpec, policy: GraphPolicy, T: int):
-    """The joint closed loop of all zeta under the node gains.
+def _check_on_graph(d: _Stacked, graph: InfoGraph):
+    """Raises ValueError unless A and B move each node's agents only into
+    its successor's, as x = sum_r I^{.,r} zeta^r needs."""
+    moves = (np.any(d.A.reshape(d.N, d.n, d.N, d.n), axis=(1, 3))
+             | np.any(d.B.reshape(d.N, d.n, d.N, d.m), axis=(1, 3)))
+    if any(np.any(np.delete(moves[:, list(r)], s, axis=0))
+           for r, s in graph.edges):
+        raise ValueError("the dynamics move some node's agents outside its "
+                         "successor, so zeta does not carry the plant state")
 
-    The plant state is the fixed sum x = X zeta (``_layout``), so x and
-    u = Eu v enter only the weights: Cz = X^T Q X, Czv = X^T S Eu,
-    Rv = Eu^T R Eu.  v stacks the node controls K_t^r zeta_t^r, so node r's
-    gain is the block of M_t at (rows, cols) = blocks[r], and zeta^r moves
-    to its successor s through A^{sr} + B^{sr} K_t^r.  Returns (loop,
-    blocks).  A finite-horizon policy runs only at its own horizon.  The sum
-    needs A X = X F0 and B Eu = X Bv (products that only select blocks); a
-    spec whose dynamics break the graph's sparsity, or whose initial states
-    are correlated, raises ValueError.
+
+def _node_moments(spec: TeamSpec, policy: GraphPolicy, T: int,
+                  want_grad=False):
+    """Exact cost of the assembled controller node by node, and on request
+    the person-by-person terms of every node's gains: (J, Z, terms).
+
+    Each x_0^i and w_t^i sits in one node per stage, so with independent
+    initial states different nodes' zeta are uncorrelated (Lamperski &
+    Lessard, Automatica 2015).  Node r, with ``_node_blocks`` against
+    s = succ(r), has F_t^r = A^{sr} + B^{sr} K_t^r, stage weight
+    C_t^r = Q^{rr} + S^{rr} K_t^r + (S^{rr} K_t^r)^T + K_t^{rT} R^{rr} K_t^r
+    and moments Z^r (T, |r|n, |r|n), Sd and then W in each agent's slot of
+    its injection node:
+
+        Z_{t+1}^s = W^s + sum_{r: succ(r) = s} F_t^r Z_t^r F_t^{rT},
+        J = (1/T) sum_{t<T} sum_r tr(C_t^r Z_t^r).
+
+    ``want_grad`` adds each node's (g, h), each (T, |r|m, |r|n), as
+    ``moments.gain_sensitivity`` forms them, from the adjoint
+    P_t^r = C_t^r + F_t^{rT} P_{t+1}^s F_t^r, P_T = 0.  Correlated initial
+    states, or dynamics that move a node's agents outside its successor,
+    raise ValueError.
     """
     _check_independent_initials(spec)
     graph = policy.graph
     d = stacked_data(spec)
-    blocks, Eu, X, H = _layout(graph, d)
-    dim, p = H.shape[0], Eu.shape[1]
-    F0 = np.zeros((dim, dim))
-    Bv = np.zeros((dim, p))
-    M = np.zeros((T, p, dim))
-    for r, (rows, cols) in blocks.items():
-        s = graph.successor_map[r]
-        F0[blocks[s][1], cols] = d.A_sr(s, r)
-        Bv[blocks[s][1], rows] = d.B_sr(s, r)
-        M[:, rows, cols] = policy.schedule(r, T)
-    if not (np.array_equal(d.A @ X, X @ F0)
-            and np.array_equal(d.B @ Eu, X @ Bv)):
-        raise ValueError("the dynamics move some node's agents outside its "
-                         "successor, so zeta does not carry the plant state")
-    # Independent agents: x_0 and the noise have block-diagonal covariances.
-    loop = ClosedLoop(
-        Z0=H @ kron(np.eye(d.N), sym(spec.noise.init_diag)) @ H.T,
-        F0=F0, Bv=Bv, M=M,
-        W=H @ kron(np.eye(d.N), sym(spec.noise.sigma_w)) @ H.T,
-        Cz=X.T @ d.Q @ X, Czv=X.T @ d.S @ Eu, Rv=Eu.T @ d.R @ Eu)
-    return loop, blocks
+    _check_on_graph(d, graph)
+    Z = {r: np.zeros((T, len(r) * d.n, len(r) * d.n)) for r in graph.nodes}
+    for i, s in graph.injection_map.items():
+        Zi = _node_block(s, i, Z[s], d.n)
+        Zi[0], Zi[1:] = sym(spec.noise.init_diag), sym(spec.noise.sigma_w)
+    blocks = {r: _node_blocks(d, r, s) for r, s in graph.edges}
+    K = {r: policy.schedule(r, T) for r in graph.nodes}
+    F = {r: A + B @ K[r] for r, (A, B, *_) in blocks.items()}
+    for t in range(T - 1):
+        for r, s in graph.edges:
+            Z[s][t + 1] += F[r][t] @ Z[r][t] @ F[r][t].T
+    C, cost = {}, 0.0
+    for r, (_, _, Q, R, S) in blocks.items():
+        SK = S @ K[r]
+        C[r] = Q + SK + SK.swapaxes(1, 2) + K[r].swapaxes(1, 2) @ R @ K[r]
+        cost += np.einsum("tij,tji->", C[r], Z[r])
+    if not want_grad:
+        return float(cost) / T, Z, None
+    P = {r: np.zeros((T + 1, *z.shape[1:])) for r, z in Z.items()}
+    for t in range(T - 1, -1, -1):
+        for r, s in graph.edges:
+            P[r][t] = C[r][t] + F[r][t].T @ P[s][t + 1] @ F[r][t]
+    terms = {}
+    for r, s in graph.edges:
+        _, B, _, R, S = blocks[r]
+        BP = B.T @ P[s][1:]
+        g = (2.0 / T) * (S.T + R @ K[r] + BP @ F[r]) @ Z[r]
+        h = (np.diag(R) + np.einsum("tij,ji->ti", BP, B)) / T
+        terms[r] = g, np.einsum("ti,tj->tij", h, np.diagonal(Z[r], 0, 1, 2))
+    return float(cost) / T, Z, terms
 
 
 def closed_loop_cost(spec: TeamSpec, policy: GraphPolicy, T: int | None = None):
-    """Exact expected cost of the assembled controller by propagating the
-    joint covariance of all zeta — independent of the trace formula."""
+    """Exact expected cost of the assembled controller from the per-node
+    moments of zeta (``_node_moments``), independent of the trace form."""
     T = policy.horizon if T is None else T
     if T is None:
         raise ValueError("finite horizon required")
-    return propagate(_closed_loop(spec, policy, T)[0]).cost
+    return _node_moments(spec, policy, T)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +460,15 @@ def solve_delayed_infinite(spec: TeamSpec):
 
 
 def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
-    """Spectral radius of the stationary estimator dynamics over all nodes:
-    the joint loop's map F = F0 + Bv M_0 on all zeta."""
-    loop, _ = _closed_loop(spec, policy, 1)
-    return spectral_radius(loop.F0 + loop.Bv @ loop.M[0])
+    """Spectral radius of the stationary estimator dynamics on all zeta:
+    each zeta^r moves to a larger successor unless r is a self-loop, so with
+    the nodes ordered by size the map is block triangular, its diagonal
+    A^{ss} + B^{ss} K^s at each self-loop node s and 0 elsewhere."""
+    d = stacked_data(spec)
+    _check_on_graph(d, policy.graph)
+    return max(spectral_radius(d.A_sr(s, s)
+                               + d.B_sr(s, s) @ policy.schedule(s, 1)[0])
+               for s in policy.graph.self_loop_nodes())
 
 
 def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:

@@ -176,10 +176,5 @@ def partition(M_full, row_subset, col_subset, n_dm, row_block, col_block):
     cols = sorted(col_subset)
     if any(i < 0 or i >= n_dm for i in rows + cols):
         raise IndexError("DM index out of range")
-    ridx = np.concatenate(
-        [np.arange(i * row_block, (i + 1) * row_block) for i in rows]
-    )
-    cidx = np.concatenate(
-        [np.arange(j * col_block, (j + 1) * col_block) for j in cols]
-    )
-    return M[np.ix_(ridx, cidx)]
+    blocks = M.reshape(n_dm, row_block, n_dm, col_block)[rows][:, :, cols]
+    return blocks.reshape(len(rows) * row_block, len(cols) * col_block)

@@ -1,7 +1,6 @@
 """Exact second moments of a linear closed loop, and their adjoint.
 
-Every closed-loop moment propagation in the package runs here.  It has
-three users:
+It has two users:
 
 - ``tree._price`` prices tree-class profiles: symmetric policies as one
   exchangeable pair (``tree._cost_and_grad``) and N-agent profiles
@@ -10,8 +9,6 @@ three users:
   agent on z^i = (x_t^i, c^i), batched over the agents, with the coupling
   statistic c^i held constant, so every K and L gain is a plain block of
   M_t;
-- ``delayed.closed_loop_cost`` and ``sim.pbp_check`` price delayed-sharing
-  controllers on the estimator states alone, x = X zeta in the weights;
 - ``sim.mft_sweep`` measures the distance between the N-agent and the
   limit mean-field policies on a one-agent loop carrying both, on
   z = (x^N, x^inf, c).

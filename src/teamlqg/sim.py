@@ -23,10 +23,10 @@ The tree-class kernel (``_TreeStepper``) takes one batched matrix product per
 profile and step, from every agent's (x_t, c), a contiguous row per entry,
 to its control and next state.  The graph-class kernel steps
 z = (x, all zeta) of shape (dim, R) by a map built once per call from the
-estimator recursion (``delayed.estimator_map``), not from the exact-cost
-closed loop.  That loop runs on the zeta alone and reads the plant state as
-the fixed sum x = X zeta; the kernel steps the true x on its own, so Monte
-Carlo stays an independent check of the loop and of that sum.
+estimator recursion (``delayed.estimator_map``).  The exact cost runs node
+by node on the zeta alone (``delayed._node_moments``) and reads the plant
+state as their sum; the kernel steps the true x on its own, so Monte Carlo
+stays an independent check of that pricer and of that sum.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import delayed as _delayed
 from . import tree as _tree
 from .linalg import kron
 from .model import Delayed, TeamSpec, conditional_gain
-from .moments import ClosedLoop, gain_sensitivity, propagate
+from .moments import ClosedLoop, propagate
 from .rng import BLOCK, PrimitiveSampler
 from .tree import (
     Population,
@@ -472,12 +472,12 @@ def pbp_check(spec: TeamSpec, policies, T: int):
         J(s) = J + g s + h s^2,
 
     where g is the partial derivative of J in the entry and h its
-    curvature, nonnegative for a convex cost (``moments.gain_sensitivity``:
-    one forward covariance pass and one adjoint pass give g and h of every
-    entry at once).  The better of the moves +/-step lowers the cost by
-    |g| step - h step^2, and the check returns the largest such decrease
-    over the entries of every agent's K and L (or every node's gain) on a
-    state that is not identically zero, the value a +/-step loop
+    curvature, nonnegative for a convex cost (``moments.gain_sensitivity``,
+    ``delayed._node_moments``: one forward pass and one adjoint pass give g
+    and h of every entry at once).  The better of the moves +/-step lowers
+    the cost by |g| step - h step^2, and the check returns the largest such
+    decrease over the entries of every agent's K and L (or every node's
+    gain) on a state that is not identically zero, the value a +/-step loop
     re-evaluating the cost would find up to rounding.  At a person-by-person
     stationary policy every g vanishes, so the value is at most zero up to
     rounding; a clearly positive value flags a policy that some single
@@ -510,17 +510,6 @@ def _pbp_worst(spec: TeamSpec, policies, T: int):
     return (0.0 if best == -np.inf else best), where, cost
 
 
-def _pbp_terms(loop: ClosedLoop, blocks):
-    """({name: (g, h)}, J) for each named (rows, cols) block of the loop's
-    gains M: g and h of every entry of the block, each (T, rows, cols), and
-    the loop's exact cost J."""
-    mom = propagate(loop)
-    G, H = gain_sensitivity(loop, mom)
-    Zd = np.diagonal(mom.Z, axis1=1, axis2=2)
-    return {name: (G[:, rows, cols], H[:, rows, None] * Zd[:, None, cols])
-            for name, (rows, cols) in blocks.items()}, mom.cost
-
-
 def _pbp_tree(spec, pset, T):
     """pbp terms of every agent's K and L, the x_t^i and c^i columns of its
     gains (``tree._price``), and the profile's exact cost."""
@@ -537,10 +526,9 @@ def _pbp_graph(spec, policies, T):
     pol = policies.policy
     if pol.horizon is None:
         raise ValueError("finite-horizon graph policy required")
-    loop, blocks = _delayed._closed_loop(spec, pol, T)
-    label = lambda r: "{" + ",".join(str(i + 1) for i in sorted(r)) + "}"
-    return _pbp_terms(loop, {(f"node {label(r)}", "gain"): b
-                             for r, b in blocks.items()})
+    cost, _, terms = _delayed._node_moments(spec, pol, T, want_grad=True)
+    return {(f"node {{{_delayed.node_key(r)}}}", "gain"): gh
+            for r, gh in terms.items()}, cost
 
 
 def certainty_equivalence_check(spec: TeamSpec, policies: TreePolicySet,

@@ -138,17 +138,41 @@ MUTANTS = (
            "_prefix(fill, N * n).T",
            "fill[:, :N * n].T",
            (MFT + "test_mc_cost_is_rollout_costs_mean",)),
-    Mutant("first node's X block dropped in delayed._layout", DELAYED,
-           "kron(own, np.eye(d.n))",
-           "kron(own * (np.arange(len(agents)) >= len(graph.nodes[0])), "
-           "np.eye(d.n))",
-           (ZETA + "test_matches_x_zeta_reference",)),
-    Mutant("injection loading in every node of agent i in delayed._layout",
+    Mutant("first node's stage cost dropped from delayed._node_moments",
            DELAYED,
-           "inject[start[graph.nodes.index(s)] + s.index(i), i] = 1.0",
-           "inject[[start[k] + r.index(i) for k, r in "
-           "enumerate(graph.nodes) if i in r], i] = 1.0",
-           (ZETA + "test_matches_x_zeta_reference",)),
+           'cost += np.einsum("tij,tji->", C[r], Z[r])',
+           'cost += (r != graph.nodes[0]) * np.einsum("tij,tji->", C[r], '
+           'Z[r])',
+           (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
+    Mutant("agent i's x_0 and noise loaded into every node that contains i "
+           "in delayed._node_moments", DELAYED,
+           "        Zi = _node_block(s, i, Z[s], d.n)\n"
+           "        Zi[0], Zi[1:] = ",
+           "        for s in [q for q in graph.nodes if i in q]:\n"
+           "            Zi = _node_block(s, i, Z[s], d.n)\n"
+           "            Zi[0], Zi[1:] = ",
+           (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
+    Mutant("first node's zeta routed to the wrong successor in "
+           "delayed._node_moments' forward pass", DELAYED,
+           "            Z[s][t + 1] += F[r][t] @ Z[r][t] @ F[r][t].T\n",
+           "            if r == graph.nodes[0]:\n"
+           "                s = graph.nodes[graph.nodes.index(s) - 1]\n"
+           "            Z[s][t + 1] += F[r][t] @ Z[r][t] @ F[r][t].T\n",
+           (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
+    Mutant("(S^{rr} K)^T dropped from C^r in delayed._node_moments",
+           DELAYED,
+           "SK + SK.swapaxes(1, 2)",
+           "SK + SK",
+           (ZETA + "test_matches_x_zeta_reference[pair-2]",)),
+    Mutant("F P F^T written for F^T P F in delayed._node_moments' adjoint",
+           DELAYED,
+           "F[r][t].T @ P[s][t + 1] @ F[r][t]",
+           "F[r][t] @ P[s][t + 1] @ F[r][t].T",
+           (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
+    Mutant("sign of Q~ flipped in delayed.stacked_data", DELAYED,
+           "kron(off, spec.cost.q_tilde_or_zero(n))",
+           "-kron(off, spec.cost.q_tilde_or_zero(n))",
+           (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
     Mutant("verify's symmetrization gap against the permuted row", SIM,
            "_symmetrization_stats(orig, symm))",
            "_symmetrization_stats(perm, symm))",
@@ -158,8 +182,7 @@ MUTANTS = (
            MOMENTS,
            "CM + CM.swapaxes(-1, -2)",
            "CM + CM",
-           (CHECKS + "test_pbp_matches_reference_on_graph_policies"
-            "[pair-n2-S]",)),
+           (ZETA + "test_matches_x_zeta_reference[pair-2]",)),
     Mutant("F^T P F written as F P F^T in moments.gain_sensitivity", MOMENTS,
            "F[t].swapaxes(-1, -2) @ P[t + 1] @ F[t]",
            "F[t] @ P[t + 1] @ F[t].swapaxes(-1, -2)",
@@ -184,7 +207,7 @@ MUTANTS = (
            "noise=replace(spec.noise, family=spec.noise.family))",
            ("tests/test_cli.py::TestCommands::"
             "test_verify_draws_solves_and_prices_once",)),
-    Mutant("correlated initial states priced by delayed._closed_loop",
+    Mutant("correlated initial states priced by delayed._node_moments",
            DELAYED,
            "    _check_independent_initials(spec)\n    graph = policy.graph\n",
            "    graph = policy.graph\n",
@@ -195,6 +218,11 @@ MUTANTS = (
            "theta[np.union1d(k, (grid - k) % grid)]",
            "theta[k]",
            (RANK + "test_mirrored_marginal_pairs_match_reference[720]",)),
+    Mutant("cost-block factor transposed in delayed._rank_condition",
+           DELAYED,
+           "M[:, nn:] = (V * sv).T",
+           "M[:, nn:] = V * sv",
+           (RANK + "test_rotated_singular_cost_block",)),
     Mutant("PSD cost block certified by its largest singular value in "
            "delayed._rank_condition", DELAYED,
            "if sv[0] > 2.0",

@@ -476,6 +476,18 @@ class TestRankGrid:
         monkeypatch.setattr("teamlqg.delayed.numerical_rank", no_sweep)
         assert [_rank_condition(d, s) for d, s in nodes] == reference
 
+    def test_rotated_singular_cost_block(self):
+        """A singular cost block whose eigenvectors are not the axes: the
+        state cost Q = w w^T, w = R_o e_2, leaves the mode at z = 1 along
+        R_o e_1 unobserved, which both the batched test and the reference
+        find at theta = 0 and nowhere else."""
+        c, s = np.cos(0.6), np.sin(0.6)
+        Ro = np.array([[c, -s], [s, c]])
+        w = Ro[:, 1:]
+        spec = replace(marginal_spec(Ro @ np.diag([1.0, 0.5]) @ Ro.T),
+                       cost=CostSpec(Q=w @ w.T, R=[[1.0]]))
+        assert self._both(spec) == ([[0.0]], [[0.0]])
+
     @pytest.mark.parametrize("grid", [720, 9])
     def test_mirrored_marginal_pairs_match_reference(self, grid):
         """Singular cost blocks sweep half the grid and mirror k to

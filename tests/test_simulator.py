@@ -46,7 +46,7 @@ from teamlqg.tree import (
 )
 from teamlqg.delayed import (
     GraphPolicy,
-    _closed_loop,
+    _node_moments,
     closed_loop_cost,
     closed_loop_radius,
     simulate_estimator,
@@ -288,9 +288,11 @@ def reference_estimator(graph, policy, spec, x0, w):
 
 
 def reference_closed_loop(spec, policy, T):
-    """delayed._closed_loop on z = (x, all zeta): the plant state rides
-    beside the estimator states under the open-loop A, and only its block
-    is weighted.  Returns (loop, blocks) like it, blocks offset by N n."""
+    """The exact loop of a graph policy on z = (x, all zeta): the plant state
+    rides beside the estimator states under the open-loop A, and only its
+    block is weighted, by the team cost built from the spec's fields.
+    Returns (loop, blocks), blocks mapping each node to its (rows, cols) of
+    the gains M, cols offset by N n."""
     graph = policy.graph
     d = stacked_data(spec)
     Eu, Wload = reference_embeddings(graph, d)
@@ -319,17 +321,32 @@ def reference_closed_loop(spec, policy, T):
         Bv[blocks[s][1], rows] = d.B_sr(s, r)
         for t in range(T):
             M[t, rows, cols] = policy.schedule(r, T)[t]
+    c, eye, off = spec.cost, np.eye(N), np.ones((N, N)) - np.eye(N)
+    Q = np.kron(eye, c.Q) + np.kron(off, c.q_tilde_or_zero(n))
+    R = np.kron(eye, c.R) + np.kron(off, c.r_tilde_or_zero(m))
+    S = np.kron(eye, c.s_or_zero(n, m))
     Eu_all = np.hstack([Eu[r] for r in graph.nodes])
     Cz = np.zeros((dim, dim))
-    Cz[x, x] = d.Q
+    Cz[x, x] = Q
     Czv = np.zeros((dim, p))
-    Czv[x] = d.S @ Eu_all
+    Czv[x] = S @ Eu_all
     loop = ClosedLoop(
         Z0=H @ np.kron(np.eye(N), sym(spec.noise.init_diag)) @ H.T,
         F0=F0, Bv=Bv, M=M,
         W=H @ np.kron(np.eye(N), sym(spec.noise.sigma_w)) @ H.T,
-        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ d.R @ Eu_all)
+        Cz=Cz, Czv=Czv, Rv=Eu_all.T @ R @ Eu_all)
     return loop, blocks
+
+
+def reference_pbp_terms(loop, blocks):
+    """({name: (g, h)}, J) for each named (rows, cols) block of the loop's
+    gains M: g and h of every entry of the block, each (T, rows, cols), from
+    ``moments.gain_sensitivity``, and the loop's exact cost J."""
+    mom = propagate(loop)
+    G, H = gain_sensitivity(loop, mom)
+    Zd = np.diagonal(mom.Z, axis1=1, axis2=2)
+    return {name: (G[:, rows, cols], H[:, rows, None] * Zd[:, None, cols])
+            for name, (rows, cols) in blocks.items()}, mom.cost
 
 
 def reference_graph_costs(spec, policy, x0, w):
@@ -712,17 +729,19 @@ LINKED_DELAYS = {
               [None, 1, 0, 1], [1, None, 1, 0]],
     "pair": [[0, 1], [1, 0]],
     "zero-link": [[0, 0, None], [1, 0, 1], [None, 1, 0]],
+    "ring6": [[0 if i == j else 1 if (i - j) % 6 in (1, 5) else None
+               for j in range(6)] for i in range(6)],
 }
 
 
 class TestZetaLoop:
-    """delayed._closed_loop runs on the estimator states alone, with
-    x = X zeta folded into its weights; it must price every policy as the
-    (x, all zeta) loop does."""
+    """delayed._node_moments prices a graph policy node by node, on the
+    estimator states alone; it must price every policy as the (x, all zeta)
+    loop does."""
 
     @pytest.mark.parametrize("graph, n", [
         ("full3", 1), ("chain4", 1), ("ring4", 1), ("pair", 2),
-        ("zero-link", 2)])
+        ("zero-link", 2), ("ring6", 1)])
     def test_matches_x_zeta_reference(self, rng, graph, n):
         """Cost, every node's pbp (g, h) block (g on the scale 1 + |J|) and
         the stationary radius agree with the reference to 1e-12 relative,
@@ -744,17 +763,15 @@ class TestZetaLoop:
                      for r, gs in pol.gains.items()}
             policies += [pol, replace(pol, gains=gains)]
         for pol in policies:
-            loop, blocks = _closed_loop(spec, pol, T)
+            J, _, got = _node_moments(spec, pol, T, want_grad=True)
             ref, ref_blocks = reference_closed_loop(spec, pol, T)
-            assert loop.F0.shape[0] == ref.F0.shape[0] - spec.n_dm * n
-            J, J_ref = propagate(loop).cost, propagate(ref).cost
+            want, J_ref = reference_pbp_terms(ref, ref_blocks)
             assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
-            got, J_got = sim._pbp_terms(loop, blocks)
-            want, _ = sim._pbp_terms(ref, ref_blocks)
-            assert J_got == J
+            assert _node_moments(spec, pol, T)[0] == J
             # g vanishes at solved gains, so it is judged on J's scale.
             h_scale = max(np.abs(h).max() for _, h in want.values())
-            for r in blocks:
+            assert list(got) == list(want)
+            for r in got:
                 for k, scale in ((0, 1.0 + abs(J_ref)), (1, h_scale)):
                     np.testing.assert_allclose(got[r][k], want[r][k], rtol=0,
                                                atol=1e-12 * scale)
@@ -765,7 +782,8 @@ class TestZetaLoop:
 
     def test_off_graph_dynamics_raise(self, rng):
         """On a chain, agent 4's state entering agent 1's dynamics breaks
-        x = X zeta; the exact loop refuses the spec instead of pricing it."""
+        x = sum_r zeta^r; the exact loop refuses the spec instead of pricing
+        it."""
         spec = linked_delayed_spec(rng, LINKED_DELAYS["chain4"], 1, 1, 3)
         pol, _ = solve_delayed_finite(spec, 3)
         A = [list(row) for row in spec.dynamics.A_blocks]
@@ -1111,13 +1129,13 @@ class TestStructuralChecks:
         pol, _ = solve_delayed_finite(spec, T)
         value, (holder, t, gain, (_, col), _), _ = sim._pbp_worst(
             spec, GraphPolicySet(policy=pol), T)
-        loop, blocks = _closed_loop(spec, pol, T)
-        var = np.diagonal(propagate(loop).Z, axis1=1, axis2=2)
-        full = max(blocks, key=len)
-        assert np.all(var[0, blocks[full][1]] == 0.0)
-        node = next(r for r in blocks if holder == "node {" + ",".join(
+        var = {r: np.diagonal(Z, axis1=1, axis2=2)
+               for r, Z in _node_moments(spec, pol, T)[1].items()}
+        full = max(var, key=len)
+        assert np.all(var[full][0] == 0.0)
+        node = next(r for r in var if holder == "node {" + ",".join(
             str(i + 1) for i in r) + "}")
-        assert gain == "gain" and var[t, blocks[node][1]][col] > 0.0
+        assert gain == "gain" and var[node][t, col] > 0.0
         assert value < 0.0
         still = replace(spec, noise=replace(spec.noise, sigma_w=[[0.0]],
                                             init_diag=[[0.0]]))
@@ -1128,7 +1146,8 @@ class TestStructuralChecks:
     def test_gain_curvature_matches_diagonal_of_product(self, rng):
         """gain_sensitivity's H_t equals (1/T) diag(Rv + Bv^T P_{t+1} Bv)
         formed as a full product, to 1e-14 relative, on random stacked tree
-        loops, graph loops and the agents of a loop batched over agents,
+        loops, the (x, zeta) reference loops of graph policies and the
+        agents of a loop batched over agents,
         whose every moment, cost, G and H equal each agent's unbatched
         call's to 1e-14 relative."""
         loops = []
@@ -1164,7 +1183,7 @@ class TestStructuralChecks:
                         [None, 1, 0, 1], [None, None, 1, 0]]):
             spec = linked_delayed_spec(rng, delays, 2, 1, 3)
             pol, _ = solve_delayed_finite(spec, 3)
-            loops.append(_closed_loop(spec, pol, 3)[0])
+            loops.append(reference_closed_loop(spec, pol, 3)[0])
         for loop in loops:
             mom = propagate(loop)
             T, P = loop.horizon, np.zeros_like(loop.F0)
