@@ -289,7 +289,7 @@ def cmd_solve_tree_inf(args):
     print(f"value matrix P = {pol.P.ravel().tolist()}")
     print(f"average cost = {pol.average_cost:.12g}")
     print(f"closed-loop spectral radius = {pol.closed_loop_radius:.6g}")
-    print(f"coupling decay horizon = {pol.decay_horizon}")
+    print(f"coupling schedule below 1e-8 from stage {pol.horizon_used}")
     return {"policy": pol.as_dict()}
 
 

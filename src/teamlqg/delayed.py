@@ -173,8 +173,8 @@ def _node_blocks(d: _Stacked, r, s):
     return d.A_sr(s, r), d.B_sr(s, r), d.Q_rr(r), d.R_rr(r), d.S_rr(r)
 
 
-def _node_step(blocks, X_next):
-    """One backward Riccati step at a node with ``_node_blocks`` blocks
+def _node_step(r, blocks, X_next):
+    """One backward Riccati step at node r with ``_node_blocks`` blocks
     against its successor's value X_next."""
     A, B, Q, R, S = blocks
     G = R + B.T @ X_next @ B
@@ -202,7 +202,7 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
         for r in graph.nodes:
             s = graph.successor_map[r]
             try:
-                values[r][t], gains[r][t] = _node_step(blocks[r],
+                values[r][t], gains[r][t] = _node_step(r, blocks[r],
                                                        values[s][t + 1])
             except NodeRecursionError as exc:
                 raise NodeRecursionError(f"{exc} at stage {t}") from exc
@@ -447,7 +447,8 @@ def solve_delayed_infinite(spec: TeamSpec):
     for r in sorted(graph.nodes, key=lambda r: len(graph.chain(r))):
         if r not in values:
             s = graph.successor_map[r]
-            values[r], gains[r] = _node_step(_node_blocks(d, r, s), values[s])
+            values[r], gains[r] = _node_step(r, _node_blocks(d, r, s),
+                                              values[s])
 
     policy = GraphPolicy(graph=graph, horizon=None,
                          gains={r: gains[r] for r in graph.nodes},

@@ -10,8 +10,9 @@ which the covariances of the coupling statistic split into n independent
 n-dimensional LQ problems on (A, B).  One backward recursion, batched over
 the team's weights and the n modes', gives K_t, P_t and every mode's
 feedback, and two batched passes give L_t, in O(T n^4) time; at the
-infinite horizon the same modes take one DARE each, one stacked Stein
-equation and one forward pass.  ``_price`` gives the exact cost of any
+infinite horizon the same modes take one DARE each and one stacked Stein
+equation, which give the schedule exactly as a linear realization
+L_t = C G^t z0 on 3n^2 states.  ``_price`` gives the exact cost of any
 tree-class profile, and its gradient, from one loop per agent in O(N T n^3)
 time; a symmetric schedule is priced as one exchangeable pair, weighed as
 ``cost_weights`` states (see CostSpec).
@@ -486,19 +487,29 @@ def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
 @dataclass(frozen=True)
 class InfiniteTreePolicy:
     """Stationary policy u_t^i = K x_t^i + L_t c^i, K (m, n), P (n, n).  The
-    coupling schedule L has shape (horizon_used, m, n), (0, m, n) without
-    R_tilde, and ends where L_t, M_t and y_t have all decayed below
-    DECAY_TOL (L_t = 0 after it); ``decay_horizon`` is the first stage of
-    its tail below DECAY_TOL."""
+    coupling schedule is stored as its exact realization L_t = C G^t z0
+    (``L``), G (3n^2, 3n^2), C (mn, 3n^2), z0 (3n^2,); without R_tilde the
+    realization is empty and L_t = 0.  ``horizon_used`` is the first stage t
+    whose tail energy sum_{s >= t} |L_s|^2 = z_t' X z_t is below 1e-16, X the
+    observability Gramian of (G, C), so |L_s| < 1e-8 for every s >= t."""
 
     mode: Population
     K: np.ndarray
     P: np.ndarray
-    L: np.ndarray
-    decay_horizon: int
+    G: np.ndarray
+    C: np.ndarray
+    z0: np.ndarray
     horizon_used: int
     average_cost: float
     closed_loop_radius: float
+
+    def L(self, T):
+        """The first T stages of the coupling schedule, shape (T, m, n)."""
+        L, z = np.empty((T, self.C.shape[0])), self.z0
+        for t in range(T):
+            L[t] = self.C @ z
+            z = self.G @ z
+        return L.reshape(T, *self.K.shape)
 
     def as_dict(self):
         return {
@@ -507,16 +518,13 @@ class InfiniteTreePolicy:
             "mode_n": self.mode.n,
             "K": self.K.tolist(),
             "P": self.P.tolist(),
-            "L": self.L.tolist(),
-            "decay_horizon": self.decay_horizon,
+            "G": self.G.tolist(),
+            "C": self.C.tolist(),
+            "z0": self.z0.tolist(),
             "horizon_used": self.horizon_used,
             "average_cost": self.average_cost,
             "closed_loop_radius": self.closed_loop_radius,
         }
-
-
-DECAY_TOL = 1e-8      # the stationary schedule ends where L, M, y are below
-STAGE_CAP = 1 << 16   # stage bound of its forward pass
 
 
 def solve_infinite_tree(spec: TeamSpec,
@@ -524,7 +532,7 @@ def solve_infinite_tree(spec: TeamSpec,
     """Stationary K from the algebraic Riccati equation and the exact
     stationary coupling schedule (``_stationary_schedule``).  Raises
     RiccatiError when A + B K is unstable, CouplingSystemError when the
-    coupling sweep is not strictly convex, unsolvable, or not decayed."""
+    coupling sweep is not strictly convex or unsolvable."""
     mode = default_mode(spec) if mode is None else mode
     if mode.kind != "n_dm":
         raise ValueError("infinite-horizon solve supports n_dm modes")
@@ -537,32 +545,35 @@ def solve_infinite_tree(spec: TeamSpec,
     a, _, _, _ = cost_weights(mode)
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
-    L = np.zeros((0, spec.m, spec.n))
+    G, C, z0 = np.zeros((0, 0)), np.zeros((spec.m * spec.n, 0)), np.zeros(0)
     if np.any(spec.cost.r_tilde_or_zero(spec.m)):
         # with K stationary, Q~ alone gives L = 0, so only R~ needs a schedule
         p = _params(spec, mode)
         if p.coupled:
-            L = _stationary_schedule(p, sol.K, radius)
-    live = np.flatnonzero(~(np.linalg.norm(L, axis=(1, 2)) < DECAY_TOL))
-    decay_horizon = int(live[-1]) + 1 if live.size else 0
-    return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, L=L,
-                              decay_horizon=decay_horizon,
-                              horizon_used=len(L), average_cost=avg_cost,
+            G, C, z0 = _stationary_schedule(p, sol.K)
+    t = 0
+    if z0.size:
+        # rho(G) < 1: A + B K is stable and so is every mode's A + B F_j
+        X, z = stein_solve(G.T, C.T @ C, G), z0
+        while z @ X @ z >= 1e-16:
+            z, t = G @ z, t + 1
+    return InfiniteTreePolicy(mode=mode, K=sol.K, P=sol.P, G=G, C=C, z0=z0,
+                              horizon_used=t, average_cost=avg_cost,
                               closed_loop_radius=radius)
 
 
-def _stationary_schedule(p: _Params, K, radius):
+def _stationary_schedule(p: _Params, K):
     """The coupling problem of ``_solve`` at the infinite horizon with K
-    stationary, in the same modes (``_modes``, without 1/T).
+    stationary, in the same modes (``_modes``, without 1/T), as the
+    realization (G, C, z0) of L_t = C G^t z0.
 
     Mode j's value P_j solves the DARE of (A, B, Q_j, R_j), with pivot
     H_j = R_j + B' P_j B and feedback F_j.  Its affine terms are Sy y_t and
     Ry y_t in y_t = (Yd_t w_j, Yo_t w_j), with y_{t+1} = Ay y_t, so its
     co-state is X_j y_t, where X_j = Psi_j + Phi_j' X_j Ay with
-    Phi_j = A + B F_j and Psi_j = Sy + F_j' Ry.  The forward pass from
-    M'_0 = 0 steps all modes as one flat state, reads L_t and
-    z_t = (M_t, Yd_t, Yo_t) in the original coordinates (M = M' W',
-    Y = Y' U'), and ends at the first stage where both are below DECAY_TOL.
+    Phi_j = A + B F_j and Psi_j = Sy + F_j' Ry.  The state stacks every
+    mode's (M'_t e_j, y_t) from M'_0 = 0, and C reads L_t in the original
+    coordinates (L = L' W').
     """
     n, m = p.B.shape
     last = "the last stage of every horizon"
@@ -589,24 +600,9 @@ def _stationary_schedule(p: _Params, K, radius):
     G[j, :n, j, :n] = Phi
     G[j, :n, j, n:] = p.B @ E
     G[j, n:, j, n:] = Ay
-    G = G.reshape(3 * n * n, 3 * n * n)
-    # read-out of (vec L_t, vec M_t, vec Yd_t, vec Yo_t) from the flat state
-    CL = np.einsum("jra,cj->rcja", np.concatenate([F - K, E], axis=2), W)
-    Cz = np.einsum("bra,bcj->brcja", np.eye(3 * n).reshape(3, n, 3 * n),
-                   np.stack([W, U, U]))
-    C = np.vstack([CL.reshape(m * n, -1), Cz.reshape(3 * n * n, -1)])
-    x = np.hstack([np.zeros((n, n)), *(Y0 @ W).swapaxes(1, 2)]).ravel()
-    L = []
-    for t in range(STAGE_CAP):
-        o = C @ x
-        L.append(o[:m * n])
-        if max(L[t] @ L[t], o[m * n:] @ o[m * n:]) < DECAY_TOL**2:
-            return np.reshape(L, (-1, m, n))
-        x = G @ x
-    raise CouplingSystemError(
-        f"coupling schedule not below {DECAY_TOL:.0e} at stage {t} (|L_t| = "
-        f"{np.linalg.norm(L[t]):.3e}); spectral radii {radius:.6g} of A + B K"
-        f" and {max(map(spectral_radius, Phi)):.6g} of the modes' A + B F_j")
+    C = np.einsum("jra,cj->rcja", np.concatenate([F - K, E], axis=2), W)
+    z0 = np.hstack([np.zeros((n, n)), *(Y0 @ W).swapaxes(1, 2)]).ravel()
+    return G.reshape(3 * n * n, -1), C.reshape(m * n, -1), z0
 
 
 # ---------------------------------------------------------------------------

@@ -112,17 +112,16 @@ def coupling_sweep(p, K):
     return L
 
 
-def reference_stationary_schedule(p, K, radius):
-    """The stationary coupling schedule L (horizon_used, m, n) of the sweep
-    at the infinite horizon with K stationary, as ``tree.solve_infinite_tree``
-    uses it.
+def reference_stationary_schedule(p, K, T):
+    """The first T stages (T, m, n) of the stationary coupling schedule L of
+    the sweep at the infinite horizon with K stationary, as
+    ``tree.solve_infinite_tree`` realizes it.
 
     Its value Pk solves the DARE of (Ak, Bk, Qk, Rk), with pivot
     H = Rk + Bk^T Pk Bk and feedback F.  Its affine terms are Sy y_t and
     Ry y_t in y_t = (vec Yd_t, vec Yo_t), with y_{t+1} = Ay y_t, so its
     co-state is X y_t, where X = Psi + Phi^T X Ay with Phi = Ak + Bk F and
-    Psi = Sy + F^T Ry.  The forward pass from M_0 = 0 ends at the first
-    stage where |L_t| and |(M_t, y_t)| are below DECAY_TOL.
+    Psi = Sy + F^T Ry.  The forward pass starts from M_0 = 0.
     """
     n, m = p.B.shape
     I = np.eye(n)
@@ -144,11 +143,8 @@ def reference_stationary_schedule(p, K, radius):
     E = -Hinv @ (Ry + Bk.T @ X @ Ay)
     G = np.block([[Ak + Bk @ F, Bk @ E], [np.zeros((2 * n * n, n * n)), Ay]])
     C = np.hstack([F - kron(K, I), E])
-    z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), []
-    for t in range(tree.STAGE_CAP):
-        L.append(C @ z)
-        if max(L[t] @ L[t], z @ z) < tree.DECAY_TOL**2:
-            return np.reshape(L, (-1, m, n))
+    z, L = np.concatenate([np.zeros(n * n), Y0.ravel()]), np.empty((T, m * n))
+    for t in range(T):
+        L[t] = C @ z
         z = G @ z
-    raise tree.CouplingSystemError(
-        f"coupling schedule not below {tree.DECAY_TOL:.0e} at stage {t}")
+    return L.reshape(T, m, n)

@@ -84,10 +84,14 @@ MUTANTS = (
            "*(Y0 @ W).swapaxes(1, 2)]",
            "(Y0[0] @ W).T, 0 * (Y0[1] @ W).T]",
            (INFINITE + "test_closed_form_matches_long_finite_head",)),
-    Mutant("stationary stopping norms read in whitened coordinates", TREE,
-           "np.stack([W, U, U])",
-           "np.stack([np.eye(n)] * 3)",
-           (INFINITE + "test_schedule_matches_kronecker_reference[bench]",)),
+    Mutant("certified tail energy threshold 1e-16 raised to 1e-12", TREE,
+           "while z @ X @ z >= 1e-16:",
+           "while z @ X @ z >= 1e-12:",
+           (INFINITE + "test_schedule_matches_kronecker_reference[head]",)),
+    Mutant("InfiniteTreePolicy.L steps z before reading L_t", TREE,
+           "L[t] = self.C @ z\n            z = self.G @ z",
+           "z = self.G @ z\n            L[t] = self.C @ z",
+           (INFINITE + "test_schedule_matches_kronecker_reference[head]",)),
     Mutant("every d_j replaced by 1 in tree._modes' mode weights", TREE,
            "dj = d[:, None, None]",
            "dj = np.ones_like(d)[:, None, None]",

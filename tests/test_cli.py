@@ -240,9 +240,11 @@ class TestCommands:
                      ["solve-ndm", "--n", "3"], ["solve-mf"]):
             assert main([args[0], spec_path, *args[1:],
                          "--out", pol_path]) == EXIT_OK, args[0]
-            report = json.loads(open(pol_path).read())
-            if "policy" in report:
-                assert not np.any(report["policy"]["L"]), args[0]
+            policy = json.loads(open(pol_path).read()).get("policy", {})
+            if "L" in policy:
+                assert not np.any(policy["L"]), args[0]
+            elif "z0" in policy:   # stationary: an empty realization
+                assert policy["z0"] == [] and policy["horizon_used"] == 0
 
     def test_solve_delayed_round_trip(self, tmp_path):
         spec_path = write_spec(tmp_path, DELAYED)
@@ -736,6 +738,17 @@ class TestExitCodes:
             tree.solve_infinite_tree(load_spec(spec_path))
         assert calls == [(1, 1), (1, 1)]
         assert main(["solve-tree-inf", spec_path]) == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("r_tilde", [2.0, 1.01])
+    def test_indefinite_delayed_node_exits_2(self, tmp_path, capsys,
+                                             r_tilde):
+        """A node whose inner matrix is indefinite is a named numerical
+        failure of solve-delayed."""
+        data = json.loads(json.dumps(DELAYED))
+        data["cost"]["R_tilde"] = [[r_tilde]]
+        assert main(["solve-delayed",
+                     write_spec(tmp_path, data)]) == EXIT_NUMERICAL
+        assert "node {1, 2} at stage 2" in capsys.readouterr().err
 
     def test_unstable_delayed_estimator_raises_and_exits_2(self, tmp_path,
                                                             monkeypatch):

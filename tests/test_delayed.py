@@ -9,6 +9,7 @@ import pytest
 
 from teamlqg.delayed import (
     GraphPolicy,
+    NodeRecursionError,
     _rank_condition,
     average_cost,
     closed_loop_cost,
@@ -152,6 +153,16 @@ class TestFiniteHorizon:
         for r in p5.graph.nodes:
             for t in range(6):
                 assert np.abs(p6.values[r][t + 1] - p5.values[r][t]).max() < 1e-12
+
+    @pytest.mark.parametrize("r_tilde", [2.0, 1.01])
+    def test_indefinite_inner_matrix_names_node_and_stage(self, r_tilde):
+        """R~ > R makes the joint node's R^{rr} indefinite, so the last
+        stage's inner matrix is: the error names the node and the stage."""
+        spec = coupled_delayed_spec_2dm(T=3)
+        spec = replace(spec, cost=replace(spec.cost, R_tilde=[[r_tilde]]))
+        with pytest.raises(NodeRecursionError,
+                           match=r"at node \{1, 2\} at stage 2$"):
+            solve_delayed_finite(spec, 3)
 
     def test_gain_equivariance_at_symmetric_nodes(self):
         """Exchangeable blocked spec: the singleton nodes' gains coincide."""

@@ -56,6 +56,11 @@ class TestRiccatiStep:
         assert np.array_equal(P, P.T)
         assert is_psd(P)
 
+    def test_singular_pivot_raises(self):
+        """B = R = 0: R + B' P B = 0 has no inverse."""
+        with pytest.raises(RiccatiError, match="not invertible"):
+            riccati_step([[1.0]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
+
     def test_monotone_from_zero(self, rng):
         """Iterating from P=0 is nondecreasing in the PSD order."""
         n, m = 2, 1
@@ -86,6 +91,11 @@ class TestDare:
     def test_unstabilizable_rejected(self):
         with pytest.raises(RiccatiError, match="stabilizable"):
             dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+
+    def test_undetectable_rejected(self):
+        """Q = 0 leaves the unstable mode of A = 2 unobserved."""
+        with pytest.raises(RiccatiError, match="not detectable"):
+            dare_solve([[2.0]], [[1.0]], [[0.0]], [[1.0]])
 
     def test_fixed_point_and_stability(self, rng):
         for _ in range(60):

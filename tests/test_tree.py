@@ -28,7 +28,7 @@ from teamlqg.model import (
     validate,
 )
 from teamlqg.linalg import spectral_radius
-from teamlqg.riccati import dare_solve
+from teamlqg.riccati import RiccatiError, dare_solve
 from teamlqg.sim import TreePolicySet, _coupling_coeffs, exact_cost_general
 from teamlqg.tree import (
     CouplingSystemError,
@@ -233,6 +233,11 @@ class TestSolveKP:
                      lambda: exact_cost_general(spec, pset, 3)):
             with pytest.raises(ValueError, match="homogeneous dynamics"):
                 call()
+
+    def test_singular_team_pivot_raises(self):
+        """B = R = 0 makes R + B' P B = 0: the recursion raises, by name."""
+        with pytest.raises(RiccatiError, match="not invertible"):
+            solve_k_p(scalar_tree_spec(B=0.0, R=0.0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,8 @@ class TestIndependentInitialStates:
     def test_infinite_horizon(self, rng):
         spec, bare = self.spec_pair(rng, False)
         pol, ref = solve_infinite_tree(spec), solve_infinite_tree(bare)
-        assert pol.L.shape == (0, 2, 2) and pol.horizon_used == 0
+        assert pol.z0.shape == (0,) and pol.horizon_used == 0
+        assert np.all(pol.L(5) == 0.0)
         assert np.array_equal(pol.K, ref.K) and np.array_equal(pol.P, ref.P)
         assert pol.average_cost == ref.average_cost
 
@@ -761,10 +767,10 @@ def reference_specs(family, rng):
             for _ in range(10)]
 
 
-def decay_horizon(L):
-    live = [t for t, l in enumerate(L)
-            if not np.linalg.norm(l) < tree_module.DECAY_TOL]
-    return live[-1] + 1 if live else 0
+def last_live_stage(L):
+    """The last stage t with |L_t| >= 1e-8, -1 if there is none."""
+    live = np.flatnonzero(~(np.linalg.norm(L, axis=(1, 2)) < 1e-8))
+    return int(live[-1]) if live.size else -1
 
 
 def reference_schedule_error(spec):
@@ -773,9 +779,8 @@ def reference_schedule_error(spec):
     sol = dare_solve(spec.dynamics.A, spec.dynamics.B, spec.cost.Q,
                      spec.cost.R)
     p = tree_module._params(spec, n_dm(spec.n_dm))
-    radius = spectral_radius(spec.dynamics.A + spec.dynamics.B @ sol.K)
     with pytest.raises(CouplingSystemError) as ref:
-        reference_stationary_schedule(p, sol.K, radius)
+        reference_stationary_schedule(p, sol.K, 1)
     return str(ref.value)
 
 
@@ -784,25 +789,35 @@ def finite_head_gap(spec, pol):
     finite-horizon optimum at T = 2h + 64 for a schedule of h stages."""
     h = pol.horizon_used
     L_fin = solve_coupling_gains(spec, 2 * h + 64, pol.mode)
-    return max(float(np.linalg.norm(pol.L[t] - L_fin[t])) for t in range(h))
+    return float(np.linalg.norm(pol.L(h) - L_fin[:h], axis=(1, 2)).max())
 
 
 class TestInfiniteTree:
     def test_uncoupled_average_cost(self):
         spec = scalar_tree_spec(Rt=None, W=0.7, T=2)
         pol = solve_infinite_tree(spec)
-        assert pol.L.shape == (0, spec.m, spec.n)
+        assert pol.z0.shape == (0,) and pol.horizon_used == 0
+        assert np.all(pol.L(4) == 0.0)
         assert pol.average_cost == pytest.approx(2.0 * PHI * 0.7, abs=1e-7)
         assert abs(pol.K[0, 0] + 0.6180339887) < 1e-8
         assert pol.closed_loop_radius < 1.0
 
+    def test_uncoupled_singular_initial_covariance(self):
+        """Without R~ no coupling data is built, so a singular init_diag,
+        which has no conditional gain, still solves: average cost
+        2 phi = 1 + sqrt 5 and an empty schedule."""
+        pol = solve_infinite_tree(scalar_tree_spec(Rt=None, Sd=0.0, So=0.0))
+        assert pol.average_cost == pytest.approx(1.0 + np.sqrt(5.0),
+                                                 abs=1e-7)
+        assert pol.horizon_used == 0
+
     def test_coupled_l_decays(self):
         spec = scalar_tree_spec(T=2)
         pol = solve_infinite_tree(spec)
-        assert pol.decay_horizon is not None
-        tail = [np.linalg.norm(l) for l in pol.L[pol.decay_horizon:]]
+        L = pol.L(pol.horizon_used + 64)
+        tail = [np.linalg.norm(l) for l in L[pol.horizon_used:]]
         assert all(v < 1e-8 for v in tail)
-        assert np.linalg.norm(pol.L[0]) > 1e-3   # head is genuinely nonzero
+        assert np.linalg.norm(L[0]) > 1e-3   # head is genuinely nonzero
 
     def test_closed_form_matches_long_finite_head(self, rng):
         """The stationary schedule is the head of the finite-horizon optimum,
@@ -810,24 +825,25 @@ class TestInfiniteTree:
         the slowly decaying 0.84-rotation spec."""
         for k, spec in enumerate(head_specs(rng)):
             pol = solve_infinite_tree(spec)
-            assert_nondegenerate(pol.L)
+            assert_nondegenerate(pol.L(pol.horizon_used))
             assert finite_head_gap(spec, pol) < 1e-9, f"spec {k}"
         assert pol.horizon_used > 64
 
     @pytest.mark.parametrize("family",
                              ["head", "tiny_b", "bench", "general_offdiag"])
     def test_schedule_matches_kronecker_reference(self, rng, family):
-        """The per-mode schedule is the unsplit Kronecker one to rounding,
-        and stops at the same stage."""
+        """The per-mode realization gives the unsplit Kronecker schedule to
+        rounding, past its certified stage, and every stage from
+        horizon_used on is below 1e-8."""
         for k, spec in enumerate(reference_specs(family, rng)):
             pol = solve_infinite_tree(spec)
+            T = 2 * pol.horizon_used + 64
             L = reference_stationary_schedule(
-                tree_module._params(spec, pol.mode), pol.K,
-                pol.closed_loop_radius)
+                tree_module._params(spec, pol.mode), pol.K, T)
             assert_nondegenerate(L)
-            assert pol.horizon_used == len(L), f"spec {k}"
-            assert pol.decay_horizon == decay_horizon(L), f"spec {k}"
-            assert rel_err(pol.L, L) <= 1e-12, f"spec {k}"
+            assert pol.horizon_used > last_live_stage(L), f"spec {k}"
+            assert last_live_stage(L[pol.horizon_used:]) == -1, f"spec {k}"
+            assert rel_err(pol.L(T), L) <= 1e-12, f"spec {k}"
 
     def test_pivot_failures_match_kronecker_reference(self):
         """An indefinite R_k, and a singular Sigma, raise the reference's
@@ -851,22 +867,12 @@ class TestInfiniteTree:
         0.997^t, so the schedule runs to thousands of stages."""
         spec = scalar_tree_spec(B=0.003)
         pol = solve_infinite_tree(spec)
-        assert_nondegenerate(pol.L, floor=0.1)
-        assert pol.horizon_used > 5000
-        assert all(np.linalg.norm(l) < tree_module.DECAY_TOL
-                   for l in pol.L[pol.decay_horizon:])
-        assert pol.decay_horizon < pol.horizon_used
+        h = pol.horizon_used
+        L = pol.L(h + 64)
+        assert_nondegenerate(L, floor=0.1)
+        assert h > 5000
+        assert all(np.linalg.norm(l) < 1e-8 for l in L[h:])
         assert finite_head_gap(spec, pol) < 1e-9
-
-    def test_unreachable_tolerance_raises(self, monkeypatch):
-        """A schedule that does not decay is an error at STAGE_CAP that names
-        the stage, |L_t| and both spectral radii; it does not hang."""
-        monkeypatch.setattr(tree_module, "DECAY_TOL", 0.0)
-        stage = tree_module.STAGE_CAP - 1
-        with pytest.raises(CouplingSystemError,
-                           match=rf"at stage {stage} \(\|L_t\| = .*\); "
-                                 r"spectral radii 0\.38\d* of A \+ B K and"):
-            solve_infinite_tree(scalar_tree_spec(T=2))
 
     def test_indefinite_coupling_weight_raises_like_finite_sweep(self):
         """So < 0 with R Sd + R~ So < 0 makes R_k negative.  R_k / T is the
@@ -886,12 +892,12 @@ class TestInfiniteTree:
         spec = scalar_tree_spec(A=0.9, Q=0.0)
         pol = solve_infinite_tree(spec)
         L_fin = solve_coupling_gains(spec, 64, n_dm(2))
-        assert np.all(np.stack(pol.L) == 0.0)
+        assert np.all(pol.L(64) == 0.0)
         assert np.all(np.stack(L_fin) == 0.0)
         spec = rotation_spec(rng)
         spec = replace(spec, cost=replace(spec.cost, Q=np.diag([1.0, 0.0])))
         pol = solve_infinite_tree(spec)
-        assert_nondegenerate(pol.L)
+        assert_nondegenerate(pol.L(pol.horizon_used))
         assert finite_head_gap(spec, pol) < 1e-9
 
     def test_value_cesaro_convergence(self):
