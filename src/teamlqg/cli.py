@@ -218,7 +218,7 @@ def policy_from_report(data: dict, spec: TeamSpec):
                                 f"spec's mode {want}")
         T = _report_horizon(data, stationary_ok=False)
         shapes = {"K": (T, m, n), "L": (T, m, n), "P": (T + 1, n, n)}
-        pol = _tree.TreePolicy(horizon=T, mode=mode, **{
+        pol = _tree.TreePolicy(mode=mode, **{
             name: _schedule(_field(data, name), name, shape)
             for name, shape in shapes.items()})
         return _sim.TreePolicySet.from_policy(pol, spec.n_dm), pol
@@ -236,8 +236,11 @@ def policy_from_report(data: dict, spec: TeamSpec):
 
 
 def load_policy(path: str, spec: TeamSpec):
+    """The policy set of the report at ``path`` and the horizon it runs at:
+    a finite policy's own, the spec's for a stationary graph policy."""
     data = _read_object(path, "policy file")
-    return policy_from_report(data.get("policy", data), spec)
+    pset, pol = policy_from_report(data.get("policy", data), spec)
+    return pset, spec.horizon if pol.horizon is None else pol.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,7 @@ def cmd_check(args):
 
 def cmd_solve_tree(args):
     spec = _validated_spec(args.spec)
-    T = _horizon(args, spec)
+    T = spec.horizon
     pol = _tree.solve_tree(spec, T)
     cost = _tree.predicted_cost(spec, T, pol)
     print(f"tree policy solved: horizon {T}, mode {pol.mode.kind}")
@@ -297,9 +300,9 @@ def cmd_solve_ndm(args):
     spec = _validated_spec(args.spec)
     if args.n < 2:
         raise SpecFileError("--n must be at least 2")
-    _tree.homogeneous_dynamics(spec)
+    _tree.tree_dynamics(spec)    # refused here, not by the resize below
     nspec = replace(spec, n_dm=args.n)
-    T = _horizon(args, spec)
+    T = spec.horizon
     pol = _tree.solve_tree(nspec, T, mode=_tree.n_dm(args.n))
     cost = _tree.exact_policy_cost(nspec, T, pol.K, pol.L, pol.mode)
     print(f"{args.n}-agent policy solved: horizon {T}")
@@ -309,7 +312,7 @@ def cmd_solve_ndm(args):
 
 def cmd_solve_mf(args):
     spec = _validated_spec(args.spec)
-    T = _horizon(args, spec)
+    T = spec.horizon
     pol = _tree.meanfield_limit_policy(spec, T)
     L_N = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
     gap = float(max(map(np.linalg.norm, L_N - pol.L)))
@@ -324,7 +327,7 @@ def cmd_solve_mf(args):
 
 def cmd_solve_delayed(args):
     spec = _validated_spec(args.spec)
-    T = _horizon(args, spec)
+    T = spec.horizon
     pol, cost = _delayed.solve_delayed_finite(spec, T)
     print(f"delayed-sharing policy solved: horizon {T}")
     print("information graph:")
@@ -356,15 +359,6 @@ def cmd_dare(args):
             "residual": sol.residual, "iterations": sol.iterations}
 
 
-def _horizon(args, spec):
-    """The --horizon given, else the spec's."""
-    if args.horizon is None:
-        return spec.horizon
-    if args.horizon < 1:
-        raise SpecFileError("--horizon must be at least 1")
-    return args.horizon
-
-
 def _check_rollouts(args):
     if args.rollouts < 1:
         raise SpecFileError("--rollouts must be at least 1")
@@ -373,8 +367,7 @@ def _check_rollouts(args):
 def cmd_simulate(args):
     _check_rollouts(args)
     spec = _validated_spec(args.spec)
-    pset, _ = load_policy(args.policy, spec)
-    T = _horizon(args, spec)
+    pset, T = load_policy(args.policy, spec)
     rep = _sim.simulate(spec, pset, T, args.rollouts, args.seed)
     print(f"mean cost = {rep.mean_cost:.12g} +/- {rep.std_error:.3g} "
           f"(1 SE, {rep.n_rollouts} rollouts, seed {rep.seed})")
@@ -388,8 +381,8 @@ def cmd_sweep_mft(args):
         schedule = [int(v) for v in args.schedule.split(",") if v]
     except ValueError as exc:
         raise SpecFileError(f"bad --schedule: {exc}") from exc
-    T = _horizon(args, spec)
-    rows = _sim.mft_sweep(spec, T, schedule, args.rollouts, args.seed)
+    rows = _sim.mft_sweep(spec, spec.horizon, schedule, args.rollouts,
+                          args.seed)
     cols = ["N", "L_diff_prev", "predicted_cost", "mc_cost", "cost_gap",
             "mc_cost_gap", "cost_gap_3se", "moment_dist_second",
             "ui_surrogate"]
@@ -409,10 +402,10 @@ def cmd_verify(args):
                             "rollout has no standard error, so every 3-SE "
                             "band would be empty")
     spec = _validated_spec(args.spec)
-    T = _horizon(args, spec)
     if args.policy:
-        pset, _ = load_policy(args.policy, spec)
+        pset, T = load_policy(args.policy, spec)
     else:
+        T = spec.horizon
         pset = _sim.TreePolicySet.from_policy(_tree.solve_tree(spec, T),
                                               spec.n_dm)
 
@@ -461,18 +454,14 @@ def build_parser():
         return p
 
     add("check", cmd_check, help="validate a spec file")
-    p = add("solve-tree", cmd_solve_tree, help="finite-horizon tree policy")
-    p.add_argument("--horizon", type=int)
+    add("solve-tree", cmd_solve_tree, help="finite-horizon tree policy")
     add("solve-tree-inf", cmd_solve_tree_inf,
         help="average-cost stationary tree policy")
     p = add("solve-ndm", cmd_solve_ndm, help="N-agent sum-coupled policy")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--horizon", type=int)
-    p = add("solve-mf", cmd_solve_mf, help="mean-field limit policy")
-    p.add_argument("--horizon", type=int)
-    p = add("solve-delayed", cmd_solve_delayed,
-            help="finite-horizon delayed-sharing policy")
-    p.add_argument("--horizon", type=int)
+    add("solve-mf", cmd_solve_mf, help="mean-field limit policy")
+    add("solve-delayed", cmd_solve_delayed,
+        help="finite-horizon delayed-sharing policy")
     add("solve-delayed-inf", cmd_solve_delayed_inf,
         help="stationary delayed-sharing policy")
     add("dare", cmd_dare, help="stationary Riccati solve on (A, B, Q, R)")
@@ -480,18 +469,15 @@ def build_parser():
     p.add_argument("--policy", required=True, help="policy report file")
     p.add_argument("--rollouts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--horizon", type=int)
     p = add("sweep-mft", cmd_sweep_mft, help="mean-field convergence sweep")
     p.add_argument("--schedule", required=True,
                    help="comma-separated population sizes, e.g. 2,4,8")
     p.add_argument("--rollouts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--horizon", type=int)
     p = add("verify", cmd_verify, help="run the structural check suite")
     p.add_argument("--policy", help="policy report file (default: re-solve)")
     p.add_argument("--rollouts", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--horizon", type=int)
 
     return parser
 

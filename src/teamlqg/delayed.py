@@ -81,9 +81,9 @@ def stacked_data(spec: TeamSpec) -> _Stacked:
     else:
         raise TypeError("unsupported dynamics type")
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    Q = kron(eye, sym(spec.cost.Q)) + kron(off, spec.cost.q_tilde_or_zero(n))
-    R = kron(eye, sym(spec.cost.R)) + kron(off, spec.cost.r_tilde_or_zero(m))
-    S = kron(eye, spec.cost.s_or_zero(n, m))
+    Q = kron(eye, sym(spec.cost.Q)) + kron(off, sym(spec.cost.Q_tilde))
+    R = kron(eye, sym(spec.cost.R)) + kron(off, sym(spec.cost.R_tilde))
+    S = kron(eye, spec.cost.S)
     return _Stacked(N=N, n=n, m=m, A=A, B=B, Q=Q, R=R, S=S)
 
 

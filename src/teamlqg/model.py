@@ -126,17 +126,15 @@ class Blocked:
 # cost / noise
 
 
-def _opt_matrix(M, name):
-    return None if M is None else _matrix(M, name)
-
-
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic stage-cost blocks.
 
     Q, R weight each agent's own state/control; R_tilde couples pairs of
     controls, Q_tilde pairs of states, and S is the delayed-sharing cost's
-    state-control cross term.  Absent blocks default to zero.
+    state-control cross term.  An absent R_tilde, Q_tilde or S is held as a
+    zero matrix of shape (m, m), (n, n) or (n, m), sized from Q and R, and
+    an all-zero block means no coupling.
 
     One pair convention holds at every N: Tree and Delayed information price
     the team cost sum_i (x^i' Q x^i + u^i' R u^i) + sum_{i != j} (u^i' R_tilde
@@ -151,25 +149,19 @@ class CostSpec:
 
     Q: np.ndarray
     R: np.ndarray
-    R_tilde: np.ndarray | None = None
-    Q_tilde: np.ndarray | None = None
-    S: np.ndarray | None = None
+    R_tilde: np.ndarray = None
+    Q_tilde: np.ndarray = None
+    S: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _matrix(self.Q, "Q"))
         object.__setattr__(self, "R", _matrix(self.R, "R"))
-        object.__setattr__(self, "R_tilde", _opt_matrix(self.R_tilde, "R_tilde"))
-        object.__setattr__(self, "Q_tilde", _opt_matrix(self.Q_tilde, "Q_tilde"))
-        object.__setattr__(self, "S", _opt_matrix(self.S, "S"))
-
-    def r_tilde_or_zero(self, m):
-        return np.zeros((m, m)) if self.R_tilde is None else sym(self.R_tilde)
-
-    def q_tilde_or_zero(self, n):
-        return np.zeros((n, n)) if self.Q_tilde is None else sym(self.Q_tilde)
-
-    def s_or_zero(self, n, m):
-        return np.zeros((n, m)) if self.S is None else self.S
+        n, m = len(self.Q), len(self.R)
+        for name, shape in (("R_tilde", (m, m)), ("Q_tilde", (n, n)),
+                            ("S", (n, m))):
+            M = getattr(self, name)
+            object.__setattr__(self, name, np.zeros(shape) if M is None
+                               else _matrix(M, name))
 
 
 @dataclass(frozen=True)
@@ -282,11 +274,11 @@ class TeamSpec:
             raise DimensionError("Q must be n x n")
         if self.cost.R.shape != (m, m):
             raise DimensionError("R must be m x m")
-        if self.cost.R_tilde is not None and self.cost.R_tilde.shape != (m, m):
+        if self.cost.R_tilde.shape != (m, m):
             raise DimensionError("R_tilde must be m x m")
-        if self.cost.Q_tilde is not None and self.cost.Q_tilde.shape != (n, n):
+        if self.cost.Q_tilde.shape != (n, n):
             raise DimensionError("Q_tilde must be n x n")
-        if self.cost.S is not None and self.cost.S.shape != (n, m):
+        if self.cost.S.shape != (n, m):
             raise DimensionError("S must be n x m")
         for name in ("sigma_w", "init_diag", "init_offdiag"):
             if getattr(self.noise, name).shape != (n, n):
@@ -334,8 +326,6 @@ class ValidationReport:
 
 
 def _check_near_symmetric(report, name, M):
-    if M is None:
-        return
     report.add(
         f"{name} symmetric",
         asymmetry(M) <= SYM_TOL * 10,
@@ -348,27 +338,30 @@ def validate(spec: TeamSpec) -> ValidationReport:
     construction, everything else is a named pass/fail entry."""
     rep = ValidationReport()
     cost, noise = spec.cost, spec.noise
-    n, m, N = spec.n, spec.m, spec.n_dm
+    N = spec.n_dm
+    # an all-zero coupling block is an absent one: no coupling, no lines
+    has_Rt, has_Qt, has_S = (np.any(M) for M in (cost.R_tilde,
+                                                  cost.Q_tilde, cost.S))
 
-    for name, M in (
-        ("Q", cost.Q),
-        ("R", cost.R),
-        ("R_tilde", cost.R_tilde),
-        ("Q_tilde", cost.Q_tilde),
-        ("sigma_w", noise.sigma_w),
-        ("init_diag", noise.init_diag),
-        ("init_offdiag", noise.init_offdiag),
+    for name, M, present in (
+        ("Q", cost.Q, True),
+        ("R", cost.R, True),
+        ("R_tilde", cost.R_tilde, has_Rt),
+        ("Q_tilde", cost.Q_tilde, has_Qt),
+        ("sigma_w", noise.sigma_w, True),
+        ("init_diag", noise.init_diag, True),
+        ("init_offdiag", noise.init_offdiag, True),
     ):
-        _check_near_symmetric(rep, name, M)
+        if present:
+            _check_near_symmetric(rep, name, M)
 
     rep.add("R positive definite", is_pd(cost.R))
     rep.add("Q positive semidefinite", is_psd(cost.Q))
-    # A zero coupling block means "no coupling" and is always acceptable.
-    if cost.R_tilde is not None and np.any(cost.R_tilde != 0.0):
+    if has_Rt:
         rep.add("R_tilde positive definite", is_pd(cost.R_tilde))
-    if cost.Q_tilde is not None and np.any(cost.Q_tilde != 0.0):
+    if has_Qt:
         rep.add("Q_tilde positive semidefinite", is_psd(cost.Q_tilde))
-    if cost.S is not None and np.any(cost.S != 0.0):
+    if has_S:
         stacked = np.block([[sym(cost.Q), cost.S], [cost.S.T, sym(cost.R)]])
         rep.add("stacked [Q S; S^T R] PSD", is_psd(stacked))
 
@@ -408,10 +401,10 @@ def validate(spec: TeamSpec) -> ValidationReport:
         if isinstance(spec.info, MeanFieldTree):
             rep.add("mean-field population n_dm >= 2", N >= 2,
                     "the 1/(N-1)-scaled coupling needs at least two agents")
-        elif cost.Q_tilde is not None and np.any(cost.Q_tilde != 0.0):
+        elif has_Qt:
             rep.add("no Q_tilde under tree info", False,
                     "the tree-class cost does not price Q_tilde")
-        if cost.S is not None and np.any(cost.S != 0.0):
+        if has_S:
             rep.add("no S under tree info", False,
                     "the tree-class cost does not price S")
 

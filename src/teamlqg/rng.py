@@ -77,8 +77,9 @@ class PrimitiveSampler:
         self.n = noise.sigma_w.shape[0]
         self.Fw = psd_factor(sym(noise.sigma_w))
         sd, so = sym(noise.init_diag), sym(noise.init_offdiag)
-        if is_psd(so) and is_psd(sd - so):
-            # x0^i = Ad z_i + Ac z_common: O(N) draws per rollout.
+        if is_psd(so):
+            # x0^i = Ad z_i + Ac z_common: O(N) draws per rollout
+            # (``validate`` requires sd - so >= 0).
             self._split = (psd_factor(sd - so), psd_factor(so))
             self._joints = (None,) * len(self.sizes)
         else:

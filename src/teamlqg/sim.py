@@ -39,7 +39,7 @@ import numpy as np
 
 from . import delayed as _delayed
 from . import tree as _tree
-from .linalg import kron
+from .linalg import kron, sym
 from .model import Delayed, TeamSpec, conditional_gain
 from .moments import ClosedLoop, propagate
 from .rng import BLOCK, PrimitiveSampler
@@ -182,12 +182,11 @@ class _TreeStepper:
 
     def __init__(self, spec: TeamSpec, psets):
         n, m = spec.n, spec.m
-        A, B = _tree.homogeneous_dynamics(spec)
+        A, B = _tree.tree_dynamics(spec)
         cR, cQ, alpha = np.array([(*_coupling_coeffs(p.mode, p.n_dm),
                                    cost_weights(p.mode)[3])
                                   for p in psets]).T
-        Rt = spec.cost.r_tilde_or_zero(m)
-        Qt = spec.cost.q_tilde_or_zero(n)
+        Rt, Qt = sym(spec.cost.R_tilde), sym(spec.cost.Q_tilde)
         K = np.stack([p.K for p in psets]).transpose(2, 0, 1, 3, 4)
         L = np.stack([p.L for p in psets]).transpose(2, 0, 1, 3, 4)
         KL = np.concatenate([K, L], axis=4)          # (T, P, N, m, 2n)

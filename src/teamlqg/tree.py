@@ -106,6 +106,16 @@ def homogeneous_dynamics(spec: TeamSpec):
     return spec.dynamics.A, spec.dynamics.B
 
 
+def tree_dynamics(spec: TeamSpec):
+    """(A, B) of a spec that the tree-class solvers take.  Every tree-class
+    solve, exact price and rollout starts here, whichever mode it is given,
+    so blocked dynamics and information without a tree mode
+    (``default_mode``) are refused here, with ValueError."""
+    A, B = homogeneous_dynamics(spec)
+    default_mode(spec)
+    return A, B
+
+
 # ---------------------------------------------------------------------------
 # K / P recursion
 
@@ -192,15 +202,14 @@ class _Params:
 
 def _params(spec: TeamSpec, mode: Population) -> _Params:
     a, b, q, alpha = cost_weights(mode)
-    n, m = spec.n, spec.m
-    A, B = homogeneous_dynamics(spec)
+    A, B = tree_dynamics(spec)
     return _Params(
         A=A,
         B=B,
         Q=sym(spec.cost.Q),
         R=sym(spec.cost.R),
-        Rt=spec.cost.r_tilde_or_zero(m),
-        Qt=spec.cost.q_tilde_or_zero(n),
+        Rt=sym(spec.cost.R_tilde),
+        Qt=sym(spec.cost.Q_tilde),
         Sigma=conditional_gain(spec.noise),
         Sd=sym(spec.noise.init_diag),
         So=sym(spec.noise.init_offdiag),
@@ -442,13 +451,16 @@ def _pivot_error(w, where):
 class TreePolicy:
     """Affine gain schedule u_t^i = K_t x_t^i + L_t c^i for the coupling
     statistic c^i implied by ``mode`` (see Population).  K and L have shape
-    (T, m, n) and P shape (T + 1, n, n)."""
+    (T, m, n) and P shape (T + 1, n, n); the horizon is T."""
 
-    horizon: int
     mode: Population
     K: np.ndarray
     L: np.ndarray
     P: np.ndarray
+
+    @property
+    def horizon(self):
+        return len(self.K)
 
     def as_dict(self):
         return {
@@ -466,7 +478,7 @@ def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = N
     T = spec.horizon if T is None else T
     mode = default_mode(spec) if mode is None else mode
     K, P, L = _solve(spec, T, mode)
-    return TreePolicy(horizon=T, mode=mode, K=K, L=L, P=P)
+    return TreePolicy(mode=mode, K=K, L=L, P=P)
 
 
 def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
@@ -536,7 +548,7 @@ def solve_infinite_tree(spec: TeamSpec,
     mode = default_mode(spec) if mode is None else mode
     if mode.kind != "n_dm":
         raise ValueError("infinite-horizon solve supports n_dm modes")
-    A, B = homogeneous_dynamics(spec)
+    A, B = tree_dynamics(spec)
     sol = dare_solve(A, B, sym(spec.cost.Q), sym(spec.cost.R))
     radius = spectral_radius(A + B @ sol.K)
     if not radius < 1.0:
@@ -546,7 +558,7 @@ def solve_infinite_tree(spec: TeamSpec,
     avg_cost = a * float(np.trace(sol.P @ sym(spec.noise.sigma_w)))
 
     G, C, z0 = np.zeros((0, 0)), np.zeros((spec.m * spec.n, 0)), np.zeros(0)
-    if np.any(spec.cost.r_tilde_or_zero(spec.m)):
+    if np.any(spec.cost.R_tilde):
         # with K stationary, Q~ alone gives L = 0, so only R~ needs a schedule
         p = _params(spec, mode)
         if p.coupled:

@@ -174,8 +174,8 @@ MUTANTS = (
            "F[r][t] @ P[s][t + 1] @ F[r][t].T",
            (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
     Mutant("sign of Q~ flipped in delayed.stacked_data", DELAYED,
-           "kron(off, spec.cost.q_tilde_or_zero(n))",
-           "-kron(off, spec.cost.q_tilde_or_zero(n))",
+           "kron(off, sym(spec.cost.Q_tilde))",
+           "-kron(off, sym(spec.cost.Q_tilde))",
            (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
     Mutant("verify's symmetrization gap against the permuted row", SIM,
            "_symmetrization_stats(orig, symm))",
@@ -261,6 +261,23 @@ MUTANTS = (
            "return is_stabilizable(A, C.T)",
            ("tests/test_riccati.py::TestPBH::"
             "test_detectability_tests_the_transposed_pair",)),
+    Mutant("tree-class information check skipped in tree.tree_dynamics",
+           TREE,
+           "    A, B = homogeneous_dynamics(spec)\n    default_mode(spec)\n",
+           "    A, B = homogeneous_dynamics(spec)\n",
+           ("tests/test_tree.py::TestTreeInformation::"
+            "test_delayed_information_refused[solve_tree-n_dm]",
+            "tests/test_cli.py::TestCommands::"
+            "test_tree_class_commands_refuse_delayed_information[solve-mf]")),
+    Mutant("--rollouts bound 1 made exclusive", "src/teamlqg/cli.py",
+           "if args.rollouts < 1:",
+           "if args.rollouts <= 1:",
+           ("tests/test_cli.py::TestExitCodes::"
+            "test_one_rollout_simulates_with_zero_standard_error",)),
+    Mutant("verify's --rollouts bound 2 made exclusive", "src/teamlqg/cli.py",
+           "if args.rollouts < 2:",
+           "if args.rollouts <= 2:",
+           ("tests/test_cli.py::TestExitCodes::test_two_rollouts_verify",)),
     Mutant("policy report schedules checked for rank, not shape",
            "src/teamlqg/cli.py",
            "if arr.shape != shape:",

@@ -62,7 +62,7 @@ def test_A1_centralized_oracle_equivalence():
         spec = single_dm_delayed_spec(rng, n=1 + trial % 2)
         T = spec.horizon
         pol, cost = solve_delayed_finite(spec, T)
-        S = spec.cost.s_or_zero(spec.n, spec.m)
+        S = spec.cost.S
         Ks, Xs = dp_oracle(spec.dynamics.A, spec.dynamics.B,
                            spec.cost.Q, spec.cost.R, S, T)
         node = pol.graph.nodes[0]

@@ -158,19 +158,18 @@ class TestCommands:
 
     def test_parser_is_built_once_and_parses_each_call_afresh(self):
         """The cached parser keeps no state between calls: a verify without
-        --horizon after a simulate --horizon 3 sees its own defaults."""
+        --out after a simulate --out r.json sees its own defaults."""
         assert build_parser() is build_parser()
         first = build_parser().parse_args(
             ["simulate", "s.json", "--policy", "p.json", "--rollouts", "5",
-             "--seed", "1", "--horizon", "3"])
+             "--seed", "1", "--out", "r.json"])
         second = build_parser().parse_args(
             ["verify", "s.json", "--rollouts", "7", "--seed", "2"])
-        assert (first.command, first.horizon, first.rollouts) == (
-            "simulate", 3, 5)
+        assert (first.command, first.out, first.rollouts) == (
+            "simulate", "r.json", 5)
         assert vars(second) == {
             "command": "verify", "spec": "s.json", "out": None,
-            "policy": None, "rollouts": 7, "seed": 2, "horizon": None,
-            "fn": second.fn}
+            "policy": None, "rollouts": 7, "seed": 2, "fn": second.fn}
         assert second.fn is not first.fn
 
     def test_check_fails_on_bad_covariance(self, tmp_path):
@@ -293,10 +292,10 @@ class TestCommands:
     def test_solve_stdout_does_not_grow_with_horizon(self, tmp_path, capsys,
                                                      command, base):
         """The report holds every stage; stdout is a fixed-size summary."""
-        spec_path = write_spec(tmp_path, base)
         lines = []
-        for T in ("4", "64"):
-            assert main([command, spec_path, "--horizon", T]) == EXIT_OK
+        for T in (4, 64):
+            spec_path = write_spec(tmp_path, dict(base, horizon=T))
+            assert main([command, spec_path]) == EXIT_OK
             out = capsys.readouterr().out
             assert "predicted cost: " in out and "max_t |K_t| " in out
             lines.append(len(out.splitlines()))
@@ -552,26 +551,63 @@ class TestCommands:
         assert pbp_line.startswith("[FAIL] pbp_check")
         assert ", t=1, L[0,0], g=9.375e-02)" in pbp_line
 
-    @pytest.mark.parametrize("command, horizon", [
-        ("verify", "5"), ("verify", "2"),
-        ("simulate", "5"), ("simulate", "2"),
-    ], ids=["5", "2", "simulate-5", "simulate-2"])
-    def test_verify_rejects_horizon_other_than_policy(self, tmp_path, capsys,
-                                                      command, horizon):
-        """A horizon-3 policy checked or simulated at another horizon is an
-        input error, not a failed check or a truncated problem (below) or a
-        crash (above)."""
-        spec_path = write_spec(tmp_path, GOLDEN)
+    def test_policy_runs_at_its_own_horizon(self, tmp_path, capsys):
+        """simulate and verify --policy run a finite policy at its own
+        horizon, whatever the spec's: a policy solved from a horizon-5 spec
+        simulates under the horizon-3 spec to the same bytes as under the
+        horizon-5 one, and passes verify there."""
+        spec3 = write_spec(tmp_path, GOLDEN)
+        spec5 = write_spec(tmp_path, dict(GOLDEN, horizon=5), "spec5.json")
         pol_path = str(tmp_path / "pol.json")
-        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        assert main(["solve-tree", spec5, "--out", pol_path]) == EXIT_OK
+        mc = ["--rollouts", "200", "--seed", "7"]
+        reports = []
+        for spec_path in (spec3, spec5):
+            out = tmp_path / f"sim{len(reports)}.json"
+            assert main(["simulate", spec_path, "--policy", pol_path, *mc,
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
         capsys.readouterr()
-        code = main([command, spec_path, "--policy", pol_path, "--horizon",
-                     horizon, "--rollouts", "200", "--seed", "7"])
-        assert code == EXIT_VALIDATION
+        assert main(["verify", spec3, "--policy", pol_path, *mc]) == EXIT_OK
+        assert "[PASS] pbp_check" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-tree", []), ("solve-ndm", ["--n", "3"]), ("solve-mf", []),
+        ("solve-delayed", []),
+        ("simulate", ["--policy", "p.json", "--rollouts", "5", "--seed", "1"]),
+        ("sweep-mft", ["--schedule", "2,4,8", "--rollouts", "5", "--seed",
+                       "1"]),
+        ("verify", ["--rollouts", "5", "--seed", "1"])])
+    def test_horizon_flag_is_gone(self, tmp_path, command, extra):
+        """The horizon comes from the spec or the policy: --horizon is a
+        usage error on every command."""
+        assert main([command, write_spec(tmp_path, GOLDEN), *extra,
+                     "--horizon", "5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-tree"], ["solve-tree-inf"], ["solve-ndm", "--n", "2"],
+        ["solve-ndm", "--n", "3"], ["solve-mf"],
+        ["sweep-mft", "--schedule", "2,4,8", "--rollouts", "5", "--seed",
+         "1"]], ids=["solve-tree", "solve-tree-inf", "solve-ndm-2",
+                     "solve-ndm-3", "solve-mf", "sweep-mft"])
+    def test_tree_class_commands_refuse_delayed_information(
+            self, tmp_path, capsys, argv):
+        """A delayed spec with S and Q_tilde, which no tree-class solver
+        prices, exits 1 from every tree-class command naming the
+        information, whether the command names a mode or not."""
+        data = json.loads(json.dumps(DELAYED))
+        data["model"] = {"A": [[0.8]], "B": [[1.0]]}
+        data["cost"].update(S=[[0.3]], Q_tilde=[[0.2]])
+        out = str(tmp_path / "out.json")
+        code = main([argv[0], write_spec(tmp_path, data), *argv[1:],
+                     "--out", out])
         captured = capsys.readouterr()
-        assert f"horizon {horizon} differs" in captured.err
-        assert "horizon 3" in captured.err
-        assert "pbp_check" not in captured.out
+        assert code == EXIT_VALIDATION
+        assert captured.err == ("error: tree solver needs Tree or "
+                                "MeanFieldTree information\n")
+        assert "predicted cost" not in captured.out
+        assert not os.path.exists(out)
 
 
 class TestPolicyReports:
@@ -810,6 +846,33 @@ class TestExitCodes:
             assert "--rollouts must be at least 1" in capsys.readouterr().err
             assert not os.path.exists(out)
 
+    def test_one_rollout_simulates_with_zero_standard_error(self, tmp_path,
+                                                            capsys):
+        """--rollouts 1 is the smallest simulate accepts: one rollout, a
+        standard error of 0."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        out = tmp_path / "sim.json"
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        assert main(["simulate", spec_path, "--policy", pol_path,
+                     "--rollouts", "1", "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["n_rollouts"] == 1 and report["std_error"] == 0.0
+        assert "--rollouts" not in capsys.readouterr().err
+
+    def test_two_rollouts_verify(self, tmp_path, capsys):
+        """--rollouts 2 is the smallest verify accepts: it runs every check
+        rather than failing with the rollouts error."""
+        out = tmp_path / "verify.json"
+        main(["verify", write_spec(tmp_path, GOLDEN), "--rollouts", "2",
+              "--seed", "1", "--out", str(out)])
+        assert "--rollouts" not in capsys.readouterr().err
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert names == ["pbp_check", "exchangeability_check",
+                         "symmetrization_check",
+                         "certainty_equivalence_check"]
+
     def test_verify_needs_two_rollouts(self, tmp_path, capsys):
         """One rollout has no standard error, so verify's 3-SE bands would
         be empty: an input error naming that reason, not a failed check."""
@@ -821,30 +884,6 @@ class TestExitCodes:
         assert "one rollout has no standard error" in captured.err
         assert "[FAIL]" not in captured.out
         assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("horizon", ["0", "-2"])
-    def test_horizon_below_one_rejected(self, tmp_path, capsys, horizon):
-        """Every command taking --horizon rejects a value below 1 instead of
-        running at the spec's horizon (0) or crashing (-2)."""
-        spec_path = write_spec(tmp_path, GOLDEN)
-        mf_path = write_spec(tmp_path, MF, "mf.json")
-        delayed_path = write_spec(tmp_path, DELAYED, "delayed.json")
-        pol_path = str(tmp_path / "pol.json")
-        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
-        mc = ["--rollouts", "20", "--seed", "1"]
-        for command, extra in (
-                ("solve-tree", [spec_path]),
-                ("solve-ndm", [spec_path, "--n", "3"]),
-                ("solve-mf", [mf_path]),
-                ("solve-delayed", [delayed_path]),
-                ("simulate", [spec_path, "--policy", pol_path, *mc]),
-                ("sweep-mft", [mf_path, "--schedule", "2,4,8", *mc]),
-                ("verify", [spec_path, *mc])):
-            out = str(tmp_path / f"{command}.json")
-            assert main([command, *extra, "--horizon", horizon,
-                         "--out", out]) == EXIT_VALIDATION, command
-            assert "--horizon must be at least 1" in capsys.readouterr().err
-            assert not os.path.exists(out)
 
     def test_sweep_schedule_needs_three_distinct_sizes(self, tmp_path,
                                                        capsys):

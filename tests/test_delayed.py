@@ -109,7 +109,7 @@ class TestFiniteHorizon:
             T = spec.horizon
             pol, cost = solve_delayed_finite(spec, T)
             A, B = spec.dynamics.A, spec.dynamics.B
-            S = spec.cost.s_or_zero(spec.n, spec.m)
+            S = spec.cost.S
             Ks, Xs = dp_oracle(A, B, spec.cost.Q, spec.cost.R, S, T)
             node = pol.graph.nodes[0]
             for t in range(T):

@@ -65,6 +65,32 @@ class TestValidate:
         names = check_names(validate(spec2))
         assert names["Q symmetric"] is False
 
+    def test_absent_blocks_are_zeros_and_zero_blocks_are_absent(self):
+        """An absent R_tilde, Q_tilde or S is a float zero matrix sized from
+        Q and R, and validate lists the same checks for it as for an
+        explicit all-zero block; a block of the wrong shape still raises."""
+        n, m = 2, 3
+        cost = CostSpec(Q=np.eye(n), R=np.eye(m))
+        for M, shape in ((cost.R_tilde, (m, m)), (cost.Q_tilde, (n, n)),
+                         (cost.S, (n, m))):
+            assert M.dtype == float and M.shape == shape and not M.any()
+
+        def spec(**blocks):
+            return TeamSpec(
+                n_dm=2, horizon=2,
+                dynamics=Homogeneous(A=np.eye(n), B=np.ones((n, m))),
+                cost=CostSpec(Q=np.eye(n), R=np.eye(m), **blocks),
+                noise=NoiseSpec(sigma_w=np.eye(n), init_diag=np.eye(n),
+                                init_offdiag=np.zeros((n, n))),
+                info=Tree())
+
+        zeros = dict(R_tilde=[[0.0] * m] * m, Q_tilde=[[-0.0] * n] * n,
+                     S=[[0.0] * m] * n)
+        assert validate(spec(**zeros)).checks == validate(spec()).checks
+        assert "R_tilde symmetric" not in check_names(validate(spec()))
+        with pytest.raises(DimensionError, match="R_tilde must be m x m"):
+            spec(R_tilde=np.eye(n))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_psd_rules_match_eigenvalues(self, seed):

@@ -210,8 +210,7 @@ def reference_tree_costs(spec, pset, x0, w):
     A, B = spec.dynamics.A, spec.dynamics.B
     Q, R = spec.cost.Q, spec.cost.R
     cR, cQ = sim._coupling_coeffs(pset.mode, pset.n_dm)
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
-    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    Rt, Qt = spec.cost.R_tilde, spec.cost.Q_tilde
     _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
     KT, LT = pset.K.swapaxes(2, 3), pset.L.swapaxes(2, 3)
@@ -322,9 +321,9 @@ def reference_closed_loop(spec, policy, T):
         for t in range(T):
             M[t, rows, cols] = policy.schedule(r, T)[t]
     c, eye, off = spec.cost, np.eye(N), np.ones((N, N)) - np.eye(N)
-    Q = np.kron(eye, c.Q) + np.kron(off, c.q_tilde_or_zero(n))
-    R = np.kron(eye, c.R) + np.kron(off, c.r_tilde_or_zero(m))
-    S = np.kron(eye, c.s_or_zero(n, m))
+    Q = np.kron(eye, c.Q) + np.kron(off, c.Q_tilde)
+    R = np.kron(eye, c.R) + np.kron(off, c.R_tilde)
+    S = np.kron(eye, c.S)
     Eu_all = np.hstack([Eu[r] for r in graph.nodes])
     Cz = np.zeros((dim, dim))
     Cz[x, x] = Q

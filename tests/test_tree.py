@@ -19,6 +19,7 @@ from teamlqg import tree as tree_module
 from teamlqg.delayed import stacked_data
 from teamlqg.model import (
     CostSpec,
+    Delayed,
     Homogeneous,
     MeanFieldTree,
     NoiseSpec,
@@ -29,7 +30,12 @@ from teamlqg.model import (
 )
 from teamlqg.linalg import spectral_radius
 from teamlqg.riccati import RiccatiError, dare_solve
-from teamlqg.sim import TreePolicySet, _coupling_coeffs, exact_cost_general
+from teamlqg.sim import (
+    TreePolicySet,
+    _coupling_coeffs,
+    exact_cost_general,
+    simulate,
+)
 from teamlqg.tree import (
     CouplingSystemError,
     cost_weights,
@@ -95,8 +101,7 @@ def oracle_cost(spec, T, K, Lflat, mode):
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
     # per-pair cost weights: own blocks a/N each (total a), cross-control
     # pairs b/(N(N-1)) each (total b), cross-state pairs q/(N(N-1)) each
-    Rt = spec.cost.r_tilde_or_zero(spec.m)
-    Qt = spec.cost.q_tilde_or_zero(spec.n)
+    Rt, Qt = spec.cost.R_tilde, spec.cost.Q_tilde
     npairs = N * (N - 1)
     Qfull = np.kron(eye, (a / N) * spec.cost.Q) + np.kron(off, (q / npairs) * Qt)
     Rfull = np.kron(eye, (a / N) * spec.cost.R) + np.kron(off, (b / npairs) * Rt)
@@ -941,3 +946,38 @@ class TestMeanFieldLimit:
         L_big = solve_coupling_gains(spec, 3, mean_field(300))
         for a, b in zip(pol.L, L_big):
             assert np.linalg.norm(a - b) < 1e-7
+
+
+class TestTreeInformation:
+    @pytest.mark.parametrize("solve", [
+        lambda spec: solve_tree(spec),
+        lambda spec: solve_tree(spec, 3, n_dm(2)),
+        lambda spec: solve_coupling_gains(spec, 3, mean_field(2)),
+        lambda spec: meanfield_limit_policy(spec, 3),
+        lambda spec: solve_infinite_tree(spec),
+        lambda spec: solve_infinite_tree(spec, n_dm(2)),
+        lambda spec: exact_policy_cost(spec, 3, np.zeros((3, 1, 1)),
+                                       np.zeros((3, 1, 1)), n_dm(2)),
+        lambda spec: exact_cost_general(spec, TreePolicySet.from_policy(
+            solve_tree(scalar_tree_spec(T=3)), 2), 3),
+        lambda spec: simulate(spec, TreePolicySet.from_policy(
+            solve_tree(scalar_tree_spec(T=3)), 2), 3, 10, 1),
+    ], ids=["solve_tree", "solve_tree-n_dm", "solve_coupling_gains",
+            "meanfield_limit_policy", "solve_infinite_tree",
+            "solve_infinite_tree-n_dm", "exact_policy_cost",
+            "exact_cost_general", "simulate"])
+    def test_delayed_information_refused(self, solve):
+        """Every tree-class solve, price and rollout refuses a delayed
+        spec, also when it is given a mode or a profile: its S and Q_tilde
+        are not tree-class costs, so any number priced from it would be
+        wrong."""
+        spec = TeamSpec(
+            n_dm=2, horizon=3, dynamics=Homogeneous(A=[[0.8]], B=[[1.0]]),
+            cost=CostSpec(Q=[[1.0]], R=[[1.0]], S=[[0.3]], Q_tilde=[[0.2]]),
+            noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                            init_offdiag=[[0.0]]),
+            info=Delayed(delays=((0, 1), (1, 0))))
+        assert validate(spec).ok
+        with pytest.raises(ValueError, match="tree solver needs Tree or "
+                           "MeanFieldTree information"):
+            solve(spec)
