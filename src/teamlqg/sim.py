@@ -22,8 +22,10 @@ largest population, and every population reads its prefix of that fill
 The tree-class kernel (``_TreeStepper``) takes one batched matrix product per
 profile and step, from every agent's (x_t, c), a contiguous row per entry,
 to its control and next state.  The graph-class kernel steps
-z = (x, all zeta) of shape (dim, R) by a map built once per call from the
-estimator recursion (``delayed.estimator_map``).  The exact cost runs node
+z = (x, all zeta) of shape (dim, R) by the estimator recursion's own map
+(``delayed.estimator_map``), built once per call, which gives u_t and
+z_{t+1} in one product, and prices v = (x_t, u_t) by the stacked stage
+weight [[Q, S], [S^T, R]] as (W v) . v.  The exact cost runs node
 by node on the zeta alone (``delayed._node_moments``) and reads the plant
 state as their sum; the kernel steps the true x on its own, so Monte Carlo
 stays an independent check of that pricer and of that sum.
@@ -31,7 +33,7 @@ stays an independent check of that pricer and of that sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, repeat
 
@@ -39,9 +41,8 @@ import numpy as np
 
 from . import delayed as _delayed
 from . import tree as _tree
-from .linalg import kron, sym
+from .linalg import kron, psd_factor, sym
 from .model import Delayed, TeamSpec, conditional_gain
-from .moments import ClosedLoop, propagate
 from .rng import BLOCK, PrimitiveSampler
 from .tree import (
     Population,
@@ -120,7 +121,6 @@ class SimReport:
     std_error: float
     n_rollouts: int
     seed: int
-    diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -128,7 +128,6 @@ class SimReport:
             "std_error": self.std_error,
             "n_rollouts": self.n_rollouts,
             "seed": self.seed,
-            "diagnostics": self.diagnostics,
         }
 
 
@@ -274,48 +273,40 @@ def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
     return _tree_crn(spec, T, n_rollouts, seed, pset)[0]
 
 
-def _graph_map(spec: TeamSpec, policy, T):
-    """Step map of the graph-class kernel on z = (x, all zeta).
-
-    Returns (Gamma, H): Gamma_t = [F_t; C_t] with shape (T, 2 dim, dim)
-    stacks the estimator step F_t (``delayed.estimator_map``) and the stage
-    weight C_t = E_t^T [[Q, S], [S^T, R]] E_t of (x_t, u_t) = E_t z_t, so
-    z^T C_t z is the stage cost; H loads the noise.
-    """
-    d = _delayed.stacked_data(spec)
-    G, H, _ = _delayed.estimator_map(policy.graph, policy, d, T)
-    (dim, nx), p = H.shape, d.N * d.m
-    E = np.concatenate([np.broadcast_to(np.eye(nx, dim), (T, nx, dim)),
-                        G[:, :p]], axis=1)
-    C = E.swapaxes(1, 2) @ np.block([[d.Q, d.S], [d.S.T, d.R]]) @ E
-    return np.concatenate([G[:, p:], C], axis=1), H
-
-
-def _graph_costs(Gamma, H, stages):
+def _graph_costs(G, H, W, stages):
     """Per-rollout costs of one batch of primitives, a one-population draw,
-    under a graph policy, given its step map (``_graph_map``).
+    under a graph policy, given its estimator map (G, H)
+    (``delayed.estimator_map``) and the stacked stage weight
+    W = [[Q, S], [S^T, R]] of (x, u).
 
     Runs rollout-last on the (N n, R) storage of each stage, x0 first:
-    z_0 = H x0, z_{t+1} = F_t z_t + H w_t, and one matrix product per step,
-    y = Gamma_t z, gives F_t z and C_t z; the stage cost is (C_t z) . z.
+    z_0 = H x0, and one matrix product per step, y = G_t z_t, gives
+    u_t = y[:N m] and z_{t+1} = y[N m:] + H w_t; the stage cost is
+    (W v) . v with v = (x_t, u_t), x_t = z_t[:N n].  y is stored below a
+    copy of x_t, so v is a view of one buffer.
     """
     (x0,) = next(stages)
-    T, (dim, nx), R = len(Gamma), H.shape, x0.shape[0]
-    y, z, cost = np.zeros((2 * dim, R)), np.empty((dim, R)), np.zeros(R)
-    Fz, Cz = y[:dim], y[dim:]
-    for Gamma_t, (v,) in zip(Gamma, chain([(x0,)], stages), strict=True):
-        np.matmul(H, v.transpose(1, 2, 0).reshape(nx, R), out=z)
+    T, (dim, nx), R, nv = len(G), H.shape, x0.shape[0], len(W)
+    buf, z = np.zeros((nx + G.shape[1], R)), np.empty((dim, R))
+    x, v, y, Fz = buf[:nx], buf[:nv], buf[nx:], buf[nv:]
+    Wv, cost = np.empty((nv, R)), np.zeros(R)
+    for G_t, (w,) in zip(G, chain([(x0,)], stages), strict=True):
+        np.matmul(H, w.transpose(1, 2, 0).reshape(nx, R), out=z)
         z += Fz                     # F_{t-1} z_{t-1}; 0 at t = 0
-        np.matmul(Gamma_t, z, out=y)
-        cost += np.einsum("ir,ir->r", Cz, z)
+        np.matmul(G_t, z, out=y)
+        x[:] = z[:nx]
+        np.matmul(W, v, out=Wv)
+        cost += np.einsum("ir,ir->r", Wv, v)
     return cost / T
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
+    d = _delayed.stacked_data(spec)
+    G, H, _ = _delayed.estimator_map(pset.policy.graph, pset.policy, d, T)
+    W = np.block([[d.Q, d.S], [d.S.T, d.R]])
     return _block_costs(PrimitiveSampler(spec.noise, spec.n_dm), T,
-                        n_rollouts, seed,
-                        partial(_graph_costs,
-                                *_graph_map(spec, pset.policy, T)), 1)[0]
+                        n_rollouts, seed, partial(_graph_costs, G, H, W),
+                        1)[0]
 
 
 def _check_horizon(T, horizon):
@@ -562,38 +553,45 @@ def certainty_equivalence_check(spec: TeamSpec, policies: TreePolicySet,
 def _policy_distance(spec: TeamSpec, mode: Population, pol_a, pol_b):
     """Exact per-agent distance between two symmetric tree policies.
 
-    One agent's closed loop runs both policies at once on z = (x^a, x^b, c)
-    with c = alpha Sigma x_0 held constant: both state copies start at the
-    agent's x_0 and see its noise, and the feedback v = (u^a, u^b) is
-    weighted by |u^a - u^b|^2.  Under tree information an agent's
-    trajectory depends only on its own primitives, so this one agent
-    carries the per-agent moments of any population.
+    One agent's closed loop runs both policies at once on z = (e, x^b, c),
+    e = x^a - x^b, with c = alpha Sigma x_0 held constant: x^b starts at
+    the agent's x_0 and sees its noise, e starts at 0 and sees none, and
+    the feedback is v = (u^a - u^b, u^b), where
+
+        u^a - u^b = K^a e + (K^a - K^b) x^b + (L^a - L^b) c.
+
+    z_t = P_t xi is linear in the agent's whitened primitives xi (x_0 and
+    w_s, s < t), so y = (u^a - u^b, u^b, e, x^b) has loadings
+    V_t = [M_t; I 0] P_t and moments E y y' = V V', a Gram matrix: the
+    surrogate is a sum of squares, never negative, and exactly 0 for equal
+    policies, under which e and u^a - u^b stay exactly 0.  Under tree
+    information an agent's trajectory depends only on its own primitives,
+    so this one agent carries the per-agent moments of any population.
     Returns (||E u^a u^a' - E u^b u^b'|| + ||E x^a x^a' - E x^b x^b'||,
     Frobenius over the stages t < T; (1/T) sum_t E|u_t^a - u_t^b|^2).
     """
     p = _tree._params(spec, mode)
     n, m = spec.n, spec.m
-    T = len(pol_a.K)
-    M = np.zeros((T, 2 * m, 3 * n))
-    for k, pol in enumerate((pol_a, pol_b)):
-        M[:, k * m:(k + 1) * m, k * n:(k + 1) * n] = pol.K
-        M[:, k * m:(k + 1) * m, 2 * n:] = pol.L
-    H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])
-    copies = np.array([1.0, 1.0, 0.0])     # which blocks of z are states
-    D = np.hstack([np.eye(m), -np.eye(m)])
-    mom = propagate(ClosedLoop(
-        Z0=H @ p.Sd @ H.T,
-        F0=kron(np.diag(copies), p.A)
-        + kron(np.diag(1.0 - copies), np.eye(n)),
-        Bv=kron(np.eye(3, 2), p.B), M=M,
-        W=kron(np.outer(copies, copies), p.W),
-        Cz=np.zeros((3 * n, 3 * n)), Czv=np.zeros((3 * n, 2 * m)),
-        Rv=D.T @ D))
-    Z = mom.Z
-    U = M @ Z @ M.swapaxes(1, 2)
-    second = (np.linalg.norm(U[:, :m, :m] - U[:, m:, m:])
-              + np.linalg.norm(Z[:, :n, :n] - Z[:, n:2 * n, n:2 * n]))
-    return float(second), mom.cost
+    Ka, La, Kb, Lb = map(np.asarray, (pol_a.K, pol_a.L, pol_b.K, pol_b.L))
+    T = len(Ka)
+    M = np.block([[Ka, Ka - Kb, La - Lb], [np.zeros_like(Kb), Kb, Lb]])
+    F = (kron(np.diag([1.0, 1.0, 0.0]), p.A) + kron(np.eye(3, 2), p.B) @ M
+         + np.diag(np.repeat([0.0, 0.0, 1.0], n)))
+    P = np.vstack([np.zeros((n, n)), np.eye(n), p.alpha * p.Sigma]) \
+        @ psd_factor(p.Sd)
+    noise = np.vstack([np.zeros((n, n)), psd_factor(p.W), np.zeros((n, n))])
+    E = np.concatenate([M, np.broadcast_to(np.eye(2 * n, 3 * n),
+                                           (T, 2 * n, 3 * n))], axis=1)
+    Eyy = np.empty((T, len(E[0]), len(E[0])))
+    for t in range(T):
+        V = E[t] @ P
+        Eyy[t] = V @ V.T
+        P = np.hstack([F[t] @ P, noise])
+    du, ub, e, xb = (slice(0, m), slice(m, 2 * m), slice(2 * m, 2 * m + n),
+                     slice(2 * m + n, None))
+    second = sum(np.linalg.norm(Eyy[:, a, a] + Eyy[:, a, b] + Eyy[:, b, a])
+                 for a, b in ((du, ub), (e, xb)))
+    return float(second), float(np.einsum("tii->", Eyy[:, du, du]) / T)
 
 
 def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):

@@ -53,6 +53,23 @@ def scalar_mf_spec(A=1.0, B=1.0, Q=1.0, R=1.0, Rt=0.5, Qt=0.5, Sd=1.0,
     )
 
 
+def n2_mf_spec(n_dm=3, T=6):
+    """The continuous-integration workflow's n = m = 2 mean-field spec: its
+    init_offdiag is not a multiple of init_diag, so the coupling modes do
+    not share one weight."""
+    return TeamSpec(
+        n_dm=n_dm, horizon=T,
+        dynamics=Homogeneous(A=[[0.9, 0.2], [0.0, 0.7]],
+                             B=[[1.0, 0.0], [0.3, 1.0]]),
+        cost=CostSpec(Q=[[1.0, 0.0], [0.0, 2.0]], R=[[1.0, 0.0], [0.0, 0.5]],
+                      R_tilde=[[0.5, 0.1], [0.1, 0.3]],
+                      Q_tilde=[[0.2, 0.0], [0.0, 0.1]]),
+        noise=NoiseSpec(sigma_w=np.eye(2), init_diag=[[1.0, 0.3], [0.3, 2.0]],
+                        init_offdiag=[[0.4, 0.1], [0.1, 0.2]]),
+        info=MeanFieldTree(),
+    )
+
+
 def random_tree_spec(rng, n=None, m=None, T=None, n_dm=2, coupled=True,
                      mean_field=False, generic_offdiag=False):
     n = n or int(rng.integers(1, 3))

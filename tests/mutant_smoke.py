@@ -106,13 +106,14 @@ MUTANTS = (
            "                np.linalg.cholesky(H[t, 1:])\n",
            "",
            (KRON + "test_sweep_stops_at_first_indefinite_stage",)),
-    Mutant("Sigma^T in sim._policy_distance's Z0", SIM,
-           "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma])",
-           "H = np.vstack([np.eye(n), np.eye(n), p.alpha * p.Sigma.T])",
+    Mutant("Sigma^T in sim._policy_distance's initial factor", SIM,
+           "np.eye(n), p.alpha * p.Sigma])",
+           "np.eye(n), p.alpha * p.Sigma.T])",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
-    Mutant("independent noise in sim._policy_distance's copies", SIM,
-           "W=kron(np.outer(copies, copies), p.W)",
-           "W=kron(np.diag(copies), p.W)",
+    Mutant("noise loaded into the state difference e in "
+           "sim._policy_distance", SIM,
+           "noise = np.vstack([np.zeros((n, n)), psd_factor(p.W), ",
+           "noise = np.vstack([psd_factor(p.W), psd_factor(p.W), ",
            (MFT + "test_exact_columns_agree_with_monte_carlo",)),
     Mutant("transposed A + B K block of sim._TreeStepper's Gamma_t", SIM,
            "np.concatenate([A + B @ K, B @ L], axis=4)",
@@ -242,12 +243,17 @@ MUTANTS = (
            (IDENTITY + "test_node_gains_equal_tree_gains[2]",)),
     Mutant("terminal x_T' Q x_T (less its noise) restored in "
            "sim._graph_costs", SIM,
-           "        cost += np.einsum(\"ir,ir->r\", Cz, z)\n"
+           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n"
            "    return cost / T",
-           "        cost += np.einsum(\"ir,ir->r\", Cz, z)\n    x = Fz[:nx]\n"
-           "    cost += np.einsum(\"ir,ir->r\", Gamma[-1][dim:dim + nx, :nx] "
-           "@ x, x)\n    return cost / T",
+           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n    x = Fz[:nx]\n"
+           "    cost += np.einsum(\"ir,ir->r\", W[:nx, :nx] @ x, x)\n"
+           "    return cost / T",
            (IDENTITY + "test_graph_rollouts_match_tree_cost[4]",)),
+    Mutant("sign of the S cross term flipped in sim._graph_mc's stage "
+           "weight", SIM,
+           "np.block([[d.Q, d.S], [d.S.T, d.R]])",
+           "np.block([[d.Q, -d.S], [-d.S.T, d.R]])",
+           (LAYOUT + "test_graph_kernel_matches_dict_estimator[full3-1-1]",)),
     Mutant("joint initial-state factor built from Sd + So in "
            "rng.PrimitiveSampler", RNG,
            "kron(np.eye(N), sd - so)",
@@ -269,6 +275,12 @@ MUTANTS = (
             "test_delayed_information_refused[solve_tree-n_dm]",
             "tests/test_cli.py::TestCommands::"
             "test_tree_class_commands_refuse_delayed_information[solve-mf]")),
+    Mutant("+ for - in cli.cmd_solve_mf's printed max_t |L^N - L^inf|",
+           "src/teamlqg/cli.py",
+           "max(map(np.linalg.norm, L_N - pol.L))",
+           "max(map(np.linalg.norm, L_N + pol.L))",
+           ("tests/test_cli.py::TestCommands::"
+            "test_solve_mf_gap_to_its_own_population_is_rounding",)),
     Mutant("--rollouts bound 1 made exclusive", "src/teamlqg/cli.py",
            "if args.rollouts < 1:",
            "if args.rollouts <= 1:",

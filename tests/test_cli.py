@@ -310,6 +310,22 @@ class TestCommands:
         report = json.loads(open(out_path).read())
         assert report["convergence"][0]["N"] == MF["n_dm"]
 
+    def test_solve_mf_gap_to_its_own_population_is_rounding(self, tmp_path,
+                                                           capsys):
+        """The N-agent weights are N times the limit's, so every N has the
+        limit's coupling gains, and the printed max_t |L^N - L^inf| is
+        rounding, although L itself is not 0 (correlated initial
+        states)."""
+        out_path = str(tmp_path / "mf.json")
+        assert main(["solve-mf", write_spec(tmp_path, MF),
+                     "--out", out_path]) == EXIT_OK
+        label = "max_t |L^N - L^inf| "
+        (line,) = [l for l in capsys.readouterr().out.splitlines()
+                   if label in l]
+        assert float(line.split(label)[1]) <= 1e-12
+        assert np.abs(json.loads(open(out_path).read())["policy"]["L"]).max() \
+            > 0.01
+
     def test_solve_tree_and_solve_ndm_price_two_agents_alike(self, tmp_path):
         """One pair convention at every N: the two-agent team of a Tree spec
         costs the same through solve-tree and solve-ndm --n 2."""
@@ -488,8 +504,7 @@ class TestCommands:
         spy(tree, "solve_tree", lambda out, spec, *a, **k: solves.append(
             spec.noise.family))
         monkeypatch.setattr(sim, "solve_tree", tree.solve_tree)
-        for owner in (sim, tree):
-            spy(owner, "propagate", lambda out, *a: propagations.append(out))
+        spy(tree, "propagate", lambda out, *a: propagations.append(out))
         spy(tree, "gain_sensitivity", lambda out, *a: passes.append(out))
         spy(tree, "_price", lambda out, *a: prices.append(out))
         spy(sim, "symmetrization_holds", lambda out, *a: verdicts.append(a))

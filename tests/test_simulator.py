@@ -62,6 +62,7 @@ from conftest import (
     combine,
     convex_combination_check,
     coupled_delayed_spec_2dm,
+    n2_mf_spec,
     rand_pd,
     rand_psd,
     random_tree_spec,
@@ -1274,6 +1275,23 @@ class TestMftSweep:
             assert abs(r["mc_cost"] - r["predicted_cost"]) <= r["mc_3se"]
             assert abs(r["cost_gap"]) <= max(r["cost_gap_3se"], 1e-10)
             assert r["ui_surrogate"] >= 0.0
+
+    def test_surrogate_is_a_sum_of_squares(self, rng):
+        """On the n = 2 mean-field spec of the CI workflow, a policy is at
+        distance exactly 0 from itself, and the UI surrogate is never
+        negative: not in the sweep, whose N-optimal and limit policies
+        agree to rounding, and not for policies a rounding apart."""
+        spec = n2_mf_spec()
+        T = spec.horizon
+        for N in (2, 5):
+            nspec, mode = replace(spec, n_dm=N), mean_field(N)
+            pol = solve_tree(nspec, T, mode=mode)
+            assert sim._policy_distance(nspec, mode, pol, pol) == (0.0, 0.0)
+            near = replace(pol, L=pol.L * (1.0 + 1e-15 * rng.normal(
+                size=pol.L.shape)))
+            assert sim._policy_distance(nspec, mode, pol, near)[1] >= 0.0
+        rows = mft_sweep(spec, T, [2, 4, 8], 50, seed=1)
+        assert all(r["ui_surrogate"] >= 0.0 for r in rows)
 
     def test_uncoupled_family_constant_columns(self):
         spec = scalar_mf_spec(Rt=0.0, Qt=0.0, T=2)
