@@ -17,7 +17,6 @@ from teamlqg import (
     GraphPolicySet,
     NoiseSpec,
     TeamSpec,
-    average_cost,
     simulate,
     solve_delayed_finite,
     solve_delayed_infinite,
@@ -57,10 +56,10 @@ print(f"predicted cost      : {predicted:.6f}")
 print(f"Monte Carlo estimate: {rep.mean_cost:.6f} +/- {rep.std_error:.4f} (1 SE)")
 print()
 
-stationary, radius = solve_delayed_infinite(spec)
+stationary, radius, average = solve_delayed_infinite(spec)
 print("stationary node gains:")
 for node in stationary.graph.nodes:
     label = "{" + ",".join(str(i + 1) for i in node) + "}"
     print(f"  {label}: {np.round(stationary.gains[node], 6).tolist()}")
-print(f"average cost per stage: {average_cost(spec, stationary):.6f}")
+print(f"average cost per stage: {average:.6f}")
 print(f"closed-loop estimator radius: {radius:.4f}")

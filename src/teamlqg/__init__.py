@@ -63,7 +63,6 @@ from .delayed import (
     GraphPolicy,
     NodeRecursionError,
     RankConditionError,
-    average_cost,
     closed_loop_cost,
     closed_loop_radius,
     simulate_estimator,

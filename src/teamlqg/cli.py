@@ -178,17 +178,17 @@ def _report_horizon(data, stationary_ok):
     raise SpecFileError(f"policy horizon {T!r} is not a positive integer")
 
 
-def _node_schedules(data, name, graph, stages, rows, cols):
-    """data[name] as {node r: float array of shape stages + (|r| rows,
-    |r| cols)}, in the report's node order, so that the policy dumps back
-    to the same bytes.  Solvers list nodes in ``graph.nodes`` order;
-    older ``solve-delayed-inf`` reports list self-loop nodes first."""
-    table = _field(data, name)
+def _node_gains(data, graph, stages, m, n):
+    """data["gains"] as {node r: float array of shape stages + (|r| m,
+    |r| n)}, in the report's node order, so that the gains dump back to
+    the same bytes.  Solvers list nodes in ``graph.nodes`` order; older
+    ``solve-delayed-inf`` reports list self-loop nodes first."""
+    table = _field(data, "gains")
     nodes = {_delayed.node_key(r): r for r in graph.nodes}
     for k in nodes:
-        _field(table, k, f"policy {name}")
-    return {r: _schedule(table[k], f"{name}[{k}]",
-                         (*stages, len(r) * rows, len(r) * cols))
+        _field(table, k, "policy gains")
+    return {r: _schedule(table[k], f"gains[{k}]",
+                         (*stages, len(r) * m, len(r) * n))
             for k in table if (r := nodes.get(k))}
 
 
@@ -197,7 +197,8 @@ def policy_from_report(data: dict, spec: TeamSpec):
     (policy set, policy).  Raises SpecFileError naming the field when a key
     is missing, a number is not an integer where one is needed, or a
     schedule's shape does not fit the horizon and the spec's (or the
-    node's) block sizes."""
+    node's) block sizes.  Only the gains are read: the value matrices
+    that older reports also hold (tree "P", graph "values") are ignored."""
     kind = _field(data, "kind")
     n, m = spec.n, spec.m
     if kind == "tree":
@@ -217,10 +218,9 @@ def policy_from_report(data: dict, spec: TeamSpec):
             raise SpecFileError(f"policy mode {mode.kind} differs from the "
                                 f"spec's mode {want}")
         T = _report_horizon(data, stationary_ok=False)
-        shapes = {"K": (T, m, n), "L": (T, m, n), "P": (T + 1, n, n)}
         pol = _tree.TreePolicy(mode=mode, **{
-            name: _schedule(_field(data, name), name, shape)
-            for name, shape in shapes.items()})
+            name: _schedule(_field(data, name), name, (T, m, n))
+            for name in "KL"})
         return _sim.TreePolicySet.from_policy(pol, spec.n_dm), pol
     if kind == "delayed":
         graph = _delayed.check_preconditions(spec)
@@ -228,9 +228,7 @@ def policy_from_report(data: dict, spec: TeamSpec):
         stages = [] if T is None else [T]
         pol = _delayed.GraphPolicy(
             graph=graph, horizon=T,
-            gains=_node_schedules(data, "gains", graph, stages, m, n),
-            values=_node_schedules(data, "values", graph,
-                                   [t + 1 for t in stages], n, n))
+            gains=_node_gains(data, graph, stages, m, n))
         return _sim.GraphPolicySet(policy=pol), pol
     raise SpecFileError(f"unsupported policy kind {kind!r} in policy file")
 
@@ -338,8 +336,7 @@ def cmd_solve_delayed(args):
 
 def cmd_solve_delayed_inf(args):
     spec = _validated_spec(args.spec)
-    pol, radius = _delayed.solve_delayed_infinite(spec)
-    cost = _delayed.average_cost(spec, pol)
+    pol, radius, cost = _delayed.solve_delayed_infinite(spec)
     print("stationary delayed-sharing policy solved")
     print("  " + pol.graph.adjacency_listing().replace("\n", "\n  "))
     print(f"average cost = {cost:.12g}")

@@ -121,21 +121,18 @@ def check_preconditions(spec: TeamSpec):
 class GraphPolicy:
     """Per-node gain schedules for u_t^i = sum_{r containing i} I^{{i},r} K_t^r zeta_t^r.
 
-    ``gains[r]`` is the float array of K_t^r, shape (T, |r|m, |r|n), and
-    ``values[r]`` that of X_t^r, shape (T + 1, |r|n, |r|n); a stationary
-    policy drops the stage axis.  Nested sequences of those shapes convert.
+    ``gains[r]`` is the float array of K_t^r, shape (T, |r|m, |r|n); a
+    stationary policy drops the stage axis.  Nested sequences of those
+    shapes convert.  The node values X_t^r stay inside the solvers.
     """
 
     graph: InfoGraph
     horizon: int | None           # None for the stationary policy
     gains: dict
-    values: dict
 
     def __post_init__(self):
-        for name in ("gains", "values"):
-            object.__setattr__(self, name, {
-                r: np.asarray(v, dtype=float)
-                for r, v in getattr(self, name).items()})
+        object.__setattr__(self, "gains", {
+            r: np.asarray(v, dtype=float) for r, v in self.gains.items()})
 
     def schedule(self, node, T):
         """Node's gains K_t^r as a (T, |r|m, |r|n) array; a finite schedule
@@ -149,7 +146,6 @@ class GraphPolicy:
         return g
 
     def as_dict(self):
-        per_node = lambda d: {node_key(r): a.tolist() for r, a in d.items()}
         return {
             "kind": "delayed",
             "horizon": self.horizon,
@@ -157,8 +153,7 @@ class GraphPolicy:
             "edges": [[list(r), list(s)] for r, s in self.graph.edges],
             "injection": {str(i + 1): list(s)
                           for i, s in self.graph.injection_map.items()},
-            "gains": per_node(self.gains),
-            "values": per_node(self.values),
+            "gains": {node_key(r): K.tolist() for r, K in self.gains.items()},
         }
 
 
@@ -192,6 +187,14 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
     """Finite-horizon node gains and the trace form of the optimal cost."""
     T = spec.horizon if T is None else T
     graph = check_preconditions(spec)
+    gains, values = _node_recursion(spec, graph, T)
+    policy = GraphPolicy(graph=graph, horizon=T, gains=gains)
+    return policy, _trace_cost(spec, graph, values, T)
+
+
+def _node_recursion(spec: TeamSpec, graph: InfoGraph, T: int):
+    """The backward node recursion from X_T^r = 0: (gains, values), each
+    node's K_t^r (T, |r|m, |r|n) and X_t^r (T + 1, |r|n, |r|n)."""
     d = stacked_data(spec)
     values = {r: np.zeros((T + 1, len(r) * d.n, len(r) * d.n))
               for r in graph.nodes}          # X_T^r = 0
@@ -206,9 +209,7 @@ def solve_delayed_finite(spec: TeamSpec, T: int | None = None):
                                                        values[s][t + 1])
             except NodeRecursionError as exc:
                 raise NodeRecursionError(f"{exc} at stage {t}") from exc
-    policy = GraphPolicy(graph=graph, horizon=T, gains=gains, values=values)
-    cost = _trace_cost(spec, graph, values, T)
-    return policy, cost
+    return gains, values
 
 
 def _node_block(node, i, M, blk):
@@ -408,8 +409,10 @@ def _rank_condition(d: _Stacked, node, grid=720):
 
 
 def solve_delayed_infinite(spec: TeamSpec):
-    """Stationary node gains for the average-cost problem, and the spectral
-    radius of their closed loop: (policy, radius).
+    """Stationary node gains for the average-cost problem, the spectral
+    radius of their closed loop, and their average cost: (policy, radius,
+    cost).  The cost is the steady noise trace sum_i tr(X_ii W), X the
+    stationary value of agent i's injection node.
 
     Self-loop nodes solve an algebraic Riccati equation on their partitioned
     data (the cross term S^{ss} absorbed by the change of variables
@@ -451,13 +454,17 @@ def solve_delayed_infinite(spec: TeamSpec):
                                               values[s])
 
     policy = GraphPolicy(graph=graph, horizon=None,
-                         gains={r: gains[r] for r in graph.nodes},
-                         values={r: values[r] for r in graph.nodes})
+                         gains={r: gains[r] for r in graph.nodes})
     radius = closed_loop_radius(spec, policy)
     if not radius < 1.0:
         raise RiccatiError(
             f"closed-loop estimator dynamics unstable (spectral radius {radius:.6g})")
-    return policy, radius
+    W = sym(spec.noise.sigma_w)
+    cost = 0.0
+    for i in range(spec.n_dm):
+        s = graph.injection_map[i]
+        cost += float(np.trace(_node_block(s, i, values[s], d.n) @ W))
+    return policy, radius, cost
 
 
 def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
@@ -471,16 +478,3 @@ def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
                                + d.B_sr(s, s) @ policy.schedule(s, 1)[0])
                for s in policy.graph.self_loop_nodes())
 
-
-def average_cost(spec: TeamSpec, policy: GraphPolicy) -> float:
-    """Steady noise-trace value of the stationary policy."""
-    if policy.horizon is not None:
-        raise ValueError("average cost applies to the stationary policy")
-    W = sym(spec.noise.sigma_w)
-    total = 0.0
-    for i in range(spec.n_dm):
-        s = policy.graph.injection_map[i]
-        total += float(
-            np.trace(_node_block(s, i, policy.values[s], spec.n) @ W)
-        )
-    return total

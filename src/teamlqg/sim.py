@@ -283,17 +283,19 @@ def _graph_costs(G, H, W, stages):
     z_0 = H x0, and one matrix product per step, y = G_t z_t, gives
     u_t = y[:N m] and z_{t+1} = y[N m:] + H w_t; the stage cost is
     (W v) . v with v = (x_t, u_t), x_t = z_t[:N n].  y is stored below a
-    copy of x_t, so v is a view of one buffer.
+    copy of x_t, so v is a view of one buffer.  No cost reads z_T, so the
+    last stage forms u_{T-1} alone.
     """
     (x0,) = next(stages)
     T, (dim, nx), R, nv = len(G), H.shape, x0.shape[0], len(W)
     buf, z = np.zeros((nx + G.shape[1], R)), np.empty((dim, R))
     x, v, y, Fz = buf[:nx], buf[:nv], buf[nx:], buf[nv:]
     Wv, cost = np.empty((nv, R)), np.zeros(R)
-    for G_t, (w,) in zip(G, chain([(x0,)], stages), strict=True):
+    rows = [len(y)] * (T - 1) + [nv - nx]
+    for G_t, k, (w,) in zip(G, rows, chain([(x0,)], stages), strict=True):
         np.matmul(H, w.transpose(1, 2, 0).reshape(nx, R), out=z)
         z += Fz                     # F_{t-1} z_{t-1}; 0 at t = 0
-        np.matmul(G_t, z, out=y)
+        np.matmul(G_t[:k], z, out=y[:k])
         x[:] = z[:nx]
         np.matmul(W, v, out=Wv)
         cost += np.einsum("ir,ir->r", Wv, v)

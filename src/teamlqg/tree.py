@@ -313,11 +313,11 @@ def solve_coupling_gains(spec: TeamSpec, T: int, mode: Population):
     not positive definite or has condition number above 1e12, i.e. when
     the cost is not strictly convex in L.
     """
-    return _solve(spec, T, mode)[2]
+    return _solve(spec, T, mode)[1]
 
 
 def _solve(spec: TeamSpec, T: int, mode: Population):
-    """K, P and L of the optimal symmetric policy at horizon T.
+    """K and L of the optimal symmetric policy at horizon T.
 
     Write x_t^i = y_t^i + M_t c^i, where y is the L = 0 loop and M_0 = 0.
     With N_t = K_t M_t + L_t the feedforward matrix obeys
@@ -335,9 +335,9 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     diag(d) splits it: with M = M' W' and N = N' W', column j of M' is an
     LQ problem on (A, B) with weights (a Q + q d_j Qt) / T and
     (a R + b d_j Rt) / T and affine terms (S_t W)_j / T, (R_t W)_j / T.
-    One batched backward recursion gives K, P and every mode's feedback
-    F_t; the affine co-state and the forward pass from M'_0 = 0 are one
-    batched product per stage, and L_t = (N'_t - K_t M'_t) W'.  The pivot
+    One batched backward recursion gives K and every mode's feedback F_t;
+    the affine co-state and the forward pass from M'_0 = 0 are one batched
+    product per stage, and L_t = (N'_t - K_t M'_t) W'.  The pivot
     of the unsplit sweep, sum_j H_j kron u_j u_j' with u_j the columns of
     W^{-T}, is a Schur complement of the Hessian of the cost in L, so the
     Hessian is positive definite exactly when every mode pivot H_j is.
@@ -346,8 +346,8 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
     n, m = p.B.shape
     team = p.Q[None], p.R[None]
     if not p.coupled:
-        P, F, _ = _value_recursion(p.A, p.B, *team, T)
-        return F[:, 0], P[:, 0], np.zeros((T, m, n))
+        F = _value_recursion(p.A, p.B, *team, T)[1]
+        return F[:, 0], np.zeros((T, m, n))
 
     c1 = 1.0 / T
     try:
@@ -356,7 +356,7 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
         # a singular team pivot at any stage is a RiccatiError first
         _value_recursion(p.A, p.B, *team, T)
         raise
-    P, F, H = _value_recursion(p.A, p.B, np.concatenate([team[0], Qm]),
+    _, F, H = _value_recursion(p.A, p.B, np.concatenate([team[0], Qm]),
                                np.concatenate([team[1], Rm]), T, U)
     K, Fm = F[:, 0], F[:, 1:]
 
@@ -387,7 +387,7 @@ def _solve(spec: TeamSpec, T: int, mode: Population):
         x[t + 1] = Phi[t] @ x[t] + Bf[t]
     Lm = ((Fm - K[:, None]) @ x)[..., 0] + f
     L = Lm.swapaxes(1, 2) @ W.T
-    return K, P[:, 0], L
+    return K, L
 
 
 def _modes(p: _Params, scale, where):
@@ -451,12 +451,12 @@ def _pivot_error(w, where):
 class TreePolicy:
     """Affine gain schedule u_t^i = K_t x_t^i + L_t c^i for the coupling
     statistic c^i implied by ``mode`` (see Population).  K and L have shape
-    (T, m, n) and P shape (T + 1, n, n); the horizon is T."""
+    (T, m, n); the horizon is T.  The value matrices P_t are not kept:
+    ``solve_k_p`` gives them."""
 
     mode: Population
     K: np.ndarray
     L: np.ndarray
-    P: np.ndarray
 
     @property
     def horizon(self):
@@ -470,15 +470,14 @@ class TreePolicy:
             "mode_n": self.mode.n,
             "K": self.K.tolist(),
             "L": self.L.tolist(),
-            "P": self.P.tolist(),
         }
 
 
 def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = None):
     T = spec.horizon if T is None else T
     mode = default_mode(spec) if mode is None else mode
-    K, P, L = _solve(spec, T, mode)
-    return TreePolicy(mode=mode, K=K, L=L, P=P)
+    K, L = _solve(spec, T, mode)
+    return TreePolicy(mode=mode, K=K, L=L)
 
 
 def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:

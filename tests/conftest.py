@@ -128,6 +128,43 @@ def coupled_delayed_spec_2dm(T=3, S=0.2):
     )
 
 
+def linked_delayed_spec(rng, delays, n, m, T):
+    """Blocked instance whose off-diagonal blocks follow the direct links of
+    delay 0 or 1 (None: never shared), scaled to a stable open loop."""
+    N = len(delays)
+    A = [[(rng.normal(size=(n, n)) if i == j or delays[i][j] in (0, 1)
+           else np.zeros((n, n))) * (1.0 if i == j else 0.3)
+          for j in range(N)] for i in range(N)]
+    B = [[(np.eye(n, m) * rng.uniform(0.5, 1.5) if i == j
+           else 0.2 * rng.normal(size=(n, m)) if delays[i][j] in (0, 1)
+           else np.zeros((n, m))) for j in range(N)] for i in range(N)]
+    scale = 0.95 / max(1e-9, np.max(np.abs(np.linalg.eigvals(np.block(A)))))
+    return TeamSpec(
+        n_dm=N, horizon=T,
+        dynamics=Blocked(A_blocks=[[scale * a for a in row] for row in A],
+                         B_blocks=B),
+        cost=CostSpec(Q=rand_pd(rng, n), R=rand_pd(rng, m)),
+        noise=NoiseSpec(sigma_w=rand_psd(rng, n, scale=0.5, ridge=0.1),
+                        init_diag=rand_pd(rng, n),
+                        init_offdiag=np.zeros((n, n))),
+        info=Delayed(delays=tuple(tuple(np.inf if v is None else v
+                                        for v in row) for row in delays)),
+    )
+
+
+LINKED_DELAYS = {
+    "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    "chain4": [[0, 1, None, None], [1, 0, 1, None],
+               [None, 1, 0, 1], [None, None, 1, 0]],
+    "ring4": [[0, 1, None, 1], [1, 0, 1, None],
+              [None, 1, 0, 1], [1, None, 1, 0]],
+    "pair": [[0, 1], [1, 0]],
+    "zero-link": [[0, 0, None], [1, 0, 1], [None, 1, 0]],
+    "ring6": [[0 if i == j else 1 if (i - j) % 6 in (1, 5) else None
+               for j in range(6)] for i in range(6)],
+}
+
+
 def single_dm_delayed_spec(rng, T=None, n=None):
     n = n or int(rng.integers(1, 3))
     m = n
@@ -174,7 +211,7 @@ def closed_form_cost_variants(spec, policy):
     T = policy.horizon
     p = tree._params(spec, policy.mode)
     A, B, Sigma, Sd = p.A, p.B, p.Sigma, p.Sd
-    P, K, L = policy.P, policy.K, policy.L
+    K, L, P = policy.K, policy.L, tree.solve_k_p(spec, T)[1]
     C1 = Sigma @ Sd @ Sigma.T
     base = float(np.trace(P[0] @ Sd))
     LT = L.swapaxes(1, 2)

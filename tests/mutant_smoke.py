@@ -235,20 +235,30 @@ MUTANTS = (
            (RANK + "test_mirrored_marginal_pairs_match_reference[720]",
             "tests/test_delayed.py::TestInfiniteHorizon::"
             "test_rank_condition_failure_raises")),
-    Mutant("terminal x_T' Q x_T restored in delayed.solve_delayed_finite's "
-           "node recursion (X_T^r = Q^{rr})", DELAYED,
+    Mutant("terminal x_T' Q x_T restored in delayed._node_recursion, "
+           "the node recursion of solve_delayed_finite (X_T^r = Q^{rr})",
+           DELAYED,
            "    for t in range(T - 1, -1, -1):\n        for r in graph.nodes:",
            "    for r in graph.nodes:\n        values[r][T] = sym(blocks[r][2])"
            "\n    for t in range(T - 1, -1, -1):\n        for r in graph.nodes:",
-           (IDENTITY + "test_node_gains_equal_tree_gains[2]",)),
+           (IDENTITY + "test_node_gains_equal_tree_gains[2]",
+            "tests/test_delayed.py::TestFiniteHorizon::"
+            "test_values_psd_and_terminal_condition")),
     Mutant("terminal x_T' Q x_T (less its noise) restored in "
            "sim._graph_costs", SIM,
            "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n"
            "    return cost / T",
-           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n    x = Fz[:nx]\n"
+           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n"
+           "    x = G[-1, nv - nx:nv] @ z\n"
            "    cost += np.einsum(\"ir,ir->r\", W[:nx, :nx] @ x, x)\n"
            "    return cost / T",
            (IDENTITY + "test_graph_rollouts_match_tree_cost[4]",)),
+    Mutant("stationary graph cost priced with init_diag in place of "
+           "sigma_w in delayed.solve_delayed_infinite", DELAYED,
+           "    W = sym(spec.noise.sigma_w)\n    cost = 0.0",
+           "    W = sym(spec.noise.init_diag)\n    cost = 0.0",
+           ("tests/test_delayed.py::TestStationaryCostReference::"
+            "test_small_specs[coupled-2dm]",)),
     Mutant("sign of the S cross term flipped in sim._graph_mc's stage "
            "weight", SIM,
            "np.block([[d.Q, d.S], [d.S.T, d.R]])",

@@ -677,7 +677,7 @@ class TestPolicyReports:
     ], ids=["tree", "delayed", "delayed-stationary"])
     def test_report_round_trip_is_bitwise(self, tmp_path, data, solve):
         """A solved policy dumped to JSON and loaded back has the solver's
-        schedules bit for bit, and dumps to the same bytes again."""
+        gains bit for bit, and dumps to the same bytes again."""
         spec = load_spec(write_spec(tmp_path, data))
         pol = solve(spec)
         text = json.dumps(pol.as_dict())
@@ -685,10 +685,9 @@ class TestPolicyReports:
         assert json.dumps(loaded.as_dict()) == text
         assert loaded.horizon == pol.horizon
         if isinstance(pol, tree.TreePolicy):
-            pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KLP"]
+            pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KL"]
         else:
-            pairs = [(getattr(pol, f)[r], getattr(loaded, f)[r])
-                     for f in ("gains", "values") for r in pol.graph.nodes]
+            pairs = [(pol.gains[r], loaded.gains[r]) for r in pol.graph.nodes]
         for solved, got in pairs:
             assert got.dtype == solved.dtype and got.shape == solved.shape
             assert got.tobytes() == solved.tobytes()
@@ -709,12 +708,12 @@ class TestPolicyReports:
         spec = load_spec(spec_path)
         if command == "solve-tree":
             pol = tree.solve_tree(spec)
-            pairs = [(getattr(pol, f), report["policy"][f]) for f in "KLP"]
+            pairs = [(getattr(pol, f), report["policy"][f]) for f in "KL"]
         elif command == "solve-delayed-inf":
-            pol, _ = delayed.solve_delayed_infinite(spec)
-            pairs = [(getattr(pol, f)[r],
-                      report["policy"][f][delayed.node_key(r)])
-                     for f in ("gains", "values") for r in pol.graph.nodes]
+            pol = delayed.solve_delayed_infinite(spec)[0]
+            pairs = [(pol.gains[r],
+                      report["policy"]["gains"][delayed.node_key(r)])
+                     for r in pol.graph.nodes]
         else:
             sol = dare_solve(spec.dynamics.A, spec.dynamics.B, spec.cost.Q,
                              spec.cost.R)
@@ -726,14 +725,14 @@ class TestPolicyReports:
     @pytest.mark.parametrize("command", ["solve-delayed", "solve-delayed-inf"])
     def test_delayed_reports_list_nodes_in_graph_order(self, tmp_path,
                                                        command):
-        """Finite and stationary reports list their gains and values in the
-        order of their own "nodes" list."""
+        """Finite and stationary reports list their gains in the order of
+        their own "nodes" list."""
         pol_path = str(tmp_path / "pol.json")
         assert main([command, write_spec(tmp_path, DELAYED),
                      "--out", pol_path]) == EXIT_OK
         pol = json.loads(open(pol_path).read())["policy"]
         keys = [",".join(str(i + 1) for i in r) for r in pol["nodes"]]
-        assert list(pol["gains"]) == keys and list(pol["values"]) == keys
+        assert list(pol["gains"]) == keys
 
     def test_report_in_another_node_order_round_trips(self, tmp_path):
         """A stationary report whose nodes come in another order than its
@@ -741,11 +740,45 @@ class TestPolicyReports:
         and dumps back to the same bytes."""
         spec = load_spec(write_spec(tmp_path, DELAYED))
         data = delayed.solve_delayed_infinite(spec)[0].as_dict()
-        for name in ("gains", "values"):
-            data[name] = dict(reversed(data[name].items()))
+        data["gains"] = dict(reversed(data["gains"].items()))
         text = json.dumps(data)
         _, loaded = policy_from_report(json.loads(text), spec)
         assert json.dumps(loaded.as_dict()) == text
+
+    @pytest.mark.parametrize("command, data", [
+        ("solve-tree", GOLDEN), ("solve-delayed", DELAYED),
+        ("solve-delayed-inf", DELAYED)])
+    def test_reports_with_value_matrices_still_load(self, tmp_path, capsys,
+                                                     command, data):
+        """Reports in the older format, which also held the value matrices
+        (tree "P", graph "values"), load with the solver's gains bit for
+        bit, and simulate and verify print and write the same for them as
+        for today's report, which holds no value matrices."""
+        spec_path = write_spec(tmp_path, data)
+        new_path, old_path = tmp_path / "new.json", tmp_path / "old.json"
+        assert main([command, spec_path, "--out", str(new_path)]) == EXIT_OK
+        new = json.loads(new_path.read_text())
+        assert not {"P", "values"} & set(new["policy"])
+        with open(os.path.join(os.path.dirname(__file__),
+                               "reports_with_values.json")) as fh:
+            old = json.load(fh)[command]
+        assert {"P", "values"} & set(old["policy"])
+        old_path.write_text(json.dumps(old))
+        # JSON floats round-trip, so equal text is equal bits
+        _, loaded = policy_from_report(old["policy"], load_spec(spec_path))
+        assert json.dumps(loaded.as_dict()) == json.dumps(new["policy"])
+        runs = []
+        for path in (old_path, new_path):
+            sim_path = tmp_path / f"sim-{path.name}"
+            capsys.readouterr()
+            codes = (
+                main(["simulate", spec_path, "--policy", str(path),
+                      "--rollouts", "200", "--seed", "3",
+                      "--out", str(sim_path)]),
+                main(["verify", spec_path, "--policy", str(path),
+                      "--rollouts", "200", "--seed", "3"]))
+            runs.append((codes, capsys.readouterr(), sim_path.read_text()))
+        assert runs[0] == runs[1]
 
 
 class TestExitCodes:

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from teamlqg.delayed import (
     GraphPolicy,
     NodeRecursionError,
+    _node_recursion,
     _rank_condition,
-    average_cost,
     closed_loop_cost,
     check_preconditions,
     closed_loop_radius,
@@ -41,7 +42,9 @@ from teamlqg.model import (
 )
 
 from conftest import (
+    LINKED_DELAYS,
     coupled_delayed_spec_2dm,
+    linked_delayed_spec,
     rand_pd,
     rand_psd,
     single_dm_delayed_spec,
@@ -78,9 +81,15 @@ def dp_oracle(A, B, Q, R, S, T):
     return Ks, Xs
 
 
-def values_psd(policy):
+def node_values(spec, T):
+    """Every node's value matrices X_t^r, (T + 1, |r|n, |r|n), from the
+    node recursion that ``solve_delayed_finite`` runs."""
+    return _node_recursion(spec, check_preconditions(spec), T)[1]
+
+
+def values_psd(values):
     """Whether every node's value matrix X_t^r is positive semidefinite."""
-    return all(is_psd(X) for v in policy.values.values()
+    return all(is_psd(X) for v in values.values()
                for X in v.reshape(-1, *v.shape[-2:]))
 
 
@@ -138,21 +147,20 @@ class TestFiniteHorizon:
 
     def test_values_psd_and_terminal_condition(self):
         spec = coupled_delayed_spec_2dm(T=3)
-        pol, _ = solve_delayed_finite(spec, 3)
-        assert values_psd(pol)
-        for r in pol.graph.nodes:
-            XT = pol.values[r][3]
+        values = node_values(spec, 3)
+        assert values_psd(values)
+        for r in check_preconditions(spec).nodes:
+            XT = values[r][3]
             assert XT.shape == (len(r), len(r))
             assert np.allclose(XT, 0.0)  # nothing is charged after t < T
 
     def test_diagonal_constant_value_array(self):
         """X_{t+1}^{r,(T+1)} equals X_t^{r,(T)} for every node."""
         spec = coupled_delayed_spec_2dm(T=5)
-        p5, _ = solve_delayed_finite(spec, 5)
-        p6, _ = solve_delayed_finite(spec, 6)
-        for r in p5.graph.nodes:
+        v5, v6 = node_values(spec, 5), node_values(spec, 6)
+        for r in v5:
             for t in range(6):
-                assert np.abs(p6.values[r][t + 1] - p5.values[r][t]).max() < 1e-12
+                assert np.abs(v6[r][t + 1] - v5[r][t]).max() < 1e-12
 
     @pytest.mark.parametrize("r_tilde", [2.0, 1.01])
     def test_indefinite_inner_matrix_names_node_and_stage(self, r_tilde):
@@ -239,24 +247,25 @@ class TestInfiniteHorizon:
                             init_offdiag=[[0.0]]),
             info=Delayed(delays=((0.0,),)),
         )
-        pol, _ = solve_delayed_infinite(spec)
+        pol, _, cost = solve_delayed_infinite(spec)
         assert abs(pol.gains[(0,)][0, 0] + 0.6180339887) < 1e-8
-        assert abs(pol.values[(0,)][0, 0] - PHI) < 1e-8
-        assert average_cost(spec, pol) == pytest.approx(PHI, abs=1e-8)
+        assert cost == pytest.approx(PHI, abs=1e-8)      # X = PHI, W = 1
 
     def test_decoupled_two_independent_dares(self):
         from teamlqg.riccati import dare_solve
 
         spec = decoupled_2dm_spec()
-        pol, _ = solve_delayed_infinite(spec)
-        for i, a in enumerate((0.8, 0.6)):
-            sol = dare_solve([[a]], [[1.0]], [[1.0]], [[1.0]])
+        pol, _, cost = solve_delayed_infinite(spec)
+        sols = [dare_solve([[a]], [[1.0]], [[1.0]], [[1.0]]) for a in (0.8, 0.6)]
+        for i, sol in enumerate(sols):
             assert np.abs(pol.gains[(i,)] - sol.K).max() < 1e-8
-            assert np.abs(pol.values[(i,)] - sol.P).max() < 1e-8
+        W = spec.noise.sigma_w
+        assert cost == pytest.approx(sum(np.trace(sol.P @ W) for sol in sols),
+                                     abs=1e-8)
 
     def test_finite_gains_converge_to_stationary(self):
         spec = coupled_delayed_spec_2dm()
-        stat, _ = solve_delayed_infinite(spec)
+        stat, _, _ = solve_delayed_infinite(spec)
         diffs = []
         for T in (32, 64, 128):
             polT, _ = solve_delayed_finite(spec, T)
@@ -269,27 +278,20 @@ class TestInfiniteHorizon:
         """The solver returns the radius of the loop it checked, the one
         ``closed_loop_radius`` computes."""
         spec = coupled_delayed_spec_2dm()
-        pol, radius = solve_delayed_infinite(spec)
+        pol, radius, _ = solve_delayed_infinite(spec)
         assert radius == closed_loop_radius(spec, pol) < 1.0
 
     def test_average_cost_is_horizon_limit(self):
         """(1/T)-normalized finite optimal costs approach the stationary
         noise-trace value as T doubles."""
         spec = coupled_delayed_spec_2dm()
-        stat, _ = solve_delayed_infinite(spec)
-        target = average_cost(spec, stat)
+        _, _, target = solve_delayed_infinite(spec)
         gaps = []
         for T in (16, 64, 256):
             _, cost = solve_delayed_finite(spec, T)
             gaps.append(abs(cost - target))
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-2
-
-    def test_stationary_policy_average_cost_requires_stationary(self):
-        spec = coupled_delayed_spec_2dm(T=3)
-        pol, _ = solve_delayed_finite(spec, 3)
-        with pytest.raises(ValueError):
-            average_cost(spec, pol)
 
     def test_rank_condition_failure_raises(self):
         """Zero cost on an undetectable unstable mode trips the unit-circle
@@ -372,6 +374,87 @@ class TestInfiniteHorizon:
                          lambda: pbp_check(spec, pset, 3)):
             with pytest.raises(ValueError, match="init_offdiag"):
                 evaluate()
+
+
+def reference_average_cost(spec, policy):
+    """Average cost of a stationary graph policy by policy evaluation, on
+    the spec's full stacked matrices and no code of the solver.  Node r,
+    with successor s, has F^r = A^{sr} + B^{sr} K^r and stage weight
+    C^r = Q^{rr} + S^{rr} K^r + (S^{rr} K^r)^T + K^{rT} R^{rr} K^r; its
+    cost-to-go P^r solves P = C^r + F^{rT} P F^r at a self-loop node and is
+    C^r + F^{rT} P^s F^r at every other, and J = sum_i tr(P_ii W) with
+    P_ii agent i's block of its injection node's P."""
+    N, n, m = spec.n_dm, spec.n, spec.m
+    if isinstance(spec.dynamics, Blocked):
+        A, B = (np.block([list(row) for row in grid]) for grid in
+                (spec.dynamics.A_blocks, spec.dynamics.B_blocks))
+    else:
+        A, B = np.kron(np.eye(N), spec.dynamics.A), np.kron(np.eye(N),
+                                                            spec.dynamics.B)
+    off = np.ones((N, N)) - np.eye(N)
+    c = spec.cost
+    Q = np.kron(np.eye(N), c.Q) + np.kron(off, c.Q_tilde)
+    R = np.kron(np.eye(N), c.R) + np.kron(off, c.R_tilde)
+    S = np.kron(np.eye(N), c.S)
+    rows = lambda node, k: [i * k + a for i in node for a in range(k)]
+    graph, P = policy.graph, {}
+    while len(P) < len(graph.nodes):
+        for r in graph.nodes:
+            s = graph.successor_map[r]
+            if r in P or (s != r and s not in P):
+                continue
+            x, u, y, K = rows(r, n), rows(r, m), rows(s, n), policy.gains[r]
+            F = A[np.ix_(y, x)] + B[np.ix_(y, u)] @ K
+            SK = S[np.ix_(x, u)] @ K
+            C = Q[np.ix_(x, x)] + SK + SK.T + K.T @ R[np.ix_(u, u)] @ K
+            P[r] = (solve_discrete_lyapunov(F.T, C) if s == r
+                    else C + F.T @ P[s] @ F)
+    total = 0.0
+    for i, s in graph.injection_map.items():
+        b = rows([s.index(i)], n)
+        total += np.trace(P[s][np.ix_(b, b)] @ spec.noise.sigma_w)
+    return total
+
+
+# CI's delayed.json
+CI_DELAYED = TeamSpec(
+    n_dm=2, horizon=3,
+    dynamics=Homogeneous(A=[[0.8]], B=[[1.0]]),
+    cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
+    noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]], init_offdiag=[[0.0]]),
+    info=Delayed(delays=((0.0, 1.0), (1.0, 0.0))),
+)
+
+
+class TestStationaryCostReference:
+    """The cost ``solve_delayed_infinite`` returns is the average cost of
+    the policy it returns, as policy evaluation prices it."""
+
+    @staticmethod
+    def assert_matches(spec):
+        pol, _, cost = solve_delayed_infinite(spec)
+        ref = reference_average_cost(spec, pol)
+        assert abs(cost - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("spec", [CI_DELAYED, coupled_delayed_spec_2dm()],
+                             ids=["ci-delayed", "coupled-2dm"])
+    def test_small_specs(self, spec):
+        self.assert_matches(spec)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("graph", ["full3", "chain4", "ring4"])
+    def test_linked_graphs(self, graph, n, m, seed):
+        """Bench-shaped linked graphs; odd seeds add R~, Q~ and S."""
+        rng = np.random.default_rng(seed)
+        spec = linked_delayed_spec(rng, LINKED_DELAYS[graph], n, m, 3)
+        if seed % 2:
+            W = rand_pd(rng, n + m)    # [[Q, S], [S^T, R]]: a valid cost
+            spec = replace(spec, cost=CostSpec(
+                Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
+                Q_tilde=rand_psd(rng, n, scale=0.1),
+                R_tilde=rand_psd(rng, m, scale=0.1)))
+        self.assert_matches(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +682,7 @@ class TestTreeIdentity:
         rng = np.random.default_rng(100 + case)
         K = tpol.K + 0.3 * rng.normal(size=(N, *tpol.K.shape))
         pset = TreePolicySet(mode=n_dm(N), K=K, L=np.zeros_like(K))
-        graph = GraphPolicy(graph=dpol.graph, horizon=T, values={},
+        graph = GraphPolicy(graph=dpol.graph, horizon=T,
                             gains={(i,): K[i] for i in range(N)})
         J_tree = exact_cost_general(tree_spec, pset, T)
         J_graph = closed_loop_cost(delayed_spec, graph)

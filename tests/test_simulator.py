@@ -61,7 +61,9 @@ from teamlqg.moments import ClosedLoop, gain_sensitivity, propagate
 from conftest import (
     combine,
     convex_combination_check,
+    LINKED_DELAYS,
     coupled_delayed_spec_2dm,
+    linked_delayed_spec,
     n2_mf_spec,
     rand_pd,
     rand_psd,
@@ -103,7 +105,7 @@ def reference_pbp(spec, policies, T, step=sim.PBP_STEP):
                         gains[r][t] = gains[r][t].copy()
                         gains[r][t][idx] += s
                         pert = GraphPolicy(graph=pol.graph, horizon=T,
-                                           gains=gains, values=pol.values)
+                                           gains=gains)
                         drops[-1].append(base - closed_loop_cost(spec, pert,
                                                                  T))
     else:
@@ -362,30 +364,6 @@ def reference_graph_costs(spec, policy, x0, w):
 
     return (quad(x[:, :T], d.Q) + quad(u, d.R)
             + 2.0 * ((x[:, :T] @ d.S) * u).sum(axis=(1, 2))) / T
-
-
-def linked_delayed_spec(rng, delays, n, m, T):
-    """Blocked instance whose off-diagonal blocks follow the direct links of
-    delay 0 or 1 (None: never shared), scaled to a stable open loop."""
-    N = len(delays)
-    A = [[(rng.normal(size=(n, n)) if i == j or delays[i][j] in (0, 1)
-           else np.zeros((n, n))) * (1.0 if i == j else 0.3)
-          for j in range(N)] for i in range(N)]
-    B = [[(np.eye(n, m) * rng.uniform(0.5, 1.5) if i == j
-           else 0.2 * rng.normal(size=(n, m)) if delays[i][j] in (0, 1)
-           else np.zeros((n, m))) for j in range(N)] for i in range(N)]
-    scale = 0.95 / max(1e-9, np.max(np.abs(np.linalg.eigvals(np.block(A)))))
-    return TeamSpec(
-        n_dm=N, horizon=T,
-        dynamics=Blocked(A_blocks=[[scale * a for a in row] for row in A],
-                         B_blocks=B),
-        cost=CostSpec(Q=rand_pd(rng, n), R=rand_pd(rng, m)),
-        noise=NoiseSpec(sigma_w=rand_psd(rng, n, scale=0.5, ridge=0.1),
-                        init_diag=rand_pd(rng, n),
-                        init_offdiag=np.zeros((n, n))),
-        info=Delayed(delays=tuple(tuple(np.inf if v is None else v
-                                        for v in row) for row in delays)),
-    )
 
 
 class TestDeterminism:
@@ -649,8 +627,8 @@ class TestRolloutLayout:
         gains = {r: [0.4 * rng.normal(size=(len(r) * m, len(r) * n))
                      for _ in range(T)] for r in info.nodes}
         policies = [
-            GraphPolicy(graph=info, horizon=T, gains=gains, values={}),
-            GraphPolicy(graph=info, horizon=None, values={},
+            GraphPolicy(graph=info, horizon=T, gains=gains),
+            GraphPolicy(graph=info, horizon=None,
                         gains={r: g[0] for r, g in gains.items()}),
         ]
         N, R = spec.n_dm, BLOCK + 300
@@ -708,7 +686,7 @@ class TestMemory:
 
     def test_graph_peak_does_not_grow_with_horizon(self):
         spec = coupled_delayed_spec_2dm(T=10)
-        pol, _ = solve_delayed_infinite(spec)
+        pol = solve_delayed_infinite(spec)[0]
         peaks = self._peaks(spec, lambda T: GraphPolicySet(policy=pol))
         assert peaks[200] <= 1.5 * peaks[10], peaks
 
@@ -719,19 +697,6 @@ class TestMemory:
                                                  [2, 4, 8], BLOCK, seed=3))
                  for T in (10, 200)}
         assert peaks[200] <= 1.5 * peaks[10], peaks
-
-
-LINKED_DELAYS = {
-    "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-    "chain4": [[0, 1, None, None], [1, 0, 1, None],
-               [None, 1, 0, 1], [None, None, 1, 0]],
-    "ring4": [[0, 1, None, 1], [1, 0, 1, None],
-              [None, 1, 0, 1], [1, None, 1, 0]],
-    "pair": [[0, 1], [1, 0]],
-    "zero-link": [[0, 0, None], [1, 0, 1], [None, 1, 0]],
-    "ring6": [[0 if i == j else 1 if (i - j) % 6 in (1, 5) else None
-               for j in range(6)] for i in range(6)],
-}
 
 
 class TestZetaLoop:
@@ -755,7 +720,7 @@ class TestZetaLoop:
             Q_tilde=rand_psd(rng, n, scale=0.1),
             R_tilde=rand_psd(rng, n, scale=0.1)))
         finite, _ = solve_delayed_finite(spec, T)
-        stationary, _ = solve_delayed_infinite(spec)
+        stationary = solve_delayed_infinite(spec)[0]
         policies = []
         for pol in (finite, stationary):
             bump = lambda g: g + 0.1 * rng.normal(size=g.shape)
@@ -1056,7 +1021,7 @@ class TestStructuralChecks:
         gains[(0,)][0] = gains[(0,)][0] + 0.1
         from teamlqg.delayed import GraphPolicy
         bad = GraphPolicySet(policy=GraphPolicy(
-            graph=pol.graph, horizon=3, gains=gains, values=pol.values))
+            graph=pol.graph, horizon=3, gains=gains))
         assert pbp_check(spec, bad, 3) > 1e-7
 
     def test_pbp_matches_reference_on_tree_profiles(self, rng):
@@ -1111,7 +1076,7 @@ class TestStructuralChecks:
                for r, gs in pol.gains.items()}
         for gains in (pol.gains, bad):
             gset = GraphPolicySet(policy=GraphPolicy(
-                graph=pol.graph, horizon=T, gains=gains, values=pol.values))
+                graph=pol.graph, horizon=T, gains=gains))
             J = closed_loop_cost(spec, gset.policy, T)
             assert abs(pbp_check(spec, gset, T)
                        - reference_pbp(spec, gset, T)) <= 1e-12 * (1.0 + abs(J))
