@@ -11,8 +11,8 @@ nothing after them, as in every class (see CostSpec):
     J_T = (1/T) E sum_{t<T} (x_t^T Q x_t + 2 x_t^T S u_t + u_t^T R u_t).
 
 The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
-(Lamperski & Doyle, IEEE TAC 2015), so exact costs run node by node
-(``_node_moments``); the Monte Carlo kernel steps x on its own beside them.
+(Lamperski & Doyle, IEEE TAC 2015), so exact costs and rollouts run node
+by node (``_node_moments``, ``step_nodes``); rollouts step x on its own.
 """
 
 from __future__ import annotations
@@ -137,7 +137,10 @@ class GraphPolicy:
     def schedule(self, node, T):
         """Node's gains K_t^r as a (T, |r|m, |r|n) array; a finite schedule
         runs only at its own horizon, a stationary gain at every stage."""
-        g = self.gains[node]
+        return self.staged(self.gains[node], T)
+
+    def staged(self, g, T):
+        """``schedule`` of an array g shaped like this policy's gains."""
         if self.horizon is None:
             return np.broadcast_to(g, (T, *g.shape))
         if T != self.horizon:
@@ -233,37 +236,40 @@ def _trace_cost(spec, graph, values, T):
 # estimator propagation and closed-loop evaluation
 
 
-def estimator_map(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
-    """The estimator recursion as one linear step of z = (x, all zeta).
+def node_plan(graph: InfoGraph, policy: GraphPolicy, d: _Stacked, T: int):
+    """The estimator recursion on one (size, R) buffer of every zeta, largest
+    node first: (steps, inject, size).  ``steps`` maps node r, successor s,
+    to (G, rows, cols, succ): G (T, |r|m + |s|n, |r|n) stacks K_t^r over
+    A^{sr} + B^{sr} K_t^r, rows are r's agents' control rows, cols and succ
+    the buffer rows of zeta^r and zeta^s; ``inject`` holds each agent's rows
+    in its injection node, where x_0^i and w_t^i enter."""
+    order = graph.nodes[::-1]
+    start = d.n * np.cumsum([0] + [len(r) for r in order])
+    cols = {r: slice(a, b) for r, a, b in zip(order, start, start[1:])}
+    steps = {}
+    for r in order:
+        s, K = graph.successor_map[r], policy.gains[r]
+        G = np.concatenate([K, d.A_sr(s, r) + d.B_sr(s, r) @ K], axis=-2)
+        rows = (d.m * np.array(r)[:, None] + np.arange(d.m)).ravel()
+        steps[r] = policy.staged(G, T), rows, cols[r], cols[s]
+    inject = np.concatenate([cols[s].start + s.index(i) * d.n + np.arange(d.n)
+                             for i, s in sorted(graph.injection_map.items())])
+    return steps, inject, start[-1]
 
-    Agent i's x_0^i and w_t^i enter its injection node's zeta, node r's
-    control K_t^r zeta_t^r enters the plant through its agents' inputs, and
-    zeta^r moves to its successor s through A^{sr} + B^{sr} K_t^r:
 
-        z_0 = H x_0,   u_t = G_t[:Nm] z_t,   z_{t+1} = G_t[Nm:] z_t + H w_t.
-
-    Node r owns one agent slot per member, in ``graph.nodes`` order, below
-    the plant state x, which is stepped on its own.  Returns (G, H, cols):
-    G (T, N m + dim, dim), H (dim, N n), cols each node's zeta slice of z.
-    """
-    nx, p = d.N * d.n, d.N * d.m
-    start = nx + d.n * np.cumsum([0] + [len(r) for r in graph.nodes])
-    cols = {r: slice(a, b) for r, a, b in zip(graph.nodes, start, start[1:])}
-    H = np.eye(start[-1], nx)
-    for i, s in graph.injection_map.items():      # nodes are sorted tuples
-        slot = cols[s].start + s.index(i) * d.n
-        H[slot:slot + d.n, i * d.n:(i + 1) * d.n] = np.eye(d.n)
-    G = np.zeros((T, p + len(H), len(H)))
-    Ku, F = G[:, :p], G[:, p:]
-    for r in graph.nodes:
-        s = graph.successor_map[r]
-        K = policy.schedule(r, T)
-        Ku[:, (d.m * np.array(r)[:, None] + np.arange(d.m)).ravel(),
-           cols[r]] = K
-        F[:, cols[s], cols[r]] = d.A_sr(s, r) + d.B_sr(s, r) @ K
-    F[:, :nx] = d.B @ Ku
-    F[:, :nx, :nx] = d.A
-    return G, H, cols
+def step_nodes(steps, z, u, t, last=False):
+    """Stage t of ``node_plan``'s steps in place: reads zeta_t from z, writes
+    u_t into u and, unless ``last``, zeta_{t+1} less the noise into z.  A
+    successor is larger than its node unless the node is a self-loop, so
+    largest first, each zeta_t is read before a smaller node adds to it."""
+    u[:] = 0.0
+    for G, rows, cols, succ in steps.values():
+        k = len(rows)
+        y = (G[t, :k] if last else G[t]) @ z[cols]
+        u[rows] += y[:k]
+        if not last:
+            z[cols] = 0.0
+            z[succ] += y[k:]
 
 
 def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
@@ -273,27 +279,24 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
     x0: (batch, N*n) initial stacked states; w: (batch, T, N*n) noises.
     Returns (x, zeta, u): x is (batch, T+1, N*n), u is (batch, T, N*m), and
     zeta maps each node to its (batch, T+1, |r|*n) trajectory.  Steps
-    ``estimator_map`` with the batch axis last; the results are transposed
-    views of that storage.
+    ``step_nodes`` with the batch axis last, and x on its own; the results
+    are transposed views of that storage.
     """
     d = stacked_data(spec)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 2:
-        w = w[None]
-    batch, T = w.shape[0], w.shape[1]
-    G, H, cols = estimator_map(graph, policy, d, T)
-    p = d.N * d.m
-    z = np.empty((T + 1, H.shape[0], batch))
-    u = np.empty((T, p, batch))
-    z[0] = H @ x0.T
+    w = np.asarray(w, dtype=float).reshape(-1, *np.shape(w)[-2:])
+    batch, T = w.shape[:2]
+    steps, inject, size = node_plan(graph, policy, d, T)
+    x, u = np.empty((T + 1, d.N * d.n, batch)), np.empty((T, d.N * d.m, batch))
+    z = np.zeros((T + 1, size, batch))
+    x[0] = z[0, inject] = x0.T
     for t in range(T):
-        y = G[t] @ z[t]
-        u[t] = y[:p]
-        z[t + 1] = y[p:] + H @ w[:, t].T
-    z = z.transpose(2, 0, 1)
-    return (z[..., :d.N * d.n], {r: z[..., c] for r, c in cols.items()},
-            u.transpose(2, 0, 1))
+        z[t + 1] = z[t]
+        step_nodes(steps, z[t + 1], u[t], t)
+        x[t + 1] = d.A @ x[t] + d.B @ u[t] + w[:, t].T
+        z[t + 1, inject] += w[:, t].T
+    x, z, u = (a.transpose(2, 0, 1) for a in (x, z, u))
+    return x, {r: z[..., steps[r][2]] for r in graph.nodes}, u
 
 
 def _check_on_graph(d: _Stacked, graph: InfoGraph):

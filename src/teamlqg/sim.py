@@ -21,14 +21,10 @@ largest population, and every population reads its prefix of that fill
 (``_nested_crn``).  Both kernels run rollout-last on the sampler's storage.
 The tree-class kernel (``_TreeStepper``) takes one batched matrix product per
 profile and step, from every agent's (x_t, c), a contiguous row per entry,
-to its control and next state.  The graph-class kernel steps
-z = (x, all zeta) of shape (dim, R) by the estimator recursion's own map
-(``delayed.estimator_map``), built once per call, which gives u_t and
-z_{t+1} in one product, and prices v = (x_t, u_t) by the stacked stage
-weight [[Q, S], [S^T, R]] as (W v) . v.  The exact cost runs node
-by node on the zeta alone (``delayed._node_moments``) and reads the plant
-state as their sum; the kernel steps the true x on its own, so Monte Carlo
-stays an independent check of that pricer and of that sum.
+to its control and next state.  The graph-class kernel (``_graph_costs``)
+steps every zeta node by node and the plant x on its own, so Monte Carlo
+stays an independent check of the exact cost, which runs node by node on
+the zeta alone (``delayed._node_moments``) and reads x as their sum.
 """
 
 from __future__ import annotations
@@ -60,7 +56,8 @@ def _coupling_coeffs(mode: Population, N: int):
     profile, from ``cost_weights``, such that the coupling equals
     c * (sum_i u_i)^T M (sum_j u_j) minus the diagonal."""
     a, b, q, _ = cost_weights(mode)
-    return b / (a * (N - 1)), q / (a * (N - 1))
+    c = a * (N - 1)
+    return (b / c, q / c) if N > 1 else (0.0, 0.0)     # one agent: no pairs
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +270,39 @@ def _tree_mc(spec: TeamSpec, pset: TreePolicySet, T, n_rollouts, seed):
     return _tree_crn(spec, T, n_rollouts, seed, pset)[0]
 
 
-def _graph_costs(G, H, W, stages):
+def _graph_costs(plan, AB, W, T, stages):
     """Per-rollout costs of one batch of primitives, a one-population draw,
-    under a graph policy, given its estimator map (G, H)
-    (``delayed.estimator_map``) and the stacked stage weight
-    W = [[Q, S], [S^T, R]] of (x, u).
+    under a graph policy over T stages, given its ``delayed.node_plan``,
+    the stacked plant [A B] and stage weight W = [[Q, S], [S^T, R]].
 
-    Runs rollout-last on the (N n, R) storage of each stage, x0 first:
-    z_0 = H x0, and one matrix product per step, y = G_t z_t, gives
-    u_t = y[:N m] and z_{t+1} = y[N m:] + H w_t; the stage cost is
-    (W v) . v with v = (x_t, u_t), x_t = z_t[:N n].  y is stored below a
-    copy of x_t, so v is a view of one buffer.  No cost reads z_T, so the
-    last stage forms u_{T-1} alone.
+    Runs rollout-last on the (N n, R) storage of x0 and each w_t, which
+    enter x and their agents' injection nodes.  ``delayed.step_nodes``
+    writes u_t into v = (x_t, u_t), priced as (W v) . v, and the plant
+    steps on its own, x_{t+1} = [A B] v + w_t; no cost reads zeta_T or x_T.
     """
+    steps, inject, size = plan
     (x0,) = next(stages)
-    T, (dim, nx), R, nv = len(G), H.shape, x0.shape[0], len(W)
-    buf, z = np.zeros((nx + G.shape[1], R)), np.empty((dim, R))
-    x, v, y, Fz = buf[:nx], buf[:nv], buf[nx:], buf[nv:]
-    Wv, cost = np.empty((nv, R)), np.zeros(R)
-    rows = [len(y)] * (T - 1) + [nv - nx]
-    for G_t, k, (w,) in zip(G, rows, chain([(x0,)], stages), strict=True):
-        np.matmul(H, w.transpose(1, 2, 0).reshape(nx, R), out=z)
-        z += Fz                     # F_{t-1} z_{t-1}; 0 at t = 0
-        np.matmul(G_t[:k], z, out=y[:k])
-        x[:] = z[:nx]
-        np.matmul(W, v, out=Wv)
-        cost += np.einsum("ir,ir->r", Wv, v)
+    R, (nx, nv) = len(x0), AB.shape
+    z, v, cost = np.zeros((size, R)), np.zeros((nv, R)), np.zeros(R)
+    x, u = v[:nx], v[nx:]
+    for t, (w,) in zip(range(T), chain([(x0,)], stages), strict=True):
+        w = w.transpose(1, 2, 0).reshape(nx, R)      # x0, then w_{t-1}
+        x += w
+        z[inject] += w
+        _delayed.step_nodes(steps, z, u, t, last=t == T - 1)
+        cost += np.einsum("ir,ir->r", W @ v, v)
+        if t < T - 1:
+            np.matmul(AB, v, out=x)
     return cost / T
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
     d = _delayed.stacked_data(spec)
-    G, H, _ = _delayed.estimator_map(pset.policy.graph, pset.policy, d, T)
-    W = np.block([[d.Q, d.S], [d.S.T, d.R]])
+    plan = _delayed.node_plan(pset.policy.graph, pset.policy, d, T)
+    AB, W = np.hstack([d.A, d.B]), np.block([[d.Q, d.S], [d.S.T, d.R]])
+    price = partial(_graph_costs, plan, AB, W, T)
     return _block_costs(PrimitiveSampler(spec.noise, spec.n_dm), T,
-                        n_rollouts, seed, partial(_graph_costs, G, H, W),
-                        1)[0]
+                        n_rollouts, seed, price, 1)[0]
 
 
 def _check_horizon(T, horizon):

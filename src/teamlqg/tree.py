@@ -59,8 +59,9 @@ class Population:
     def __post_init__(self):
         if self.kind not in ("n_dm", "mean_field_N", "mean_field_limit"):
             raise ValueError(f"unknown population kind {self.kind!r}")
-        if self.kind in ("n_dm", "mean_field_N") and (self.n is None or self.n < 2):
-            raise ValueError(f"{self.kind} needs a population size n >= 2")
+        least = {"n_dm": 1, "mean_field_N": 2}.get(self.kind)
+        if least and (self.n is None or self.n < least):
+            raise ValueError(f"{self.kind} needs a population size n >= {least}")
 
 
 def n_dm(n):
@@ -196,8 +197,9 @@ class _Params:
 
     @property
     def coupled(self):
-        # without R~ and Q~, or with Sigma = 0 (so c^i = 0), L = 0 is exact
-        return bool((self.Rt.any() or self.Qt.any()) and self.Sigma.any())
+        # L = 0 is exact without pair terms b R~, q Q~ or with alpha Sigma = 0
+        return bool(((self.b * self.Rt).any() or (self.q * self.Qt).any())
+                    and (self.alpha * self.Sigma).any())
 
 
 def _params(spec: TeamSpec, mode: Population) -> _Params:

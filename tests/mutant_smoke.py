@@ -246,13 +246,25 @@ MUTANTS = (
             "test_values_psd_and_terminal_condition")),
     Mutant("terminal x_T' Q x_T (less its noise) restored in "
            "sim._graph_costs", SIM,
-           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n"
-           "    return cost / T",
-           "        cost += np.einsum(\"ir,ir->r\", Wv, v)\n"
-           "    x = G[-1, nv - nx:nv] @ z\n"
+           "            np.matmul(AB, v, out=x)\n    return cost / T",
+           "            np.matmul(AB, v, out=x)\n"
+           "    x = AB @ v\n"
            "    cost += np.einsum(\"ir,ir->r\", W[:nx, :nx] @ x, x)\n"
            "    return cost / T",
            (IDENTITY + "test_graph_rollouts_match_tree_cost[4]",)),
+    Mutant("plant stepped without B u in sim._graph_mc's [A B]", SIM,
+           "np.hstack([d.A, d.B])",
+           "np.hstack([d.A, 0 * d.B])",
+           (LAYOUT + "test_graph_kernel_matches_dict_estimator[full3-1-1]",)),
+    Mutant("a node's zeta not cleared after its share moves on in "
+           "delayed.step_nodes", DELAYED,
+           "            z[cols] = 0.0\n",
+           "",
+           (LAYOUT + "test_graph_kernel_matches_dict_estimator[chain4-1-1]",)),
+    Mutant("nodes stepped smallest first in delayed.node_plan", DELAYED,
+           "    order = graph.nodes[::-1]\n",
+           "    order = graph.nodes\n",
+           (LAYOUT + "test_graph_kernel_matches_dict_estimator[ring6-2-2]",)),
     Mutant("stationary graph cost priced with init_diag in place of "
            "sigma_w in delayed.solve_delayed_infinite", DELAYED,
            "    W = sym(spec.noise.sigma_w)\n    cost = 0.0",

@@ -625,6 +625,78 @@ class TestCommands:
         assert not os.path.exists(out)
 
 
+class TestOneAgentTree:
+    """A one-agent Tree spec passes ``check`` (the dare specs are such
+    specs), so the tree-class commands solve it: one agent has no pairs and
+    no coupling statistic, so its policy is the LQR one with L = 0."""
+
+    SPEC = {
+        "n_dm": 1, "horizon": 5,
+        "model": {"A": [[0.9, 0.2], [0.0, 1.1]],
+                  "B": [[1.0, 0.0], [0.3, 1.0]]},
+        "cost": {"Q": [[1.0, 0.0], [0.0, 2.0]], "R": [[1.0, 0.0], [0.0, 0.5]],
+                 "R_tilde": [[0.5, 0.1], [0.1, 0.3]]},
+        "noise": {"sigma_w": [[1.0, 0.2], [0.2, 0.7]],
+                  "init_diag": [[1.0, 0.3], [0.3, 2.0]],
+                  "init_offdiag": [[0.4, 0.1], [0.1, 0.2]]},
+        "info": {"kind": "tree"},
+    }
+
+    def _matrices(self):
+        return (*(np.array(self.SPEC["model"][k]) for k in "AB"),
+                *(np.array(self.SPEC["cost"][k]) for k in "QR"))
+
+    def _report(self, tmp_path, command):
+        out = str(tmp_path / "out.json")
+        spec_path = write_spec(tmp_path, self.SPEC)
+        assert main(["check", spec_path]) == EXIT_OK
+        assert main([command, spec_path, "--out", out]) == EXIT_OK
+        return json.loads(open(out).read())
+
+    def test_finite_gains_are_the_lqr_recursion(self, tmp_path):
+        A, B, Q, R = self._matrices()
+        P, K = np.zeros((2, 2)), []
+        for _ in range(self.SPEC["horizon"]):
+            G = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+            P = Q + A.T @ P @ (A + B @ G)
+            K.insert(0, G)
+        pol = self._report(tmp_path, "solve-tree")["policy"]
+        assert (pol["mode"], pol["mode_n"]) == ("n_dm", 1)
+        np.testing.assert_allclose(pol["K"], K, rtol=0, atol=1e-12)
+        assert not np.any(pol["L"])
+
+    def test_stationary_gain_and_cost_are_the_dare(self, tmp_path):
+        import scipy.linalg
+
+        A, B, Q, R = self._matrices()
+        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
+        K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        pol = self._report(tmp_path, "solve-tree-inf")["policy"]
+        np.testing.assert_allclose(pol["K"], K, rtol=0, atol=1e-10)
+        cost = np.trace(P @ np.array(self.SPEC["noise"]["sigma_w"]))
+        assert abs(pol["average_cost"] - cost) <= 1e-10 * cost
+        assert pol["z0"] == []
+
+    def test_verify_pbp_passes(self, tmp_path, capsys):
+        """Only the exact person-by-person line is asserted; the Monte
+        Carlo lines' bands are not calibrated at 200 rollouts."""
+        main(["verify", write_spec(tmp_path, self.SPEC), "--rollouts", "200",
+              "--seed", "1"])
+        assert "[PASS] pbp_check" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-mf"],
+        ["sweep-mft", "--schedule", "1,2,4", "--rollouts", "5", "--seed",
+         "1"]], ids=["solve-mf", "sweep-mft"])
+    def test_mean_field_commands_refuse_one_agent(self, tmp_path, capsys,
+                                                  argv):
+        spec = dict(MF) if argv[0] == "sweep-mft" else self.SPEC
+        assert main(argv[:1] + [write_spec(tmp_path, spec)]
+                    + argv[1:]) == EXIT_VALIDATION
+        assert ("mean_field_N needs a population size n >= 2"
+                in capsys.readouterr().err)
+
+
 class TestPolicyReports:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("solve, data, mutate, named", [

@@ -602,22 +602,18 @@ class TestRolloutLayout:
             np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
 
 
-    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1)])
-    @pytest.mark.parametrize("graph", ["full3", "chain4", "ring4"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("graph", ["full3", "chain4", "ring4", "pair",
+                                       "zero-link", "ring6"])
     def test_graph_kernel_matches_dict_estimator(self, rng, graph, n, m):
         """Per-rollout graph costs agree with the dict-based estimator loop
         to 1e-12 relative, and simulate_estimator's trajectories with its,
         for finite-horizon and stationary gains, with nonzero S, Q~ and R~,
-        T >= 2 and an rng block boundary."""
-        delays = {
-            "full3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-            "chain4": [[0, 1, None, None], [1, 0, 1, None],
-                       [None, 1, 0, 1], [None, None, 1, 0]],
-            "ring4": [[0, 1, None, 1], [1, 0, 1, None],
-                      [None, 1, 0, 1], [1, None, 1, 0]],
-        }[graph]
+        T >= 2 and an rng block boundary.  The graphs have self-loops,
+        zero-delay links and nodes of several sizes, on which stepping a
+        node in place before its successor goes wrong."""
         T = 3
-        spec = linked_delayed_spec(rng, delays, n, m, T)
+        spec = linked_delayed_spec(rng, LINKED_DELAYS[graph], n, m, T)
         W = rand_pd(rng, n + m)    # [[Q, S], [S^T, R]]: a valid cost
         spec = replace(spec, cost=CostSpec(
             Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
@@ -671,10 +667,10 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def _peaks(self, spec, profile):
+    def _peaks(self, spec, profile, horizons=(10, 200)):
         return {T: self._peak(lambda: rollout_costs(spec, profile(T), T,
                                                     BLOCK, seed=3))
-                for T in (10, 200)}
+                for T in horizons}
 
     def test_tree_peak_does_not_grow_with_horizon(self, rng):
         spec = random_tree_spec(rng, n=2, m=2, T=10, n_dm=8)
@@ -689,6 +685,16 @@ class TestMemory:
         pol = solve_delayed_infinite(spec)[0]
         peaks = self._peaks(spec, lambda T: GraphPolicySet(policy=pol))
         assert peaks[200] <= 1.5 * peaks[10], peaks
+
+    def test_graph_ring_peak_does_not_grow_with_horizon(self, rng):
+        """On a ring of six agents, 19 nodes of four sizes, the stationary
+        policy's rollouts hold one stage of gains per node, not the
+        horizon's."""
+        spec = linked_delayed_spec(rng, LINKED_DELAYS["ring6"], 2, 2, 10)
+        pol = solve_delayed_infinite(spec)[0]
+        peaks = self._peaks(spec, lambda T: GraphPolicySet(policy=pol),
+                            (10, 100))
+        assert peaks[100] <= 1.5 * peaks[10], peaks
 
     def test_sweep_peak_does_not_grow_with_horizon(self):
         """The sweep holds one block of every population at once, never the
