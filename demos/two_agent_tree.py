@@ -41,7 +41,7 @@ print("Notice L_t -> 0: the initial-state correlation is only worth")
 print("exploiting early, before the noise washes it out.")
 print()
 
-cost = predicted_cost(spec, spec.horizon, policy)
+cost = predicted_cost(spec, policy)
 pset = TreePolicySet.from_policy(policy, spec.n_dm)
 rep = simulate(spec, pset, spec.horizon, 50_000, seed=7)
 print(f"predicted cost      : {cost:.6f}")

@@ -40,7 +40,6 @@ from .tree import (
     InfiniteTreePolicy,
     Population,
     TreePolicy,
-    exact_policy_cost,
     mean_field,
     mean_field_limit,
     meanfield_limit_policy,

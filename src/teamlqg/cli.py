@@ -182,11 +182,16 @@ def _node_gains(data, graph, stages, m, n):
     """data["gains"] as {node r: float array of shape stages + (|r| m,
     |r| n)}, in the report's node order, so that the gains dump back to
     the same bytes.  Solvers list nodes in ``graph.nodes`` order; older
-    ``solve-delayed-inf`` reports list self-loop nodes first."""
+    ``solve-delayed-inf`` reports list self-loop nodes first.  A key that
+    is not a node of the graph is refused."""
     table = _field(data, "gains")
     nodes = {_delayed.node_key(r): r for r in graph.nodes}
     for k in nodes:
         _field(table, k, "policy gains")
+    for k in table:
+        if k not in nodes:
+            raise SpecFileError(f"policy gains has {k!r}, which is not a "
+                                "node of the spec's information graph")
     return {r: _schedule(table[k], f"gains[{k}]",
                          (*stages, len(r) * m, len(r) * n))
             for k in table if (r := nodes.get(k))}
@@ -268,7 +273,7 @@ def cmd_solve_tree(args):
     spec = _validated_spec(args.spec)
     T = spec.horizon
     pol = _tree.solve_tree(spec, T)
-    cost = _tree.predicted_cost(spec, T, pol)
+    cost = _tree.predicted_cost(spec, pol)
     print(f"tree policy solved: horizon {T}, mode {pol.mode.kind}")
     _print_summary(cost, pol)
     return {"predicted_cost": cost, "policy": pol.as_dict()}
@@ -302,7 +307,7 @@ def cmd_solve_ndm(args):
     nspec = replace(spec, n_dm=args.n)
     T = spec.horizon
     pol = _tree.solve_tree(nspec, T, mode=_tree.n_dm(args.n))
-    cost = _tree.exact_policy_cost(nspec, T, pol.K, pol.L, pol.mode)
+    cost = _tree.predicted_cost(nspec, pol)
     print(f"{args.n}-agent policy solved: horizon {T}")
     print(f"predicted cost: {cost:.12g}")
     return {"n": args.n, "predicted_cost": cost, "policy": pol.as_dict()}
@@ -314,7 +319,7 @@ def cmd_solve_mf(args):
     pol = _tree.meanfield_limit_policy(spec, T)
     L_N = _tree.solve_coupling_gains(spec, T, _tree.mean_field(spec.n_dm))
     gap = float(max(map(np.linalg.norm, L_N - pol.L)))
-    cost = _tree.predicted_cost(spec, T, pol)
+    cost = _tree.predicted_cost(spec, pol)
     print(f"mean-field limit policy solved at horizon {T}")
     print(f"  N={spec.n_dm:4d}  max_t |L^N - L^inf| {gap:.3e}")
     _print_summary(cost, pol)

@@ -142,9 +142,9 @@ class CostSpec:
     Tree specs leave Q_tilde and S zero); MeanFieldTree weighs both pair sums
     2/(N-1) and leaves S zero.  One stage convention holds in every class:
     a reported J is 1/T times the expected cost of the stages t < T, of the
-    team or of one agent of the infinite population for
-    ``mean_field_limit``, and nothing after them is charged (every backward
-    recursion starts from a zero value at T).
+    team, or of one agent for ``mean_field_limit`` (at any N: see
+    ``tree.spread_weights``), and nothing after them is charged (every
+    backward recursion starts from a zero value at T).
     """
 
     Q: np.ndarray

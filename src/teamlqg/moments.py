@@ -1,11 +1,12 @@
 """Exact second moments of a linear closed loop, and their adjoint.
 
-Its user is ``tree._price``, which prices tree-class profiles: symmetric
+Its user is ``tree._price``, which prices tree-class profiles under their
+mode's weights spread over the agents (``tree.spread_weights``), symmetric
 policies as one exchangeable pair (``tree._cost_and_grad``) and N-agent
-profiles (``sim.exact_cost_general`` and ``sim.pbp_check``; ``verify`` hands
-pbp's cost on to ``sim.certainty_equivalence_check``), on one loop per agent
-on z^i = (x_t^i, c^i), batched over the agents, with the coupling statistic
-c^i held constant, so every K and L gain is a plain block of M_t.
+profiles (``sim.exact_cost_general``, ``sim.pbp_check``, whose cost
+``verify`` hands on to ``sim.certainty_equivalence_check``), on one loop per
+agent on z^i = (x_t^i, c^i), batched over the agents, with c^i held
+constant, so every K and L gain is a plain block of M_t.
 
 Each stacks a state z_t with E z_0 z_0^T = Z_0 that runs under the linear
 feedback v_t = M_t z_t,

@@ -5,17 +5,18 @@ policy maps each agent's own state and own initial-state statistic to its
 control; a graph-class policy reads only the shared estimator states.  A
 tree-class profile is one pair of (N, T, m, n) gain arrays, from the
 ``TreePolicySet`` through its exact price (``tree._price``) to the
-rollouts.  The engine provides independent cost estimates (block streams
-keyed by the seed, hence bitwise deterministic) next to the solvers' exact
-formulas.  Every engine runs one loop that draws and prices one rng block at
-a time, and a block one noise stage at a time (w_t for t < T - 1), so beyond
-one cost per rollout and the per-stage step maps, memory grows with the
-block size and the number of compared profiles, not with the number of
-rollouts or the horizon.  Checks that compare tree-class profiles price all
-of them on one draw (``_tree_crn``), stepping every profile on each stage
-as it arrives; ``symmetry_checks`` prices the profiles of the
-exchangeability and symmetrization checks on one, so ``verify`` draws each
-block once for both.
+rollouts, both weighed by ``tree.spread_weights``, so a mean_field_limit
+profile costs per agent.  The engine provides independent cost estimates
+(block streams keyed by the seed, hence bitwise deterministic) next to the
+solvers' exact formulas.  Every engine runs one loop that draws and prices
+one rng block at a time, and a block one noise stage at a time (w_t for
+t < T - 1), so beyond one cost per rollout and the per-stage step maps,
+memory grows with the block size and the number of compared profiles, not
+with the number of rollouts or the horizon.  Checks that compare tree-class
+profiles price all of them on one draw (``_tree_crn``), stepping every
+profile on each stage as it arrives; ``symmetry_checks`` prices the
+profiles of the exchangeability and symmetrization checks on one, so
+``verify`` draws each block once for both.
 The mean-field sweep draws each stage once for its whole schedule, at the
 largest population, and every population reads its prefix of that fill
 (``_nested_crn``).  Both kernels run rollout-last on the sampler's storage.
@@ -44,20 +45,12 @@ from .tree import (
     Population,
     TreePolicy,
     cost_weights,
-    exact_policy_cost,
     mean_field,
+    predicted_cost,
     solve_tree,
+    spread_weights,
     meanfield_limit_policy,
 )
-
-
-def _coupling_coeffs(mode: Population, N: int):
-    """Off-diagonal stage-cost coefficients (control, state) of an N-agent
-    profile, from ``cost_weights``, such that the coupling equals
-    c * (sum_i u_i)^T M (sum_j u_j) minus the diagonal."""
-    a, b, q, _ = cost_weights(mode)
-    c = a * (N - 1)
-    return (b / c, q / c) if N > 1 else (0.0, 0.0)     # one agent: no pairs
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +163,26 @@ class _TreeStepper:
     gives its control u_t^i = y[:m], its next state less the noise,
     y[m:m+n], which is written back into z with the stage's noise added,
     and P z, whose product with z is the agent's own stage cost:
-    P = [K L]^T (R - cR R~) [K L] + diag(Q - cQ Q~, 0).  A pair coupling
-    c * (sum_i v_i)^T M (sum_j v_j) less its diagonal is thus priced with
-    the diagonal folded into the own weights, so what remains of it is a
-    quadratic form of the agents' sum.
+    P = [K L]^T (w R - cR R~) [K L] + diag(w Q - cQ Q~, 0), with
+    (w, cR, cQ) the mode's weights spread over the N agents
+    (``tree.spread_weights``), as ``tree._price`` weighs them.  A pair
+    coupling c * (sum_i v_i)^T M (sum_j v_j) less its diagonal is thus
+    priced with the diagonal folded into the own weights, so what remains
+    of it is a quadratic form of the agents' sum.
     """
 
     def __init__(self, spec: TeamSpec, psets):
         n, m = spec.n, spec.m
         A, B = _tree.tree_dynamics(spec)
-        cR, cQ, alpha = np.array([(*_coupling_coeffs(p.mode, p.n_dm),
-                                   cost_weights(p.mode)[3])
-                                  for p in psets]).T
+        a, b, q, alpha = np.array([cost_weights(p.mode) for p in psets]).T
+        w, cR, cQ = spread_weights(a, b, q, psets[0].n_dm)
         Rt, Qt = sym(spec.cost.R_tilde), sym(spec.cost.Q_tilde)
         K = np.stack([p.K for p in psets]).transpose(2, 0, 1, 3, 4)
         L = np.stack([p.L for p in psets]).transpose(2, 0, 1, 3, 4)
         KL = np.concatenate([K, L], axis=4)          # (T, P, N, m, 2n)
-        P = (KL.swapaxes(3, 4)
-             @ (spec.cost.R - cR[:, None, None, None] * Rt) @ KL)
-        P[..., :n, :n] += spec.cost.Q - cQ[:, None, None, None] * Qt
+        e = np.s_[:, None, None, None]               # a weight per profile
+        P = KL.swapaxes(3, 4) @ (w[e] * spec.cost.R - cR[e] * Rt) @ KL
+        P[..., :n, :n] += w[e] * spec.cost.Q - cQ[e] * Qt
         self.Gamma = np.concatenate(
             [KL, np.concatenate([A + B @ K, B @ L], axis=4), P], axis=3)
         self.n_dm, self.n, self.m = psets[0].n_dm, n, m
@@ -345,9 +339,8 @@ def _price_profile(spec, pset, T, want_grad=False):
     """``tree._price`` of a tree-class profile under its mode's costs."""
     _check_horizon(T, pset.horizon)
     _check_agents(spec, pset)
-    cR, cQ = _coupling_coeffs(pset.mode, pset.n_dm)
-    return _tree._price(_tree._params(spec, pset.mode), pset.K, pset.L, 1.0,
-                        cR, cQ, want_grad)
+    return _tree._price(_tree._params(spec, pset.mode), pset.K, pset.L,
+                        want_grad)
 
 
 def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
@@ -618,13 +611,12 @@ def mft_sweep(spec: TeamSpec, T: int, schedule, n_rollouts: int, seed: int):
         l_diff = (None if prev_L is None
                   else float(max(map(np.linalg.norm, pol.L - prev_L))))
         prev_L = pol.L
-        predicted = exact_policy_cost(nspec, T, pol.K, pol.L, mode)
-        limit_cost = exact_policy_cost(nspec, T, limit.K, limit.L, mode)
-        exact.append((N, l_diff, predicted, limit_cost,
+        frozen = replace(limit, mode=mode)
+        exact.append((N, l_diff, predicted_cost(nspec, pol),
+                      predicted_cost(nspec, frozen),
                       *_policy_distance(nspec, mode, pol, limit)))
-        profiles.append((
-            TreePolicySet.from_policy(pol, N),
-            TreePolicySet.from_policy(replace(limit, mode=mode), N)))
+        profiles.append((TreePolicySet.from_policy(pol, N),
+                         TreePolicySet.from_policy(frozen, N)))
 
     rows = []
     for (N, l_diff, predicted, limit_cost, second, ui), (costs_n, costs_l) \

@@ -14,8 +14,9 @@ infinite horizon the same modes take one DARE each and one stacked Stein
 equation, which give the schedule exactly as a linear realization
 L_t = C G^t z0 on 3n^2 states.  ``_price`` gives the exact cost of any
 tree-class profile, and its gradient, from one loop per agent in O(N T n^3)
-time; a symmetric schedule is priced as one exchangeable pair, weighed as
-``cost_weights`` states (see CostSpec).
+time, under the weights of ``cost_weights`` spread over its agents and
+pairs (``spread_weights``); a symmetric schedule is priced as one
+exchangeable pair (see CostSpec).
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def mean_field_limit():
 def cost_weights(mode: Population):
     """(a, b, q, alpha): total-cost weights of tr(Q Sd)+tr(R Ud), tr(Rt Uo),
     tr(Qt So), and the scale of the coupling statistic c^i = alpha*Sigma*x0^i;
-    the one statement of each kind's pair convention (see CostSpec).
+    the one statement of each kind's pair convention (see CostSpec), which
+    every price spreads over a profile's agents (``spread_weights``).
     """
     N = mode.n
     if mode.kind == "n_dm":
@@ -88,6 +90,14 @@ def cost_weights(mode: Population):
         return float(N), 2.0 * N, 2.0 * N, 1.0
     # mean_field_limit: per-agent cost of the infinite-population problem
     return 1.0, 2.0, 2.0, 1.0
+
+
+def spread_weights(a, b, q, N):
+    """(own, cR, cQ): the team weights (a, b, q) of ``cost_weights`` spread
+    over N agents, a / N each, and their N (N - 1) ordered pairs,
+    b / (N (N - 1)) and q / (N (N - 1)) each; one agent has no pairs."""
+    own, pairs = a / N, N * (N - 1)
+    return (own, b / pairs, q / pairs) if pairs else (own, 0 * b, 0 * q)
 
 
 def default_mode(spec: TeamSpec) -> Population:
@@ -223,10 +233,12 @@ def _params(spec: TeamSpec, mode: Population) -> _Params:
     )
 
 
-def _price(p: _Params, Ks, Ls, own, cR, cQ, want_grad=False):
+def _price(p: _Params, Ks, Ls, want_grad=False):
     """Exact cost J of N agents running u_t^i = Ks[i, t] x_t^i + Ls[i, t] c^i
     ((N, T, m, n) gains) under the stage cost own * sum_i (x^i' Q x^i
-    + u^i' R u^i) + sum_{i != j} (cR u^i' R~ u^j + cQ x^i' Q~ x^j).
+    + u^i' R u^i) + sum_{i != j} (cR u^i' R~ u^j + cQ x^i' Q~ x^j), with
+    (own, cR, cQ) the mode's weights spread over the N agents
+    (``spread_weights``).
 
     Agent i's z^i = (x_t^i, c^i), c^i = alpha Sigma x_0^i, moves under its
     own gains M^i_t = [Ks[i, t], Ls[i, t]] and primitives alone, so one
@@ -244,6 +256,7 @@ def _price(p: _Params, Ks, Ls, own, cR, cQ, want_grad=False):
     N, T, m, n = Ls.shape
     if Ks.shape[1] != T:
         raise ValueError(f"K horizon {Ks.shape[1]} differs from L horizon {T}")
+    own, cR, cQ = spread_weights(p.a, p.b, p.q, N)
     Lam0 = np.vstack([np.eye(n), p.alpha * p.Sigma])
     F0, (W, Cz) = np.eye(2 * n), np.zeros((2, 2 * n, 2 * n))
     F0[:n, :n], W[:n, :n], Cz[:n, :n] = p.A, p.W, own * p.Q
@@ -280,25 +293,16 @@ def _cost_and_grad(p: _Params, K, L, want_grad=True):
 
     L has shape (batch, T, m, n).  Under a symmetric policy the cost depends
     only on the joint moments of one exchangeable pair of agents, so each
-    schedule is priced (``_price``) as two agents with weights
-    (a/2, b/2, q/2); the gradient in L sums both agents' L gradients.
+    schedule is priced (``_price``) as two agents, weighed (a/2, b/2, q/2);
+    the gradient in L sums both agents' L gradients.
     """
     Ks, n = np.stack([K, K]), L.shape[3]
     J, grad = np.empty(len(L)), np.empty_like(L)
     for k, Lk in enumerate(L):
-        J[k], g, _ = _price(p, Ks, np.stack([Lk, Lk]), p.a / 2, p.b / 2,
-                            p.q / 2, want_grad)
+        J[k], g, _ = _price(p, Ks, np.stack([Lk, Lk]), want_grad)
         if want_grad:
             grad[k] = g[0, ..., n:] + g[1, ..., n:]
     return J, (grad if want_grad else None)
-
-
-def exact_policy_cost(spec: TeamSpec, T: int, K, L, mode: Population) -> float:
-    """Exact expected cost of the symmetric affine policy (moment propagation)."""
-    p = _params(spec, mode)
-    Lb = np.asarray(L, dtype=float).reshape(1, T, spec.m, spec.n)
-    J, _ = _cost_and_grad(p, K, Lb, want_grad=False)
-    return float(J[0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +486,13 @@ def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = N
     return TreePolicy(mode=mode, K=K, L=L)
 
 
-def predicted_cost(spec: TeamSpec, T: int, policy: TreePolicy) -> float:
-    """Optimal expected cost of a policy produced by this module.
-
-    Evaluated by exact moment propagation of one exchangeable pair
-    (``exact_policy_cost``).
-    """
-    if T != policy.horizon:
-        raise ValueError("policy horizon does not match requested horizon")
-    return exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
+def predicted_cost(spec: TeamSpec, policy: TreePolicy) -> float:
+    """Exact expected cost of a symmetric policy at its own horizon, the
+    team's or, for ``mean_field_limit``, one agent's (see CostSpec), priced
+    as one exchangeable pair (``_cost_and_grad``)."""
+    J, _ = _cost_and_grad(_params(spec, policy.mode), policy.K,
+                          np.asarray(policy.L)[None], want_grad=False)
+    return float(J[0])
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def closed_form_cost_variants(spec, policy):
     cross_exact = T * propagate(stacked_loop(
         p, np.stack([K, K]), np.stack([L, L]), 0.0, 0.5, 0.0)).cost
 
-    exact = tree.exact_policy_cost(spec, T, policy.K, policy.L, policy.mode)
+    exact = tree.predicted_cost(spec, policy)
     out = {
         "exact": exact,
         "identity": (2.0 / T) * (base + noise + quad_r + cross_exact),

@@ -76,6 +76,14 @@ MUTANTS = (
            "return float(N), 2.0 * N * (N - 1), 0.0, float(N - 1)",
            ("tests/test_tree.py::TestPredictedCost::"
             "test_exact_cost_is_the_stacked_form",)),
+    Mutant("own weight 1 restored for every mode in tree.spread_weights",
+           TREE,
+           "own, pairs = a / N, N * (N - 1)",
+           "own, pairs = 1.0, N * (N - 1)",
+           ("tests/test_simulator.py::TestExactCost::"
+            "test_matches_predicted_for_symmetric_policy[mean_field_limit]",
+            "tests/test_cli.py::TestCommands::"
+            "test_solve_mf_report_simulates_per_agent")),
     Mutant("Phi_j transposed in the stationary Stein equation", TREE,
            "stein_solve(Phi.swapaxes(1, 2), ",
            "stein_solve(Phi, ",

@@ -11,6 +11,7 @@ import numpy as np
 
 from teamlqg.linalg import kron
 from teamlqg.moments import ClosedLoop, gain_sensitivity, propagate
+from teamlqg.tree import spread_weights
 
 
 def stacked_loop(p, Ks, Ls, own, cR, cQ):
@@ -68,7 +69,7 @@ def pair_cost_and_grad(p, K, L):
     loop: (J, gradient in L), the gradient summing both agents' L blocks."""
     m, n = L.shape[1:]
     loop = stacked_loop(p, np.stack([K, K]), np.stack([L, L]),
-                        p.a / 2, p.b / 2, p.q / 2)
+                        *spread_weights(p.a, p.b, p.q, 2))
     mom = propagate(loop)
     G, _ = gain_sensitivity(loop, mom)
     return mom.cost, G[:, :m, 2 * n:3 * n] + G[:, m:, 3 * n:]

@@ -107,7 +107,7 @@ def test_A3_cost_formula_validation():
         spec = random_tree_spec(rng, n=1, m=1, T=int(rng.integers(2, 5)))
         T = spec.horizon
         pol = solve_tree(spec, T, n_dm(2))
-        pred = predicted_cost(spec, T, pol)
+        pred = predicted_cost(spec, pol)
         v = closed_form_cost_variants(spec, pol)
         assert abs(v["identity"] - v["exact"]) < 1e-12 * (1 + abs(v["exact"]))
         variant_votes[v["best_variant"]] = variant_votes.get(v["best_variant"], 0) + 1
@@ -229,7 +229,7 @@ def test_A6_structural_theorem_suite():
                 and np.array_equal(ce_pol.L, ce_uni.L))
     ce = certainty_equivalence_check(
         ce_spec, TreePolicySet.from_policy(ce_pol, 2),
-        predicted_cost(ce_spec, 3, ce_pol), 20_000, seed=66)
+        predicted_cost(ce_spec, ce_pol), 20_000, seed=66)
     ce_ok = gains_ok and ce["uniform_mc_within_3se"]
     dt = time.time() - t0
     report("A6", exch_ok and symm_ok and conv_ok and ce_ok,

@@ -310,6 +310,21 @@ class TestCommands:
         report = json.loads(open(out_path).read())
         assert report["convergence"][0]["N"] == MF["n_dm"]
 
+    def test_solve_mf_report_simulates_per_agent(self, tmp_path):
+        """simulate prices a solve-mf report per agent, as the report's
+        predicted cost does (see CostSpec): the mean of 4000 rollouts lies
+        within 4 SE of it."""
+        spec_path = write_spec(tmp_path, MF)
+        pol_path = str(tmp_path / "mf.json")
+        sim_path = str(tmp_path / "sim.json")
+        assert main(["solve-mf", spec_path, "--out", pol_path]) == EXIT_OK
+        assert main(["simulate", spec_path, "--policy", pol_path,
+                     "--rollouts", "4000", "--seed", "1",
+                     "--out", sim_path]) == EXIT_OK
+        rep, pol = (json.loads(open(p).read()) for p in (sim_path, pol_path))
+        assert abs(rep["mean_cost"] - pol["predicted_cost"]) \
+            <= 4 * rep["std_error"]
+
     def test_solve_mf_gap_to_its_own_population_is_rounding(self, tmp_path,
                                                            capsys):
         """The N-agent weights are N times the limit's, so every N has the
@@ -728,6 +743,26 @@ class TestPolicyReports:
         assert code == EXIT_VALIDATION
         assert named in captured.err
         assert "pbp_check" not in captured.out
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_report_for_another_graph_exits_1_naming_the_node(
+            self, tmp_path, capsys, command):
+        """A report solved for delays [[0, 1], [1, 0]] holds node {1, 2},
+        which the graph of delays [[0, null], [null, 0]] lacks: an input
+        error naming that node, not a run on the nodes the graphs share."""
+        pol_path = str(tmp_path / "pol.json")
+        linked = dict(DELAYED, model={"A": [[0.8]], "B": [[1.0]]},
+                      cost={"Q": [[1.0]], "R": [[1.0]]})
+        assert main(["solve-delayed", write_spec(tmp_path, linked),
+                     "--out", pol_path]) == EXIT_OK
+        apart = dict(linked, info={"kind": "delayed",
+                                   "delays": [[0, None], [None, 0]]})
+        capsys.readouterr()
+        code = main([command, write_spec(tmp_path, apart, "apart.json"),
+                     "--policy", pol_path, "--rollouts", "200", "--seed", "7"])
+        assert code == EXIT_VALIDATION
+        assert "policy gains has '1,2', which is not a node" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("text, named", [
         ("[1, 2]", "policy file must contain a JSON object"),

@@ -675,7 +675,7 @@ class TestTreeIdentity:
         N, T = tree_spec.n_dm, tree_spec.horizon
         tpol = solve_tree(tree_spec, T)
         dpol, trace = solve_delayed_finite(delayed_spec, T)
-        J = predicted_cost(tree_spec, T, tpol)
+        J = predicted_cost(tree_spec, tpol)
         for other in (trace, closed_loop_cost(delayed_spec, dpol)):
             assert abs(other - J) <= 1e-12 * abs(J)
 
@@ -695,7 +695,7 @@ class TestTreeIdentity:
         of the tree's predicted cost."""
         tree_spec, delayed_spec = unlinked_pair(case, *UNLINKED[case])
         T = tree_spec.horizon
-        J = predicted_cost(tree_spec, T, solve_tree(tree_spec, T))
+        J = predicted_cost(tree_spec, solve_tree(tree_spec, T))
         dpol, _ = solve_delayed_finite(delayed_spec, T)
         rep = simulate(delayed_spec, GraphPolicySet(policy=dpol), T, 4000,
                        seed=31 + case)

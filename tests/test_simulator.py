@@ -43,6 +43,7 @@ from teamlqg.tree import (
     n_dm,
     predicted_cost,
     solve_tree,
+    spread_weights,
 )
 from teamlqg.delayed import (
     GraphPolicy,
@@ -212,9 +213,9 @@ def reference_tree_costs(spec, pset, x0, w):
     T = w.shape[1]
     A, B = spec.dynamics.A, spec.dynamics.B
     Q, R = spec.cost.Q, spec.cost.R
-    cR, cQ = sim._coupling_coeffs(pset.mode, pset.n_dm)
+    a, b, q, alpha = cost_weights(pset.mode)
+    own, cR, cQ = spread_weights(a, b, q, pset.n_dm)
     Rt, Qt = spec.cost.R_tilde, spec.cost.Q_tilde
-    _, _, _, alpha = cost_weights(pset.mode)
     Sigma = conditional_gain(spec.noise)
     KT, LT = pset.K.swapaxes(2, 3), pset.L.swapaxes(2, 3)
 
@@ -226,7 +227,7 @@ def reference_tree_costs(spec, pset, x0, w):
     cost = 0.0
     for t in range(T):
         u = x @ KT[:, t] + c @ LT[:, t]
-        stage = quad(x, Q) + quad(u, R)
+        stage = own * (quad(x, Q) + quad(u, R))
         for coef, M, v in ((cR, Rt, u), (cQ, Qt, x)):
             if coef and np.any(M):
                 stage += coef * (quad(v.sum(axis=0, keepdims=True), M)
@@ -852,17 +853,25 @@ class TestSampling:
 
 
 class TestExactCost:
-    @pytest.mark.parametrize("spec", [
-        scalar_tree_spec(T=3),
-        scalar_tree_spec(T=3, n_dm=3),
-        scalar_mf_spec(T=3, n_dm=4),
-    ], ids=["n_dm2", "n_dm3", "mean_field4"])
-    def test_matches_predicted_for_symmetric_policy(self, spec):
+    @pytest.mark.parametrize("spec, mode", [
+        (scalar_tree_spec(T=3), None),
+        (scalar_tree_spec(T=3, n_dm=3), None),
+        (scalar_mf_spec(T=3, n_dm=4), None),
+        (scalar_mf_spec(T=3, n_dm=4), mean_field_limit()),
+    ], ids=["n_dm2", "n_dm3", "mean_field4", "mean_field_limit"])
+    def test_matches_predicted_for_symmetric_policy(self, spec, mode):
         """The N-agent profile's exact cost is the symmetric optimum's
-        predicted cost, which prices one exchangeable pair."""
-        pset, pol = optimal_pset(spec, 3)
+        predicted cost, which prices one exchangeable pair.  The limit
+        policy run by N agents costs per agent, as its predicted cost
+        does: 1/N of the team cost of the same gains under mean_field(N)."""
+        pol = solve_tree(spec, 3, mode)
+        pset = TreePolicySet.from_policy(pol, spec.n_dm)
         exact = exact_cost_general(spec, pset, 3)
-        assert exact == pytest.approx(predicted_cost(spec, 3, pol), rel=1e-12)
+        assert exact == pytest.approx(predicted_cost(spec, pol), rel=1e-12)
+        if mode is not None:
+            team = exact_cost_general(
+                spec, replace(pset, mode=mean_field(spec.n_dm)), 3)
+            assert exact == pytest.approx(team / spec.n_dm, rel=1e-12)
 
     @pytest.mark.parametrize("T", [2, 5])
     def test_horizon_other_than_policy_rejected(self, T):
@@ -1126,9 +1135,10 @@ class TestStructuralChecks:
             spec = random_tree_spec(rng, n=2, m=2, T=3, n_dm=N,
                                     mean_field=N == 4)
             pset = replace(random_pset(spec, 3, rng, scale=0.4), mode=mode)
-            loops.append(stacked_loop(tree._params(spec, mode),
-                                      pset.K, pset.L, 1.0,
-                                      *sim._coupling_coeffs(mode, N)))
+            prm = tree._params(spec, mode)
+            loops.append(stacked_loop(prm, pset.K, pset.L,
+                                      *spread_weights(prm.a, prm.b, prm.q,
+                                                      N)))
         N, dim, p = 3, 4, 2
         batched = ClosedLoop(
             Z0=np.stack([rand_psd(rng, dim) for _ in range(N)]),
@@ -1176,7 +1186,7 @@ class TestStructuralChecks:
         assert np.array_equal(pol.K, pol_u.K)
         assert np.array_equal(pol.L, pol_u.L)
         exact = exact_cost_general(spec, pset, 3)
-        assert abs(exact - predicted_cost(spec, 3, pol)) <= 1e-12 * exact
+        assert abs(exact - predicted_cost(spec, pol)) <= 1e-12 * exact
         rep = certainty_equivalence_check(spec, pset, exact, 20000, seed=13)
         assert rep["exact_cost"] == exact
         assert rep["uniform_mc_within_3se"]
@@ -1208,8 +1218,8 @@ class TestStructuralChecks:
         a = scalar_tree_spec(T=3, W=1.0)
         b = scalar_tree_spec(T=3, W=2.0)
         pa = solve_tree(a, 3)
-        assert predicted_cost(a, 3, pa) != pytest.approx(
-            predicted_cost(b, 3, solve_tree(b, 3)))
+        assert predicted_cost(a, pa) != pytest.approx(
+            predicted_cost(b, solve_tree(b, 3)))
 
     def test_exchangeability_negative_control(self, rng):
         """A deliberately non-exchangeable cost (per-agent Q imbalance,

@@ -32,14 +32,13 @@ from teamlqg.linalg import spectral_radius
 from teamlqg.riccati import RiccatiError, dare_solve
 from teamlqg.sim import (
     TreePolicySet,
-    _coupling_coeffs,
     exact_cost_general,
     simulate,
 )
 from teamlqg.tree import (
     CouplingSystemError,
+    TreePolicy,
     cost_weights,
-    exact_policy_cost,
     mean_field,
     mean_field_limit,
     meanfield_limit_policy,
@@ -49,6 +48,7 @@ from teamlqg.tree import (
     solve_infinite_tree,
     solve_k_p,
     solve_tree,
+    spread_weights,
 )
 
 from conftest import (
@@ -98,13 +98,11 @@ def oracle_cost(spec, T, K, Lflat, mode):
     covariance recursion on z = (x^1..x^N, x0^1..x0^N)."""
     N = pop_size(mode)
     a, b, q, alpha = cost_weights(mode)
+    own, cR, cQ = spread_weights(a, b, q, N)
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
-    # per-pair cost weights: own blocks a/N each (total a), cross-control
-    # pairs b/(N(N-1)) each (total b), cross-state pairs q/(N(N-1)) each
     Rt, Qt = spec.cost.R_tilde, spec.cost.Q_tilde
-    npairs = N * (N - 1)
-    Qfull = np.kron(eye, (a / N) * spec.cost.Q) + np.kron(off, (q / npairs) * Qt)
-    Rfull = np.kron(eye, (a / N) * spec.cost.R) + np.kron(off, (b / npairs) * Rt)
+    Qfull = np.kron(eye, own * spec.cost.Q) + np.kron(off, cQ * Qt)
+    Rfull = np.kron(eye, own * spec.cost.R) + np.kron(off, cR * Rt)
     return joint_cost(spec, T, K, Lflat, alpha, Qfull, Rfull)
 
 
@@ -233,8 +231,7 @@ class TestSolveKP:
         for call in (lambda: solve_k_p(spec, 3),
                      lambda: solve_infinite_tree(spec, n_dm(2)),
                      lambda: solve_coupling_gains(spec, 3, n_dm(2)),
-                     lambda: exact_policy_cost(spec, 3, pol.K, pol.L,
-                                               pol.mode),
+                     lambda: predicted_cost(spec, pol),
                      lambda: exact_cost_general(spec, pset, 3)):
             with pytest.raises(ValueError, match="homogeneous dynamics"):
                 call()
@@ -375,8 +372,8 @@ class TestCouplingGains:
             Lp, Lm = L0.copy(), L0.copy()
             Lp[idx] += step
             Lm[idx] -= step
-            fd = (exact_policy_cost(spec, 3, K, Lp, mode)
-                  - exact_policy_cost(spec, 3, K, Lm, mode)) / (2 * step)
+            fd = (predicted_cost(spec, TreePolicy(mode, K, Lp))
+                  - predicted_cost(spec, TreePolicy(mode, K, Lm))) / (2 * step)
             assert abs(grad[idx] - fd) < 1e-6 * (1 + abs(fd))
 
     def test_optimality_recursion_residual(self):
@@ -559,8 +556,8 @@ class TestIndependentInitialStates:
         assert np.all(pol.L == 0.0)
         assert np.array_equal(pol.K, ref.K)
         assert np.array_equal(solve_k_p(spec, 5)[1], solve_k_p(bare, 5)[1])
-        assert predicted_cost(spec, 5, pol) == \
-            pytest.approx(predicted_cost(bare, 5, ref), rel=1e-12)
+        assert predicted_cost(spec, pol) == \
+            pytest.approx(predicted_cost(bare, ref), rel=1e-12)
 
     def test_infinite_horizon(self, rng):
         spec, bare = self.spec_pair(rng, False)
@@ -584,19 +581,19 @@ class TestPredictedCost:
         Sd = 0.5 * (spec.noise.init_diag + spec.noise.init_diag.T)
         lqr = (2.0 / 4) * (np.trace(P[0] @ Sd)
                            + sum(np.trace(P[t + 1] @ W) for t in range(4)))
-        assert predicted_cost(spec, 4, pol) == pytest.approx(lqr, rel=1e-10)
+        assert predicted_cost(spec, pol) == pytest.approx(lqr, rel=1e-10)
 
     def test_single_stage_cost(self, rng):
         spec = random_tree_spec(rng, T=1)
         pol = solve_tree(spec, 1, n_dm(2))
         Sd = 0.5 * (spec.noise.init_diag + spec.noise.init_diag.T)
         expect = 2.0 * np.trace(0.5 * (spec.cost.Q + spec.cost.Q.T) @ Sd)
-        assert predicted_cost(spec, 1, pol) == pytest.approx(expect, rel=1e-10)
+        assert predicted_cost(spec, pol) == pytest.approx(expect, rel=1e-10)
 
     def test_scalar_example_value(self):
         spec = scalar_tree_spec(T=2)
         pol = solve_tree(spec, 2)
-        assert predicted_cost(spec, 2, pol) == pytest.approx(2.555555555556,
+        assert predicted_cost(spec, pol) == pytest.approx(2.555555555556,
                                                              abs=1e-9)
 
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
@@ -611,7 +608,7 @@ class TestPredictedCost:
             T = spec.horizon
             pol = solve_tree(spec, T, mode)
             ref = oracle_cost(spec, T, pol.K, np.stack(pol.L), mode)
-            assert predicted_cost(spec, T, pol) == pytest.approx(ref, rel=1e-8)
+            assert predicted_cost(spec, pol) == pytest.approx(ref, rel=1e-8)
 
     def test_identity_decomposition_is_exact(self, rng):
         for _ in range(6):
@@ -622,12 +619,11 @@ class TestPredictedCost:
             assert v["best_variant"] in ("literal A^{t}", "literal A^{t-1}")
 
     def test_horizon_mismatch_rejected(self):
+        """A policy whose K and L schedules differ in length is refused."""
         spec = scalar_tree_spec(T=2)
         pol = solve_tree(spec, 2)
-        with pytest.raises(ValueError):
-            predicted_cost(spec, 3, pol)
         with pytest.raises(ValueError, match="K horizon 2 differs"):
-            exact_policy_cost(spec, 1, pol.K, pol.L[:1], n_dm(2))
+            predicted_cost(spec, replace(pol, L=pol.L[:1]))
 
     def test_exchanging_identical_policies_is_neutral(self, rng):
         """Exchangeability at the policy level: with both agents running the
@@ -652,7 +648,7 @@ class TestPredictedCost:
         _, _, _, alpha = cost_weights(pol.mode)
         ref = stacked_cost(spec, 3, pol.K, np.stack(pol.L), alpha)
         pset = TreePolicySet.from_policy(pol, N)
-        for J in (exact_policy_cost(spec, 3, pol.K, pol.L, pol.mode),
+        for J in (predicted_cost(spec, pol),
                   exact_cost_general(spec, pset, 3)):
             assert J == pytest.approx(ref, rel=1e-12, abs=0)
 
@@ -691,11 +687,11 @@ class TestPerAgentPricer:
         profiles = pricer_profiles(rng)
         assert sum(len(K) >= 3 for _, _, K, _ in profiles) >= 8
         for spec, mode, K, L in profiles:
-            args = (tree_module._params(spec, mode), K, L, 1.0,
-                    *_coupling_coeffs(mode, len(K)))
-            J, g, h = tree_module._price(*args, want_grad=True)
-            J_ref, g_ref, h_ref = stacked_price(*args)
-            assert tree_module._price(*args)[0] == J
+            p = tree_module._params(spec, mode)
+            J, g, h = tree_module._price(p, K, L, want_grad=True)
+            J_ref, g_ref, h_ref = stacked_price(
+                p, K, L, *spread_weights(p.a, p.b, p.q, len(K)))
+            assert tree_module._price(p, K, L)[0] == J
             assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
             np.testing.assert_allclose(g, g_ref, rtol=0,
                                        atol=1e-12 * (1.0 + abs(J_ref)))
@@ -956,15 +952,15 @@ class TestTreeInformation:
         lambda spec: meanfield_limit_policy(spec, 3),
         lambda spec: solve_infinite_tree(spec),
         lambda spec: solve_infinite_tree(spec, n_dm(2)),
-        lambda spec: exact_policy_cost(spec, 3, np.zeros((3, 1, 1)),
-                                       np.zeros((3, 1, 1)), n_dm(2)),
+        lambda spec: predicted_cost(spec, TreePolicy(
+            n_dm(2), np.zeros((3, 1, 1)), np.zeros((3, 1, 1)))),
         lambda spec: exact_cost_general(spec, TreePolicySet.from_policy(
             solve_tree(scalar_tree_spec(T=3)), 2), 3),
         lambda spec: simulate(spec, TreePolicySet.from_policy(
             solve_tree(scalar_tree_spec(T=3)), 2), 3, 10, 1),
     ], ids=["solve_tree", "solve_tree-n_dm", "solve_coupling_gains",
             "meanfield_limit_policy", "solve_infinite_tree",
-            "solve_infinite_tree-n_dm", "exact_policy_cost",
+            "solve_infinite_tree-n_dm", "predicted_cost",
             "exact_cost_general", "simulate"])
     def test_delayed_information_refused(self, solve):
         """Every tree-class solve, price and rollout refuses a delayed
