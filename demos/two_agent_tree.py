@@ -4,8 +4,8 @@ Each agent runs u_t = K_t x_t + L_t E(x_0^other | x_0^own): the familiar
 Riccati feedback plus a correction that exploits the correlation between the
 two initial states.  This script solves the canonical scalar instance,
 prints both gain schedules, and confirms the predicted cost three ways:
-exact moment propagation, Monte Carlo, and a person-by-person perturbation
-test showing no single agent can improve unilaterally.
+exact moment propagation, Monte Carlo, and a person-by-person test
+showing no single agent can improve unilaterally.
 """
 
 import numpy as np
@@ -48,7 +48,7 @@ print(f"predicted cost      : {cost:.6f}")
 print(f"Monte Carlo estimate: {rep.mean_cost:.6f} +/- {rep.std_error:.4f} (1 SE)")
 print()
 
-defect = pbp_check(spec, pset, spec.horizon)
-print(f"best unilateral single-entry improvement: {defect:.2e}")
-print("(non-positive up to second-order step effects: no agent can deviate")
-print(" profitably, which for this convex team implies global optimality)")
+defect, _, _ = pbp_check(spec, pset, spec.horizon)
+print(f"best unilateral single-entry improvement: {defect:.2e} of the cost")
+print("(zero up to rounding: no agent can deviate profitably, which for")
+print(" this convex team implies global optimality)")

@@ -177,7 +177,7 @@ def _node_step(r, blocks, X_next):
     A, B, Q, R, S = blocks
     G = R + B.T @ X_next @ B
     w = np.linalg.eigvalsh(sym(G))
-    if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
+    if w[0] <= 1e-12 * abs(w[-1]):
         raise NodeRecursionError(
             f"inner matrix not positive definite at node {set(i + 1 for i in r)}"
         )

@@ -52,7 +52,7 @@ def is_psd(M):
 
 def is_pd(M):
     lo, hi = min_max_eig(M)
-    return lo > 1e-12 * (1.0 + abs(hi))
+    return lo > 1e-12 * abs(hi)
 
 
 def psd_sqrt(M):

@@ -198,7 +198,7 @@ def conditional_gain(noise: NoiseSpec) -> np.ndarray:
     if so.shape != (n, n):
         raise DimensionError("init_offdiag must match init_diag in shape")
     w = np.linalg.eigvalsh(sd)
-    if w[0] <= 1e-12 * (1.0 + abs(w[-1])):
+    if w[0] <= 1e-12 * abs(w[-1]):
         raise SingularCovarianceError(
             "init_diag is singular; add a small ridge (init_diag + eps*I) "
             "or restrict the state to the support of the initial distribution"

@@ -21,7 +21,8 @@ and costs the stages t < T and nothing after them (see CostSpec),
 cost tr(C_t Z_t), C_t = Cz + Czv M_t + M_t^T Czv^T + M_t^T Rv M_t;
 ``gain_sensitivity`` runs the adjoint pass P_T = 0,
 P_t = C_t + F_t^T P_{t+1} F_t, whose P_{t+1} prices the moment handed to
-stage t + 1.
+stage t + 1.  Its G and H give every gain entry's exact best single move,
+whose cost drop ``sim.pbp_check`` judges relative to |J|.
 
 Schedules are stage-first arrays: M (T, p, dim) in, Z, F and C
 (T, dim, dim) out; k loops sharing F0, Bv, W and the weights batch on an

@@ -428,21 +428,21 @@ def symmetrization_holds(cost_sym: float, cost_orig: float,
                          half_width: float) -> bool:
     """Verdict on ``symmetrization_check``'s output: the symmetrized cost may
     exceed the original by at most the 3-SE band.  The band has a rounding
-    floor, because an already symmetric profile ties with its average only
-    up to rounding and its common-random-number band can be zero."""
-    return cost_sym <= cost_orig + max(half_width,
-                                       1e-12 * (1.0 + abs(cost_orig)))
+    floor of 1e-12 |cost_orig|, because an already symmetric profile ties
+    with its average only up to rounding and its common-random-number band
+    can be zero."""
+    return cost_sym <= cost_orig + max(half_width, 1e-12 * abs(cost_orig))
 
 
-# Size of the single-entry gain moves that pbp_check prices, and the largest
-# unilateral improvement ``teamlqg verify`` passes as person-by-person optimal.
-PBP_STEP = 1e-4
-PBP_TOL = 1e-7
+# ``teamlqg verify`` passes a person-by-person defect (see pbp_check) below
+# this, a drop within the rounding of J itself.  Solved policies read at most
+# 8e-20 (unstable plants at T >= 30); a gain moved by 1e-3 reads about 1e-7.
+PBP_REL_TOL = 1e-16
 
 
 def pbp_check(spec: TeamSpec, policies, T: int):
-    """Max unilateral cost decrease over single-entry gain moves of +/-step,
-    step = ``PBP_STEP``.
+    """Person-by-person defect: the largest exact cost drop a single gain
+    entry's best move achieves, relative to the profile's cost.
 
     One gain entry of agent i (or node r) at stage t enters only that
     stage's feedback M_t and closed-loop map F_t = F0 + Bv M_t, both
@@ -451,42 +451,38 @@ def pbp_check(spec: TeamSpec, policies, T: int):
         J(s) = J + g s + h s^2,
 
     where g is the partial derivative of J in the entry and h its
-    curvature, nonnegative for a convex cost (``moments.gain_sensitivity``,
-    ``delayed._node_moments``: one forward pass and one adjoint pass give g
-    and h of every entry at once).  The better of the moves +/-step lowers
-    the cost by |g| step - h step^2, and the check returns the largest such
-    decrease over the entries of every agent's K and L (or every node's
-    gain) on a state that is not identically zero, the value a +/-step loop
-    re-evaluating the cost would find up to rounding.  At a person-by-person
-    stationary policy every g vanishes, so the value is at most zero up to
-    rounding; a clearly positive value flags a policy that some single
-    decision maker can improve.
+    curvature (``moments.gain_sensitivity``, ``delayed._node_moments``: one
+    forward pass and one adjoint pass give g and h of every entry at once).
+    With h > 0 the best move, s = -g / (2h), lowers the cost by exactly
+    g^2 / (4h).  The defect is the largest such drop over the entries of
+    every agent's K and L (or every node's gain), divided by |J|: a ratio
+    of costs, so scaling the cost, the noise or the coordinates leaves it
+    unchanged.  At a person-by-person stationary policy every g vanishes,
+    and the defect is 0 up to rounding; a clearly positive one flags a
+    policy that some single decision maker can improve.  Entries with
+    h <= 0 are skipped: h = H_t Z_t[col, col] = 0 (H_t > 0 as R > 0) on an
+    identically zero state, where g = 0 too; with none left the defect is 0.
 
-    Raises ValueError when T differs from the profile's horizon.
+    Returns (defect, where, J): ``where`` names the entry attaining it, as
+    (holder, t, gain, (row, col), g) with holder "agent i" or "node {..}"
+    and gain "K", "L" or "gain"; J is the profile's exact cost, from the
+    same propagation.  Raises ValueError when T differs from the profile's
+    horizon.
     """
-    return _pbp_worst(spec, policies, T)[0]
-
-
-def _pbp_worst(spec: TeamSpec, policies, T: int):
-    """(pbp_check value, where, J): ``where`` names the entry attaining it,
-    as (holder, t, gain, (row, col), g) with holder "agent i" or
-    "node {..}" and gain "K", "L" or "gain"; J is the profile's exact cost,
-    from the same propagation.  Entries with h = H_t Z_t[col, col] = 0
-    (H_t > 0 as R > 0) act on an identically zero state, g = 0: skipped."""
     if isinstance(policies, GraphPolicySet):
         terms, cost = _pbp_graph(spec, policies, T)
     else:
         terms, cost = _pbp_tree(spec, policies, T)
     best, where = -np.inf, None
     for (holder, gain), (g, h) in terms.items():
-        drop = np.where(h > 0.0, np.abs(g) * PBP_STEP - h * PBP_STEP ** 2,
-                        -np.inf)
+        drop = np.divide(g * g, 4.0 * h, out=np.full(g.shape, -np.inf),
+                         where=h > 0.0)
         idx = np.unravel_index(np.argmax(drop), drop.shape)
-        if drop[idx] > best or where is None:   # value 0 if all skipped
+        if drop[idx] > best or where is None:   # defect 0 if all skipped
             best = float(drop[idx])
             where = (holder, int(idx[0]), gain, (int(idx[1]), int(idx[2])),
                      float(g[idx]))
-    return (0.0 if best == -np.inf else best), where, cost
+    return (best / abs(cost) if best > 0.0 else 0.0), where, cost
 
 
 def _pbp_tree(spec, pset, T):

@@ -53,6 +53,7 @@ RANK = "tests/test_delayed.py::TestRankGrid::"
 KRON = "tests/test_tree.py::TestKroneckerReference::"
 PRICER = "tests/test_tree.py::TestPerAgentPricer::"
 IDENTITY = "tests/test_delayed.py::TestTreeIdentity::"
+UNITS = "tests/test_cli.py::TestUnitScaling::"
 MALFORMED = ("tests/test_cli.py::TestPolicyReports::"
              "test_malformed_report_exits_1_naming_the_field")
 
@@ -202,6 +203,25 @@ MUTANTS = (
            (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
             "tests/test_tree.py::TestCouplingGains::"
             "test_adjoint_gradient_vs_finite_difference[n_dm2]")),
+    Mutant("1/|J| factor dropped from sim.pbp_check's defect", SIM,
+           "(best / abs(cost) if best > 0.0 else 0.0)",
+           "(best if best > 0.0 else 0.0)",
+           (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
+            UNITS + "test_cost_units_change_no_gain_and_no_verdict[tinf]")),
+    Mutant("absolute floor restored in model.conditional_gain's "
+           "singular-init_diag test", "src/teamlqg/model.py",
+           "if w[0] <= 1e-12 * abs(w[-1]):",
+           "if w[0] <= 1e-12 * (1.0 + abs(w[-1])):",
+           (UNITS + "test_noise_units_change_no_gain[golden]",)),
+    Mutant("absolute floor restored in linalg.is_pd",
+           "src/teamlqg/linalg.py",
+           "return lo > 1e-12 * abs(hi)",
+           "return lo > 1e-12 * (1.0 + abs(hi))",
+           (UNITS + "test_cost_units_change_no_gain_and_no_verdict[golden]",)),
+    Mutant("absolute floor restored in delayed._node_step", DELAYED,
+           "if w[0] <= 1e-12 * abs(w[-1]):",
+           "if w[0] <= 1e-12 * (1.0 + abs(w[-1])):",
+           (UNITS + "test_cost_units_change_no_gain_and_no_verdict[delayed]",)),
     Mutant("operands' axes swapped in linalg.kron", "src/teamlqg/linalg.py",
            "X[:, None, :, None] * Y[None, :, None, :]",
            "X[None, :, None, :] * Y[:, None, :, None]",

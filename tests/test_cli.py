@@ -14,12 +14,13 @@ from teamlqg.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     build_parser,
+    load_policy,
     load_spec,
     main,
     policy_from_report,
     write_report,
 )
-from teamlqg import delayed, tree
+from teamlqg import delayed, sim, tree
 from teamlqg.model import Delayed, MeanFieldTree, Tree
 from teamlqg.riccati import RiccatiError, dare_solve
 
@@ -55,6 +56,20 @@ DELAYED = {
     "noise": {"sigma_w": [[0.6]], "init_diag": [[1.0]],
               "init_offdiag": [[0.0]]},
     "info": {"kind": "delayed", "delays": [[0, 1], [1, 0]]},
+}
+
+
+# n = m = 2 tree spec whose coupling modes do not share one weight
+TINF = {
+    "n_dm": 2,
+    "horizon": 6,
+    "model": {"A": [[0.9, 0.2], [0.0, 0.7]], "B": [[1.0, 0.0], [0.3, 1.0]]},
+    "cost": {"Q": [[1.0, 0.0], [0.0, 2.0]], "R": [[1.0, 0.0], [0.0, 0.5]],
+             "R_tilde": [[0.5, 0.1], [0.1, 0.3]]},
+    "noise": {"sigma_w": [[1.0, 0.0], [0.0, 1.0]],
+              "init_diag": [[1.0, 0.3], [0.3, 2.0]],
+              "init_offdiag": [[0.4, 0.1], [0.1, 0.2]]},
+    "info": {"kind": "tree"},
 }
 
 
@@ -564,9 +579,11 @@ class TestCommands:
         assert code == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "[FAIL] pbp_check" in out
-        # At t = 0 the state is x_0 itself, so the corrupted L[0] entry's g
-        # is alpha*Sigma = 0.5 times that of K[0] of the same agent, which
-        # therefore names stage 0's largest improvement.
+        # At t = 0 the state is x_0 itself and c = alpha*Sigma x_0 = 0.5 x_0,
+        # so the corrupted L[0] entry's g and h are 0.5 and 0.25 times those
+        # of K[0] of the same agent: both best moves gain exactly
+        # g^2 / (4h), and the tie goes to the first entry checked, agent
+        # 1's K.
         pbp_line = next(l for l in out.splitlines() if "pbp_check" in l)
         assert ", t=0, K[0,0], g=2.344e-01)" in pbp_line
         # From t = 1 on the corrupted L entry itself is named.
@@ -886,6 +903,101 @@ class TestPolicyReports:
                       "--rollouts", "200", "--seed", "3"]))
             runs.append((codes, capsys.readouterr(), sim_path.read_text()))
         assert runs[0] == runs[1]
+
+
+class TestUnitScaling:
+    """A change of cost or noise units changes no gain and no verdict.  A
+    power of two scales every cost exactly, so every ``check`` and
+    ``verify`` verdict, and verify's relative pbp defect, must be the same
+    to the bit under costs times 2^k, on solved policies and on policies
+    with one gain entry moved by 1."""
+
+    SOLVER = {"tree": "solve-tree", "meanfield": "solve-tree",
+              "delayed": "solve-delayed"}
+
+    @staticmethod
+    def _scaled(data, block, c):
+        return dict(data, **{block: {k: (c * np.asarray(v)).tolist()
+                                     for k, v in data[block].items()}})
+
+    @staticmethod
+    def _verdicts(path):
+        return [(c["name"], c["passed"])
+                for c in json.loads(open(path).read())["checks"]]
+
+    def _solve(self, tmp_path, data, tag):
+        """(spec path, solved report) of ``data``."""
+        spec_path = write_spec(tmp_path, data, f"{tag}.json")
+        pol_path = str(tmp_path / f"{tag}-pol.json")
+        assert main([self.SOLVER[data["info"]["kind"]], spec_path,
+                     "--out", pol_path]) == EXIT_OK
+        return spec_path, json.loads(open(pol_path).read())
+
+    def _judge(self, tmp_path, spec_path, report, tag):
+        """(check verdicts, verify verdicts, pbp defect) of a report."""
+        pol_path = write_spec(tmp_path, report, f"{tag}-judged.json")
+        out = str(tmp_path / f"{tag}-out.json")
+        main(["check", spec_path, "--out", out])
+        checked = self._verdicts(out)
+        main(["verify", spec_path, "--policy", pol_path, "--rollouts", "20",
+              "--seed", "1", "--out", out])
+        spec = load_spec(spec_path)
+        pset, T = load_policy(pol_path, spec)
+        return checked, self._verdicts(out), sim.pbp_check(spec, pset, T)[0]
+
+    @staticmethod
+    def _moved(report):
+        """The report with one gain entry at t = 0 moved by 1: K_0[0,0],
+        or agent 1's own node's first entry."""
+        moved = json.loads(json.dumps(report))
+        pol = moved["policy"]
+        gains = pol["K"] if pol["kind"] == "tree" else pol["gains"]["1"]
+        gains[0][0][0] += 1.0
+        return moved
+
+    @pytest.mark.parametrize("data", [GOLDEN, TINF, MF, DELAYED],
+                             ids=["golden", "tinf", "mf", "delayed"])
+    def test_cost_units_change_no_gain_and_no_verdict(self, tmp_path, data):
+        spec_path, report = self._solve(tmp_path, data, "base")
+        want = [self._judge(tmp_path, spec_path, r, name)
+                for r, name in ((report, "solved"),
+                                (self._moved(report), "moved"))]
+        (_, solved, tiny), (_, moved, big) = want
+        assert dict(solved)["pbp_check"] and not dict(moved)["pbp_check"]
+        assert tiny < sim.PBP_REL_TOL < big
+        for k in (-44, -20, 20):
+            tag = f"cost{k}"
+            path, rep = self._solve(tmp_path,
+                                    self._scaled(data, "cost", 2.0 ** k), tag)
+            assert rep["policy"] == report["policy"], k
+            got = [self._judge(tmp_path, path, r, f"{tag}-{name}")
+                   for r, name in ((rep, "solved"),
+                                   (self._moved(rep), "moved"))]
+            assert got == want, k
+
+    @pytest.mark.parametrize("data", [GOLDEN, TINF, MF],
+                             ids=["golden", "tinf", "mf"])
+    def test_noise_units_change_no_gain(self, tmp_path, data):
+        _, report = self._solve(tmp_path, data, "base")
+        path, rep = self._solve(
+            tmp_path, self._scaled(data, "noise", 2.0 ** -44), "noise")
+        assert rep["policy"] == report["policy"]
+        assert main(["check", path]) == EXIT_OK
+
+    @pytest.mark.parametrize("c", [1.0, 1e-4])
+    def test_verify_fails_a_moved_gain_in_any_cost_units(self, tmp_path,
+                                                          capsys, c):
+        """K_0[0,0] moved by 1 costs 12.7% more than the optimum, in any
+        cost units, and pbp_check fails it in each."""
+        spec_path, report = self._solve(
+            tmp_path, self._scaled(TINF, "cost", c), "tinf")
+        bad_path = write_spec(tmp_path, self._moved(report), "bad.json")
+        capsys.readouterr()
+        main(["verify", spec_path, "--policy", bad_path, "--rollouts", "20",
+              "--seed", "1"])
+        pbp_line = next(l for l in capsys.readouterr().out.splitlines()
+                        if "pbp_check" in l)
+        assert pbp_line.startswith("[FAIL] pbp_check")
 
 
 class TestExitCodes:

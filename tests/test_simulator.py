@@ -20,6 +20,7 @@ from teamlqg.model import (
 from teamlqg import sim, tree
 from teamlqg.rng import BLOCK, PrimitiveSampler, block_generator
 from teamlqg.sim import (
+    PBP_REL_TOL,
     TreePolicySet,
     GraphPolicySet,
     certainty_equivalence_check,
@@ -88,33 +89,37 @@ def optimal_pset(spec, T):
     return TreePolicySet.from_policy(pol, spec.n_dm), pol
 
 
-def reference_pbp(spec, policies, T, step=sim.PBP_STEP):
-    """pbp_check by brute force: move every gain entry by +/-step and
-    re-evaluate the exact cost, two covariance propagations per entry.  An
-    entry neither of whose moves changes the cost, one that multiplies an
-    identically zero state, is skipped; with none left the value is 0."""
-    drops = []
+def reference_pbp(spec, policies, T, step=1.0):
+    """pbp_check's defect by brute force: move every gain entry by +/-step
+    and re-evaluate the exact cost, two covariance propagations per entry.
+    The cost is exactly quadratic in the move, J(s) = J + g s + h s^2, so
+    for any step g = (J(step) - J(-step)) / (2 step) and
+    h = (J(step) + J(-step) - 2 J) / (2 step^2), and the entry's best move
+    lowers J by g^2 / (4h).  An entry neither of whose moves changes the
+    cost, one that multiplies an identically zero state, is skipped, as is
+    one with h <= 0; with none left the value is 0.  Returns the largest
+    drop over |J|."""
+    moved = []
     if isinstance(policies, GraphPolicySet):
         pol = policies.policy
         base = closed_loop_cost(spec, pol, T)
         for r in pol.graph.nodes:
             for t in range(T):
                 for idx in np.ndindex(pol.gains[r][t].shape):
-                    drops.append([])
+                    moved.append([])
                     for s in (step, -step):
                         gains = {k: list(v) for k, v in pol.gains.items()}
                         gains[r][t] = gains[r][t].copy()
                         gains[r][t][idx] += s
                         pert = GraphPolicy(graph=pol.graph, horizon=T,
                                            gains=gains)
-                        drops[-1].append(base - closed_loop_cost(spec, pert,
-                                                                 T))
+                        moved[-1].append(closed_loop_cost(spec, pert, T))
     else:
         base = exact_cost_general(spec, policies, T)
         Ks, Ls = policies.K, policies.L
         for which, G in (("K", Ks), ("L", Ls)):
             for idx in np.ndindex(G.shape):
-                drops.append([])
+                moved.append([])
                 for s in (step, -step):
                     Gp = G.copy()
                     Gp[idx] += s
@@ -122,8 +127,15 @@ def reference_pbp(spec, policies, T, step=sim.PBP_STEP):
                     pset = TreePolicySet(mode=policies.mode,
                                          K=tuple(tuple(k) for k in K),
                                          L=tuple(tuple(l) for l in L))
-                    drops[-1].append(base - exact_cost_general(spec, pset, T))
-    return max((d for pair in drops if any(pair) for d in pair), default=0.0)
+                    moved[-1].append(exact_cost_general(spec, pset, T))
+    drops = []
+    for up, down in moved:
+        g = (up - down) / (2.0 * step)
+        h = (up + down - 2.0 * base) / (2.0 * step ** 2)
+        if (up, down) != (base, base) and h > 0.0:
+            drops.append(g * g / (4.0 * h))
+    best = max(drops, default=0.0)
+    return best / abs(base) if best > 0.0 else 0.0
 
 
 def reference_sweep_moments(spec, pset_n, pset_l, T, n_rollouts, seed):
@@ -1019,25 +1031,25 @@ class TestStructuralChecks:
     def test_pbp_small_at_optimum_positive_when_corrupted(self):
         spec = scalar_tree_spec(T=3)
         pset, _ = optimal_pset(spec, 3)
-        assert pbp_check(spec, pset, 3) < 1e-7
+        assert pbp_check(spec, pset, 3)[0] < PBP_REL_TOL
         Ls = [[np.array(l) for l in row] for row in pset.L]
         Ls[0][0] = Ls[0][0] + 0.1
         bad = TreePolicySet(mode=pset.mode,
                             K=pset.K,
                             L=tuple(tuple(r) for r in Ls))
-        assert pbp_check(spec, bad, 3) > 1e-7
+        assert pbp_check(spec, bad, 3)[0] > PBP_REL_TOL
 
     def test_pbp_delayed(self):
         spec = coupled_delayed_spec_2dm(T=3)
         pol, _ = solve_delayed_finite(spec, 3)
         gset = GraphPolicySet(policy=pol)
-        assert pbp_check(spec, gset, 3) < 1e-7
+        assert pbp_check(spec, gset, 3)[0] < PBP_REL_TOL
         gains = {r: [np.array(g) for g in gs] for r, gs in pol.gains.items()}
         gains[(0,)][0] = gains[(0,)][0] + 0.1
         from teamlqg.delayed import GraphPolicy
         bad = GraphPolicySet(policy=GraphPolicy(
             graph=pol.graph, horizon=3, gains=gains))
-        assert pbp_check(spec, bad, 3) > 1e-7
+        assert pbp_check(spec, bad, 3)[0] > PBP_REL_TOL
 
     def test_pbp_matches_reference_on_tree_profiles(self, rng):
         """Exact quadratic per entry vs the +/-step loop, at the optimum and
@@ -1064,7 +1076,7 @@ class TestStructuralChecks:
                                      K=tuple(tuple(k) for k in K),
                                      L=tuple(tuple(l) for l in L))
                 J = exact_cost_general(spec, pset, T)
-                assert abs(pbp_check(spec, pset, T)
+                assert abs(pbp_check(spec, pset, T)[0]
                            - reference_pbp(spec, pset, T)) \
                     <= 1e-12 * (1.0 + abs(J))
 
@@ -1093,7 +1105,7 @@ class TestStructuralChecks:
             gset = GraphPolicySet(policy=GraphPolicy(
                 graph=pol.graph, horizon=T, gains=gains))
             J = closed_loop_cost(spec, gset.policy, T)
-            assert abs(pbp_check(spec, gset, T)
+            assert abs(pbp_check(spec, gset, T)[0]
                        - reference_pbp(spec, gset, T)) <= 1e-12 * (1.0 + abs(J))
         with pytest.raises(ValueError, match=f"horizon {T - 1} differs"):
             pbp_check(spec, gset, T - 1)
@@ -1107,7 +1119,7 @@ class TestStructuralChecks:
         T = 3
         spec = linked_delayed_spec(rng, LINKED_DELAYS["full3"], 1, 1, T)
         pol, _ = solve_delayed_finite(spec, T)
-        value, (holder, t, gain, (_, col), _), _ = sim._pbp_worst(
+        value, (holder, t, gain, (_, col), _), _ = pbp_check(
             spec, GraphPolicySet(policy=pol), T)
         var = {r: np.diagonal(Z, axis1=1, axis2=2)
                for r, Z in _node_moments(spec, pol, T)[1].items()}
@@ -1116,11 +1128,11 @@ class TestStructuralChecks:
         node = next(r for r in var if holder == "node {" + ",".join(
             str(i + 1) for i in r) + "}")
         assert gain == "gain" and var[node][t, col] > 0.0
-        assert value < 0.0
+        assert 0.0 <= value < PBP_REL_TOL
         still = replace(spec, noise=replace(spec.noise, sigma_w=[[0.0]],
                                             init_diag=[[0.0]]))
         pol, _ = solve_delayed_finite(still, T)
-        value, where, J = sim._pbp_worst(still, GraphPolicySet(policy=pol), T)
+        value, where, J = pbp_check(still, GraphPolicySet(policy=pol), T)
         assert value == J == 0.0 and where[0] == "node {1}"
 
     def test_gain_curvature_matches_diagonal_of_product(self, rng):
@@ -1190,7 +1202,7 @@ class TestStructuralChecks:
         rep = certainty_equivalence_check(spec, pset, exact, 20000, seed=13)
         assert rep["exact_cost"] == exact
         assert rep["uniform_mc_within_3se"]
-        assert pbp_check(spec, pset, 3) < 1e-7
+        assert pbp_check(spec, pset, 3)[0] < PBP_REL_TOL
 
     def test_certainty_equivalence_fails_off_the_exact_cost(self):
         """An exact cost 10 standard errors of the uniform-noise Monte Carlo
