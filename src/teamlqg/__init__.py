@@ -80,7 +80,6 @@ from .sim import (
     simulate,
     symmetrization_check,
     symmetrize,
-    symmetry_checks,
 )
 
 __version__ = "0.1.0"

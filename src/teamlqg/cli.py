@@ -419,19 +419,14 @@ def cmd_verify(args):
             f"t={t}, {gain}[{a},{b}], g={g:.3e}")
 
     if isinstance(pset, _sim.TreePolicySet):
-        perm = list(range(1, spec.n_dm)) + [0]
-        (delta, ci), (cs, co, ci2) = _sim.symmetry_checks(
-            spec, pset, perm, args.rollouts, args.seed)
-        rep.add("exchangeability_check",
-                abs(delta) <= max(ci, 1e-12 * abs(cost)),
-                f"delta {delta:.3e} +/- {ci:.3e}")
-        rep.add("symmetrization_check", _sim.symmetrization_holds(cs, co, ci2),
-                f"symmetrized {cs:.6g} vs original {co:.6g}")
         ce = _sim.certainty_equivalence_check(spec, pset, cost, args.rollouts,
                                               args.seed)
         rep.add("certainty_equivalence_check", ce["uniform_mc_within_3se"],
                 f"uniform-noise MC {ce['uniform_mc_cost']:.6g} vs exact "
                 f"{ce['exact_cost']:.6g} +/- {ce['uniform_mc_3se']:.3g}")
+        print("exchangeability and symmetrization do not apply: every agent "
+              "runs the one K, L schedule (sim.exchangeability_check and "
+              "sim.symmetrization_check test asymmetric profiles)")
     return _checks_report(rep)
 
 

@@ -9,7 +9,7 @@ so the result is bitwise equal to numpy's, signed zeros included."""
 
 import numpy as np
 
-# Relative eigenvalue slack for PSD tests: min eig >= -PSD_REL_TOL * (1 + max eig).
+# Relative eigenvalue slack for PSD tests: min eig >= -PSD_REL_TOL * |max eig|.
 PSD_REL_TOL = 1e-9
 # Allowed relative asymmetry before a matrix is rejected as non-symmetric.
 SYM_TOL = 1e-10
@@ -37,7 +37,10 @@ def sym(M):
 
 
 def asymmetry(M):
-    return np.linalg.norm(M - M.T) / (1.0 + np.linalg.norm(M))
+    """|M - M^T| / |M| in the Frobenius norm; 0 for a symmetric M, the zero
+    matrix included."""
+    gap = np.linalg.norm(M - M.T)
+    return gap / np.linalg.norm(M) if gap else 0.0
 
 
 def min_max_eig(M):
@@ -47,7 +50,7 @@ def min_max_eig(M):
 
 def is_psd(M):
     lo, hi = min_max_eig(M)
-    return lo >= -PSD_REL_TOL * (1.0 + abs(hi))
+    return lo >= -PSD_REL_TOL * abs(hi)
 
 
 def is_pd(M):

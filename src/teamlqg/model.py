@@ -395,9 +395,6 @@ def validate(spec: TeamSpec) -> ValidationReport:
                 False,
                 "tree/mean-field solvers need identical per-agent dynamics",
             )
-        # Identical blocks across agents hold by construction for Homogeneous;
-        # record it so the report shows the exchangeability structure explicitly.
-        rep.add("exchangeable structure (identical agent blocks)", True)
         if isinstance(spec.info, MeanFieldTree):
             rep.add("mean-field population n_dm >= 2", N >= 2,
                     "the 1/(N-1)-scaled coupling needs at least two agents")

@@ -14,9 +14,10 @@ t < T - 1), so beyond one cost per rollout and the per-stage step maps,
 memory grows with the block size and the number of compared profiles, not
 with the number of rollouts or the horizon.  Checks that compare tree-class
 profiles price all of them on one draw (``_tree_crn``), stepping every
-profile on each stage as it arrives; ``symmetry_checks`` prices the
-profiles of the exchangeability and symmetrization checks on one, so
-``verify`` draws each block once for both.
+profile on each stage as it arrives.  The exchangeability and
+symmetrization checks compare a profile with its permutation and with its
+average over agents; both are for asymmetric profiles, so ``verify``, whose
+tree profiles run one schedule on every agent, runs neither.
 The mean-field sweep draws each stage once for its whole schedule, at the
 largest population, and every population reads its prefix of that fill
 (``_nested_crn``).  Both kernels run rollout-last on the sampler's storage.
@@ -355,20 +356,6 @@ def exact_cost_general(spec: TeamSpec, policies, T: int) -> float:
 # structural checks
 
 
-def _exchangeability_stats(base, perm):
-    """(delta_mean, 3-SE half width) of perm - base, per-rollout costs of a
-    profile and its permutation on one draw."""
-    diff = perm - base
-    return float(np.mean(diff)), 3.0 * _se(diff)
-
-
-def _symmetrization_stats(orig, symm):
-    """(cost_sym, cost_orig, 3-SE half width of symm - orig), per-rollout
-    costs of a profile and its symmetrization on one draw."""
-    diff = symm - orig
-    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(diff)
-
-
 def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
                           n_rollouts: int, seed: int):
     """Estimates J(permuted profile) - J(profile) with common random numbers.
@@ -376,9 +363,10 @@ def exchangeability_check(spec: TeamSpec, policies: TreePolicySet, permutation,
     For exchangeable specs the true difference is zero for any permutation.
     Returns (delta_mean, 3-standard-error half width).
     """
-    return _exchangeability_stats(*_tree_crn(
-        spec, policies.horizon, n_rollouts, seed, policies,
-        policies.permuted(permutation)))
+    base, perm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
+                           policies, policies.permuted(permutation))
+    diff = perm - base
+    return float(np.mean(diff)), 3.0 * _se(diff)
 
 
 def symmetrize(policies: TreePolicySet) -> TreePolicySet:
@@ -402,36 +390,9 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
     least as well; returns (cost_sym, cost_orig, 3-SE half width of the
     difference).
     """
-    return _symmetrization_stats(*_tree_crn(
-        spec, policies.horizon, n_rollouts, seed, policies,
-        symmetrize(policies)))
-
-
-def symmetry_checks(spec: TeamSpec, policies: TreePolicySet, permutation,
-                    n_rollouts: int, seed: int):
-    """``exchangeability_check`` and ``symmetrization_check`` on one draw.
-
-    Prices the profile, its permutation and its symmetrization on common
-    random numbers.  A profile's per-rollout costs do not depend on which
-    other profiles share the draw, so the two results equal the standalone
-    checks' bit for bit.  Returns (exchangeability result, symmetrization
-    result).
-    """
-    orig, perm, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
-                                 policies, policies.permuted(permutation),
-                                 symmetrize(policies))
-    return (_exchangeability_stats(orig, perm),
-            _symmetrization_stats(orig, symm))
-
-
-def symmetrization_holds(cost_sym: float, cost_orig: float,
-                         half_width: float) -> bool:
-    """Verdict on ``symmetrization_check``'s output: the symmetrized cost may
-    exceed the original by at most the 3-SE band.  The band has a rounding
-    floor of 1e-12 |cost_orig|, because an already symmetric profile ties
-    with its average only up to rounding and its common-random-number band
-    can be zero."""
-    return cost_sym <= cost_orig + max(half_width, 1e-12 * abs(cost_orig))
+    orig, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
+                           policies, symmetrize(policies))
+    return float(np.mean(symm)), float(np.mean(orig)), 3.0 * _se(symm - orig)
 
 
 # ``teamlqg verify`` passes a person-by-person defect (see pbp_check) below

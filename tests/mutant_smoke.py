@@ -187,11 +187,6 @@ MUTANTS = (
            "kron(off, sym(spec.cost.Q_tilde))",
            "-kron(off, sym(spec.cost.Q_tilde))",
            (ZETA + "test_matches_x_zeta_reference[ring4-1]",)),
-    Mutant("verify's symmetrization gap against the permuted row", SIM,
-           "_symmetrization_stats(orig, symm))",
-           "_symmetrization_stats(perm, symm))",
-           ("tests/test_simulator.py::TestStructuralChecks::"
-            "test_symmetry_checks_equal_standalone",)),
     Mutant("transpose of the cross term dropped from moments.propagate's C",
            MOMENTS,
            "CM + CM.swapaxes(-1, -2)",
@@ -218,6 +213,18 @@ MUTANTS = (
            "return lo > 1e-12 * abs(hi)",
            "return lo > 1e-12 * (1.0 + abs(hi))",
            (UNITS + "test_cost_units_change_no_gain_and_no_verdict[golden]",)),
+    Mutant("absolute floor restored in linalg.is_psd",
+           "src/teamlqg/linalg.py",
+           "return lo >= -PSD_REL_TOL * abs(hi)",
+           "return lo >= -PSD_REL_TOL * (1.0 + abs(hi))",
+           (UNITS + "test_check_fails_a_bad_cost_block_in_any_units"
+            "[indefinite]",)),
+    Mutant("absolute floor restored in linalg.asymmetry",
+           "src/teamlqg/linalg.py",
+           "return gap / np.linalg.norm(M) if gap else 0.0",
+           "return gap / (1.0 + np.linalg.norm(M))",
+           (UNITS + "test_check_fails_a_bad_cost_block_in_any_units"
+            "[asymmetric]",)),
     Mutant("absolute floor restored in delayed._node_step", DELAYED,
            "if w[0] <= 1e-12 * abs(w[-1]):",
            "if w[0] <= 1e-12 * (1.0 + abs(w[-1])):",

@@ -73,6 +73,14 @@ TINF = {
 }
 
 
+# verify's verdicts on a tree profile, and the line printed before them
+VERIFY_TREE_CHECKS = ["pbp_check", "certainty_equivalence_check"]
+VERIFY_TREE_NOTE = (
+    "exchangeability and symmetrization do not apply: every agent runs the "
+    "one K, L schedule (sim.exchangeability_check and "
+    "sim.symmetrization_check test asymmetric profiles)")
+
+
 def _src_env():
     """The environment of a subprocess that imports this checkout's src."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -499,24 +507,58 @@ class TestCommands:
         assert len(out.splitlines()) == 4
 
     def test_verify_passes_on_solved_policy(self, tmp_path, capsys):
-        assert main(["verify", write_spec(tmp_path, GOLDEN),
-                     "--rollouts", "4000", "--seed", "7"]) == EXIT_OK
+        """A tree profile gets the person-by-person and certainty-equivalence
+        verdicts, solved or loaded, and a note that the symmetry checks do
+        not apply to it."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
+        out = tmp_path / "verify.json"
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        for policy in ([], ["--policy", pol_path]):
+            capsys.readouterr()
+            assert main(["verify", spec_path, "--rollouts", "4000", "--seed",
+                         "7", "--out", str(out), *policy]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+            assert names == VERIFY_TREE_CHECKS, policy
+            assert lines[0] == VERIFY_TREE_NOTE, policy
+            assert [l.split(" (")[0] for l in lines[1:]] == [
+                f"[PASS] {name}" for name in VERIFY_TREE_CHECKS], policy
+
+    def test_verify_graph_policy_prints_one_verdict(self, tmp_path,
+                                                     capsys):
+        """A graph policy gets the person-by-person verdict alone, and no
+        note on the symmetry checks."""
+        spec_path = write_spec(tmp_path, DELAYED)
+        pol_path = str(tmp_path / "pol.json")
+        out = tmp_path / "verify.json"
+        assert main(["solve-delayed", spec_path, "--out", pol_path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", spec_path, "--policy", pol_path, "--rollouts",
+                     "20", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [c["name"] for c in json.loads(out.read_text())["checks"]] \
+            == ["pbp_check"]
+        assert len(lines) == 1 and lines[0].startswith("[PASS] pbp_check")
+
+    def test_check_on_blocked_tree_spec_names_no_exchangeable_line(
+            self, tmp_path, capsys):
+        """Blocked dynamics under tree information fail the homogeneity
+        line, and no line claims an exchangeable structure."""
+        data = dict(DELAYED, info={"kind": "tree"})
+        assert main(["check", write_spec(tmp_path, data)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
-        for name in ("pbp_check", "exchangeability_check",
-                     "symmetrization_check", "certainty_equivalence_check"):
-            assert f"[PASS] {name}" in out
+        assert "[FAIL] homogeneous dynamics for tree info" in out
+        assert "exchangeable" not in out
 
     def test_verify_draws_solves_and_prices_once(self, tmp_path, monkeypatch):
-        """One tree verify repeats no draw of a (seed, family, shape), draws
-        the uniform family once (certainty equivalence's rollouts), solves
-        the gaussian policy once, prices the profile once (pbp_check's
-        ``tree._price``, one propagation and one gain sensitivity pass,
-        whose exact cost certainty equivalence reuses), and takes its
-        exchangeability and symmetrization numbers bit for bit from the
-        standalone checks'.  verify --policy on a saved tree report solves
-        nothing."""
-        from teamlqg import rng, sim
-        draws, solves, passes, verdicts, shared = [], [], [], [], []
+        """One tree verify draws once, the uniform family for certainty
+        equivalence's rollouts, solves the gaussian policy once and prices
+        the profile once (pbp_check's ``tree._price``, one propagation and
+        one gain sensitivity pass, whose exact cost certainty equivalence
+        reuses).  verify --policy on a saved tree report solves nothing."""
+        from teamlqg import rng
+        draws, solves, passes = [], [], []
         propagations, prices, ce = [], [], []
 
         def spy(owner, name, note):
@@ -537,18 +579,15 @@ class TestCommands:
         spy(tree, "propagate", lambda out, *a: propagations.append(out))
         spy(tree, "gain_sensitivity", lambda out, *a: passes.append(out))
         spy(tree, "_price", lambda out, *a: prices.append(out))
-        spy(sim, "symmetrization_holds", lambda out, *a: verdicts.append(a))
-        spy(sim, "symmetry_checks", lambda out, *a: shared.append(out))
         spy(sim, "certainty_equivalence_check",
             lambda out, *a: ce.append(out))
         spec_path = write_spec(tmp_path, dict(GOLDEN, n_dm=3))
         argv = ["verify", spec_path, "--rollouts", "300", "--seed", "5"]
         assert main(argv) == EXIT_OK
-        assert len(draws) == len(set(draws)) == 2
-        assert [d[1] for d in draws].count("uniform") == 1
+        assert [d[1] for d in draws] == ["uniform"]
         assert solves == ["gaussian"]
         assert len(propagations) == len(passes) == len(prices) == 1
-        assert len(shared) == len(ce) == 1
+        assert len(ce) == 1
         assert ce[0]["exact_cost"] == prices[0][0]
 
         pol_path = str(tmp_path / "pol.json")
@@ -557,14 +596,7 @@ class TestCommands:
         assert main(argv + ["--policy", pol_path]) == EXIT_OK
         assert solves == []
         # the loaded profile is the solved one, so its checks agree
-        assert shared[1] == shared[0] and ce[1] == ce[0]
-
-        spec = load_spec(spec_path)
-        pset = sim.TreePolicySet.from_policy(tree.solve_tree(spec), 3)
-        (exch, _), _ = shared
-        assert exch == sim.exchangeability_check(spec, pset, [1, 2, 0], 300,
-                                                 5)
-        assert verdicts[0] == sim.symmetrization_check(spec, pset, 300, 5)
+        assert draws[1] == draws[0] and ce[1] == ce[0]
 
     def test_verify_corrupted_gain_exits_1_naming_pbp(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, GOLDEN)
@@ -984,6 +1016,24 @@ class TestUnitScaling:
         assert rep["policy"] == report["policy"]
         assert main(["check", path]) == EXIT_OK
 
+    @pytest.mark.parametrize("Q, line", [
+        ([[1.0, 0.0], [0.0, -0.5]], "Q positive semidefinite"),
+        ([[1.0, 0.1], [0.0, 1.0]], "Q symmetric")],
+        ids=["indefinite", "asymmetric"])
+    def test_check_fails_a_bad_cost_block_in_any_units(self, tmp_path, Q,
+                                                        line):
+        """An indefinite or asymmetric Q fails its check line as well at
+        2^-44 times its size: the PSD and symmetry floors are relative."""
+        verdicts = []
+        for k in (0, -44):
+            data = json.loads(json.dumps(TINF))
+            data["cost"]["Q"] = (2.0 ** k * np.asarray(Q)).tolist()
+            out = str(tmp_path / f"check{k}.json")
+            main(["check", write_spec(tmp_path, data), "--out", out])
+            verdicts.append(self._verdicts(out))
+        assert verdicts[0] == verdicts[1]
+        assert (line, False) in verdicts[0]
+
     @pytest.mark.parametrize("c", [1.0, 1e-4])
     def test_verify_fails_a_moved_gain_in_any_cost_units(self, tmp_path,
                                                           capsys, c):
@@ -1131,14 +1181,19 @@ class TestExitCodes:
     def test_two_rollouts_verify(self, tmp_path, capsys):
         """--rollouts 2 is the smallest verify accepts: it runs every check
         rather than failing with the rollouts error."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        pol_path = str(tmp_path / "pol.json")
         out = tmp_path / "verify.json"
-        main(["verify", write_spec(tmp_path, GOLDEN), "--rollouts", "2",
-              "--seed", "1", "--out", str(out)])
-        assert "--rollouts" not in capsys.readouterr().err
-        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-        assert names == ["pbp_check", "exchangeability_check",
-                         "symmetrization_check",
-                         "certainty_equivalence_check"]
+        assert main(["solve-tree", spec_path, "--out", pol_path]) == EXIT_OK
+        for policy in ([], ["--policy", pol_path]):
+            main(["verify", spec_path, "--rollouts", "2", "--seed", "1",
+                  "--out", str(out), *policy])
+            captured = capsys.readouterr()
+            assert "--rollouts" not in captured.err
+            assert VERIFY_TREE_NOTE in captured.out.splitlines()
+            names = [c["name"]
+                     for c in json.loads(out.read_text())["checks"]]
+            assert names == VERIFY_TREE_CHECKS, policy
 
     def test_verify_needs_two_rollouts(self, tmp_path, capsys):
         """One rollout has no standard error, so verify's 3-SE bands would

@@ -31,9 +31,7 @@ from teamlqg.sim import (
     rollout_costs,
     simulate,
     symmetrization_check,
-    symmetrization_holds,
     symmetrize,
-    symmetry_checks,
 )
 from teamlqg.sim import _graph_mc
 from teamlqg.tree import (
@@ -982,33 +980,16 @@ class TestStructuralChecks:
         assert (exact_cost_general(spec, symmetrize(aset), 3)
                 <= exact_cost_general(spec, aset, 3) + 1e-12)
 
-    @pytest.mark.parametrize("profile", ["solved", "asymmetric"])
-    def test_symmetry_checks_equal_standalone(self, rng, profile):
-        """verify's one-draw pricing of the original, permuted and
-        symmetrized profiles gives both checks' numbers bit for bit, for a
-        solved profile and for random per-agent K and L."""
-        spec = random_tree_spec(rng, n=2, m=2, T=4, n_dm=3)
-        pset = (optimal_pset(spec, 4)[0] if profile == "solved"
-                else random_pset(spec, 4, rng))
-        exch, symm = symmetry_checks(spec, pset, [1, 2, 0], 300, seed=21)
-        assert exch == exchangeability_check(spec, pset, [1, 2, 0], 300,
-                                             seed=21)
-        assert symm == symmetrization_check(spec, pset, 300, seed=21)
-
-    def test_symmetrization_verdict_tie_and_violation(self):
-        # an already symmetric profile ties with its average up to rounding,
-        # and its common-random-number band is then zero
-        assert symmetrization_holds(2.5, 2.5, 0.0)
-        assert symmetrization_holds(2.5 + 4e-16, 2.5, 0.0)
-        assert not symmetrization_holds(2.6, 2.5, 0.01)
+    def test_symmetrization_of_equal_schedules_ties_to_rounding(self):
         # averaging seven equal schedules rounds; on x86-64 with numpy 2.4
         # the symmetrized cost sits 3.6e-15 above the original here, ten
-        # times the 3-SE band
+        # times the 3-SE band, so a verdict on a symmetric profile needs a
+        # rounding floor
         spec = replace(scalar_tree_spec(T=3), n_dm=7)
         pset, _ = optimal_pset(spec, 3)
         cs, co, ci = symmetrization_check(spec, pset, 200, seed=15)
         assert abs(cs - co) <= 1e-12 * (1.0 + abs(co))
-        assert symmetrization_holds(cs, co, ci)
+        assert cs <= co + max(ci, 1e-12 * abs(co))
 
     def test_convexity_random_triples(self, rng):
         spec = scalar_tree_spec(T=2)

@@ -421,6 +421,32 @@ class TestCouplingGains:
             solve_coupling_gains(spec, 8, n_dm(2))
         assert str(exc.value) == str(ref.value)
 
+    def test_failed_pivot_cholesky_names_stage_and_eigenvalues(
+            self, rng, monkeypatch):
+        """A mode pivot whose batched Cholesky fails while its eigenvalues
+        pass ``_check_pivots`` still raises, naming its stage (the first
+        of the backward sweep, T - 1) and the eigenvalue range of its
+        original-coordinate pivot.  Only the sweep's batched call fails;
+        ``_modes``' 2-D Cholesky of Cd runs as usual."""
+        T = 4
+        spec = random_tree_spec(rng, n=2, m=2, T=T, generic_offdiag=True)
+        cholesky = np.linalg.cholesky
+
+        def batched_fails(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("patched")
+            return cholesky(a)
+        monkeypatch.setattr(np.linalg, "cholesky", batched_fails)
+        p = tree_module._params(spec, n_dm(2))
+        _, _, U, _, Rm = tree_module._modes(p, 1.0 / T, "unused")
+        # P_T = 0, so the last stage's mode pivots are Rm
+        w = tree_module._pivot_eigvals(Rm[None], U)[0]
+        assert tree_module._pivot_ok(w)
+        with pytest.raises(CouplingSystemError) as exc:
+            solve_coupling_gains(spec, T, n_dm(2))
+        assert (f"at stage {T - 1} of {T}: pivot eigenvalues in "
+                f"[{w[0]:.3e}, {w[-1]:.3e}]") in str(exc.value)
+
 
 # ---------------------------------------------------------------------------
 # per-mode recursion against the Kronecker reference
