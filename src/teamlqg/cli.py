@@ -2,8 +2,9 @@
 
 Usage: teamlqg COMMAND SPECFILE [flags].  Commands parse a JSON spec file,
 dispatch the solvers/checks, print a human-readable summary, and return
-their report; ``main`` writes every report (with --out) as JSON whose
-numbers round-trip losslessly.
+their report, which holds policies and arrays as they are; ``main`` writes
+it only with --out, as JSON whose numbers round-trip losslessly, encoding
+each policy and array as it comes (``report_value``).
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 3 usage error.
@@ -140,7 +141,7 @@ def load_spec(path: str) -> TeamSpec:
 def write_report(path, payload):
     """Write the payload to path as one line of JSON.  It is encoded before
     the file is opened, so a payload that cannot be encoded leaves no file."""
-    text = json.dumps(payload) + "\n"
+    text = json.dumps(payload, default=report_value) + "\n"
     try:
         with open(path, "w") as fh:
             fh.write(text)
@@ -149,7 +150,7 @@ def write_report(path, payload):
 
 
 # ---------------------------------------------------------------------------
-# policy (de)serialization for simulate/verify round-trips
+# policy reports, written and read back for simulate/verify
 
 
 def _field(data, key, where="policy report"):
@@ -198,7 +199,7 @@ def _node_gains(data, graph, stages, m, n):
 
 
 def policy_from_report(data: dict, spec: TeamSpec):
-    """The policy of a solver report (its ``as_dict``) for ``spec``, as
+    """The policy of a solver report (``report_value``) for ``spec``, as
     (policy set, policy).  Raises SpecFileError naming the field when a key
     is missing, a number is not an integer where one is needed, or a
     schedule's shape does not fit the horizon and the spec's (or the
@@ -236,6 +237,34 @@ def policy_from_report(data: dict, spec: TeamSpec):
             gains=_node_gains(data, graph, stages, m, n))
         return _sim.GraphPolicySet(policy=pol), pol
     raise SpecFileError(f"unsupported policy kind {kind!r} in policy file")
+
+
+def report_value(obj):
+    """The JSON value of a report entry that json cannot encode itself: a
+    policy's report, which ``policy_from_report`` reads back, or an array's
+    nested lists.  ``write_report`` hands it to ``json.dumps`` as
+    ``default``, so each array is listed only while it is encoded."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, _tree.TreePolicy):
+        return {"kind": "tree", "horizon": obj.horizon, "mode": obj.mode.kind,
+                "mode_n": obj.mode.n, "K": obj.K, "L": obj.L}
+    if isinstance(obj, _tree.InfiniteTreePolicy):
+        return {"kind": "tree_infinite", "mode": obj.mode.kind,
+                "mode_n": obj.mode.n, "K": obj.K, "P": obj.P, "G": obj.G,
+                "C": obj.C, "z0": obj.z0, "horizon_used": obj.horizon_used,
+                "average_cost": obj.average_cost,
+                "closed_loop_radius": obj.closed_loop_radius}
+    if isinstance(obj, _delayed.GraphPolicy):
+        g = obj.graph
+        return {"kind": "delayed", "horizon": obj.horizon,
+                "nodes": [list(s) for s in g.nodes],
+                "edges": [[list(r), list(s)] for r, s in g.edges],
+                "injection": {str(i + 1): list(s)
+                              for i, s in g.injection_map.items()},
+                "gains": {_delayed.node_key(r): K
+                          for r, K in obj.gains.items()}}
+    return json.JSONEncoder().default(obj)     # json's own TypeError
 
 
 def load_policy(path: str, spec: TeamSpec):
@@ -276,7 +305,7 @@ def cmd_solve_tree(args):
     cost = _tree.predicted_cost(spec, pol)
     print(f"tree policy solved: horizon {T}, mode {pol.mode.kind}")
     _print_summary(cost, pol)
-    return {"predicted_cost": cost, "policy": pol.as_dict()}
+    return {"predicted_cost": cost, "policy": pol}
 
 
 def _print_summary(cost, pol):
@@ -296,13 +325,11 @@ def cmd_solve_tree_inf(args):
     print(f"average cost = {pol.average_cost:.12g}")
     print(f"closed-loop spectral radius = {pol.closed_loop_radius:.6g}")
     print(f"coupling schedule below 1e-8 from stage {pol.horizon_used}")
-    return {"policy": pol.as_dict()}
+    return {"policy": pol}
 
 
 def cmd_solve_ndm(args):
     spec = _validated_spec(args.spec)
-    if args.n < 2:
-        raise SpecFileError("--n must be at least 2")
     _tree.tree_dynamics(spec)    # refused here, not by the resize below
     nspec = replace(spec, n_dm=args.n)
     T = spec.horizon
@@ -310,7 +337,7 @@ def cmd_solve_ndm(args):
     cost = _tree.predicted_cost(nspec, pol)
     print(f"{args.n}-agent policy solved: horizon {T}")
     print(f"predicted cost: {cost:.12g}")
-    return {"n": args.n, "predicted_cost": cost, "policy": pol.as_dict()}
+    return {"n": args.n, "predicted_cost": cost, "policy": pol}
 
 
 def cmd_solve_mf(args):
@@ -325,7 +352,7 @@ def cmd_solve_mf(args):
     _print_summary(cost, pol)
     return {"predicted_cost": cost,
             "convergence": [{"N": spec.n_dm, "L_gap": gap}],
-            "policy": pol.as_dict()}
+            "policy": pol}
 
 
 def cmd_solve_delayed(args):
@@ -336,7 +363,7 @@ def cmd_solve_delayed(args):
     print("information graph:")
     print("  " + pol.graph.adjacency_listing().replace("\n", "\n  "))
     print(f"predicted cost: {cost:.12g}")
-    return {"predicted_cost": cost, "policy": pol.as_dict()}
+    return {"predicted_cost": cost, "policy": pol}
 
 
 def cmd_solve_delayed_inf(args):
@@ -347,7 +374,7 @@ def cmd_solve_delayed_inf(args):
     print(f"average cost = {cost:.12g}")
     print(f"closed-loop spectral radius = {radius:.6g}")
     return {"average_cost": cost, "closed_loop_radius": radius,
-            "policy": pol.as_dict()}
+            "policy": pol}
 
 
 def cmd_dare(args):
@@ -357,7 +384,7 @@ def cmd_dare(args):
     print(f"P = {sol.P.ravel().tolist()}")
     print(f"K = {sol.K.ravel().tolist()}")
     print(f"relative residual = {sol.residual:.3e} after {sol.iterations} doublings")
-    return {"P": sol.P.tolist(), "K": sol.K.tolist(),
+    return {"P": sol.P, "K": sol.K,
             "residual": sol.residual, "iterations": sol.iterations}
 
 
@@ -373,7 +400,7 @@ def cmd_simulate(args):
     rep = _sim.simulate(spec, pset, T, args.rollouts, args.seed)
     print(f"mean cost = {rep.mean_cost:.12g} +/- {rep.std_error:.3g} "
           f"(1 SE, {rep.n_rollouts} rollouts, seed {rep.seed})")
-    return rep.as_dict()
+    return asdict(rep)
 
 
 def cmd_sweep_mft(args):

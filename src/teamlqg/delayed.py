@@ -148,17 +148,6 @@ class GraphPolicy:
                              f"{self.horizon}")
         return g
 
-    def as_dict(self):
-        return {
-            "kind": "delayed",
-            "horizon": self.horizon,
-            "nodes": [list(s) for s in self.graph.nodes],
-            "edges": [[list(r), list(s)] for r, s in self.graph.edges],
-            "injection": {str(i + 1): list(s)
-                          for i, s in self.graph.injection_map.items()},
-            "gains": {node_key(r): K.tolist() for r, K in self.gains.items()},
-        }
-
 
 def node_key(node):
     """A node's key in reports: its agents numbered from 1, as in "1,2"."""

@@ -113,14 +113,6 @@ class SimReport:
     n_rollouts: int
     seed: int
 
-    def as_dict(self):
-        return {
-            "mean_cost": self.mean_cost,
-            "std_error": self.std_error,
-            "n_rollouts": self.n_rollouts,
-            "seed": self.seed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Monte Carlo rollouts
@@ -388,7 +380,9 @@ def symmetrization_check(spec: TeamSpec, policies: TreePolicySet,
 
     Convexity plus exchangeability implies the symmetrized profile does at
     least as well; returns (cost_sym, cost_orig, 3-SE half width of the
-    difference).
+    difference).  On a symmetric profile the band can be 0 while cost_sym
+    sits above cost_orig by rounding (3.6e-15 on seven equal schedules), so
+    a caller judges a tie by cs <= co + max(ci, 1e-12 * abs(co)).
     """
     orig, symm = _tree_crn(spec, policies.horizon, n_rollouts, seed,
                            policies, symmetrize(policies))

@@ -468,16 +468,6 @@ class TreePolicy:
     def horizon(self):
         return len(self.K)
 
-    def as_dict(self):
-        return {
-            "kind": "tree",
-            "horizon": self.horizon,
-            "mode": self.mode.kind,
-            "mode_n": self.mode.n,
-            "K": self.K.tolist(),
-            "L": self.L.tolist(),
-        }
-
 
 def solve_tree(spec: TeamSpec, T: int | None = None, mode: Population | None = None):
     T = spec.horizon if T is None else T
@@ -506,7 +496,10 @@ class InfiniteTreePolicy:
     (``L``), G (3n^2, 3n^2), C (mn, 3n^2), z0 (3n^2,); without R_tilde the
     realization is empty and L_t = 0.  ``horizon_used`` is the first stage t
     whose tail energy sum_{s >= t} |L_s|^2 = z_t' X z_t is below 1e-16, X the
-    observability Gramian of (G, C), so |L_s| < 1e-8 for every s >= t."""
+    observability Gramian of (G, C), so |L_s| < 1e-8 for every s >= t.  It
+    is a diagnostic in gain units: the floor is absolute, so it moves under
+    a change of state or input coordinates, where K, L and the costs move
+    equivariantly."""
 
     mode: Population
     K: np.ndarray
@@ -525,21 +518,6 @@ class InfiniteTreePolicy:
             L[t] = self.C @ z
             z = self.G @ z
         return L.reshape(T, *self.K.shape)
-
-    def as_dict(self):
-        return {
-            "kind": "tree_infinite",
-            "mode": self.mode.kind,
-            "mode_n": self.mode.n,
-            "K": self.K.tolist(),
-            "P": self.P.tolist(),
-            "G": self.G.tolist(),
-            "C": self.C.tolist(),
-            "z0": self.z0.tolist(),
-            "horizon_used": self.horizon_used,
-            "average_cost": self.average_cost,
-            "closed_loop_radius": self.closed_loop_radius,
-        }
 
 
 def solve_infinite_tree(spec: TeamSpec,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from teamlqg.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    SpecFileError,
     build_parser,
     load_policy,
     load_spec,
     main,
+    parse_spec,
     policy_from_report,
+    report_value,
     write_report,
 )
 from teamlqg import delayed, sim, tree
@@ -71,6 +75,30 @@ TINF = {
               "init_offdiag": [[0.4, 0.1], [0.1, 0.2]]},
     "info": {"kind": "tree"},
 }
+
+
+def ring_data(N, T, n=2):
+    """A delayed ring of N agents, n = m, with delay-1 links to both
+    neighbours and a stable open loop."""
+    rng = np.random.default_rng(0)
+    near = lambda i, j: (i - j) % N in (0, 1, N - 1)
+    grid = lambda block: [[block(i, j) if near(i, j) else np.zeros((n, n))
+                           for j in range(N)] for i in range(N)]
+    A = grid(lambda i, j: (1.0 if i == j else 0.3) * rng.normal(size=(n, n)))
+    B = grid(lambda i, j: np.eye(n) if i == j
+             else 0.2 * rng.normal(size=(n, n)))
+    scale = 0.95 / np.abs(np.linalg.eigvals(np.block(A))).max()
+    eye = np.eye(n).tolist()
+    return {"n_dm": N, "horizon": T,
+            "model": {"A_blocks": [[(scale * a).tolist() for a in row]
+                                   for row in A],
+                      "B_blocks": [[b.tolist() for b in row] for row in B]},
+            "cost": {"Q": eye, "R": eye},
+            "noise": {"sigma_w": eye, "init_diag": eye,
+                      "init_offdiag": np.zeros((n, n)).tolist()},
+            "info": {"kind": "delayed",
+                     "delays": [[0 if i == j else 1 if near(i, j) else None
+                                 for j in range(N)] for i in range(N)]}}
 
 
 # verify's verdicts on a tree profile, and the line printed before them
@@ -760,6 +788,31 @@ class TestOneAgentTree:
         assert ("mean_field_N needs a population size n >= 2"
                 in capsys.readouterr().err)
 
+    def test_solve_ndm_at_one_agent_is_solve_tree(self, tmp_path):
+        """solve-ndm --n 1 on a Tree spec writes the gains and cost that
+        solve-tree writes for the spec's one-agent copy, bit for bit."""
+        spec_path = write_spec(tmp_path, GOLDEN)
+        one_path = write_spec(tmp_path, dict(GOLDEN, n_dm=1), "one.json")
+        reports = []
+        for argv in (["solve-ndm", spec_path, "--n", "1"],
+                     ["solve-tree", one_path]):
+            out = str(tmp_path / "report.json")
+            assert main([*argv, "--out", out]) == EXIT_OK
+            reports.append(json.loads(open(out).read()))
+        ndm, one = reports
+        assert ndm["policy"] == one["policy"]
+        assert ndm["predicted_cost"] == one["predicted_cost"]
+        assert ndm["predicted_cost"] == pytest.approx(1.36666666667, abs=1e-11)
+
+    @pytest.mark.parametrize("data, n, named", [
+        (MF, "1", "mean_field_N needs a population size n >= 2"),
+        (GOLDEN, "0", "n_dm must be >= 1")], ids=["meanfield-1", "tree-0"])
+    def test_solve_ndm_refuses_what_the_model_refuses(self, tmp_path, capsys,
+                                                      data, n, named):
+        assert main(["solve-ndm", write_spec(tmp_path, data),
+                     "--n", n]) == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+
 
 class TestPolicyReports:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -836,9 +889,9 @@ class TestPolicyReports:
         gains bit for bit, and dumps to the same bytes again."""
         spec = load_spec(write_spec(tmp_path, data))
         pol = solve(spec)
-        text = json.dumps(pol.as_dict())
+        text = json.dumps(pol, default=report_value)
         _, loaded = policy_from_report(json.loads(text), spec)
-        assert json.dumps(loaded.as_dict()) == text
+        assert json.dumps(loaded, default=report_value) == text
         assert loaded.horizon == pol.horizon
         if isinstance(pol, tree.TreePolicy):
             pairs = [(getattr(pol, f), getattr(loaded, f)) for f in "KL"]
@@ -878,6 +931,26 @@ class TestPolicyReports:
             assert np.asarray(parsed).tobytes() == solved.tobytes()
             assert np.asarray(parsed).shape == solved.shape
 
+    def test_solve_without_out_builds_no_report(self, tmp_path, capsys):
+        """Without --out, solve-delayed keeps the solver's gain arrays: on
+        an 8-agent ring its traced peak stays within the gains' bytes of
+        the solve's own.  Listing the gains as Python floats, as a report
+        does, takes about four times their bytes."""
+        spec_path = write_spec(tmp_path, ring_data(8, 40))
+        spec = load_spec(spec_path)
+        pol = delayed.solve_delayed_finite(spec)[0]     # warms any caches
+        gains = sum(g.nbytes for g in pol.gains.values())
+        peaks = []
+        for run in (lambda: delayed.solve_delayed_finite(spec),
+                    lambda: main(["solve-delayed", spec_path])):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + gains, (peaks, gains)
+
     @pytest.mark.parametrize("command", ["solve-delayed", "solve-delayed-inf"])
     def test_delayed_reports_list_nodes_in_graph_order(self, tmp_path,
                                                        command):
@@ -895,11 +968,12 @@ class TestPolicyReports:
         "nodes" list, as older solve-delayed-inf reports have them, loads
         and dumps back to the same bytes."""
         spec = load_spec(write_spec(tmp_path, DELAYED))
-        data = delayed.solve_delayed_infinite(spec)[0].as_dict()
+        data = json.loads(json.dumps(delayed.solve_delayed_infinite(spec)[0],
+                                     default=report_value))
         data["gains"] = dict(reversed(data["gains"].items()))
         text = json.dumps(data)
         _, loaded = policy_from_report(json.loads(text), spec)
-        assert json.dumps(loaded.as_dict()) == text
+        assert json.dumps(loaded, default=report_value) == text
 
     @pytest.mark.parametrize("command, data", [
         ("solve-tree", GOLDEN), ("solve-delayed", DELAYED),
@@ -922,7 +996,8 @@ class TestPolicyReports:
         old_path.write_text(json.dumps(old))
         # JSON floats round-trip, so equal text is equal bits
         _, loaded = policy_from_report(old["policy"], load_spec(spec_path))
-        assert json.dumps(loaded.as_dict()) == json.dumps(new["policy"])
+        assert json.dumps(loaded, default=report_value) \
+            == json.dumps(new["policy"])
         runs = []
         for path in (old_path, new_path):
             sim_path = tmp_path / f"sim-{path.name}"
@@ -1222,3 +1297,47 @@ class TestExitCodes:
         data["noise"]["init_offdiag"] = [[1.5]]
         assert main(["solve-tree",
                      write_spec(tmp_path, data)]) == EXIT_VALIDATION
+
+
+def _sweep(spec_path, schedule):
+    args = build_parser().parse_args(["sweep-mft", spec_path, "--schedule",
+                                      schedule, "--rollouts", "5", "--seed",
+                                      "1"])
+    return args.fn(args)
+
+
+# (id, call on (spec file path, spec, its solve-tree policy report), words
+# naming the field)
+INPUT_ERRORS = [
+    ("spec-missing-key",
+     lambda path, spec, rep: parse_spec({k: v for k, v in GOLDEN.items()
+                                         if k != "horizon"}),
+     "missing keys in spec file: ['horizon']"),
+    ("spec-info-kind",
+     lambda path, spec, rep: parse_spec(dict(GOLDEN, info={"kind": "star"})),
+     "info.kind must be tree|meanfield|delayed, got 'star'"),
+    ("report-schedule-not-numeric",
+     lambda path, spec, rep: policy_from_report(dict(rep, K=[[["x"]]]), spec),
+     "policy K is not a numeric array"),
+    ("report-horizon-zero",
+     lambda path, spec, rep: policy_from_report(dict(rep, horizon=0), spec),
+     "policy horizon 0 is not a positive integer"),
+    ("report-kind",
+     lambda path, spec, rep: policy_from_report(dict(rep, kind="lqr"), spec),
+     "unsupported policy kind 'lqr'"),
+    ("sweep-schedule", lambda path, spec, rep: _sweep(path, "2,x"),
+     "bad --schedule"),
+]
+
+
+@pytest.mark.parametrize("call, named", [row[1:] for row in INPUT_ERRORS],
+                         ids=[row[0] for row in INPUT_ERRORS])
+def test_input_error_names_its_field(tmp_path, call, named):
+    spec_path = write_spec(tmp_path, GOLDEN)
+    spec = load_spec(spec_path)
+    report = json.loads(json.dumps(tree.solve_tree(spec),
+                                   default=report_value))
+    with pytest.raises(SpecFileError) as info:
+        call(spec_path, spec, report)
+    assert info.type is SpecFileError
+    assert named in str(info.value)

@@ -701,3 +701,16 @@ class TestTreeIdentity:
                        seed=31 + case)
         assert abs(rep.mean_cost - J) <= 4.0 * rep.std_error, \
             (rep.mean_cost, J, rep.std_error)
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda spec: closed_loop_cost(spec, solve_delayed_infinite(spec)[0]),
+     "finite horizon required"),
+    (lambda spec: solve_delayed_finite(spec)[0].schedule((0,), 5),
+     "horizon 5 differs from the policy's horizon 3"),
+], ids=["stationary-cost-without-horizon", "schedule-at-another-horizon"])
+def test_input_error_names_its_field(run, named):
+    with pytest.raises(ValueError) as info:
+        run(coupled_delayed_spec_2dm(T=3))
+    assert info.type is ValueError
+    assert named in str(info.value)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from teamlqg.linalg import kron
+from teamlqg.linalg import as_matrix, kron, spectral_radius
 
 SHAPES = [((1, 1), (1, 1)), ((1, 1), (2, 3)), ((3, 2), (1, 1)),
           ((1, 3), (1, 2)), ((3, 1), (2, 1)), ((1, 4), (3, 1)),
@@ -40,3 +40,16 @@ def test_kron_keeps_the_sign_of_zero_products():
     _assert_bitwise(got, np.kron(X, Y))
     assert np.signbit(got[0, :3]).tolist() == [True, False, True]
     assert np.signbit(got[0, 3:]).tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: as_matrix([["x"]], "Q"), "Q is not a numeric matrix"),
+    (lambda: as_matrix([1.0, 2.0], "Q"), "Q must be 2-D"),
+    (lambda: spectral_radius(np.ones((2, 3))),
+     "spectral_radius needs a square matrix"),
+], ids=["not-numeric", "not-2d", "radius-not-square"])
+def test_input_error_names_its_field(make, named):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert info.type is ValueError
+    assert named in str(info.value)

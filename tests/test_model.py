@@ -1,12 +1,16 @@
 """Spec validation, conditional gain, and structural invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamlqg.model import (
+    Blocked,
     CostSpec,
+    Delayed,
     DimensionError,
     Homogeneous,
     NoiseSpec,
@@ -22,6 +26,66 @@ from conftest import rand_pd, rand_psd, scalar_tree_spec
 
 def check_names(report):
     return {c.name: c.passed for c in report.checks}
+
+
+ONE, TWO = [[1.0]], np.eye(2)
+SCALAR = scalar_tree_spec()       # n = m = 1, two agents
+
+# (id, construction, exception type, words naming the field)
+INPUT_ERRORS = [
+    ("A-not-square", lambda: Homogeneous(A=np.ones((1, 2)), B=ONE),
+     DimensionError, "A must be square"),
+    ("B-rows", lambda: Homogeneous(A=ONE, B=np.ones((2, 1))),
+     DimensionError, "B row count"),
+    ("A_blocks-grid", lambda: Blocked(A_blocks=[[ONE, ONE]], B_blocks=[[ONE]]),
+     DimensionError, "A_blocks"),
+    ("A_blocks-empty", lambda: Blocked(A_blocks=[], B_blocks=[]),
+     DimensionError, "A_blocks"),
+    ("B_blocks-grid", lambda: Blocked(A_blocks=[[ONE]],
+                                      B_blocks=[[ONE], [ONE]]),
+     DimensionError, "B_blocks"),
+    ("A-block-shape", lambda: Blocked(A_blocks=[[ONE, ONE], [ONE, TWO]],
+                                      B_blocks=[[ONE, ONE], [ONE, ONE]]),
+     DimensionError, "A blocks"),
+    ("B-block-shape", lambda: Blocked(A_blocks=[[ONE, ONE], [ONE, ONE]],
+                                      B_blocks=[[ONE, ONE], [ONE, [[1., 2.]]]]),
+     DimensionError, "B blocks"),
+    ("noise-family", lambda: NoiseSpec(sigma_w=ONE, init_diag=ONE,
+                                       init_offdiag=ONE, family="cauchy"),
+     ValueError, "noise family 'cauchy'"),
+    ("init_offdiag-shape", lambda: conditional_gain(NoiseSpec(
+        sigma_w=ONE, init_diag=ONE, init_offdiag=TWO)),
+     DimensionError, "init_offdiag"),
+    ("delays-grid", lambda: Delayed(delays=((0, 1),)),
+     DimensionError, "delays"),
+    ("n_dm", lambda: replace(SCALAR, n_dm=0), DimensionError, "n_dm"),
+    ("horizon", lambda: replace(SCALAR, horizon=0), DimensionError,
+     "horizon"),
+    ("blocked-grid", lambda: replace(SCALAR, dynamics=Blocked(
+        A_blocks=[[ONE]], B_blocks=[[ONE]])),
+     DimensionError, "blocked dynamics grid must be n_dm x n_dm"),
+    ("R", lambda: replace(SCALAR, cost=CostSpec(Q=ONE, R=TWO)),
+     DimensionError, "R must be m x m"),
+    ("Q_tilde", lambda: replace(SCALAR, cost=CostSpec(Q=ONE, R=ONE,
+                                                      Q_tilde=TWO)),
+     DimensionError, "Q_tilde"),
+    ("S", lambda: replace(SCALAR, cost=CostSpec(Q=ONE, R=ONE, S=TWO)),
+     DimensionError, "S must be n x m"),
+    ("sigma_w", lambda: replace(SCALAR, noise=NoiseSpec(
+        sigma_w=TWO, init_diag=ONE, init_offdiag=ONE)),
+     DimensionError, "sigma_w"),
+    ("delay-matrix", lambda: replace(SCALAR, info=Delayed(delays=((0,),))),
+     DimensionError, "delay matrix must be n_dm x n_dm"),
+]
+
+
+@pytest.mark.parametrize("make, exc, named", [row[1:] for row in INPUT_ERRORS],
+                         ids=[row[0] for row in INPUT_ERRORS])
+def test_input_error_names_its_field(make, exc, named):
+    with pytest.raises(exc) as info:
+        make()
+    assert info.type is exc
+    assert named in str(info.value)
 
 
 class TestValidate:

@@ -1353,3 +1353,16 @@ class TestMftSweep:
         spec = scalar_mf_spec(T=2)
         with pytest.raises(ValueError):
             mft_sweep(spec, 2, [2, 4], 100, seed=1)
+
+
+@pytest.mark.parametrize("policies, exc, named", [
+    (lambda: GraphPolicySet(policy=solve_delayed_finite(
+        coupled_delayed_spec_2dm(T=2))[0]),
+     ValueError, "graph policies require delayed information"),
+    (lambda: {"K": [[[0.0]]]}, TypeError, "unsupported policy set type dict"),
+], ids=["graph-policy-on-tree-spec", "not-a-policy-set"])
+def test_rollout_input_error_names_its_field(policies, exc, named):
+    with pytest.raises(exc) as info:
+        rollout_costs(scalar_tree_spec(), policies(), 2, 10, seed=1)
+    assert info.type is exc
+    assert named in str(info.value)
