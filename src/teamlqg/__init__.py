@@ -54,9 +54,9 @@ from .info_graph import (
     InfoGraph,
     UnsupportedStructureError,
     build_info_graph,
+    check_sparsity,
     effective_delays,
     partition,
-    validate_sparsity,
 )
 from .delayed import (
     GraphPolicy,

@@ -333,7 +333,7 @@ def cmd_solve_ndm(args):
     _tree.tree_dynamics(spec)    # refused here, not by the resize below
     nspec = replace(spec, n_dm=args.n)
     T = spec.horizon
-    pol = _tree.solve_tree(nspec, T, mode=_tree.n_dm(args.n))
+    pol = _tree.solve_tree(nspec, T)    # the resized spec's own mode
     cost = _tree.predicted_cost(nspec, pol)
     print(f"{args.n}-agent policy solved: horizon {T}")
     print(f"predicted cost: {cost:.12g}")

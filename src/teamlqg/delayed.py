@@ -13,6 +13,11 @@ nothing after them, as in every class (see CostSpec):
 The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
 (Lamperski & Doyle, IEEE TAC 2015), so exact costs and rollouts run node
 by node (``_node_moments``, ``step_nodes``); rollouts step x on its own.
+That split holds under one rule, ``info_graph.check_sparsity``: agent j's
+state enters agent i's dynamics only if E[i, j] <= 1.  The solvers, the
+pricer, the stationary radius and ``model.validate`` all apply it.  A
+zero-delay cycle passes, since its agents share every knowledge set and
+sit in one node.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_graph import InfoGraph, build_info_graph, partition, validate_sparsity
+from .info_graph import InfoGraph, build_info_graph, check_sparsity, partition
 from .linalg import kron, numerical_rank, spectral_radius, sym
-from .model import Blocked, Delayed, Homogeneous, TeamSpec
+from .model import Delayed, TeamSpec
 from .riccati import RiccatiError, dare_solve
 
 
@@ -73,24 +78,12 @@ class _Stacked:
 
 def stacked_data(spec: TeamSpec) -> _Stacked:
     N, n, m = spec.n_dm, spec.n, spec.m
-    if isinstance(spec.dynamics, Blocked):
-        A, B = spec.dynamics.full_A(), spec.dynamics.full_B()
-    elif isinstance(spec.dynamics, Homogeneous):
-        A = kron(np.eye(N), spec.dynamics.A)
-        B = kron(np.eye(N), spec.dynamics.B)
-    else:
-        raise TypeError("unsupported dynamics type")
+    A, B = spec.dynamics.stacked(N)
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
     Q = kron(eye, sym(spec.cost.Q)) + kron(off, sym(spec.cost.Q_tilde))
     R = kron(eye, sym(spec.cost.R)) + kron(off, sym(spec.cost.R_tilde))
     S = kron(eye, spec.cost.S)
     return _Stacked(N=N, n=n, m=m, A=A, B=B, Q=Q, R=R, S=S)
-
-
-def _graph_for(spec: TeamSpec) -> InfoGraph:
-    if not isinstance(spec.info, Delayed):
-        raise ValueError("delayed solver needs Delayed information")
-    return build_info_graph(spec.info.delays)
 
 
 def _check_independent_initials(spec: TeamSpec):
@@ -99,18 +92,23 @@ def _check_independent_initials(spec: TeamSpec):
                          "assume independent initial states (init_offdiag = 0)")
 
 
+def _check_dynamics(spec: TeamSpec, d: _Stacked):
+    """``check_sparsity`` of the spec's delays and stacked dynamics."""
+    if not isinstance(spec.info, Delayed):
+        raise ValueError("delayed solver needs Delayed information")
+    check_sparsity(spec.info.delays, d.A, d.B)
+
+
 def check_preconditions(spec: TeamSpec):
-    """Sparsity validation and independent initial states (the node
-    recursion and its costs assume init_offdiag = 0); raises ValueError on
-    failure so solve calls fail loudly."""
-    graph = _graph_for(spec)
+    """The spec's information graph, once its delays, dynamics and initial
+    states are ones the node recursion and its costs take: Delayed
+    information, dynamics within ``check_sparsity``'s rule (zero-delay
+    cycles included, as they sit inside one node) and independent initial
+    states (init_offdiag = 0).  Raises ValueError otherwise, so solve calls
+    fail loudly."""
+    _check_dynamics(spec, stacked_data(spec))
     _check_independent_initials(spec)
-    if isinstance(spec.dynamics, Blocked):
-        rep = validate_sparsity(spec.info.delays, spec.dynamics)
-        if not rep.ok:
-            names = ", ".join(c.name for c in rep.failed())
-            raise ValueError(f"delay/sparsity validation failed: {names}")
-    return graph
+    return build_info_graph(spec.info.delays)
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +286,6 @@ def simulate_estimator(graph: InfoGraph, policy: GraphPolicy, spec: TeamSpec,
     return x, {r: z[..., steps[r][2]] for r in graph.nodes}, u
 
 
-def _check_on_graph(d: _Stacked, graph: InfoGraph):
-    """Raises ValueError unless A and B move each node's agents only into
-    its successor's, as x = sum_r I^{.,r} zeta^r needs."""
-    moves = (np.any(d.A.reshape(d.N, d.n, d.N, d.n), axis=(1, 3))
-             | np.any(d.B.reshape(d.N, d.n, d.N, d.m), axis=(1, 3)))
-    if any(np.any(np.delete(moves[:, list(r)], s, axis=0))
-           for r, s in graph.edges):
-        raise ValueError("the dynamics move some node's agents outside its "
-                         "successor, so zeta does not carry the plant state")
-
-
 def _node_moments(spec: TeamSpec, policy: GraphPolicy, T: int,
                   want_grad=False):
     """Exact cost of the assembled controller node by node, and on request
@@ -318,13 +305,13 @@ def _node_moments(spec: TeamSpec, policy: GraphPolicy, T: int,
     ``want_grad`` adds each node's (g, h), each (T, |r|m, |r|n), as
     ``moments.gain_sensitivity`` forms them, from the adjoint
     P_t^r = C_t^r + F_t^{rT} P_{t+1}^s F_t^r, P_T = 0.  Correlated initial
-    states, or dynamics that move a node's agents outside its successor,
-    raise ValueError.
+    states, or dynamics outside ``check_sparsity``'s rule, raise
+    ValueError.
     """
     _check_independent_initials(spec)
     graph = policy.graph
     d = stacked_data(spec)
-    _check_on_graph(d, graph)
+    _check_dynamics(spec, d)
     Z = {r: np.zeros((T, len(r) * d.n, len(r) * d.n)) for r in graph.nodes}
     for i, s in graph.injection_map.items():
         Zi = _node_block(s, i, Z[s], d.n)
@@ -465,7 +452,7 @@ def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
     the nodes ordered by size the map is block triangular, its diagonal
     A^{ss} + B^{ss} K^s at each self-loop node s and 0 elsewhere."""
     d = stacked_data(spec)
-    _check_on_graph(d, policy.graph)
+    _check_dynamics(spec, d)
     return max(spectral_radius(d.A_sr(s, s)
                                + d.B_sr(s, s) @ policy.schedule(s, 1)[0])
                for s in policy.graph.self_loop_nodes())

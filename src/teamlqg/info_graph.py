@@ -6,6 +6,12 @@ delay between agents is the shortest-path delay.  The graph nodes are the
 knowledge sets s_k^j = {i : effective delay from j to i <= k}; each node has a
 unique successor (the set reachable in one more step), and every chain
 s_0^j -> s_1^j -> ... terminates in a self-loop node within N steps.
+
+``check_sparsity`` states which dynamics the graph carries: agent j's
+state may enter agent i's dynamics only if E[i, j] <= 1.  Zero-delay cycles
+are accepted: agents that see each other at once hold the same knowledge
+sets, so a cycle sits inside one node (all zero delays give the single
+self-loop node of every agent).
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import Blocked, ValidationReport
 
 INF = math.inf
 
@@ -122,43 +126,30 @@ def build_info_graph(delays) -> InfoGraph:
     )
 
 
-def validate_sparsity(delays, dynamics: Blocked) -> ValidationReport:
-    """Check that the dynamics respect the delay pattern.
+def check_sparsity(delays, A, B):
+    """Raise ValueError naming the first off-diagonal block A^{ij} or B^{ij}
+    of the stacked dynamics (A Nn x Nn, B Nn x Nm) that is nonzero although
+    agent i learns agent j's state only after more than one step,
+    E[i, j] > 1 (E the effective delays).
 
-    Agent j's state may enter agent i's dynamics only if i learns it within
-    one step (effective delay <= 1); otherwise the block must vanish.  A
-    directed cycle of total delay zero would make the knowledge sets
-    circular and is rejected.
+    This is the rule the node decomposition x = sum_r I^{.,r} zeta^r needs:
+    A and B move each node's agents only into its successor.  The two say
+    the same, because agent j's injection node contains j and E obeys the
+    triangle inequality, so that node's successor is {i : E[i, j] <= 1}
+    and every other node holding j has a successor containing it.
+    Zero-delay cycles pass: their agents know each other's states at once,
+    so they share every knowledge set, and the graph carries them in one
+    node.
     """
-    rep = ValidationReport()
     E = effective_delays(delays)
-    N = E.shape[0]
-
-    cycle_free = True
-    for i in range(N):
-        for j in range(N):
-            if i != j and E[i, j] == 0.0 and E[j, i] == 0.0:
-                cycle_free = False
-    rep.add(
-        "no zero-delay cycles",
-        cycle_free,
-        "" if cycle_free else "zero-delay cycle: mutual zero-delay links found",
-    )
-
-    for i in range(N):
-        for j in range(N):
-            if i == j or E[i, j] <= 1.0:
-                continue
-            for name, blocks in (("A", dynamics.A_blocks), ("B", dynamics.B_blocks)):
-                ok = not np.any(blocks[i][j] != 0.0)
-                rep.add(
-                    f"sparsity: {name}^{{{i + 1}{j + 1}}} must be zero",
-                    ok,
-                    f"effective delay {E[i, j]}",
-                )
-    if rep.ok:
-        rep.add("sparsity pattern consistent", True)
-    return rep
+    N = len(E)
+    moves = np.stack([np.any(np.reshape(M, (N, len(M) // N, N, -1)),
+                             axis=(1, 3)) for M in (A, B)], axis=-1)
+    bad = np.argwhere(moves & (E > 1.0)[..., None])
+    if len(bad):
+        i, j, k = bad[0]
+        raise ValueError(f"sparsity: {'AB'[k]}^{{{i + 1}{j + 1}}} must be "
+                         f"zero (effective delay {E[i, j]:g} > 1)")
 
 
 def partition(M_full, row_subset, col_subset, n_dm, row_block, col_block):

@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .info_graph import check_sparsity
 from .linalg import (
     SYM_TOL,
     as_matrix,
     asymmetry,
     is_pd,
     is_psd,
+    kron,
     sym,
 )
 
@@ -70,6 +72,10 @@ class Homogeneous:
     def m(self):
         return self.B.shape[1]
 
+    def stacked(self, N):
+        """The N-agent team's block-diagonal (A, B)."""
+        return kron(np.eye(N), self.A), kron(np.eye(N), self.B)
+
 
 @dataclass(frozen=True)
 class Blocked:
@@ -115,11 +121,11 @@ class Blocked:
     def m(self):
         return self.B_blocks[0][0].shape[1]
 
-    def full_A(self):
-        return np.block([[blk for blk in row] for row in self.A_blocks])
-
-    def full_B(self):
-        return np.block([[blk for blk in row] for row in self.B_blocks])
+    def stacked(self, N):
+        """The team's (A, B), N n x N n and N n x N m, from the blocks (N is
+        the grid's own size)."""
+        return (np.block([list(row) for row in self.A_blocks]),
+                np.block([list(row) for row in self.B_blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +382,20 @@ def validate(spec: TeamSpec) -> ValidationReport:
 
     if isinstance(spec.info, Delayed):
         d = spec.info.delays
-        rep.add("zero self-delays", all(d[i][i] == 0 for i in range(N)))
-        finite = [v for row in d for v in row if v != INF]
+        self_ok = all(d[i][i] == 0 for i in range(N))
+        one_step = all(v in (0.0, 1.0) for row in d for v in row if v != INF)
+        rep.add("zero self-delays", self_ok)
         rep.add(
             "delays at most one step",
-            all(v in (0.0, 1.0) for v in finite),
+            one_step,
             "only the one-step-delayed sharing pattern is supported",
         )
+        if self_ok and one_step:    # the effective delays need both
+            try:
+                check_sparsity(d, *spec.dynamics.stacked(N))
+                rep.add("sparsity: dynamics within the delay pattern", True)
+            except ValueError as exc:   # named by its first bad block
+                rep.add(str(exc), False)
         rep.add(
             "independent initial states (delayed info)",
             not np.any(so != 0.0),

@@ -253,6 +253,12 @@ MUTANTS = (
            "    graph = policy.graph\n",
            ("tests/test_delayed.py::TestInfiniteHorizon::"
             "test_correlated_initial_states_not_priced",)),
+    Mutant("sparsity rule loosened to E > 2 in info_graph.check_sparsity",
+           "src/teamlqg/info_graph.py",
+           "moves & (E > 1.0)[..., None]",
+           "moves & (E > 2.0)[..., None]",
+           ("tests/test_info_graph.py::TestValidateSparsity::"
+            "test_control_block_beyond_delay_fails",)),
     Mutant("mirrored half of the theta grid dropped in "
            "delayed._rank_condition", DELAYED,
            "theta[np.union1d(k, (grid - k) % grid)]",

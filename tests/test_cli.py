@@ -404,6 +404,30 @@ class TestCommands:
             costs.append(json.loads(open(out_path).read())["predicted_cost"])
         assert costs[0] == costs[1]
 
+    def test_solve_ndm_solves_under_the_specs_mode(self, tmp_path):
+        """On a MeanFieldTree spec, solve-ndm at the spec's own size writes
+        solve-tree's report (mode mean_field_N), which simulate loads with
+        that spec: the mean of 4000 rollouts lies within 4 SE of its
+        predicted cost."""
+        spec_path = write_spec(tmp_path, MF)
+        reports = []
+        for argv in (["solve-tree"], ["solve-ndm", "--n", str(MF["n_dm"])]):
+            out_path = str(tmp_path / f"{argv[0]}.json")
+            assert main(argv[:1] + [spec_path, "--out", out_path]
+                        + argv[1:]) == EXIT_OK
+            reports.append(json.loads(open(out_path).read()))
+        tree, ndm = reports
+        assert ndm["policy"] == tree["policy"]
+        assert ndm["policy"]["mode"] == "mean_field_N"
+        assert ndm["predicted_cost"] == tree["predicted_cost"]
+        sim_path = str(tmp_path / "sim.json")
+        assert main(["simulate", spec_path, "--policy",
+                     str(tmp_path / "solve-ndm.json"), "--rollouts", "4000",
+                     "--seed", "1", "--out", sim_path]) == EXIT_OK
+        rep = json.loads(open(sim_path).read())
+        assert abs(rep["mean_cost"] - ndm["predicted_cost"]) \
+            <= 4 * rep["std_error"]
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_policy_of_another_population_size_rejected(self, tmp_path, capsys,
                                                         command):

@@ -41,6 +41,7 @@ from teamlqg.model import (
     validate,
 )
 
+from primitive_oracle import optimal_cost, shortest_delays
 from conftest import (
     LINKED_DELAYS,
     coupled_delayed_spec_2dm,
@@ -701,6 +702,75 @@ class TestTreeIdentity:
                        seed=31 + case)
         assert abs(rep.mean_cost - J) <= 4.0 * rep.std_error, \
             (rep.mean_cost, J, rep.std_error)
+
+
+ORACLE_DELAYS = {
+    "zero-cycle": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+    "zero-cycle-chain": [[0, 0, INF], [0, 0, 1], [INF, 1, 0]],
+    "all-zero": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    **{name: [[INF if v is None else v for v in row]
+              for row in LINKED_DELAYS[name]]
+       for name in ("full3", "chain4", "ring4")},
+}
+
+
+def oracle_plant(rng, delays, T=4):
+    """A scalar team whose dynamics couple agent j into agent i wherever
+    E[i, j] <= 1, relayed links included, with Q~, R~ and S nonzero and
+    identity primitive covariance, so ``primitive_oracle`` prices it."""
+    near = shortest_delays(delays) <= 1.0
+    N = len(near)
+    A = np.where(near, rng.uniform(-0.4, 0.4, (N, N)), 0.0)
+    A[np.diag_indices(N)] = rng.uniform(0.6, 1.1, N)
+    B = np.where(near, rng.uniform(-0.3, 0.3, (N, N)), 0.0)
+    B[np.diag_indices(N)] = rng.uniform(0.5, 1.5, N)
+    grid = lambda M: [[M[i:i + 1, j:j + 1] for j in range(N)]
+                      for i in range(N)]
+    return TeamSpec(
+        n_dm=N, horizon=T,
+        dynamics=Blocked(A_blocks=grid(A), B_blocks=grid(B)),
+        cost=CostSpec(Q=[[1.0]], R=[[1.0]], S=[[0.2]], Q_tilde=[[0.2]],
+                      R_tilde=[[0.3]]),
+        noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                        init_offdiag=[[0.0]]),
+        info=Delayed(delays=delays))
+
+
+def oracle_cost(spec):
+    """``primitive_oracle.optimal_cost`` of a scalar ``oracle_plant``."""
+    N, c = spec.n_dm, spec.cost
+    off = np.ones((N, N)) - np.eye(N)
+    A, B = spec.dynamics.stacked(N)
+    return optimal_cost(A, B, c.Q[0, 0] * np.eye(N) + c.Q_tilde[0, 0] * off,
+                        c.R[0, 0] * np.eye(N) + c.R_tilde[0, 0] * off,
+                        c.S[0, 0] * np.eye(N), spec.info.delays,
+                        spec.horizon)[0]
+
+
+class TestPrimitiveOracle:
+    """The node recursion's optimum against the best admissible linear
+    policy found column by column in primitive form, zero-delay cycles
+    included."""
+
+    @pytest.mark.parametrize("graph", list(ORACLE_DELAYS))
+    def test_node_recursion_is_optimal(self, graph):
+        spec = oracle_plant(np.random.default_rng(7), ORACLE_DELAYS[graph])
+        assert validate(spec).ok
+        _, cost = solve_delayed_finite(spec)
+        want = oracle_cost(spec)
+        assert abs(cost - want) <= 1e-12 * want, (cost, want)
+
+    def test_oracle_discriminates_delays(self):
+        """Sharing at once beats sharing a step late on the same plant."""
+        at_once = oracle_plant(np.random.default_rng(8),
+                               ORACLE_DELAYS["all-zero"])
+        late = replace(at_once, info=Delayed(delays=ORACLE_DELAYS["full3"]))
+        (fast, fast_want), (slow, slow_want) = (
+            (solve_delayed_finite(s)[1], oracle_cost(s))
+            for s in (at_once, late))
+        assert abs(fast - fast_want) <= 1e-12 * fast_want
+        assert abs(slow - slow_want) <= 1e-12 * slow_want
+        assert fast < slow * (1.0 - 1e-3), (fast, slow)
 
 
 @pytest.mark.parametrize("run, named", [

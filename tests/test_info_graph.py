@@ -1,18 +1,26 @@
-"""Knowledge-set graph construction, sparsity validation, and partitioning."""
+"""Knowledge-set graph construction, the sparsity rule, and partitioning."""
 
 import math
 
 import numpy as np
 import pytest
 
+from teamlqg.delayed import solve_delayed_finite
 from teamlqg.info_graph import (
     UnsupportedStructureError,
     build_info_graph,
+    check_sparsity,
     effective_delays,
     partition,
-    validate_sparsity,
 )
-from teamlqg.model import Blocked
+from teamlqg.model import (
+    Blocked,
+    CostSpec,
+    Delayed,
+    NoiseSpec,
+    TeamSpec,
+    validate,
+)
 
 INF = math.inf
 
@@ -115,28 +123,52 @@ class TestBuildInfoGraph:
 
 
 class TestValidateSparsity:
+    """``check_sparsity``: a block of A or B may couple agent j into agent
+    i only where the effective delay E[i, j] is at most 1."""
+
     def test_decoupled_passes(self):
         dyn = blocked_scalar([[0.5, 0.0], [0.0, 0.5]])
-        rep = validate_sparsity([[0.0, INF], [INF, 0.0]], dyn)
-        assert rep.ok
+        check_sparsity([[0.0, INF], [INF, 0.0]], *dyn.stacked(2))
 
     def test_coupling_block_beyond_delay_fails(self):
         dyn = blocked_scalar([[0.5, 0.3], [0.0, 0.5]])
-        rep = validate_sparsity([[0.0, INF], [INF, 0.0]], dyn)
-        assert not rep.ok
-        names = [c.name for c in rep.failed()]
-        assert "sparsity: A^{12} must be zero" in names
+        with pytest.raises(ValueError,
+                           match=r"^sparsity: A\^\{12\} must be zero"):
+            check_sparsity([[0.0, INF], [INF, 0.0]], *dyn.stacked(2))
 
-    def test_zero_delay_cycle_fails(self):
-        dyn = blocked_scalar([[0.5, 0.0], [0.0, 0.5]])
-        rep = validate_sparsity([[0.0, 0.0], [0.0, 0.0]], dyn)
-        assert not rep.ok
-        assert any("zero-delay" in c.name for c in rep.failed())
+    def test_control_block_beyond_delay_fails(self):
+        """B is read as A is: agent 1's control entering agent 3's state
+        two steps before agent 3 learns of it is refused."""
+        dyn = blocked_scalar(0.5 * np.eye(3),
+                             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                              [0.4, 0.0, 1.0]])
+        delays = [[0.0, 1.0, INF], [1.0, 0.0, 1.0], [INF, 1.0, 0.0]]
+        with pytest.raises(ValueError, match=r"B\^\{31\} must be zero "
+                                             r"\(effective delay 2 > 1\)"):
+            check_sparsity(delays, *dyn.stacked(3))
+
+    def test_zero_delay_cycle_passes_and_solves(self):
+        """Agents that see each other at once share every knowledge set, so
+        the coupled pair is one self-loop node, which the recursion solves
+        as a centralized team."""
+        delays = [[0.0, 0.0], [0.0, 0.0]]
+        dyn = blocked_scalar([[0.5, 0.3], [0.2, 0.5]], [[1.0, 0.4],
+                                                        [0.1, 1.0]])
+        check_sparsity(delays, *dyn.stacked(2))
+        spec = TeamSpec(
+            n_dm=2, horizon=3, dynamics=dyn,
+            cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
+            noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                            init_offdiag=[[0.0]]),
+            info=Delayed(delays=delays))
+        assert validate(spec).ok
+        pol, cost = solve_delayed_finite(spec, 3)
+        assert pol.graph.nodes == ((0, 1),)
+        assert np.isfinite(cost) and cost > 0.0
 
     def test_delay_one_coupling_allowed(self):
         dyn = blocked_scalar([[0.5, 0.3], [0.2, 0.5]])
-        rep = validate_sparsity([[0.0, 1.0], [1.0, 0.0]], dyn)
-        assert rep.ok
+        check_sparsity([[0.0, 1.0], [1.0, 0.0]], *dyn.stacked(2))
 
 
 class TestPartition:

@@ -21,7 +21,12 @@ from teamlqg.model import (
     validate,
 )
 
-from conftest import rand_pd, rand_psd, scalar_tree_spec
+from conftest import (
+    coupled_delayed_spec_2dm,
+    rand_pd,
+    rand_psd,
+    scalar_tree_spec,
+)
 
 
 def check_names(report):
@@ -105,6 +110,26 @@ class TestValidate:
         spec = scalar_tree_spec(R=0.0)
         names = check_names(validate(spec))
         assert names["R positive definite"] is False
+
+    def test_sparsity_line_names_the_first_bad_block(self):
+        """validate applies the delayed solvers' sparsity rule: unlinked,
+        the coupled pair fails one line naming A^{12}, its first block
+        outside the pattern; linked, or with homogeneous dynamics, it
+        passes; with a delay of 2 the rule has no effective delays to read
+        and its line is left out."""
+        INF = np.inf
+        linked = coupled_delayed_spec_2dm()
+        unlinked = replace(linked, info=Delayed(((0, INF), (INF, 0))))
+        rule = "sparsity: dynamics within the delay pattern"
+        assert check_names(validate(linked))[rule] is True
+        assert [c.name for c in validate(unlinked).failed()] == [
+            "sparsity: A^{12} must be zero (effective delay inf > 1)"]
+        homogeneous = replace(unlinked, dynamics=Homogeneous(A=ONE, B=ONE))
+        assert check_names(validate(homogeneous))[rule] is True
+        too_late = validate(replace(linked, info=Delayed(((0, 2), (1, 0)))))
+        assert [c.name for c in too_late.failed()] == [
+            "delays at most one step"]
+        assert not any(c.name.startswith("sparsity") for c in too_late.checks)
 
     def test_dimension_mismatch_is_hard_error(self):
         with pytest.raises(DimensionError):

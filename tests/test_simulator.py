@@ -775,7 +775,8 @@ class TestZetaLoop:
                       lambda: closed_loop_radius(bad, replace(
                           pol, horizon=None,
                           gains={r: g[0] for r, g in pol.gains.items()}))):
-            with pytest.raises(ValueError, match="outside its successor"):
+            with pytest.raises(ValueError,
+                               match=r"sparsity: A\^\{14\} must be zero"):
                 price()
 
 
