@@ -28,7 +28,7 @@ import numpy as np
 
 from .info_graph import InfoGraph, build_info_graph, check_sparsity, partition
 from .linalg import kron, numerical_rank, spectral_radius, sym
-from .model import Delayed, TeamSpec
+from .model import Delayed, TeamSpec, stacked_dynamics
 from .riccati import RiccatiError, dare_solve
 
 
@@ -78,7 +78,7 @@ class _Stacked:
 
 def stacked_data(spec: TeamSpec) -> _Stacked:
     N, n, m = spec.n_dm, spec.n, spec.m
-    A, B = spec.dynamics.stacked(N)
+    A, B = stacked_dynamics(spec)
     eye, off = np.eye(N), np.ones((N, N)) - np.eye(N)
     Q = kron(eye, sym(spec.cost.Q)) + kron(off, sym(spec.cost.Q_tilde))
     R = kron(eye, sym(spec.cost.R)) + kron(off, sym(spec.cost.R_tilde))
@@ -92,11 +92,12 @@ def _check_independent_initials(spec: TeamSpec):
                          "assume independent initial states (init_offdiag = 0)")
 
 
-def _check_dynamics(spec: TeamSpec, d: _Stacked):
-    """``check_sparsity`` of the spec's delays and stacked dynamics."""
+def _spec_graph(spec: TeamSpec, A, B):
+    """The spec's graph, once its stacked (A, B) pass ``check_sparsity``."""
     if not isinstance(spec.info, Delayed):
         raise ValueError("delayed solver needs Delayed information")
-    check_sparsity(spec.info.delays, d.A, d.B)
+    check_sparsity(spec.info.delays, A, B)
+    return build_info_graph(spec.info.delays)
 
 
 def check_preconditions(spec: TeamSpec):
@@ -106,9 +107,18 @@ def check_preconditions(spec: TeamSpec):
     cycles included, as they sit inside one node) and independent initial
     states (init_offdiag = 0).  Raises ValueError otherwise, so solve calls
     fail loudly."""
-    _check_dynamics(spec, stacked_data(spec))
+    graph = _spec_graph(spec, *stacked_dynamics(spec))
     _check_independent_initials(spec)
-    return build_info_graph(spec.info.delays)
+    return graph
+
+
+def policy_data(spec: TeamSpec, policy: GraphPolicy) -> _Stacked:
+    """``stacked_data`` of a spec that passes ``_spec_graph`` and whose
+    graph the policy runs on, so each node reads what its agents know."""
+    d = stacked_data(spec)
+    if policy.graph != _spec_graph(spec, d.A, d.B):
+        raise ValueError("policy's information graph differs from the spec's")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +315,12 @@ def _node_moments(spec: TeamSpec, policy: GraphPolicy, T: int,
     ``want_grad`` adds each node's (g, h), each (T, |r|m, |r|n), as
     ``moments.gain_sensitivity`` forms them, from the adjoint
     P_t^r = C_t^r + F_t^{rT} P_{t+1}^s F_t^r, P_T = 0.  Correlated initial
-    states, or dynamics outside ``check_sparsity``'s rule, raise
-    ValueError.
+    states, dynamics outside ``check_sparsity``'s rule, or a policy on
+    another graph than the spec's raise ValueError (``policy_data``).
     """
     _check_independent_initials(spec)
     graph = policy.graph
-    d = stacked_data(spec)
-    _check_dynamics(spec, d)
+    d = policy_data(spec, policy)
     Z = {r: np.zeros((T, len(r) * d.n, len(r) * d.n)) for r in graph.nodes}
     for i, s in graph.injection_map.items():
         Zi = _node_block(s, i, Z[s], d.n)
@@ -451,8 +460,7 @@ def closed_loop_radius(spec: TeamSpec, policy: GraphPolicy) -> float:
     each zeta^r moves to a larger successor unless r is a self-loop, so with
     the nodes ordered by size the map is block triangular, its diagonal
     A^{ss} + B^{ss} K^s at each self-loop node s and 0 elsewhere."""
-    d = stacked_data(spec)
-    _check_dynamics(spec, d)
+    d = policy_data(spec, policy)
     return max(spectral_radius(d.A_sr(s, s)
                                + d.B_sr(s, s) @ policy.schedule(s, 1)[0])
                for s in policy.graph.self_loop_nodes())

@@ -72,10 +72,6 @@ class Homogeneous:
     def m(self):
         return self.B.shape[1]
 
-    def stacked(self, N):
-        """The N-agent team's block-diagonal (A, B)."""
-        return kron(np.eye(N), self.A), kron(np.eye(N), self.B)
-
 
 @dataclass(frozen=True)
 class Blocked:
@@ -120,12 +116,6 @@ class Blocked:
     @property
     def m(self):
         return self.B_blocks[0][0].shape[1]
-
-    def stacked(self, N):
-        """The team's (A, B), N n x N n and N n x N m, from the blocks (N is
-        the grid's own size)."""
-        return (np.block([list(row) for row in self.A_blocks]),
-                np.block([list(row) for row in self.B_blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +291,16 @@ class TeamSpec:
         return self.dynamics.m
 
 
+def stacked_dynamics(spec: TeamSpec):
+    """The team's (A, B), N n x N n and N n x N m: Blocked dynamics' own
+    grid, or N block-diagonal copies of Homogeneous dynamics."""
+    dyn = spec.dynamics
+    if isinstance(dyn, Blocked):
+        return tuple(np.block([list(row) for row in grid])
+                     for grid in (dyn.A_blocks, dyn.B_blocks))
+    return kron(np.eye(spec.n_dm), dyn.A), kron(np.eye(spec.n_dm), dyn.B)
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -392,7 +392,7 @@ def validate(spec: TeamSpec) -> ValidationReport:
         )
         if self_ok and one_step:    # the effective delays need both
             try:
-                check_sparsity(d, *spec.dynamics.stacked(N))
+                check_sparsity(d, *stacked_dynamics(spec))
                 rep.add("sparsity: dynamics within the delay pattern", True)
             except ValueError as exc:   # named by its first bad block
                 rep.add(str(exc), False)

@@ -284,7 +284,7 @@ def _graph_costs(plan, AB, W, T, stages):
 
 
 def _graph_mc(spec: TeamSpec, pset: GraphPolicySet, T, n_rollouts, seed):
-    d = _delayed.stacked_data(spec)
+    d = _delayed.policy_data(spec, pset.policy)
     plan = _delayed.node_plan(pset.policy.graph, pset.policy, d, T)
     AB, W = np.hstack([d.A, d.B]), np.block([[d.Q, d.S], [d.S.T, d.R]])
     price = partial(_graph_costs, plan, AB, W, T)

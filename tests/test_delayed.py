@@ -38,6 +38,7 @@ from teamlqg.model import (
     NoiseSpec,
     TeamSpec,
     Tree,
+    stacked_dynamics,
     validate,
 )
 
@@ -706,7 +707,7 @@ class TestTreeIdentity:
 
 ORACLE_DELAYS = {
     "zero-cycle": [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
-    "zero-cycle-chain": [[0, 0, INF], [0, 0, 1], [INF, 1, 0]],
+    "zero-cycle-one-way": [[0, 0, 1], [0, 0, INF], [INF, INF, 0]],
     "all-zero": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     **{name: [[INF if v is None else v for v in row]
               for row in LINKED_DELAYS[name]]
@@ -740,7 +741,7 @@ def oracle_cost(spec):
     """``primitive_oracle.optimal_cost`` of a scalar ``oracle_plant``."""
     N, c = spec.n_dm, spec.cost
     off = np.ones((N, N)) - np.eye(N)
-    A, B = spec.dynamics.stacked(N)
+    A, B = stacked_dynamics(spec)
     return optimal_cost(A, B, c.Q[0, 0] * np.eye(N) + c.Q_tilde[0, 0] * off,
                         c.R[0, 0] * np.eye(N) + c.R_tilde[0, 0] * off,
                         c.S[0, 0] * np.eye(N), spec.info.delays,

@@ -19,6 +19,7 @@ from teamlqg.model import (
     Delayed,
     NoiseSpec,
     TeamSpec,
+    stacked_dynamics,
     validate,
 )
 
@@ -122,19 +123,34 @@ class TestBuildInfoGraph:
             assert relabel(g.successor_map[r]) == gp.successor_map[relabel(r)]
 
 
+def scalar_team(dyn, delays):
+    """A scalar Delayed team over the Blocked dynamics ``dyn``."""
+    return TeamSpec(
+        n_dm=dyn.n_dm, horizon=3, dynamics=dyn,
+        cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
+        noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
+                        init_offdiag=[[0.0]]),
+        info=Delayed(delays=delays))
+
+
+def check_team(dyn, delays):
+    """``check_sparsity`` of ``scalar_team``'s delays and stacked dynamics."""
+    check_sparsity(delays, *stacked_dynamics(scalar_team(dyn, delays)))
+
+
 class TestValidateSparsity:
     """``check_sparsity``: a block of A or B may couple agent j into agent
     i only where the effective delay E[i, j] is at most 1."""
 
     def test_decoupled_passes(self):
         dyn = blocked_scalar([[0.5, 0.0], [0.0, 0.5]])
-        check_sparsity([[0.0, INF], [INF, 0.0]], *dyn.stacked(2))
+        check_team(dyn, [[0.0, INF], [INF, 0.0]])
 
     def test_coupling_block_beyond_delay_fails(self):
         dyn = blocked_scalar([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(ValueError,
                            match=r"^sparsity: A\^\{12\} must be zero"):
-            check_sparsity([[0.0, INF], [INF, 0.0]], *dyn.stacked(2))
+            check_team(dyn, [[0.0, INF], [INF, 0.0]])
 
     def test_control_block_beyond_delay_fails(self):
         """B is read as A is: agent 1's control entering agent 3's state
@@ -145,7 +161,7 @@ class TestValidateSparsity:
         delays = [[0.0, 1.0, INF], [1.0, 0.0, 1.0], [INF, 1.0, 0.0]]
         with pytest.raises(ValueError, match=r"B\^\{31\} must be zero "
                                              r"\(effective delay 2 > 1\)"):
-            check_sparsity(delays, *dyn.stacked(3))
+            check_team(dyn, delays)
 
     def test_zero_delay_cycle_passes_and_solves(self):
         """Agents that see each other at once share every knowledge set, so
@@ -154,13 +170,8 @@ class TestValidateSparsity:
         delays = [[0.0, 0.0], [0.0, 0.0]]
         dyn = blocked_scalar([[0.5, 0.3], [0.2, 0.5]], [[1.0, 0.4],
                                                         [0.1, 1.0]])
-        check_sparsity(delays, *dyn.stacked(2))
-        spec = TeamSpec(
-            n_dm=2, horizon=3, dynamics=dyn,
-            cost=CostSpec(Q=[[1.0]], R=[[1.0]]),
-            noise=NoiseSpec(sigma_w=[[1.0]], init_diag=[[1.0]],
-                            init_offdiag=[[0.0]]),
-            info=Delayed(delays=delays))
+        check_team(dyn, delays)
+        spec = scalar_team(dyn, delays)
         assert validate(spec).ok
         pol, cost = solve_delayed_finite(spec, 3)
         assert pol.graph.nodes == ((0, 1),)
@@ -168,7 +179,7 @@ class TestValidateSparsity:
 
     def test_delay_one_coupling_allowed(self):
         dyn = blocked_scalar([[0.5, 0.3], [0.2, 0.5]])
-        check_sparsity([[0.0, 1.0], [1.0, 0.0]], *dyn.stacked(2))
+        check_team(dyn, [[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestPartition:

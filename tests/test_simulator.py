@@ -779,6 +779,30 @@ class TestZetaLoop:
                                match=r"sparsity: A\^\{14\} must be zero"):
                 price()
 
+    @pytest.mark.parametrize("solved_on, priced_on", [
+        ([[0, None], [None, 0]], LINKED_DELAYS["pair"]),
+        (LINKED_DELAYS["full3"], [[0, 1, None], [1, 0, 1], [None, 1, 0]]),
+    ], ids=["decoupled-on-pair", "full-on-chain"])
+    def test_policy_on_another_graph_raises(self, rng, solved_on, priced_on):
+        """A policy solved on one graph reads another information than a
+        spec with other delays gives: agents decoupled where the pair
+        couples at delay one, or a full team's where a chain's agents 1
+        and 3 learn of each other only after two steps.  Every
+        graph-policy path refuses it instead of pricing it."""
+        pol, _ = solve_delayed_finite(
+            linked_delayed_spec(rng, solved_on, 1, 1, 3), 3)
+        spec = linked_delayed_spec(rng, priced_on, 1, 1, 3)
+        pset = GraphPolicySet(policy=pol)
+        stationary = replace(pol, horizon=None,
+                             gains={r: g[0] for r, g in pol.gains.items()})
+        for price in (lambda: closed_loop_cost(spec, pol, 3),
+                      lambda: closed_loop_radius(spec, stationary),
+                      lambda: pbp_check(spec, pset, 3),
+                      lambda: simulate(spec, pset, 3, 10, seed=1)):
+            with pytest.raises(ValueError, match="policy's information graph "
+                                                 "differs from the spec's"):
+                price()
+
 
 class TestSampling:
     def test_zero_policy_single_stage_mean(self):
