@@ -14,10 +14,10 @@ The estimator states split the plant state, x = sum_r I^{.,r} zeta^r
 (Lamperski & Doyle, IEEE TAC 2015), so exact costs and rollouts run node
 by node (``_node_moments``, ``step_nodes``); rollouts step x on its own.
 That split holds under one rule, ``info_graph.check_sparsity``: agent j's
-state enters agent i's dynamics only if E[i, j] <= 1.  The solvers, the
-pricer, the stationary radius and ``model.validate`` all apply it.  A
-zero-delay cycle passes, since its agents share every knowledge set and
-sit in one node.
+state enters agent i's dynamics only if E[i, j] <= 1.  ``check`` and
+every entry here apply it with the class's other hypotheses
+(``model.class_checks``).  A zero-delay cycle passes, since its agents
+share every knowledge set and sit in one node.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info_graph import InfoGraph, build_info_graph, check_sparsity, partition
+from .info_graph import InfoGraph, build_info_graph, partition
 from .linalg import kron, numerical_rank, spectral_radius, sym
-from .model import Delayed, TeamSpec, stacked_dynamics
+from .model import Delayed, TeamSpec, require_class, stacked_dynamics
 from .riccati import RiccatiError, dare_solve
 
 
@@ -86,39 +86,24 @@ def stacked_data(spec: TeamSpec) -> _Stacked:
     return _Stacked(N=N, n=n, m=m, A=A, B=B, Q=Q, R=R, S=S)
 
 
-def _check_independent_initials(spec: TeamSpec):
-    if np.any(spec.noise.init_offdiag != 0.0):
-        raise ValueError("the delayed-sharing recursion and its exact costs "
-                         "assume independent initial states (init_offdiag = 0)")
-
-
-def _spec_graph(spec: TeamSpec, A, B):
-    """The spec's graph, once its stacked (A, B) pass ``check_sparsity``."""
+def check_preconditions(spec: TeamSpec):
+    """The spec's information graph, once the spec has Delayed information
+    and its class's hypotheses (``model.require_class``): the delay pattern
+    (``info_graph.effective_delays``), ``check_sparsity``'s rule (zero-delay
+    cycles sit inside one node) and independent initial states.  Raises
+    ValueError naming the line ``check`` FAILs otherwise."""
     if not isinstance(spec.info, Delayed):
         raise ValueError("delayed solver needs Delayed information")
-    check_sparsity(spec.info.delays, A, B)
+    require_class(spec)
     return build_info_graph(spec.info.delays)
 
 
-def check_preconditions(spec: TeamSpec):
-    """The spec's information graph, once its delays, dynamics and initial
-    states are ones the node recursion and its costs take: Delayed
-    information, dynamics within ``check_sparsity``'s rule (zero-delay
-    cycles included, as they sit inside one node) and independent initial
-    states (init_offdiag = 0).  Raises ValueError otherwise, so solve calls
-    fail loudly."""
-    graph = _spec_graph(spec, *stacked_dynamics(spec))
-    _check_independent_initials(spec)
-    return graph
-
-
 def policy_data(spec: TeamSpec, policy: GraphPolicy) -> _Stacked:
-    """``stacked_data`` of a spec that passes ``_spec_graph`` and whose
-    graph the policy runs on, so each node reads what its agents know."""
-    d = stacked_data(spec)
-    if policy.graph != _spec_graph(spec, d.A, d.B):
+    """``stacked_data`` of a spec that passes ``check_preconditions``, for a
+    policy on its graph, so each node reads what its agents know."""
+    if policy.graph != check_preconditions(spec):
         raise ValueError("policy's information graph differs from the spec's")
-    return d
+    return stacked_data(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +299,10 @@ def _node_moments(spec: TeamSpec, policy: GraphPolicy, T: int,
 
     ``want_grad`` adds each node's (g, h), each (T, |r|m, |r|n), as
     ``moments.gain_sensitivity`` forms them, from the adjoint
-    P_t^r = C_t^r + F_t^{rT} P_{t+1}^s F_t^r, P_T = 0.  Correlated initial
-    states, dynamics outside ``check_sparsity``'s rule, or a policy on
-    another graph than the spec's raise ValueError (``policy_data``).
+    P_t^r = C_t^r + F_t^{rT} P_{t+1}^s F_t^r, P_T = 0.  A spec outside its
+    class, or a policy on another graph than the spec's, raise ValueError
+    (``policy_data``).
     """
-    _check_independent_initials(spec)
     graph = policy.graph
     d = policy_data(spec, policy)
     Z = {r: np.zeros((T, len(r) * d.n, len(r) * d.n)) for r in graph.nodes}

@@ -35,19 +35,24 @@ def effective_delays(delays):
     state; direct links have weight delays[i][j] and knowledge relays
     through intermediaries.  Zero-delay links relay at zero cost, which is
     why hop counting alone is not enough.
+
+    The one statement of the delay pattern: self-delays 0, others 0, 1 or
+    inf (never), so NaN and -inf are refused.  UnsupportedStructureError
+    names the first bad delay: ``check``'s FAIL line (``model.class_checks``)
+    and what the delayed solvers and graph pricers raise.
     """
     D = np.asarray(delays, dtype=float)
     N = D.shape[0]
     if D.shape != (N, N):
         raise ValueError("delays must be square")
-    for i in range(N):
-        if D[i, i] != 0.0:
-            raise UnsupportedStructureError("self-delays must be zero")
-    finite = D[np.isfinite(D)]
-    if np.any((finite != 0.0) & (finite != 1.0)):
+    bad = np.argwhere((D != 0.0) & (np.eye(N, dtype=bool)
+                                    | ((D != 1.0) & (D != INF))))
+    if len(bad):
+        i, j = bad[0]
+        need = "0 (self-delay)" if i == j else "0, 1 or inf"
         raise UnsupportedStructureError(
-            "finite delays must be 0 or 1 (one-step-delayed sharing)"
-        )
+            f"delay pattern: d_{{{i + 1}{j + 1}}} = {D[i, j]:g} must be "
+            f"{need} (one-step-delayed sharing)")
     E = D.copy()
     for k in range(N):
         E = np.minimum(E, E[:, k:k + 1] + E[k:k + 1, :])

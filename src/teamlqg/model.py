@@ -8,12 +8,11 @@ mean-field-scaled tree, or delayed sharing).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info_graph import check_sparsity
+from .info_graph import UnsupportedStructureError, check_sparsity
 from .linalg import (
     SYM_TOL,
     as_matrix,
@@ -23,8 +22,6 @@ from .linalg import (
     kron,
     sym,
 )
-
-INF = math.inf
 
 
 class DimensionError(ValueError):
@@ -136,11 +133,13 @@ class CostSpec:
     the team cost sum_i (x^i' Q x^i + u^i' R u^i) + sum_{i != j} (u^i' R_tilde
     u^j + x^i' Q_tilde x^j), each ordered pair once (Delayed adds 2 x^i' S u^i;
     Tree specs leave Q_tilde and S zero); MeanFieldTree weighs both pair sums
-    2/(N-1) and leaves S zero.  One stage convention holds in every class:
-    a reported J is 1/T times the expected cost of the stages t < T, of the
-    team, or of one agent for ``mean_field_limit`` (at any N: see
-    ``tree.spread_weights``), and nothing after them is charged (every
-    backward recursion starts from a zero value at T).
+    2/(N-1) and leaves S zero (``class_checks`` states these zeros, and
+    ``check`` and every tree-class solve, price and rollout refuse by them).
+    One stage convention holds in every class: a reported J is 1/T times
+    the expected cost of the stages t < T, of the team, or of one agent for
+    ``mean_field_limit`` (at any N: see ``tree.spread_weights``), and
+    nothing after them is charged (every backward recursion starts from a
+    zero value at T).
     """
 
     Q: np.ndarray
@@ -295,9 +294,9 @@ def stacked_dynamics(spec: TeamSpec):
     """The team's (A, B), N n x N n and N n x N m: Blocked dynamics' own
     grid, or N block-diagonal copies of Homogeneous dynamics."""
     dyn = spec.dynamics
-    if isinstance(dyn, Blocked):
-        return tuple(np.block([list(row) for row in grid])
-                     for grid in (dyn.A_blocks, dyn.B_blocks))
+    if isinstance(dyn, Blocked):    # each (N, N, n, k) grid as (N n, N k)
+        return tuple(np.transpose(grid, (0, 2, 1, 3)).reshape(
+            spec.n_dm * dyn.n, -1) for grid in (dyn.A_blocks, dyn.B_blocks))
     return kron(np.eye(spec.n_dm), dyn.A), kron(np.eye(spec.n_dm), dyn.B)
 
 
@@ -306,6 +305,10 @@ class Check:
     name: str
     passed: bool
     message: str = ""
+
+    def __str__(self):
+        """The line as ``check`` prints it and the solvers raise it."""
+        return self.name + (f" ({self.message})" if self.message else "")
 
 
 @dataclass
@@ -323,28 +326,68 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def summary(self):
-        lines = []
-        for c in self.checks:
-            tag = "PASS" if c.passed else "FAIL"
-            msg = f" ({c.message})" if c.message else ""
-            lines.append(f"[{tag}] {c.name}{msg}")
-        return "\n".join(lines)
+        return "\n".join(f"[{'PASS' if c.passed else 'FAIL'}] {c}"
+                         for c in self.checks)
 
 
-def _check_near_symmetric(report, name, M):
-    report.add(
-        f"{name} symmetric",
-        asymmetry(M) <= SYM_TOL * 10,
-        f"relative asymmetry {asymmetry(M):.2e}",
-    )
+def class_checks(spec: TeamSpec) -> list:
+    """The hypotheses of the spec's information class as ``validate``
+    lines (``Check``), the one statement of each; the solvers refuse by
+    them (``require_class``).  Delayed: the delay pattern, which
+    ``info_graph.effective_delays`` states and names, ``check_sparsity``'s
+    rule and independent initial states, the partially nested class of Ho
+    & Chu (IEEE TAC 1972) with the delays and sparsity of Lamperski &
+    Lessard (Automatica 2015).  Tree classes: homogeneous dynamics, N >= 2
+    under MeanFieldTree, no S, and no Q_tilde under Tree (see CostSpec);
+    a tree line that can only fail is listed only when it does."""
+    if isinstance(spec.info, Delayed):
+        lines = [Check("zero self-delays", True),
+                 Check("delays at most one step", True, "only the "
+                       "one-step-delayed sharing pattern is supported"),
+                 Check("sparsity: dynamics within the delay pattern", True)]
+        try:    # reads the effective delays first
+            check_sparsity(spec.info.delays, *stacked_dynamics(spec))
+        except UnsupportedStructureError as exc:    # the delay pattern
+            lines = [Check(str(exc), False)]
+        except ValueError as exc:   # named by its first bad block
+            lines[2] = Check(str(exc), False)
+        return lines + [Check("independent initial states (delayed info)",
+                              not spec.noise.init_offdiag.any(),
+                              "delayed-sharing synthesis assumes "
+                              "init_offdiag = 0")]
+    lines = []
+    if not isinstance(spec.dynamics, Homogeneous):
+        lines.append(Check("homogeneous dynamics for tree info", False,
+                           "tree/mean-field solvers need identical "
+                           "per-agent dynamics"))
+    if isinstance(spec.info, MeanFieldTree):
+        lines.append(Check("mean-field population n_dm >= 2",
+                           spec.n_dm >= 2, "the 1/(N-1)-scaled coupling "
+                           "needs at least two agents"))
+    elif spec.cost.Q_tilde.any():
+        lines.append(Check("no Q_tilde under tree info", False,
+                           "the tree-class cost does not price Q_tilde"))
+    if spec.cost.S.any():
+        lines.append(Check("no S under tree info", False,
+                           "the tree-class cost does not price S"))
+    return lines
+
+
+def require_class(spec: TeamSpec):
+    """Raise ValueError naming the first ``class_checks`` line the spec
+    fails; ``tree.tree_dynamics`` and ``delayed.check_preconditions`` call
+    it once per solver entry."""
+    for c in class_checks(spec):
+        if not c.passed:
+            raise ValueError(str(c))
 
 
 def validate(spec: TeamSpec) -> ValidationReport:
     """Run every structural invariant check; dimension mismatches raise at
-    construction, everything else is a named pass/fail entry."""
+    construction, everything else is a named pass/fail entry.  Its last
+    lines are ``class_checks``, so ``check`` FAILs what the solvers refuse."""
     rep = ValidationReport()
     cost, noise = spec.cost, spec.noise
-    N = spec.n_dm
     # an all-zero coupling block is an absent one: no coupling, no lines
     has_Rt, has_Qt, has_S = (np.any(M) for M in (cost.R_tilde,
                                                   cost.Q_tilde, cost.S))
@@ -359,7 +402,8 @@ def validate(spec: TeamSpec) -> ValidationReport:
         ("init_offdiag", noise.init_offdiag, True),
     ):
         if present:
-            _check_near_symmetric(rep, name, M)
+            rep.add(f"{name} symmetric", asymmetry(M) <= SYM_TOL * 10,
+                    f"relative asymmetry {asymmetry(M):.2e}")
 
     rep.add("R positive definite", is_pd(cost.R))
     rep.add("Q positive semidefinite", is_psd(cost.Q))
@@ -376,46 +420,9 @@ def validate(spec: TeamSpec) -> ValidationReport:
     # Joint exchangeable covariance is PSD iff both eigenblock combinations are.
     rep.add(
         "joint initial covariance PSD",
-        is_psd(sd - sym(so)) and is_psd(sd + (N - 1) * sym(so)),
+        is_psd(sd - sym(so)) and is_psd(sd + (spec.n_dm - 1) * sym(so)),
         "needs init_diag - init_offdiag >= 0 and init_diag + (N-1) init_offdiag >= 0",
     )
 
-    if isinstance(spec.info, Delayed):
-        d = spec.info.delays
-        self_ok = all(d[i][i] == 0 for i in range(N))
-        one_step = all(v in (0.0, 1.0) for row in d for v in row if v != INF)
-        rep.add("zero self-delays", self_ok)
-        rep.add(
-            "delays at most one step",
-            one_step,
-            "only the one-step-delayed sharing pattern is supported",
-        )
-        if self_ok and one_step:    # the effective delays need both
-            try:
-                check_sparsity(d, *stacked_dynamics(spec))
-                rep.add("sparsity: dynamics within the delay pattern", True)
-            except ValueError as exc:   # named by its first bad block
-                rep.add(str(exc), False)
-        rep.add(
-            "independent initial states (delayed info)",
-            not np.any(so != 0.0),
-            "delayed-sharing synthesis assumes init_offdiag = 0",
-        )
-    else:
-        if not isinstance(spec.dynamics, Homogeneous):
-            rep.add(
-                "homogeneous dynamics for tree info",
-                False,
-                "tree/mean-field solvers need identical per-agent dynamics",
-            )
-        if isinstance(spec.info, MeanFieldTree):
-            rep.add("mean-field population n_dm >= 2", N >= 2,
-                    "the 1/(N-1)-scaled coupling needs at least two agents")
-        elif has_Qt:
-            rep.add("no Q_tilde under tree info", False,
-                    "the tree-class cost does not price Q_tilde")
-        if has_S:
-            rep.add("no S under tree info", False,
-                    "the tree-class cost does not price S")
-
+    rep.checks += class_checks(spec)
     return rep

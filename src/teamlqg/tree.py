@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import kron, sym
-from .model import Homogeneous, MeanFieldTree, TeamSpec, Tree, conditional_gain
+from .model import (Homogeneous, MeanFieldTree, TeamSpec, Tree,
+                    conditional_gain, require_class)
 from .moments import ClosedLoop, gain_sensitivity, propagate
 from .riccati import (
     RiccatiError,
@@ -120,10 +121,12 @@ def homogeneous_dynamics(spec: TeamSpec):
 def tree_dynamics(spec: TeamSpec):
     """(A, B) of a spec that the tree-class solvers take.  Every tree-class
     solve, exact price and rollout starts here, whichever mode it is given,
-    so blocked dynamics and information without a tree mode
-    (``default_mode``) are refused here, with ValueError."""
+    so blocked dynamics, information without a tree mode
+    (``default_mode``) and a spec outside its class (``model.require_class``:
+    no S, no Q_tilde under Tree, ...) are refused here, with ValueError."""
     A, B = homogeneous_dynamics(spec)
     default_mode(spec)
+    require_class(spec)
     return A, B
 
 

@@ -44,11 +44,13 @@ SIM = "src/teamlqg/sim.py"
 DELAYED = "src/teamlqg/delayed.py"
 MOMENTS = "src/teamlqg/moments.py"
 RNG = "src/teamlqg/rng.py"
+MODEL = "src/teamlqg/model.py"
 INFINITE = "tests/test_tree.py::TestInfiniteTree::"
 MFT = "tests/test_simulator.py::TestMftSweep::"
 LAYOUT = "tests/test_simulator.py::TestRolloutLayout::"
 ZETA = "tests/test_simulator.py::TestZetaLoop::"
 CHECKS = "tests/test_simulator.py::TestStructuralChecks::"
+CLASS = "tests/test_model.py::TestClassHypotheses::"
 RANK = "tests/test_delayed.py::TestRankGrid::"
 KRON = "tests/test_tree.py::TestKroneckerReference::"
 PRICER = "tests/test_tree.py::TestPerAgentPricer::"
@@ -204,7 +206,7 @@ MUTANTS = (
            (CHECKS + "test_pbp_matches_reference_on_tree_profiles",
             UNITS + "test_cost_units_change_no_gain_and_no_verdict[tinf]")),
     Mutant("absolute floor restored in model.conditional_gain's "
-           "singular-init_diag test", "src/teamlqg/model.py",
+           "singular-init_diag test", MODEL,
            "if w[0] <= 1e-12 * abs(w[-1]):",
            "if w[0] <= 1e-12 * (1.0 + abs(w[-1])):",
            (UNITS + "test_noise_units_change_no_gain[golden]",)),
@@ -247,12 +249,27 @@ MUTANTS = (
            "noise=replace(spec.noise, family=spec.noise.family))",
            ("tests/test_cli.py::TestCommands::"
             "test_verify_draws_solves_and_prices_once",)),
-    Mutant("correlated initial states priced by delayed._node_moments",
-           DELAYED,
-           "    _check_independent_initials(spec)\n    graph = policy.graph\n",
-           "    graph = policy.graph\n",
+    Mutant("independent initial states line passed in model.class_checks",
+           MODEL,
+           "not spec.noise.init_offdiag.any(),",
+           "True,",
            ("tests/test_delayed.py::TestInfiniteHorizon::"
             "test_correlated_initial_states_not_priced",)),
+    Mutant("no-S-under-tree line dropped from model.class_checks", MODEL,
+           "    if spec.cost.S.any():\n",
+           "    if False:\n",
+           (CLASS + "test_solvers_refuse_naming_the_line[tree-S]",)),
+    Mutant("info_graph.effective_delays loosened to finite delays 0 or 1",
+           "src/teamlqg/info_graph.py",
+           "(D != 1.0) & (D != INF)",
+           "(D != 1.0) & np.isfinite(D)",
+           (CLASS + "test_solvers_refuse_naming_the_line[delayed-minus-inf]",)),
+    Mutant("stationary delayed cost's self-loop DARE without its S correction",
+           DELAYED,
+           "Qbar = sym(Q - S @ Rinv_St)",
+           "Qbar = sym(Q)",
+           ("tests/test_delayed.py::TestInfiniteHorizon::"
+            "test_average_cost_bias_identity[full3]",)),
     Mutant("sparsity rule loosened to E > 2 in info_graph.check_sparsity",
            "src/teamlqg/info_graph.py",
            "moves & (E > 1.0)[..., None]",

@@ -111,6 +111,17 @@ def decoupled_2dm_spec(T=3):
     )
 
 
+def costed_linked_spec(rng, graph, n, m):
+    """A bench-shaped linked graph (``linked_delayed_spec``, T = 3) whose
+    cost adds R~, Q~ and S."""
+    spec = linked_delayed_spec(rng, LINKED_DELAYS[graph], n, m, 3)
+    W = rand_pd(rng, n + m)    # [[Q, S], [S^T, R]]: a valid cost
+    return replace(spec, cost=CostSpec(
+        Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
+        Q_tilde=rand_psd(rng, n, scale=0.1),
+        R_tilde=rand_psd(rng, m, scale=0.1)))
+
+
 class TestFiniteHorizon:
     def test_single_dm_matches_dp_oracle(self, rng):
         """20 random scalar and 2-state instances against a brute-force
@@ -295,6 +306,21 @@ class TestInfiniteHorizon:
         assert gaps[2] < gaps[1] < gaps[0]
         assert gaps[2] < 1e-2
 
+    @pytest.mark.parametrize("graph", ["full3", "chain4", "ring4"])
+    def test_average_cost_bias_identity(self, graph):
+        """The finite optimal cost is J_T = J_inf + bias / T plus a remainder
+        of order rho^{2T}, rho the stationary closed-loop radius, so
+        T (J_T - J_inf) reads one number at T = 40 and T = 160, to 1e-9
+        relative, where rho <= 0.75.  A stationary cost off by d moves the
+        two readings apart by 120 d; the limit test above bounds d only to
+        about 1e-2."""
+        spec = costed_linked_spec(np.random.default_rng(0), graph, 2, 1)
+        _, radius, target = solve_delayed_infinite(spec)
+        assert radius <= 0.75
+        b40, b160 = (T * (solve_delayed_finite(spec, T)[1] - target)
+                     for T in (40, 160))
+        assert abs(b40 - b160) <= 1e-9 * (1.0 + abs(b160)), (b40, b160)
+
     def test_rank_condition_failure_raises(self):
         """Zero cost on an undetectable unstable mode trips the unit-circle
         rank condition."""
@@ -449,13 +475,8 @@ class TestStationaryCostReference:
     def test_linked_graphs(self, graph, n, m, seed):
         """Bench-shaped linked graphs; odd seeds add R~, Q~ and S."""
         rng = np.random.default_rng(seed)
-        spec = linked_delayed_spec(rng, LINKED_DELAYS[graph], n, m, 3)
-        if seed % 2:
-            W = rand_pd(rng, n + m)    # [[Q, S], [S^T, R]]: a valid cost
-            spec = replace(spec, cost=CostSpec(
-                Q=W[:n, :n], R=W[n:, n:], S=W[:n, n:],
-                Q_tilde=rand_psd(rng, n, scale=0.1),
-                R_tilde=rand_psd(rng, m, scale=0.1)))
+        spec = (costed_linked_spec(rng, graph, n, m) if seed % 2
+                else linked_delayed_spec(rng, LINKED_DELAYS[graph], n, m, 3))
         self.assert_matches(spec)
 
 

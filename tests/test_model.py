@@ -1,5 +1,7 @@
 """Spec validation, conditional gain, and structural invariants."""
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamlqg.delayed import (
+    closed_loop_cost,
+    solve_delayed_finite,
+    solve_delayed_infinite,
+)
 from teamlqg.model import (
     Blocked,
     CostSpec,
@@ -17,9 +24,19 @@ from teamlqg.model import (
     SingularCovarianceError,
     TeamSpec,
     Tree,
+    class_checks,
     conditional_gain,
+    require_class,
     validate,
 )
+from teamlqg.sim import (
+    GraphPolicySet,
+    TreePolicySet,
+    exact_cost_general,
+    pbp_check,
+    simulate,
+)
+from teamlqg.tree import predicted_cost, solve_infinite_tree, solve_tree
 
 from conftest import (
     coupled_delayed_spec_2dm,
@@ -115,8 +132,9 @@ class TestValidate:
         """validate applies the delayed solvers' sparsity rule: unlinked,
         the coupled pair fails one line naming A^{12}, its first block
         outside the pattern; linked, or with homogeneous dynamics, it
-        passes; with a delay of 2 the rule has no effective delays to read
-        and its line is left out."""
+        passes; with a delay of 2 the delay pattern fails one line naming
+        d_{12}, and the rule, with no effective delays to read, is left
+        out."""
         INF = np.inf
         linked = coupled_delayed_spec_2dm()
         unlinked = replace(linked, info=Delayed(((0, INF), (INF, 0))))
@@ -128,7 +146,8 @@ class TestValidate:
         assert check_names(validate(homogeneous))[rule] is True
         too_late = validate(replace(linked, info=Delayed(((0, 2), (1, 0)))))
         assert [c.name for c in too_late.failed()] == [
-            "delays at most one step"]
+            "delay pattern: d_{12} = 2 must be 0, 1 or inf "
+            "(one-step-delayed sharing)"]
         assert not any(c.name.startswith("sparsity") for c in too_late.checks)
 
     def test_dimension_mismatch_is_hard_error(self):
@@ -213,6 +232,77 @@ class TestValidate:
 def sym_ind(g, n):
     M = g.normal(size=(n, n))
     return 0.5 * (M + M.T)
+
+
+def _tree_with(**blocks):
+    spec = scalar_tree_spec(T=3)
+    return spec, replace(spec, cost=replace(spec.cost, **blocks))
+
+
+def _delayed_with(d12):
+    spec = coupled_delayed_spec_2dm(T=3)
+    return spec, replace(spec, info=Delayed(((0.0, d12), (1.0, 0.0))))
+
+
+# (id, (a spec of the class, the same spec outside it), the class line that
+# ``check`` FAILs and every solver of the class names)
+OUTSIDE_THE_CLASS = [
+    ("tree-S", _tree_with(S=[[0.4]]), "no S under tree info"),
+    ("tree-Q_tilde", _tree_with(Q_tilde=[[0.7]]),
+     "no Q_tilde under tree info"),
+    ("delayed-minus-inf", _delayed_with(-math.inf),
+     "delay pattern: d_{12} = -inf must be 0, 1 or inf"),
+    ("delayed-nan", _delayed_with(math.nan),
+     "delay pattern: d_{12} = nan must be 0, 1 or inf"),
+]
+
+
+def _entry_points(good, bad):
+    """Each solver, pricer and rollout the class of ``bad`` reaches, called
+    on ``bad``; the priced policy is solved on ``good``."""
+    T = good.horizon
+    if isinstance(good.info, Delayed):
+        pol, _ = solve_delayed_finite(good, T)
+        pset = GraphPolicySet(policy=pol)
+        calls = [lambda: solve_delayed_finite(bad),
+                 lambda: solve_delayed_infinite(bad),
+                 lambda: closed_loop_cost(bad, pol)]
+    else:
+        pol = solve_tree(good, T)
+        pset = TreePolicySet.from_policy(pol, good.n_dm)
+        calls = [lambda: solve_tree(bad),
+                 lambda: predicted_cost(bad, pol),
+                 lambda: solve_infinite_tree(bad)]
+    return calls + [lambda: simulate(bad, pset, T, 8, 0),
+                    lambda: exact_cost_general(bad, pset, T),
+                    lambda: pbp_check(bad, pset, T)]
+
+
+class TestClassHypotheses:
+    """``model.class_checks`` states each information class's hypotheses
+    once: ``check`` FAILs a spec outside them by one line, and every
+    solver, pricer and rollout of the class refuses it naming that line."""
+
+    @pytest.mark.parametrize("specs, line", [row[1:] for row in
+                                             OUTSIDE_THE_CLASS],
+                             ids=[row[0] for row in OUTSIDE_THE_CLASS])
+    def test_check_fails_one_class_line(self, specs, line):
+        good, bad = specs
+        assert validate(good).ok
+        failed = [c.name for c in validate(bad).failed()]
+        assert len(failed) == 1 and failed[0].startswith(line), failed
+        assert failed[0] in [c.name for c in class_checks(bad)]
+
+    @pytest.mark.parametrize("specs, line", [row[1:] for row in
+                                             OUTSIDE_THE_CLASS],
+                             ids=[row[0] for row in OUTSIDE_THE_CLASS])
+    def test_solvers_refuse_naming_the_line(self, specs, line):
+        good, bad = specs
+        with pytest.raises(ValueError, match=re.escape(line)):
+            require_class(bad)
+        for call in _entry_points(good, bad):
+            with pytest.raises(ValueError, match=re.escape(line)):
+                call()
 
 
 class TestConditionalGain:

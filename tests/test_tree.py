@@ -55,6 +55,7 @@ from conftest import (
     assert_nondegenerate,
     closed_form_cost_variants,
     coupled_delayed_spec_2dm,
+    n2_mf_spec,
     rand_pd,
     rand_psd,
     random_tree_spec,
@@ -926,6 +927,22 @@ class TestInfiniteTree:
         pol = solve_infinite_tree(spec)
         assert_nondegenerate(pol.L(pol.horizon_used))
         assert finite_head_gap(spec, pol) < 1e-9
+
+    def test_average_cost_bias_identity(self):
+        """The finite optimal cost is J_T = J_inf + bias / T plus a remainder
+        of order rho^{2T}, rho the stationary closed-loop radius, so
+        T (J_T - J_inf) reads one number at T = 40 and T = 160, to 1e-9
+        relative, where rho <= 0.75: J_T from solve_tree and
+        predicted_cost, J_inf the stationary average cost, on the n = m = 2
+        spec with R~ and correlated initial states at N = 4."""
+        base = n2_mf_spec(n_dm=4)
+        spec = replace(base, cost=replace(base.cost, Q_tilde=None),
+                       info=Tree())
+        pol = solve_infinite_tree(spec)
+        assert pol.closed_loop_radius <= 0.75
+        b40, b160 = (T * (predicted_cost(spec, solve_tree(spec, T))
+                          - pol.average_cost) for T in (40, 160))
+        assert abs(b40 - b160) <= 1e-9 * (1.0 + abs(b160)), (b40, b160)
 
     def test_value_cesaro_convergence(self):
         """(1/T) sum_t ||P_t^{(T)} - P_dare|| shrinks as T doubles."""
